@@ -38,37 +38,13 @@
 //! [`try_reconstruct_gap_ops_with_provenance`] driven by the two-bit-per-cell
 //! predecessor flags of [`sequential_gap_with_provenance`].
 //!
-//! # The speculative-veto sweep invariant
+//! # The packed round
 //!
-//! The packed round is executed as a *block-parallel speculative sweep*: the
-//! candidate rows are split into contiguous blocks, each block is solved in
-//! parallel against the **round-start snapshot** (the frozen global
-//! row/column decision lists, the `r_start` watermarks, and grid cells
-//! finalized in previous rounds), and a sequential fix-up pass then replays
-//! the true sweep.  Correctness rests on one invariant:
-//!
-//! > every value a speculative block caches is a **pure function of
-//! > round-start state** — `min` of the frozen column query, the frozen row
-//! > query, and the previous-round diagonal — i.e. exactly the tentative the
-//! > sequential sweep would compute for that cell from scratch.
-//!
-//! Speculation therefore only decides *what is precomputed*, never *what is
-//! finalized*: the fix-up pass consumes cached tentatives where available,
-//! computes fresh ones past each block's speculation horizon, and applies the
-//! real cross-block cutoffs and within-round veto bands itself.  The fix-up
-//! is bit-identical to the plain sequential sweep at **any** block count
-//! (including 1 = no speculation), so rounds still equal the effective depth
-//! exactly and grids are deterministic at any thread count.  A block's own
-//! veto *simulation* (used only to bound how far it speculates) stops at any
-//! cell whose same-round diagonal predecessor lies in another block — the one
-//! dependency a snapshot cannot decide.
-//!
-//! Within a block (and within the fix-up) the per-cell decision-list queries
-//! are cursor-amortized: one binary search seeds a cursor per row/column
-//! list, and subsequent queries at monotonically increasing positions advance
-//! it linearly.  Within-round veto checks scan the finalized run directly
-//! while it is short (`BAND_BRUTE_MAX` cells), upgrading to a
-//! `ConvexDecisionList` band only for long runs.
+//! Each packed round is one exact sequential sweep over the candidate rows
+//! that decides the round's safe set, using persistent per-row/per-column
+//! decision-list cursors and within-round veto checks.  A parallel publish
+//! then inserts the round's cells into the global row and column decision
+//! lists, one independent run of insertions per row and per column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +52,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
-use pardp_parutils::{round_block_count, round_min_grain, Metrics, MetricsCollector};
+use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// A GAP problem instance: two strings plus the two block-deletion cost
@@ -288,39 +264,13 @@ impl ConvexDecisionList {
         dval + cost(dec, q)
     }
 
-    /// Position a cursor for a run of queries at positions `>= q` (one binary
-    /// search; subsequent [`ConvexDecisionList::query_at`] calls advance it
-    /// linearly).  The cursor stays valid across interleaved `insert`s at
-    /// positions at or past the last query point: pops only remove entries
-    /// whose takeover exceeds the insert position (hence exceeds every
-    /// earlier query position), and pushes append after them, so entries at
-    /// or below the cursor never move.
-    fn seek(&self, q: usize) -> u32 {
-        self.entries.partition_point(|&(start, _, _)| start <= q) as u32
-    }
-
-    /// Cursor-amortized [`ConvexDecisionList::query`]: identical result,
-    /// `O(advance)` instead of `O(log len)`.  Query positions through one
-    /// cursor must be non-decreasing.
-    fn query_at(&self, cursor: &mut u32, q: usize, cost: &impl Fn(usize, usize) -> i64) -> i64 {
-        let mut idx = *cursor as usize;
-        while idx < self.entries.len() && self.entries[idx].0 <= q {
-            idx += 1;
-        }
-        *cursor = idx as u32;
-        if idx == 0 {
-            return INF;
-        }
-        let (_, dec, dval) = self.entries[idx - 1];
-        dval + cost(dec, q)
-    }
-
-    /// Self-healing variant of [`ConvexDecisionList::query_at`] for cursors
-    /// that persist across interleaved inserts at *arbitrary* positions
-    /// (e.g. across packed-GAP rounds, where publish insertions land below
-    /// the cursor's last query point).  Inserts pop only from the tail and
-    /// push to the tail, so a stale cursor can only be off in one detectable
-    /// way — pointing past an entry whose takeover now exceeds `q` — which is
+    /// Cursor-amortized [`ConvexDecisionList::query`] for cursors that
+    /// persist across interleaved inserts at *arbitrary* positions (e.g.
+    /// across packed-GAP rounds, where publish insertions land below the
+    /// cursor's last query point).  Queries at non-decreasing positions
+    /// advance the cursor linearly.  Inserts pop only from the tail and push
+    /// to the tail, so a stale cursor can only be off in one detectable way —
+    /// pointing past an entry whose takeover now exceeds `q` — which is
     /// repaired with one binary search.  Identical result to `query`.
     fn query_tracked(
         &self,
@@ -606,278 +556,11 @@ where
     }
 }
 
-/// [`parallel_gap_packed`] with a forced speculative block count — a testing
-/// hook that bypasses the grain policy's `available_parallelism()` cap so
-/// block-boundary behavior (including one row per block) can be exercised
-/// deterministically on any host.  The count is clamped to the number of
-/// candidate rows each round; `1` is exactly the sequential sweep.
-pub fn parallel_gap_packed_with_blocks<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-    blocks: usize,
-) -> GapResult
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let metrics = MetricsCollector::new();
-    let d = run_phase_parallel(
-        PackedGapCordon::new(inst).with_block_count(blocks),
-        &metrics,
-    );
-    let cost = d[inst.a.len()][inst.b.len()];
-    GapResult {
-        d,
-        cost,
-        metrics: metrics.snapshot(),
-    }
-}
-
 /// Within-round veto checks scan the finalized run directly (early-exit on
 /// the first improving predecessor) while the run is at most this long;
 /// longer runs upgrade to a `ConvexDecisionList` band.  Runs on the bench
 /// workloads average 1–2 cells, so the bands almost never materialize.
 const BAND_BRUTE_MAX: usize = 32;
-
-/// Minimum candidate rows per speculative block (see
-/// [`pardp_parutils::GrainHint::block_count`] for the `available_parallelism`
-/// cap that sits on top).
-const MIN_BLOCK_ROWS: usize = 64;
-
-/// Floor of the per-row speculation horizon.  Each block speculates at most
-/// `max(SPEC_CAP_MIN, 2 × previous round's longest run)` cells per row; the
-/// fix-up computes anything past the horizon on demand, so the cap only
-/// bounds wasted work, never correctness.
-const SPEC_CAP_MIN: usize = 64;
-
-/// Scratch for one speculative block of rows (reused across rounds).
-///
-/// `vals` caches, for every visited cell, the *pure* round-start tentative —
-/// `min` of the frozen global column/row queries and the previous-round
-/// diagonal.  That is exactly the value the sequential fix-up would compute
-/// from scratch, so consuming the cache cannot change any decision (see the
-/// module docs for the speculative-veto sweep invariant).  The block's own
-/// veto simulation only decides how far to speculate.
-struct GapBlock {
-    /// Assigned candidate rows `lo..=hi` (empty when `lo > hi`).
-    lo: usize,
-    hi: usize,
-    /// Per row: offset of its cached tentatives in `vals` (pushed at row
-    /// start, so in-block column/diagonal lookups can index earlier rows).
-    offs: Vec<u32>,
-    /// Per row: absolute column end (exclusive) of the cached prefix.
-    cache_end: Vec<u32>,
-    /// Per row: speculative watermark — the first column the block's veto
-    /// simulation could not settle.
-    spec_fin: Vec<u32>,
-    /// Cached tentatives, rows concatenated (each row starts at `r_start`).
-    vals: Vec<i64>,
-    /// Block-local cursors into the frozen global column lists.
-    col_cursor: Vec<u32>,
-    col_cursor_epoch: Vec<u64>,
-    /// Block-local within-round column runs (speculative settlements).
-    col_run_start: Vec<u32>,
-    col_run_len: Vec<u32>,
-    col_run_epoch: Vec<u64>,
-    /// Block-local veto lists, built only past `BAND_BRUTE_MAX`.
-    col_band: Vec<ConvexDecisionList>,
-    row_band: ConvexDecisionList,
-    epoch: u64,
-    probes: u64,
-}
-
-impl GapBlock {
-    fn new() -> Self {
-        GapBlock {
-            lo: 1,
-            hi: 0,
-            offs: Vec::new(),
-            cache_end: Vec::new(),
-            spec_fin: Vec::new(),
-            vals: Vec::new(),
-            col_cursor: Vec::new(),
-            col_cursor_epoch: Vec::new(),
-            col_run_start: Vec::new(),
-            col_run_len: Vec::new(),
-            col_run_epoch: Vec::new(),
-            col_band: Vec::new(),
-            row_band: ConvexDecisionList::new(0),
-            epoch: 0,
-            probes: 0,
-        }
-    }
-}
-
-/// Speculatively solve one block of rows against the round-start snapshot.
-///
-/// Reads only frozen state (the global decision lists, `r_start`, and grid
-/// cells finalized in previous rounds), so any number of blocks can run in
-/// parallel.  Caches the pure tentative of every visited cell and simulates
-/// the veto rules with block-local knowledge only to bound the horizon; a
-/// same-round diagonal predecessor outside the block stops the row (the one
-/// dependency the snapshot cannot decide).
-#[allow(clippy::too_many_arguments)]
-fn speculate_block<W1, W2>(
-    blk: &mut GapBlock,
-    inst: &GapInstance<'_, W1, W2>,
-    d: &[Vec<i64>],
-    row_struct: &[ConvexDecisionList],
-    col_struct: &[ConvexDecisionList],
-    r_start: &[usize],
-    cap: usize,
-    n: usize,
-    m: usize,
-) where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let (w1, w2) = (&inst.w1, &inst.w2);
-    blk.epoch += 1;
-    if blk.col_cursor.len() < m + 1 {
-        blk.col_cursor.resize(m + 1, 0);
-        blk.col_cursor_epoch.resize(m + 1, 0);
-        blk.col_run_start.resize(m + 1, 0);
-        blk.col_run_len.resize(m + 1, 0);
-        blk.col_run_epoch.resize(m + 1, 0);
-        blk.col_band
-            .resize_with(m + 1, || ConvexDecisionList::new(n));
-    }
-    blk.vals.clear();
-    blk.offs.clear();
-    blk.cache_end.clear();
-    blk.spec_fin.clear();
-    let mut probes = 0u64;
-    // Block-local cutoff: exact for the first block (whose rows see the true
-    // state above), optimistic for later blocks (their fix-up applies the
-    // real one).
-    let mut cutoff = m + 1;
-    for i in blk.lo..=blk.hi {
-        let start = r_start[i];
-        let row_off = blk.vals.len() as u32;
-        blk.offs.push(row_off);
-        let mut j = start;
-        // Settled prefix of this row in the simulation (fix-up may differ).
-        let mut fin = start;
-        if start < cutoff {
-            let limit = cutoff.min(start + cap).min(m + 1);
-            let mut row_cur = row_struct[i].seek(start);
-            let mut row_list = false;
-            while j < limit {
-                // Pure round-start tentative (cached below even when the
-                // simulation stops here: purity is what the fix-up relies
-                // on, not the simulation's verdict).
-                if blk.col_cursor_epoch[j] != blk.epoch {
-                    blk.col_cursor_epoch[j] = blk.epoch;
-                    blk.col_cursor[j] = col_struct[j].seek(i);
-                }
-                let mut t = col_struct[j].query_at(&mut blk.col_cursor[j], i, w1);
-                t = t.min(row_struct[i].query_at(&mut row_cur, j, w2));
-                probes += 2;
-                let mut diag_new = INF;
-                let mut barrier = false;
-                if i > 0 && j > 0 && inst.matches(i, j) {
-                    if j - 1 < r_start[i - 1] {
-                        t = t.min(d[i - 1][j - 1]);
-                    } else if i > blk.lo {
-                        let prev = i - 1 - blk.lo;
-                        if ((j - 1) as u32) < blk.spec_fin[prev] {
-                            let off = blk.offs[prev] as usize + (j - 1 - r_start[i - 1]);
-                            diag_new = blk.vals[off];
-                        } else {
-                            barrier = true;
-                        }
-                    } else {
-                        // Same-round diagonal in another block.
-                        barrier = true;
-                    }
-                }
-                blk.vals.push(t);
-                if barrier {
-                    j += 1;
-                    break;
-                }
-                // Veto simulation against block-local predecessors.
-                let mut veto = diag_new < t;
-                if !veto && blk.col_run_epoch[j] == blk.epoch {
-                    let len = blk.col_run_len[j] as usize;
-                    if len > BAND_BRUTE_MAX {
-                        probes += 1;
-                        veto = blk.col_band[j].query(i, w1) < t;
-                    } else {
-                        let first = blk.col_run_start[j] as usize;
-                        for ip in (first..first + len).rev() {
-                            probes += 1;
-                            let v = blk.vals[blk.offs[ip - blk.lo] as usize + (j - r_start[ip])];
-                            if v + w1(ip, i) < t {
-                                veto = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !veto && j > start {
-                    if row_list {
-                        probes += 1;
-                        veto = blk.row_band.query(j, w2) < t;
-                    } else {
-                        for jp in (start..j).rev() {
-                            probes += 1;
-                            let v = blk.vals[row_off as usize + (jp - start)];
-                            if v + w2(jp, j) < t {
-                                veto = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if veto {
-                    j += 1;
-                    break;
-                }
-                // Settle (i, j) in the simulation.
-                fin = j + 1;
-                let run = j - start + 1;
-                if row_list {
-                    blk.row_band.insert(j, t, w2);
-                } else if run > BAND_BRUTE_MAX {
-                    blk.row_band.reset(m);
-                    for jp in start..=j {
-                        blk.row_band
-                            .insert(jp, blk.vals[row_off as usize + (jp - start)], w2);
-                    }
-                    row_list = true;
-                }
-                if blk.col_run_epoch[j] != blk.epoch {
-                    blk.col_run_epoch[j] = blk.epoch;
-                    blk.col_run_start[j] = i as u32;
-                    blk.col_run_len[j] = 1;
-                } else {
-                    blk.col_run_len[j] += 1;
-                    let len = blk.col_run_len[j] as usize;
-                    match len.cmp(&(BAND_BRUTE_MAX + 1)) {
-                        std::cmp::Ordering::Equal => {
-                            blk.col_band[j].reset(n);
-                            let first = blk.col_run_start[j] as usize;
-                            for ip in first..=i {
-                                let v =
-                                    blk.vals[blk.offs[ip - blk.lo] as usize + (j - r_start[ip])];
-                                blk.col_band[j].insert(ip, v, w1);
-                            }
-                        }
-                        std::cmp::Ordering::Greater => {
-                            blk.col_band[j].insert(i, t, w1);
-                        }
-                        std::cmp::Ordering::Less => {}
-                    }
-                }
-                j += 1;
-            }
-        }
-        blk.cache_end.push(j as u32);
-        blk.spec_fin.push(fin as u32);
-        cutoff = cutoff.min(fin);
-    }
-    blk.probes = probes;
-}
 
 /// [`PhaseParallel`] instance for the packed GAP evaluation.
 ///
@@ -900,10 +583,9 @@ fn speculate_block<W1, W2>(
 /// wavefront — rounds never exceed `n + m` and match the effective depth
 /// exactly (pinned against a brute-force oracle in the tests).
 ///
-/// The round is executed as a block-parallel speculative sweep (speculation
-/// against the round-start snapshot, then an exact sequential fix-up — see
-/// the module docs), so grids, rounds, and frontiers are identical at any
-/// thread count and any block count.
+/// The round is one sequential sweep that decides the safe set, then a
+/// parallel publish into the global structures, so grids, rounds, frontiers
+/// and work counters are identical at any thread count.
 pub struct PackedGapCordon<'i, 'a, W1, W2> {
     inst: &'i GapInstance<'a, W1, W2>,
     d: Vec<Vec<i64>>,
@@ -934,12 +616,6 @@ pub struct PackedGapCordon<'i, 'a, W1, W2> {
     row_lo: usize,
     n: usize,
     m: usize,
-    /// Speculative block scratch (reused across rounds).
-    blocks: Vec<GapBlock>,
-    /// Longest single-row run of the previous round (speculation cap input).
-    prev_max_run: usize,
-    /// Testing hook: force the block count instead of the grain policy's.
-    forced_blocks: Option<usize>,
 }
 
 impl<'i, 'a, W1, W2> PackedGapCordon<'i, 'a, W1, W2>
@@ -978,18 +654,7 @@ where
             row_lo: 0,
             n,
             m,
-            blocks: Vec::new(),
-            prev_max_run: 0,
-            forced_blocks: None,
         }
-    }
-
-    /// Force the speculative block count (testing hook — see
-    /// [`parallel_gap_packed_with_blocks`]).  Clamped to the candidate row
-    /// count each round; `1` disables speculation entirely.
-    pub fn with_block_count(mut self, blocks: usize) -> Self {
-        self.forced_blocks = Some(blocks.max(1));
-        self
     }
 }
 
@@ -1017,37 +682,7 @@ where
         let mut probes = 0u64;
         let mut wasted = 0u64;
 
-        // --- Speculative phase: blocks of rows against the snapshot. ------
-        let rows_avail = n - row_lo + 1;
-        let nblocks = match self.forced_blocks {
-            Some(b) => b.clamp(1, rows_avail),
-            None => round_block_count(rows_avail, MIN_BLOCK_ROWS),
-        };
-        if nblocks > 1 {
-            while self.blocks.len() < nblocks {
-                self.blocks.push(GapBlock::new());
-            }
-            let chunk = rows_avail.div_ceil(nblocks);
-            for (k, blk) in self.blocks[..nblocks].iter_mut().enumerate() {
-                blk.lo = (row_lo + k * chunk).min(n + 1);
-                blk.hi = (row_lo + (k + 1) * chunk).min(n + 1) - 1;
-            }
-            let cap = SPEC_CAP_MIN.max(2 * self.prev_max_run);
-            let (d, row_struct, col_struct, r_start) =
-                (&self.d, &self.row_struct, &self.col_struct, &self.r_start);
-            self.blocks[..nblocks]
-                .par_iter_mut()
-                .with_min_len(1)
-                .for_each(|blk| {
-                    speculate_block(blk, inst, d, row_struct, col_struct, r_start, cap, n, m);
-                });
-            for blk in &self.blocks[..nblocks] {
-                probes += blk.probes;
-            }
-        }
-
-        // --- Sequential fix-up: the exact sweep, consuming cached
-        // tentatives where the speculation got that far. ------------------
+        // --- Sequential sweep: decide this round's safe set. -------------
         let epoch = self.epoch;
         let PackedGapCordon {
             d,
@@ -1062,20 +697,16 @@ where
             col_run_epoch,
             col_band,
             row_band,
-            blocks,
-            prev_max_run,
             ..
         } = self;
         let mut finalized = 0usize;
         // Touched column range of this round (for the parallel publish phase).
         let (mut col_lo, mut col_hi) = (m + 1, 0usize);
         let mut row_hi = row_lo;
-        let mut max_run = 0usize;
-        let mut bi = 0usize; // block pointer (blocks cover ascending rows)
-                             // `cutoff` = min over rows above of the post-round watermark: a cell
-                             // (i, j) with j >= cutoff has an unfinalized column predecessor that
-                             // this round does not resolve, so it cannot be safe.  Rows above
-                             // `row_lo` are fully finalized and impose no cutoff.
+        // `cutoff` = min over rows above of the post-round watermark: a cell
+        // (i, j) with j >= cutoff has an unfinalized column predecessor that
+        // this round does not resolve, so it cannot be safe.  Rows above
+        // `row_lo` are fully finalized and impose no cutoff.
         let mut cutoff = m + 1;
         for i in row_lo..=n {
             if cutoff == 0 {
@@ -1088,43 +719,18 @@ where
                 // the new watermark equals the old one (>= cutoff already).
                 continue;
             }
-            // Cached tentatives for this row, if a block speculated it.
-            let (cache, cache_end): (&[i64], usize) = if nblocks > 1 {
-                while bi < nblocks && blocks[bi].hi < i {
-                    bi += 1;
-                }
-                if bi < nblocks && i >= blocks[bi].lo {
-                    let k = i - blocks[bi].lo;
-                    let off = blocks[bi].offs[k] as usize;
-                    let end = blocks[bi].cache_end[k] as usize;
-                    (&blocks[bi].vals[off..off + (end - start)], end)
-                } else {
-                    (&[], start)
-                }
-            } else {
-                (&[], start)
-            };
             let (above, below) = d.split_at_mut(i);
             let drow = &mut below[0];
             let mut row_list = false;
             let mut j = start;
-            let mut vetoed = false;
             while j < cutoff {
-                // Tentative from cells finalized before this round: the
-                // cached speculative value is the same pure function of the
-                // snapshot, so cache hits and fresh computes are
-                // interchangeable bit for bit.
-                let mut t = if j < cache_end {
-                    cache[j - start]
-                } else {
-                    let tc = col_struct[j].query_tracked(&mut col_cursor[j], i, w1);
-                    probes += 2;
-                    tc.min(row_struct[i].query_tracked(&mut row_cursor[i], j, w2))
-                };
+                // Tentative from cells finalized before this round.
+                let mut t = col_struct[j].query_tracked(&mut col_cursor[j], i, w1);
+                t = t.min(row_struct[i].query_tracked(&mut row_cursor[i], j, w2));
+                probes += 2;
                 // The diagonal predecessor is always finalized here (it lies
                 // strictly left of the cutoff): merge it into the tentative
-                // if it predates the round (idempotent for cache hits, which
-                // already carry the merge), veto on it if it is from this
+                // if it predates the round, veto on it if it is from this
                 // round and strictly improving.
                 let mut diag_new = INF;
                 if i > 0 && j > 0 && inst.matches(i, j) {
@@ -1169,7 +775,6 @@ where
                 }
                 if veto {
                     wasted += 1;
-                    vetoed = true;
                     break;
                 }
                 drow[j] = t;
@@ -1209,21 +814,17 @@ where
                 finalized += 1;
                 j += 1;
             }
-            // Over-speculated cells the fix-up never consumed.
-            let consumed = if vetoed { j + 1 } else { j };
-            wasted += cache_end.saturating_sub(consumed.max(start)) as u64;
             if j > start {
                 col_lo = col_lo.min(start);
                 col_hi = col_hi.max(j);
-                max_run = max_run.max(j - start);
             }
             r[i] = j;
             cutoff = cutoff.min(j);
         }
-        *prev_max_run = max_run;
-        // Publish this round's cells into the global structures: each row and
-        // each column receives a contiguous, independent run of insertions
-        // (the staircase invariant makes per-column row ranges contiguous).
+        // --- Parallel publish: insert this round's cells into the global
+        // structures.  Each row and each column receives a contiguous,
+        // independent run of insertions (the staircase invariant makes
+        // per-column row ranges contiguous). ------------------------------
         if finalized > 0 {
             let (rs, rstart, d) = (&*r, &*r_start, &*d);
             let grain_rows = round_min_grain(row_hi - row_lo + 1);
@@ -1738,6 +1339,24 @@ mod tests {
             |l: usize, r: usize| 1 + (r - l) as i64,
         );
         assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+
+        // Runs longer than `BAND_BRUTE_MAX` exercise the band upgrade paths:
+        // row runs of length m on disjoint alphabets, column runs of length n.
+        let a = pseudo_string(44, 1, 4);
+        let inst = convex_gap_instance(&a, &a, 5, 1, 1);
+        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        let inst = convex_gap_instance(&[0u8; 48], &[1u8; 41], 3, 2, 0);
+        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        // A lone row or column with a large opening cost: one gap stays
+        // optimal up to cell 34, so round one's first veto (a split gap wins
+        // at cell 35) is decided by a band.
+        let s = pseudo_string(40, 4, 3);
+        for inst in [
+            convex_gap_instance(&[], &s, 600, 1, 1),
+            convex_gap_instance(&s, &[], 600, 1, 1),
+        ] {
+            assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        }
     }
 
     #[test]
@@ -1864,59 +1483,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_blocks_match_depth_and_grid_across_block_counts() {
-        // The fix-up pass must be an exact replay of the sequential sweep at
-        // ANY block count: identical grids, identical per-round frontiers,
-        // and rounds still equal to the effective-depth oracle.
-        for seed in [0u64, 3] {
-            let a = pseudo_string(40, seed, 3);
-            let b = pseudo_string(33, seed + 9, 3);
-            let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-            let want = parallel_gap_packed(&inst);
-            let depth = effective_depth_oracle(&inst);
-            assert_eq!(want.metrics.rounds, depth);
-            // usize::MAX clamps to the candidate row count = one row per
-            // block; 1 is the pure sequential sweep (a block of all rows).
-            for blocks in [1usize, 2, 3, 7, usize::MAX] {
-                let got = parallel_gap_packed_with_blocks(&inst, blocks);
-                assert_eq!(got.d, want.d, "seed {seed} blocks {blocks}");
-                assert_eq!(got.cost, want.cost, "seed {seed} blocks {blocks}");
-                assert_eq!(got.metrics.rounds, depth, "seed {seed} blocks {blocks}");
-                assert_eq!(
-                    got.metrics.frontier_sizes, want.metrics.frontier_sizes,
-                    "seed {seed} blocks {blocks}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_blocks_match_on_adversarial_instances() {
-        // Long-run instances exercise the band upgrade paths (row runs of
-        // length m on disjoint alphabets, column runs of length n) and the
-        // diagonal cross-block barrier (identical strings).
-        let a = pseudo_string(44, 1, 4);
-        let identical = convex_gap_instance(&a, &a, 5, 1, 1);
-        let z = vec![0u8; 48];
-        let o = vec![1u8; 41];
-        let disjoint = convex_gap_instance(&z, &o, 3, 2, 0);
-        for blocks in [2usize, 5, usize::MAX] {
-            let got = parallel_gap_packed_with_blocks(&identical, blocks);
-            assert_eq!(
-                got.d,
-                parallel_gap(&identical).d,
-                "identical, blocks {blocks}"
-            );
-            let got = parallel_gap_packed_with_blocks(&disjoint, blocks);
-            assert_eq!(
-                got.d,
-                parallel_gap(&disjoint).d,
-                "disjoint, blocks {blocks}"
-            );
-        }
-    }
-
-    #[test]
     fn convex_decision_list_cursor_queries_match_binary_queries() {
         let cost = |l: usize, r: usize| {
             let len = (r - l) as i64;
@@ -1925,27 +1491,29 @@ mod tests {
         let horizon = 80;
         let mut list = ConvexDecisionList::new(horizon);
         let mut state = 99u64;
-        // Interleave ascending inserts with an advancing cursor, mirroring
-        // the sweep's access pattern: the cursor must stay coherent because
-        // inserts only pop entries past the last query position.
-        let mut cursor = list.seek(0);
+        let mut cursor = 0u32;
+        let mut repairs = 0;
+        // Each step inserts below the cursor's last position (which may pop
+        // entries it already passed), queries back down, then runs the
+        // cursor ahead to the horizon — what packed-GAP cursors see across
+        // rounds.  A stale cursor must repair itself.
         for pos in 0..60usize {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             list.insert(pos, (state % 90) as i64, &cost);
-            let q = pos + 1;
-            assert_eq!(
-                list.query_at(&mut cursor, q, &cost),
-                list.query(q, &cost),
-                "q {q}"
-            );
+            let truth = list
+                .entries
+                .partition_point(|&(start, _, _)| start <= pos + 1);
+            if (cursor as usize).min(list.entries.len()) > truth {
+                repairs += 1;
+            }
+            for q in pos + 1..=horizon {
+                let got = list.query_tracked(&mut cursor, q, &cost);
+                assert_eq!(got, list.query(q, &cost), "pos {pos}, q {q}");
+            }
         }
-        // A fresh seek mid-stream matches too.
-        let mut late = list.seek(30);
-        for q in 30..=horizon {
-            assert_eq!(list.query_at(&mut late, q, &cost), list.query(q, &cost));
-        }
+        assert!(repairs > 0, "no query needed a repair");
     }
 
     #[test]

@@ -94,34 +94,21 @@ impl GrainHint {
         // Never fork below a quarter cutoff of work per grain.
         target.max(SEQ_CUTOFF / 4).max(1)
     }
-
-    /// Number of speculative blocks for a round over `items` coarse work units
-    /// (e.g. DP *rows*, where each item is itself a loop — unlike
-    /// [`GrainHint::min_grain`], whose `len` counts constant-cost states).
-    /// Capped by the cached `available_parallelism()` exactly like
-    /// `min_grain`: a single effective thread always gets one block, so
-    /// single-core hosts take the pure sequential path with zero pool traffic.
-    pub fn block_count(&self, items: usize, min_block: usize) -> usize {
-        self.block_count_for(items, min_block, effective_parallelism())
-    }
-
-    /// [`GrainHint::block_count`] with an explicit simultaneous-thread count
-    /// (testable on any host).  Never returns more blocks than threads that
-    /// can actually run them, and never splits below `min_block` items per
-    /// block (a too-small block pays more cross-block fix-up than its
-    /// speculation saves).
-    pub fn block_count_for(&self, items: usize, min_block: usize, threads: usize) -> usize {
-        if threads <= 1 || items < 2 * min_block.max(1) {
-            return 1;
-        }
-        (items / min_block.max(1)).min(threads).max(1)
-    }
 }
 
 /// Auto-tuning grain policy fed by per-round frontier telemetry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GrainPolicy {
     recent: VecDeque<u64>,
+}
+
+impl Default for GrainPolicy {
+    fn default() -> Self {
+        // Sized for the full window up front, so `observe` never allocates.
+        GrainPolicy {
+            recent: VecDeque::with_capacity(WINDOW),
+        }
+    }
 }
 
 impl GrainPolicy {
@@ -155,7 +142,13 @@ impl GrainPolicy {
         if self.recent.is_empty() {
             return 0;
         }
-        let mut sorted: Vec<u64> = self.recent.iter().copied().collect();
+        // Sort a stack copy: the driver asks for a hint every round, and the
+        // round loop must not allocate.
+        let mut buf = [0u64; WINDOW];
+        let sorted = &mut buf[..self.recent.len()];
+        for (slot, &f) in sorted.iter_mut().zip(&self.recent) {
+            *slot = f;
+        }
         sorted.sort_unstable();
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
@@ -220,12 +213,6 @@ pub fn round_min_grain(len: usize) -> usize {
     round_hint().min_grain(len)
 }
 
-/// The speculative block count for a round over `items` coarse work units in
-/// the current round (see [`GrainHint::block_count`]).
-pub fn round_block_count(items: usize, min_block: usize) -> usize {
-    round_hint().block_count(items, min_block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,25 +247,6 @@ mod tests {
         let len = 1 << 20;
         assert_eq!(hint.min_grain_for(len, 1), len);
         assert_eq!(hint.min_grain_for(len, 0), len);
-    }
-
-    #[test]
-    fn block_count_is_capped_by_threads_and_floored_by_min_block() {
-        let hint = GrainHint::default();
-        // A single effective thread never speculates: the caller must take
-        // its sequential path with zero pool traffic.
-        assert_eq!(hint.block_count_for(1 << 20, 64, 1), 1);
-        assert_eq!(hint.block_count_for(1 << 20, 64, 0), 1);
-        // Too few items to fill two blocks: stay sequential.
-        assert_eq!(hint.block_count_for(127, 64, 8), 1);
-        // Plenty of items: one block per thread, never more.
-        assert_eq!(hint.block_count_for(1_000, 64, 8), 8);
-        assert_eq!(hint.block_count_for(1 << 20, 64, 8), 8);
-        // Item-bound regime: blocks never shrink below min_block items.
-        assert_eq!(hint.block_count_for(130, 64, 8), 2);
-        assert_eq!(hint.block_count_for(192, 64, 8), 3);
-        // Degenerate min_block is clamped instead of dividing by zero.
-        assert_eq!(hint.block_count_for(16, 0, 8), 8);
     }
 
     #[test]

@@ -46,31 +46,32 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         "a sub-grain run must not wake any worker"
     );
 
-    // Packed GAP on a small instance: every round offers fewer candidate
-    // rows than twice the speculative block floor (MIN_BLOCK_ROWS = 64), so
-    // the block planner returns one block on ANY host — the capped
-    // `available_parallelism()` path — and the sweep runs sequentially with
-    // sub-grain publish loops.  Even with 8 threads installed, the whole
-    // solve must push zero jobs and wake zero workers.
-    let (ga, gb) = workloads::gap_strings(120, 110, 4, 9);
-    let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
-    let expected = parallel_dp::gap::sequential_gap(&ginst);
+    // Packed GAP: the sweep runs on the calling thread, and the publish
+    // loops span at most n + 1 rows and m + 1 columns, below the grain
+    // cutoff here.  Even with 8 threads installed the whole solve must push zero
+    // jobs and wake zero workers — on a small instance and on one with
+    // hundreds of rows per round.
+    for (n, m) in [(120, 110), (300, 300)] {
+        let (ga, gb) = workloads::gap_strings(n, m, 4, 9);
+        let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
+        let expected = parallel_dp::gap::sequential_gap(&ginst);
 
-    let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
-    let run = with_threads(8, || parallel_dp::gap::parallel_gap_packed(&ginst));
-    let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
+        let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
+        let run = with_threads(8, || parallel_dp::gap::parallel_gap_packed(&ginst));
+        let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
 
-    assert_eq!(run.d, expected.d);
-    assert_eq!(
-        pushes_after - pushes_before,
-        0,
-        "a sub-block packed-GAP solve must not touch the injector"
-    );
-    assert_eq!(
-        wakeups_after - wakeups_before,
-        0,
-        "a sub-block packed-GAP solve must not wake any worker"
-    );
+        assert_eq!(run.d, expected.d, "{n}x{m}");
+        assert_eq!(
+            pushes_after - pushes_before,
+            0,
+            "a {n}x{m} packed-GAP solve must not touch the injector"
+        );
+        assert_eq!(
+            wakeups_after - wakeups_before,
+            0,
+            "a {n}x{m} packed-GAP solve must not wake any worker"
+        );
+    }
 
     // Sanity check that the counters are live at all: an explicit sub-length
     // `with_min_len` forces the producer to split whatever the grain policy
