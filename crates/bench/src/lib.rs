@@ -317,6 +317,30 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         }
     }
 
+    // Random LIS: about 2√n rounds, each taking scattered single records —
+    // the sparse side of the tournament's chunk-scan trade-off (a lone
+    // record still costs a whole chunk scan), beside the dense staircase
+    // above.
+    {
+        let n = if quick { 100_000 } else { 1_000_000 };
+        let a = workloads::random_sequence(n, 1 << 40, 3);
+        let (seq_secs, seq) = best_of(reps, || sequential_lis(&a));
+        for &t in threads {
+            let (par_secs, par, pushes, wakeups) = timed_parallel(t, reps, || parallel_lis(&a));
+            assert_eq!(par.length, seq.length, "lis parallel/sequential disagree");
+            rows.push(speedup_row(
+                "lis_random",
+                n,
+                t,
+                seq_secs,
+                par_secs,
+                &par.metrics,
+                &seq.metrics,
+                (pushes, wakeups),
+            ));
+        }
+    }
+
     // OBST: n - 1 diagonal rounds with identical Knuth-bound work on both
     // sides; the cordon's flat diagonal-major tables vs the baseline's
     // row-major `Vec<Vec>` grid.

@@ -19,7 +19,7 @@
 #![warn(missing_docs)]
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
-use pardp_parutils::{par_sort_by_key, round_min_grain, Metrics, MetricsCollector};
+use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use pardp_tournament::{StaircaseCordon, TieRule};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -50,32 +50,28 @@ pub struct LcsResult {
 /// Enumerate all matching pairs of `a` and `b`, sorted by `i` ascending and
 /// `j` descending (the canonical order used by the sparse algorithms).
 ///
-/// Runs in `O(n + m + L)` expected work (hash bucketing by symbol) plus the
-/// sort.
+/// Runs in `O(n + m + L)` expected work (hash bucketing by symbol); no sort
+/// is needed.
 pub fn matching_pairs<T: Eq + std::hash::Hash + Copy + Sync>(a: &[T], b: &[T]) -> Vec<MatchPair> {
     let mut positions: HashMap<T, Vec<u32>> = HashMap::new();
     for (j, &x) in b.iter().enumerate() {
         positions.entry(x).or_default().push(j as u32);
     }
-    let mut pairs: Vec<MatchPair> = a
+    // Each bucket holds its `j`s in ascending order, so reading it in reverse
+    // yields `j` descending within one `i`; `collect` keeps index order, so
+    // `i` ascends across the output.
+    let pairs: Vec<MatchPair> = a
         .par_iter()
         .enumerate()
         .with_min_len(round_min_grain(a.len()))
         .flat_map_iter(|(i, x)| {
             positions
                 .get(x)
-                .map(|js| {
-                    js.iter()
-                        .rev() // j descending within the same i
-                        .map(move |&j| MatchPair { i: i as u32, j })
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
+                .into_iter()
+                .flat_map(move |js| js.iter().rev().map(move |&j| MatchPair { i: i as u32, j }))
         })
         .collect();
-    // The flat_map already yields i-ascending / j-descending order, but sort
-    // defensively so callers can pass arbitrary pair lists.
-    par_sort_by_key(&mut pairs, |p| (p.i, std::cmp::Reverse(p.j)));
+    debug_assert!(pairs_are_canonically_sorted(&pairs));
     pairs
 }
 

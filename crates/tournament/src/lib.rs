@@ -15,13 +15,25 @@
 //! [`BLOCK`] consecutive positions, each stored as a flat implicit binary
 //! heap (`node v`'s children at `2v`/`2v+1`, leaves in one contiguous run),
 //! and a small flat *summary heap* over the per-block minima routes each
-//! round to the blocks that actually contain records.  Compared to the
-//! pointer-based tree this replaces per-node allocations and pointer chasing
-//! with sequential scans of arrays that fit in L1/L2, and it gives the
-//! parallel round a natural decomposition: blocks are disjoint `&mut`
-//! borrows, so touched blocks are extracted concurrently by splitting the
-//! block slice — no interior mutability, no per-round allocation (each block
-//! reuses a records buffer).
+//! round to the blocks that actually contain records.  Inside a block the
+//! extraction recurses only into subtrees whose minimum is a record (a child
+//! is pruned before the call), and only down to subtrees of [`CHUNK`] leaves;
+//! each such chunk is extracted by one linear scan of its leaf slots,
+//! carrying the running minimum of the round-start keys (so a leaf taken
+//! earlier in the scan still blocks the leaves after it, as the recursion's
+//! pre-extraction carry does), and is then re-summarized bottom-up.  A round
+//! extracting `l` records out of `L` therefore costs
+//! `O(l · (log(L/l) + CHUNK))` work; the summary repair after it recomputes
+//! each dirty summary node once.
+//!
+//! Records are never buffered: the cordon passes each block the slice of its
+//! DP values that is aligned with the block's positions, and the block writes
+//! the round number straight into it.  Touched blocks are extracted
+//! concurrently by splitting the block slice and the value slice at the same
+//! block boundary (`split_at_mut`), so blocks are disjoint `&mut` borrows —
+//! no interior mutability, no record buffers and no per-round allocation.
+//! [`TournamentTree::extract_prefix_minima`] runs the same block kernel with
+//! a sink that pushes `(position, key)` pairs instead.
 //!
 //! Rounds whose estimated work is below the active grain hint run entirely
 //! on the calling thread: no pool job is pushed and no worker is woken
@@ -37,6 +49,14 @@ use pardp_parutils::{round_min_grain, MetricsCollector};
 /// slots — 32 KiB for `i64` keys, small enough that one round's scan of a
 /// block stays in L1/L2.
 const BLOCK: usize = 1024;
+
+/// Leaves per chunk: the subtree size at which a block stops recursing and
+/// scans the leaf slots instead.  Kept small because a chunk holding a
+/// single record still costs a full scan.  On a 2-core Xeon host, LIS on
+/// `random_sequence(10⁶, 2⁴⁰, _)`, whose rounds take scattered single
+/// records, ran ~20% slower with 16 leaves per chunk than with 8, while 4
+/// gave back about a fifth of 8's round-time gain on dense staircases.
+const CHUNK: usize = 8;
 
 /// Whether an earlier element with an *equal* key blocks a later element from
 /// being a prefix-minimum record.
@@ -75,28 +95,19 @@ fn min_opt<K: Ord>(a: Option<K>, b: Option<K>) -> Option<K> {
 }
 
 /// One cache block: an implicit heap over up to [`BLOCK`] consecutive
-/// positions plus a reusable buffer for the records it produced this round.
+/// positions.
 #[derive(Debug, Clone)]
 struct Block<K> {
     /// Implicit heap: root at index 1, node `v`'s children at `2v` / `2v+1`,
-    /// leaf for local position `i` at `cap + i` (positions past `len` are
-    /// permanently `None`).
+    /// leaf for local position `i` at `cap + i` (positions past the block's
+    /// length are permanently `None`).
     tree: Vec<Option<K>>,
-    /// Leaf capacity (`len` rounded up to a power of two).
+    /// Leaf capacity (the block's length rounded up to a power of two).
     cap: usize,
-    /// Global position of the block's first element.
-    base: usize,
-    /// Still-active elements in this block.
-    active: usize,
-    /// Records extracted in the current round, `(global position, key)` in
-    /// increasing position order.  Cleared and refilled each round the block
-    /// is touched; capacity is retained, so steady-state rounds do not
-    /// allocate.
-    records: Vec<(usize, K)>,
 }
 
 impl<K: Ord + Copy> Block<K> {
-    fn build(keys: &[K], base: usize) -> Self {
+    fn build(keys: &[K]) -> Self {
         debug_assert!(!keys.is_empty());
         let cap = keys.len().next_power_of_two();
         let mut tree = vec![None; 2 * cap];
@@ -106,13 +117,7 @@ impl<K: Ord + Copy> Block<K> {
         for v in (1..cap).rev() {
             tree[v] = min_opt(tree[2 * v], tree[2 * v + 1]);
         }
-        Block {
-            tree,
-            cap,
-            base,
-            active: keys.len(),
-            records: Vec::new(),
-        }
+        Block { tree, cap }
     }
 
     /// Minimum active key in the block (the heap root).
@@ -121,28 +126,36 @@ impl<K: Ord + Copy> Block<K> {
         self.tree[1]
     }
 
-    /// Extract every record of this block into `self.records`, given the
-    /// minimum active key strictly to the block's left at round start.
-    fn extract(&mut self, carry: Option<K>, rule: TieRule) {
-        self.records.clear();
-        self.extract_node(1, carry, rule);
+    /// Extract every record of this block, given the minimum active key
+    /// strictly to the block's left at round start.  Calls `take(i, key)` for
+    /// each record in increasing local position `i`.
+    fn extract(&mut self, carry: Option<K>, rule: TieRule, take: &mut impl FnMut(usize, K)) {
+        if self.holds_record(1, carry, rule) {
+            self.extract_node(1, carry, rule, take);
+        }
     }
 
-    fn extract_node(&mut self, node: usize, carry: Option<K>, rule: TieRule) {
-        // Prune: if even the smallest key below `node` is not a record
-        // w.r.t. `carry`, nothing below can be.
-        let m = match self.tree[node] {
-            None => return,
-            Some(m) => m,
-        };
-        if !rule.is_record(m, carry) {
-            return;
-        }
-        if node >= self.cap {
-            self.tree[node] = None;
-            self.records.push((self.base + (node - self.cap), m));
-            self.active -= 1;
-            return;
+    /// Whether the subtree under `node` holds a record under `carry`: its
+    /// minimum does.  If it does not, nothing below can be a record.
+    #[inline]
+    fn holds_record(&self, node: usize, carry: Option<K>, rule: TieRule) -> bool {
+        self.tree[node].is_some_and(|m| rule.is_record(m, carry))
+    }
+
+    /// Extract the records under `node`, which holds at least one.  Children
+    /// are pruned before the call, so the recursion only follows subtrees
+    /// that hold records.
+    fn extract_node(
+        &mut self,
+        node: usize,
+        carry: Option<K>,
+        rule: TieRule,
+        take: &mut impl FnMut(usize, K),
+    ) {
+        // Heap levels halve, so the first node on the way down spanning at
+        // most `CHUNK` leaves spans exactly `min(CHUNK, cap)` of them.
+        if node * CHUNK >= self.cap {
+            return self.extract_chunk(node, carry, rule, take);
         }
         // The right child's carry uses the *pre-extraction* minimum of the
         // left child: elements removed on the left in this very round were
@@ -150,38 +163,85 @@ impl<K: Ord + Copy> Block<K> {
         // the state at the start of the round (all extracted elements share
         // the same DP value).
         let right_carry = min_opt(carry, self.tree[2 * node]);
-        self.extract_node(2 * node, carry, rule);
-        self.extract_node(2 * node + 1, right_carry, rule);
+        if self.holds_record(2 * node, carry, rule) {
+            self.extract_node(2 * node, carry, rule, take);
+        }
+        if self.holds_record(2 * node + 1, right_carry, rule) {
+            self.extract_node(2 * node + 1, right_carry, rule, take);
+        }
         self.tree[node] = min_opt(self.tree[2 * node], self.tree[2 * node + 1]);
+    }
+
+    /// Extract the records under the chunk root `node` with one scan of its
+    /// leaf slots, then re-summarize the chunk's inner nodes bottom-up.
+    fn extract_chunk(
+        &mut self,
+        node: usize,
+        mut carry: Option<K>,
+        rule: TieRule,
+        take: &mut impl FnMut(usize, K),
+    ) {
+        let width = CHUNK.min(self.cap);
+        let first = node * width;
+        let pos = first - self.cap;
+        for (i, leaf) in self.tree[first..first + width].iter_mut().enumerate() {
+            let Some(k) = *leaf else { continue };
+            if rule.is_record(k, carry) {
+                *leaf = None;
+                take(pos + i, k);
+            }
+            // The carry runs over round-start keys, extracted or not.
+            carry = min_opt(carry, Some(k));
+        }
+        let (mut lo, mut span) = (first, width);
+        while span > 1 {
+            (lo, span) = (lo / 2, span / 2);
+            let (upper, lower) = self.tree.split_at_mut(2 * lo);
+            for (parent, kids) in upper[lo..].iter_mut().zip(lower.chunks_exact(2).take(span)) {
+                *parent = min_opt(kids[0], kids[1]);
+            }
+        }
     }
 }
 
 /// Extract `touched` blocks in parallel by recursively splitting the block
 /// slice: the touched list is sorted by block index, so each half of the
-/// list maps to a disjoint sub-slice of `blocks` (`split_at_mut` — no
-/// interior mutability needed).  `first` is the global index of `blocks[0]`;
-/// `grain` is the fork cutoff in touched-block units.
+/// list maps to a disjoint sub-slice of `blocks`, and of the position-aligned
+/// `values` (`split_at_mut` at the same block boundary — no interior
+/// mutability needed).  `first` is the global index of `blocks[0]`, whose
+/// first position is `values[0]`; every record's value is set to `round`.
+/// `grain` is the fork cutoff in touched-block units.  Returns the number of
+/// records extracted.
 fn extract_touched<K: Ord + Copy + Send + Sync>(
     blocks: &mut [Block<K>],
+    values: &mut [u32],
     first: usize,
     touched: &[(usize, Option<K>)],
     rule: TieRule,
+    round: u32,
     grain: usize,
-) {
+) -> usize {
     if touched.len() <= grain.max(1) {
+        let mut count = 0;
         for &(b, carry) in touched {
-            blocks[b - first].extract(carry, rule);
+            let block_values = &mut values[(b - first) * BLOCK..];
+            blocks[b - first].extract(carry, rule, &mut |i, _| {
+                block_values[i] = round;
+                count += 1;
+            });
         }
-        return;
+        return count;
     }
     let mid = touched.len() / 2;
     let (left, right) = touched.split_at(mid);
     let split = right[0].0;
     let (bl, br) = blocks.split_at_mut(split - first);
-    rayon::join(
-        || extract_touched(bl, first, left, rule, grain),
-        || extract_touched(br, split, right, rule, grain),
+    let (vl, vr) = values.split_at_mut((split - first) * BLOCK);
+    let (l, r) = rayon::join(
+        || extract_touched(bl, vl, first, left, rule, round, grain),
+        || extract_touched(br, vr, split, right, rule, round, grain),
     );
+    l + r
 }
 
 /// Tournament tree over a fixed sequence of keys.
@@ -194,7 +254,7 @@ pub struct TournamentTree<K> {
     summary: Vec<Option<K>>,
     scap: usize,
     /// Blocks touched by the current round with their carries, in increasing
-    /// block order.  Reused across rounds.
+    /// block order.  Sized for every block up front, so no round grows it.
     touched: Vec<(usize, Option<K>)>,
     len: usize,
     active: usize,
@@ -216,7 +276,7 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
             .map(|b| {
                 let lo = b * BLOCK;
                 let hi = (lo + BLOCK).min(len);
-                Block::build(&keys[lo..hi], lo)
+                Block::build(&keys[lo..hi])
             })
             .collect();
         let scap = num_blocks.next_power_of_two().max(1);
@@ -231,7 +291,7 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
             blocks,
             summary,
             scap,
-            touched: Vec::new(),
+            touched: Vec::with_capacity(num_blocks),
             len,
             active: len,
             rule,
@@ -280,19 +340,54 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
         self.collect_touched(2 * node + 1, right_carry);
     }
 
-    /// Run one extraction round: fill each touched block's `records` buffer
-    /// and repair the summary.  Returns the number of records extracted.
+    /// Route a round to the blocks holding its records (`self.touched`).
+    /// Returns `false` once every element has been extracted.
+    fn begin_round(&mut self) -> bool {
+        self.touched.clear();
+        if self.active == 0 {
+            return false;
+        }
+        self.collect_touched(1, None);
+        debug_assert!(!self.touched.is_empty());
+        true
+    }
+
+    /// Close a round that extracted `count` records from the touched blocks:
+    /// repair the summary heap above them.
+    fn end_round(&mut self, count: usize) {
+        for &(b, _) in &self.touched {
+            self.summary[self.scap + b] = self.blocks[b].min();
+        }
+        // Each walk stops where it meets the next touched block's path (all
+        // summary leaves share one depth, so the paths meet at the same
+        // level); that later walk recomputes the shared ancestors once both
+        // sides are repaired, so every dirty node is recomputed exactly once.
+        for (i, &(b, _)) in self.touched.iter().enumerate() {
+            let mut v = (self.scap + b) / 2;
+            let mut next = self
+                .touched
+                .get(i + 1)
+                .map_or(0, |&(c, _)| (self.scap + c) / 2);
+            while v >= 1 && v != next {
+                self.summary[v] = min_opt(self.summary[2 * v], self.summary[2 * v + 1]);
+                v /= 2;
+                next /= 2;
+            }
+        }
+        self.active -= count;
+    }
+
+    /// Run one extraction round, setting `values[pos] = round` for every
+    /// record `pos` (`values` is indexed by position).  Returns the number of
+    /// records extracted.
     ///
     /// Sub-grain rounds (estimated work below the active
     /// [`round_min_grain`] hint) run entirely on the calling thread and push
     /// no pool jobs.
-    fn extract_round(&mut self) -> usize {
-        self.touched.clear();
-        if self.active == 0 {
+    fn extract_round(&mut self, values: &mut [u32], round: u32) -> usize {
+        if !self.begin_round() {
             return 0;
         }
-        self.collect_touched(1, None);
-        debug_assert!(!self.touched.is_empty());
         // Each touched block costs at most one block scan; cap the estimate
         // by the number of elements still alive.
         let est_work = (self.touched.len() * BLOCK).min(self.active);
@@ -303,21 +398,16 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
         } else {
             grain.div_ceil(BLOCK).max(1)
         };
-        let rule = self.rule;
-        extract_touched(&mut self.blocks, 0, &self.touched, rule, grain_blocks);
-        let mut count = 0;
-        for &(b, _) in &self.touched {
-            count += self.blocks[b].records.len();
-            self.summary[self.scap + b] = self.blocks[b].min();
-        }
-        for &(b, _) in &self.touched {
-            let mut v = (self.scap + b) / 2;
-            while v >= 1 {
-                self.summary[v] = min_opt(self.summary[2 * v], self.summary[2 * v + 1]);
-                v /= 2;
-            }
-        }
-        self.active -= count;
+        let count = extract_touched(
+            &mut self.blocks,
+            values,
+            0,
+            &self.touched,
+            self.rule,
+            round,
+            grain_blocks,
+        );
+        self.end_round(count);
         count
     }
 
@@ -326,13 +416,17 @@ impl<K: Ord + Copy + Send + Sync> TournamentTree<K> {
     ///
     /// A record is an active element with no active element to its left whose
     /// key blocks it under the tree's [`TieRule`].  Returns an empty vector
-    /// once all elements have been extracted.
+    /// once all elements have been extracted.  Runs the touched blocks on the
+    /// calling thread, pushing each record as the block kernel finds it.
     pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
-        let count = self.extract_round();
-        let mut out = Vec::with_capacity(count);
-        for &(b, _) in &self.touched {
-            out.extend_from_slice(&self.blocks[b].records);
+        let mut out = Vec::new();
+        if !self.begin_round() {
+            return out;
         }
+        for &(b, carry) in &self.touched {
+            self.blocks[b].extract(carry, self.rule, &mut |i, k| out.push((b * BLOCK + i, k)));
+        }
+        self.end_round(out.len());
         out
     }
 }
@@ -372,22 +466,15 @@ impl<K: Ord + Copy + Send + Sync> PhaseParallel for StaircaseCordon<K> {
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let count = self.tree.extract_round();
+        // Each touched block writes the round number straight into its
+        // position-aligned slice of the DP values; no record is buffered.
+        let count = self.tree.extract_round(&mut self.values, self.round + 1);
         if count == 0 {
             return 0;
         }
         self.round += 1;
         metrics.add_edges(count as u64);
         self.remaining -= count;
-        // Drain the per-block record buffers straight into the DP values —
-        // no concatenated records vector is ever materialized.
-        let round = self.round;
-        let tree = &self.tree;
-        for &(b, _) in &tree.touched {
-            for &(pos, _) in &tree.blocks[b].records {
-                self.values[pos] = round;
-            }
-        }
         count
     }
 
@@ -426,17 +513,44 @@ mod tests {
     fn simulate_rounds(keys: &[u64], rule: TieRule) -> Vec<Vec<(usize, u64)>> {
         // Oracle: repeatedly take prefix-min records from the remaining list.
         let mut remaining: Vec<(usize, u64)> = keys.iter().copied().enumerate().collect();
+        let mut picked = vec![false; keys.len()];
         let mut rounds = Vec::new();
         while !remaining.is_empty() {
             let records = reference_prefix_minima(&remaining, rule);
-            let picked: std::collections::HashSet<usize> =
-                records.iter().map(|&(p, _)| p).collect();
-            remaining.retain(|&(p, _)| !picked.contains(&p));
+            for &(p, _) in &records {
+                picked[p] = true;
+            }
+            remaining.retain(|&(p, _)| !picked[p]);
             rounds.push(records);
         }
         rounds
     }
 
+    /// `extract_round` with the fork cutoff forced to one block, so every
+    /// touched list is split down to single blocks along with `values`.
+    fn extract_round_split(
+        tree: &mut TournamentTree<u64>,
+        values: &mut [u32],
+        round: u32,
+    ) -> usize {
+        if !tree.begin_round() {
+            return 0;
+        }
+        let (rule, touched) = (tree.rule, &tree.touched);
+        let count = extract_touched(&mut tree.blocks, values, 0, touched, rule, round, 1);
+        tree.end_round(count);
+        count
+    }
+
+    /// Positions whose DP value is `round`, in increasing order.
+    fn positions_of(values: &[u32], round: u32) -> Vec<usize> {
+        (0..values.len()).filter(|&p| values[p] == round).collect()
+    }
+
+    /// Check round by round against [`simulate_rounds`], through both sinks
+    /// of the block kernel: the pushing one behind `extract_prefix_minima`,
+    /// and the in-place DP values of `StaircaseCordon::round`, once with the
+    /// real fork policy and once split down to single blocks.
     fn check_against_oracle(keys: &[u64], rule: TieRule) {
         let mut tree = TournamentTree::new(keys, rule);
         let oracle = simulate_rounds(keys, rule);
@@ -446,6 +560,126 @@ mod tests {
         }
         assert!(tree.extract_prefix_minima().is_empty());
         assert_eq!(tree.active_count(), 0);
+
+        let metrics = MetricsCollector::new();
+        let mut cordon = StaircaseCordon::new(keys, rule);
+        let mut split = TournamentTree::new(keys, rule);
+        let mut split_values = vec![0u32; keys.len()];
+        for (round, want) in (1u32..).zip(&oracle) {
+            let want: Vec<usize> = want.iter().map(|&(p, _)| p).collect();
+            assert_eq!(cordon.round(&metrics), want.len(), "round {round}");
+            assert_eq!(positions_of(&cordon.values, round), want, "round {round}");
+            let count = extract_round_split(&mut split, &mut split_values, round);
+            assert_eq!(count, want.len(), "split round {round}");
+            assert_eq!(
+                positions_of(&split_values, round),
+                want,
+                "split round {round}"
+            );
+        }
+        assert!(cordon.is_done());
+        assert_eq!(cordon.round(&metrics), 0);
+        assert_eq!(extract_round_split(&mut split, &mut split_values, 0), 0);
+        let (values, rounds) = cordon.finish();
+        assert_eq!(rounds as usize, oracle.len());
+        assert_eq!(values, split_values);
+    }
+
+    /// Both tie rules against the oracle.
+    fn check_both_rules(keys: &[u64]) {
+        check_against_oracle(keys, TieRule::TiesAreRecords);
+        check_against_oracle(keys, TieRule::TiesBlocked);
+    }
+
+    /// Run lengths straddling a chunk and a block.
+    const RUN_LENS: [usize; 6] = [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1];
+
+    /// Offsets that start a run at a chunk boundary, mid-chunk, or just
+    /// either side of a chunk or block boundary.
+    const OFFSETS: [usize; 7] = [0, 1, CHUNK / 2, CHUNK - 1, CHUNK + 1, BLOCK - 1, BLOCK + 1];
+
+    /// Concatenated decreasing runs: run `i` is `len` keys counting down to
+    /// `base`, for each `(len, base)` in `runs`.
+    fn decreasing_runs(runs: &[(usize, u64)]) -> Vec<u64> {
+        runs.iter()
+            .flat_map(|&(len, base)| (0..len as u64).rev().map(move |t| base + t))
+            .collect()
+    }
+
+    #[test]
+    fn decreasing_runs_straddling_chunks_and_blocks_match_oracle() {
+        for len in RUN_LENS {
+            for offset in OFFSETS {
+                let span = len as u64 + 1;
+                // A filler run of `offset` keys, then runs whose bases rise
+                // (each run drains in a round of its own), fall (all drain in
+                // round one) and alternate.
+                let rising = [
+                    (offset, 0),
+                    (len, 10 * span),
+                    (len, 20 * span),
+                    (3, 30 * span),
+                ];
+                let falling = [
+                    (offset, 40 * span),
+                    (len, 30 * span),
+                    (len, 20 * span),
+                    (3, 0),
+                ];
+                let mixed = [
+                    (offset, 20 * span),
+                    (len, 10 * span),
+                    (len, 30 * span),
+                    (len, 0),
+                    (1, 5 * span),
+                ];
+                for runs in [&rising[..], &falling[..], &mixed[..]] {
+                    check_both_rules(&decreasing_runs(runs));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_key_runs_match_oracle() {
+        // Under `TiesBlocked` an equal run drains one key per round, so a run
+        // of `len` keys takes `len` rounds; under `TiesAreRecords` it drains
+        // at once.  Runs start at a chunk boundary, mid-chunk, and just
+        // before a block boundary.
+        for len in RUN_LENS {
+            for offset in [0, CHUNK / 2, BLOCK - CHUNK / 2] {
+                let mut keys = vec![7u64; offset];
+                keys.extend(std::iter::repeat_n(3, len));
+                keys.extend(std::iter::repeat_n(5, CHUNK + 1));
+                keys.extend(std::iter::repeat_n(3, CHUNK - 1));
+                check_both_rules(&keys);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_runs_among_scattered_singletons_match_oracle() {
+        // Pseudo-random filler over three blocks (about 2√n rounds of
+        // scattered single records), overwritten by dense decreasing runs
+        // that cross chunk and block boundaries: runs of small keys drain in
+        // round one, runs above the filler only once everything to their
+        // left is gone.
+        let n = 3 * BLOCK + CHUNK + 3;
+        let mut keys: Vec<u64> = (0..n as u64)
+            .map(|i| 2_000 + (i * 2654435761) % 1_000_003)
+            .collect();
+        let (low, high) = (BLOCK as u64, 3_000_000);
+        for (start, len, top) in [
+            (CHUNK / 2, 3 * CHUNK, low),
+            (BLOCK - 5, 11, high),
+            (BLOCK + CHUNK + 3, CHUNK + 1, high),
+            (2 * BLOCK + 1, BLOCK, low),
+        ] {
+            for t in 0..len {
+                keys[start + t] = top - t as u64;
+            }
+        }
+        check_both_rules(&keys);
     }
 
     #[test]

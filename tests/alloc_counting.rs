@@ -1,33 +1,60 @@
 //! Counting-allocator proof of the zero-allocation round loop.
 //!
-//! After the arena/scratch work, a cordon round on the single-threaded inline
-//! path must perform no heap allocation once warm-up has grown every buffer to
-//! its high-water mark: OBST writes into flat preallocated triangular tables,
-//! and the driver pre-sizes the metrics frontier log via
-//! `MetricsCollector::reserve_rounds`.  This test first drives an
-//! `ObstCordon` by hand the way `run_phase_parallel` does, then runs one
-//! through `run_phase_parallel` itself (so the grain policy and the
-//! `round_with` path are covered too), and asserts the allocation counter
-//! does not move during steady-state rounds.
+//! After warm-up has grown every buffer to its high-water mark, a cordon
+//! round on the single-threaded inline path must perform no heap allocation:
 //!
-//! The test pins the pool to one thread (`with_threads(1)`): the threaded
+//! * OBST writes into flat preallocated triangular tables;
+//! * the staircase cordons behind LIS and sparse LCS write each round's DP
+//!   values straight into their position-aligned value array, and the
+//!   tournament tree's touched-block list is sized for every block up front;
+//! * the driver pre-sizes the metrics frontier log via
+//!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
+//!   copies.
+//!
+//! The OBST test first drives an `ObstCordon` by hand the way
+//! `run_phase_parallel` does, then runs one through `run_phase_parallel`
+//! itself (so the grain policy and the `round_with` path are covered too).
+//! The staircase test runs `LisCordon` on a dense-round and a sparse-round
+//! input and `LcsCordon` on a Fig. 6 shape through the driver.  Each asserts
+//! the allocation counter does not move during steady-state rounds.
+//!
+//! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
 //! is specific to inline execution (small frontiers and `threads = 1`).
-//! It lives in its own integration-test binary so no sibling test thread can
-//! allocate concurrently and pollute the counter.
+//! Inline, every allocation of a solve happens on the calling thread, so the
+//! allocator counts per thread: sibling tests and the test harness, running
+//! on other threads, cannot pollute a measurement.
 
 use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
+use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
+use parallel_dp::lis::{sequential_lis, LisCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
+use parallel_dp::workloads;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Rounds run before the steady state is measured.
 const WARM_UP_ROUNDS: usize = 8;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.  Const-initialized and free of
+    /// destructors, so the allocator can bump it without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: never panic inside the allocator, even during thread
+    // teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: a pure pass-through to `System` — every pointer/layout obligation is
 // forwarded unchanged, and the counter bump has no effect on allocator state.
@@ -35,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; we forward
     // `layout` to `System` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: same `layout` the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract (ptr from this
     // allocator, matching layout); all three arguments forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr` came from `System` via our `alloc`, layout unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -73,7 +100,7 @@ impl<P> SteadyStateProbe<P> {
     fn count_round(&mut self) {
         self.rounds += 1;
         if self.rounds == WARM_UP_ROUNDS {
-            self.after_warm_up = Some(ALLOCATIONS.load(Ordering::Relaxed));
+            self.after_warm_up = Some(allocations());
         }
     }
 }
@@ -98,7 +125,7 @@ impl<P: PhaseParallel> PhaseParallel for SteadyStateProbe<P> {
     }
 
     fn finish(self) -> Self::Output {
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         let warm = self
             .after_warm_up
             .expect("instance too small to measure steady state");
@@ -109,6 +136,24 @@ impl<P: PhaseParallel> PhaseParallel for SteadyStateProbe<P> {
     fn round_budget(&self) -> Option<u64> {
         self.inner.round_budget()
     }
+}
+
+/// Run `cordon` through `run_phase_parallel` inside a [`SteadyStateProbe`],
+/// assert that its steady-state rounds allocated nothing, and return its
+/// output with the number of rounds the driver recorded.
+fn run_allocation_free<P: PhaseParallel>(name: &str, cordon: P) -> (P::Output, u64) {
+    let metrics = MetricsCollector::new();
+    let probe = SteadyStateProbe {
+        inner: cordon,
+        rounds: 0,
+        after_warm_up: None,
+    };
+    let (output, allocations, steady_rounds) = run_phase_parallel(probe, &metrics);
+    assert_eq!(
+        allocations, 0,
+        "{name}: run_phase_parallel allocated {allocations} times over {steady_rounds} steady-state rounds"
+    );
+    (output, metrics.snapshot().rounds)
 }
 
 #[test]
@@ -137,13 +182,13 @@ fn obst_rounds_allocate_nothing_after_warm_up() {
         );
 
         // Steady state: every remaining round must leave the counter alone.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         while !cordon.is_done() {
             let frontier = cordon.round(&metrics);
             metrics.record_round(frontier as u64);
             rounds += 1;
         }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         assert_eq!(
             after - before,
             0,
@@ -159,19 +204,40 @@ fn obst_rounds_allocate_nothing_after_warm_up() {
 
         // Through the driver: the grain policy's per-round hint, the
         // `round_with` dispatch and the frontier log must not allocate either.
-        // Same test function because the counter is process-global.
-        let metrics = MetricsCollector::new();
-        let probe = SteadyStateProbe {
-            inner: ObstCordon::new(&weights),
-            rounds: 0,
-            after_warm_up: None,
-        };
-        let (tables, allocations, steady_rounds) = run_phase_parallel(probe, &metrics);
-        assert_eq!(
-            allocations, 0,
-            "run_phase_parallel allocated {allocations} times over {steady_rounds} steady-state rounds"
-        );
+        let (tables, rounds) = run_allocation_free("OBST", ObstCordon::new(&weights));
         assert_eq!(tables.cost(), expected);
-        assert_eq!(metrics.snapshot().rounds, budget as u64);
+        assert_eq!(rounds, budget as u64);
+    });
+}
+
+#[test]
+fn staircase_rounds_allocate_nothing_after_warm_up() {
+    // Dense rounds: 50 decreasing runs, ~4000 records a round.
+    let dense = workloads::lis_with_length(200_000, 50, 3);
+    // Sparse rounds: ~2√n rounds of scattered single records.
+    let sparse = workloads::random_sequence(200_000, 1 << 40, 3);
+    // Fig. 6 shape: 100 rounds of ~2000 matching pairs.
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(200_000, 100, 1)
+        .into_iter()
+        .map(|(i, j)| MatchPair { i, j })
+        .collect();
+
+    with_threads(1, || {
+        for (name, a) in [("LIS dense", &dense), ("LIS sparse", &sparse)] {
+            let want = sequential_lis(a);
+            let ((d, length), rounds) = run_allocation_free(name, LisCordon::new(a));
+            assert_eq!(d, want.d, "{name}: DP values differ from Fenwick LIS");
+            assert_eq!(length, want.length);
+            assert_eq!(rounds, length as u64);
+        }
+
+        let want = sequential_sparse_lcs(&pairs);
+        let ((values, length), rounds) = run_allocation_free("LCS", LcsCordon::new(&pairs));
+        assert_eq!(
+            values, want.pair_values,
+            "LCS: DP values differ from Hunt–Szymanski"
+        );
+        assert_eq!(length, 100);
+        assert_eq!(rounds, 100);
     });
 }

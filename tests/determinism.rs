@@ -36,6 +36,38 @@ fn lis_results_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn lcs_results_are_bit_identical_across_thread_counts() {
+    use parallel_dp::lcs::{parallel_sparse_lcs, sequential_sparse_lcs, MatchPair};
+    // About 10⁴ records per round spread over ~200 tournament blocks, so
+    // above one thread the touched blocks and their value slices are split
+    // across the pool.  (The LIS instance above takes ~133 records a round
+    // and never leaves the sequential path.)
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(200_000, 20, 6)
+        .into_iter()
+        .map(|(i, j)| MatchPair { i, j })
+        .collect();
+    let baseline = with_threads(1, || parallel_sparse_lcs(&pairs));
+    for t in THREAD_COUNTS {
+        let run = with_threads(t, || parallel_sparse_lcs(&pairs));
+        assert_eq!(
+            run.pair_values, baseline.pair_values,
+            "LCS pair values differ at {t} threads"
+        );
+        assert_eq!(run.length, baseline.length);
+        assert_eq!(
+            run.metrics, baseline.metrics,
+            "LCS metrics differ at {t} threads"
+        );
+    }
+    assert_eq!(baseline.length, 20);
+    assert_eq!(
+        baseline.pair_values,
+        sequential_sparse_lcs(&pairs).pair_values,
+        "parallel LCS disagrees with Hunt–Szymanski"
+    );
+}
+
+#[test]
 fn gap_results_are_bit_identical_across_thread_counts() {
     let (a, b) = workloads::gap_strings(220, 180, 4, 5);
     let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
