@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for the design choices of the cordon algorithms:
 //!
 //! * A1 — prefix doubling vs the naive "probe everything" cordon search for
 //!   convex GLWS (how much probing work each strategy does),
@@ -8,6 +8,7 @@
 //! * A4 — Tree-GLWS ancestor rescan vs heavy-light persistent envelopes
 //!   (Theorem 5.3) across tree shapes, with per-round frontier percentiles.
 
+use pardp_bench::time_secs;
 use pardp_glws::{
     parallel_concave_glws_with, parallel_convex_glws, ConcaveGapCost, ConcaveMergeStrategy,
     PostOfficeProblem,
@@ -15,13 +16,6 @@ use pardp_glws::{
 use pardp_lis::{parallel_lis, sequential_lis};
 use pardp_treedp::{parallel_tree_glws, parallel_tree_glws_hld, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
-use std::time::Instant;
-
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let r = f();
-    (t.elapsed().as_secs_f64(), r)
-}
 
 fn main() {
     let n = 1_000_000usize;
@@ -47,8 +41,8 @@ fn main() {
     println!("{:>10} {:>14} {:>14}", "k", "cordon (s)", "sequential (s)");
     for &k in &[10usize, 1_000, 100_000] {
         let a = workloads::lis_with_length(n, k, 9);
-        let (tp, rp) = timed(|| parallel_lis(&a));
-        let (ts, rs) = timed(|| sequential_lis(&a));
+        let (tp, rp) = time_secs(|| parallel_lis(&a));
+        let (ts, rs) = time_secs(|| sequential_lis(&a));
         assert_eq!(rp.length, rs.length);
         println!("{:>10} {:>14.4} {:>14.4}", k, tp, ts);
     }
@@ -64,7 +58,7 @@ fn main() {
         ("paper Algorithm 2", ConcaveMergeStrategy::PaperAlgorithm2),
     ] {
         let p = ConcaveGapCost::new(200_000, 50, 3);
-        let (t, r) = timed(|| parallel_concave_glws_with(&p, strat));
+        let (t, r) = time_secs(|| parallel_concave_glws_with(&p, strat));
         println!("{:>22} {:>12.4} {:>12}", name, t, r.metrics.probes);
     }
 
@@ -101,8 +95,8 @@ fn main() {
             },
             |d, _| d,
         );
-        let (t_old, r_old) = timed(|| parallel_tree_glws(&inst));
-        let (t_hld, r_hld) = timed(|| parallel_tree_glws_hld(&inst, CostShape::Convex));
+        let (t_old, r_old) = time_secs(|| parallel_tree_glws(&inst));
+        let (t_hld, r_hld) = time_secs(|| parallel_tree_glws_hld(&inst, CostShape::Convex));
         assert_eq!(r_old.d, r_hld.d);
         assert_eq!(r_old.best, r_hld.best);
         for (cordon, t, r) in [("rescan", t_old, &r_old), ("hld", t_hld, &r_hld)] {

@@ -1,8 +1,8 @@
 //! Reports the Sec. 1 / Sec. 6 headline numbers: parallel-vs-sequential
-//! behaviour as the DP-DAG depth varies, including the work-ratio
-//! (parallel work / sequential work) used to validate work-efficiency on
-//! machines with few cores — and emits the machine-readable speedup
-//! trajectory as `BENCH_speedup.json`.
+//! behaviour as the DP-DAG depth varies, including the paper's Figs. 6
+//! and 7 and the work-ratio (parallel work / sequential work) used to
+//! validate work-efficiency on machines with few cores — and emits the
+//! machine-readable speedup trajectory as `BENCH_speedup.json`.
 //!
 //! Usage: `speedup_report [--quick] [--out PATH]`
 //!
@@ -10,7 +10,7 @@
 //! * `--out PATH` sets the JSON output path (default `BENCH_speedup.json`
 //!   in the current directory).
 
-use pardp_bench::{print_speedup, run_fig6, run_fig7, run_speedup, speedup_rows_to_json};
+use pardp_bench::{print_speedup, run_speedup, speedup_rows_to_json};
 
 fn main() {
     let mut quick = false;
@@ -28,43 +28,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if !quick {
-        let l = 1_000_000usize;
-        let n = 1_000_000usize;
-        println!("== Sparse LCS (L = {l}) ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12} {:>12}",
-            "k", "par/seq time", "1thr/seq time", "work ratio", "rounds"
-        );
-        for row in run_fig6(l, &[100, 10_000, 1_000_000], 3) {
-            println!(
-                "{:>10} {:>14.3} {:>14.3} {:>12.3} {:>12}",
-                row.k,
-                row.parallel_secs / row.sequential_secs,
-                row.parallel_1t_secs / row.sequential_secs,
-                row.parallel_work as f64 / row.sequential_work as f64,
-                row.rounds
-            );
-        }
-        println!();
-        println!("== Convex GLWS / post office (n = {n}) ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12} {:>12}",
-            "k", "par/seq time", "1thr/seq time", "work ratio", "rounds"
-        );
-        for row in run_fig7(n, &[10, 1_000, 100_000], 3) {
-            println!(
-                "{:>10} {:>14.3} {:>14.3} {:>12.3} {:>12}",
-                row.k,
-                row.parallel_secs / row.sequential_secs,
-                row.parallel_1t_secs / row.sequential_secs,
-                row.parallel_work as f64 / row.sequential_work as f64,
-                row.rounds
-            );
-        }
-        println!();
     }
 
     let rows = run_speedup(quick, &[1, 2, 4, 8]);

@@ -1,24 +1,24 @@
-//! Benchmark harness shared by the criterion benches and the report binaries.
+//! The speedup trajectory behind the `speedup_report` binary.
 //!
-//! Every evaluation figure of the paper has a `run_*` function here that
-//! produces one row per swept parameter value, reporting wall-clock times for
-//! the series the paper plots ("Ours", "Ours (1 thread)", "Sequential") plus
-//! the work/round counters that validate the asymptotic claims on machines
-//! where wall-clock speedup is not observable (see EXPERIMENTS.md).
+//! For every problem the paper evaluates, [`run_speedup`] times the strongest
+//! sequential algorithm in the workspace against the cordon algorithm pinned
+//! to each requested thread count, checks that both return the same answer,
+//! and records the work/round counters that validate the asymptotic claims on
+//! hosts where wall-clock speedup is not observable.  The paper's Figs. 6
+//! and 7 are the `lcs_*` and `glws_*` rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pardp_gap::{convex_gap_instance, parallel_gap_packed, sequential_gap};
-use pardp_glws::{parallel_convex_glws, sequential_convex_glws, GlwsProblem, PostOfficeProblem};
+use pardp_glws::{parallel_convex_glws, sequential_convex_glws, PostOfficeProblem};
 use pardp_lcs::{parallel_sparse_lcs, sequential_sparse_lcs, MatchPair};
 use pardp_lis::{parallel_lis, sequential_lis};
 use pardp_oat::{garsia_wachs, parallel_oat, parallel_oat_valley};
 use pardp_obst::{knuth_obst, parallel_obst};
 use pardp_parutils::{with_threads, Metrics};
-use pardp_treedp::{parallel_tree_glws_auto, sequential_tree_glws, CostShape, TreeGlwsInstance};
+use pardp_treedp::{naive_tree_glws, parallel_tree_glws_auto, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Measure the wall-clock seconds of one invocation of `f`.
@@ -28,153 +28,8 @@ pub fn time_secs<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-// ---------------------------------------------------------------------------
-// Figure 6: parallel sparse LCS, running time vs LCS length k.
-// ---------------------------------------------------------------------------
-
-/// One row of the Fig. 6 table.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig6Row {
-    /// Number of matching pairs `L`.
-    pub l: usize,
-    /// LCS length `k` of the instance.
-    pub k: usize,
-    /// Parallel running time on the default thread pool ("Ours").
-    pub parallel_secs: f64,
-    /// Parallel algorithm restricted to one thread ("Ours (1 thread)").
-    pub parallel_1t_secs: f64,
-    /// Sequential sparse LCS (Hunt–Szymanski) baseline.
-    pub sequential_secs: f64,
-    /// Rounds executed by the cordon algorithm (equals `k`).
-    pub rounds: u64,
-    /// Work proxy of the parallel run (edges + probes).
-    pub parallel_work: u64,
-    /// Work proxy of the sequential run.
-    pub sequential_work: u64,
-}
-
-/// Run the Fig. 6 sweep: sparse LCS with `l` matching pairs and LCS lengths
-/// `ks`, timing the parallel algorithm on the ambient pool, on one thread,
-/// and the sequential baseline.
-pub fn run_fig6(l: usize, ks: &[usize], seed: u64) -> Vec<Fig6Row> {
-    ks.iter()
-        .map(|&k| {
-            let raw = workloads::lcs_pairs_with(l, k.min(l), seed);
-            let pairs: Vec<MatchPair> = raw.into_iter().map(|(i, j)| MatchPair { i, j }).collect();
-            let (parallel_secs, par) = time_secs(|| parallel_sparse_lcs(&pairs));
-            let (parallel_1t_secs, _) =
-                time_secs(|| with_threads(1, || parallel_sparse_lcs(&pairs)));
-            let (sequential_secs, seq) = time_secs(|| sequential_sparse_lcs(&pairs));
-            assert_eq!(par.length, seq.length, "parallel and sequential disagree");
-            Fig6Row {
-                l,
-                k: par.length as usize,
-                parallel_secs,
-                parallel_1t_secs,
-                sequential_secs,
-                rounds: par.metrics.rounds,
-                parallel_work: par.metrics.work_proxy() + par.metrics.edges_relaxed,
-                sequential_work: seq.metrics.work_proxy(),
-            }
-        })
-        .collect()
-}
-
-/// Pretty-print Fig. 6 rows in the layout of the paper's figure.
-pub fn print_fig6(rows: &[Fig6Row]) {
-    println!("# Figure 6 — parallel sparse LCS, running time (s) vs LCS length k");
-    println!(
-        "{:>12} {:>12} {:>12} {:>14} {:>12} {:>10}",
-        "L", "k", "Ours", "Ours(1thr)", "Sequential", "rounds"
-    );
-    for r in rows {
-        println!(
-            "{:>12} {:>12} {:>12.4} {:>14.4} {:>12.4} {:>10}",
-            r.l, r.k, r.parallel_secs, r.parallel_1t_secs, r.sequential_secs, r.rounds
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: parallel convex GLWS (post office), running time vs k.
-// ---------------------------------------------------------------------------
-
-/// One row of the Fig. 7 table.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig7Row {
-    /// Number of villages `n`.
-    pub n: usize,
-    /// Number of post offices in the optimal solution.
-    pub k: usize,
-    /// Parallel running time ("Ours").
-    pub parallel_secs: f64,
-    /// Parallel algorithm on one thread ("Ours (1 thread)").
-    pub parallel_1t_secs: f64,
-    /// Sequential Galil–Park baseline ("Sequential").
-    pub sequential_secs: f64,
-    /// Cordon rounds (equals `k`, the perfect depth — Lemma 4.5).
-    pub rounds: u64,
-    /// Work proxy of the parallel run.
-    pub parallel_work: u64,
-    /// Work proxy of the sequential run.
-    pub sequential_work: u64,
-}
-
-/// Run the Fig. 7 sweep: post-office GLWS with `n` villages and the requested
-/// numbers of clusters.
-pub fn run_fig7(n: usize, ks: &[usize], seed: u64) -> Vec<Fig7Row> {
-    ks.iter()
-        .map(|&k| {
-            let inst = workloads::post_office_instance(n, k.min(n), seed);
-            let problem = PostOfficeProblem::new(inst.coords.clone(), inst.open_cost);
-            let (parallel_secs, par) = time_secs(|| parallel_convex_glws(&problem));
-            let (parallel_1t_secs, _) =
-                time_secs(|| with_threads(1, || parallel_convex_glws(&problem)));
-            let (sequential_secs, seq) = time_secs(|| sequential_convex_glws(&problem));
-            assert_eq!(par.d, seq.d, "parallel and sequential disagree");
-            Fig7Row {
-                n,
-                k: par.decision_depth(problem.n()),
-                parallel_secs,
-                parallel_1t_secs,
-                sequential_secs,
-                rounds: par.metrics.rounds,
-                parallel_work: par.metrics.work_proxy(),
-                sequential_work: seq.metrics.work_proxy(),
-            }
-        })
-        .collect()
-}
-
-/// Pretty-print Fig. 7 rows in the layout of the paper's figure.
-pub fn print_fig7(rows: &[Fig7Row]) {
-    println!("# Figure 7 — parallel convex GLWS (post office), running time (s) vs k");
-    println!(
-        "{:>12} {:>12} {:>12} {:>14} {:>12} {:>10} {:>14} {:>14}",
-        "n", "k", "Ours", "Ours(1thr)", "Sequential", "rounds", "par work", "seq work"
-    );
-    for r in rows {
-        println!(
-            "{:>12} {:>12} {:>12.4} {:>14.4} {:>12.4} {:>10} {:>14} {:>14}",
-            r.n,
-            r.k,
-            r.parallel_secs,
-            r.parallel_1t_secs,
-            r.sequential_secs,
-            r.rounds,
-            r.parallel_work,
-            r.sequential_work
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Speedup trajectory: per-problem parallel-vs-sequential wall clock across
-// thread counts, emitted as machine-readable BENCH_speedup.json.
-// ---------------------------------------------------------------------------
-
 /// One (problem, thread count) measurement of the speedup trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Problem / instance label.
     pub problem: String,
@@ -254,45 +109,125 @@ fn timed_parallel<R: Send>(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn speedup_row(
-    problem: &str,
-    n: usize,
-    threads: usize,
-    seq_secs: f64,
-    par_secs: f64,
-    par: &Metrics,
-    seq: &Metrics,
-    dispatch: (u64, u64),
-) -> SpeedupRow {
-    SpeedupRow {
-        problem: problem.to_string(),
-        n,
-        threads,
-        seq_secs,
-        par_secs,
-        work_ratio: if seq.work_proxy() > 0 {
-            par.work_proxy() as f64 / seq.work_proxy() as f64
-        } else {
-            0.0
-        },
-        rounds: par.rounds,
-        max_frontier: par.max_frontier(),
-        injector_pushes: dispatch.0,
-        wakeups: dispatch.1,
+/// The rows collected so far, and how to time the next ones.
+struct Sweep<'a> {
+    threads: &'a [usize],
+    reps: usize,
+    rows: Vec<SpeedupRow>,
+}
+
+impl Sweep<'_> {
+    /// Time `par` pinned to each thread count against a sequential run that
+    /// took `seq_secs` and did `seq`'s work, appending one row per thread
+    /// count.  `check` asserts that a parallel answer equals the sequential
+    /// one and returns the parallel run's metrics.
+    fn rows<R: Send>(
+        &mut self,
+        problem: &str,
+        n: usize,
+        (seq_secs, seq): (f64, &Metrics),
+        mut par: impl FnMut() -> R + Send,
+        check: impl Fn(&R) -> &Metrics,
+    ) {
+        for &threads in self.threads {
+            let (par_secs, out, injector_pushes, wakeups) =
+                timed_parallel(threads, self.reps, &mut par);
+            let par = check(&out);
+            self.rows.push(SpeedupRow {
+                problem: problem.to_string(),
+                n,
+                threads,
+                seq_secs,
+                par_secs,
+                work_ratio: if seq.work_proxy() > 0 {
+                    par.work_proxy() as f64 / seq.work_proxy() as f64
+                } else {
+                    0.0
+                },
+                rounds: par.rounds,
+                max_frontier: par.max_frontier(),
+                injector_pushes,
+                wakeups,
+            });
+        }
+    }
+
+    /// The paper's Fig. 6: sparse LCS over `l` matching pairs with LCS
+    /// length k = 100, 10⁴ and `l`, against Hunt–Szymanski.  Round `r`
+    /// extracts the pairs of DP value `r`, so rounds equal the LCS length;
+    /// the deep row has one pair per round.
+    fn fig6_lcs(&mut self, l: usize) {
+        for (problem, k) in [("lcs_shallow", 100), ("lcs_mid", 10_000), ("lcs_deep", l)] {
+            let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(l, k, 3)
+                .into_iter()
+                .map(|(i, j)| MatchPair { i, j })
+                .collect();
+            let (seq_secs, seq) = best_of(self.reps, || sequential_sparse_lcs(&pairs));
+            self.rows(
+                problem,
+                l,
+                (seq_secs, &seq.metrics),
+                || parallel_sparse_lcs(&pairs),
+                |par| {
+                    assert_eq!(
+                        (par.length, &par.pair_values),
+                        (seq.length, &seq.pair_values),
+                        "{problem} parallel/sequential disagree"
+                    );
+                    assert_eq!(
+                        par.metrics.rounds,
+                        u64::from(par.length),
+                        "{problem} rounds"
+                    );
+                    &par.metrics
+                },
+            );
+        }
+    }
+
+    /// The paper's Fig. 7: convex GLWS (post office) over `n` villages in
+    /// k = 10, 10³ and `n / 10` planted clusters, against the `O(n log n)`
+    /// monotonic-queue algorithm.  Rounds equal the perfect depth
+    /// (Lemma 4.5), which here is the number of offices.
+    fn fig7_glws(&mut self, n: usize) {
+        for (problem, k) in [
+            ("glws_shallow", 10),
+            ("glws_mid", 1_000),
+            ("glws_deep", n / 10),
+        ] {
+            let inst = workloads::post_office_instance(n, k, 3);
+            let offices = PostOfficeProblem::new(inst.coords, inst.open_cost);
+            let (seq_secs, seq) = best_of(self.reps, || sequential_convex_glws(&offices));
+            self.rows(
+                problem,
+                n,
+                (seq_secs, &seq.metrics),
+                || parallel_convex_glws(&offices),
+                |par| {
+                    assert_eq!(par.d, seq.d, "{problem} parallel/sequential disagree");
+                    let depth = par.decision_depth(n) as u64;
+                    assert_eq!(par.metrics.rounds, depth, "{problem} rounds");
+                    &par.metrics
+                },
+            );
+        }
     }
 }
 
 /// Run the speedup sweep: for each problem, time the sequential baseline and
 /// the parallel algorithm pinned to each thread count in `threads`.
 ///
-/// The instances are deliberately *shallow* (small round count, wide
+/// Most instances are deliberately *shallow* (small round count, wide
 /// frontiers) — the regime where the paper's span bounds leave actual
-/// parallelism for the pool to exploit.  `quick` shrinks every instance for
-/// smoke-test use (CI runs `speedup_report --quick`).
+/// parallelism for the pool to exploit; the Fig. 6 and Fig. 7 rows sweep the
+/// depth from that regime down to one state per round.  `quick` shrinks every
+/// instance for smoke-test use (CI runs `speedup_report --quick`).
 pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
-    let reps = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
+    let mut sweep = Sweep {
+        threads,
+        reps: if quick { 1 } else { 3 },
+        rows: Vec::new(),
+    };
 
     // Shallow LIS: k = 4 rounds over a wide staircase.  The sequential
     // baseline pays a coordinate-compression sort plus a Fenwick log factor;
@@ -300,21 +235,17 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     {
         let n = if quick { 50_000 } else { 400_000 };
         let a = workloads::lis_with_length(n, 4, 7);
-        let (seq_secs, seq) = best_of(reps, || sequential_lis(&a));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) = timed_parallel(t, reps, || parallel_lis(&a));
-            assert_eq!(par.length, seq.length, "lis parallel/sequential disagree");
-            rows.push(speedup_row(
-                "lis_shallow",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || sequential_lis(&a));
+        sweep.rows(
+            "lis_shallow",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_lis(&a),
+            |par| {
+                assert_eq!(par.length, seq.length, "lis parallel/sequential disagree");
+                &par.metrics
+            },
+        );
     }
 
     // Random LIS: about 2√n rounds, each taking scattered single records —
@@ -324,21 +255,17 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     {
         let n = if quick { 100_000 } else { 1_000_000 };
         let a = workloads::random_sequence(n, 1 << 40, 3);
-        let (seq_secs, seq) = best_of(reps, || sequential_lis(&a));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) = timed_parallel(t, reps, || parallel_lis(&a));
-            assert_eq!(par.length, seq.length, "lis parallel/sequential disagree");
-            rows.push(speedup_row(
-                "lis_random",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || sequential_lis(&a));
+        sweep.rows(
+            "lis_random",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_lis(&a),
+            |par| {
+                assert_eq!(par.length, seq.length, "lis parallel/sequential disagree");
+                &par.metrics
+            },
+        );
     }
 
     // OBST: n - 1 diagonal rounds with identical Knuth-bound work on both
@@ -347,22 +274,17 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1_000, 11);
-        let (seq_secs, seq) = best_of(reps, || knuth_obst(&weights));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) =
-                timed_parallel(t, reps, || parallel_obst(&weights));
-            assert_eq!(par.cost, seq.cost, "obst parallel/sequential disagree");
-            rows.push(speedup_row(
-                "obst",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || knuth_obst(&weights));
+        sweep.rows(
+            "obst",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_obst(&weights),
+            |par| {
+                assert_eq!(par.cost, seq.cost, "obst parallel/sequential disagree");
+                &par.metrics
+            },
+        );
     }
 
     // Tree-GLWS through the shape-adaptive router (parallel_tree_glws_auto)
@@ -396,23 +318,17 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         let n = parent.len() - 1;
         let lens = workloads::tree_edge_lengths(n, 100, 13);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
-        let (seq_secs, seq) = best_of(reps, || sequential_tree_glws(&inst));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) = timed_parallel(t, reps, || {
-                parallel_tree_glws_auto(&inst, CostShape::Convex)
-            });
-            assert_eq!(par.d, seq.d, "{problem} parallel/sequential disagree");
-            rows.push(speedup_row(
-                problem,
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || naive_tree_glws(&inst));
+        sweep.rows(
+            problem,
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_tree_glws_auto(&inst, CostShape::Convex),
+            |par| {
+                assert_eq!(par.d, seq.d, "{problem} parallel/sequential disagree");
+                &par.metrics
+            },
+        );
     }
 
     // OAT with the valley cordon (Theorem 5.1) against the sequential
@@ -422,25 +338,20 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     {
         let n = if quick { 6_000 } else { 40_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);
-        let (seq_secs, seq) = best_of(reps, || garsia_wachs(&weights));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) =
-                timed_parallel(t, reps, || parallel_oat_valley(&weights));
-            assert_eq!(
-                par.cost, seq.cost,
-                "oat_valley parallel/sequential disagree"
-            );
-            rows.push(speedup_row(
-                "oat_valley",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || garsia_wachs(&weights));
+        sweep.rows(
+            "oat_valley",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_oat_valley(&weights),
+            |par| {
+                assert_eq!(
+                    par.cost, seq.cost,
+                    "oat_valley parallel/sequential disagree"
+                );
+                &par.metrics
+            },
+        );
     }
 
     // The pre-Theorem-5.1 interval OAT cordon on the same profile (its own
@@ -449,25 +360,20 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);
-        let (seq_secs, seq) = best_of(reps, || garsia_wachs(&weights));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) =
-                timed_parallel(t, reps, || parallel_oat(&weights));
-            assert_eq!(
-                par.cost, seq.cost,
-                "oat_interval parallel/sequential disagree"
-            );
-            rows.push(speedup_row(
-                "oat_interval",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || garsia_wachs(&weights));
+        sweep.rows(
+            "oat_interval",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_oat(&weights),
+            |par| {
+                assert_eq!(
+                    par.cost, seq.cost,
+                    "oat_interval parallel/sequential disagree"
+                );
+                &par.metrics
+            },
+        );
     }
 
     // GAP alignment with the packed cordon (Theorem 5.2): rounds equal the
@@ -478,29 +384,27 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         let n = if quick { 300 } else { 1_000 };
         let (a, b) = workloads::gap_strings(n, n, 4, 17);
         let inst = convex_gap_instance(&a, &b, 3, 1, 1);
-        let (seq_secs, seq) = best_of(reps, || sequential_gap(&inst));
-        for &t in threads {
-            let (par_secs, par, pushes, wakeups) =
-                timed_parallel(t, reps, || parallel_gap_packed(&inst));
-            assert_eq!(par.cost, seq.cost, "gap parallel/sequential disagree");
-            rows.push(speedup_row(
-                "gap",
-                n,
-                t,
-                seq_secs,
-                par_secs,
-                &par.metrics,
-                &seq.metrics,
-                (pushes, wakeups),
-            ));
-        }
+        let (seq_secs, seq) = best_of(sweep.reps, || sequential_gap(&inst));
+        sweep.rows(
+            "gap",
+            n,
+            (seq_secs, &seq.metrics),
+            || parallel_gap_packed(&inst),
+            |par| {
+                assert_eq!(par.cost, seq.cost, "gap parallel/sequential disagree");
+                &par.metrics
+            },
+        );
     }
 
-    rows
+    let size = if quick { 100_000 } else { 1_000_000 };
+    sweep.fig6_lcs(size);
+    sweep.fig7_glws(size);
+    sweep.rows
 }
 
-/// Serialize speedup rows as the `BENCH_speedup.json` document (hand-rolled:
-/// the offline `serde` shim does not provide serialization).
+/// Serialize speedup rows as the `BENCH_speedup.json` document (hand-rolled,
+/// so the workspace needs no serialization crate).
 pub fn speedup_rows_to_json(rows: &[SpeedupRow], quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -566,51 +470,37 @@ pub fn print_speedup(rows: &[SpeedupRow]) {
     }
 }
 
-/// Geometric sweep of `k` values up to `max_k` (mirroring the log-scaled x
-/// axes of the paper's figures).
-pub fn k_sweep(max_k: usize, points: usize) -> Vec<usize> {
-    let mut ks = Vec::new();
-    let mut k = 10usize.min(max_k).max(1);
-    for _ in 0..points {
-        if ks.last() != Some(&k) {
-            ks.push(k);
-        }
-        if k >= max_k {
-            break;
-        }
-        k = (k * 10).min(max_k);
-    }
-    ks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn fig6_smoke() {
-        let rows = run_fig6(5_000, &[10, 100], 1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].k, 10);
-        assert_eq!(rows[1].k, 100);
-        assert_eq!(rows[0].rounds, 10);
-        print_fig6(&rows);
-    }
-
-    #[test]
-    fn fig7_smoke() {
-        let rows = run_fig7(5_000, &[5, 50], 2);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].k, 5);
-        assert_eq!(rows[1].k, 50);
-        assert_eq!(rows[0].rounds, 5);
-        print_fig7(&rows);
-    }
-
-    #[test]
-    fn k_sweep_is_geometric_and_capped() {
-        assert_eq!(k_sweep(100_000, 10), vec![10, 100, 1000, 10_000, 100_000]);
-        assert_eq!(k_sweep(500, 10), vec![10, 100, 500]);
-        assert_eq!(k_sweep(5, 10), vec![5]);
+    fn fig6_and_fig7_rows_sweep_the_depth() {
+        let mut sweep = Sweep {
+            threads: &[1, 2],
+            reps: 1,
+            rows: Vec::new(),
+        };
+        sweep.fig6_lcs(20_000);
+        sweep.fig7_glws(20_000);
+        let got: Vec<(&str, usize, usize, u64)> = sweep
+            .rows
+            .iter()
+            .map(|r| (r.problem.as_str(), r.n, r.threads, r.rounds))
+            .collect();
+        let mut want = Vec::new();
+        for (problem, rounds) in [
+            ("lcs_shallow", 100),
+            ("lcs_mid", 10_000),
+            ("lcs_deep", 20_000),
+            ("glws_shallow", 10),
+            ("glws_mid", 1_000),
+            ("glws_deep", 2_000),
+        ] {
+            for threads in [1, 2] {
+                want.push((problem, 20_000, threads, rounds));
+            }
+        }
+        assert_eq!(got, want);
     }
 }

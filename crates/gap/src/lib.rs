@@ -32,11 +32,10 @@
 //! Both parallel variants produce bit-identical grids (validated against each
 //! other and against the naive oracle in the tests).
 //!
-//! Alignment traceback is provided in three flavors: the panicking
-//! [`reconstruct_gap_ops`], the fallible [`try_reconstruct_gap_ops`] (both
-//! grid-only, `O(n·(n+m))` worst case), and the near-linear
-//! [`try_reconstruct_gap_ops_with_provenance`] driven by the two-bit-per-cell
-//! predecessor flags of [`sequential_gap_with_provenance`].
+//! Alignment traceback is provided in two flavors: the grid-only
+//! [`try_reconstruct_gap_ops`] (`O(n·(n+m))` worst case), and the
+//! near-linear [`try_reconstruct_gap_ops_with_provenance`] driven by the
+//! two-bit-per-cell predecessor flags of [`sequential_gap_with_provenance`].
 //!
 //! # The packed round
 //!
@@ -884,7 +883,7 @@ where
 // ---------------------------------------------------------------------------
 
 /// One move of an optimal GAP alignment, as recovered by
-/// [`reconstruct_gap_ops`].  Positions are 1-based, matching the DP indices.
+/// [`try_reconstruct_gap_ops`].  Positions are 1-based, matching the DP indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapOp {
     /// Align `A[i]` with `B[j]` (the characters are equal).
@@ -986,26 +985,8 @@ impl GapProvenance {
 /// prefer a match, then the shortest gap in `A`, then the shortest gap in
 /// `B` — so identical grids always reconstruct identical alignments.
 ///
-/// # Panics
-///
-/// Panics if `d` is not a valid DP grid for `inst` (no predecessor explains
-/// some cell's value).  Use [`try_reconstruct_gap_ops`] for a `Result`, and
-/// [`try_reconstruct_gap_ops_with_provenance`] for the near-linear variant.
-pub fn reconstruct_gap_ops<W1, W2>(inst: &GapInstance<'_, W1, W2>, d: &[Vec<i64>]) -> Vec<GapOp>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    match try_reconstruct_gap_ops(inst, d) {
-        Ok(ops) => ops,
-        // analyze: allow(no-panics): documented panicking facade over the
-        // typed `try_reconstruct_gap_ops` (see the function docs).
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible traceback through a completed DP grid, same tie-breaking as
-/// [`reconstruct_gap_ops`].
+/// Errors if `d` is not a valid DP grid for `inst` (no predecessor explains
+/// some cell's value).
 ///
 /// Works on any grid with no extra bookkeeping, but each gap op re-derives
 /// its predecessor by scanning candidates nearest-first: *successful* scans
@@ -1053,7 +1034,7 @@ where
 /// Near-linear traceback using the provenance flags recorded by
 /// [`sequential_gap_with_provenance`]: the branch (match / gap in `A` / gap
 /// in `B`) is decided in `O(1)` per op from the flags — with the identical
-/// match-first, then-`A`, then-`B` priority as [`reconstruct_gap_ops`], since
+/// match-first, then-`A`, then-`B` priority as [`try_reconstruct_gap_ops`], since
 /// `a_tight` holds exactly when the grid-only scan would find an `i'` — and
 /// the nearest-first predecessor scans are then guaranteed to succeed, so
 /// their lengths telescope to the summed gap length: `O(n + m)` total.
@@ -1294,8 +1275,8 @@ mod tests {
                     "packing must never use more rounds than the wavefront"
                 );
                 assert_eq!(
-                    reconstruct_gap_ops(&inst, &packed.d),
-                    reconstruct_gap_ops(&inst, &wave.d),
+                    try_reconstruct_gap_ops(&inst, &packed.d).unwrap(),
+                    try_reconstruct_gap_ops(&inst, &wave.d).unwrap(),
                     "identical grids must reconstruct identical alignments"
                 );
             }
@@ -1412,7 +1393,7 @@ mod tests {
         let b = pseudo_string(19, 12, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
         let res = parallel_gap_packed(&inst);
-        let ops = reconstruct_gap_ops(&inst, &res.d);
+        let ops = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
         let (mut i, mut j, mut cost) = (0usize, 0usize, 0i64);
         for op in &ops {
             match *op {
@@ -1461,7 +1442,6 @@ mod tests {
             let plain = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
             let fast = try_reconstruct_gap_ops_with_provenance(&inst, &res.d, &prov).unwrap();
             assert_eq!(plain, fast, "na {na} nb {nb} alpha {alpha}");
-            assert_eq!(plain, reconstruct_gap_ops(&inst, &res.d));
         }
     }
 

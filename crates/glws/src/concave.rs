@@ -14,9 +14,10 @@
 //!    freshly built `B_new` (decisions from the new frontier) must be merged
 //!    with `B_old`.  By concave decision monotonicity the states preferring a
 //!    new decision form a prefix `[cordon, p]`; the cut point `p` is found with
-//!    one binary search that compares the two arrays' candidates (the
-//!    simplification of Alg. 2 discussed in DESIGN.md; Alg. 2 itself is kept as
-//!    an alternative for the ablation benchmark).
+//!    one binary search that compares the two arrays' candidates (a
+//!    simplification of Alg. 2; Alg. 2 itself is kept as
+//!    [`ConcaveMergeStrategy::PaperAlgorithm2`], which `ablation_report`
+//!    compares against it).
 
 use crate::best::BestDecisionArray;
 use crate::cost::GlwsProblem;

@@ -117,18 +117,6 @@ impl GrainPolicy {
         Self::default()
     }
 
-    /// Seed the window from a finished run's telemetry — the ablation path:
-    /// re-running an instance with the frontier shape already known starts
-    /// with the tuned grain from round one.
-    pub fn from_metrics(metrics: &crate::Metrics) -> Self {
-        let mut policy = Self::new();
-        let tail = metrics.frontier_sizes.len().saturating_sub(WINDOW);
-        for &f in &metrics.frontier_sizes[tail..] {
-            policy.observe(f);
-        }
-        policy
-    }
-
     /// Record the frontier size of a completed round.
     pub fn observe(&mut self, frontier: u64) {
         if self.recent.len() == WINDOW {
@@ -263,18 +251,6 @@ mod tests {
         assert_eq!(bursty.hint().grains_per_thread, GRAINS_FINE);
         let len = 1 << 20;
         assert!(stable.hint().min_grain_for(len, 8) > bursty.hint().min_grain_for(len, 8));
-    }
-
-    #[test]
-    fn from_metrics_seeds_the_window() {
-        let metrics = crate::Metrics {
-            frontier_sizes: (0..100u64)
-                .map(|i| if i % 2 == 0 { 10 } else { 1_000_000 })
-                .collect(),
-            ..crate::Metrics::default()
-        };
-        let policy = GrainPolicy::from_metrics(&metrics);
-        assert_eq!(policy.hint().grains_per_thread, GRAINS_FINE);
     }
 
     #[test]

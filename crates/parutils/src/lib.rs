@@ -8,9 +8,9 @@
 //!
 //! * granularity-controlled helpers ([`par`]) so that the parallel algorithms
 //!   degrade gracefully to their sequential counterparts on tiny inputs,
-//! * the ParlayLib-style primitives the paper relies on — reduce, scan
-//!   (including prefix-minimum), pack/filter and sorting ([`reduce`],
-//!   [`scan`], [`pack`], [`sort`]),
+//! * the per-round grain policy ([`grain`]) that sizes parallel loops from
+//!   recent frontier sizes,
+//! * a stable parallel merge sort with a reusable scratch buffer ([`sort`]),
 //! * work/round instrumentation ([`metrics`]) used by the benchmark harness to
 //!   report *operation counts* in addition to wall-clock time, which is how we
 //!   validate the paper's work bounds on machines with few cores.
@@ -20,16 +20,10 @@
 
 pub mod grain;
 pub mod metrics;
-pub mod pack;
 pub mod par;
-pub mod reduce;
-pub mod scan;
 pub mod sort;
 
 pub use grain::{round_min_grain, with_grain_policy, GrainHint, GrainPolicy};
 pub use metrics::{Metrics, MetricsCollector};
-pub use pack::{par_filter, par_pack_index};
-pub use par::{maybe_join, par_chunks_mut_indexed, par_map, with_threads, SEQ_CUTOFF};
-pub use reduce::{par_min_index, par_min_value, par_reduce};
-pub use scan::{par_prefix_min_inclusive, par_scan_exclusive, par_scan_inclusive};
-pub use sort::{par_sort_by_key, par_sort_by_key_with};
+pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};
+pub use sort::par_sort_by_key_with;

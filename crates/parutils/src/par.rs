@@ -53,25 +53,6 @@ where
     }
 }
 
-/// Visit disjoint mutable chunks of `data` in parallel, passing the starting
-/// index of each chunk so callers can recover absolute positions.
-pub fn par_chunks_mut_indexed<T, F>(data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    if data.len() < SEQ_CUTOFF {
-        for (c, slice) in data.chunks_mut(chunk).enumerate() {
-            f(c * chunk, slice);
-        }
-    } else {
-        data.par_chunks_mut(chunk)
-            .enumerate()
-            .for_each(|(c, slice)| f(c * chunk, slice));
-    }
-}
-
 /// Run `f` inside a dedicated rayon pool with `threads` worker threads.
 ///
 /// The benchmark harness uses this to produce the "Ours" vs "Ours (1 thread)"
@@ -121,19 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_indexed_covers_all_positions() {
-        let mut v = vec![0usize; 5000];
-        par_chunks_mut_indexed(&mut v, 37, |start, slice| {
-            for (off, x) in slice.iter_mut().enumerate() {
-                *x = start + off;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
-    }
-
-    #[test]
     fn with_threads_single_thread_pool_works() {
         let sum: u64 = with_threads(1, || (0..100u64).into_par_iter().sum());
         assert_eq!(sum, 4950);
@@ -143,12 +111,5 @@ mod tests {
     fn with_threads_multi_thread_pool_works() {
         let sum: u64 = with_threads(4, || (0..100u64).into_par_iter().sum());
         assert_eq!(sum, 4950);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn chunks_mut_zero_chunk_panics() {
-        let mut v = vec![0u8; 4];
-        par_chunks_mut_indexed(&mut v, 0, |_, _| {});
     }
 }

@@ -1,27 +1,10 @@
 //! Parallel sorting.
 //!
-//! The sparse-LCS construction (Sec. 3) sorts the `L` matching pairs by
-//! `(column asc, row desc)`, and the OAT valley decomposition (Appendix A)
-//! sorts reinserted roots; both are handled by this stable parallel
-//! merge sort, which degrades to `slice::sort_by_key` below the cutoff.
+//! A stable parallel merge sort that degrades to `slice::sort_by_key` below
+//! the cutoff; `pardp-workloads` sorts the two slopes of its valley weight
+//! profiles with it.
 
 use crate::par::{maybe_join, SEQ_CUTOFF};
-
-/// Stable parallel sort of `items` by the key extracted with `key`.
-///
-/// Allocates a fresh scratch buffer above the cutoff; callers that sort
-/// repeatedly should hold a scratch `Vec` and use [`par_sort_by_key_with`]
-/// instead, which reuses it across calls (arena-style, like the engine's
-/// `FrontierArena`).
-pub fn par_sort_by_key<T, K, F>(items: &mut [T], key: F)
-where
-    T: Clone + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let mut scratch = Vec::new();
-    par_sort_by_key_with(items, &mut scratch, key);
-}
 
 /// Stable parallel sort of `items` by `key`, merging through the reusable
 /// `scratch` buffer.
@@ -31,8 +14,7 @@ where
 /// initialized values.  On the first call (or the first call at a new
 /// high-water length) the deficit is seeded by cloning from `items`; every
 /// later call at or below that length performs **zero** heap allocation and
-/// zero seeding clones, which is what keeps steady-state cordon rounds
-/// allocation-free (`tests/alloc_counting.rs`).
+/// zero seeding clones.
 pub fn par_sort_by_key_with<T, K, F>(items: &mut [T], scratch: &mut Vec<T>, key: F)
 where
     T: Clone + Send + Sync,
@@ -113,7 +95,7 @@ mod tests {
     #[test]
     fn sorts_small_slice() {
         let mut v = vec![5u32, 1, 4, 1, 3];
-        par_sort_by_key(&mut v, |x| *x);
+        par_sort_by_key_with(&mut v, &mut Vec::new(), |x| *x);
         assert_eq!(v, vec![1, 1, 3, 4, 5]);
     }
 
@@ -122,7 +104,7 @@ mod tests {
         let mut v: Vec<u64> = (0..100_000).map(|i| (i * 2654435761) % 1_000_003).collect();
         let mut want = v.clone();
         want.sort_unstable();
-        par_sort_by_key(&mut v, |x| *x);
+        par_sort_by_key_with(&mut v, &mut Vec::new(), |x| *x);
         assert_eq!(v, want);
     }
 
@@ -131,7 +113,7 @@ mod tests {
         // Pairs sorted by first component only; second component records the
         // original order and must stay sorted within equal keys.
         let mut v: Vec<(u32, usize)> = (0..50_000).map(|i| ((i % 10) as u32, i)).collect();
-        par_sort_by_key(&mut v, |p| p.0);
+        par_sort_by_key_with(&mut v, &mut Vec::new(), |p| p.0);
         for w in v.windows(2) {
             if w[0].0 == w[1].0 {
                 assert!(w[0].1 < w[1].1, "stability violated");
@@ -142,17 +124,17 @@ mod tests {
     #[test]
     fn sort_empty_and_singleton() {
         let mut e: Vec<u8> = vec![];
-        par_sort_by_key(&mut e, |x| *x);
+        par_sort_by_key_with(&mut e, &mut Vec::new(), |x| *x);
         assert!(e.is_empty());
         let mut s = vec![9u8];
-        par_sort_by_key(&mut s, |x| *x);
+        par_sort_by_key_with(&mut s, &mut Vec::new(), |x| *x);
         assert_eq!(s, vec![9]);
     }
 
     #[test]
     fn sort_reverse_input() {
         let mut v: Vec<u32> = (0..30_000).rev().collect();
-        par_sort_by_key(&mut v, |x| *x);
+        par_sort_by_key_with(&mut v, &mut Vec::new(), |x| *x);
         let want: Vec<u32> = (0..30_000).collect();
         assert_eq!(v, want);
     }

@@ -165,8 +165,8 @@ pub mod prelude {
         choose_tree_glws_strategy,
         hld::{HeavyLightDecomposition, TreeShapeStats},
         naive_tree_glws, parallel_tree_glws, parallel_tree_glws_auto, parallel_tree_glws_hld,
-        sequential_tree_glws, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon,
-        TreeGlwsInstance, TreeGlwsStrategy,
+        tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
+        TreeGlwsStrategy,
     };
     pub use pardp_workloads as workloads;
 }

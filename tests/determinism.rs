@@ -8,9 +8,7 @@
 //! pool is off (1 thread, fully inline) or on with any worker count.
 
 use parallel_dp::parutils::with_threads;
-use parallel_dp::treedp::{
-    parallel_tree_glws_hld, sequential_tree_glws, CostShape, TreeGlwsInstance,
-};
+use parallel_dp::treedp::{naive_tree_glws, parallel_tree_glws_hld, CostShape, TreeGlwsInstance};
 use parallel_dp::workloads;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -173,7 +171,7 @@ fn auto_routed_tree_glws_is_bit_identical_across_thread_counts() {
                 "{name}: round schedule differs at {t} threads"
             );
         }
-        let seq = sequential_tree_glws(&inst);
+        let seq = naive_tree_glws(&inst);
         assert_eq!(baseline.d, seq.d, "{name}: auto router disagrees with seq");
     }
 }
@@ -200,7 +198,7 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
             "HLD Tree-GLWS round schedule differs at {t} threads"
         );
     }
-    let seq = sequential_tree_glws(&inst);
+    let seq = naive_tree_glws(&inst);
     assert_eq!(
         baseline.d, seq.d,
         "parallel HLD Tree-GLWS disagrees with the sequential baseline"
