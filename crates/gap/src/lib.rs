@@ -40,10 +40,17 @@
 //! # The packed round
 //!
 //! Each packed round is one exact sequential sweep over the candidate rows
-//! that decides the round's safe set, using persistent per-row/per-column
-//! decision-list cursors and within-round veto checks.  A parallel publish
-//! then inserts the round's cells into the global row and column decision
-//! lists, one independent run of insertions per row and per column.
+//! that decides the round's safe set, using the global per-row/per-column
+//! decision lists and within-round veto checks.  A parallel publish then
+//! inserts the round's cells into the global lists, one independent run of
+//! insertions per row and per column.
+//!
+//! Every list is queried only beyond its last insert: a row is probed at
+//! columns right of its watermark, a column at rows below the staircase.  So
+//! each list keeps only its live envelope, usually one or two entries, and a
+//! query is a search over that window.  The buffers are sized up front, so
+//! the round body does not allocate (pinned at one thread by
+//! `tests/alloc_counting.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -164,22 +171,39 @@ where
 // optimized algorithms).
 // ---------------------------------------------------------------------------
 
+/// Entries each list's buffer is pre-sized for.  Live windows hold at most
+/// two entries on the bench workloads, so their buffers only ever compact; a
+/// wider window (about 25 entries at an opening cost of 600) grows its
+/// buffer once.
+const LIST_CAPACITY: usize = 8;
+
 /// An online best-decision structure for a convex cost: decisions are inserted
-/// in increasing position order and queries may come at any later position.
-/// Queries do not mutate the structure (binary search over takeover
-/// positions), so tentative probes are safe.
+/// in increasing position order, and every query asks at a position beyond
+/// the last insert.  The list keeps only its *live envelope*: an entry whose
+/// successor takes over at or before the next queryable position can never
+/// answer again, so each insert trims it.  Queries do not mutate the
+/// structure (binary search over the live takeover positions), so tentative
+/// probes are safe.
 #[derive(Debug, Clone)]
 struct ConvexDecisionList {
     /// `(takeover, decision, decision_value)` — from `takeover` on (until the
     /// next entry's takeover), `decision` is the best inserted decision.
+    /// `entries[..head]` is the trimmed dead prefix, compacted away when the
+    /// buffer is full.
     entries: Vec<(usize, usize, i64)>,
+    head: usize,
+    /// One past the last inserted position: the first position a query may
+    /// ask at.
+    live_from: usize,
     horizon: usize,
 }
 
 impl ConvexDecisionList {
     fn new(horizon: usize) -> Self {
         ConvexDecisionList {
-            entries: Vec::new(),
+            entries: Vec::with_capacity(LIST_CAPACITY),
+            head: 0,
+            live_from: 0,
             horizon,
         }
     }
@@ -187,15 +211,30 @@ impl ConvexDecisionList {
     /// Clear the list for reuse, keeping its allocation.
     fn reset(&mut self, horizon: usize) {
         self.entries.clear();
+        self.head = 0;
+        self.live_from = 0;
         self.horizon = horizon;
     }
 
     /// Insert a decision at `pos` with value `val`; `cost(l, r)` is the gap
     /// cost.  Decisions must be inserted in increasing `pos` order.
     fn insert(&mut self, pos: usize, val: i64, cost: &impl Fn(usize, usize) -> i64) {
-        if val >= INF {
-            return;
+        debug_assert!(pos >= self.live_from, "insert at {pos} is out of order");
+        self.live_from = pos + 1;
+        if val < INF {
+            self.push_decision(pos, val, cost);
         }
+        // Trim the dead prefix.  The head it leaves starts at or before
+        // `live_from`, so the next insert's pops never reach it.
+        while self.head + 1 < self.entries.len() && self.entries[self.head + 1].0 <= self.live_from
+        {
+            self.head += 1;
+        }
+    }
+
+    /// Pop the entries the new decision dominates, then append it at its
+    /// takeover position if that lies within the horizon.
+    fn push_decision(&mut self, pos: usize, val: i64, cost: &impl Fn(usize, usize) -> i64) {
         let candidate = |q: usize| val + cost(pos, q);
         // Pop entries that the new decision dominates from their own takeover.
         while let Some(&(start, dec, dval)) = self.entries.last() {
@@ -248,55 +287,35 @@ impl ConvexDecisionList {
             }
         };
         if takeover <= self.horizon {
+            if self.entries.len() == self.entries.capacity() && self.head > 0 {
+                self.entries.drain(..self.head);
+                self.head = 0;
+            }
             self.entries.push((takeover, pos, val));
         }
     }
 
-    /// Best value at query position `q` (must be greater than every inserted
+    /// Best value at query position `q` (must be beyond the last inserted
     /// decision position), or `INF` if no decision applies.
     fn query(&self, q: usize, cost: &impl Fn(usize, usize) -> i64) -> i64 {
-        let idx = self.entries.partition_point(|&(start, _, _)| start <= q);
+        debug_assert!(
+            q >= self.live_from,
+            "query at {q} is not beyond the last insert ({})",
+            self.live_from - 1
+        );
+        let live = &self.entries[self.head..];
+        let idx = live.partition_point(|&(start, _, _)| start <= q);
         if idx == 0 {
             return INF;
         }
-        let (_, dec, dval) = self.entries[idx - 1];
-        dval + cost(dec, q)
-    }
-
-    /// Cursor-amortized [`ConvexDecisionList::query`] for cursors that
-    /// persist across interleaved inserts at *arbitrary* positions (e.g.
-    /// across packed-GAP rounds, where publish insertions land below the
-    /// cursor's last query point).  Queries at non-decreasing positions
-    /// advance the cursor linearly.  Inserts pop only from the tail and push
-    /// to the tail, so a stale cursor can only be off in one detectable way —
-    /// pointing past an entry whose takeover now exceeds `q` — which is
-    /// repaired with one binary search.  Identical result to `query`.
-    fn query_tracked(
-        &self,
-        cursor: &mut u32,
-        q: usize,
-        cost: &impl Fn(usize, usize) -> i64,
-    ) -> i64 {
-        let len = self.entries.len();
-        let mut idx = (*cursor as usize).min(len);
-        while idx < len && self.entries[idx].0 <= q {
-            idx += 1;
-        }
-        if idx > 0 && self.entries[idx - 1].0 > q {
-            idx = self.entries.partition_point(|&(start, _, _)| start <= q);
-        }
-        *cursor = idx as u32;
-        if idx == 0 {
-            return INF;
-        }
-        let (_, dec, dval) = self.entries[idx - 1];
+        let (_, dec, dval) = live[idx - 1];
         dval + cost(dec, q)
     }
 }
 
 /// The optimized sequential algorithm `Γ_gap`: row-major evaluation with one
-/// [`ConvexDecisionList`] per row (for `Q`) and per column (for `P`).
-/// Requires convex gap costs.  `O(nm log(n+m))` work.
+/// [`ConvexDecisionList`] per column (for `P`) and one for the current row
+/// (for `Q`).  Requires convex gap costs.  `O(nm log(n+m))` work.
 pub fn sequential_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
 where
     W1: Fn(usize, usize) -> i64 + Sync,
@@ -333,18 +352,20 @@ where
     let metrics = MetricsCollector::new();
     let (n, m) = (inst.a.len(), inst.b.len());
     let mut d = vec![vec![INF; m + 1]; n + 1];
-    let mut row_struct: Vec<ConvexDecisionList> =
-        (0..=n).map(|_| ConvexDecisionList::new(m)).collect();
+    // Row-major order finishes each row before the next starts, so one row
+    // list, reset per row, serves them all.
+    let mut row_list = ConvexDecisionList::new(m);
     let mut col_struct: Vec<ConvexDecisionList> =
         (0..=m).map(|_| ConvexDecisionList::new(n)).collect();
     let mut probes = 0u64;
     for i in 0..=n {
+        row_list.reset(m);
         for j in 0..=m {
             let value = if i == 0 && j == 0 {
                 0
             } else {
                 let p = col_struct[j].query(i, &inst.w1);
-                let q = row_struct[i].query(j, &inst.w2);
+                let q = row_list.query(j, &inst.w2);
                 probes += 2;
                 let mut best = p.min(q);
                 if i > 0 && j > 0 && inst.matches(i, j) {
@@ -358,7 +379,7 @@ where
                 best
             };
             d[i][j] = value;
-            row_struct[i].insert(j, value, &inst.w2);
+            row_list.insert(j, value, &inst.w2);
             col_struct[j].insert(i, value, &inst.w1);
             metrics.add_edges(3);
         }
@@ -596,11 +617,6 @@ pub struct PackedGapCordon<'i, 'a, W1, W2> {
     /// Snapshot of `r` at the start of the current round (kept equal to `r`
     /// between rounds by a delta re-sync over the touched row range).
     r_start: Vec<usize>,
-    /// Persistent self-healing cursors into the global lists (see
-    /// `ConvexDecisionList::query_tracked`): queries resume near where the
-    /// previous round left off instead of re-binary-searching.
-    col_cursor: Vec<u32>,
-    row_cursor: Vec<u32>,
     /// Per-column within-round finalization runs (contiguous row ranges, by
     /// the staircase invariant).
     col_run_start: Vec<u32>,
@@ -642,8 +658,6 @@ where
             col_struct,
             r_start: r.clone(),
             r,
-            col_cursor: vec![0; m + 1],
-            row_cursor: vec![0; n + 1],
             col_run_start: vec![0; m + 1],
             col_run_len: vec![0; m + 1],
             col_run_epoch: vec![0; m + 1],
@@ -689,8 +703,6 @@ where
             col_struct,
             r,
             r_start,
-            col_cursor,
-            row_cursor,
             col_run_start,
             col_run_len,
             col_run_epoch,
@@ -724,8 +736,8 @@ where
             let mut j = start;
             while j < cutoff {
                 // Tentative from cells finalized before this round.
-                let mut t = col_struct[j].query_tracked(&mut col_cursor[j], i, w1);
-                t = t.min(row_struct[i].query_tracked(&mut row_cursor[i], j, w2));
+                let mut t = col_struct[j].query(i, w1);
+                t = t.min(row_struct[i].query(j, w2));
                 probes += 2;
                 // The diagonal predecessor is always finalized here (it lies
                 // strictly left of the cutoff): merge it into the tentative
@@ -1463,62 +1475,58 @@ mod tests {
     }
 
     #[test]
-    fn convex_decision_list_cursor_queries_match_binary_queries() {
-        let cost = |l: usize, r: usize| {
-            let len = (r - l) as i64;
-            5 + 3 * len + 2 * len * len
-        };
-        let horizon = 80;
-        let mut list = ConvexDecisionList::new(horizon);
-        let mut state = 99u64;
-        let mut cursor = 0u32;
-        let mut repairs = 0;
-        // Each step inserts below the cursor's last position (which may pop
-        // entries it already passed), queries back down, then runs the
-        // cursor ahead to the horizon — what packed-GAP cursors see across
-        // rounds.  A stale cursor must repair itself.
-        for pos in 0..60usize {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            list.insert(pos, (state % 90) as i64, &cost);
-            let truth = list
-                .entries
-                .partition_point(|&(start, _, _)| start <= pos + 1);
-            if (cursor as usize).min(list.entries.len()) > truth {
-                repairs += 1;
-            }
-            for q in pos + 1..=horizon {
-                let got = list.query_tracked(&mut cursor, q, &cost);
-                assert_eq!(got, list.query(q, &cost), "pos {pos}, q {q}");
+    fn convex_decision_list_matches_bruteforce() {
+        // Standalone check of the online structure against brute force, on
+        // quadratic, affine and large-opening-cost gap families.
+        let horizon = 60;
+        let mut widest = 0;
+        for (open, ext, quad) in [(7i64, 2i64, 1i64), (7, 2, 0), (600, 1, 1)] {
+            let cost = move |l: usize, r: usize| {
+                let len = (r - l) as i64;
+                open + ext * len + quad * len * len
+            };
+            let mut list = ConvexDecisionList::new(horizon);
+            let mut inserted: Vec<(usize, i64)> = Vec::new();
+            let mut state = 12345u64 + open as u64;
+            let mut pos = 0;
+            while pos < 50 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let val = (state % 90) as i64;
+                list.insert(pos, val, &cost);
+                inserted.push((pos, val));
+                // Every position a caller may still ask at.
+                for q in pos + 1..=horizon {
+                    let want = inserted.iter().map(|&(p, v)| v + cost(p, q)).min().unwrap();
+                    assert_eq!(
+                        list.query(q, &cost),
+                        want,
+                        "{open}/{ext}/{quad}: pos {pos} q {q}"
+                    );
+                }
+                // Only the live envelope is kept: no entry past the head
+                // takes over at or before the next queryable position.
+                let live = &list.entries[list.head..];
+                assert!(
+                    live.iter().skip(1).all(|&(start, _, _)| start > pos + 1),
+                    "{open}/{ext}/{quad}: dead entry kept after insert at {pos}: {live:?}"
+                );
+                widest = widest.max(live.len());
+                pos += 1 + state.is_multiple_of(3) as usize;
             }
         }
-        assert!(repairs > 0, "no query needed a repair");
+        assert!(widest > 1, "no live window held more than its head");
     }
 
     #[test]
-    fn convex_decision_list_matches_bruteforce() {
-        // Standalone check of the online structure against brute force.
-        let cost = |l: usize, r: usize| {
-            let len = (r - l) as i64;
-            7 + 2 * len + len * len
-        };
-        let horizon = 60;
-        let mut list = ConvexDecisionList::new(horizon);
-        let mut inserted: Vec<(usize, i64)> = Vec::new();
-        let mut state = 12345u64;
-        for pos in 0..40usize {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let val = (state % 50) as i64;
-            list.insert(pos, val, &cost);
-            inserted.push((pos, val));
-            // Query a few positions after pos.
-            for q in (pos + 1)..=(pos + 5).min(horizon) {
-                let want = inserted.iter().map(|&(p, v)| v + cost(p, q)).min().unwrap();
-                assert_eq!(list.query(q, &cost), want, "pos {pos} q {q}");
-            }
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not beyond the last insert")]
+    fn convex_decision_list_rejects_queries_at_the_last_insert() {
+        let cost = |l: usize, r: usize| 3 + (r - l) as i64;
+        let mut list = ConvexDecisionList::new(10);
+        list.insert(2, 0, &cost);
+        list.insert(4, 1, &cost);
+        list.query(4, &cost);
     }
 }

@@ -7,6 +7,9 @@
 //! * the staircase cordons behind LIS and sparse LCS write each round's DP
 //!   values straight into their position-aligned value array, and the
 //!   tournament tree's touched-block list is sized for every block up front;
+//! * packed GAP's per-row and per-column decision lists keep only their live
+//!   envelope in buffers sized by the constructor, so inserts compact a
+//!   buffer instead of growing it;
 //! * the driver pre-sizes the metrics frontier log via
 //!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
 //!   copies.
@@ -15,8 +18,9 @@
 //! `run_phase_parallel` does, then runs one through `run_phase_parallel`
 //! itself (so the grain policy and the `round_with` path are covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
-//! input and `LcsCordon` on a Fig. 6 shape through the driver.  Each asserts
-//! the allocation counter does not move during steady-state rounds.
+//! input and `LcsCordon` on a Fig. 6 shape through the driver, and the GAP
+//! test runs `PackedGapCordon` on convex gap costs.  Each asserts the
+//! allocation counter does not move during steady-state rounds.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
@@ -26,6 +30,7 @@
 //! on other threads, cannot pollute a measurement.
 
 use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
+use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
@@ -239,5 +244,17 @@ fn staircase_rounds_allocate_nothing_after_warm_up() {
         );
         assert_eq!(length, 100);
         assert_eq!(rounds, 100);
+    });
+}
+
+#[test]
+fn packed_gap_rounds_allocate_nothing_after_warm_up() {
+    let (a, b) = workloads::gap_strings(300, 300, 4, 9);
+    let inst = convex_gap_instance(&a, &b, 3, 1, 1);
+    let want = sequential_gap(&inst);
+
+    with_threads(1, || {
+        let (d, _) = run_allocation_free("GAP", PackedGapCordon::new(&inst));
+        assert_eq!(d, want.d, "GAP: DP grid differs from sequential_gap");
     });
 }
