@@ -26,8 +26,8 @@
 //!   round finalizes *every* cell whose tentative value can no longer change
 //!   (the safe set), not just the next anti-diagonal, so the number of rounds
 //!   is exactly the instance's effective depth `k` — the longest chain of
-//!   strict tentative-value improvements — instead of `n + m`.  Work stays
-//!   `O(nm log n)` plus one wasted probe per row per round.
+//!   strict tentative-value improvements — instead of `n + m`.  It probes
+//!   every cell exactly twice, as `Γ_gap` does.
 //!
 //! Both parallel variants produce bit-identical grids (validated against each
 //! other and against the naive oracle in the tests).
@@ -39,11 +39,15 @@
 //!
 //! # The packed round
 //!
-//! Each packed round is one exact sequential sweep over the candidate rows
-//! that decides the round's safe set, using the global per-row/per-column
-//! decision lists and within-round veto checks.  A parallel publish then
-//! inserts the round's cells into the global lists, one independent run of
-//! insertions per row and per column.
+//! Each packed round is one sequential sweep over the candidate rows.  It
+//! inserts each cell into its row and column decision lists as soon as it
+//! decides it, so the lists answer for every finalized predecessor, this
+//! round's included.  They break ties toward the oldest decision, so the
+//! decision behind an answer tells whether a cell finalized before the
+//! round attains it, which is the whole veto.  A vetoed cell's value is
+//! already final: the next round finalizes it without probing again.  So
+//! the round probes each cell exactly as often as `Γ_gap` and runs inline,
+//! with no pool traffic.
 //!
 //! Every list is queried only beyond its last insert: a row is probed at
 //! columns right of its watermark, a column at rows below the staircase.  So
@@ -184,10 +188,15 @@ const LIST_CAPACITY: usize = 8;
 /// answer again, so each insert trims it.  Queries do not mutate the
 /// structure (binary search over the live takeover positions), so tentative
 /// probes are safe.
+///
+/// Ties go to the *oldest* decision: a new decision pops an entry or takes
+/// over only where it is strictly better.  Convexity makes the leftmost
+/// minimizer monotone in the query position, so every answer is the oldest
+/// decision among the tied minima — the packed round's veto relies on it.
 #[derive(Debug, Clone)]
 struct ConvexDecisionList {
     /// `(takeover, decision, decision_value)` — from `takeover` on (until the
-    /// next entry's takeover), `decision` is the best inserted decision.
+    /// next entry's takeover), `decision` is the oldest best inserted one.
     /// `entries[..head]` is the trimmed dead prefix, compacted away when the
     /// buffer is full.
     entries: Vec<(usize, usize, i64)>,
@@ -236,9 +245,10 @@ impl ConvexDecisionList {
     /// takeover position if that lies within the horizon.
     fn push_decision(&mut self, pos: usize, val: i64, cost: &impl Fn(usize, usize) -> i64) {
         let candidate = |q: usize| val + cost(pos, q);
-        // Pop entries that the new decision dominates from their own takeover.
+        // Pop entries that the new decision strictly beats from their own
+        // takeover on.
         while let Some(&(start, dec, dval)) = self.entries.last() {
-            if start > pos && candidate(start) <= dval + cost(dec, start) {
+            if start > pos && candidate(start) < dval + cost(dec, start) {
                 self.entries.pop();
             } else {
                 break;
@@ -250,7 +260,7 @@ impl ConvexDecisionList {
             Some(&(start, dec, dval)) => {
                 let incumbent = |q: usize| dval + cost(dec, q);
                 // First q in (max(start, pos)+1 ..= horizon] where the new
-                // decision is at least as good (suffix property of convexity).
+                // decision is strictly better (suffix property of convexity).
                 // Galloping search: in the ascending insert streams produced
                 // by the row-major sweeps, the takeover usually sits just
                 // after the insert position, so probing base+1, base+2,
@@ -268,7 +278,7 @@ impl ConvexDecisionList {
                         hi = self.horizon + 1; // horizon+1 = never
                         break;
                     }
-                    if candidate(probe) <= incumbent(probe) {
+                    if candidate(probe) < incumbent(probe) {
                         hi = probe;
                         break;
                     }
@@ -277,7 +287,7 @@ impl ConvexDecisionList {
                 }
                 while lo < hi {
                     let mid = (lo + hi) / 2;
-                    if candidate(mid) <= incumbent(mid) {
+                    if candidate(mid) < incumbent(mid) {
                         hi = mid;
                     } else {
                         lo = mid + 1;
@@ -296,8 +306,9 @@ impl ConvexDecisionList {
     }
 
     /// Best value at query position `q` (must be beyond the last inserted
-    /// decision position), or `INF` if no decision applies.
-    fn query(&self, q: usize, cost: &impl Fn(usize, usize) -> i64) -> i64 {
+    /// decision position) and the oldest decision attaining it, or
+    /// `(INF, 0)` if no decision applies.
+    fn query(&self, q: usize, cost: &impl Fn(usize, usize) -> i64) -> (i64, usize) {
         debug_assert!(
             q >= self.live_from,
             "query at {q} is not beyond the last insert ({})",
@@ -306,10 +317,10 @@ impl ConvexDecisionList {
         let live = &self.entries[self.head..];
         let idx = live.partition_point(|&(start, _, _)| start <= q);
         if idx == 0 {
-            return INF;
+            return (INF, 0);
         }
         let (_, dec, dval) = live[idx - 1];
-        dval + cost(dec, q)
+        (dval + cost(dec, q), dec)
     }
 }
 
@@ -364,8 +375,8 @@ where
             let value = if i == 0 && j == 0 {
                 0
             } else {
-                let p = col_struct[j].query(i, &inst.w1);
-                let q = row_list.query(j, &inst.w2);
+                let (p, _) = col_struct[j].query(i, &inst.w1);
+                let (q, _) = row_list.query(j, &inst.w2);
                 probes += 2;
                 let mut best = p.min(q);
                 if i > 0 && j > 0 && inst.matches(i, j) {
@@ -488,8 +499,8 @@ where
             .into_par_iter()
             .map(|i| {
                 let j = diag - i;
-                let p = col_ref[j].query(i, &inst.w1);
-                let q = row_ref[i].query(j, &inst.w2);
+                let (p, _) = col_ref[j].query(i, &inst.w1);
+                let (q, _) = row_ref[i].query(j, &inst.w2);
                 let mut best = p.min(q);
                 if i > 0 && j > 0 && inst.matches(i, j) {
                     best = best.min(d_ref[i - 1][j - 1]);
@@ -559,8 +570,8 @@ where
 /// value (computed from already-finalized cells) provably equals its final DP
 /// value.  A cell is kept back (Bad) exactly when a cell finalized in the
 /// same round strictly improves its tentative, or when one of its
-/// predecessors is kept back; one wasted probe per row per round is charged
-/// to `wasted_states`.
+/// predecessors is kept back; each kept-back cell is charged to
+/// `wasted_states`.
 pub fn parallel_gap_packed<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
 where
     W1: Fn(usize, usize) -> i64 + Sync,
@@ -576,12 +587,6 @@ where
     }
 }
 
-/// Within-round veto checks scan the finalized run directly (early-exit on
-/// the first improving predecessor) while the run is at most this long;
-/// longer runs upgrade to a `ConvexDecisionList` band.  Runs on the bench
-/// workloads average 1–2 cells, so the bands almost never materialize.
-const BAND_BRUTE_MAX: usize = 32;
-
 /// [`PhaseParallel`] instance for the packed GAP evaluation.
 ///
 /// The finalized region is always a *staircase* (a down-set of the grid): row
@@ -589,27 +594,30 @@ const BAND_BRUTE_MAX: usize = 32;
 /// `i`.  Each round extends every watermark as far as the safe-set rule
 /// allows:
 ///
-/// * a cell's tentative `T` is the best reachable value through cells
-///   finalized *before* this round (global row/column structures, plus the
-///   diagonal match edge),
-/// * a cell is **safe** iff every unfinalized predecessor is safe and no
-///   predecessor finalized *this* round strictly improves `T`.  Within-round
-///   predecessors are checked against the finalized run directly (or a band
-///   structure once the run is long); cross-row blocking is the `cutoff`
-///   watermark minimum, which also keeps the staircase invariant.
+/// * a cell's value `v` is the best over all of its finalized predecessors,
+///   read from the per-row and per-column decision lists plus the diagonal
+///   match edge,
+/// * a cell is **safe** iff every unfinalized predecessor is safe and `v` is
+///   attained by a predecessor finalized *before* this round — equivalently,
+///   no predecessor finalized this round strictly improves on those.
+///   Cross-row blocking is the `cutoff` watermark minimum, which also keeps
+///   the staircase invariant.
 ///
 /// Every cell whose predecessors were all finalized before the round is safe
 /// by construction, so each round finalizes at least the whole ready
 /// wavefront — rounds never exceed `n + m` and match the effective depth
 /// exactly (pinned against a brute-force oracle in the tests).
 ///
-/// The round is one sequential sweep that decides the safe set, then a
-/// parallel publish into the global structures, so grids, rounds, frontiers
-/// and work counters are identical at any thread count.
+/// The round is one sequential sweep that decides each cell and inserts it
+/// into its row and column lists at once.  It calls no pool code, so grids,
+/// rounds, frontiers and work counters are identical at any thread count.
+/// A kept-back cell's `v` is already final (all of its predecessors are), so
+/// it is carried to the next round, which finalizes it without probing
+/// again: every cell is probed exactly twice, as in `Γ_gap`.
 pub struct PackedGapCordon<'i, 'a, W1, W2> {
     inst: &'i GapInstance<'a, W1, W2>,
     d: Vec<Vec<i64>>,
-    /// Global structures over cells finalized in *previous* rounds.
+    /// Lists over every finalized cell, this round's included.
     row_struct: Vec<ConvexDecisionList>,
     col_struct: Vec<ConvexDecisionList>,
     /// `r[i]` = first unfinalized column of row `i` (`m + 1` = row done).
@@ -617,16 +625,8 @@ pub struct PackedGapCordon<'i, 'a, W1, W2> {
     /// Snapshot of `r` at the start of the current round (kept equal to `r`
     /// between rounds by a delta re-sync over the touched row range).
     r_start: Vec<usize>,
-    /// Per-column within-round finalization runs (contiguous row ranges, by
-    /// the staircase invariant).
-    col_run_start: Vec<u32>,
-    col_run_len: Vec<u32>,
-    col_run_epoch: Vec<u64>,
-    /// Per-column veto lists, built only when a run outgrows the brute scan.
-    col_band: Vec<ConvexDecisionList>,
-    /// Veto list for the row currently being swept, ditto.
-    row_band: ConvexDecisionList,
-    epoch: u64,
+    /// `carry[i]` = final value of cell `(i, r[i])`, kept back last round.
+    carry: Vec<Option<i64>>,
     /// First row that can still make progress (rows above are finalized).
     row_lo: usize,
     n: usize,
@@ -658,12 +658,7 @@ where
             col_struct,
             r_start: r.clone(),
             r,
-            col_run_start: vec![0; m + 1],
-            col_run_len: vec![0; m + 1],
-            col_run_epoch: vec![0; m + 1],
-            col_band: (0..=m).map(|_| ConvexDecisionList::new(n)).collect(),
-            row_band: ConvexDecisionList::new(m),
-            epoch: 0,
+            carry: vec![None; n + 1],
             row_lo: 0,
             n,
             m,
@@ -687,32 +682,20 @@ where
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
         let (inst, n, m) = (self.inst, self.n, self.m);
         let (w1, w2) = (&inst.w1, &inst.w2);
-        self.epoch += 1;
         while self.row_lo <= n && self.r[self.row_lo] > m {
             self.row_lo += 1;
         }
         let row_lo = self.row_lo;
-        let mut probes = 0u64;
-        let mut wasted = 0u64;
-
-        // --- Sequential sweep: decide this round's safe set. -------------
-        let epoch = self.epoch;
         let PackedGapCordon {
             d,
             row_struct,
             col_struct,
             r,
             r_start,
-            col_run_start,
-            col_run_len,
-            col_run_epoch,
-            col_band,
-            row_band,
+            carry,
             ..
         } = self;
-        let mut finalized = 0usize;
-        // Touched column range of this round (for the parallel publish phase).
-        let (mut col_lo, mut col_hi) = (m + 1, 0usize);
+        let (mut finalized, mut probes, mut wasted) = (0usize, 0u64, 0u64);
         let mut row_hi = row_lo;
         // `cutoff` = min over rows above of the post-round watermark: a cell
         // (i, j) with j >= cutoff has an unfinalized column predecessor that
@@ -732,143 +715,49 @@ where
             }
             let (above, below) = d.split_at_mut(i);
             let drow = &mut below[0];
-            let mut row_list = false;
+            let row = &mut row_struct[i];
             let mut j = start;
+            // The cutoff never shrinks between rounds, so a cell kept back
+            // last round is reached again, now with every predecessor final
+            // before the round: safe, with the value it was kept back with.
+            let mut carried = carry[i].take();
             while j < cutoff {
-                // Tentative from cells finalized before this round.
-                let mut t = col_struct[j].query(i, w1);
-                t = t.min(row_struct[i].query(j, w2));
-                probes += 2;
-                // The diagonal predecessor is always finalized here (it lies
-                // strictly left of the cutoff): merge it into the tentative
-                // if it predates the round, veto on it if it is from this
-                // round and strictly improving.
-                let mut diag_new = INF;
-                if i > 0 && j > 0 && inst.matches(i, j) {
-                    if j - 1 < r_start[i - 1] {
-                        t = t.min(above[i - 1][j - 1]);
-                    } else {
-                        diag_new = above[i - 1][j - 1];
-                    }
-                }
-                // Veto: a cell finalized this round strictly improves the
-                // tentative => the cell's value is not settled yet (Bad).
-                let mut veto = diag_new < t;
-                if !veto && col_run_epoch[j] == epoch {
-                    let len = col_run_len[j] as usize;
-                    if len > BAND_BRUTE_MAX {
-                        probes += 1;
-                        veto = col_band[j].query(i, w1) < t;
-                    } else {
-                        let first = col_run_start[j] as usize;
-                        for ip in (first..first + len).rev() {
-                            probes += 1;
-                            if above[ip][j] + w1(ip, i) < t {
-                                veto = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !veto && j > start {
-                    if row_list {
-                        probes += 1;
-                        veto = row_band.query(j, w2) < t;
-                    } else {
-                        for jp in (start..j).rev() {
-                            probes += 1;
-                            if drow[jp] + w2(jp, j) < t {
-                                veto = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if veto {
-                    wasted += 1;
-                    break;
-                }
-                drow[j] = t;
-                // Register (i, j) in the within-round veto state.
-                let run = j - start + 1;
-                if row_list {
-                    row_band.insert(j, t, w2);
-                } else if run > BAND_BRUTE_MAX {
-                    row_band.reset(m);
-                    for jp in start..=j {
-                        row_band.insert(jp, drow[jp], w2);
-                    }
-                    row_list = true;
-                }
-                if col_run_epoch[j] != epoch {
-                    col_run_epoch[j] = epoch;
-                    col_run_start[j] = i as u32;
-                    col_run_len[j] = 1;
+                let v = if let Some(v) = carried.take() {
+                    v
                 } else {
-                    col_run_len[j] += 1;
-                    let len = col_run_len[j] as usize;
-                    match len.cmp(&(BAND_BRUTE_MAX + 1)) {
-                        std::cmp::Ordering::Equal => {
-                            col_band[j].reset(n);
-                            let first = col_run_start[j] as usize;
-                            for ip in first..i {
-                                col_band[j].insert(ip, above[ip][j], w1);
-                            }
-                            col_band[j].insert(i, t, w1);
-                        }
-                        std::cmp::Ordering::Greater => {
-                            col_band[j].insert(i, t, w1);
-                        }
-                        std::cmp::Ordering::Less => {}
+                    let (p, p_from) = col_struct[j].query(i, w1);
+                    let (q, q_from) = row.query(j, w2);
+                    probes += 2;
+                    // The diagonal predecessor, if it matches, and whether it
+                    // was finalized before the round.
+                    let (g, g_old) = if i > 0 && j > 0 && inst.matches(i, j) {
+                        (above[i - 1][j - 1], j - 1 < r_start[i - 1])
+                    } else {
+                        (INF, false)
+                    };
+                    let v = p.min(q).min(g);
+                    // Cells finalized before the round are older than the
+                    // round's own, so a list answers with one of them whenever
+                    // one attains its minimum.
+                    let safe = (p == v && j < r_start[p_from])
+                        || (q == v && q_from < r_start[i])
+                        || (g == v && g_old);
+                    if !safe {
+                        // Only a cell of this round attains `v`: keep back.
+                        carry[i] = Some(v);
+                        wasted += 1;
+                        break;
                     }
-                }
+                    v
+                };
+                drow[j] = v;
+                row.insert(j, v, w2);
+                col_struct[j].insert(i, v, w1);
                 finalized += 1;
                 j += 1;
             }
-            if j > start {
-                col_lo = col_lo.min(start);
-                col_hi = col_hi.max(j);
-            }
             r[i] = j;
             cutoff = cutoff.min(j);
-        }
-        // --- Parallel publish: insert this round's cells into the global
-        // structures.  Each row and each column receives a contiguous,
-        // independent run of insertions (the staircase invariant makes
-        // per-column row ranges contiguous). ------------------------------
-        if finalized > 0 {
-            let (rs, rstart, d) = (&*r, &*r_start, &*d);
-            let grain_rows = round_min_grain(row_hi - row_lo + 1);
-            row_struct[row_lo..=row_hi]
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(grain_rows)
-                .for_each(|(off, st)| {
-                    let i = row_lo + off;
-                    for j in rstart[i]..rs[i] {
-                        st.insert(j, d[i][j], w2);
-                    }
-                });
-            let grain_cols = round_min_grain(col_hi - col_lo);
-            let (run_start, run_len, run_epoch) = (&*col_run_start, &*col_run_len, &*col_run_epoch);
-            col_struct[col_lo..col_hi]
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(grain_cols)
-                .for_each(|(off, st)| {
-                    let j = col_lo + off;
-                    // Rows finalized in column j this round (a contiguous
-                    // range by the staircase invariant) were registered in
-                    // the column-run tables during the sweep — no binary
-                    // search over the watermarks needed.
-                    if run_epoch[j] != epoch {
-                        return;
-                    }
-                    let first = run_start[j] as usize;
-                    for i in first..first + run_len[j] as usize {
-                        st.insert(i, d[i][j], w1);
-                    }
-                });
         }
         // Re-sync the snapshot over the touched rows only (every other row's
         // watermark is unchanged, so `r_start == r` holds for the next round
@@ -921,26 +810,40 @@ pub enum GapOp {
     },
 }
 
-/// Traceback failure: no predecessor explains the value at cell `(i, j)` —
-/// the grid is not a valid GAP DP grid for the instance (or the provenance
-/// record belongs to a different grid).
+/// Traceback failure: the grid is not a valid GAP DP grid for the instance
+/// (or the provenance record belongs to a different grid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GapTracebackError {
-    /// Row of the unexplained cell.
-    pub i: usize,
-    /// Column of the unexplained cell.
-    pub j: usize,
-    /// The unexplained value `d[i][j]`.
-    pub value: i64,
+pub enum GapTracebackError {
+    /// The grid is not `rows × cols` = `(n + 1) × (m + 1)`.
+    Shape {
+        /// `n + 1`.
+        rows: usize,
+        /// `m + 1`.
+        cols: usize,
+    },
+    /// No predecessor explains the value at cell `(i, j)`.
+    Unexplained {
+        /// Row of the unexplained cell.
+        i: usize,
+        /// Column of the unexplained cell.
+        j: usize,
+        /// The unexplained value `d[i][j]`.
+        value: i64,
+    },
 }
 
 impl core::fmt::Display for GapTracebackError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "not a valid GAP DP grid at cell ({}, {}): value {} has no predecessor",
-            self.i, self.j, self.value
-        )
+        match *self {
+            GapTracebackError::Shape { rows, cols } => write!(
+                f,
+                "not a valid GAP DP grid: expected {rows} rows of {cols} cells"
+            ),
+            GapTracebackError::Unexplained { i, j, value } => write!(
+                f,
+                "not a valid GAP DP grid at cell ({i}, {j}): value {value} has no predecessor"
+            ),
+        }
     }
 }
 
@@ -977,19 +880,37 @@ impl GapProvenance {
         self.bits[word] |= ((a_tight as u64) | ((b_tight as u64) << 1)) << off;
     }
 
-    /// Did a gap in `A` (some `i' < i`) attain `d[i][j]`?
+    /// Did a gap in `A` (some `i' < i`) attain `d[i][j]`?  `false` outside
+    /// the recorded grid.
     #[inline]
     pub fn a_tight(&self, i: usize, j: usize) -> bool {
-        let (word, off) = self.slot(i, j);
-        (self.bits[word] >> off) & 1 != 0
+        self.flags(i, j) & 1 != 0
     }
 
-    /// Did a gap in `B` (some `j' < j`) attain `d[i][j]`?
+    /// Did a gap in `B` (some `j' < j`) attain `d[i][j]`?  `false` outside
+    /// the recorded grid.
     #[inline]
     pub fn b_tight(&self, i: usize, j: usize) -> bool {
-        let (word, off) = self.slot(i, j);
-        (self.bits[word] >> off) & 2 != 0
+        self.flags(i, j) & 2 != 0
     }
+
+    #[inline]
+    fn flags(&self, i: usize, j: usize) -> u64 {
+        let (word, off) = self.slot(i, j);
+        self.bits.get(word).map_or(0, |&w| (w >> off) & 3)
+    }
+}
+
+/// Check that `d` has the instance's `(n + 1) × (m + 1)` shape, so that a
+/// traceback indexes only inside it.
+fn check_grid_shape(d: &[Vec<i64>], n: usize, m: usize) -> Result<(), GapTracebackError> {
+    if d.len() != n + 1 || d.iter().any(|row| row.len() != m + 1) {
+        return Err(GapTracebackError::Shape {
+            rows: n + 1,
+            cols: m + 1,
+        });
+    }
+    Ok(())
 }
 
 /// Trace one optimal alignment back through a completed DP grid `d` (as
@@ -1019,8 +940,7 @@ where
     W2: Fn(usize, usize) -> i64 + Sync,
 {
     let (n, m) = (inst.a.len(), inst.b.len());
-    assert_eq!(d.len(), n + 1, "grid has wrong number of rows");
-    assert_eq!(d[0].len(), m + 1, "grid has wrong number of columns");
+    check_grid_shape(d, n, m)?;
     let (mut i, mut j) = (n, m);
     let mut ops = Vec::new();
     while i > 0 || j > 0 {
@@ -1036,7 +956,7 @@ where
             ops.push(GapOp::GapB { l: jp, r: j });
             j = jp;
         } else {
-            return Err(GapTracebackError { i, j, value: cur });
+            return Err(GapTracebackError::Unexplained { i, j, value: cur });
         }
     }
     ops.reverse();
@@ -1063,13 +983,12 @@ where
     W2: Fn(usize, usize) -> i64 + Sync,
 {
     let (n, m) = (inst.a.len(), inst.b.len());
-    assert_eq!(d.len(), n + 1, "grid has wrong number of rows");
-    assert_eq!(d[0].len(), m + 1, "grid has wrong number of columns");
+    check_grid_shape(d, n, m)?;
     let (mut i, mut j) = (n, m);
     let mut ops = Vec::new();
     while i > 0 || j > 0 {
         let cur = d[i][j];
-        let err = GapTracebackError { i, j, value: cur };
+        let err = GapTracebackError::Unexplained { i, j, value: cur };
         if i > 0 && j > 0 && inst.matches(i, j) && d[i - 1][j - 1] == cur {
             ops.push(GapOp::Match { i, j });
             i -= 1;
@@ -1141,10 +1060,16 @@ mod tests {
                 let b = pseudo_string(23, seed + 77, 3);
                 let inst = convex_gap_instance(&a, &b, open, ext, quad);
                 let want = naive_gap(&inst);
-                let seq = sequential_gap(&inst);
-                let par = parallel_gap(&inst);
-                assert_eq!(seq.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
-                assert_eq!(par.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
+                let wave = parallel_gap(&inst);
+                let packed = parallel_gap_packed(&inst);
+                for got in [&sequential_gap(&inst), &wave, &packed] {
+                    assert_eq!(got.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
+                }
+                assert!(
+                    packed.metrics.rounds <= wave.metrics.rounds,
+                    "packing must never use more rounds than the wavefront"
+                );
+                assert!(try_reconstruct_gap_ops(&inst, &packed.d).is_ok());
             }
         }
     }
@@ -1211,9 +1136,10 @@ mod tests {
     /// cell by cell.  A cell finalizes in round `M` (the latest round among
     /// its predecessors) when the best value through *earlier*-finalized
     /// predecessors already equals its DP value, and in round `M + 1`
-    /// otherwise (its tentative still strictly improves in round `M`).  The
-    /// maximum over all cells is the instance's effective depth.
-    fn effective_depth_oracle<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> u64
+    /// otherwise (its tentative still strictly improves in round `M`).
+    /// Returns the number of cells finalized in each round; its length, the
+    /// maximum round over all cells, is the instance's effective depth.
+    fn effective_depth_oracle<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> Vec<u64>
     where
         W1: Fn(usize, usize) -> i64 + Sync,
         W2: Fn(usize, usize) -> i64 + Sync,
@@ -1221,7 +1147,7 @@ mod tests {
         let d = naive_gap(inst).d;
         let (n, m) = (inst.a.len(), inst.b.len());
         let mut rd = vec![vec![0u64; m + 1]; n + 1];
-        let mut depth = 0;
+        let mut frontiers = Vec::new();
         for i in 0..=n {
             for j in 0..=m {
                 if i == 0 && j == 0 {
@@ -1245,54 +1171,40 @@ mod tests {
                     .min()
                     .unwrap_or(INF);
                 rd[i][j] = if older == d[i][j] { max_r } else { max_r + 1 };
-                depth = depth.max(rd[i][j]);
+                let round = rd[i][j] as usize;
+                frontiers.resize(frontiers.len().max(round), 0);
+                frontiers[round - 1] += 1;
             }
         }
-        depth
+        frontiers
     }
 
+    /// The packed cordon runs the oracle's schedule — every round finalizes
+    /// exactly the oracle's cells for that round, so the round count is the
+    /// effective depth — and probes every cell exactly twice, as `Γ_gap`
+    /// does.
     fn assert_packed_depth<W1, W2>(inst: &GapInstance<'_, W1, W2>)
     where
         W1: Fn(usize, usize) -> i64 + Sync,
         W2: Fn(usize, usize) -> i64 + Sync,
     {
         let packed = parallel_gap_packed(inst);
-        let depth = effective_depth_oracle(inst);
-        assert!(
-            packed.metrics.rounds <= depth + 1,
-            "packed rounds {} exceed effective depth {depth} + 1",
-            packed.metrics.rounds
-        );
+        let frontiers = effective_depth_oracle(inst);
         assert_eq!(
-            packed.metrics.rounds, depth,
+            packed.metrics.rounds,
+            frontiers.len() as u64,
             "packed rounds should match the effective depth exactly"
         );
+        assert_eq!(
+            packed.metrics.frontier_sizes, frontiers,
+            "packed rounds should finalize the oracle's cells, round by round"
+        );
         assert!(packed.metrics.rounds <= (inst.a.len() + inst.b.len()) as u64);
-    }
-
-    #[test]
-    fn packed_matches_wavefront_and_naive_on_random_inputs() {
-        for seed in 0..6 {
-            for &(open, ext, quad) in &[(2i64, 1i64, 0i64), (10, 0, 1), (50, 3, 2)] {
-                let a = pseudo_string(28, seed, 3);
-                let b = pseudo_string(23, seed + 77, 3);
-                let inst = convex_gap_instance(&a, &b, open, ext, quad);
-                let want = naive_gap(&inst);
-                let wave = parallel_gap(&inst);
-                let packed = parallel_gap_packed(&inst);
-                assert_eq!(packed.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
-                assert_eq!(packed.d, wave.d, "seed {seed} cost ({open},{ext},{quad})");
-                assert!(
-                    packed.metrics.rounds <= wave.metrics.rounds,
-                    "packing must never use more rounds than the wavefront"
-                );
-                assert_eq!(
-                    try_reconstruct_gap_ops(&inst, &packed.d).unwrap(),
-                    try_reconstruct_gap_ops(&inst, &wave.d).unwrap(),
-                    "identical grids must reconstruct identical alignments"
-                );
-            }
-        }
+        assert_eq!(
+            packed.metrics.probes,
+            2 * packed.metrics.states_finalized,
+            "every cell is probed exactly twice"
+        );
     }
 
     #[test]
@@ -1333,16 +1245,16 @@ mod tests {
         );
         assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
 
-        // Runs longer than `BAND_BRUTE_MAX` exercise the band upgrade paths:
-        // row runs of length m on disjoint alphabets, column runs of length n.
+        // Long runs finalized in one round: row runs of length m on disjoint
+        // alphabets, column runs of length n on identical strings.
         let a = pseudo_string(44, 1, 4);
         let inst = convex_gap_instance(&a, &a, 5, 1, 1);
         assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
         let inst = convex_gap_instance(&[0u8; 48], &[1u8; 41], 3, 2, 0);
         assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
         // A lone row or column with a large opening cost: one gap stays
-        // optimal up to cell 34, so round one's first veto (a split gap wins
-        // at cell 35) is decided by a band.
+        // optimal up to cell 34, so round one finalizes a run of 34 cells
+        // and keeps cell 35 back (a split gap through that run wins there).
         let s = pseudo_string(40, 4, 3);
         for inst in [
             convex_gap_instance(&[], &s, 600, 1, 1),
@@ -1370,6 +1282,10 @@ mod tests {
         assert_packed_depth(&convex_gap_instance(&z, &o, 3, 2, 0));
         let empty: Vec<u8> = vec![];
         assert_packed_depth(&convex_gap_instance(&empty, &o, 4, 1, 1));
+        // A large opening cost: long runs, then vetoes from inside them.
+        let s = pseudo_string(40, 4, 3);
+        assert_packed_depth(&convex_gap_instance(&empty, &s, 600, 1, 1));
+        assert_packed_depth(&convex_gap_instance(&s, &s[..25], 600, 1, 1));
     }
 
     #[test]
@@ -1466,57 +1382,136 @@ mod tests {
         let mut bad = res.d.clone();
         bad[a.len()][b.len()] -= 1; // no predecessor can explain this value
         let err = try_reconstruct_gap_ops(&inst, &bad).unwrap_err();
-        assert_eq!((err.i, err.j), (a.len(), b.len()));
-        assert_eq!(err.value, res.d[a.len()][b.len()] - 1);
+        assert_eq!(
+            err,
+            GapTracebackError::Unexplained {
+                i: a.len(),
+                j: b.len(),
+                value: res.d[a.len()][b.len()] - 1
+            }
+        );
         assert!(err.to_string().contains("not a valid GAP DP grid"));
         assert!(try_reconstruct_gap_ops_with_provenance(&inst, &bad, &prov).is_err());
         // The intact grid still reconstructs.
         assert!(try_reconstruct_gap_ops(&inst, &res.d).is_ok());
     }
 
+    /// Insert values drawn from `0..values` at ascending positions into a
+    /// list for the cost `open + ext·len + quad·len²`, checking after every
+    /// insert each query a caller may still make against brute force: the
+    /// best value and the *oldest* decision attaining it.  Returns the widest
+    /// live window seen and how many answers were tied between decisions.
+    fn check_list_against_bruteforce(
+        open: i64,
+        ext: i64,
+        quad: i64,
+        values: u64,
+    ) -> (usize, usize) {
+        let horizon = 60;
+        let cost = move |l: usize, r: usize| {
+            let len = (r - l) as i64;
+            open + ext * len + quad * len * len
+        };
+        let mut list = ConvexDecisionList::new(horizon);
+        let mut inserted: Vec<(usize, i64)> = Vec::new();
+        let (mut widest, mut ties) = (0, 0);
+        let mut state = 12345u64 + open as u64;
+        let mut pos = 0;
+        while pos < 50 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let val = (state % values) as i64;
+            list.insert(pos, val, &cost);
+            inserted.push((pos, val));
+            // Every position a caller may still ask at.
+            for q in pos + 1..=horizon {
+                let candidates = inserted.iter().map(|&(p, v)| (v + cost(p, q), p));
+                let (want, oldest) = candidates.clone().min().unwrap();
+                ties += (candidates.filter(|&(c, _)| c == want).count() > 1) as usize;
+                assert_eq!(
+                    list.query(q, &cost),
+                    (want, oldest),
+                    "{open}/{ext}/{quad}, values 0..{values}: pos {pos} q {q}"
+                );
+            }
+            // Only the live envelope is kept: no entry past the head
+            // takes over at or before the next queryable position.
+            let live = &list.entries[list.head..];
+            assert!(
+                live.iter().skip(1).all(|&(start, _, _)| start > pos + 1),
+                "{open}/{ext}/{quad}: dead entry kept after insert at {pos}: {live:?}"
+            );
+            widest = widest.max(live.len());
+            pos += 1 + state.is_multiple_of(3) as usize;
+        }
+        (widest, ties)
+    }
+
+    #[test]
+    fn wrong_shaped_grids_are_typed_errors_instead_of_panics() {
+        let a = pseudo_string(12, 5, 3);
+        let b = pseudo_string(10, 6, 3);
+        let inst = convex_gap_instance(&a, &b, 4, 1, 1);
+        let (res, prov) = sequential_gap_with_provenance(&inst);
+        let (n, m) = (a.len(), b.len());
+        let (mut short, mut tall, mut ragged_first, mut ragged_last) =
+            (res.d.clone(), res.d.clone(), res.d.clone(), res.d.clone());
+        short.pop();
+        tall.push(vec![0; m + 1]);
+        ragged_first[0].pop();
+        ragged_last[n].pop();
+        let want = GapTracebackError::Shape {
+            rows: n + 1,
+            cols: m + 1,
+        };
+        for d in [short, tall, Vec::new(), ragged_first, ragged_last] {
+            assert_eq!(try_reconstruct_gap_ops(&inst, &d), Err(want));
+            assert_eq!(
+                try_reconstruct_gap_ops_with_provenance(&inst, &d, &prov),
+                Err(want)
+            );
+        }
+        assert!(want.to_string().starts_with("not a valid GAP DP grid"));
+        // Provenance recorded for a smaller grid reads as "no flags" beyond
+        // its end, so the traceback fails on a cell instead of panicking.
+        let small = convex_gap_instance(&a[..3], &b[..2], 4, 1, 1);
+        let (_, small_prov) = sequential_gap_with_provenance(&small);
+        let err = try_reconstruct_gap_ops_with_provenance(&inst, &res.d, &small_prov);
+        assert!(
+            matches!(err, Err(GapTracebackError::Unexplained { .. })),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn convex_decision_list_matches_bruteforce() {
         // Standalone check of the online structure against brute force, on
         // quadratic, affine and large-opening-cost gap families.
-        let horizon = 60;
-        let mut widest = 0;
-        for (open, ext, quad) in [(7i64, 2i64, 1i64), (7, 2, 0), (600, 1, 1)] {
-            let cost = move |l: usize, r: usize| {
-                let len = (r - l) as i64;
-                open + ext * len + quad * len * len
-            };
-            let mut list = ConvexDecisionList::new(horizon);
-            let mut inserted: Vec<(usize, i64)> = Vec::new();
-            let mut state = 12345u64 + open as u64;
-            let mut pos = 0;
-            while pos < 50 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let val = (state % 90) as i64;
-                list.insert(pos, val, &cost);
-                inserted.push((pos, val));
-                // Every position a caller may still ask at.
-                for q in pos + 1..=horizon {
-                    let want = inserted.iter().map(|&(p, v)| v + cost(p, q)).min().unwrap();
-                    assert_eq!(
-                        list.query(q, &cost),
-                        want,
-                        "{open}/{ext}/{quad}: pos {pos} q {q}"
-                    );
-                }
-                // Only the live envelope is kept: no entry past the head
-                // takes over at or before the next queryable position.
-                let live = &list.entries[list.head..];
-                assert!(
-                    live.iter().skip(1).all(|&(start, _, _)| start > pos + 1),
-                    "{open}/{ext}/{quad}: dead entry kept after insert at {pos}: {live:?}"
-                );
-                widest = widest.max(live.len());
-                pos += 1 + state.is_multiple_of(3) as usize;
-            }
-        }
-        assert!(widest > 1, "no live window held more than its head");
+        let widest = [(7i64, 2i64, 1i64), (7, 2, 0), (600, 1, 1)]
+            .into_iter()
+            .map(|(open, ext, quad)| check_list_against_bruteforce(open, ext, quad, 90).0)
+            .max();
+        assert!(widest > Some(1), "no live window held more than its head");
+    }
+
+    #[test]
+    fn convex_decision_list_answers_with_the_oldest_tied_decision() {
+        // Tie-heavy families: affine costs (two decisions then differ by a
+        // constant at every position) and values from a small range.  The
+        // packed round's veto reads "finalized before this round" off the
+        // decision a list answers with, so among tied minima it must be the
+        // oldest.
+        let ties: usize = [
+            (3i64, 1i64, 0i64, 3u64),
+            (7, 0, 0, 2),
+            (5, 2, 0, 4),
+            (3, 1, 1, 3),
+        ]
+        .into_iter()
+        .map(|(open, ext, quad, values)| check_list_against_bruteforce(open, ext, quad, values).1)
+        .sum();
+        assert!(ties > 0, "the families produced no tied answers");
     }
 
     #[test]

@@ -552,7 +552,7 @@ pub struct HldTreeGlwsCordon<'a, W, E> {
     /// Per settled node: the envelope entry created when it settled — i.e. the
     /// persistent version covering its path's positions up to the node.
     version: Vec<u32>,
-    /// Reused per-round result buffer (grown once to the widest level).
+    /// Reused per-round result buffer, sized for the widest level.
     scratch: Vec<(usize, i64, usize, u64, u64)>,
 }
 
@@ -576,6 +576,7 @@ where
         for v in 1..=n {
             levels[hld.depth[v] - 1].push(v);
         }
+        let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
         let max_x = inst.dist.iter().copied().max().unwrap_or(0);
         // A heavy-path stack holds at most one node per depth, so the arena's
         // lifting rows are sized by the tree height, not n — on shallow trees
@@ -598,7 +599,7 @@ where
             arena,
             tops,
             version,
-            scratch: Vec::new(),
+            scratch: Vec::with_capacity(widest),
         }
     }
 
@@ -674,10 +675,12 @@ where
         // the whole round — each prepare computes exactly the pops and
         // takeover key the sequential push loop would have, independently of
         // the others.  The prepared pushes are staged in the driver arena's
-        // pair buffer, `(below | evals, key)` packed per node.
+        // pair buffer, `(below | evals, key)` packed per node, sized on first
+        // use for the widest level like `results`.
         let (arena, hld, d_ref, tops) = (&self.arena, &self.hld, &self.d, &self.tops);
         let f = |u: usize, x: u64| (inst.e)(d_ref[u], u) + (inst.w)(inst.dist[u], x);
         let preps = frontier.pairs_mut();
+        preps.reserve(results.capacity());
         results
             .par_iter()
             .map(|&(v, ..)| {

@@ -10,6 +10,9 @@
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
+//! * the HLD Tree-GLWS cordon allocates its envelope arena up front and
+//!   sizes its result buffer, and the buffer staging its envelope pushes,
+//!   for the widest depth level;
 //! * the driver pre-sizes the metrics frontier log via
 //!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
 //!   copies.
@@ -18,8 +21,9 @@
 //! `run_phase_parallel` does, then runs one through `run_phase_parallel`
 //! itself (so the grain policy and the `round_with` path are covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
-//! input and `LcsCordon` on a Fig. 6 shape through the driver, and the GAP
-//! test runs `PackedGapCordon` on convex gap costs.  Each asserts the
+//! input and `LcsCordon` on a Fig. 6 shape through the driver, the GAP
+//! test runs `PackedGapCordon` on convex gap costs, and the Tree-GLWS test
+//! runs `HldTreeGlwsCordon` on a caterpillar and a path.  Each asserts the
 //! allocation counter does not move during steady-state rounds.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
@@ -35,6 +39,7 @@ use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
+use parallel_dp::treedp::{naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
 use parallel_dp::workloads;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -257,4 +262,34 @@ fn packed_gap_rounds_allocate_nothing_after_warm_up() {
         let (d, _) = run_allocation_free("GAP", PackedGapCordon::new(&inst));
         assert_eq!(d, want.d, "GAP: DP grid differs from sequential_gap");
     });
+}
+
+#[test]
+fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
+    // Levels widen and narrow along the caterpillar's legs; a path has one
+    // node per level.
+    let shapes = [
+        ("caterpillar", workloads::caterpillar_tree(3_000, 1_500, 29)),
+        ("path", workloads::path_tree(2_000)),
+    ];
+    for (name, parent) in shapes {
+        let n = parent.len() - 1;
+        let lens = workloads::tree_edge_lengths(n, 100, 13);
+        let convex = |du: u64, dv: u64| {
+            let len = (dv - du) as i64;
+            10 + len * len
+        };
+        let inst = TreeGlwsInstance::new(parent, &lens, 0, convex, |d, _| d);
+        let want = naive_tree_glws(&inst);
+
+        with_threads(1, || {
+            let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+            let ((d, best), _) = run_allocation_free(name, cordon);
+            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
+            assert_eq!(
+                best, want.best,
+                "{name}: decisions differ from the naive scan"
+            );
+        });
+    }
 }

@@ -102,6 +102,12 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
             "packed GAP metrics differ at {t} threads"
         );
     }
+    // Every cell is probed exactly twice, as in the sequential Γ_gap.
+    assert_eq!(
+        baseline.metrics.probes,
+        2 * baseline.metrics.states_finalized,
+        "packed GAP probes"
+    );
     // The packed cordon must agree with the wavefront cordon cell for cell
     // while using no more rounds (Theorem 5.2: rounds = effective depth).
     let wave = with_threads(1, || parallel_dp::gap::parallel_gap(&inst));

@@ -46,10 +46,9 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         "a sub-grain run must not wake any worker"
     );
 
-    // Packed GAP: the sweep runs on the calling thread, and the publish
-    // loops span at most n + 1 rows and m + 1 columns, below the grain
-    // cutoff here.  Even with 8 threads installed the whole solve must push zero
-    // jobs and wake zero workers — on a small instance and on one with
+    // Packed GAP: each round is one sweep on the calling thread that calls
+    // no pool code.  Even with 8 threads installed the whole solve must push
+    // zero jobs and wake zero workers — on a small instance and on one with
     // hundreds of rows per round.
     for (n, m) in [(120, 110), (300, 300)] {
         let (ga, gb) = workloads::gap_strings(n, m, 4, 9);
