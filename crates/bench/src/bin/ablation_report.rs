@@ -3,16 +3,11 @@
 //! * A1 — prefix doubling vs the naive "probe everything" cordon search for
 //!   convex GLWS (how much probing work each strategy does),
 //! * A2 — tournament-tree cordon extraction vs a per-round rescan for LIS,
-//! * A3 — the two concave-GLWS merge strategies (position binary search vs
-//!   the paper's Algorithm 2),
-//! * A4 — Tree-GLWS ancestor rescan vs heavy-light persistent envelopes
+//! * A3 — Tree-GLWS ancestor rescan vs heavy-light persistent envelopes
 //!   (Theorem 5.3) across tree shapes, with per-round frontier percentiles.
 
 use pardp_bench::time_secs;
-use pardp_glws::{
-    parallel_concave_glws_with, parallel_convex_glws, ConcaveGapCost, ConcaveMergeStrategy,
-    PostOfficeProblem,
-};
+use pardp_glws::{parallel_convex_glws, PostOfficeProblem};
 use pardp_lis::{parallel_lis, sequential_lis};
 use pardp_treedp::{parallel_tree_glws, parallel_tree_glws_hld, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
@@ -48,22 +43,7 @@ fn main() {
     }
 
     println!();
-    println!("== A3: concave merge strategies (n = 200000) ==");
-    println!("{:>22} {:>12} {:>12}", "strategy", "time (s)", "probes");
-    for (name, strat) in [
-        (
-            "position binary search",
-            ConcaveMergeStrategy::PositionBinarySearch,
-        ),
-        ("paper Algorithm 2", ConcaveMergeStrategy::PaperAlgorithm2),
-    ] {
-        let p = ConcaveGapCost::new(200_000, 50, 3);
-        let (t, r) = time_secs(|| parallel_concave_glws_with(&p, strat));
-        println!("{:>22} {:>12.4} {:>12}", name, t, r.metrics.probes);
-    }
-
-    println!();
-    println!("== A4: Tree-GLWS ancestor rescan vs heavy-light envelopes (Theorem 5.3) ==");
+    println!("== A3: Tree-GLWS ancestor rescan vs heavy-light envelopes (Theorem 5.3) ==");
     println!(
         "{:>18} {:>8} {:>8} {:>10} {:>12} {:>12} {:>8} {:>24}",
         "shape",

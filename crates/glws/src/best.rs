@@ -175,57 +175,6 @@ impl BestDecisionArray {
         Some(plo)
     }
 
-    /// Find the last covered position `p <= hi_bound` such that
-    /// `pred(p, decision_at(p))` holds, assuming the predicate is
-    /// *prefix-monotone* over positions (true…true, false…false), which is what
-    /// concave decision monotonicity guarantees.  Returns `None` if the
-    /// predicate holds nowhere.
-    pub fn last_position_where(
-        &self,
-        hi_bound: usize,
-        pred: &mut impl FnMut(usize, usize) -> bool,
-    ) -> Option<usize> {
-        let (lo_cov, _) = self.coverage()?;
-        if hi_bound < lo_cov {
-            return None;
-        }
-        let end_idx = self.triples.partition_point(|t| t.l <= hi_bound);
-        let head = &self.triples[..end_idx];
-        if head.is_empty() {
-            return None;
-        }
-        // Level 1: last triple whose *first* relevant position satisfies the
-        // predicate (prefix-monotone over triples).
-        let mut lo = 0usize; // last index satisfying, +1
-        let mut hi_idx = head.len();
-        // Find the partition point: number of triples whose first position is true.
-        while lo < hi_idx {
-            let mid = (lo + hi_idx) / 2;
-            let t = &head[mid];
-            if pred(t.l, t.j) {
-                lo = mid + 1;
-            } else {
-                hi_idx = mid;
-            }
-        }
-        if lo == 0 {
-            return None;
-        }
-        let t = &head[lo - 1];
-        // Level 2: last true position inside this triple, at or before hi_bound.
-        let mut plo = t.l;
-        let mut phi = t.r.min(hi_bound);
-        while plo < phi {
-            let mid = (plo + phi).div_ceil(2);
-            if pred(mid, t.j) {
-                plo = mid;
-            } else {
-                phi = mid - 1;
-            }
-        }
-        Some(plo)
-    }
-
     /// Restrict the array to positions `>= from`, dropping or clipping triples.
     pub fn clip_front(&mut self, from: usize) {
         self.triples.retain(|t| t.r >= from);
@@ -246,23 +195,19 @@ impl BestDecisionArray {
         }
     }
 
-    /// Concatenate two arrays with adjacent coverage (`self` ends right before
-    /// `other` starts), merging the boundary triples if they agree.
-    pub fn concat(mut self, other: BestDecisionArray) -> BestDecisionArray {
-        if self.triples.is_empty() {
-            return other;
-        }
-        for t in other.triples {
-            if let Some(last) = self.triples.last_mut() {
-                debug_assert_eq!(last.r + 1, t.l, "concatenated coverage must be contiguous");
-                if last.j == t.j {
-                    last.r = t.r;
-                    continue;
-                }
+    /// Append `other`, whose coverage must start right after `self`'s ends,
+    /// merging the boundary triples if they agree.  Copies into the existing
+    /// storage, so it allocates nothing below the high-water mark.
+    pub fn append(&mut self, other: &BestDecisionArray) {
+        let mut rest = other.triples.as_slice();
+        if let (Some(last), Some(first)) = (self.triples.last_mut(), rest.first()) {
+            debug_assert_eq!(last.r + 1, first.l, "appended coverage must be contiguous");
+            if last.j == first.j {
+                last.r = first.r;
+                rest = &rest[1..];
             }
-            self.triples.push(t);
         }
-        self
+        self.triples.extend_from_slice(rest);
     }
 }
 
@@ -328,41 +273,35 @@ mod tests {
     }
 
     #[test]
-    fn last_position_where_prefix_predicate() {
-        let b = BestDecisionArray::from_intervals(vec![(1, 4, 0), (5, 8, 2), (9, 12, 3)]);
-        // Prefix predicate: true up to position 6.
-        assert_eq!(b.last_position_where(12, &mut |p, _| p <= 6), Some(6));
-        assert_eq!(b.last_position_where(5, &mut |p, _| p <= 6), Some(5));
-        assert_eq!(b.last_position_where(12, &mut |_, _| false), None);
-        assert_eq!(b.last_position_where(12, &mut |_, _| true), Some(12));
-        assert_eq!(b.last_position_where(0, &mut |_, _| true), None);
-    }
-
-    #[test]
     fn searches_see_the_interval_decision() {
         let b = BestDecisionArray::from_intervals(vec![(1, 3, 0), (4, 6, 5)]);
         // Predicate depends on the decision: true only where decision == 5.
         assert_eq!(b.first_position_where(1, &mut |_, j| j == 5), Some(4));
-        assert_eq!(b.last_position_where(6, &mut |_, j| j == 0), Some(3));
     }
 
     #[test]
-    fn clip_and_concat() {
+    fn clip_and_append() {
         let mut b = BestDecisionArray::from_intervals(vec![(1, 4, 0), (5, 8, 2)]);
         b.clip_front(3);
         assert_eq!(b.coverage(), Some((3, 8)));
         b.clip_back(6);
         assert_eq!(b.coverage(), Some((3, 6)));
-        let c = BestDecisionArray::from_intervals(vec![(7, 9, 6)]);
-        let joined = b.concat(c);
-        assert_eq!(joined.coverage(), Some((3, 9)));
-        assert_eq!(joined.decision_at(7), 6);
-        // Concatenation merges equal boundary decisions.
-        let left = BestDecisionArray::from_intervals(vec![(1, 2, 9)]);
-        let right = BestDecisionArray::from_intervals(vec![(3, 4, 9)]);
-        let joined = left.concat(right);
-        assert_eq!(joined.triples().len(), 1);
-        assert_eq!(joined.coverage(), Some((1, 4)));
+        b.append(&BestDecisionArray::from_intervals(vec![(7, 9, 6)]));
+        assert_eq!(b.coverage(), Some((3, 9)));
+        assert_eq!(b.decision_at(7), 6);
+        // Appending merges equal boundary decisions.
+        let mut left = BestDecisionArray::from_intervals(vec![(1, 2, 9)]);
+        left.append(&BestDecisionArray::from_intervals(vec![
+            (3, 4, 9),
+            (5, 6, 1),
+        ]));
+        assert_eq!(left.triples().len(), 2);
+        assert_eq!(left.coverage(), Some((1, 6)));
+        // Clipping everything away leaves an array that appends verbatim.
+        let mut empty = BestDecisionArray::from_intervals(vec![(5, 6, 2)]);
+        empty.clip_back(4);
+        empty.append(&left);
+        assert_eq!(empty, left);
     }
 
     #[test]

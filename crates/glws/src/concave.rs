@@ -5,57 +5,38 @@
 //! 1. **Sentinel placement.**  By concavity, if a tentative state `j` can
 //!    improve *any* later state it can improve `j + 1`, so each probe only
 //!    checks its immediate successor instead of binary-searching `B`.
-//! 2. **FindIntervals.**  The recursion's decision ranges swap: if `jm` is the
-//!    best new decision for the midpoint state `im`, states *before* `im` have
-//!    their best new decision in `[jm, jr]` and states *after* `im` in
-//!    `[jl, jm]`.
+//! 2. **FindIntervals.**  The same recursion as the convex solver's, with the
+//!    decision ranges swapped: if `jm` is the best new decision for the
+//!    midpoint state `im`, states *before* `im` have their best new decision
+//!    in `[jm, jr]` and states *after* `im` in `[jl, jm]`.
 //! 3. **Merging with the old array.**  Unlike the convex case, states beyond
 //!    the cordon may still prefer an *old* (already finalized) decision, so the
 //!    freshly built `B_new` (decisions from the new frontier) must be merged
 //!    with `B_old`.  By concave decision monotonicity the states preferring a
 //!    new decision form a prefix `[cordon, p]`; the cut point `p` is found with
-//!    one binary search that compares the two arrays' candidates (a
-//!    simplification of Alg. 2; Alg. 2 itself is kept as
-//!    [`ConcaveMergeStrategy::PaperAlgorithm2`], which `ablation_report`
-//!    compares against it).
+//!    one binary search over positions that compares the two arrays'
+//!    candidates (a simplification of the paper's Alg. 2, which reaches the
+//!    same cut point through per-interval searches).  `B_new` lives in a
+//!    second array the cordon owns: each round rebuilds it, clips it to
+//!    `[cordon, p]`, appends the old suffix `[p + 1, n]` and swaps it with
+//!    `B`, so the merge copies triples but allocates nothing once both
+//!    arrays reach their high-water mark.
 
 use crate::best::BestDecisionArray;
+use crate::convex::find_intervals;
 use crate::cost::GlwsProblem;
 use crate::GlwsResult;
 use pardp_core::{prefix_doubling_cordon, run_phase_parallel, PhaseParallel};
-use pardp_parutils::{maybe_join, round_min_grain, MetricsCollector};
+use pardp_parutils::{round_min_grain, MetricsCollector};
 use rayon::prelude::*;
 
-/// Strategy used to merge the new and old best-decision arrays after a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConcaveMergeStrategy {
-    /// Single binary search over positions comparing the two arrays' candidate
-    /// values (strictly-better-new wins); `O(log² n)` per round.
-    #[default]
-    PositionBinarySearch,
-    /// The three-step search of Algorithm 2 in the paper (per-interval
-    /// pre-processing, then two nested binary searches).  Same asymptotics per
-    /// round up to log factors; kept for the ablation benchmark.
-    PaperAlgorithm2,
-}
-
-/// Solve a concave GLWS instance with the parallel cordon algorithm using the
-/// default merge strategy.
-pub fn parallel_concave_glws<P: GlwsProblem>(problem: &P) -> GlwsResult {
-    parallel_concave_glws_with(problem, ConcaveMergeStrategy::default())
-}
-
-/// Solve a concave GLWS instance with an explicit merge strategy (used by the
-/// ablation benchmark).
+/// Solve a concave GLWS instance with the parallel cordon algorithm.
 ///
 /// Runs [`ConcaveGlwsCordon`] through the shared phase-parallel driver, which
 /// supplies the round accounting, frontier telemetry and stall guard.
-pub fn parallel_concave_glws_with<P: GlwsProblem>(
-    problem: &P,
-    merge: ConcaveMergeStrategy,
-) -> GlwsResult {
+pub fn parallel_concave_glws<P: GlwsProblem>(problem: &P) -> GlwsResult {
     let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(ConcaveGlwsCordon::new(problem, merge), &metrics);
+    let (d, best) = run_phase_parallel(ConcaveGlwsCordon::new(problem), &metrics);
     GlwsResult {
         d,
         best,
@@ -68,10 +49,11 @@ pub fn parallel_concave_glws_with<P: GlwsProblem>(
 /// the build-and-merge of the best-decision array.
 pub struct ConcaveGlwsCordon<'a, P: GlwsProblem> {
     problem: &'a P,
-    merge: ConcaveMergeStrategy,
     d: Vec<i64>,
     best: Vec<usize>,
     b: BestDecisionArray,
+    /// Per-round scratch for `B_new`, swapped with `b` after each merge.
+    b_new: BestDecisionArray,
     /// Per-round scratch for the `FindIntervals` output, reused across rounds
     /// so the round body allocates nothing at its high-water mark.
     intervals: Vec<(usize, usize, usize)>,
@@ -81,16 +63,16 @@ pub struct ConcaveGlwsCordon<'a, P: GlwsProblem> {
 
 impl<'a, P: GlwsProblem> ConcaveGlwsCordon<'a, P> {
     /// Initialize the DP arrays and the all-zero best-decision array.
-    pub fn new(problem: &'a P, merge: ConcaveMergeStrategy) -> Self {
+    pub fn new(problem: &'a P) -> Self {
         let n = problem.n();
         let mut d = vec![0i64; n + 1];
         d[0] = problem.d0();
         ConcaveGlwsCordon {
             problem,
-            merge,
             d,
             best: vec![0usize; n + 1],
             b: BestDecisionArray::initial(n),
+            b_new: BestDecisionArray::empty(),
             intervals: Vec::new(),
             now: 0,
             n,
@@ -159,9 +141,10 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
         if cordon <= n {
             // Build B_new: best decisions among the new frontier, for [cordon, n].
             self.intervals.clear();
-            find_intervals_concave(
+            find_intervals(
                 problem,
                 &self.d,
+                false, // concave: the decision ranges swap
                 now + 1,
                 cordon - 1,
                 cordon,
@@ -169,13 +152,21 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
                 &mut self.intervals,
                 metrics,
             );
-            let mut b_new = BestDecisionArray::empty();
-            b_new.rebuild_from_intervals(self.intervals.drain(..));
-            let mut b_old = std::mem::take(&mut self.b);
-            b_old.clip_front(cordon);
-            self.b = merge_new_old(
-                problem, &self.d, b_new, b_old, cordon, n, self.merge, metrics,
+            self.b_new.rebuild_from_intervals(self.intervals.drain(..));
+            // B = B_new on [cordon, p] followed by B_old on [p + 1, n].
+            let p = new_decisions_win_through(
+                problem,
+                &self.d,
+                &self.b_new,
+                &self.b,
+                cordon,
+                n,
+                metrics,
             );
+            self.b_new.clip_back(p);
+            self.b.clip_front(p + 1);
+            self.b_new.append(&self.b);
+            std::mem::swap(&mut self.b, &mut self.b_new);
         } else {
             self.b.rebuild_from_intervals(std::iter::empty());
         }
@@ -193,185 +184,51 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
     }
 }
 
-/// Concave `FindIntervals`: like the convex version but with the decision
-/// ranges swapped between the two recursive calls.
-#[allow(clippy::too_many_arguments)]
-fn find_intervals_concave<P: GlwsProblem>(
-    problem: &P,
-    d: &[i64],
-    jl: usize,
-    jr: usize,
-    il: usize,
-    ir: usize,
-    out: &mut Vec<(usize, usize, usize)>,
-    metrics: &MetricsCollector,
-) {
-    if il > ir {
-        return;
-    }
-    if jl == jr {
-        out.push((il, ir, jl));
-        return;
-    }
-    let im = (il + ir) / 2;
-    let jm = crate::convex::argmin_decision(problem, d, jl, jr, im, metrics);
-    let state_count = ir - il + 1;
-    let (mut left, right) = maybe_join(
-        state_count,
-        || {
-            let mut v = Vec::new();
-            if im > il {
-                // Earlier states prefer later (or equal) decisions.
-                find_intervals_concave(problem, d, jm, jr, il, im - 1, &mut v, metrics);
-            }
-            v
-        },
-        || {
-            let mut v = Vec::new();
-            // Later states prefer earlier (or equal) decisions.
-            find_intervals_concave(problem, d, jl, jm, im + 1, ir, &mut v, metrics);
-            v
-        },
-    );
-    left.push((im, im, jm));
-    left.extend(right);
-    out.extend(left);
-}
-
 /// Value of state `i` using decision `j` (which must be finalized in `d`).
 #[inline]
 fn value_via<P: GlwsProblem>(problem: &P, d: &[i64], j: usize, i: usize) -> i64 {
     problem.e(d[j], j) + problem.w(j, i)
 }
 
-/// Merge `b_new` (decisions from the latest frontier, covering `[cordon, n]`)
-/// with `b_old` (earlier decisions, clipped to `[cordon, n]`).  By concave
-/// decision monotonicity the positions where a new decision is *strictly*
-/// better form a prefix `[cordon, p]`.
-#[allow(clippy::too_many_arguments)]
-fn merge_new_old<P: GlwsProblem>(
-    problem: &P,
-    d: &[i64],
-    b_new: BestDecisionArray,
-    b_old: BestDecisionArray,
-    cordon: usize,
-    n: usize,
-    strategy: ConcaveMergeStrategy,
-    metrics: &MetricsCollector,
-) -> BestDecisionArray {
-    debug_assert_eq!(b_new.coverage(), Some((cordon, n)));
-    debug_assert_eq!(b_old.coverage(), Some((cordon, n)));
-
-    let new_strictly_better = |i: usize, probes: &mut u64| -> bool {
-        *probes += 2;
-        let jn = b_new.decision_at(i);
-        let jo = b_old.decision_at(i);
-        value_via(problem, d, jn, i) < value_via(problem, d, jo, i)
-    };
-
-    let mut probes = 0u64;
-    let p = match strategy {
-        ConcaveMergeStrategy::PositionBinarySearch => {
-            // Largest position in [cordon, n] where the new decision strictly
-            // wins (prefix-monotone predicate), or None.
-            if !new_strictly_better(cordon, &mut probes) {
-                None
-            } else {
-                let (mut lo, mut hi) = (cordon, n);
-                while lo < hi {
-                    let mid = (lo + hi).div_ceil(2);
-                    if new_strictly_better(mid, &mut probes) {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                Some(lo)
-            }
-        }
-        ConcaveMergeStrategy::PaperAlgorithm2 => {
-            algorithm2_cut_point(problem, d, &b_new, &b_old, &mut probes)
-        }
-    };
-    metrics.add_probes(probes);
-
-    match p {
-        None => b_old,
-        Some(p) if p >= n => b_new,
-        Some(p) => {
-            let mut new_part = b_new;
-            new_part.clip_back(p);
-            let mut old_part = b_old;
-            old_part.clip_front(p + 1);
-            new_part.concat(old_part)
-        }
-    }
-}
-
-/// The cut-point search of Algorithm 2 in the paper: for each interval of
-/// `B_new`, look up the best old decision of its left endpoint, locate the last
-/// interval of `B_new` that still beats the old candidate there, then refine
-/// with binary searches inside `B_old` and over positions.
-///
-/// Kept primarily for the ablation study; produces the same cut point as the
-/// plain position binary search (up to ties, which do not affect DP values).
-fn algorithm2_cut_point<P: GlwsProblem>(
+/// The last position `p` in `[cordon, n]` where `b_new`'s decision is
+/// *strictly* better than `b_old`'s, or `cordon - 1` if there is none.  By
+/// concave decision monotonicity those positions form a prefix, so one binary
+/// search over positions finds `p` in `O(log² n)`.  Both arrays must cover
+/// `[cordon, n]`.
+fn new_decisions_win_through<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
     b_new: &BestDecisionArray,
     b_old: &BestDecisionArray,
-    probes: &mut u64,
-) -> Option<usize> {
-    // Step 1 (Alg. 2 lines 1-2): for every interval ([l_k, r_k], j_k) of B_new,
-    // find the best old decision x_k of l_k, in parallel.
-    let triples = b_new.triples();
-    let xs: Vec<usize> = triples
-        .par_iter()
-        .with_min_len(round_min_grain(triples.len()))
-        .map(|t| b_old.decision_at(t.l))
-        .collect();
-    *probes += triples.len() as u64;
-
-    // Step 2 (line 3): last interval whose new decision still strictly beats
-    // the old candidate at its left endpoint.
-    let wins_at_left = |k: usize| -> bool {
-        let t = &triples[k];
-        value_via(problem, d, t.j, t.l) < value_via(problem, d, xs[k], t.l)
+    cordon: usize,
+    n: usize,
+    metrics: &MetricsCollector,
+) -> usize {
+    debug_assert_eq!(b_new.coverage(), Some((cordon, n)));
+    debug_assert!(matches!(b_old.coverage(), Some((lo, hi)) if lo <= cordon && hi == n));
+    let mut probes = 0u64;
+    let mut new_strictly_better = |i: usize| -> bool {
+        probes += 2;
+        let jn = b_new.decision_at(i);
+        let jo = b_old.decision_at(i);
+        value_via(problem, d, jn, i) < value_via(problem, d, jo, i)
     };
-    *probes += (triples.len().max(2)).ilog2() as u64 + 1;
-    if triples.is_empty() || !wins_at_left(0) {
-        return None;
-    }
-    let (mut lo, mut hi) = (0usize, triples.len() - 1);
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        if wins_at_left(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
+    let p = if !new_strictly_better(cordon) {
+        cordon - 1
+    } else {
+        let (mut lo, mut hi) = (cordon, n);
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            if new_strictly_better(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
         }
-    }
-    let k = lo;
-    let t = triples[k];
-
-    // Step 3 (lines 4-5): the cut point lies inside interval k (or at its end).
-    // Binary search the last position in [t.l, t.r] where the new decision j_k
-    // strictly beats the best old decision of that position.
-    let beats_old_at = |pos: usize, probes: &mut u64| -> bool {
-        *probes += 2;
-        let jo = b_old.decision_at(pos);
-        value_via(problem, d, t.j, pos) < value_via(problem, d, jo, pos)
+        lo
     };
-    let (mut lo, mut hi) = (t.l, t.r);
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        if beats_old_at(mid, probes) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    Some(lo)
+    metrics.add_probes(probes);
+    p
 }
 
 #[cfg(test)]
@@ -383,8 +240,8 @@ mod tests {
 
     #[test]
     fn matches_naive_on_sqrt_costs() {
-        for n in [1usize, 2, 3, 8, 33, 100, 257] {
-            for &(a, b) in &[(0i64, 1i64), (5, 3), (50, 2), (1000, 7)] {
+        for n in [1usize, 2, 3, 8, 10, 33, 64, 100, 257, 300] {
+            for &(a, b) in &[(0i64, 1i64), (0, 2), (5, 3), (17, 5), (50, 2), (1000, 7)] {
                 let p = ConcaveGapCost::new(n, a, b);
                 let got = parallel_concave_glws(&p);
                 let want = naive_glws(&p);
@@ -401,19 +258,6 @@ mod tests {
             let got = parallel_concave_glws(&p);
             let want = sequential_concave_glws(&p);
             assert_eq!(got.d, want.d);
-        }
-    }
-
-    #[test]
-    fn both_merge_strategies_agree() {
-        for n in [10usize, 64, 300] {
-            for &(a, b) in &[(0i64, 2i64), (17, 5)] {
-                let p = ConcaveGapCost::new(n, a, b);
-                let r1 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PositionBinarySearch);
-                let r2 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PaperAlgorithm2);
-                assert_eq!(r1.d, r2.d, "n {n} a {a} b {b}");
-                assert_eq!(r1.d, naive_glws(&p).d);
-            }
         }
     }
 
@@ -456,8 +300,6 @@ mod tests {
             let got = parallel_concave_glws(&p);
             let want = naive_glws(&p);
             assert_eq!(got.d, want.d, "n {n}");
-            let got2 = parallel_concave_glws_with(&p, ConcaveMergeStrategy::PaperAlgorithm2);
-            assert_eq!(got2.d, want.d, "n {n} (Algorithm 2 merge)");
             if n >= 100 {
                 assert!(
                     got.metrics.rounds > 1,

@@ -15,8 +15,13 @@
 //!    final.
 //! 2. **UpdateBest** (Sec. 4.2.2): rebuild `B` for the states `[cordon, n]`
 //!    from the newly finalized decisions `[now+1, cordon-1]` with the
-//!    divide-and-conquer `FindIntervals`, which is work-efficient because the
-//!    candidate-decision range splits along with the state range.
+//!    divide-and-conquer `find_intervals`, which is work-efficient because
+//!    the candidate-decision range splits along with the state range.  The
+//!    concave solver runs the same recursion with the decision ranges
+//!    swapped.  A recursion node's work is bounded by the smaller of its two
+//!    ranges, so it forks only when both reach `SEQ_CUTOFF`; below that it
+//!    writes its triples in order into a buffer the cordon reuses, so a round
+//!    whose frontier stays under the cutoff runs inline and allocates nothing.
 //!
 //! The number of rounds equals the *perfect depth* of the DP DAG — the length
 //! of the longest best-decision chain (Lemma 4.5) — e.g. the number of post
@@ -32,7 +37,7 @@ use crate::best::BestDecisionArray;
 use crate::cost::GlwsProblem;
 use crate::GlwsResult;
 use pardp_core::{prefix_doubling_cordon, run_phase_parallel, PhaseParallel};
-use pardp_parutils::{maybe_join, round_min_grain, MetricsCollector};
+use pardp_parutils::{round_min_grain, MetricsCollector, SEQ_CUTOFF};
 use rayon::prelude::*;
 
 /// Tie handling: a probe state places a sentinel wherever it is at least as
@@ -169,6 +174,7 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
             find_intervals(
                 problem,
                 &self.d,
+                true, // convex decision monotonicity
                 now + 1,
                 cordon - 1,
                 cordon,
@@ -196,13 +202,23 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
 
 /// `FindIntervals(jl, jr, il, ir)` (Alg. 1 lines 23–32): compute the
 /// best-decision triples of the states `il..=ir` restricted to decisions
-/// `jl..=jr`, exploiting convex decision monotonicity to split both ranges
-/// around the midpoint state.  Appends `(l, r, j)` triples to `out` in
-/// increasing state order.
+/// `jl..=jr`, and append them to `out` in increasing state order.
+///
+/// The best decision `jm` of the midpoint state `im` splits both ranges.
+/// Under convex decision monotonicity (`convex`) the states before `im` take
+/// their decision from `[jl, jm]` and those after it from `[jm, jr]`; under
+/// concave monotonicity the two decision ranges swap (Sec. 4.3).
+///
+/// A node's work is bounded by the smaller of its two ranges, so it forks
+/// only when both reach [`SEQ_CUTOFF`]: the left half then recurses into
+/// `out` while the right half is staged in its own buffer.  Below the cutoff
+/// the halves recurse straight into `out`, which allocates nothing once
+/// `out` has reached its high-water mark.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn find_intervals<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
+    convex: bool,
     jl: usize,
     jr: usize,
     il: usize,
@@ -220,30 +236,35 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
     let im = (il + ir) / 2;
     // Best decision for the midpoint state among [jl, jr] (leftmost argmin).
     let jm = argmin_decision(problem, d, jl, jr, im, metrics);
-    let state_count = ir - il + 1;
-    let (mut left, right) = maybe_join(
-        state_count,
-        || {
-            let mut v = Vec::new();
-            if im > il {
-                find_intervals(problem, d, jl, jm, il, im - 1, &mut v, metrics);
-            }
-            v
-        },
-        || {
-            let mut v = Vec::new();
-            find_intervals(problem, d, jm, jr, im + 1, ir, &mut v, metrics);
-            v
-        },
-    );
-    left.push((im, im, jm));
-    left.extend(right);
-    out.extend(left);
+    let recurse = |(jl, jr): (usize, usize), il: usize, ir: usize, out: &mut Vec<_>| {
+        find_intervals(problem, d, convex, jl, jr, il, ir, out, metrics)
+    };
+    let (left_decisions, right_decisions) = if convex {
+        ((jl, jm), (jm, jr))
+    } else {
+        ((jm, jr), (jl, jm))
+    };
+    let left = |out: &mut Vec<_>| {
+        if im > il {
+            recurse(left_decisions, il, im - 1, out);
+        }
+    };
+    let right = |out: &mut Vec<_>| recurse(right_decisions, im + 1, ir, out);
+    if (ir - il + 1).min(jr - jl + 1) >= SEQ_CUTOFF {
+        let mut right_half = Vec::new();
+        rayon::join(|| left(&mut *out), || right(&mut right_half));
+        out.push((im, im, jm));
+        out.append(&mut right_half);
+    } else {
+        left(out);
+        out.push((im, im, jm));
+        right(out);
+    }
 }
 
 /// Leftmost argmin of `E[j] + w(j, i)` over `j in [jl, jr]` (all decisions
 /// already finalized), evaluated as a parallel reduction for wide ranges.
-pub(crate) fn argmin_decision<P: GlwsProblem>(
+fn argmin_decision<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
     jl: usize,

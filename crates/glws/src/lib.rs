@@ -21,8 +21,8 @@
 //!   algorithm,
 //! * [`convex`]: the parallel convex GLWS (Algorithm 1, Theorem 4.1),
 //! * [`concave`]: the parallel concave GLWS (Sec. 4.3, Theorem 4.2),
-//! * [`smawk`]: the SMAWK row-minima algorithm (sequential `O(n)`) used by
-//!   k-GLWS and as an independent oracle,
+//! * [`smawk`]: the SMAWK row-minima algorithm (sequential `O(n)`), a
+//!   standalone primitive that no solver here calls,
 //! * [`kglws`]: the fixed-cluster-count variant (Sec. 5.4).
 
 #![forbid(unsafe_code)]
@@ -40,9 +40,7 @@ pub mod seq;
 pub mod smawk;
 
 pub use best::BestDecisionArray;
-pub use concave::{
-    parallel_concave_glws, parallel_concave_glws_with, ConcaveGlwsCordon, ConcaveMergeStrategy,
-};
+pub use concave::{parallel_concave_glws, ConcaveGlwsCordon};
 pub use convex::{parallel_convex_glws, ConvexGlwsCordon};
 pub use cost::{
     ClosureCost, ConcaveGapCost, ConvexGapCost, GlwsProblem, LinearGapCost, PostOfficeProblem,

@@ -4,9 +4,9 @@
 //! searching problem that SMAWK solves in `O(n)` sequential work, but that the
 //! algorithm is "quite complicated and inherently sequential"; the practical
 //! (and parallelizable) alternative is the `O(n log n)` divide-and-conquer.
-//! We provide SMAWK anyway: it is an independent oracle for the
-//! divide-and-conquer code and the strongest sequential baseline for the
-//! k-GLWS benchmarks.
+//! The k-GLWS solver in [`crate::kglws`] therefore runs its own
+//! divide-and-conquer and does not call this module; SMAWK is provided as a
+//! standalone primitive, checked against brute-force row minima in its tests.
 //!
 //! The matrix is given implicitly by a function `f(row, col)`.  The matrix
 //! must be *convex totally monotone*: if `f(r, c) >= f(r, d)` for columns

@@ -173,28 +173,6 @@ pub struct PostOfficeInstance {
     pub clusters: usize,
 }
 
-/// A concave GLWS workload: `n` states with a capped-linear gap cost whose cap
-/// controls how long the optimal segments are (`cap` elements per segment).
-pub fn concave_instance(n: usize, cap: usize, seed: u64) -> ConcaveInstance {
-    let mut r = rng(seed);
-    ConcaveInstance {
-        n,
-        cap: cap.max(1),
-        base: r.gen_range(1..100),
-    }
-}
-
-/// Output of [`concave_instance`]: parameters of a capped-linear concave cost.
-#[derive(Debug, Clone, Copy)]
-pub struct ConcaveInstance {
-    /// Number of states.
-    pub n: usize,
-    /// Segment-length cap.
-    pub cap: usize,
-    /// Per-element cost scale.
-    pub base: i64,
-}
-
 // ---------------------------------------------------------------------------
 // OAT / OBST
 // ---------------------------------------------------------------------------

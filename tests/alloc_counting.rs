@@ -13,6 +13,10 @@
 //! * the HLD Tree-GLWS cordon allocates its envelope arena up front and
 //!   sizes its result buffer, and the buffer staging its envelope pushes,
 //!   for the widest depth level;
+//! * the convex and concave GLWS cordons rebuild their best-decision arrays
+//!   from a reused `FindIntervals` buffer, which the recursion fills in place
+//!   below the fork cutoff, and the concave merge swaps `B` with a second
+//!   reused array;
 //! * the driver pre-sizes the metrics frontier log via
 //!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
 //!   copies.
@@ -22,9 +26,11 @@
 //! itself (so the grain policy and the `round_with` path are covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
 //! input and `LcsCordon` on a Fig. 6 shape through the driver, the GAP
-//! test runs `PackedGapCordon` on convex gap costs, and the Tree-GLWS test
-//! runs `HldTreeGlwsCordon` on a caterpillar and a path.  Each asserts the
-//! allocation counter does not move during steady-state rounds.
+//! test runs `PackedGapCordon` on convex gap costs, the Tree-GLWS test
+//! runs `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test
+//! runs `ConvexGlwsCordon` on a post-office instance and `ConcaveGlwsCordon`
+//! on a concave cost with bonus states.  Each asserts the allocation counter
+//! does not move during steady-state rounds.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
@@ -35,6 +41,10 @@
 
 use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
 use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
+use parallel_dp::glws::{
+    sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
+    ConvexGlwsCordon, PostOfficeProblem,
+};
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
@@ -292,4 +302,31 @@ fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
             );
         });
     }
+}
+
+#[test]
+fn glws_rounds_allocate_nothing_after_warm_up() {
+    let inst = workloads::post_office_instance(100_000, 10_000, 3);
+    let offices = PostOfficeProblem::new(inst.coords, inst.open_cost);
+    // Concave costs with a bonus at every seventh state: the optimum chains
+    // through the bonus states, so the merge with the old array runs every
+    // round.
+    let bonus = ClosureCost::new(
+        20_000,
+        0,
+        |j, i| 200 + 5 * ((i - j).min(40) as i64),
+        |d, j| d - if j > 0 && j % 7 == 3 { 400 } else { 0 },
+    );
+
+    with_threads(1, || {
+        let want = sequential_convex_glws(&offices);
+        let ((d, _), rounds) = run_allocation_free("convex GLWS", ConvexGlwsCordon::new(&offices));
+        assert_eq!(d, want.d, "convex GLWS: DP values differ from Galil–Park");
+        assert_eq!(rounds, 10_000);
+
+        let want = sequential_concave_glws(&bonus);
+        let ((d, _), rounds) = run_allocation_free("concave GLWS", ConcaveGlwsCordon::new(&bonus));
+        assert_eq!(d, want.d, "concave GLWS: DP values differ from Galil–Park");
+        assert_eq!(rounds, 2_858);
+    });
 }

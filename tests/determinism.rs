@@ -210,3 +210,65 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
         "parallel HLD Tree-GLWS disagrees with the sequential baseline"
     );
 }
+
+#[test]
+fn glws_results_are_bit_identical_across_thread_counts() {
+    use parallel_dp::glws::{
+        parallel_concave_glws, parallel_convex_glws, sequential_concave_glws,
+        sequential_convex_glws, ClosureCost, GlwsResult, PostOfficeProblem,
+    };
+    fn offices(n: usize, k: usize) -> PostOfficeProblem {
+        let inst = workloads::post_office_instance(n, k, 3);
+        PostOfficeProblem::new(inst.coords, inst.open_cost)
+    }
+    fn assert_bit_identical(
+        name: &str,
+        solve: impl Fn() -> GlwsResult + Send + Sync,
+    ) -> GlwsResult {
+        let baseline = with_threads(1, &solve);
+        for t in THREAD_COUNTS {
+            let run = with_threads(t, &solve);
+            assert_eq!(run.d, baseline.d, "{name}: d[] differs at {t} threads");
+            assert_eq!(
+                run.best, baseline.best,
+                "{name}: decisions differ at {t} threads"
+            );
+            assert_eq!(
+                run.metrics, baseline.metrics,
+                "{name}: metrics differ at {t} threads"
+            );
+        }
+        baseline
+    }
+
+    // Ten wide rounds: FindIntervals forks on both its state and decision
+    // ranges above one thread.
+    let shallow = offices(200_000, 10);
+    // Ten thousand narrow rounds that never fork.
+    let deep = offices(100_000, 10_000);
+    for (name, p) in [("convex k = 10", &shallow), ("convex k = 10⁴", &deep)] {
+        let run = assert_bit_identical(name, || parallel_convex_glws(p));
+        assert_eq!(
+            run.d,
+            sequential_convex_glws(p).d,
+            "{name}: disagrees with Galil–Park"
+        );
+    }
+
+    // A bonus every 5000 states: 41 rounds whose frontiers reach 5000 states,
+    // so both FindCordon and FindIntervals fork.
+    let concave = ClosureCost::new(
+        200_000,
+        0,
+        |j, i| 200 + 5 * ((i - j).min(100_000) as i64),
+        |d, j| d - if j % 5000 == 3 { 1_000_000 } else { 0 },
+    );
+    let run = assert_bit_identical("concave", || parallel_concave_glws(&concave));
+    assert_eq!(run.metrics.rounds, 41);
+    assert_eq!(run.metrics.max_frontier(), 5_000);
+    assert_eq!(
+        run.d,
+        sequential_concave_glws(&concave).d,
+        "concave: disagrees with Galil–Park"
+    );
+}
