@@ -159,11 +159,14 @@ impl LcsCordon {
     /// pairs.
     pub fn new(pairs: &[MatchPair]) -> Self {
         debug_assert!(pairs_are_canonically_sorted(pairs));
-        let keys: Vec<u32> = pairs.iter().map(|p| p.j).collect();
         // A pair relaxes a later pair only with a strictly smaller j (and
         // strictly smaller i, which the canonical order guarantees for smaller
         // j values on the prefix-minimum staircase), so ties do not block.
-        LcsCordon(StaircaseCordon::new(&keys, TieRule::TiesAreRecords))
+        LcsCordon(StaircaseCordon::new(
+            pairs.len(),
+            |i| pairs[i].j,
+            TieRule::TiesAreRecords,
+        ))
     }
 }
 
@@ -208,17 +211,17 @@ pub fn reconstruct_lcs(pairs: &[MatchPair], values: &[u32], length: u32) -> Vec<
     assert_eq!(pairs.len(), values.len());
     let mut out: Vec<MatchPair> = Vec::with_capacity(length as usize);
     let mut need = length;
-    let mut max_i = u32::MAX;
-    let mut max_j = u32::MAX;
+    // The pair taken last bounds the next one from above; none yet, so a
+    // chain may end at `u32::MAX`.
+    let mut last: Option<MatchPair> = None;
     for idx in (0..pairs.len()).rev() {
         if need == 0 {
             break;
         }
         let p = pairs[idx];
-        if values[idx] == need && p.i < max_i && p.j < max_j {
+        if values[idx] == need && last.is_none_or(|q| p.i < q.i && p.j < q.j) {
             out.push(p);
-            max_i = p.i;
-            max_j = p.j;
+            last = Some(p);
             need -= 1;
         }
     }
@@ -342,6 +345,21 @@ mod tests {
         for p in &chain {
             assert_eq!(a[p.i as usize], b[p.j as usize]);
         }
+    }
+
+    #[test]
+    fn reconstruction_keeps_chains_ending_at_the_key_maximum() {
+        let pairs = [
+            MatchPair { i: 0, j: 5 },
+            MatchPair {
+                i: u32::MAX,
+                j: u32::MAX,
+            },
+        ];
+        let r = parallel_sparse_lcs(&pairs);
+        assert_eq!(r.length, 2);
+        assert_eq!(r.pair_values, sequential_sparse_lcs(&pairs).pair_values);
+        assert_eq!(reconstruct_lcs(&pairs, &r.pair_values, r.length), pairs);
     }
 
     #[test]

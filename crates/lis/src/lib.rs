@@ -39,14 +39,16 @@ impl LisResult {
         assert_eq!(a.len(), self.d.len());
         let mut out = Vec::with_capacity(self.length as usize);
         let mut need = self.length;
-        let mut upper = i64::MAX;
+        // The value the next (earlier) element must stay below; none yet, so
+        // a chain may end at `i64::MAX`.
+        let mut upper: Option<i64> = None;
         for i in (0..a.len()).rev() {
             if need == 0 {
                 break;
             }
-            if self.d[i] == need && a[i] < upper {
+            if self.d[i] == need && upper.is_none_or(|u| a[i] < u) {
                 out.push(i);
-                upper = a[i];
+                upper = Some(a[i]);
                 need -= 1;
             }
         }
@@ -149,7 +151,11 @@ impl LisCordon {
     pub fn new(a: &[i64]) -> Self {
         // Ties do not block: A[j] < A[i] is required for a transition, so an
         // equal element to the left does not prevent readiness.
-        LisCordon(StaircaseCordon::new(a, TieRule::TiesAreRecords))
+        LisCordon(StaircaseCordon::new(
+            a.len(),
+            |i| a[i],
+            TieRule::TiesAreRecords,
+        ))
     }
 }
 
@@ -300,6 +306,19 @@ mod tests {
                 assert!(w[0] < w[1]);
                 assert!(a[w[0]] < a[w[1]]);
             }
+        }
+    }
+
+    #[test]
+    fn reconstruction_keeps_chains_ending_at_the_key_maximum() {
+        for (a, want) in [
+            (vec![3, i64::MAX], vec![0, 1]),
+            (vec![i64::MAX - 1, i64::MAX, i64::MAX], vec![0, 2]),
+            (vec![i64::MIN, i64::MAX], vec![0, 1]),
+        ] {
+            let r = parallel_lis(&a);
+            assert_eq!(r.d, naive_lis(&a).d, "{a:?}");
+            assert_eq!(r.reconstruct_indices(&a), want, "{a:?}");
         }
     }
 

@@ -160,7 +160,7 @@ pub mod prelude {
     };
     pub use pardp_obst::{knuth_obst, naive_obst, parallel_obst, ObstCordon, ObstResult};
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
-    pub use pardp_tournament::{TieRule, TournamentTree};
+    pub use pardp_tournament::{Key, TieRule, TournamentTree};
     pub use pardp_treedp::{
         choose_tree_glws_strategy,
         hld::{HeavyLightDecomposition, TreeShapeStats},

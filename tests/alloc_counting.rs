@@ -6,7 +6,11 @@
 //! * OBST writes into flat preallocated triangular tables;
 //! * the staircase cordons behind LIS and sparse LCS write each round's DP
 //!   values straight into their position-aligned value array, and the
-//!   tournament tree's touched-block list is sized for every block up front;
+//!   tournament tree's touched-block list is sized for every block up front.
+//!   The tree itself is one buffer of leaf blocks and one of block heaps,
+//!   filled from the caller's keys through a closure, so building
+//!   `LisCordon` or `LcsCordon` makes the same number of allocations at any
+//!   input size;
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
@@ -25,7 +29,9 @@
 //! `run_phase_parallel` does, then runs one through `run_phase_parallel`
 //! itself (so the grain policy and the `round_with` path are covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
-//! input and `LcsCordon` on a Fig. 6 shape through the driver, the GAP
+//! input and `LcsCordon` on a Fig. 6 shape through the driver, and a second
+//! staircase test counts the constructors' allocations at L = 10⁴ and
+//! L = 10⁶ after one warm-up construction; the GAP
 //! test runs `PackedGapCordon` on convex gap costs, the Tree-GLWS test
 //! runs `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test
 //! runs `ConvexGlwsCordon` on a post-office instance and `ConcaveGlwsCordon`
@@ -259,6 +265,50 @@ fn staircase_rounds_allocate_nothing_after_warm_up() {
         );
         assert_eq!(length, 100);
         assert_eq!(rounds, 100);
+    });
+}
+
+/// Allocations the calling thread makes while `build` runs (the value it
+/// builds is dropped afterwards, and frees are not counted).
+fn allocations_of<T>(build: impl FnOnce() -> T) -> u64 {
+    let before = allocations();
+    let built = build();
+    let made = allocations() - before;
+    drop(built);
+    made
+}
+
+#[test]
+fn staircase_cordons_build_with_a_constant_number_of_allocations() {
+    // About 10 and 977 blocks of the tournament tree.
+    let sizes = [10_000, 1_000_000];
+    let sequences = sizes.map(|n| workloads::random_sequence(n, 1 << 40, 3));
+    let pair_sets = sizes.map(|n| {
+        workloads::lcs_pairs_with(n, 100, 1)
+            .into_iter()
+            .map(|(i, j)| MatchPair { i, j })
+            .collect::<Vec<_>>()
+    });
+
+    with_threads(1, || {
+        // Warm-up: let the first construction set up anything lazy.
+        allocations_of(|| LisCordon::new(&sequences[0]));
+        allocations_of(|| LcsCordon::new(&pair_sets[0]));
+
+        let lis = sequences
+            .each_ref()
+            .map(|a| allocations_of(|| LisCordon::new(a)));
+        let lcs = pair_sets
+            .each_ref()
+            .map(|pairs| allocations_of(|| LcsCordon::new(pairs)));
+        assert_eq!(
+            lis[0], lis[1],
+            "LisCordon::new allocated {lis:?} times at L = {sizes:?}"
+        );
+        assert_eq!(
+            lcs[0], lcs[1],
+            "LcsCordon::new allocated {lcs:?} times at L = {sizes:?}"
+        );
     });
 }
 

@@ -72,8 +72,7 @@ fn prefix_doubling_waste_is_bounded() {
 #[test]
 fn tournament_tree_drains_in_lis_rounds() {
     let a = workloads_sequence();
-    let keys: Vec<i64> = a.clone();
-    let mut tree = TournamentTree::new(&keys, TieRule::TiesAreRecords);
+    let mut tree = TournamentTree::new(a.len(), |i| a[i], TieRule::TiesAreRecords);
     let lis = parallel_lis(&a);
     let mut rounds = 0;
     let mut total = 0;

@@ -4,6 +4,19 @@
 use parallel_dp::prelude::*;
 use proptest::prelude::*;
 
+/// LIS values at both ends of `i64`: the tournament tree reserves `i64::MAX`
+/// as its empty-slot sentinel, so these exercise its key remap.
+const KEY_LIMITS: [i64; 8] = [
+    i64::MIN,
+    i64::MIN + 1,
+    -1,
+    0,
+    1,
+    i64::MAX - 2,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -15,6 +28,26 @@ proptest! {
         prop_assert_eq!(&par.d, &want.d);
         prop_assert_eq!(&seq.d, &want.d);
         prop_assert_eq!(par.metrics.rounds, want.length as u64);
+    }
+
+    #[test]
+    fn prop_lis_matches_naive_at_the_key_limits(
+        picks in prop::collection::vec(0usize..KEY_LIMITS.len(), 0..200),
+    ) {
+        let values: Vec<i64> = picks.iter().map(|&p| KEY_LIMITS[p]).collect();
+        let want = naive_lis(&values);
+        let par = parallel_lis(&values);
+        let seq = sequential_lis(&values);
+        prop_assert_eq!(&par.d, &want.d);
+        prop_assert_eq!(&seq.d, &want.d);
+        prop_assert_eq!(par.length, want.length);
+        prop_assert_eq!(seq.length, want.length);
+        prop_assert_eq!(par.metrics.rounds, want.length as u64);
+        let chain = par.reconstruct_indices(&values);
+        prop_assert_eq!(chain.len(), want.length as usize);
+        for w in chain.windows(2) {
+            prop_assert!(w[0] < w[1] && values[w[0]] < values[w[1]]);
+        }
     }
 
     #[test]
