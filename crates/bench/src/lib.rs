@@ -49,10 +49,10 @@ pub struct SpeedupRow {
     pub max_frontier: u64,
     /// Pool injector pushes during the parallel measurement (delta of the
     /// rayon shim's process-global dispatch counters around the timed
-    /// region; 0 without the `threads` feature).  Optional for consumers —
+    /// region; 0 when every fork ran inline).  Optional for consumers —
     /// added after the first `pardp-speedup-v1` documents were committed.
     pub injector_pushes: u64,
-    /// Worker wakeups during the parallel measurement (same provenance and
+    /// Worker wakeups during the parallel measurement (same source and
     /// caveats as `injector_pushes`).
     pub wakeups: u64,
 }
@@ -356,7 +356,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
 
     // The pre-Theorem-5.1 interval OAT cordon on the same profile (its own
     // smaller n — the diagonal DP is Θ(n²) in time and space): the ablation
-    // partner showing what the valley decomposition buys.
+    // partner showing what the valley cordon's polylog rounds buy.
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);

@@ -3,56 +3,51 @@
 //!
 //! The build environment has no access to crates.io, so the workspace routes
 //! `rayon = { path = ... }` at this crate instead (see `crates/compat/README.md`).
-//! With the default `threads` feature the shim executes work on a lazily
-//! created `std::thread` worker pool with chunked work-stealing deques
-//! ([`mod@pool`]): `join` forks its second closure onto the pool, and the
-//! `ParIter` combinators split their input into grains that workers (and the
-//! calling thread, which always helps) execute concurrently.  The pool size
-//! comes from `RAYON_NUM_THREADS` or [`std::thread::available_parallelism`],
-//! and `ThreadPoolBuilder::num_threads` + `ThreadPool::install` override it
-//! for a closure's dynamic extent exactly like real rayon.
-//!
-//! Without the `threads` feature every combinator degrades to the original
-//! sequential shim: `join` runs its closures back to back and the iterators
-//! drive a plain `std` iterator on the calling thread.
+//! The shim executes work on a lazily created `std::thread` worker pool with
+//! chunked work-stealing deques (the private `pool` module): `join` forks its
+//! second closure onto the pool, and the `ParIter` combinators split their
+//! input into grains that workers (and the calling thread, which always
+//! helps) execute concurrently.  The pool size comes from `RAYON_NUM_THREADS`
+//! or [`std::thread::available_parallelism`], and
+//! `ThreadPoolBuilder::num_threads` + `ThreadPool::install` override it for a
+//! closure's dynamic extent exactly like real rayon.  At one effective thread
+//! `join` runs its closures back to back and every combinator drives a plain
+//! `std` iterator on the calling thread.
 //!
 //! # Execution model
 //!
 //! A pipeline is a [`Producer`] — a splittable description of the input plus
 //! the fused adaptor closures.  A terminal operation picks a *grain size*
 //! from the input length, the effective thread count, and the
-//! [`ParIter::with_min_len`] / [`ParIter::with_max_len`] hints (real
-//! granularity controls here, not no-ops), then recursively `join`-splits the
-//! producer down to grains.  Grain results are always combined **in order**,
-//! so order-sensitive terminals (`collect`, `min`, `reduce_with` with a
-//! positional tie-break) return the same value for every thread count and
-//! grain size as long as the combining operation is associative — the
-//! determinism contract the engine's tests pin down.
+//! [`ParIter::with_min_len`] hint (a real granularity control here, not a
+//! no-op), then recursively `join`-splits the producer down to grains.
+//! Grain results are always combined **in order**, so order-sensitive
+//! terminals (`collect`, `min`, `reduce_with` with a positional tie-break)
+//! return the same value for every thread count and grain size as long as
+//! the combining operation is associative — the determinism contract the
+//! engine's tests pin down.
 //!
 //! # Semantic fine print (matching real rayon)
 //!
 //! * [`ParIter::reduce`] may invoke its identity closure **once per grain**
 //!   (plus once for the final fold), not exactly once: the identity must be a
 //!   true neutral element of `op`, or results will vary with the grain count.
-//! * [`ParIter::min`] keeps the **first** minimum and [`ParIter::max`] the
-//!   **last** maximum (the `std::iter` tie rules), independent of splitting.
+//! * [`ParIter::min`] keeps the **first** minimum (the `std::iter` tie rule),
+//!   independent of splitting.
 //! * Adaptor closures need `Fn + Send + Sync` because grains run on pool
-//!   threads; the sequential build imposes the same bounds so both feature
-//!   configurations compile the same call sites.
+//!   threads.
 //!
 //! [rayon]: https://docs.rs/rayon
 
 #![deny(unsafe_code)]
 
 use std::marker::PhantomData;
-#[cfg(feature = "threads")]
 use std::sync::Arc;
 
-#[cfg(feature = "threads")]
 #[allow(unsafe_code)]
 mod pool;
 
-/// Run both closures, returning both results; with the `threads` feature the
+/// Run both closures, returning both results; above one effective thread the
 /// second closure is queued on the pool (and reclaimed by the caller if no
 /// worker picked it up — the work-stealing fast path).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
@@ -62,27 +57,17 @@ where
     RA: Send,
     RB: Send,
 {
-    #[cfg(feature = "threads")]
-    {
-        if pool::effective_threads() > 1 {
-            return pool::join(a, b);
-        }
+    if pool::effective_threads() > 1 {
+        return pool::join(a, b);
     }
     (a(), b())
 }
 
 /// Number of threads parallel work may currently use: the innermost
 /// [`ThreadPool::install`] override, else `RAYON_NUM_THREADS`, else the
-/// machine's available parallelism (always 1 without the `threads` feature).
+/// machine's available parallelism.
 pub fn current_num_threads() -> usize {
-    #[cfg(feature = "threads")]
-    {
-        pool::effective_threads()
-    }
-    #[cfg(not(feature = "threads"))]
-    {
-        1
-    }
+    pool::effective_threads()
 }
 
 /// Cumulative pool dispatch diagnostics: `(injector pushes, worker wakeups)`.
@@ -91,65 +76,48 @@ pub fn current_num_threads() -> usize {
 /// per-round dispatch fast path: code that must bypass the pool (sub-grain
 /// cordon rounds, the `SEQ_CUTOFF` sequential path) asserts that the deltas
 /// across the region are zero.  Both counters are monotone process-global
-/// totals; always `(0, 0)` without the `threads` feature.
+/// totals.
 pub fn dispatch_diagnostics() -> (u64, u64) {
-    #[cfg(feature = "threads")]
-    {
-        pool::dispatch_counters()
-    }
-    #[cfg(not(feature = "threads"))]
-    {
-        (0, 0)
-    }
+    pool::dispatch_counters()
 }
 
 /// Scoped task spawning, mirroring `rayon::scope`: tasks may borrow the
 /// enclosing stack frame and are all guaranteed to finish before `scope`
-/// returns (on panic too).  Tasks run on the pool when `threads` is enabled
-/// and more than one thread is effective; inline otherwise.
+/// returns (on panic too).  Tasks run on the pool when more than one thread
+/// is effective; inline otherwise.
 pub fn scope<'scope, F, R>(f: F) -> R
 where
     F: FnOnce(&Scope<'scope>) -> R,
 {
-    #[cfg(feature = "threads")]
-    {
-        // Wait for outstanding jobs even if `f` unwinds: the jobs borrow the
-        // caller's frame, so leaving before they finish would be unsound.
-        struct WaitGuard(Option<Arc<pool::ScopeCore>>);
-        impl Drop for WaitGuard {
-            fn drop(&mut self) {
-                if let Some(core) = self.0.take() {
-                    core.wait_jobs();
-                }
+    // Wait for outstanding jobs even if `f` unwinds: the jobs borrow the
+    // caller's frame, so leaving before they finish would be unsound.
+    struct WaitGuard(Option<Arc<pool::ScopeCore>>);
+    impl Drop for WaitGuard {
+        fn drop(&mut self) {
+            if let Some(core) = self.0.take() {
+                core.wait_jobs();
             }
         }
-        let core = pool::ScopeCore::new();
-        let scope = Scope {
-            core: Arc::clone(&core),
-            marker: PhantomData,
-        };
-        let mut guard = WaitGuard(Some(core));
-        let result = f(&scope);
-        let core = guard.0.take().expect("scope guard consumed twice");
-        drop(guard);
-        core.wait_jobs();
-        if let Some(payload) = core.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
-        result
     }
-    #[cfg(not(feature = "threads"))]
-    {
-        f(&Scope {
-            marker: PhantomData,
-        })
+    let core = pool::ScopeCore::new();
+    let scope = Scope {
+        core: Arc::clone(&core),
+        marker: PhantomData,
+    };
+    let mut guard = WaitGuard(Some(core));
+    let result = f(&scope);
+    let core = guard.0.take().expect("scope guard consumed twice");
+    drop(guard);
+    core.wait_jobs();
+    if let Some(payload) = core.take_panic() {
+        std::panic::resume_unwind(payload);
     }
+    result
 }
 
 /// Mirrors `rayon::Scope`; handed to the `scope` closure and to every spawned
 /// task so tasks can spawn further tasks.
 pub struct Scope<'scope> {
-    #[cfg(feature = "threads")]
     core: Arc<pool::ScopeCore>,
     marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
@@ -161,29 +129,26 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        #[cfg(feature = "threads")]
-        {
-            if pool::effective_threads() > 1 {
-                let core = Arc::clone(&self.core);
-                let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                    let inner = Scope {
-                        core,
-                        marker: PhantomData,
-                    };
-                    body(&inner);
-                });
-                // SAFETY(contract): `scope()` waits on this core's latch
-                // before returning, on the normal and the unwind path alike,
-                // so the job cannot outlive the frame it borrows.
-                // analyze: allow(unsafe-whitelist): the one caller of the
-                // pool's lifetime-erasing `spawn_erased`; the unsafety is
-                // discharged by the latch contract documented above.
-                #[allow(unsafe_code)]
-                unsafe {
-                    self.core.spawn_erased(job)
+        if pool::effective_threads() > 1 {
+            let core = Arc::clone(&self.core);
+            let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+                let inner = Scope {
+                    core,
+                    marker: PhantomData,
                 };
-                return;
-            }
+                body(&inner);
+            });
+            // SAFETY(contract): `scope()` waits on this core's latch before
+            // returning, on the normal and the unwind path alike, so the job
+            // cannot outlive the frame it borrows.
+            // analyze: allow(unsafe-whitelist): the one caller of the pool's
+            // lifetime-erasing `spawn_erased`; the unsafety is discharged by
+            // the latch contract documented above.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.core.spawn_erased(job)
+            };
+            return;
         }
         body(self);
     }
@@ -241,15 +206,8 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Run `f` with this pool's thread count as the effective parallelism.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        #[cfg(feature = "threads")]
-        {
-            let _guard = pool::install_threads(self.num_threads);
-            f()
-        }
-        #[cfg(not(feature = "threads"))]
-        {
-            f()
-        }
+        let _guard = pool::install_threads(self.num_threads);
+        f()
     }
 
     /// The thread count the pool was configured with.
@@ -289,18 +247,14 @@ pub trait IndexedProducer: Producer {}
 
 /// Pick the grain size for an input of `len` items: roughly
 /// `len / (4 × threads)` — a few grains per thread so work stealing can
-/// balance uneven grains — clamped to the `with_min_len`/`with_max_len`
-/// hints.
-fn grain_size(len: usize, min_len: usize, max_len: usize) -> usize {
+/// balance uneven grains — but never below the `with_min_len` hint.
+fn grain_size(len: usize, min_len: usize) -> usize {
     let threads = current_num_threads().max(1);
-    let balanced = len.div_ceil(threads * 4).max(1);
-    let floor = min_len.max(1);
-    balanced.clamp(floor, max_len.max(floor))
+    len.div_ceil(threads * 4).max(min_len)
 }
 
 /// Split `p` into grains of at most `grain` items, run `map` on each grain,
 /// and fold the grain results **in order** with `combine`.
-#[cfg(feature = "threads")]
 fn map_reduce<P, T, M, C>(p: P, grain: usize, map: &M, combine: &C) -> T
 where
     P: Producer,
@@ -325,7 +279,6 @@ where
 }
 
 /// Write every item of `p` into `out` at its index, splitting in parallel.
-#[cfg(feature = "threads")]
 fn fill_slots<P>(p: P, grain: usize, out: &mut [std::mem::MaybeUninit<P::Item>])
 where
     P: IndexedProducer,
@@ -484,79 +437,6 @@ impl<'a, T: Send> Producer for SliceMutProducer<'a, T> {
 }
 
 impl<T: Send> IndexedProducer for SliceMutProducer<'_, T> {}
-
-/// Producer over `chunk_size`-sized pieces of `&[T]` (split indices are in
-/// chunk units).
-pub struct ChunksProducer<'a, T> {
-    slice: &'a [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Sync> Producer for ChunksProducer<'a, T> {
-    type Item = &'a [T];
-    type IntoIter = std::slice::Chunks<'a, T>;
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk_size)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let elem = (index * self.chunk_size).min(self.slice.len());
-        let (l, r) = self.slice.split_at(elem);
-        (
-            ChunksProducer {
-                slice: l,
-                chunk_size: self.chunk_size,
-            },
-            ChunksProducer {
-                slice: r,
-                chunk_size: self.chunk_size,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        self.slice.chunks(self.chunk_size)
-    }
-}
-
-impl<T: Sync> IndexedProducer for ChunksProducer<'_, T> {}
-
-/// Producer over `chunk_size`-sized mutable pieces of `&mut [T]`.
-pub struct ChunksMutProducer<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> Producer for ChunksMutProducer<'a, T> {
-    type Item = &'a mut [T];
-    type IntoIter = std::slice::ChunksMut<'a, T>;
-
-    fn len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk_size)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let elem = (index * self.chunk_size).min(self.slice.len());
-        let (l, r) = self.slice.split_at_mut(elem);
-        (
-            ChunksMutProducer {
-                slice: l,
-                chunk_size: self.chunk_size,
-            },
-            ChunksMutProducer {
-                slice: r,
-                chunk_size: self.chunk_size,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        self.slice.chunks_mut(self.chunk_size)
-    }
-}
-
-impl<T: Send> IndexedProducer for ChunksMutProducer<'_, T> {}
 
 // --- adaptor producers ------------------------------------------------------
 
@@ -986,74 +866,6 @@ impl<A: IndexedProducer, B: IndexedProducer> Producer for ZipProducer<A, B> {
 
 impl<A: IndexedProducer, B: IndexedProducer> IndexedProducer for ZipProducer<A, B> {}
 
-/// `cloned` adaptor.
-pub struct ClonedProducer<P> {
-    base: P,
-}
-
-impl<'a, T, P> Producer for ClonedProducer<P>
-where
-    T: Clone + Send + Sync + 'a,
-    P: Producer<Item = &'a T>,
-{
-    type Item = T;
-    type IntoIter = std::iter::Cloned<P::IntoIter>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (ClonedProducer { base: l }, ClonedProducer { base: r })
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        self.base.into_seq().cloned()
-    }
-}
-
-impl<'a, T, P> IndexedProducer for ClonedProducer<P>
-where
-    T: Clone + Send + Sync + 'a,
-    P: IndexedProducer<Item = &'a T>,
-{
-}
-
-/// `copied` adaptor.
-pub struct CopiedProducer<P> {
-    base: P,
-}
-
-impl<'a, T, P> Producer for CopiedProducer<P>
-where
-    T: Copy + Send + Sync + 'a,
-    P: Producer<Item = &'a T>,
-{
-    type Item = T;
-    type IntoIter = std::iter::Copied<P::IntoIter>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (CopiedProducer { base: l }, CopiedProducer { base: r })
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        self.base.into_seq().copied()
-    }
-}
-
-impl<'a, T, P> IndexedProducer for CopiedProducer<P>
-where
-    T: Copy + Send + Sync + 'a,
-    P: IndexedProducer<Item = &'a T>,
-{
-}
-
 // ---------------------------------------------------------------------------
 // ParIter: the user-facing pipeline handle.
 // ---------------------------------------------------------------------------
@@ -1064,14 +876,12 @@ where
 pub struct ParIter<P> {
     producer: P,
     min_len: usize,
-    max_len: usize,
 }
 
 fn par<P: Producer>(producer: P) -> ParIter<P> {
     ParIter {
         producer,
         min_len: 1,
-        max_len: usize::MAX,
     }
 }
 
@@ -1084,14 +894,10 @@ impl<P: Producer> ParIter<P> {
         C: Fn(T, T) -> T + Sync,
     {
         let len = self.producer.len();
-        let grain = grain_size(len, self.min_len, self.max_len);
-        #[cfg(feature = "threads")]
-        {
-            if pool::effective_threads() > 1 && len > grain {
-                return map_reduce(self.producer, grain, &map, &combine);
-            }
+        let grain = grain_size(len, self.min_len);
+        if pool::effective_threads() > 1 && len > grain {
+            return map_reduce(self.producer, grain, &map, &combine);
         }
-        let _ = (grain, &combine);
         map(self.producer)
     }
 
@@ -1111,7 +917,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1120,14 +925,12 @@ impl<P: Producer> ParIter<P> {
     where
         F: Fn(&P::Item) -> bool + Send + Sync,
     {
-        let (min_len, max_len) = (self.min_len, self.max_len);
         ParIter {
             producer: FilterProducer {
                 base: self.producer,
                 f,
             },
-            min_len,
-            max_len,
+            min_len: self.min_len,
         }
     }
 
@@ -1145,7 +948,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1165,7 +967,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1181,7 +982,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1197,7 +997,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1215,39 +1014,6 @@ impl<P: Producer> ParIter<P> {
         ParIter {
             producer,
             min_len: self.min_len,
-            max_len: self.max_len,
-        }
-    }
-
-    /// Clone out of `&T` items.
-    pub fn cloned<'a, T>(self) -> ParIter<ClonedProducer<P>>
-    where
-        T: Clone + Send + Sync + 'a,
-        P: Producer<Item = &'a T>,
-    {
-        let producer = ClonedProducer {
-            base: self.producer,
-        };
-        ParIter {
-            producer,
-            min_len: self.min_len,
-            max_len: self.max_len,
-        }
-    }
-
-    /// Copy out of `&T` items.
-    pub fn copied<'a, T>(self) -> ParIter<CopiedProducer<P>>
-    where
-        T: Copy + Send + Sync + 'a,
-        P: Producer<Item = &'a T>,
-    {
-        let producer = CopiedProducer {
-            base: self.producer,
-        };
-        ParIter {
-            producer,
-            min_len: self.min_len,
-            max_len: self.max_len,
         }
     }
 
@@ -1255,12 +1021,6 @@ impl<P: Producer> ParIter<P> {
     /// on the calling thread with no pool round-trip.
     pub fn with_min_len(mut self, min: usize) -> Self {
         self.min_len = min.max(1);
-        self
-    }
-
-    /// Never let one grain exceed `max` items.
-    pub fn with_max_len(mut self, max: usize) -> Self {
-        self.max_len = max.max(1);
         self
     }
 
@@ -1292,8 +1052,8 @@ impl<P: Producer> ParIter<P> {
 
     /// Reduce with an identity.  The identity closure may run **once per
     /// grain** (grain count varies with thread count and the
-    /// `with_min_len`/`with_max_len` hints), so it must produce a true
-    /// neutral element of `op`.
+    /// `with_min_len` hint), so it must produce a true neutral element of
+    /// `op`.
     pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> P::Item
     where
         ID: Fn() -> P::Item + Send + Sync,
@@ -1331,21 +1091,6 @@ impl<P: Producer> ParIter<P> {
         )
     }
 
-    /// Maximum item; ties keep the **last** (rightmost) occurrence, matching
-    /// `std::iter::Iterator::max` for every thread count.
-    pub fn max(self) -> Option<P::Item>
-    where
-        P::Item: Ord,
-    {
-        self.drive(
-            |grain| grain.into_seq().max(),
-            |left, right| match (left, right) {
-                (Some(l), Some(r)) => Some(if r >= l { r } else { l }),
-                (l, r) => l.or(r),
-            },
-        )
-    }
-
     /// Sum the items (partial sums are combined left to right).
     pub fn sum<S>(self) -> S
     where
@@ -1356,20 +1101,9 @@ impl<P: Producer> ParIter<P> {
             |left, right| std::iter::once(left).chain(std::iter::once(right)).sum(),
         )
     }
-
-    /// Number of items produced.
-    pub fn count(self) -> usize {
-        self.drive(|grain| grain.into_seq().count(), |a, b| a + b)
-    }
 }
 
 impl<P: IndexedProducer> ParIter<P> {
-    /// Exact number of items this indexed pipeline will produce.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.producer.len()
-    }
-
     /// Collect into `target`, reusing its allocation: the buffer is cleared
     /// and grown at most once, and each grain writes its items directly into
     /// the final positions.  With warm (pre-sized) buffers this performs no
@@ -1382,21 +1116,18 @@ impl<P: IndexedProducer> ParIter<P> {
         let len = self.producer.len();
         target.clear();
         target.reserve(len);
-        #[cfg(feature = "threads")]
-        {
-            let grain = grain_size(len, self.min_len, self.max_len);
-            if pool::effective_threads() > 1 && len > grain {
-                let spare = &mut target.spare_capacity_mut()[..len];
-                fill_slots(self.producer, grain, spare);
-                // SAFETY: `fill_slots` wrote every one of the `len` reserved
-                // slots exactly once (indexed producers yield exactly `len`
-                // items); on panic we never get here and `target` stays empty.
-                // analyze: allow(unsafe-whitelist): `set_len` after a fully
-                // initialized spare-capacity fill — the shim's zero-alloc
-                // collect path, justified by the SAFETY note above.
-                unsafe { target.set_len(len) };
-                return;
-            }
+        let grain = grain_size(len, self.min_len);
+        if pool::effective_threads() > 1 && len > grain {
+            let spare = &mut target.spare_capacity_mut()[..len];
+            fill_slots(self.producer, grain, spare);
+            // SAFETY: `fill_slots` wrote every one of the `len` reserved
+            // slots exactly once (indexed producers yield exactly `len`
+            // items); on panic we never get here and `target` stays empty.
+            // analyze: allow(unsafe-whitelist): `set_len` after a fully
+            // initialized spare-capacity fill — the shim's zero-alloc
+            // collect path, justified by the SAFETY note above.
+            unsafe { target.set_len(len) };
+            return;
         }
         target.extend(self.producer.into_seq());
     }
@@ -1537,45 +1268,10 @@ where
     }
 }
 
-/// Chunked iteration over shared slices, mirroring `rayon::slice::ParallelSlice`.
-pub trait ParallelSlice<T: Sync> {
-    /// Iterate over `chunk_size`-sized chunks (the last may be shorter).
-    fn par_chunks(&self, chunk_size: usize) -> ParIter<ChunksProducer<'_, T>>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParIter<ChunksProducer<'_, T>> {
-        assert!(chunk_size > 0, "chunk size must not be zero");
-        par(ChunksProducer {
-            slice: self,
-            chunk_size,
-        })
-    }
-}
-
-/// Chunked iteration over mutable slices, mirroring
-/// `rayon::slice::ParallelSliceMut`.
-pub trait ParallelSliceMut<T: Send> {
-    /// Iterate over `chunk_size`-sized mutable chunks (the last may be
-    /// shorter).
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>> {
-        assert!(chunk_size > 0, "chunk size must not be zero");
-        par(ChunksMutProducer {
-            slice: self,
-            chunk_size,
-        })
-    }
-}
-
 /// Everything call sites normally get from `rayon::prelude::*`.
 pub mod prelude {
     pub use crate::{
         IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParIter,
-        ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -1584,8 +1280,7 @@ mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Run `f` under an installed pool of `n` threads (no-op without the
-    /// `threads` feature, where everything is sequential anyway).
+    /// Run `f` under an installed pool of `n` threads.
     fn at_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
         let pool = super::ThreadPoolBuilder::new()
             .num_threads(n)
@@ -1637,7 +1332,7 @@ mod tests {
         let v = vec![3u64, 1, 4, 1, 5];
         let doubled: Vec<u64> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
-        assert_eq!(v.par_iter().copied().min(), Some(1));
+        assert_eq!(v.par_iter().map(|&x| x).min(), Some(1));
         let total: u64 = (0..10u64).into_par_iter().sum();
         assert_eq!(total, 45);
         assert_eq!((0..5usize).into_par_iter().reduce(|| 0, |a, b| a + b), 10);
@@ -1648,15 +1343,10 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_and_chunks() {
+    fn par_iter_mut_enumerate() {
         let mut v = vec![0usize; 10];
         v.par_iter_mut().enumerate().for_each(|(i, slot)| *slot = i);
         assert_eq!(v[9], 9);
-        let sums: Vec<usize> = v.par_chunks(3).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, vec![3, 12, 21, 9]);
-        v.par_chunks_mut(5).for_each(|c| c[0] = 100);
-        assert_eq!(v[0], 100);
-        assert_eq!(v[5], 100);
     }
 
     #[test]
@@ -1666,7 +1356,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(pool.install(|| 7), 7);
-        #[cfg(feature = "threads")]
         assert_eq!(pool.install(super::current_num_threads), 4);
     }
 
@@ -1683,26 +1372,19 @@ mod tests {
     }
 
     #[test]
-    fn min_max_tie_rules_are_thread_count_independent() {
+    fn min_tie_rule_is_thread_count_independent() {
         // Equal keys with distinct payloads expose the tie rule: min keeps
-        // the first occurrence, max the last, like std::iter.
+        // the first occurrence, like std::iter.
         let items: Vec<(u32, usize)> = (0..5000).map(|i| (0, i)).collect();
         for threads in [1, 2, 8] {
-            let (min, max) = at_threads(threads, || {
-                let min = items.par_iter().map(|&(k, _)| (k, ())).min();
-                let max = items.par_iter().map(|&(k, _)| (k, ())).max();
-                (min, max)
-            });
+            let min = at_threads(threads, || items.par_iter().map(|&(k, _)| (k, ())).min());
             assert_eq!(min, Some((0, ())), "threads {threads}");
-            assert_eq!(max, Some((0, ())), "threads {threads}");
         }
         // Payload-carrying comparison: total order makes ties impossible, so
-        // min/max agree exactly across thread counts.
+        // min agrees exactly across thread counts.
         for threads in [1, 2, 8] {
-            let min = at_threads(threads, || items.par_iter().copied().min());
+            let min = at_threads(threads, || items.par_iter().map(|&x| x).min());
             assert_eq!(min, Some((0, 0)), "threads {threads}");
-            let max = at_threads(threads, || items.par_iter().copied().max());
-            assert_eq!(max, Some((0, 4999)), "threads {threads}");
         }
     }
 
@@ -1711,7 +1393,7 @@ mod tests {
         let n = 8192usize;
         let calls = AtomicUsize::new(0);
         let sum = at_threads(8, || {
-            (0..n).into_par_iter().with_max_len(1024).reduce(
+            (0..n).into_par_iter().reduce(
                 || {
                     calls.fetch_add(1, Ordering::Relaxed);
                     0
@@ -1720,12 +1402,10 @@ mod tests {
             )
         });
         assert_eq!(sum, n * (n - 1) / 2);
-        // The identity ran at least once; under the threaded pool it runs
-        // once per grain (n / max_len = 8 grains here).
+        // The identity runs once per grain: n / (4 × 8) = 256 items per
+        // grain, so 32 grains here.
         let grains = calls.load(Ordering::Relaxed);
-        assert!(grains >= 1);
-        #[cfg(feature = "threads")]
-        assert!(grains >= 8, "expected >= 8 identity calls, got {grains}");
+        assert!(grains >= 32, "expected >= 32 identity calls, got {grains}");
     }
 
     #[test]
@@ -1818,7 +1498,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "threads")]
     fn panics_in_parallel_closures_propagate() {
         let result = std::panic::catch_unwind(|| {
             at_threads(4, || {

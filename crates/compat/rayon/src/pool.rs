@@ -1,4 +1,4 @@
-//! The worker pool behind the `threads` feature.
+//! The worker pool behind `join`, `scope` and the parallel iterators.
 //!
 //! A fixed set of detached worker threads executes *jobs* — boxed closures —
 //! scheduled through per-worker work-stealing deques plus a shared injector

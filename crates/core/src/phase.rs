@@ -1,6 +1,6 @@
 //! Phase-parallel driver.
 //!
-//! The phase-parallel framework (Shen et al. [81], adapted to DP in Sec. 2.3)
+//! The phase-parallel framework (Shen et al. \[81\], adapted to DP in Sec. 2.3)
 //! repeatedly identifies a frontier of mutually independent operations and
 //! processes it in parallel.  The driver below is deliberately thin: the whole
 //! difficulty of the paper lies in making `round()` cheap for each concrete

@@ -32,10 +32,8 @@
 //! Both parallel variants produce bit-identical grids (validated against each
 //! other and against the naive oracle in the tests).
 //!
-//! Alignment traceback is provided in two flavors: the grid-only
-//! [`try_reconstruct_gap_ops`] (`O(n·(n+m))` worst case), and the
-//! near-linear [`try_reconstruct_gap_ops_with_provenance`] driven by the
-//! two-bit-per-cell predecessor flags of [`sequential_gap_with_provenance`].
+//! [`try_reconstruct_gap_ops`] traces an optimal alignment back through any
+//! completed grid (`O(n·(n+m))` worst case).
 //!
 //! # The packed round
 //!
@@ -66,7 +64,7 @@ use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// A GAP problem instance: two strings plus the two block-deletion cost
-/// functions (given as [`GlwsProblem`]-style cost families over positions).
+/// functions (given as GLWS-style cost families `w(l, r)` over positions).
 pub struct GapInstance<'a, W1, W2> {
     /// First string (length `n`).
     pub a: &'a [u8],
@@ -325,37 +323,9 @@ impl ConvexDecisionList {
 }
 
 /// The optimized sequential algorithm `Γ_gap`: row-major evaluation with one
-/// [`ConvexDecisionList`] per column (for `P`) and one for the current row
+/// convex decision list per column (for `P`) and one for the current row
 /// (for `Q`).  Requires convex gap costs.  `O(nm log(n+m))` work.
 pub fn sequential_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    sequential_gap_impl(inst, None)
-}
-
-/// [`sequential_gap`] plus a [`GapProvenance`] record: two bits per cell
-/// remembering whether the column (`P`) and row (`Q`) candidates were tight
-/// at that cell.  The flags come for free (the candidates are evaluated
-/// anyway) and let [`try_reconstruct_gap_ops_with_provenance`] trace back in
-/// near-linear time instead of the grid-only scan's `O(n·(n+m))` worst case.
-pub fn sequential_gap_with_provenance<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-) -> (GapResult, GapProvenance)
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let mut prov = GapProvenance::new(inst.a.len(), inst.b.len());
-    let result = sequential_gap_impl(inst, Some(&mut prov));
-    (result, prov)
-}
-
-fn sequential_gap_impl<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-    mut prov: Option<&mut GapProvenance>,
-) -> GapResult
 where
     W1: Fn(usize, usize) -> i64 + Sync,
     W2: Fn(usize, usize) -> i64 + Sync,
@@ -381,11 +351,6 @@ where
                 let mut best = p.min(q);
                 if i > 0 && j > 0 && inst.matches(i, j) {
                     best = best.min(d[i - 1][j - 1]);
-                }
-                if let Some(prov) = prov.as_deref_mut() {
-                    // `P == best` iff some i' < i explains the value with a
-                    // gap in A, and symmetrically for `Q` (gap in B).
-                    prov.record(i, j, p == best, q == best);
                 }
                 best
             };
@@ -810,8 +775,7 @@ pub enum GapOp {
     },
 }
 
-/// Traceback failure: the grid is not a valid GAP DP grid for the instance
-/// (or the provenance record belongs to a different grid).
+/// Traceback failure: the grid is not a valid GAP DP grid for the instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapTracebackError {
     /// The grid is not `rows × cols` = `(n + 1) × (m + 1)`.
@@ -849,58 +813,6 @@ impl core::fmt::Display for GapTracebackError {
 
 impl std::error::Error for GapTracebackError {}
 
-/// Per-cell predecessor flags recorded by [`sequential_gap_with_provenance`]:
-/// two bits per grid cell (packed, `(n+1)(m+1)/4` bytes) saying whether the
-/// column candidate `P` (a gap in `A`) and/or the row candidate `Q` (a gap in
-/// `B`) attained the cell's final value.
-#[derive(Debug, Clone)]
-pub struct GapProvenance {
-    bits: Vec<u64>,
-    cols: usize,
-}
-
-impl GapProvenance {
-    fn new(n: usize, m: usize) -> Self {
-        let cells = (n + 1) * (m + 1);
-        GapProvenance {
-            bits: vec![0u64; (2 * cells).div_ceil(64)],
-            cols: m + 1,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, i: usize, j: usize) -> (usize, u32) {
-        let k = 2 * (i * self.cols + j);
-        (k >> 6, (k & 63) as u32)
-    }
-
-    #[inline]
-    fn record(&mut self, i: usize, j: usize, a_tight: bool, b_tight: bool) {
-        let (word, off) = self.slot(i, j);
-        self.bits[word] |= ((a_tight as u64) | ((b_tight as u64) << 1)) << off;
-    }
-
-    /// Did a gap in `A` (some `i' < i`) attain `d[i][j]`?  `false` outside
-    /// the recorded grid.
-    #[inline]
-    pub fn a_tight(&self, i: usize, j: usize) -> bool {
-        self.flags(i, j) & 1 != 0
-    }
-
-    /// Did a gap in `B` (some `j' < j`) attain `d[i][j]`?  `false` outside
-    /// the recorded grid.
-    #[inline]
-    pub fn b_tight(&self, i: usize, j: usize) -> bool {
-        self.flags(i, j) & 2 != 0
-    }
-
-    #[inline]
-    fn flags(&self, i: usize, j: usize) -> u64 {
-        let (word, off) = self.slot(i, j);
-        self.bits.get(word).map_or(0, |&w| (w >> off) & 3)
-    }
-}
-
 /// Check that `d` has the instance's `(n + 1) × (m + 1)` shape, so that a
 /// traceback indexes only inside it.
 fn check_grid_shape(d: &[Vec<i64>], n: usize, m: usize) -> Result<(), GapTracebackError> {
@@ -926,11 +838,7 @@ fn check_grid_shape(d: &[Vec<i64>], n: usize, m: usize) -> Result<(), GapTraceba
 /// telescope (their total length is the summed gap length, at most `n + m`),
 /// yet a cell whose value is explained only by the other string's gap — or
 /// by nothing, on a corrupted grid — pays a full `O(i)` or `O(j)` scan, so
-/// the worst case is `O(n·(n+m))`.  When the grid came from
-/// [`sequential_gap_with_provenance`], use
-/// [`try_reconstruct_gap_ops_with_provenance`] instead: the recorded flags
-/// pick the branch in `O(1)` and every scan then succeeds, making traceback
-/// `O(n + m)` overall.
+/// the worst case is `O(n·(n+m))`.
 pub fn try_reconstruct_gap_ops<W1, W2>(
     inst: &GapInstance<'_, W1, W2>,
     d: &[Vec<i64>],
@@ -957,58 +865,6 @@ where
             j = jp;
         } else {
             return Err(GapTracebackError::Unexplained { i, j, value: cur });
-        }
-    }
-    ops.reverse();
-    Ok(ops)
-}
-
-/// Near-linear traceback using the provenance flags recorded by
-/// [`sequential_gap_with_provenance`]: the branch (match / gap in `A` / gap
-/// in `B`) is decided in `O(1)` per op from the flags — with the identical
-/// match-first, then-`A`, then-`B` priority as [`try_reconstruct_gap_ops`], since
-/// `a_tight` holds exactly when the grid-only scan would find an `i'` — and
-/// the nearest-first predecessor scans are then guaranteed to succeed, so
-/// their lengths telescope to the summed gap length: `O(n + m)` total.
-///
-/// Errors if `d` and `prov` are inconsistent with the instance (e.g. a
-/// corrupted grid, or provenance recorded for a different grid).
-pub fn try_reconstruct_gap_ops_with_provenance<W1, W2>(
-    inst: &GapInstance<'_, W1, W2>,
-    d: &[Vec<i64>],
-    prov: &GapProvenance,
-) -> Result<Vec<GapOp>, GapTracebackError>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let (n, m) = (inst.a.len(), inst.b.len());
-    check_grid_shape(d, n, m)?;
-    let (mut i, mut j) = (n, m);
-    let mut ops = Vec::new();
-    while i > 0 || j > 0 {
-        let cur = d[i][j];
-        let err = GapTracebackError::Unexplained { i, j, value: cur };
-        if i > 0 && j > 0 && inst.matches(i, j) && d[i - 1][j - 1] == cur {
-            ops.push(GapOp::Match { i, j });
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && prov.a_tight(i, j) {
-            let ip = (0..i)
-                .rev()
-                .find(|&ip| d[ip][j] + (inst.w1)(ip, i) == cur)
-                .ok_or(err)?;
-            ops.push(GapOp::GapA { l: ip, r: i });
-            i = ip;
-        } else if j > 0 && prov.b_tight(i, j) {
-            let jp = (0..j)
-                .rev()
-                .find(|&jp| d[i][jp] + (inst.w2)(jp, j) == cur)
-                .ok_or(err)?;
-            ops.push(GapOp::GapB { l: jp, r: j });
-            j = jp;
-        } else {
-            return Err(err);
         }
     }
     ops.reverse();
@@ -1348,37 +1204,11 @@ mod tests {
     }
 
     #[test]
-    fn provenance_traceback_matches_grid_only_traceback() {
-        // The provenance flags must pick exactly the branch the grid-only
-        // scan would (match first, then shortest A-gap, then shortest
-        // B-gap), so the op sequences are identical — including instances
-        // dominated by one-sided gaps and by matches.
-        for (na, nb, alpha, seed) in [
-            (24usize, 19usize, 3u64, 1u64),
-            (30, 30, 1, 2),
-            (15, 40, 6, 3),
-        ] {
-            let a = pseudo_string(na, seed, alpha);
-            let b = pseudo_string(nb, seed + 7, alpha);
-            let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-            let (res, prov) = sequential_gap_with_provenance(&inst);
-            assert_eq!(
-                res.d,
-                sequential_gap(&inst).d,
-                "provenance must not change the DP"
-            );
-            let plain = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
-            let fast = try_reconstruct_gap_ops_with_provenance(&inst, &res.d, &prov).unwrap();
-            assert_eq!(plain, fast, "na {na} nb {nb} alpha {alpha}");
-        }
-    }
-
-    #[test]
     fn corrupted_grid_reports_the_bad_cell_instead_of_panicking() {
         let a = pseudo_string(12, 5, 3);
         let b = pseudo_string(10, 6, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-        let (res, prov) = sequential_gap_with_provenance(&inst);
+        let res = sequential_gap(&inst);
         let mut bad = res.d.clone();
         bad[a.len()][b.len()] -= 1; // no predecessor can explain this value
         let err = try_reconstruct_gap_ops(&inst, &bad).unwrap_err();
@@ -1391,7 +1221,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("not a valid GAP DP grid"));
-        assert!(try_reconstruct_gap_ops_with_provenance(&inst, &bad, &prov).is_err());
         // The intact grid still reconstructs.
         assert!(try_reconstruct_gap_ops(&inst, &res.d).is_ok());
     }
@@ -1453,7 +1282,7 @@ mod tests {
         let a = pseudo_string(12, 5, 3);
         let b = pseudo_string(10, 6, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-        let (res, prov) = sequential_gap_with_provenance(&inst);
+        let res = sequential_gap(&inst);
         let (n, m) = (a.len(), b.len());
         let (mut short, mut tall, mut ragged_first, mut ragged_last) =
             (res.d.clone(), res.d.clone(), res.d.clone(), res.d.clone());
@@ -1467,21 +1296,8 @@ mod tests {
         };
         for d in [short, tall, Vec::new(), ragged_first, ragged_last] {
             assert_eq!(try_reconstruct_gap_ops(&inst, &d), Err(want));
-            assert_eq!(
-                try_reconstruct_gap_ops_with_provenance(&inst, &d, &prov),
-                Err(want)
-            );
         }
         assert!(want.to_string().starts_with("not a valid GAP DP grid"));
-        // Provenance recorded for a smaller grid reads as "no flags" beyond
-        // its end, so the traceback fails on a cell instead of panicking.
-        let small = convex_gap_instance(&a[..3], &b[..2], 4, 1, 1);
-        let (_, small_prov) = sequential_gap_with_provenance(&small);
-        let err = try_reconstruct_gap_ops_with_provenance(&inst, &res.d, &small_prov);
-        assert!(
-            matches!(err, Err(GapTracebackError::Unexplained { .. })),
-            "{err:?}"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! are computed one cordon round at a time, and each round is a static
 //! matrix-searching problem on a totally monotone matrix.  Each layer is
 //! solved here with the practical divide-and-conquer (`O(n log n)` work,
-//! `O(log² n)` span per layer — Apostolico et al. [6], also the structure of
+//! `O(log² n)` span per layer — Apostolico et al. \[6\], also the structure of
 //! `FindIntervals` in Alg. 1), giving `O(k·n log n)` work and `O(k log² n)`
 //! span in total, a perfect parallelization of the classic sequential
 //! algorithm.

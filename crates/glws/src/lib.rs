@@ -21,8 +21,6 @@
 //!   algorithm,
 //! * [`convex`]: the parallel convex GLWS (Algorithm 1, Theorem 4.1),
 //! * [`concave`]: the parallel concave GLWS (Sec. 4.3, Theorem 4.2),
-//! * [`smawk`]: the SMAWK row-minima algorithm (sequential `O(n)`), a
-//!   standalone primitive that no solver here calls,
 //! * [`kglws`]: the fixed-cluster-count variant (Sec. 5.4).
 
 #![forbid(unsafe_code)]
@@ -37,7 +35,6 @@ pub mod cost;
 pub mod kglws;
 pub mod naive;
 pub mod seq;
-pub mod smawk;
 
 pub use best::BestDecisionArray;
 pub use concave::{parallel_concave_glws, ConcaveGlwsCordon};
@@ -48,7 +45,6 @@ pub use cost::{
 pub use kglws::{naive_kglws, parallel_kglws, KGlwsCordon, KGlwsResult};
 pub use naive::naive_glws;
 pub use seq::{sequential_concave_glws, sequential_convex_glws};
-pub use smawk::smawk_row_minima;
 
 use pardp_parutils::Metrics;
 

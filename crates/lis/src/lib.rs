@@ -11,7 +11,7 @@
 //!   ready states are exactly the prefix-minimum elements of the remaining
 //!   sequence (their DP value is `r`), and a tournament tree extracts and
 //!   removes them in `O(l log(n/l))` work per round.  This is the
-//!   parallelization of [47] the paper derives in Sec. 3; the number of rounds
+//!   parallelization of \[47\] the paper derives in Sec. 3; the number of rounds
 //!   equals the LIS length `k`, matching the `O(k log n)` span bound.
 
 #![forbid(unsafe_code)]

@@ -22,12 +22,13 @@
 //!   cordon of `pardp-obst` computes the optimal tree in `n - 1` rounds, and
 //!   the split-point table reconstructs the leaf depths.
 //! * [`parallel_oat_valley`] — the polylog-round construction of Theorem 5.1
-//!   (the [`valley`] module): the Cartesian-tree valley decomposition of
-//!   Larmore et al. [72] splits the weight sequence around its local minima,
-//!   and weight-doubling rounds replay independent Garsia–Wachs combines in
-//!   parallel across valley slopes, finishing in `O(log W)` rounds instead
-//!   of `n - 1`.  [`parallel_oat_auto`] routes tiny inputs back to the
-//!   interval cordon via [`oat_cordon_auto`].
+//!   (the [`valley`] module): each weight-doubling round splits the current
+//!   sequence into its maximal nondecreasing runs (the ascending valley
+//!   slopes around its local minima; no Cartesian tree is built) and replays
+//!   independent Garsia–Wachs combines in parallel across the runs,
+//!   finishing in `O(log W)` rounds instead of `n - 1`.
+//!   [`parallel_oat_auto`] routes tiny inputs back to the interval cordon via
+//!   [`oat_cordon_auto`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +38,8 @@
 pub mod valley;
 
 pub use valley::{
-    cartesian_tree, oat_cordon_auto, parallel_oat_auto, parallel_oat_valley, valley_decomposition,
-    CartesianTree, IntervalOatCordon, OatLayout, Valley, ValleyOatCordon, OAT_VALLEY_MIN_N,
+    oat_cordon_auto, parallel_oat_auto, parallel_oat_valley, IntervalOatCordon, OatLayout,
+    ValleyOatCordon, OAT_VALLEY_MIN_N,
 };
 
 use pardp_core::run_phase_parallel;

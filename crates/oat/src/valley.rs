@@ -1,21 +1,22 @@
-//! Polylog-round OAT construction (Theorem 5.1): Cartesian-tree valley
-//! decomposition plus weight-doubling combine rounds.
+//! Polylog-round OAT construction (Theorem 5.1): weight-doubling combine
+//! rounds over the ascending runs of the current sequence.
 //!
 //! The interval cordon of [`crate::parallel_oat`] needs `n - 1` rounds — one
 //! per diagonal of the Knuth table.  Theorem 5.1 instead parallelizes the
 //! Garsia–Wachs *combine* process itself (Appendix A): the weight sequence
-//! decomposes into **valleys** around its local minima (the leaves of the
-//! max-rooted [Cartesian tree](cartesian_tree) of the sequence), and combines
-//! in different valleys are independent because a combined package is
-//! reinserted before the nearest larger element, which never crosses a
-//! bounding wall that exceeds the package weight.
+//! falls into **valleys** around its local minima, bounded by larger
+//! elements (walls), and combines in different valleys are independent
+//! because a combined package is reinserted before the nearest larger
+//! element, which never crosses a wall that exceeds the package weight.
 //!
 //! [`ValleyOatCordon`] batches those independent combines into
-//! weight-doubling rounds.  Each round:
+//! weight-doubling rounds.  It builds no Cartesian tree and no valley list
+//! up front: each round reads the valleys off the current sequence.  Each
+//! round:
 //!
 //! 1. picks a threshold `T = max(2·T_prev, 2^⌈log₂ min-2-sum⌉)`, so at least
 //!    one pair is always eligible and `T` at least doubles per round;
-//! 2. splits the working sequence into maximal nondecreasing runs (the
+//! 2. splits the current sequence into maximal nondecreasing runs (the
 //!    ascending slopes of the current valleys) and, **in parallel per run**,
 //!    replays verbatim Garsia–Wachs steps on the run's front pair: a combine
 //!    fires only while the pair's 2-sum is at most `T`, the left wall still
@@ -38,7 +39,7 @@
 //!
 //! The paper reaches the same round bound by phrasing each valley's schedule
 //! as a least-weight-subsequence instance for the parallel LWS engine of
-//! `pardp-glws` (Larmore et al. [72]); this driver keeps the engine contract
+//! `pardp-glws` (Larmore et al. \[72\]); this driver keeps the engine contract
 //! (`run_phase_parallel`, metrics, stall guards, `round_budget`) but derives
 //! the rounds directly from the doubling thresholds, trading the LWS oracle
 //! for combine steps that are individually checkable against the sequential
@@ -53,114 +54,6 @@ use pardp_obst::ObstCordon;
 use pardp_parutils::{par_map, MetricsCollector};
 
 use crate::OatResult;
-
-/// Max-rooted Cartesian tree of a weight sequence: heap-ordered by weight
-/// (ties resolved leftward), in-order traversal yields the original indices.
-///
-/// Its leaves are exactly the local minima of the sequence — the valley
-/// bottoms of the decomposition — and each node's ancestors are the
-/// nearest-greater elements on either side.
-#[derive(Debug, Clone)]
-pub struct CartesianTree {
-    /// Index of the maximum element (leftmost on ties); 0 when empty.
-    pub root: usize,
-    /// Left child per index, `-1` if none.
-    pub left: Vec<isize>,
-    /// Right child per index, `-1` if none.
-    pub right: Vec<isize>,
-    /// Parent per index, `-1` for the root.
-    pub parent: Vec<isize>,
-}
-
-/// Build the max-rooted Cartesian tree with the classic O(n) stack
-/// construction.  On equal weights the left element wins (stays the
-/// ancestor), matching the strict-descent run boundaries used by the cordon.
-pub fn cartesian_tree(weights: &[u64]) -> CartesianTree {
-    let n = weights.len();
-    let mut left = vec![-1isize; n];
-    let mut right = vec![-1isize; n];
-    let mut parent = vec![-1isize; n];
-    let mut stack: Vec<usize> = Vec::new();
-    for i in 0..n {
-        let mut last: isize = -1;
-        while let Some(&top) = stack.last() {
-            if weights[top] < weights[i] {
-                stack.pop();
-                last = top as isize;
-            } else {
-                break;
-            }
-        }
-        if last >= 0 {
-            left[i] = last;
-            parent[last as usize] = i as isize;
-        }
-        if let Some(&top) = stack.last() {
-            right[top] = i as isize;
-            parent[i] = top as isize;
-        }
-        stack.push(i);
-    }
-    CartesianTree {
-        root: stack.first().copied().unwrap_or(0),
-        left,
-        right,
-        parent,
-    }
-}
-
-/// One valley of the decomposition: the basin around a local minimum,
-/// bounded by the nearest strictly larger elements (walls) on either side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Valley {
-    /// First index of the valley interior (wall excluded).
-    pub lo: usize,
-    /// Last index of the valley interior, inclusive (wall excluded).
-    pub hi: usize,
-    /// The local minimum — a leaf of the Cartesian tree.
-    pub bottom: usize,
-    /// The smaller bounding-wall weight: a combined package heavier than
-    /// this escapes the valley on reinsertion (`u64::MAX` at sequence ends).
-    pub cap: u64,
-}
-
-/// Decompose the sequence into valleys by walking up from each Cartesian-tree
-/// leaf to its nearest bounding ancestor on each side.  Interiors of distinct
-/// valleys are disjoint; walls (local maxima) belong to no valley.
-pub fn valley_decomposition(weights: &[u64], tree: &CartesianTree) -> Vec<Valley> {
-    let n = weights.len();
-    let mut out = Vec::new();
-    for v in 0..n {
-        if tree.left[v] >= 0 || tree.right[v] >= 0 {
-            continue;
-        }
-        let mut left_wall = None;
-        let mut right_wall = None;
-        let mut child = v as isize;
-        let mut p = tree.parent[v];
-        while p >= 0 && (left_wall.is_none() || right_wall.is_none()) {
-            let pu = p as usize;
-            if tree.right[pu] == child {
-                if left_wall.is_none() {
-                    left_wall = Some(pu);
-                }
-            } else if right_wall.is_none() {
-                right_wall = Some(pu);
-            }
-            child = p;
-            p = tree.parent[pu];
-        }
-        let cap_l = left_wall.map_or(u64::MAX, |w| weights[w]);
-        let cap_r = right_wall.map_or(u64::MAX, |w| weights[w]);
-        out.push(Valley {
-            lo: left_wall.map_or(0, |w| w + 1),
-            hi: right_wall.map_or(n - 1, |w| w - 1),
-            bottom: v,
-            cap: cap_l.min(cap_r),
-        });
-    }
-    out
-}
 
 /// Cost and per-leaf depths of an optimal alphabetic tree — the common
 /// output of the valley and interval OAT cordons (the driver owns the
@@ -249,21 +142,13 @@ pub struct ValleyOatCordon {
     children: Vec<(isize, isize)>,
     threshold: u64,
     stitched: Vec<Item>,
-    initial_valleys: Vec<Valley>,
 }
 
 impl ValleyOatCordon {
-    /// Build the cordon: Cartesian tree, initial valley decomposition, and
-    /// the leaf sequence.
+    /// Build the cordon: the leaf sequence and the buffers the rounds reuse.
     pub fn new(weights: &[u64]) -> Self {
         let n = weights.len();
         assert!(n < u32::MAX as usize, "sequence too long for packed runs");
-        let initial_valleys = if n >= 2 {
-            let tree = cartesian_tree(weights);
-            valley_decomposition(weights, &tree)
-        } else {
-            Vec::new()
-        };
         let seq = weights
             .iter()
             .enumerate()
@@ -278,13 +163,7 @@ impl ValleyOatCordon {
             children: Vec::with_capacity(n.saturating_sub(1)),
             threshold: 0,
             stitched: Vec::with_capacity(n),
-            initial_valleys,
         }
-    }
-
-    /// The valley decomposition of the input sequence (before any combines).
-    pub fn initial_valleys(&self) -> &[Valley] {
-        &self.initial_valleys
     }
 }
 
@@ -581,68 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn cartesian_tree_is_heap_ordered_with_inorder_identity() {
-        for seed in 0..6 {
-            let w = pseudo_weights(200, seed, 12); // many ties
-            let t = cartesian_tree(&w);
-            // Heap order, ties leftward: parent weight >= child; equal only
-            // when the child lies right of the parent.
-            for v in 0..w.len() {
-                let p = t.parent[v];
-                if p < 0 {
-                    assert_eq!(v, t.root);
-                    continue;
-                }
-                let pu = p as usize;
-                assert!(w[pu] >= w[v], "heap order violated at {v}");
-                if w[pu] == w[v] {
-                    assert!(pu < v, "equal weights must keep the left element higher");
-                }
-                assert!(
-                    t.left[pu] == v as isize || t.right[pu] == v as isize,
-                    "parent/child links disagree"
-                );
-            }
-            // In-order traversal must yield 0..n.
-            let mut order = Vec::with_capacity(w.len());
-            let mut stack = Vec::new();
-            let mut cur = t.root as isize;
-            while cur >= 0 || !stack.is_empty() {
-                while cur >= 0 {
-                    stack.push(cur as usize);
-                    cur = t.left[cur as usize];
-                }
-                let v = stack.pop().unwrap();
-                order.push(v);
-                cur = t.right[v];
-            }
-            assert_eq!(order, (0..w.len()).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn valleys_are_disjoint_basins_around_local_minima() {
-        for seed in 0..6 {
-            let w = pseudo_weights(300, seed, 40);
-            let t = cartesian_tree(&w);
-            let valleys = valley_decomposition(&w, &t);
-            assert!(!valleys.is_empty());
-            for v in &valleys {
-                assert!(v.lo <= v.bottom && v.bottom <= v.hi);
-                for i in v.lo..=v.hi {
-                    assert!(w[i] <= v.cap, "interior element above the wall cap");
-                }
-            }
-            for pair in valleys.windows(2) {
-                assert!(
-                    pair[0].hi < pair[1].lo,
-                    "valley interiors must be disjoint and ordered"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn valley_matches_oracles_on_small_inputs() {
         for seed in 0..8 {
             for &n in &[0usize, 1, 2, 3, 4, 5, 8, 13, 20, 40, 90, 150] {
@@ -725,17 +542,5 @@ mod tests {
             let w = pseudo_weights(n, 9, 64);
             assert_eq!(parallel_oat_auto(&w).cost, interval_dp_oat(&w));
         }
-    }
-
-    #[test]
-    fn initial_valleys_are_exposed() {
-        let w = vec![5u64, 3, 4, 9, 2, 2, 6];
-        let cordon = ValleyOatCordon::new(&w);
-        let valleys = cordon.initial_valleys();
-        assert!(!valleys.is_empty());
-        // Local minimum at index 1 (5 > 3 < 4); on the 2,2 plateau the tie
-        // rule keeps the left element as the wall, so the leaf is index 5.
-        assert!(valleys.iter().any(|v| v.bottom == 1));
-        assert!(valleys.iter().any(|v| v.bottom == 5 && v.lo == 5));
     }
 }

@@ -56,37 +56,18 @@ impl Metrics {
         self.frontier_sizes.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean frontier size over all rounds (0.0 when no rounds ran).
-    pub fn mean_frontier(&self) -> f64 {
-        if self.frontier_sizes.is_empty() {
-            0.0
-        } else {
-            self.frontier_sizes.iter().sum::<u64>() as f64 / self.frontier_sizes.len() as f64
-        }
-    }
-
     /// Nearest-rank percentile of the per-round frontier sizes (`p` in
     /// `0.0..=100.0`; 0 when no rounds ran).  `frontier_percentile(50.0)` is
     /// the median round width, `frontier_percentile(100.0) == max_frontier()`
     /// — the frontier-shape summary the benchmark harness prints.
     pub fn frontier_percentile(&self, p: f64) -> u64 {
-        self.frontier_percentiles(&[p])[0]
-    }
-
-    /// Nearest-rank percentiles for several `p` values at once, sorting the
-    /// frontier log a single time (0 for every entry when no rounds ran).
-    pub fn frontier_percentiles(&self, ps: &[f64]) -> Vec<u64> {
         if self.frontier_sizes.is_empty() {
-            return vec![0; ps.len()];
+            return 0;
         }
         let mut sorted = self.frontier_sizes.clone();
         sorted.sort_unstable();
-        ps.iter()
-            .map(|p| {
-                let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-                sorted[rank.clamp(1, sorted.len()) - 1]
-            })
-            .collect()
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
     }
 }
 
@@ -297,7 +278,6 @@ mod tests {
         assert_eq!(m.states_finalized, 9);
         assert_eq!(m.frontier_sizes, vec![3, 5, 1]);
         assert_eq!(m.max_frontier(), 5);
-        assert!((m.mean_frontier() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -305,12 +285,11 @@ mod tests {
         let c = MetricsCollector::new();
         assert_eq!(c.snapshot(), Metrics::default());
         assert_eq!(c.snapshot().max_frontier(), 0);
-        assert_eq!(c.snapshot().mean_frontier(), 0.0);
         assert_eq!(c.snapshot().frontier_percentile(50.0), 0);
     }
 
     #[test]
-    fn frontier_percentiles_use_nearest_rank() {
+    fn frontier_percentile_uses_nearest_rank() {
         let m = Metrics {
             frontier_sizes: vec![5, 1, 9, 3, 7],
             ..Metrics::default()
@@ -320,12 +299,7 @@ mod tests {
         assert_eq!(m.frontier_percentile(50.0), 5);
         assert_eq!(m.frontier_percentile(90.0), 9);
         assert_eq!(m.frontier_percentile(100.0), m.max_frontier());
-        // The batched form sorts once and agrees entry-wise.
-        assert_eq!(m.frontier_percentiles(&[20.0, 50.0, 90.0]), vec![1, 5, 9]);
-        assert_eq!(
-            Metrics::default().frontier_percentiles(&[50.0, 99.0]),
-            vec![0, 0]
-        );
+        assert_eq!(Metrics::default().frontier_percentile(99.0), 0);
     }
 
     #[test]

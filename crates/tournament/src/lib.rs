@@ -1,7 +1,7 @@
 //! Tournament (winner) tree with batched prefix-minimum extraction.
 //!
 //! This is the data structure behind the parallel LIS and sparse-LCS cordon
-//! algorithms (Sec. 3 of the paper, following Gu et al. [47]).  The tree is
+//! algorithms (Sec. 3 of the paper, following Gu et al. \[47\]).  The tree is
 //! built once over the whole input sequence; each cordon round extracts — and
 //! removes — every *prefix-minimum record*, i.e. every still-active element
 //! that is not blocked by any smaller active element to its left.  Extracting
@@ -12,9 +12,9 @@
 //! # Layout
 //!
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
-//! [`BLOCK`] consecutive positions, and every block has the same shape — its
-//! leaf keys, cut into chunks of [`CHUNK`], and a flat implicit heap of
-//! [`HEAP`] slots over the chunk minima (`node v`'s children at `2v`/`2v+1`,
+//! `BLOCK` consecutive positions, and every block has the same shape — its
+//! leaf keys, cut into chunks of `CHUNK`, and a flat implicit heap of
+//! `HEAP` slots over the chunk minima (`node v`'s children at `2v`/`2v+1`,
 //! chunk `c`'s minimum at `CHUNKS + c`).  The tree keeps one buffer of leaf
 //! blocks and one of heaps, built in parallel straight from the caller's
 //! keys; the last block is padded with empty slots.  A small flat *summary
@@ -466,17 +466,6 @@ impl<K: Key> TournamentTree<K> {
         self.len == 0
     }
 
-    /// Number of still-active (not yet extracted) elements.
-    pub fn active_count(&self) -> usize {
-        self.active
-    }
-
-    /// Minimum key among the active elements, if any.
-    pub fn min_active(&self) -> Option<K> {
-        let min = self.summary[1];
-        (min != K::MAX).then(|| self.remap.load(min))
-    }
-
     /// Walk the summary heap, collecting every block whose minimum is a
     /// record under its carry (exactly the blocks containing ≥ 1 record)
     /// into `self.touched`, in increasing block order.  Uses the pre-round
@@ -733,7 +722,6 @@ mod tests {
             assert_eq!(&got, want, "round {round} mismatch for {keys:?}");
         }
         assert!(tree.extract_prefix_minima().is_empty());
-        assert_eq!(tree.active_count(), 0);
 
         let metrics = MetricsCollector::new();
         let mut cordon = StaircaseCordon::new(keys.len(), |i| keys[i], rule);
@@ -959,7 +947,6 @@ mod tests {
         let mut t: TournamentTree<u64> = tree_over(&[], TieRule::TiesAreRecords);
         assert!(t.is_empty());
         assert!(t.extract_prefix_minima().is_empty());
-        assert_eq!(t.min_active(), None);
         let mut t = tree_over(&[42u64], TieRule::TiesAreRecords);
         assert_eq!(t.extract_prefix_minima(), vec![(0, 42)]);
         assert!(t.extract_prefix_minima().is_empty());
@@ -976,23 +963,6 @@ mod tests {
             check_against_oracle(&keys, TieRule::TiesAreRecords);
             check_against_oracle(&keys, TieRule::TiesBlocked);
         }
-    }
-
-    #[test]
-    fn min_active_tracks_extractions() {
-        // The top two keys are stored moved down by one and read back as
-        // given.
-        let keys = [9u64, 2, 7, 4, u64::MAX - 1, u64::MAX];
-        let mut tree = tree_over(&keys, TieRule::TiesAreRecords);
-        assert_eq!(tree.min_active(), Some(2));
-        tree.extract_prefix_minima(); // removes 9 and 2
-        assert_eq!(tree.min_active(), Some(4));
-        tree.extract_prefix_minima(); // removes 7 and 4
-        assert_eq!(tree.min_active(), Some(u64::MAX - 1));
-        tree.extract_prefix_minima(); // removes u64::MAX - 1
-        assert_eq!(tree.min_active(), Some(u64::MAX));
-        tree.extract_prefix_minima();
-        assert_eq!(tree.min_active(), None);
     }
 
     #[test]
@@ -1027,6 +997,5 @@ mod tests {
             assert!(rounds <= n, "cannot need more rounds than elements");
         }
         assert_eq!(total, n);
-        assert_eq!(tree.active_count(), 0);
     }
 }

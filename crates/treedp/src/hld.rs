@@ -92,95 +92,6 @@ impl HeavyLightDecomposition {
     }
 }
 
-/// `O(n)` structural probe of a rooted tree, computed *without* building the
-/// full [`HeavyLightDecomposition`]: one reverse pass finds subtree sizes and
-/// heavy children, one forward pass accumulates depths and heavy-path
-/// lengths.  The shape-adaptive Tree-GLWS router
-/// ([`crate::choose_tree_glws_strategy`]) reads these numbers to decide
-/// whether the `O(log² n)`-per-node envelope machinery will beat the
-/// `O(depth)`-per-node ancestor rescan on this particular tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeShapeStats {
-    /// Number of non-root nodes.
-    pub n: usize,
-    /// Edge height of the tree (0 for a lone root).
-    pub height: usize,
-    /// Sum of all non-root node depths — i.e. the exact number of ancestor
-    /// probes the baseline cordon will spend.
-    pub total_depth: u64,
-    /// Number of heavy paths (1 for a lone root: the root's own path).
-    pub heavy_paths: usize,
-    /// Node count of the longest heavy path.
-    pub max_heavy_path: usize,
-}
-
-impl TreeShapeStats {
-    /// Probe the tree described by `parent` (`parent[0]` is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some `parent[v] >= v`, the invariant every
-    /// [`crate::TreeGlwsInstance`] already enforces.
-    pub fn new(parent: &[usize]) -> Self {
-        let n = parent.len() - 1;
-        let mut subtree = vec![1u32; n + 1];
-        let mut heavy = vec![u32::MAX; n + 1];
-        let mut heavy_size = vec![0u32; n + 1];
-        for v in (1..=n).rev() {
-            let p = parent[v];
-            assert!(p < v, "parents must precede children");
-            subtree[p] += subtree[v];
-            if subtree[v] > heavy_size[p] {
-                heavy_size[p] = subtree[v];
-                heavy[p] = v as u32;
-            }
-        }
-        let mut depth = vec![0u32; n + 1];
-        // Heavy-path position of each node, reusing the subtree buffer.
-        let pos = &mut subtree;
-        pos[0] = 0;
-        let mut height = 0usize;
-        let mut total_depth = 0u64;
-        let mut heavy_paths = 1usize; // the root's own path
-        let mut max_heavy_path = 1usize;
-        for v in 1..=n {
-            let p = parent[v];
-            depth[v] = depth[p] + 1;
-            height = height.max(depth[v] as usize);
-            total_depth += depth[v] as u64;
-            if heavy[p] == v as u32 {
-                pos[v] = pos[p] + 1;
-                max_heavy_path = max_heavy_path.max(pos[v] as usize + 1);
-            } else {
-                pos[v] = 0;
-                heavy_paths += 1;
-            }
-        }
-        TreeShapeStats {
-            n,
-            height,
-            total_depth,
-            heavy_paths,
-            max_heavy_path,
-        }
-    }
-
-    /// Mean depth of the non-root nodes — the baseline cordon's per-node
-    /// ancestor-probe count (0.0 for a lone root).
-    pub fn avg_depth(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.total_depth as f64 / self.n as f64
-        }
-    }
-
-    /// Mean heavy-path node count.
-    pub fn avg_heavy_path(&self) -> f64 {
-        (self.n + 1) as f64 / self.heavy_paths as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,46 +187,6 @@ mod tests {
             let segments = hld.ancestor_segments(&parent, v).count();
             assert!(segments <= bound, "v {v}: {segments} segments > {bound}");
         }
-    }
-
-    #[test]
-    fn shape_stats_match_the_full_decomposition() {
-        let mut state = 0xC0FFEEu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n in [0usize, 1, 2, 33, 500] {
-            let mut parent = vec![0usize; n + 1];
-            for (v, p) in parent.iter_mut().enumerate().skip(2) {
-                *p = (next() % v as u64) as usize;
-            }
-            let stats = TreeShapeStats::new(&parent);
-            let hld = HeavyLightDecomposition::new(&parent);
-            assert_eq!(stats.n, n);
-            assert_eq!(stats.height, hld.height(), "n {n}");
-            assert_eq!(
-                stats.total_depth,
-                hld.depth.iter().map(|&d| d as u64).sum::<u64>(),
-                "n {n}"
-            );
-            let heads = (0..=n).filter(|&v| hld.head[v] == v).count();
-            assert_eq!(stats.heavy_paths, heads, "n {n}");
-            let longest = (0..=n).map(|v| hld.pos[v] + 1).max().unwrap();
-            assert_eq!(stats.max_heavy_path, longest, "n {n}");
-        }
-        // A path: one heavy path holding every node; a star: n singleton
-        // paths plus the root + heavy leaf.
-        let stats = TreeShapeStats::new(&path(40));
-        assert_eq!(stats.heavy_paths, 1);
-        assert_eq!(stats.max_heavy_path, 41);
-        assert_eq!(stats.avg_depth(), 20.5);
-        let stats = TreeShapeStats::new(&[0usize; 21]);
-        assert_eq!(stats.heavy_paths, 20);
-        assert_eq!(stats.max_heavy_path, 2);
-        assert_eq!(stats.avg_depth(), 1.0);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //!   transition cost must be convex or concave along root paths (declared via
 //!   [`CostShape`]); the baseline cordon is kept as the shape-oblivious
 //!   oracle and the ablation partner,
-//! * [`parallel_tree_glws_auto`] — the **shape-adaptive router**: an `O(n)`
-//!   [`hld::TreeShapeStats`] probe compares the tree's average ancestor-chain
-//!   length against the envelope machinery's polylog per-node estimate and
-//!   runs whichever cordon is predicted cheaper
-//!   ([`choose_tree_glws_strategy`]).  Deep shapes (paths, caterpillars) get
-//!   the work-efficient envelopes; shallow bushy shapes skip the `O(log² n)`
+//! * [`parallel_tree_glws_auto`] — the **shape-adaptive router**: one `O(n)`
+//!   pass over the parent array measures the tree's depths, compares the
+//!   average ancestor-chain length against the envelope machinery's polylog
+//!   per-node estimate, and builds whichever cordon is predicted cheaper
+//!   ([`tree_glws_cordon_auto`]).  Deep shapes (paths, caterpillars) get the
+//!   work-efficient envelopes; shallow bushy shapes skip the `O(log² n)`
 //!   constant entirely.  Both alternatives produce identical results, so the
 //!   choice is invisible except in wall clock and work counters.
 
@@ -43,7 +43,7 @@ pub mod hld;
 mod envelope;
 
 use envelope::{EnvelopeArena, NO_ENTRY};
-use hld::{HeavyLightDecomposition, TreeShapeStats};
+use hld::HeavyLightDecomposition;
 use pardp_core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
@@ -207,52 +207,11 @@ where
     }
 }
 
-/// Which Tree-GLWS cordon the shape-adaptive router picked for an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeGlwsStrategy {
-    /// The `O(n·h)` ancestor-rescan cordon ([`TreeGlwsCordon`]) — cheapest on
-    /// shallow or bushy trees, where the average ancestor chain is shorter
-    /// than the envelope machinery's polylog per-node cost.
-    Baseline,
-    /// The heavy-light envelope cordon ([`HldTreeGlwsCordon`], Theorem 5.3) —
-    /// pays off once chains are deep (paths, caterpillars, biased trees).
-    Hld,
-}
-
-/// Pick the cheaper Tree-GLWS cordon from an `O(n)` shape probe.
-///
-/// The baseline rescans exactly `avg_depth` ancestors per node; the HLD
-/// cordon spends `O(log n)` segment queries, each an `O(log h)` binary-lifted
-/// descent, plus takeover binary searches per settled node.  We estimate the
-/// envelope cost as `log2(n) · log2(h)` per node and route to HLD only when
-/// the measured average chain length exceeds it — so shallow balanced or
-/// random-attachment trees (avg depth `O(log n)`) keep the baseline, while
-/// paths and caterpillars (avg depth `Θ(n)`) get the work-efficient cordon.
-/// The constants cancel well in practice: on the benchmark's balanced 8-ary
-/// tree the estimate is ≈ 9× the average depth, on a path it is ≈ 1% of it.
-pub fn choose_tree_glws_strategy(stats: &TreeShapeStats) -> TreeGlwsStrategy {
-    route_by_depth(stats.n, stats.height, stats.avg_depth())
-}
-
-/// The router's actual decision rule.  It consults only the depth profile —
-/// node count, height, average depth — so the hot path
-/// ([`tree_glws_cordon_auto`]) can feed it from a single-pass scan instead of
-/// the full [`TreeShapeStats`] probe (whose heavy-path statistics are
-/// diagnostics, not routing inputs).
-fn route_by_depth(n: usize, height: usize, avg_depth: f64) -> TreeGlwsStrategy {
-    let estimate = ((n as f64 + 2.0).log2()) * ((height as f64 + 2.0).log2());
-    if avg_depth > estimate {
-        TreeGlwsStrategy::Hld
-    } else {
-        TreeGlwsStrategy::Baseline
-    }
-}
-
-/// Single-pass depth profile of a `parent` array: everything
-/// [`route_by_depth`] needs plus the per-node depths themselves, so the
-/// routed constructor can hand the buffer straight to [`TreeGlwsCordon`]
-/// instead of recomputing it (the probe + level build would otherwise be the
-/// dominant cost of a shallow-tree solve).
+/// Single-pass depth profile of a `parent` array: everything the router
+/// needs (node count, height, average depth) plus the per-node depths
+/// themselves, so the routed constructor can hand the buffer straight to
+/// [`TreeGlwsCordon`] instead of recomputing it (the probe + level build would
+/// otherwise be the dominant cost of a shallow-tree solve).
 struct DepthProfile {
     /// `depth[v]` = edge depth of node `v` (`depth[0] == 0`).
     depth: Vec<u32>,
@@ -307,13 +266,35 @@ impl DepthProfile {
             self.total_depth as f64 / n as f64
         }
     }
+
+    /// Whether the heavy-light envelope cordon is predicted cheaper than the
+    /// ancestor rescan on this tree (see [`tree_glws_cordon_auto`]).
+    fn prefers_hld(&self) -> bool {
+        let n = self.depth.len() - 1;
+        let estimate = ((n as f64 + 2.0).log2()) * ((self.height as f64 + 2.0).log2());
+        self.avg_depth() > estimate
+    }
 }
 
-/// Build the cordon [`choose_tree_glws_strategy`] selects for `inst`, as an
-/// [`EitherCordon`] value any phase-parallel driver (including the facade's
-/// `CordonSolver`) can run directly.  `shape` is only consulted when the HLD
-/// cordon is chosen; both alternatives produce identical `(d, best)` outputs
-/// and identical depth-level frontiers.
+/// Pick the cheaper Tree-GLWS cordon for `inst` from one `O(n)` pass over its
+/// parent array, as an [`EitherCordon`] value any phase-parallel driver
+/// (including the facade's `CordonSolver`) can run directly: `First` is the
+/// `O(n·h)` ancestor-rescan cordon ([`TreeGlwsCordon`]), `Second` the
+/// heavy-light envelope cordon ([`HldTreeGlwsCordon`], Theorem 5.3).
+///
+/// The baseline rescans exactly `avg_depth` ancestors per node; the HLD
+/// cordon spends `O(log n)` segment queries, each an `O(log h)` binary-lifted
+/// descent, plus takeover binary searches per settled node.  The router
+/// estimates the envelope cost as `log2(n) · log2(h)` per node and picks HLD
+/// only when the measured average chain length exceeds it — so shallow
+/// balanced or random-attachment trees (avg depth `O(log n)`) keep the
+/// baseline, while paths and caterpillars (avg depth `Θ(n)`) get the
+/// work-efficient cordon.  The constants cancel well in practice: on the
+/// benchmark's balanced 8-ary tree the estimate is ≈ 9× the average depth, on
+/// a path it is ≈ 1% of it.
+///
+/// `shape` is only consulted when the HLD cordon is chosen; both alternatives
+/// produce identical `(d, best)` outputs and identical depth-level frontiers.
 pub fn tree_glws_cordon_auto<'a, W, E>(
     inst: &'a TreeGlwsInstance<W, E>,
     shape: CostShape,
@@ -323,15 +304,16 @@ where
     E: Fn(i64, usize) -> i64 + Sync,
 {
     let prof = DepthProfile::new(&inst.parent);
-    match route_by_depth(inst.n(), prof.height, prof.avg_depth()) {
-        TreeGlwsStrategy::Baseline => EitherCordon::First(TreeGlwsCordon::from_profile(inst, prof)),
-        TreeGlwsStrategy::Hld => EitherCordon::Second(HldTreeGlwsCordon::new(inst, shape)),
+    if prof.prefers_hld() {
+        EitherCordon::Second(HldTreeGlwsCordon::new(inst, shape))
+    } else {
+        EitherCordon::First(TreeGlwsCordon::from_profile(inst, prof))
     }
 }
 
-/// Shape-adaptive parallel evaluation: probe the tree with
-/// [`TreeShapeStats`], then run whichever of [`parallel_tree_glws`] /
-/// [`parallel_tree_glws_hld`] the probe predicts is cheaper on this instance.
+/// Shape-adaptive parallel evaluation: run whichever cordon
+/// [`tree_glws_cordon_auto`] predicts is cheaper on this instance (the one of
+/// [`parallel_tree_glws`] or [`parallel_tree_glws_hld`]).
 pub fn parallel_tree_glws_auto<W, E>(
     inst: &TreeGlwsInstance<W, E>,
     shape: CostShape,
@@ -601,12 +583,6 @@ where
             version,
             scratch: Vec::with_capacity(widest),
         }
-    }
-
-    /// The decomposition driving the segment queries (exposed for tests and
-    /// diagnostics).
-    pub fn decomposition(&self) -> &HeavyLightDecomposition {
-        &self.hld
     }
 }
 
@@ -915,25 +891,30 @@ mod tests {
 
     // -- the shape-adaptive router ----------------------------------------
 
+    /// Whether [`tree_glws_cordon_auto`] builds the HLD cordon
+    /// (`EitherCordon::Second`) for the tree `parent`.
+    fn routes_to_hld(parent: Vec<usize>) -> bool {
+        let lens = vec![1u64; parent.len()];
+        let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
+        matches!(
+            tree_glws_cordon_auto(&inst, CostShape::Convex),
+            EitherCordon::Second(_)
+        )
+    }
+
     #[test]
     fn router_picks_hld_on_deep_and_baseline_on_shallow_shapes() {
         let n = 5_000usize;
         let path: Vec<usize> = (0..=n).map(|v| v.saturating_sub(1)).collect();
-        assert_eq!(
-            choose_tree_glws_strategy(&TreeShapeStats::new(&path)),
-            TreeGlwsStrategy::Hld,
-            "a path's avg depth is Θ(n)"
-        );
+        assert!(routes_to_hld(path), "a path's avg depth is Θ(n)");
         let star = vec![0usize; n + 1];
-        assert_eq!(
-            choose_tree_glws_strategy(&TreeShapeStats::new(&star)),
-            TreeGlwsStrategy::Baseline,
+        assert!(
+            !routes_to_hld(star),
             "a star has depth 1 everywhere — envelopes can never pay"
         );
         let balanced: Vec<usize> = (0..=n).map(|v| v.saturating_sub(1) / 8).collect();
-        assert_eq!(
-            choose_tree_glws_strategy(&TreeShapeStats::new(&balanced)),
-            TreeGlwsStrategy::Baseline,
+        assert!(
+            !routes_to_hld(balanced),
             "an 8-ary balanced tree has avg depth O(log n)"
         );
         // Caterpillar: spine of n/2 plus legs — deep on average.
@@ -946,11 +927,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(
-            choose_tree_glws_strategy(&TreeShapeStats::new(&cat)),
-            TreeGlwsStrategy::Hld,
-            "a caterpillar's avg depth is Θ(spine)"
-        );
+        assert!(routes_to_hld(cat), "a caterpillar's avg depth is Θ(spine)");
     }
 
     #[test]

@@ -80,48 +80,6 @@ pub fn lcs_pairs_with(l: usize, k: usize, seed: u64) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Two strings of length `n` over the given alphabet size, with a planted
-/// common subsequence of length `k`.  Used by the examples; the resulting LCS
-/// length is at least `k` (and close to it for large alphabets).
-pub fn strings_with_common_subsequence(
-    n: usize,
-    k: usize,
-    alphabet: u32,
-    seed: u64,
-) -> (Vec<u32>, Vec<u32>) {
-    assert!(k <= n);
-    assert!(alphabet >= 2);
-    let mut r = rng(seed);
-    // The planted subsequence uses symbols from the lower half of the
-    // alphabet; filler symbols come from the upper half of each string's
-    // disjoint alphabet slice so they cannot accidentally match.
-    let planted: Vec<u32> = (0..k).map(|_| r.gen_range(0..alphabet / 2)).collect();
-    let make = |r: &mut ChaCha8Rng, filler_lo: u32, filler_hi: u32| -> Vec<u32> {
-        let mut positions: Vec<usize> = rand::seq::index::sample(r, n, k).into_vec();
-        positions.sort_unstable();
-        let mut out = vec![0u32; n];
-        let mut next_planted = 0usize;
-        for (idx, slot) in out.iter_mut().enumerate() {
-            if next_planted < k && positions[next_planted] == idx {
-                *slot = planted[next_planted];
-                next_planted += 1;
-            } else {
-                *slot = r.gen_range(filler_lo..filler_hi);
-            }
-        }
-        out
-    };
-    let half = alphabet / 2;
-    let quarter = (alphabet - half) / 2;
-    let a = make(&mut r, half, half + quarter.max(1));
-    let b = make(
-        &mut r,
-        half + quarter.max(1),
-        alphabet.max(half + quarter.max(1) + 1),
-    );
-    (a, b)
-}
-
 // ---------------------------------------------------------------------------
 // GLWS / post office (Fig. 7)
 // ---------------------------------------------------------------------------
@@ -216,7 +174,7 @@ pub fn exponential_weights(n: usize, base: u64, cap: u32) -> Vec<u64> {
 }
 
 /// A single-valley weight profile: random weights sorted descending on the
-/// left half and ascending on the right — one Cartesian-tree leaf, two long
+/// left half and ascending on the right — one local minimum, two long
 /// monotone slopes.  Sorting goes through the reusable-scratch parallel sort
 /// ([`pardp_parutils::par_sort_by_key_with`]); both halves share one scratch.
 pub fn valley_weights(n: usize, max_weight: u64, seed: u64) -> Vec<u64> {
@@ -431,15 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn strings_share_a_long_subsequence() {
-        let (a, b) = strings_with_common_subsequence(500, 50, 64, 5);
-        assert_eq!(a.len(), 500);
-        assert_eq!(b.len(), 500);
-        // The planted subsequence guarantees LCS >= 50; verify with a dense DP.
-        assert!(dense_lcs_len(&a, &b) >= 50);
-    }
-
-    #[test]
     fn gap_strings_have_requested_lengths() {
         let (a, b) = gap_strings(400, 350, 4, 9);
         assert_eq!(a.len(), 400);
@@ -557,21 +506,5 @@ mod tests {
             }
         }
         tails.len()
-    }
-
-    fn dense_lcs_len(a: &[u32], b: &[u32]) -> usize {
-        let mut prev = vec![0usize; b.len() + 1];
-        let mut cur = vec![0usize; b.len() + 1];
-        for i in 1..=a.len() {
-            for j in 1..=b.len() {
-                cur[j] = if a[i - 1] == b[j - 1] {
-                    prev[j - 1] + 1
-                } else {
-                    prev[j].max(cur[j - 1])
-                };
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[b.len()]
     }
 }

@@ -162,11 +162,9 @@ pub mod prelude {
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
     pub use pardp_tournament::{Key, TieRule, TournamentTree};
     pub use pardp_treedp::{
-        choose_tree_glws_strategy,
-        hld::{HeavyLightDecomposition, TreeShapeStats},
-        naive_tree_glws, parallel_tree_glws, parallel_tree_glws_auto, parallel_tree_glws_hld,
-        tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
-        TreeGlwsStrategy,
+        hld::HeavyLightDecomposition, naive_tree_glws, parallel_tree_glws, parallel_tree_glws_auto,
+        parallel_tree_glws_hld, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon,
+        TreeGlwsCordon, TreeGlwsInstance,
     };
     pub use pardp_workloads as workloads;
 }

@@ -11,6 +11,10 @@
 //!   filled from the caller's keys through a closure, so building
 //!   `LisCordon` or `LcsCordon` makes the same number of allocations at any
 //!   input size;
+//! * `ValleyOatCordon::new` copies the weights into the leaf sequence and
+//!   sizes the buffers its rounds reuse, and builds nothing else, so it too
+//!   makes the same number of allocations at any input size (its rounds
+//!   still allocate, so no round test covers it yet);
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
@@ -29,9 +33,10 @@
 //! `run_phase_parallel` does, then runs one through `run_phase_parallel`
 //! itself (so the grain policy and the `round_with` path are covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
-//! input and `LcsCordon` on a Fig. 6 shape through the driver, and a second
-//! staircase test counts the constructors' allocations at L = 10⁴ and
-//! L = 10⁶ after one warm-up construction; the GAP
+//! input and `LcsCordon` on a Fig. 6 shape through the driver, and a
+//! constructor test counts the allocations of `LisCordon::new`,
+//! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
+//! warm-up construction each; the GAP
 //! test runs `PackedGapCordon` on convex gap costs, the Tree-GLWS test
 //! runs `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test
 //! runs `ConvexGlwsCordon` on a post-office instance and `ConcaveGlwsCordon`
@@ -53,6 +58,7 @@ use parallel_dp::glws::{
 };
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
+use parallel_dp::oat::ValleyOatCordon;
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::treedp::{naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
@@ -279,7 +285,7 @@ fn allocations_of<T>(build: impl FnOnce() -> T) -> u64 {
 }
 
 #[test]
-fn staircase_cordons_build_with_a_constant_number_of_allocations() {
+fn cordon_constructors_allocate_a_constant_number_of_times() {
     // About 10 and 977 blocks of the tournament tree.
     let sizes = [10_000, 1_000_000];
     let sequences = sizes.map(|n| workloads::random_sequence(n, 1 << 40, 3));
@@ -289,11 +295,13 @@ fn staircase_cordons_build_with_a_constant_number_of_allocations() {
             .map(|(i, j)| MatchPair { i, j })
             .collect::<Vec<_>>()
     });
+    let weight_sets = sizes.map(|n| workloads::positive_weights(n, 1 << 16, 23));
 
     with_threads(1, || {
         // Warm-up: let the first construction set up anything lazy.
         allocations_of(|| LisCordon::new(&sequences[0]));
         allocations_of(|| LcsCordon::new(&pair_sets[0]));
+        allocations_of(|| ValleyOatCordon::new(&weight_sets[0]));
 
         let lis = sequences
             .each_ref()
@@ -308,6 +316,13 @@ fn staircase_cordons_build_with_a_constant_number_of_allocations() {
         assert_eq!(
             lcs[0], lcs[1],
             "LcsCordon::new allocated {lcs:?} times at L = {sizes:?}"
+        );
+        let valley = weight_sets
+            .each_ref()
+            .map(|w| allocations_of(|| ValleyOatCordon::new(w)));
+        assert_eq!(
+            valley[0], valley[1],
+            "ValleyOatCordon::new allocated {valley:?} times at n = {sizes:?}"
         );
     });
 }

@@ -187,35 +187,39 @@ fn hld_cordon_trips_the_typed_stall_guard() {
     assert_eq!(run.metrics.rounds as usize, height);
 }
 
-/// The shape probe's routing decisions on the unambiguous generator shapes,
-/// plus the facade solver driving a router-produced `EitherCordon` directly —
-/// the integration path `CordonSolver::run(tree_glws_cordon_auto(..))`.
+/// The router's decisions on the unambiguous generator shapes, read off the
+/// `EitherCordon` variant `tree_glws_cordon_auto` builds, plus the facade
+/// solver driving that cordon directly — the integration path
+/// `CordonSolver::run(tree_glws_cordon_auto(..))`.
 #[test]
 fn shape_router_decisions_and_solver_integration() {
     let n = 220usize;
-    assert_eq!(
-        choose_tree_glws_strategy(&TreeShapeStats::new(&workloads::path_tree(n))),
-        TreeGlwsStrategy::Hld,
-        "a path must route to the work-efficient cordon"
-    );
-    assert_eq!(
-        choose_tree_glws_strategy(&TreeShapeStats::new(&workloads::star_tree(n))),
-        TreeGlwsStrategy::Baseline,
-        "a star must route to the ancestor-rescan cordon"
-    );
-    assert_eq!(
-        choose_tree_glws_strategy(&TreeShapeStats::new(&workloads::balanced_tree(n, 3))),
-        TreeGlwsStrategy::Baseline,
-        "a balanced tree must route to the ancestor-rescan cordon"
-    );
-
-    // Both router outcomes through the facade solver, checked against naive.
-    for parent in [workloads::path_tree(n), workloads::balanced_tree(n, 3)] {
+    for (parent, to_hld, why) in [
+        (
+            workloads::path_tree(n),
+            true,
+            "a path must route to the work-efficient cordon",
+        ),
+        (
+            workloads::star_tree(n),
+            false,
+            "a star must route to the ancestor-rescan cordon",
+        ),
+        (
+            workloads::balanced_tree(n, 3),
+            false,
+            "a balanced tree must route to the ancestor-rescan cordon",
+        ),
+    ] {
         let lens = workloads::tree_edge_lengths(n, 4, 77);
         let height = tree_height(&parent);
         let inst = TreeGlwsInstance::new(parent, &lens, 3, convex_w, |d, _| d);
+        let cordon = tree_glws_cordon_auto(&inst, CostShape::Convex);
+        assert_eq!(matches!(cordon, EitherCordon::Second(_)), to_hld, "{why}");
+        // Each router outcome through the facade solver, checked against
+        // naive.
         let naive = naive_tree_glws(&inst);
-        let run = CordonSolver::new().run(tree_glws_cordon_auto(&inst, CostShape::Convex));
+        let run = CordonSolver::new().run(cordon);
         let (d, best) = run.output;
         assert_eq!(d, naive.d, "solver-driven routed cordon: values");
         assert_eq!(best, naive.best, "solver-driven routed cordon: decisions");
