@@ -15,6 +15,26 @@
 //!   themselves instead of blocking, so the submitting thread always counts
 //!   as one worker and a 1-thread "pool" degrades to inline execution.
 //!
+//! # Idle threads
+//!
+//! A thread that runs out of jobs first *spins*: for at most [`SPIN_BOUND`]
+//! it polls [`Shared::queued`], the count of jobs pushed and not yet popped,
+//! yielding its core between polls after the first [`YIELD_AFTER`]; a
+//! thread waiting on a latch polls the latch too.  A fork then hands its
+//! job to a thread that is already running instead of waking one through
+//! the OS.  When the bound runs out the thread sleeps exactly as it would
+//! without the spin: a worker registers in [`Shared::sleepers`], re-checks
+//! the queues and waits on the pool's condvar, and a waiter waits on its
+//! latch's condvar.  Those two waits are the only ways to sleep.
+//!
+//! Only threads the hardware can run at once spin: an idle thread spins only
+//! while the live workers plus one forking caller number at most
+//! `available_parallelism()`.  On a 2-core machine that is a pool of one
+//! worker, which serves every 1- and 2-thread pool.  `with_threads(8)` grows
+//! the worker set to seven, and from then on every idle thread parks as soon
+//! as it runs out of jobs: a spinning thread would hold a core that a woken
+//! worker needs, and a push wakes a parked worker whenever one exists.
+//!
 //! The pool is lazily created on first use.  Its size comes from
 //! `RAYON_NUM_THREADS` when set, otherwise from
 //! [`std::thread::available_parallelism`]; `ThreadPool::install` (used by
@@ -41,7 +61,7 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A queued unit of work whose borrowed lifetime has been erased (see the
 /// module-level safety discussion).
@@ -56,6 +76,27 @@ const MAX_WORKERS: usize = 64;
 /// notification, not the primary wake mechanism — it can therefore be long
 /// enough that an idle pool generates essentially no lock traffic.
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// How long an idle thread spins on [`Shared::queued`] before it parks (see
+/// the module docs).  It has to outlast the gap between two forks of a
+/// round-based solve: the caller's share of a round after the worker
+/// finished its own, and the driver's sequential work between rounds.  On
+/// perfbench's `lcs_wide` (100 rounds of about 25 µs, 2 threads on 2 cores)
+/// 5 µs still let 70 of 210 pushes per solve wake the worker and 10 µs 8–9,
+/// while 20, 50 and 100 µs all leave the 6–7 wakeups that follow sequential
+/// phases longer than any of them.  20 µs is the smallest bound at that
+/// floor, and a small bound keeps an idle spin short where it buys nothing.
+const SPIN_BOUND: Duration = Duration::from_micros(20);
+
+/// How long a spinning thread polls without yielding its core.  Past it
+/// every poll yields, which costs a system call (about 0.3 µs) but lets a
+/// thread that shares the core run.  Measured on `lcs_wide` on a 2-core VM:
+/// yielding from the first poll cost 0.3–0.4 ms per 4 ms solve on two free
+/// cores, and never yielding made a solve about a third slower than parking
+/// at once when the OS kept both threads on one core.  With this split the
+/// spin matched the never-yielding one on free cores and was no slower than
+/// parking on a shared one.
+const YIELD_AFTER: Duration = Duration::from_micros(2);
 
 struct Shared {
     /// FIFO for jobs submitted by non-pool threads.
@@ -76,12 +117,39 @@ struct Shared {
     injector_pushes: AtomicU64,
     /// Diagnostic: condvar notifications actually sent to wake a worker.
     wakeups: AtomicU64,
+    /// Jobs pushed and not yet popped: the hint idle threads spin on.
+    queued: AtomicUsize,
 }
 
 impl Shared {
+    /// An empty pool with `deques` worker slots and no live worker.
+    fn new(deques: usize) -> Self {
+        Shared {
+            injector: Mutex::new(VecDeque::new()),
+            deques: (0..deques).map(|_| Mutex::new(VecDeque::new())).collect(),
+            live_workers: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            wake_gen: Mutex::new(0),
+            wake: Condvar::new(),
+            injector_pushes: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
+            queued: AtomicUsize::new(0),
+        }
+    }
+
     /// Grab one job: own deque (LIFO) for workers, then the injector (FIFO),
     /// then steal from other workers' deques (FIFO).
     fn find_job(&self, own: Option<usize>) -> Option<Job> {
+        let job = self.pop_job(own)?;
+        // ordering: Relaxed — `queued` is only a hint.  The job came out
+        // under its queue lock, after the push raised the count under that
+        // same lock, so the count never wraps below zero.
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// [`Shared::find_job`] without the `queued` accounting.
+    fn pop_job(&self, own: Option<usize>) -> Option<Job> {
         if let Some(idx) = own {
             if let Some(job) = self.deques[idx].lock().expect("deque poisoned").pop_back() {
                 return Some(job);
@@ -110,8 +178,8 @@ impl Shared {
         None
     }
 
-    /// Queue `job` and wake one sleeper if any worker is parked: a worker
-    /// pushes to its own deque, any other thread to the injector.
+    /// Queue `job` and wake one sleeper if any worker is parked: worker `own`
+    /// pushes to its own deque, any other thread (`None`) to the injector.
     ///
     /// The sleeper check is sound against the park protocol in
     /// [`worker_loop`]: a worker registers in [`Shared::sleepers`] *before*
@@ -121,21 +189,22 @@ impl Shared {
     /// the job itself.  When the load observes a sleeper we bump the wake
     /// generation under the lock, which closes the check-then-wait race on
     /// the worker side.
-    fn push_job(&self, job: Job) {
-        match WORKER_INDEX.with(Cell::get) {
-            Some(idx) => self.deques[idx]
-                .lock()
-                .expect("deque poisoned")
-                .push_back(job),
+    fn push_job(&self, own: Option<usize>, job: Job) {
+        let queue = match own {
+            Some(idx) => &self.deques[idx],
             None => {
-                self.injector
-                    .lock()
-                    .expect("injector poisoned")
-                    .push_back(job);
                 // ordering: Relaxed — diagnostic counter, not synchronization.
                 self.injector_pushes.fetch_add(1, Ordering::Relaxed);
+                &self.injector
             }
-        }
+        };
+        let mut queue = queue.lock().expect("queue poisoned");
+        queue.push_back(job);
+        // ordering: Relaxed — a hint for spinning threads, which take the job
+        // itself under the queue lock.  Raising it under that lock orders it
+        // before the pop that lowers it (see `find_job`).
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        drop(queue);
         // ordering: SeqCst keeps this load in a single total order with the
         // parking worker's SeqCst `sleepers` increment: either we observe the
         // sleeper (and notify under the wake-gen lock), or the worker's
@@ -147,6 +216,31 @@ impl Shared {
             // ordering: Relaxed — diagnostic counter, not synchronization.
             self.wakeups.fetch_add(1, Ordering::Relaxed);
             self.wake.notify_one();
+        }
+    }
+
+    /// Spin until a job is queued or `done()` holds, for at most
+    /// [`SPIN_BOUND`]; `false` when the bound ran out first.  Polls after
+    /// [`YIELD_AFTER`] yield the core, so a thread that shares it with the
+    /// spinner, such as the other side of a fork when the OS has put both on
+    /// one CPU, runs in the meantime instead of waiting the spin out.
+    fn spin(&self, done: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        loop {
+            // ordering: Relaxed — a hint; the spinner then takes the job
+            // through `find_job`, under the queue lock.
+            if self.queued.load(Ordering::Relaxed) > 0 || done() {
+                return true;
+            }
+            let spun = start.elapsed();
+            if spun >= SPIN_BOUND {
+                return false;
+            }
+            if spun < YIELD_AFTER {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -174,20 +268,22 @@ thread_local! {
 
 fn shared() -> &'static Arc<Shared> {
     static SHARED: OnceLock<Arc<Shared>> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..MAX_WORKERS)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            live_workers: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            wake_gen: Mutex::new(0),
-            wake: Condvar::new(),
-            injector_pushes: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-        })
-    })
+    SHARED.get_or_init(|| Arc::new(Shared::new(MAX_WORKERS)))
+}
+
+/// Threads the machine can run at once.  Cached: `available_parallelism()`
+/// reads cgroup files on Linux, which allocates.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Whether an idle thread may spin before it parks: only while every worker
+/// and one forking caller fit on the hardware (see the module docs).
+fn may_spin(sh: &Shared) -> bool {
+    // ordering: Relaxed — a heuristic read; a stale count only decides
+    // whether this one idle spell spins or parks at once.
+    sh.live_workers.load(Ordering::Relaxed) < hardware_threads()
 }
 
 /// Thread count configured for the global pool: `RAYON_NUM_THREADS` when set
@@ -199,11 +295,7 @@ pub(crate) fn configured_threads() -> usize {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+            .unwrap_or_else(hardware_threads)
             .min(MAX_WORKERS)
     })
 }
@@ -249,6 +341,9 @@ fn worker_loop(sh: &Shared, idx: usize) {
     loop {
         if let Some(job) = sh.find_job(Some(idx)) {
             job();
+            continue;
+        }
+        if may_spin(sh) && sh.spin(|| false) {
             continue;
         }
         // Park.  Register as a sleeper *first* so submissions know someone
@@ -322,11 +417,21 @@ impl Latch {
     fn wait_helping(&self) {
         let sh = shared();
         let own = WORKER_INDEX.with(Cell::get);
+        let spins = may_spin(sh);
+        let mut spin = spins;
         while !self.done() {
             if let Some(job) = sh.find_job(own) {
                 job();
+                spin = spins;
                 continue;
             }
+            // A spin that ran out is not repeated until this thread runs a
+            // job again: the stolen job is a long one, and its `count_down`
+            // notifies the condvar below.
+            if spin && sh.spin(|| self.done()) {
+                continue;
+            }
+            spin = false;
             let guard = self.mutex.lock().expect("latch poisoned");
             if !self.done() {
                 let _ = self.cond.wait_timeout(guard, Duration::from_micros(200));
@@ -383,7 +488,7 @@ impl<'scope> Batch<'scope> {
                 wrapped,
             )
         };
-        shared().push_job(erased);
+        shared().push_job(WORKER_INDEX.with(Cell::get), erased);
     }
 
     /// Help until every spawned job completed; re-raise the first panic.
@@ -451,7 +556,7 @@ impl ScopeCore {
         let erased: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 's>, Box<dyn FnOnce() + Send>>(wrapped)
         };
-        shared().push_job(erased);
+        shared().push_job(WORKER_INDEX.with(Cell::get), erased);
     }
 
     /// Help until every job spawned so far (including jobs spawned *by* those
@@ -522,6 +627,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A pool with `workers` live workers, outside the global one.
+    fn fresh_shared(workers: usize) -> Shared {
+        let sh = Shared::new(workers);
+        sh.live_workers.store(workers, Ordering::Relaxed);
+        sh
+    }
+
     #[test]
     fn batch_runs_all_jobs_and_waits() {
         let counter = AtomicU64::new(0);
@@ -551,19 +663,6 @@ mod tests {
             Push,
             Pop,
             Steal,
-        }
-
-        fn fresh_shared(workers: usize) -> Shared {
-            Shared {
-                injector: Mutex::new(VecDeque::new()),
-                deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                live_workers: AtomicUsize::new(workers),
-                sleepers: AtomicUsize::new(0),
-                wake_gen: Mutex::new(0),
-                wake: Condvar::new(),
-                injector_pushes: AtomicU64::new(0),
-                wakeups: AtomicU64::new(0),
-            }
         }
 
         // All C(6+3, 3) = 84 merges of the two per-worker schedules.
@@ -609,10 +708,7 @@ mod tests {
                         next_id += 1;
                         pushed += 1;
                         let executed = Arc::clone(&executed);
-                        sh.deques[0]
-                            .lock()
-                            .unwrap()
-                            .push_back(Box::new(move || executed.lock().unwrap().push(id)));
+                        sh.push_job(Some(0), Box::new(move || executed.lock().unwrap().push(id)));
                         model.push_back(id);
                     }
                     Op::Pop => {
@@ -669,7 +765,41 @@ mod tests {
             done.sort_unstable();
             done.dedup();
             assert_eq!(done.len(), pushed, "a job ran twice in {schedule:?}");
+            assert_eq!(sh.queued.load(Ordering::Relaxed), 0, "{schedule:?}");
         }
+    }
+
+    /// `queued` rises with every push and falls with every pop, whichever
+    /// queue the job went through, so it reads 0 once the pool is drained.
+    #[test]
+    fn queued_hint_returns_to_zero_once_every_job_is_popped() {
+        let sh = fresh_shared(3);
+        let ran = Arc::new(AtomicU64::new(0));
+        for burst in 1..=5 {
+            // Through the injector and two workers' deques.
+            for own in [None, Some(0), Some(2)].into_iter().cycle().take(burst * 4) {
+                let ran = Arc::clone(&ran);
+                sh.push_job(
+                    own,
+                    Box::new(move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }),
+                );
+            }
+            assert_eq!(sh.queued.load(Ordering::Relaxed), burst * 4);
+            // Worker 1 owns nothing: it drains the injector, then steals.
+            for _ in 0..burst * 2 {
+                sh.find_job(Some(1)).expect("a queued job")();
+            }
+            assert_eq!(sh.queued.load(Ordering::Relaxed), burst * 2);
+            for own in [Some(0), Some(2)] {
+                while let Some(job) = sh.find_job(own) {
+                    job();
+                }
+            }
+            assert_eq!(sh.queued.load(Ordering::Relaxed), 0, "burst {burst}");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 60);
     }
 
     #[test]

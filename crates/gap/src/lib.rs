@@ -357,11 +357,13 @@ where
             d[i][j] = value;
             row_list.insert(j, value, &inst.w2);
             col_struct[j].insert(i, value, &inst.w1);
-            metrics.add_edges(3);
         }
     }
+    // Three edges per cell: the two gap lists and the diagonal match.
+    let cells = ((n + 1) * (m + 1)) as u64;
+    metrics.add_edges(3 * cells);
     metrics.add_probes(probes);
-    metrics.add_states(((n + 1) * (m + 1)) as u64);
+    metrics.add_states(cells);
     let cost = d[n][m];
     GapResult {
         d,

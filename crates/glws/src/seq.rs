@@ -77,7 +77,6 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
         let bi = front.j;
         d[i] = f(d[bi], bi, i);
         best[i] = bi;
-        metrics.add_edges(1);
 
         // Advance the coverage past state i.
         if front.r == i {
@@ -186,6 +185,8 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
         }
         debug_assert!(coverage_is_contiguous(&queue, i + 1, n));
     }
+    // One edge per state: the front triple's decision.
+    metrics.add_edges(n as u64);
     metrics.add_probes(probes);
     metrics.add_states(n as u64);
     GlwsResult {

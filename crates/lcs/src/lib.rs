@@ -123,8 +123,9 @@ pub fn sequential_sparse_lcs(pairs: &[MatchPair]) -> LcsResult {
             thresholds[pos] = p.j;
         }
         pair_values.push(value);
-        metrics.add_edges(1);
     }
+    // One edge per pair: its threshold search.
+    metrics.add_edges(pairs.len() as u64);
     metrics.add_probes(probes);
     metrics.add_states(pairs.len() as u64);
     LcsResult {

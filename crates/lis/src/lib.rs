@@ -112,8 +112,9 @@ pub fn sequential_lis(a: &[i64]) -> LisResult {
         };
         d[i] = best_before + 1;
         fenwick.update(r, d[i], &mut probes);
-        metrics.add_edges(1);
     }
+    // One edge per element: its best predecessor.
+    metrics.add_edges(n as u64);
     metrics.add_probes(probes);
     metrics.add_states(n as u64);
     let length = d.iter().copied().max().unwrap_or(0);

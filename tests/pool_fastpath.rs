@@ -8,16 +8,111 @@
 //! a shim-only extension) precisely so this contract can be pinned instead of
 //! eyeballed from profiles.
 //!
+//! The same counters pin the other side of the fast path: a fork that does
+//! reach the pool hands its job to a worker that is still spinning, instead
+//! of waking one that has parked.
+//!
 //! The whole file is one test function: the counters are process-global, so a
 //! concurrently running sibling test that legitimately forks would pollute
 //! the deltas.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use parallel_dp::parutils::with_threads;
 use parallel_dp::workloads;
 use rayon::prelude::*;
 
+/// Whether the 2-thread pool's worker and this thread run at once: the two
+/// halves of a join pass a counter back and forth 1 000 times, each spinning
+/// until it is its turn.  On two free cores that takes well under a
+/// millisecond.  When the OS scheduler keeps both threads on one core, as a
+/// loaded VM's can for seconds at a time, every pass waits for a time slice
+/// and the deadline comes first.
+fn pool_runs_two_threads_at_once() -> bool {
+    let ball = AtomicU64::new(0);
+    let deadline = Instant::now() + Duration::from_millis(100);
+    let pass = |parity: u64| loop {
+        let seen = ball.load(Ordering::Acquire);
+        if seen >= 2_000 {
+            return true;
+        }
+        if seen % 2 == parity {
+            ball.store(seen + 1, Ordering::Release);
+        } else if Instant::now() > deadline {
+            return false;
+        }
+        std::hint::spin_loop();
+    };
+    let (a, b) = with_threads(2, || rayon::join(|| pass(0), || pass(1)));
+    a && b
+}
+
+/// Worker wakeups over 1 000 back-to-back joins under `with_threads(2)`,
+/// whose halves busy-work about 20 µs and 5 µs.
+fn handoff_wakeups() -> u64 {
+    let busy = |us| {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_micros(us) {
+            std::hint::spin_loop();
+        }
+    };
+    let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
+    with_threads(2, || {
+        for _ in 0..1_000 {
+            rayon::join(|| busy(20), || busy(5));
+        }
+    });
+    let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
+    assert_eq!(
+        pushes_after - pushes_before,
+        1_000,
+        "each join pushes its second closure"
+    );
+    wakeups_after - wakeups_before
+}
+
 #[test]
 fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
+    // Back-to-back joins under a pool the hardware runs at once: the worker
+    // finishes the short half first, goes idle while the caller still works
+    // on the long half, and must still be spinning when the next join
+    // pushes.  This runs first, while the pool has its one worker: once the
+    // `with_threads(8)` below has grown the worker set past the hardware,
+    // idle threads park at once and a push wakes one of them.  The check
+    // needs the two threads on two cores at once, which a host with
+    // `available_parallelism() >= 2` does not always grant, so it skips when
+    // the ping-pong says they share one.  It gets three tries: a host that
+    // stalls a core for a few milliseconds makes the spin run out on every
+    // join in the stall, which says nothing about the handoff, while a pool
+    // that parks at once wakes the worker on nearly every join of every try.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        let mut missed = Vec::new();
+        let handed_off = loop {
+            if !pool_runs_two_threads_at_once() {
+                break None;
+            }
+            let wakeups = handoff_wakeups();
+            if wakeups * 10 <= 1_000 {
+                break Some(true);
+            }
+            missed.push(wakeups);
+            if missed.len() == 3 {
+                break Some(false);
+            }
+        };
+        match handed_off {
+            None => {
+                eprintln!("skipping the handoff check: the scheduler ran both threads on one core")
+            }
+            Some(passed) => assert!(
+                passed,
+                "{missed:?} wakeups per 1 000 pushes in three tries: a fork must hand its \
+                 job to a spinning worker, not wake a parked one"
+            ),
+        }
+    }
+
     // Warm the pool: spawn the workers and let any one-time lazy init (pool
     // structures, TLS) happen outside the measured region.
     let warm = workloads::lis_with_length(100_000, 6, 7);
