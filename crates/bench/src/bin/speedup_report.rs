@@ -10,7 +10,7 @@
 //! * `--out PATH` sets the JSON output path (default `BENCH_speedup.json`
 //!   in the current directory).
 
-use pardp_bench::{print_speedup, run_speedup, speedup_rows_to_json};
+use pardp_bench::{merge_by_problem, print_speedup, run_speedup, speedup_rows_to_json};
 
 fn main() {
     let mut quick = false;
@@ -30,7 +30,10 @@ fn main() {
         }
     }
 
-    let rows = run_speedup(quick, &[1, 2, 4, 8]);
+    // A pool's worker set never shrinks, so time every problem at 1 and 2
+    // threads before any 4- or 8-thread row grows it past the one worker a
+    // 2-thread program has.
+    let rows = merge_by_problem(run_speedup(quick, &[1, 2]), run_speedup(quick, &[4, 8]));
     print_speedup(&rows);
     let json = speedup_rows_to_json(&rows, quick);
     std::fs::write(&out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));

@@ -403,6 +403,20 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     sweep.rows
 }
 
+/// Merge two sweeps over the same problems: each row of `more` goes after
+/// the last row of its problem, so a problem's rows stay together in the
+/// order of `rows`.
+pub fn merge_by_problem(mut rows: Vec<SpeedupRow>, more: Vec<SpeedupRow>) -> Vec<SpeedupRow> {
+    for row in more {
+        let at = rows
+            .iter()
+            .rposition(|r| r.problem == row.problem)
+            .map_or(rows.len(), |i| i + 1);
+        rows.insert(at, row);
+    }
+    rows
+}
+
 /// Serialize speedup rows as the `BENCH_speedup.json` document (hand-rolled,
 /// so the workspace needs no serialization crate).
 pub fn speedup_rows_to_json(rows: &[SpeedupRow], quick: bool) -> String {
@@ -502,5 +516,37 @@ mod tests {
             }
         }
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn merged_sweeps_keep_each_problem_together() {
+        let row = |problem: &str, threads| SpeedupRow {
+            problem: problem.to_string(),
+            n: 1,
+            threads,
+            seq_secs: 1.0,
+            par_secs: 1.0,
+            work_ratio: 1.0,
+            rounds: 1,
+            max_frontier: 1,
+            injector_pushes: 0,
+            wakeups: 0,
+        };
+        let sweep = |threads: [usize; 2]| -> Vec<SpeedupRow> {
+            ["a", "b"]
+                .iter()
+                .flat_map(|p| threads.map(|t| row(p, t)))
+                .collect()
+        };
+        let rows = merge_by_problem(sweep([1, 2]), sweep([4, 8]));
+        let got: Vec<(&str, usize)> = rows
+            .iter()
+            .map(|r| (r.problem.as_str(), r.threads))
+            .collect();
+        let want = [1, 2, 4, 8]
+            .map(|t| ("a", t))
+            .into_iter()
+            .chain([1, 2, 4, 8].map(|t| ("b", t)));
+        assert_eq!(got, want.collect::<Vec<_>>());
     }
 }

@@ -402,8 +402,8 @@ pub struct GapCordon<'i, 'a, W1, W2> {
     diag: usize,
     n: usize,
     m: usize,
-    /// Reused per-round frontier-value buffer (grown once to the widest
-    /// anti-diagonal).
+    /// Reused per-round frontier-value buffer, sized for the widest
+    /// anti-diagonal.
     values: Vec<i64>,
 }
 
@@ -432,7 +432,7 @@ where
             diag: 1,
             n,
             m,
-            values: Vec::new(),
+            values: Vec::with_capacity(n.min(m) + 1),
         }
     }
 }

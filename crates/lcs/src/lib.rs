@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
-use pardp_tournament::{StaircaseCordon, TieRule};
+use pardp_tournament::{reconstruct_chain, StaircaseCordon, TieRule};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -207,27 +207,16 @@ fn pairs_are_canonically_sorted(pairs: &[MatchPair]) -> bool {
 }
 
 /// Reconstruct one LCS (as a vector of `(i, j)` index pairs) from the pair DP
-/// values produced by the sparse algorithms.
+/// values produced by the sparse algorithms: the chain [`reconstruct_chain`]
+/// walks back from the last pair of value `length`.
 pub fn reconstruct_lcs(pairs: &[MatchPair], values: &[u32], length: u32) -> Vec<MatchPair> {
     assert_eq!(pairs.len(), values.len());
-    let mut out: Vec<MatchPair> = Vec::with_capacity(length as usize);
-    let mut need = length;
-    // The pair taken last bounds the next one from above; none yet, so a
-    // chain may end at `u32::MAX`.
-    let mut last: Option<MatchPair> = None;
-    for idx in (0..pairs.len()).rev() {
-        if need == 0 {
-            break;
-        }
-        let p = pairs[idx];
-        if values[idx] == need && last.is_none_or(|q| p.i < q.i && p.j < q.j) {
-            out.push(p);
-            last = Some(p);
-            need -= 1;
-        }
-    }
-    out.reverse();
-    out
+    reconstruct_chain(values, length, |p, q| {
+        pairs[p].i < pairs[q].i && pairs[p].j < pairs[q].j
+    })
+    .into_iter()
+    .map(|p| pairs[p])
+    .collect()
 }
 
 #[cfg(test)]

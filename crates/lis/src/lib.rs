@@ -19,7 +19,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{Metrics, MetricsCollector};
-use pardp_tournament::{StaircaseCordon, TieRule};
+use pardp_tournament::{reconstruct_chain, StaircaseCordon, TieRule};
 
 /// Result of an LIS computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,26 +34,11 @@ pub struct LisResult {
 
 impl LisResult {
     /// Reconstruct one longest increasing subsequence (as indices) from the
-    /// per-element DP values.
+    /// per-element DP values: the chain [`reconstruct_chain`] walks back from
+    /// the last element of value `length`.
     pub fn reconstruct_indices(&self, a: &[i64]) -> Vec<usize> {
         assert_eq!(a.len(), self.d.len());
-        let mut out = Vec::with_capacity(self.length as usize);
-        let mut need = self.length;
-        // The value the next (earlier) element must stay below; none yet, so
-        // a chain may end at `i64::MAX`.
-        let mut upper: Option<i64> = None;
-        for i in (0..a.len()).rev() {
-            if need == 0 {
-                break;
-            }
-            if self.d[i] == need && upper.is_none_or(|u| a[i] < u) {
-                out.push(i);
-                upper = Some(a[i]);
-                need -= 1;
-            }
-        }
-        out.reverse();
-        out
+        reconstruct_chain(&self.d, self.length, |p, q| a[p] < a[q])
     }
 }
 

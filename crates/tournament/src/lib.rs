@@ -13,20 +13,23 @@
 //!
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
 //! `BLOCK` consecutive positions, and every block has the same shape — its
-//! leaf keys, cut into chunks of `CHUNK`, and a flat implicit heap of
-//! `HEAP` slots over the chunk minima (`node v`'s children at `2v`/`2v+1`,
-//! chunk `c`'s minimum at `CHUNKS + c`).  The tree keeps one buffer of leaf
-//! blocks and one of heaps, built in parallel straight from the caller's
-//! keys; the last block is padded with empty slots.  A small flat *summary
-//! heap* over the per-block minima routes each round to the blocks that
-//! actually contain records.  Inside a block the extraction descends the heap
-//! only into subtrees whose minimum is a record (a child is pruned before the
-//! call); each chunk it reaches is extracted by one linear scan of its leaves,
-//! carrying the running minimum of the round-start keys (so a leaf taken
-//! earlier in the scan still blocks the leaves after it, as the descent's
-//! pre-extraction carry does), and the same scan yields the chunk's new
-//! minimum.  A round extracting `l` records out of `L` therefore costs
-//! `O(l · (log(L/l) + CHUNK))` work; the summary repair after it recomputes
+//! leaf keys, cut into chunks of `CHUNK` and groups of `GROUP`, and two flat
+//! arrays of minima: one per group and one per chunk.  The tree keeps one
+//! buffer of leaf blocks and one of minima, built in parallel straight from
+//! the caller's keys; the last block is padded with empty slots.  A small
+//! flat *summary heap* over the per-block minima routes each round to the
+//! blocks that actually contain records.  Inside a block the extraction makes
+//! two flat passes: one over the group minima, and, for each group whose
+//! minimum is a record, one over that group's chunk minima.  Each pass
+//! computes, without branching on the keys, the mask of its parts whose
+//! minimum is a record; each record chunk is then extracted by one linear
+//! scan of its leaves, which yields the chunk's new minimum.  All three levels
+//! carry the running minimum of the round-start keys, so a leaf taken
+//! earlier in the round still blocks the leaves after it.  A touched block
+//! therefore costs `GROUPS` group checks, plus `GROUP / CHUNK` chunk checks
+//! per record group, plus one `CHUNK`-leaf scan per record chunk; a round
+//! extracting `l` records out of `L` costs `O(l · (log(L/l) + GROUPS +
+//! GROUP / CHUNK + CHUNK))` work, and the summary repair after it recomputes
 //! each dirty summary node once.
 //!
 //! Slots hold plain keys: [`Key::MAX`] marks an empty slot, and a carry of
@@ -40,9 +43,10 @@
 //!
 //! Records are never buffered: the cordon passes each block the slice of its
 //! DP values that is aligned with the block's positions, and the block writes
-//! the round number straight into it.  Touched blocks are extracted
-//! concurrently by splitting the leaf blocks, the heaps and the value slice at
-//! the same block boundary (`split_at_mut`), so blocks are disjoint `&mut`
+//! the round number straight into it, and its new minimum into its leaf of
+//! the summary heap.  Touched blocks are extracted concurrently by splitting
+//! the leaf blocks, the minima, the summary leaves and the value slice at the
+//! same block boundary (`split_at_mut`), so blocks are disjoint `&mut`
 //! borrows — no interior mutability, no record buffers and no per-round
 //! allocation.  [`TournamentTree::extract_prefix_minima`] runs the same block
 //! kernel with a sink that pushes `(position, key)` pairs instead.
@@ -50,6 +54,9 @@
 //! Rounds whose estimated work is below the active grain hint run entirely
 //! on the calling thread: no pool job is pushed and no worker is woken
 //! (pinned by the dispatch-counter test in `tests/pool_fastpath.rs`).
+//!
+//! [`reconstruct_chain`] walks one longest chain back from the DP values a
+//! [`StaircaseCordon`] computed; LIS and sparse LCS reconstruct through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,24 +64,30 @@
 use pardp_core::PhaseParallel;
 use pardp_parutils::{round_min_grain, MetricsCollector};
 
-/// Positions per cache block.  A block's leaves and heap take 5 KiB for
-/// `u32` keys and 10 KiB for `i64` keys, small enough that one round's scan
-/// of a block stays in L1/L2.
+/// Positions per cache block.  A block's leaves and minima take 4.6 KiB
+/// for `u32` keys and 9.1 KiB for `i64` keys, small enough that one round's
+/// scan of a block stays in L1/L2.
 const BLOCK: usize = 1024;
 
-/// Leaves per chunk: the unit a block scans instead of descending further.
-/// Kept small because a chunk holding a single record still costs a full
-/// scan.  On a 2-core Xeon host, LIS on `random_sequence(10⁶, 2⁴⁰, _)`, whose
-/// rounds take scattered single records, ran ~20% slower with 16 leaves per
-/// chunk than with 8, while 4 gave back about a fifth of 8's round-time gain
-/// on dense staircases.
+/// Leaves per chunk: the unit a block scans leaf by leaf.  Kept small
+/// because a chunk holding a single record still costs a full scan.  On a
+/// 2-core Xeon host, LIS on `random_sequence(10⁶, 2⁴⁰, _)`, whose rounds
+/// take scattered single records, ran ~20% slower with 16 leaves per chunk
+/// than with 8, while 4 gave back about a fifth of 8's round-time gain on
+/// dense staircases.
 const CHUNK: usize = 8;
 
-/// Chunks per block: the leaves of a block's heap.
-const CHUNKS: usize = BLOCK / CHUNK;
+/// Leaves per group: the unit of a block's first pass.  A block holding one
+/// record costs 16 group checks and 8 chunk checks, where one flat pass
+/// would check all 128 chunk minima; rounds of scattered single records
+/// (`lis_random`, `lcs_deep`) touch many such blocks.
+const GROUP: usize = 64;
 
-/// Slots of a block's heap over its chunk minima (slot 0 is unused).
-const HEAP: usize = 2 * CHUNKS;
+/// Groups per block.
+const GROUPS: usize = BLOCK / GROUP;
+
+/// Chunks per group.
+const GROUP_CHUNKS: usize = GROUP / CHUNK;
 
 /// A key type the tree can hold: totally ordered, with a largest value that
 /// the tree reserves to mark an empty slot.  Implemented for the primitive
@@ -198,100 +211,144 @@ impl<K: Key> Remap<K> {
     }
 }
 
-/// One block: its leaf keys and the heap over its chunk minima.
+/// The minima of one block's groups and chunks.
+#[derive(Debug, Clone, Copy)]
+struct Minima<K> {
+    /// The minimum of group `g`'s leaves.
+    groups: [K; GROUPS],
+    /// `chunks[g][c]`: the minimum of the leaves of chunk `c` of group `g`.
+    chunks: [[K; GROUP_CHUNKS]; GROUPS],
+}
+
+impl<K: Key> Minima<K> {
+    /// The minima of an empty block.
+    const EMPTY: Self = Minima {
+        groups: [K::MAX; GROUPS],
+        chunks: [[K::MAX; GROUP_CHUNKS]; GROUPS],
+    };
+}
+
+/// The smallest of `keys`, or `K::MAX` (empty) if there are none.
+fn min_of<K: Key>(keys: &[K]) -> K {
+    keys.iter().copied().fold(K::MAX, K::min)
+}
+
+/// One block: its leaf keys and their group and chunk minima.
 struct Block<'a, K> {
     /// Stored keys; `K::MAX` once extracted, and past the input's end.
     leaves: &'a mut [K; BLOCK],
-    /// Implicit heap: root at 1, node `v`'s children at `2v` / `2v+1`, the
-    /// minimum of chunk `c` at `CHUNKS + c`.
-    heap: &'a mut [K; HEAP],
+    minima: &'a mut Minima<K>,
 }
 
 impl<K: Key> Block<'_, K> {
-    /// Build the heap over freshly written leaves.
+    /// Compute the minima of freshly written leaves.
     fn summarize(&mut self) {
-        for (slot, chunk) in self.heap[CHUNKS..]
-            .iter_mut()
-            .zip(self.leaves.chunks_exact(CHUNK))
-        {
-            *slot = chunk.iter().copied().fold(K::MAX, K::min);
+        let Minima { groups, chunks } = self.minima;
+        let chunk_mins = chunks.as_flattened_mut();
+        for (slot, chunk) in chunk_mins.iter_mut().zip(self.leaves.chunks_exact(CHUNK)) {
+            *slot = min_of(chunk);
         }
-        for v in (1..CHUNKS).rev() {
-            self.heap[v] = self.heap[2 * v].min(self.heap[2 * v + 1]);
+        for (slot, group) in groups.iter_mut().zip(chunks.iter()) {
+            *slot = min_of(group);
         }
     }
 
     /// Extract every record of this block, given the minimum active key
     /// strictly to the block's left at round start.  Calls `take(i, key)` for
     /// each record in increasing local position `i`, with its stored key.
-    fn extract(&mut self, carry: K, rule: TieRule, take: &mut impl FnMut(usize, K)) {
-        if rule.is_record(self.heap[1], carry) {
-            self.extract_node(1, carry, rule, take);
-        }
-    }
-
-    /// Extract the records under `node`, which holds at least one.  Children
-    /// are pruned before the call, so the descent only follows subtrees that
-    /// hold records.
-    fn extract_node(
-        &mut self,
-        node: usize,
-        carry: K,
-        rule: TieRule,
-        take: &mut impl FnMut(usize, K),
-    ) {
-        if node >= CHUNKS {
-            self.heap[node] = self.extract_chunk(node - CHUNKS, carry, rule, take);
-            return;
-        }
-        let (left, right) = (2 * node, 2 * node + 1);
-        // The right child's carry uses the *pre-extraction* minimum of the
-        // left child: elements removed on the left in this very round were
-        // active when the round started, and the cordon is defined against
-        // the state at the start of the round (all extracted elements share
-        // the same DP value).
-        let right_carry = carry.min(self.heap[left]);
-        if rule.is_record(self.heap[left], carry) {
-            self.extract_node(left, carry, rule, take);
-        }
-        if rule.is_record(self.heap[right], right_carry) {
-            self.extract_node(right, right_carry, rule, take);
-        }
-        self.heap[node] = self.heap[left].min(self.heap[right]);
-    }
-
-    /// Extract the records of chunk `c` with one scan of its leaves, and
-    /// return the chunk's new minimum.
-    fn extract_chunk(
-        &mut self,
-        c: usize,
-        mut carry: K,
-        rule: TieRule,
-        take: &mut impl FnMut(usize, K),
-    ) -> K {
-        let first = c * CHUNK;
-        let mut min = K::MAX;
-        for (i, leaf) in self.leaves[first..first + CHUNK].iter_mut().enumerate() {
-            let k = *leaf;
-            if rule.is_record(k, carry) {
-                *leaf = K::MAX;
-                take(first + i, k);
-            } else {
-                min = min.min(k);
+    /// Returns the block's new minimum.
+    ///
+    /// The first pass finds the groups whose minimum is a record, the second
+    /// the record chunks of each such group, and each record chunk is then
+    /// scanned leaf by leaf.  The running carry drops only at a record part
+    /// (a part whose minimum is no record has it at or above the carry), so
+    /// lowering the carry by each record part's round-start minimum, once
+    /// that part is extracted, gives every record part its carry.
+    fn extract(&mut self, mut carry: K, rule: TieRule, take: &mut impl FnMut(usize, K)) -> K {
+        let Minima { groups, chunks } = self.minima;
+        for g in set_bits(record_mask(groups, carry, rule)) {
+            let group = &mut chunks[g];
+            let mut chunk_carry = carry;
+            for c in set_bits(record_mask(group, carry, rule)) {
+                let start = group[c];
+                let chunk = g * GROUP_CHUNKS + c;
+                group[c] = extract_chunk(self.leaves, chunk, chunk_carry, rule, take);
+                chunk_carry = chunk_carry.min(start);
             }
-            // The carry runs over round-start keys, extracted or not.
-            carry = carry.min(k);
+            carry = carry.min(groups[g]);
+            groups[g] = min_of(group);
         }
-        min
+        min_of(groups)
     }
 }
 
-/// Blocks `first..` of a tree together with the DP values of their
-/// positions, borrowed as one so that all three slices split at the same
-/// block boundary.
+/// One flat pass over `mins`, the round-start minima of consecutive parts
+/// of a block, of which the first has `carry` as the minimum active key to
+/// its left.  Returns a mask with bit `i` set if part `i` holds a record:
+/// if its minimum is a record under the minimum of `carry` and the minima
+/// before it (the first leaf at that minimum is then a record, and a part
+/// whose minimum is no record holds none).  The carry runs over the
+/// round-start minima, extracted or not: elements removed in this round were
+/// active when it started, and the cordon is defined against the state at
+/// the start of the round (all extracted elements share the same DP value).
+///
+/// The pass does not branch on the keys: a branch per part would
+/// mispredict at the record's part in every round that takes a single
+/// record from the block.
+#[inline]
+fn record_mask<K: Key, const N: usize>(mins: &[K; N], mut carry: K, rule: TieRule) -> u32 {
+    const { assert!(N <= 32, "a mask bit per part") };
+    let mut mask = 0;
+    for (i, &k) in mins.iter().enumerate() {
+        // `TieRule::is_record` without its short circuit.
+        mask |= u32::from((k != K::MAX) & rule.beats(k, carry)) << i;
+        carry = carry.min(k);
+    }
+    mask
+}
+
+/// The indices of the set bits of `mask`, in increasing order.
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 32).then_some(i)
+    })
+}
+
+/// Extract the records of chunk `c` of a block with leaves `leaves` by one
+/// scan of its leaves, given the minimum active key to the chunk's left at
+/// round start, and return the chunk's new minimum.
+fn extract_chunk<K: Key>(
+    leaves: &mut [K; BLOCK],
+    c: usize,
+    mut carry: K,
+    rule: TieRule,
+    take: &mut impl FnMut(usize, K),
+) -> K {
+    let first = c * CHUNK;
+    let mut min = K::MAX;
+    for (i, leaf) in leaves[first..first + CHUNK].iter_mut().enumerate() {
+        let k = *leaf;
+        if rule.is_record(k, carry) {
+            *leaf = K::MAX;
+            take(first + i, k);
+        } else {
+            min = min.min(k);
+        }
+        // The carry runs over round-start keys, extracted or not.
+        carry = carry.min(k);
+    }
+    min
+}
+
+/// Blocks `first..` of a tree together with their leaves of the summary
+/// heap and the DP values of their positions, borrowed as one so that all
+/// four slices split at the same block boundary.
 struct BlocksMut<'a, K> {
     leaves: &'a mut [[K; BLOCK]],
-    heaps: &'a mut [[K; HEAP]],
+    minima: &'a mut [Minima<K>],
+    block_mins: &'a mut [K],
     values: &'a mut [u32],
     first: usize,
 }
@@ -301,17 +358,20 @@ impl<K> BlocksMut<'_, K> {
     fn split_at(self, b: usize) -> (Self, Self) {
         let at = b - self.first;
         let (ll, lr) = self.leaves.split_at_mut(at);
-        let (hl, hr) = self.heaps.split_at_mut(at);
+        let (ml, mr) = self.minima.split_at_mut(at);
+        let (bl, br) = self.block_mins.split_at_mut(at);
         let (vl, vr) = self.values.split_at_mut(at * BLOCK);
         let left = BlocksMut {
             leaves: ll,
-            heaps: hl,
+            minima: ml,
+            block_mins: bl,
             values: vl,
             first: self.first,
         };
         let right = BlocksMut {
             leaves: lr,
-            heaps: hr,
+            minima: mr,
+            block_mins: br,
             values: vr,
             first: b,
         };
@@ -322,7 +382,8 @@ impl<K> BlocksMut<'_, K> {
 /// Extract `touched` blocks in parallel by recursively splitting `blocks`:
 /// the touched list is sorted by block index, so each half of the list maps
 /// to a disjoint part of `blocks` (no interior mutability needed).  Every
-/// record's value is set to `round`.  `grain` is the fork cutoff in
+/// record's value is set to `round`, and every touched block's new minimum
+/// goes to its leaf of the summary heap.  `grain` is the fork cutoff in
 /// touched-block units.  Returns the number of records extracted.
 fn extract_touched<K: Key>(
     blocks: BlocksMut<'_, K>,
@@ -334,7 +395,8 @@ fn extract_touched<K: Key>(
     if touched.len() <= grain.max(1) {
         let BlocksMut {
             leaves,
-            heaps,
+            minima,
+            block_mins,
             values,
             first,
         } = blocks;
@@ -344,9 +406,9 @@ fn extract_touched<K: Key>(
             let block_values = &mut values[local * BLOCK..];
             let mut block = Block {
                 leaves: &mut leaves[local],
-                heap: &mut heaps[local],
+                minima: &mut minima[local],
             };
-            block.extract(carry, rule, &mut |i, _| {
+            block_mins[local] = block.extract(carry, rule, &mut |i, _| {
                 block_values[i] = round;
                 count += 1;
             });
@@ -363,12 +425,12 @@ fn extract_touched<K: Key>(
     l + r
 }
 
-/// Write `map(key(i))` into the leaf of every position `i < len` and build
-/// each block's heap, in parallel over blocks.  Returns whether some key
+/// Write `map(key(i))` into the leaf of every position `i < len` and compute
+/// each block's minima, in parallel over blocks.  Returns whether some key
 /// equals `K::MAX`.
 fn fill<K: Key>(
     leaves: &mut [[K; BLOCK]],
-    heaps: &mut [[K; HEAP]],
+    minima: &mut [Minima<K>],
     len: usize,
     key: &(impl Fn(usize) -> K + Sync),
     map: impl Fn(K) -> K + Sync,
@@ -377,10 +439,10 @@ fn fill<K: Key>(
     let grain_blocks = round_min_grain(len).div_ceil(BLOCK).max(1);
     leaves
         .par_iter_mut()
-        .zip(heaps.par_iter_mut())
+        .zip(minima.par_iter_mut())
         .enumerate()
         .with_min_len(grain_blocks)
-        .map(|(b, (leaves, heap))| {
+        .map(|(b, (leaves, minima))| {
             let first = b * BLOCK;
             let mut saw_max = false;
             for (i, leaf) in leaves[..BLOCK.min(len - first)].iter_mut().enumerate() {
@@ -388,7 +450,7 @@ fn fill<K: Key>(
                 saw_max |= k == K::MAX;
                 *leaf = map(k);
             }
-            Block { leaves, heap }.summarize();
+            Block { leaves, minima }.summarize();
             saw_max
         })
         .reduce(|| false, |a, b| a | b)
@@ -399,8 +461,8 @@ fn fill<K: Key>(
 pub struct TournamentTree<K> {
     /// Leaf keys, one array per block (see the crate's *Layout* section).
     leaves: Vec<[K; BLOCK]>,
-    /// Heaps over the chunk minima, one per block.
-    heaps: Vec<[K; HEAP]>,
+    /// Group and chunk minima, one per block.
+    minima: Vec<Minima<K>>,
     /// Implicit heap over the per-block minima: root at 1, block `b`'s leaf
     /// at `scap + b`.  Routes each round to the blocks containing records in
     /// `O(t · log(B/t))` for `t` touched blocks.
@@ -429,23 +491,23 @@ impl<K: Key> TournamentTree<K> {
     pub fn new(len: usize, key: impl Fn(usize) -> K + Sync, rule: TieRule) -> Self {
         let num_blocks = len.div_ceil(BLOCK);
         let mut leaves = vec![[K::MAX; BLOCK]; num_blocks];
-        let mut heaps = vec![[K::MAX; HEAP]; num_blocks];
+        let mut minima = vec![Minima::EMPTY; num_blocks];
         let mut remap = Remap { absent: K::MAX };
-        if fill(&mut leaves, &mut heaps, len, &key, |k| k) {
+        if fill(&mut leaves, &mut minima, len, &key, |k| k) {
             remap = Remap::over(len, &key);
-            fill(&mut leaves, &mut heaps, len, &key, |k| remap.store(k));
+            fill(&mut leaves, &mut minima, len, &key, |k| remap.store(k));
         }
         let scap = num_blocks.next_power_of_two().max(1);
         let mut summary = vec![K::MAX; 2 * scap];
-        for (slot, heap) in summary[scap..].iter_mut().zip(&heaps) {
-            *slot = heap[1];
+        for (slot, block) in summary[scap..].iter_mut().zip(&minima) {
+            *slot = min_of(&block.groups);
         }
         for v in (1..scap).rev() {
             summary[v] = summary[2 * v].min(summary[2 * v + 1]);
         }
         TournamentTree {
             leaves,
-            heaps,
+            minima,
             summary,
             scap,
             touched: Vec::with_capacity(num_blocks),
@@ -496,12 +558,10 @@ impl<K: Key> TournamentTree<K> {
         true
     }
 
-    /// Close a round that extracted `count` records from the touched blocks:
-    /// repair the summary heap above them.
+    /// Close a round that extracted `count` records from the touched blocks,
+    /// whose summary leaves hold their new minima: repair the summary heap
+    /// above them.
     fn end_round(&mut self, count: usize) {
-        for &(b, _) in &self.touched {
-            self.summary[self.scap + b] = self.heaps[b][1];
-        }
         // Each walk stops where it meets the next touched block's path (all
         // summary leaves share one depth, so the paths meet at the same
         // level); that later walk recomputes the shared ancestors once both
@@ -544,7 +604,8 @@ impl<K: Key> TournamentTree<K> {
         };
         let blocks = BlocksMut {
             leaves: &mut self.leaves,
-            heaps: &mut self.heaps,
+            minima: &mut self.minima,
+            block_mins: &mut self.summary[self.scap..],
             values,
             first: 0,
         };
@@ -569,9 +630,9 @@ impl<K: Key> TournamentTree<K> {
         for &(b, carry) in &self.touched {
             let mut block = Block {
                 leaves: &mut self.leaves[b],
-                heap: &mut self.heaps[b],
+                minima: &mut self.minima[b],
             };
-            block.extract(carry, self.rule, &mut |i, k| {
+            self.summary[self.scap + b] = block.extract(carry, self.rule, &mut |i, k| {
                 out.push((b * BLOCK + i, remap.load(k)));
             });
         }
@@ -639,6 +700,66 @@ impl<K: Key> PhaseParallel for StaircaseCordon<K> {
     }
 }
 
+/// Values compared at once by the backward search of [`reconstruct_chain`].
+const SEARCH_CHUNK: usize = 32;
+
+/// Walk one longest chain back from the DP values a [`StaircaseCordon`]
+/// computed, and return its positions in increasing order.
+///
+/// The last element is the last position whose value is `length`.  From an
+/// element `q`, the walk takes the last position `p < q` whose value is the
+/// next level down and for which `extends(p, q)` holds: it searches the
+/// values alone, backwards in chunks, and checks `extends` only at a
+/// position on the level, moving further back if the check fails.  The
+/// chain is therefore exactly the one a backward scan of every position
+/// picks, for any `values`; it is shorter than `length` only if `values`
+/// hold no such chain.
+///
+/// With the values of a staircase cordon under [`TieRule::TiesAreRecords`]
+/// and `extends` its strict key order (LIS, or sparse LCS in canonical pair
+/// order), the first check always succeeds.  One level's elements are the
+/// records of one round, so their keys do not increase from left to right,
+/// and the last element of the level before `q` has the level's smallest
+/// key before `q`.  That key lies below `q`'s, since in that round a record
+/// of the level blocked `q`.
+pub fn reconstruct_chain(
+    values: &[u32],
+    length: u32,
+    extends: impl Fn(usize, usize) -> bool,
+) -> Vec<usize> {
+    // A chain holds at most one position per value, whatever `length` says.
+    let mut chain: Vec<usize> = Vec::with_capacity(values.len().min(length as usize));
+    let mut end = values.len();
+    let mut level = length;
+    while level > 0 {
+        let Some(p) = last_on_level(&values[..end], level) else {
+            break;
+        };
+        if chain.last().is_none_or(|&q| extends(p, q)) {
+            chain.push(p);
+            level -= 1;
+        }
+        end = p;
+    }
+    chain.reverse();
+    chain
+}
+
+/// The last position of `values` whose value is `level`.
+fn last_on_level(values: &[u32], level: u32) -> Option<usize> {
+    let mut chunks = values.rchunks_exact(SEARCH_CHUNK);
+    let mut end = values.len();
+    for chunk in &mut chunks {
+        end -= SEARCH_CHUNK;
+        // A branch-free test over the whole chunk, which the compiler
+        // vectorizes; the position is found only in a chunk that holds it.
+        if chunk.iter().fold(false, |hit, &v| hit | (v == level)) {
+            return chunk.iter().rposition(|&v| v == level).map(|i| end + i);
+        }
+    }
+    chunks.remainder().iter().rposition(|&v| v == level)
+}
+
 /// Reference (sequential, quadratic-free) computation of the prefix-minimum
 /// records of one round over `keys`, used as an oracle in tests.
 pub fn reference_prefix_minima<K: Ord + Copy>(
@@ -689,7 +810,8 @@ mod tests {
         }
         let blocks = BlocksMut {
             leaves: &mut tree.leaves,
-            heaps: &mut tree.heaps,
+            minima: &mut tree.minima,
+            block_mins: &mut tree.summary[tree.scap..],
             values,
             first: 0,
         };
@@ -753,12 +875,32 @@ mod tests {
         check_against_oracle(keys, TieRule::TiesBlocked);
     }
 
-    /// Run lengths straddling a chunk and a block.
-    const RUN_LENS: [usize; 6] = [CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1];
+    /// Run lengths straddling a chunk, a group and a block.
+    const RUN_LENS: [usize; 9] = [
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        GROUP - 1,
+        GROUP,
+        GROUP + 1,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+    ];
 
     /// Offsets that start a run at a chunk boundary, mid-chunk, or just
-    /// either side of a chunk or block boundary.
-    const OFFSETS: [usize; 7] = [0, 1, CHUNK / 2, CHUNK - 1, CHUNK + 1, BLOCK - 1, BLOCK + 1];
+    /// either side of a chunk, group or block boundary.
+    const OFFSETS: [usize; 9] = [
+        0,
+        1,
+        CHUNK / 2,
+        CHUNK - 1,
+        CHUNK + 1,
+        GROUP - 1,
+        GROUP + 1,
+        BLOCK - 1,
+        BLOCK + 1,
+    ];
 
     /// Concatenated decreasing runs: run `i` is `len` keys counting down to
     /// `base`, for each `(len, base)` in `runs`.

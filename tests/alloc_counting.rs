@@ -7,7 +7,7 @@
 //! * the staircase cordons behind LIS and sparse LCS write each round's DP
 //!   values straight into their position-aligned value array, and the
 //!   tournament tree's touched-block list is sized for every block up front.
-//!   The tree itself is one buffer of leaf blocks and one of block heaps,
+//!   The tree itself is one buffer of leaf blocks and one of block minima,
 //!   filled from the caller's keys through a closure, so building
 //!   `LisCordon` or `LcsCordon` makes the same number of allocations at any
 //!   input size;
@@ -18,6 +18,8 @@
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
+//! * the wavefront `GapCordon` collects each anti-diagonal into a buffer its
+//!   constructor sizes for the widest one;
 //! * the HLD Tree-GLWS cordon allocates its envelope arena up front and
 //!   sizes its result buffer, and the buffer staging its envelope pushes,
 //!   for the widest depth level;
@@ -25,6 +27,7 @@
 //!   from a reused `FindIntervals` buffer, which the recursion fills in place
 //!   below the fork cutoff, and the concave merge swaps `B` with a second
 //!   reused array;
+//! * `KGlwsCordon` writes each layer in place into its preallocated table;
 //! * the driver pre-sizes the metrics frontier log via
 //!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
 //!   copies.
@@ -36,12 +39,13 @@
 //! input and `LcsCordon` on a Fig. 6 shape through the driver, and a
 //! constructor test counts the allocations of `LisCordon::new`,
 //! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
-//! warm-up construction each; the GAP
-//! test runs `PackedGapCordon` on convex gap costs, the Tree-GLWS test
-//! runs `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test
-//! runs `ConvexGlwsCordon` on a post-office instance and `ConcaveGlwsCordon`
-//! on a concave cost with bonus states.  Each asserts the allocation counter
-//! does not move during steady-state rounds.
+//! warm-up construction each; the GAP tests run `PackedGapCordon` on convex
+//! gap costs and `GapCordon` on three grid shapes, the Tree-GLWS test runs
+//! `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test runs
+//! `ConvexGlwsCordon` on a post-office instance, `ConcaveGlwsCordon` on a
+//! concave cost with bonus states and `KGlwsCordon` on a clustered
+//! post-office instance.  Each asserts the allocation counter does not move
+//! during steady-state rounds.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
@@ -51,10 +55,10 @@
 //! on other threads, cannot pollute a measurement.
 
 use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
-use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
+use parallel_dp::gap::{convex_gap_instance, sequential_gap, GapCordon, PackedGapCordon};
 use parallel_dp::glws::{
-    sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
-    ConvexGlwsCordon, PostOfficeProblem,
+    naive_kglws, sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
+    ConvexGlwsCordon, KGlwsCordon, PostOfficeProblem,
 };
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
@@ -340,6 +344,22 @@ fn packed_gap_rounds_allocate_nothing_after_warm_up() {
 }
 
 #[test]
+fn wavefront_gap_rounds_allocate_nothing_after_warm_up() {
+    // The widest anti-diagonal comes after the warm-up on every shape.
+    for (n, m) in [(200, 180), (180, 200), (500, 500)] {
+        let (a, b) = workloads::gap_strings(n, m, 4, 9);
+        let inst = convex_gap_instance(&a, &b, 3, 1, 1);
+        let want = sequential_gap(&inst);
+
+        with_threads(1, || {
+            let (d, rounds) = run_allocation_free("wavefront GAP", GapCordon::new(&inst));
+            assert_eq!(d, want.d, "{n} x {m}: DP grid differs from sequential_gap");
+            assert_eq!(rounds, (n + m) as u64);
+        });
+    }
+}
+
+#[test]
 fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
     // Levels widen and narrow along the caterpillar's legs; a path has one
     // node per level.
@@ -373,6 +393,8 @@ fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
 fn glws_rounds_allocate_nothing_after_warm_up() {
     let inst = workloads::post_office_instance(100_000, 10_000, 3);
     let offices = PostOfficeProblem::new(inst.coords, inst.open_cost);
+    let inst = workloads::post_office_instance(2_000, 40, 5);
+    let clusters = PostOfficeProblem::new(inst.coords, inst.open_cost);
     // Concave costs with a bonus at every seventh state: the optimum chains
     // through the bonus states, so the merge with the old array runs every
     // round.
@@ -393,5 +415,13 @@ fn glws_rounds_allocate_nothing_after_warm_up() {
         let ((d, _), rounds) = run_allocation_free("concave GLWS", ConcaveGlwsCordon::new(&bonus));
         assert_eq!(d, want.d, "concave GLWS: DP values differ from Galil–Park");
         assert_eq!(rounds, 2_858);
+
+        let want = naive_kglws(&clusters, 30);
+        let ((layers, _), rounds) = run_allocation_free("k-GLWS", KGlwsCordon::new(&clusters, 30));
+        assert_eq!(
+            layers, want.layers,
+            "k-GLWS: layers differ from the naive DP"
+        );
+        assert_eq!(rounds, 30);
     });
 }

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest): the parallel cordon algorithms agree with
 //! their naive oracles on arbitrary inputs, and structural invariants hold.
 
+use parallel_dp::lcs::reconstruct_lcs;
 use parallel_dp::prelude::*;
 use proptest::prelude::*;
 
@@ -17,8 +18,109 @@ const KEY_LIMITS: [i64; 8] = [
     i64::MAX,
 ];
 
+/// Pair coordinates for the reconstruction property: small values and both
+/// ends of `u32`, so some chains end at `(u32::MAX, u32::MAX)`.
+const PAIR_COORDS: [u32; 8] = [0, 1, 2, 3, 5, 8, u32::MAX - 1, u32::MAX];
+
+/// The backward scan `LisResult::reconstruct_indices` ran before its
+/// values-first walk, kept as the walk's oracle: the last position of each
+/// level, from the top down, that lies below the element taken after it.
+fn lis_chain_by_scan(a: &[i64], d: &[u32], length: u32) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut need = length;
+    let mut upper: Option<i64> = None;
+    for i in (0..a.len()).rev() {
+        if need == 0 {
+            break;
+        }
+        if d[i] == need && upper.is_none_or(|u| a[i] < u) {
+            out.push(i);
+            upper = Some(a[i]);
+            need -= 1;
+        }
+    }
+    out.reverse();
+    out
+}
+
+/// The backward scan `reconstruct_lcs` ran before its values-first walk,
+/// kept as the walk's oracle.
+fn lcs_chain_by_scan(pairs: &[MatchPair], values: &[u32], length: u32) -> Vec<MatchPair> {
+    let mut out = Vec::new();
+    let mut need = length;
+    let mut last: Option<MatchPair> = None;
+    for idx in (0..pairs.len()).rev() {
+        if need == 0 {
+            break;
+        }
+        let p = pairs[idx];
+        if values[idx] == need && last.is_none_or(|q| p.i < q.i && p.j < q.j) {
+            out.push(p);
+            last = Some(p);
+            need -= 1;
+        }
+    }
+    out.reverse();
+    out
+}
+
+/// `values` with level `at % 8` written at position `at / 8 % len` for each
+/// `at` in `splices`: wrong levels, which the walk meets before the true
+/// chain element and whose dominance check it must fail.
+fn spliced(values: &[u32], splices: &[usize]) -> Vec<u32> {
+    let mut out = values.to_vec();
+    if !out.is_empty() {
+        for &at in splices {
+            let len = out.len();
+            out[at / 8 % len] = (at % 8) as u32;
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_chain_walks_match_the_backward_scan(
+        picks in prop::collection::vec(0usize..KEY_LIMITS.len() + 40, 0..200),
+        pair_picks in prop::collection::vec(0usize..PAIR_COORDS.len().pow(2), 0..60),
+        splices in prop::collection::vec(0usize..8_000, 0..8),
+    ) {
+        // LIS keys: the key limits and small values, so chains may end at
+        // `i64::MAX`.
+        let a: Vec<i64> = picks
+            .iter()
+            .map(|&p| KEY_LIMITS.get(p).copied().unwrap_or(p as i64 - 28))
+            .collect();
+        let mut lis = parallel_lis(&a);
+        let chain = lis.reconstruct_indices(&a);
+        prop_assert_eq!(chain.len(), lis.length as usize);
+        prop_assert_eq!(&chain, &lis_chain_by_scan(&a, &lis.d, lis.length));
+        lis.d = spliced(&lis.d, &splices);
+        prop_assert_eq!(
+            lis.reconstruct_indices(&a),
+            lis_chain_by_scan(&a, &lis.d, lis.length)
+        );
+
+        // LCS pairs in canonical order (`i` ascending, `j` descending).
+        let side = PAIR_COORDS.len();
+        let mut pairs: Vec<MatchPair> = pair_picks
+            .iter()
+            .map(|&p| MatchPair { i: PAIR_COORDS[p / side], j: PAIR_COORDS[p % side] })
+            .collect();
+        pairs.sort_unstable_by_key(|p| (p.i, std::cmp::Reverse(p.j)));
+        pairs.dedup();
+        let lcs = parallel_sparse_lcs(&pairs);
+        let chain = reconstruct_lcs(&pairs, &lcs.pair_values, lcs.length);
+        prop_assert_eq!(chain.len(), lcs.length as usize);
+        prop_assert_eq!(&chain, &lcs_chain_by_scan(&pairs, &lcs.pair_values, lcs.length));
+        let values = spliced(&lcs.pair_values, &splices);
+        prop_assert_eq!(
+            reconstruct_lcs(&pairs, &values, lcs.length),
+            lcs_chain_by_scan(&pairs, &values, lcs.length)
+        );
+    }
 
     #[test]
     fn prop_lis_matches_naive(values in prop::collection::vec(-1000i64..1000, 0..300)) {
