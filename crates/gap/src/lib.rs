@@ -37,15 +37,40 @@
 //!
 //! # The packed round
 //!
-//! Each packed round is one sequential sweep over the candidate rows.  It
+//! Each packed round is a top-down sweep over the candidate rows.  It
 //! inserts each cell into its row and column decision lists as soon as it
 //! decides it, so the lists answer for every finalized predecessor, this
 //! round's included.  They break ties toward the oldest decision, so the
 //! decision behind an answer tells whether a cell finalized before the
 //! round attains it, which is the whole veto.  A vetoed cell's value is
 //! already final: the next round finalizes it without probing again.  So
-//! the round probes each cell exactly as often as `Γ_gap` and runs inline,
-//! with no pool traffic.
+//! the round probes each cell exactly as often as `Γ_gap`.
+//!
+//! The staircase that makes a round safe also makes it separable.  When two
+//! threads can run and the last round visited at least 64 rows, the round
+//! cuts its rows at `s`, the middle row of the last round's span, where row
+//! `s − 1` is finalized on columns `0..A` with `A > 0`, and sweeps two bands
+//! under one `rayon::join`:
+//!
+//! * the upper band, rows above `s`, owns the column lists from `A` on.  The
+//!   watermarks are non-increasing, so none of its rows reaches left of `A`;
+//! * the lower band, rows from `s` on, owns the column lists below `A` and
+//!   starts from cutoff `A`, so it never reaches `A` or beyond.  The diagonal
+//!   predecessors of its first row were all finalized before the round; it
+//!   reads them from a copy of row `s − 1`.
+//!
+//! So the bands borrow disjoint rows, lists and cells.  The single sweep
+//! would give row `s` the upper band's final cutoff, which is at least `A`,
+//! so each lower row the band swept is a prefix of the row the single sweep
+//! makes: the same cells with the same lists, cutoff and veto.  The calling
+//! thread then repairs the seam.  It walks the lower rows with the true
+//! running cutoff, resumes each row that stopped at its band's cutoff (a
+//! row that stopped below it was vetoed, and is final), and stops at the
+//! first row where the two cutoffs agree: from there on the band did what
+//! the single sweep does.  Grids, rounds, frontiers and every work counter
+//! are therefore the same at any thread count; only the pool traffic
+//! differs, at most one push per round.  At one thread, and for narrower
+//! rounds, the round is the single sweep and calls no pool code.
 //!
 //! Every list is queried only beyond its last insert: a row is probed at
 //! columns right of its watermark, a column at rows below the staircase.  So
@@ -60,7 +85,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
-use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
+use pardp_parutils::{effective_parallelism, round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// A GAP problem instance: two strings plus the two block-deletion cost
@@ -575,12 +600,22 @@ where
 /// wavefront — rounds never exceed `n + m` and match the effective depth
 /// exactly (pinned against a brute-force oracle in the tests).
 ///
-/// The round is one sequential sweep that decides each cell and inserts it
-/// into its row and column lists at once.  It calls no pool code, so grids,
-/// rounds, frontiers and work counters are identical at any thread count.
-/// A kept-back cell's `v` is already final (all of its predecessors are), so
-/// it is carried to the next round, which finalizes it without probing
-/// again: every cell is probed exactly twice, as in `Γ_gap`.
+/// The round is a top-down sweep that decides each cell and inserts it into
+/// its row and column lists at once.  A kept-back cell's `v` is already
+/// final (all of its predecessors are), so it is carried to the next round,
+/// which finalizes it without probing again: every cell is probed exactly
+/// twice, as in `Γ_gap`.
+///
+/// When two threads can run and the last round visited at least 64 rows
+/// (`2 · BAND_ROWS`), the sweep runs as two row bands under one
+/// `rayon::join`, cut at the middle row `s` of the last round's span where
+/// `A = r[s − 1] > 0`: the rows above `s` with the column lists from `A` on,
+/// and the rows from `s` on with the lists below `A` and cutoff `A`.  The
+/// calling thread then repairs the seam, resuming every lower row that
+/// stopped at its band's cutoff until that cutoff agrees with the true one.
+/// Every cell sees the lists, cutoff and veto of the single sweep, so
+/// grids, rounds, frontiers and work counters do not depend on the thread
+/// count (see the crate docs, "The packed round").
 pub struct PackedGapCordon<'i, 'a, W1, W2> {
     inst: &'i GapInstance<'a, W1, W2>,
     d: Vec<Vec<i64>>,
@@ -594,11 +629,19 @@ pub struct PackedGapCordon<'i, 'a, W1, W2> {
     r_start: Vec<usize>,
     /// `carry[i]` = final value of cell `(i, r[i])`, kept back last round.
     carry: Vec<Option<i64>>,
+    /// The lower band's copy of the row above it.
+    stage: Vec<i64>,
+    /// First and last row the last round visited.
+    span: (usize, usize),
     /// First row that can still make progress (rows above are finalized).
     row_lo: usize,
     n: usize,
     m: usize,
 }
+
+/// Rows per band: a round splits into two bands when the last round
+/// visited at least twice as many rows.
+const BAND_ROWS: usize = 32;
 
 impl<'i, 'a, W1, W2> PackedGapCordon<'i, 'a, W1, W2>
 where
@@ -626,10 +669,315 @@ where
             r_start: r.clone(),
             r,
             carry: vec![None; n + 1],
+            stage: vec![INF; m + 1],
+            span: (0, 0),
             row_lo: 0,
             n,
             m,
         }
+    }
+
+    /// Move `row_lo` past the rows that are finalized to the end.
+    fn skip_finished_rows(&mut self) {
+        while self.row_lo <= self.n && self.r[self.row_lo] > self.m {
+            self.row_lo += 1;
+        }
+    }
+
+    /// Where this round splits into bands of at least `band_rows` rows: the
+    /// middle row `s` of the last round's span and `A = r[s − 1]`, if that
+    /// span is wide enough, row `s − 1` is still live (so the upper band has
+    /// a row) and `A > 0`.
+    fn seam(&self, band_rows: usize) -> Option<(usize, usize)> {
+        let (lo, hi) = self.span;
+        let rows = hi + 1 - lo;
+        if rows < 2 * band_rows {
+            return None;
+        }
+        let s = lo + rows / 2;
+        let a = self.r_start[s - 1];
+        (s > self.row_lo && a > 0).then_some((s, a))
+    }
+
+    /// One round, split into bands of at least `band_rows` rows where
+    /// [`Self::seam`] finds a split (never with `None`).
+    fn round_in_bands(&mut self, metrics: &MetricsCollector, band_rows: Option<usize>) -> usize {
+        self.skip_finished_rows();
+        let (row_lo, m) = (self.row_lo, self.m);
+        let seam = band_rows.and_then(|rows| self.seam(rows));
+        let PackedGapCordon {
+            inst,
+            d,
+            row_struct,
+            col_struct,
+            r,
+            r_start,
+            carry,
+            stage,
+            ..
+        } = self;
+        let inst = &**inst;
+        // Read-only until the re-sync below.
+        let snapshot = &r_start[..];
+        let mut whole = Band::rows_from(row_lo, d, row_struct, r, carry, col_struct);
+        // `cutoff` = min over rows above of the post-round watermark: a cell
+        // (i, j) with j >= cutoff has an unfinalized column predecessor that
+        // this round does not resolve, so it cannot be safe.  Rows above
+        // `row_lo` are fully finalized and impose no cutoff.
+        let (row_hi, tally) = match seam {
+            None => {
+                let (row_hi, _, tally) = whole.sweep(inst, snapshot, m + 1);
+                (row_hi, tally)
+            }
+            Some((s, a)) => {
+                let (mut upper, mut lower) = whole.split(s, a, stage);
+                let ((_, cutoff, upper_tally), (row_hi, _, lower_tally)) = rayon::join(
+                    || upper.sweep(inst, snapshot, m + 1),
+                    || lower.sweep(inst, snapshot, a),
+                );
+                // The band's cutoff reaches 0 only after a row kept back at
+                // column 0, which is final, so the true cutoff reaches 0 there
+                // too: the single sweep's last row is the band's, and the
+                // repair stops at or above it.
+                let mut below = Band::rows_from(s, d, row_struct, r, carry, col_struct);
+                let repair_tally = below.repair(inst, snapshot, cutoff, a);
+                (row_hi, upper_tally.add(lower_tally).add(repair_tally))
+            }
+        };
+        // Re-sync the snapshot over the touched rows only (every other row's
+        // watermark is unchanged, so `r_start == r` holds for the next round
+        // without an O(n) copy).
+        r_start[row_lo..=row_hi].copy_from_slice(&r[row_lo..=row_hi]);
+        self.span = (row_lo, row_hi);
+        metrics.add_edges(3 * tally.finalized as u64);
+        metrics.add_probes(tally.probes);
+        metrics.add_wasted(tally.wasted);
+        tally.finalized
+    }
+}
+
+/// Cells a sweep finalized, probes it made and cells it kept back.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    finalized: usize,
+    probes: u64,
+    wasted: u64,
+}
+
+impl Tally {
+    fn add(self, other: Tally) -> Tally {
+        Tally {
+            finalized: self.finalized + other.finalized,
+            probes: self.probes + other.probes,
+            wasted: self.wasted + other.wasted,
+        }
+    }
+}
+
+/// The rows from `first` on that one sweep of a packed round may write,
+/// with the column lists from `col_lo` on.
+struct Band<'b> {
+    first: usize,
+    d: &'b mut [Vec<i64>],
+    rows: &'b mut [ConvexDecisionList],
+    r: &'b mut [usize],
+    carry: &'b mut [Option<i64>],
+    col_lo: usize,
+    cols: &'b mut [ConvexDecisionList],
+    /// Row `first − 1` of the grid (empty for row 0), read for the first
+    /// row's diagonal predecessors.
+    above: &'b [i64],
+}
+
+impl<'b> Band<'b> {
+    /// Rows `first..` of the grid with every column list.
+    fn rows_from(
+        first: usize,
+        d: &'b mut [Vec<i64>],
+        rows: &'b mut [ConvexDecisionList],
+        r: &'b mut [usize],
+        carry: &'b mut [Option<i64>],
+        cols: &'b mut [ConvexDecisionList],
+    ) -> Self {
+        let (done, d) = d.split_at_mut(first);
+        Band {
+            first,
+            d,
+            rows: &mut rows[first..],
+            r: &mut r[first..],
+            carry: &mut carry[first..],
+            col_lo: 0,
+            cols,
+            above: done.last().map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// Split a band over every column list at row `s` and column `a`, with
+    /// `r[s − 1] == a`: the upper band keeps the rows above `s` and takes
+    /// the lists from `a` on, the lower band the rest, reading row `s − 1`
+    /// from its copy in `stage`.
+    fn split(self, s: usize, a: usize, stage: &'b mut [i64]) -> (Self, Self) {
+        let k = s - self.first;
+        let (upper_d, lower_d) = self.d.split_at_mut(k);
+        stage[..a].copy_from_slice(&upper_d[k - 1][..a]);
+        let (upper_rows, lower_rows) = self.rows.split_at_mut(k);
+        let (upper_r, lower_r) = self.r.split_at_mut(k);
+        let (upper_carry, lower_carry) = self.carry.split_at_mut(k);
+        let (lower_cols, upper_cols) = self.cols.split_at_mut(a);
+        let upper = Band {
+            first: self.first,
+            d: upper_d,
+            rows: upper_rows,
+            r: upper_r,
+            carry: upper_carry,
+            col_lo: a,
+            cols: upper_cols,
+            above: self.above,
+        };
+        let lower = Band {
+            first: s,
+            d: lower_d,
+            rows: lower_rows,
+            r: lower_r,
+            carry: lower_carry,
+            col_lo: 0,
+            cols: lower_cols,
+            above: &stage[..a],
+        };
+        (upper, lower)
+    }
+
+    /// Sweep the band's rows top-down, starting from `cutoff`, until the
+    /// cutoff reaches 0.  Returns the last row visited, the final cutoff
+    /// and the sweep's tally.
+    fn sweep<W1, W2>(
+        &mut self,
+        inst: &GapInstance<'_, W1, W2>,
+        r_start: &[usize],
+        mut cutoff: usize,
+    ) -> (usize, usize, Tally)
+    where
+        W1: Fn(usize, usize) -> i64 + Sync,
+        W2: Fn(usize, usize) -> i64 + Sync,
+    {
+        let mut tally = Tally::default();
+        let mut row_hi = self.first;
+        for i in self.first..self.first + self.r.len() {
+            if cutoff == 0 {
+                break;
+            }
+            row_hi = i;
+            cutoff = cutoff.min(self.visit(inst, r_start, i, cutoff, &mut tally));
+        }
+        (row_hi, cutoff, tally)
+    }
+
+    /// Finish a lower band swept from `band_cutoff` now that the rows above
+    /// it left `cutoff >= band_cutoff`: walk its rows with both running
+    /// cutoffs, resume each row that stopped at its band cutoff (one that
+    /// stopped below was vetoed and is final), and stop where the two
+    /// agree.
+    fn repair<W1, W2>(
+        &mut self,
+        inst: &GapInstance<'_, W1, W2>,
+        r_start: &[usize],
+        mut cutoff: usize,
+        mut band_cutoff: usize,
+    ) -> Tally
+    where
+        W1: Fn(usize, usize) -> i64 + Sync,
+        W2: Fn(usize, usize) -> i64 + Sync,
+    {
+        let mut tally = Tally::default();
+        for i in self.first..self.first + self.r.len() {
+            if cutoff == band_cutoff {
+                break;
+            }
+            let banded = self.r[i - self.first];
+            let watermark = if banded >= band_cutoff {
+                self.visit(inst, r_start, i, cutoff, &mut tally)
+            } else {
+                banded
+            };
+            band_cutoff = band_cutoff.min(banded);
+            cutoff = cutoff.min(watermark);
+        }
+        tally
+    }
+
+    /// Extend row `i` from its watermark up to `cutoff` or its first kept-back
+    /// cell, and return the new watermark.  A round visits hundreds of rows
+    /// of one or two cells each, so this is inlined into the loops.
+    #[inline(always)]
+    fn visit<W1, W2>(
+        &mut self,
+        inst: &GapInstance<'_, W1, W2>,
+        r_start: &[usize],
+        i: usize,
+        cutoff: usize,
+        tally: &mut Tally,
+    ) -> usize
+    where
+        W1: Fn(usize, usize) -> i64 + Sync,
+        W2: Fn(usize, usize) -> i64 + Sync,
+    {
+        let (w1, w2) = (&inst.w1, &inst.w2);
+        let k = i - self.first;
+        let start = self.r[k];
+        if start >= cutoff {
+            // Blocked at its first unfinalized cell by the column above;
+            // the new watermark equals the old one (>= cutoff already).
+            return start;
+        }
+        let (prev, cur) = self.d.split_at_mut(k);
+        let above = if k == 0 { self.above } else { &prev[k - 1] };
+        let drow = &mut cur[0];
+        let row = &mut self.rows[k];
+        let cols = &mut *self.cols;
+        let col_lo = self.col_lo;
+        let mut j = start;
+        // The cutoff never shrinks between rounds, so a cell kept back
+        // last round is reached again, now with every predecessor final
+        // before the round: safe, with the value it was kept back with.
+        let mut carried = self.carry[k].take();
+        while j < cutoff {
+            let col = &mut cols[j - col_lo];
+            let v = if let Some(v) = carried.take() {
+                v
+            } else {
+                let (p, p_from) = col.query(i, w1);
+                let (q, q_from) = row.query(j, w2);
+                tally.probes += 2;
+                // The diagonal predecessor, if it matches, and whether it
+                // was finalized before the round.
+                let (g, g_old) = if i > 0 && j > 0 && inst.matches(i, j) {
+                    (above[j - 1], j - 1 < r_start[i - 1])
+                } else {
+                    (INF, false)
+                };
+                let v = p.min(q).min(g);
+                // Cells finalized before the round are older than the
+                // round's own, so a list answers with one of them whenever
+                // one attains its minimum.
+                let safe = (p == v && j < r_start[p_from])
+                    || (q == v && q_from < r_start[i])
+                    || (g == v && g_old);
+                if !safe {
+                    // Only a cell of this round attains `v`: keep back.
+                    self.carry[k] = Some(v);
+                    tally.wasted += 1;
+                    break;
+                }
+                v
+            };
+            drow[j] = v;
+            row.insert(j, v, w2);
+            col.insert(i, v, w1);
+            tally.finalized += 1;
+            j += 1;
+        }
+        self.r[k] = j;
+        j
     }
 }
 
@@ -647,93 +995,8 @@ where
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let (inst, n, m) = (self.inst, self.n, self.m);
-        let (w1, w2) = (&inst.w1, &inst.w2);
-        while self.row_lo <= n && self.r[self.row_lo] > m {
-            self.row_lo += 1;
-        }
-        let row_lo = self.row_lo;
-        let PackedGapCordon {
-            d,
-            row_struct,
-            col_struct,
-            r,
-            r_start,
-            carry,
-            ..
-        } = self;
-        let (mut finalized, mut probes, mut wasted) = (0usize, 0u64, 0u64);
-        let mut row_hi = row_lo;
-        // `cutoff` = min over rows above of the post-round watermark: a cell
-        // (i, j) with j >= cutoff has an unfinalized column predecessor that
-        // this round does not resolve, so it cannot be safe.  Rows above
-        // `row_lo` are fully finalized and impose no cutoff.
-        let mut cutoff = m + 1;
-        for i in row_lo..=n {
-            if cutoff == 0 {
-                break;
-            }
-            row_hi = i;
-            let start = r[i];
-            if start >= cutoff {
-                // Blocked at its first unfinalized cell by the column above;
-                // the new watermark equals the old one (>= cutoff already).
-                continue;
-            }
-            let (above, below) = d.split_at_mut(i);
-            let drow = &mut below[0];
-            let row = &mut row_struct[i];
-            let mut j = start;
-            // The cutoff never shrinks between rounds, so a cell kept back
-            // last round is reached again, now with every predecessor final
-            // before the round: safe, with the value it was kept back with.
-            let mut carried = carry[i].take();
-            while j < cutoff {
-                let v = if let Some(v) = carried.take() {
-                    v
-                } else {
-                    let (p, p_from) = col_struct[j].query(i, w1);
-                    let (q, q_from) = row.query(j, w2);
-                    probes += 2;
-                    // The diagonal predecessor, if it matches, and whether it
-                    // was finalized before the round.
-                    let (g, g_old) = if i > 0 && j > 0 && inst.matches(i, j) {
-                        (above[i - 1][j - 1], j - 1 < r_start[i - 1])
-                    } else {
-                        (INF, false)
-                    };
-                    let v = p.min(q).min(g);
-                    // Cells finalized before the round are older than the
-                    // round's own, so a list answers with one of them whenever
-                    // one attains its minimum.
-                    let safe = (p == v && j < r_start[p_from])
-                        || (q == v && q_from < r_start[i])
-                        || (g == v && g_old);
-                    if !safe {
-                        // Only a cell of this round attains `v`: keep back.
-                        carry[i] = Some(v);
-                        wasted += 1;
-                        break;
-                    }
-                    v
-                };
-                drow[j] = v;
-                row.insert(j, v, w2);
-                col_struct[j].insert(i, v, w1);
-                finalized += 1;
-                j += 1;
-            }
-            r[i] = j;
-            cutoff = cutoff.min(j);
-        }
-        // Re-sync the snapshot over the touched rows only (every other row's
-        // watermark is unchanged, so `r_start == r` holds for the next round
-        // without an O(n) copy).
-        r_start[row_lo..=row_hi].copy_from_slice(&r[row_lo..=row_hi]);
-        metrics.add_edges(3 * finalized as u64);
-        metrics.add_probes(probes);
-        metrics.add_wasted(wasted);
-        finalized
+        let bands = (effective_parallelism() >= 2).then_some(BAND_ROWS);
+        self.round_in_bands(metrics, bands)
     }
 
     fn finish(self) -> Self::Output {
@@ -1037,11 +1300,49 @@ mod tests {
         frontiers
     }
 
+    /// One-row bands change nothing.  A cordon that splits every round it
+    /// can, at any thread count, runs in lockstep with one that never
+    /// splits: after each round both hold the same watermarks, kept-back
+    /// values and span, and at the end the same grid, equal to the naive
+    /// oracle's, and the same `Metrics`.  Returns how many rounds split.
+    fn assert_bands_match<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> u64
+    where
+        W1: Fn(usize, usize) -> i64 + Sync,
+        W2: Fn(usize, usize) -> i64 + Sync,
+    {
+        let (mut whole, mut banded) = (PackedGapCordon::new(inst), PackedGapCordon::new(inst));
+        let (whole_metrics, banded_metrics) = (MetricsCollector::new(), MetricsCollector::new());
+        let mut splits = 0;
+        while !whole.is_done() {
+            banded.skip_finished_rows();
+            splits += u64::from(banded.seam(1).is_some());
+            let frontier = whole.round_in_bands(&whole_metrics, None);
+            assert_eq!(
+                banded.round_in_bands(&banded_metrics, Some(1)),
+                frontier,
+                "one-row bands: frontier"
+            );
+            assert_eq!(
+                (&banded.r, &banded.carry, banded.span),
+                (&whole.r, &whole.carry, whole.span),
+                "one-row bands: staircase after a round"
+            );
+            whole_metrics.record_round(frontier as u64);
+            banded_metrics.record_round(frontier as u64);
+        }
+        assert!(banded.is_done());
+        assert_eq!(banded_metrics.snapshot(), whole_metrics.snapshot());
+        assert_eq!(banded.d, whole.d, "one-row bands: grid");
+        assert_eq!(banded.d, naive_gap(inst).d, "one-row bands: grid");
+        splits
+    }
+
     /// The packed cordon runs the oracle's schedule — every round finalizes
     /// exactly the oracle's cells for that round, so the round count is the
     /// effective depth — and probes every cell exactly twice, as `Γ_gap`
-    /// does.
-    fn assert_packed_depth<W1, W2>(inst: &GapInstance<'_, W1, W2>)
+    /// does.  So it does with one-row bands, which split every round they
+    /// can.  Returns how many rounds split.
+    fn assert_packed_depth<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> u64
     where
         W1: Fn(usize, usize) -> i64 + Sync,
         W2: Fn(usize, usize) -> i64 + Sync,
@@ -1063,6 +1364,7 @@ mod tests {
             2 * packed.metrics.states_finalized,
             "every cell is probed exactly twice"
         );
+        assert_bands_match(inst)
     }
 
     #[test]
@@ -1144,6 +1446,52 @@ mod tests {
         let s = pseudo_string(40, 4, 3);
         assert_packed_depth(&convex_gap_instance(&empty, &s, 600, 1, 1));
         assert_packed_depth(&convex_gap_instance(&s, &s[..25], 600, 1, 1));
+    }
+
+    #[test]
+    fn one_row_bands_match_the_oracles() {
+        // The adversarial families, every round split wherever it can be.
+        let mut splits = 0;
+        let a = pseudo_string(30, 1, 4);
+        splits += assert_packed_depth(&convex_gap_instance(&a, &a, 5, 1, 1));
+        let (z, o) = (vec![0u8; 48], vec![1u8; 41]);
+        splits += assert_packed_depth(&convex_gap_instance(&z, &o, 3, 2, 0));
+        let s = pseudo_string(40, 4, 3);
+        splits += assert_packed_depth(&convex_gap_instance(&[], &s, 600, 1, 1));
+        splits += assert_packed_depth(&convex_gap_instance(&s, &[], 600, 1, 1));
+        splits += assert_packed_depth(&convex_gap_instance(&s, &s[..25], 600, 1, 1));
+        let (a, b) = (pseudo_string(20, 3, 2), pseudo_string(25, 9, 2));
+        splits += assert_packed_depth(&GapInstance::new(
+            &a,
+            &b,
+            |l: usize, r: usize| 100 + 10 * (r - l) as i64,
+            |l: usize, r: usize| 1 + (r - l) as i64,
+        ));
+        assert!(splits > 0, "no adversarial round split");
+
+        // Random grids of 1-60 x 1-55 under five convex families and
+        // asymmetric costs.
+        let mut splits = 0;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for seed in 0..30u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (n, m) = (1 + state % 60, 1 + (state >> 8) % 55);
+            let alphabet = 2 + (state >> 16) % 4;
+            let a = pseudo_string(n as usize, seed, alphabet);
+            let b = pseudo_string(m as usize, seed + 1000, alphabet);
+            for (open, ext, quad) in [(2, 1, 0), (10, 0, 1), (50, 3, 2), (3, 1, 1), (600, 1, 1)] {
+                splits += assert_bands_match(&convex_gap_instance(&a, &b, open, ext, quad));
+            }
+            splits += assert_bands_match(&GapInstance::new(
+                &a,
+                &b,
+                |l: usize, r: usize| 40 + 7 * (r - l) as i64,
+                |l: usize, r: usize| 2 + ((r - l) * (r - l)) as i64,
+            ));
+        }
+        assert!(splits > 100, "only {splits} random rounds split");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl Default for GrainHint {
 /// more grains than the hardware can run concurrently buys no steal balance
 /// and pays real scheduling cost — oversubscribed workers only add context
 /// switches on the critical path.
-fn effective_parallelism() -> usize {
+pub fn effective_parallelism() -> usize {
     // Cached: `available_parallelism()` probes cgroup files on Linux, which
     // allocates — the sub-cutoff fast path must stay allocation-free.
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -100,6 +100,8 @@ impl GrainHint {
 #[derive(Debug)]
 pub struct GrainPolicy {
     recent: VecDeque<u64>,
+    /// The hint derived from `recent`, recomputed by each `observe`.
+    hint: GrainHint,
 }
 
 impl Default for GrainPolicy {
@@ -107,8 +109,15 @@ impl Default for GrainPolicy {
         // Sized for the full window up front, so `observe` never allocates.
         GrainPolicy {
             recent: VecDeque::with_capacity(WINDOW),
+            hint: GrainHint::default(),
         }
     }
+}
+
+/// Nearest-rank percentile `p` of the ascending, non-empty `sorted`.
+fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 impl GrainPolicy {
@@ -117,12 +126,37 @@ impl GrainPolicy {
         Self::default()
     }
 
-    /// Record the frontier size of a completed round.
+    /// Record the frontier size of a completed round and derive the next
+    /// hint from the window's 10th and 90th percentiles.
     pub fn observe(&mut self, frontier: u64) {
         if self.recent.len() == WINDOW {
             self.recent.pop_front();
         }
         self.recent.push_back(frontier);
+        if self.recent.len() < 4 {
+            return;
+        }
+        // One sorted stack copy serves both percentiles: the driver observes
+        // every round, and the round loop must not allocate.
+        let mut buf = [0u64; WINDOW];
+        let sorted = self.sorted_window(&mut buf);
+        let lo = nearest_rank(sorted, 10.0).max(1);
+        let hi = nearest_rank(sorted, 90.0).max(1);
+        self.hint.grains_per_thread = if hi / lo >= BURSTY_SPREAD {
+            GRAINS_FINE
+        } else {
+            GRAINS_COARSE
+        };
+    }
+
+    /// The window copied into `buf` and sorted.
+    fn sorted_window<'b>(&self, buf: &'b mut [u64; WINDOW]) -> &'b [u64] {
+        let sorted = &mut buf[..self.recent.len()];
+        for (slot, &f) in sorted.iter_mut().zip(&self.recent) {
+            *slot = f;
+        }
+        sorted.sort_unstable();
+        sorted
     }
 
     /// Nearest-rank percentile of the recorded window (0 with no history).
@@ -130,34 +164,12 @@ impl GrainPolicy {
         if self.recent.is_empty() {
             return 0;
         }
-        // Sort a stack copy: the driver asks for a hint every round, and the
-        // round loop must not allocate.
-        let mut buf = [0u64; WINDOW];
-        let sorted = &mut buf[..self.recent.len()];
-        for (slot, &f) in sorted.iter_mut().zip(&self.recent) {
-            *slot = f;
-        }
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        nearest_rank(self.sorted_window(&mut [0; WINDOW]), p)
     }
 
-    /// Current decision parameters derived from the window.
+    /// Current decision parameters, as derived by the last `observe`.
     pub fn hint(&self) -> GrainHint {
-        if self.recent.len() < 4 {
-            return GrainHint::default();
-        }
-        let lo = self.window_percentile(10.0).max(1);
-        let hi = self.window_percentile(90.0).max(1);
-        let grains_per_thread = if hi / lo >= BURSTY_SPREAD {
-            GRAINS_FINE
-        } else {
-            GRAINS_COARSE
-        };
-        GrainHint {
-            seq_below: SEQ_CUTOFF,
-            grains_per_thread,
-        }
+        self.hint
     }
 
     /// The `with_min_len` value for a loop over `len` items under the current
@@ -266,6 +278,45 @@ mod tests {
         assert_eq!(inside.grains_per_thread, GRAINS_COARSE);
         // Restored after the closure.
         assert_eq!(round_hint(), outside);
+    }
+
+    #[test]
+    fn stored_hint_equals_the_two_percentile_formula() {
+        // The hint `observe` stores against the formula it replaced: two
+        // `window_percentile` calls on the current window, after every
+        // observation of random windows with narrow and bursty spreads.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut seen = [false; 2];
+        for spread in [1u64, 4, 9, 100, 1 << 20] {
+            let mut policy = GrainPolicy::new();
+            for _ in 0..3 * WINDOW {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                policy.observe(1 + state % (spread * 16) + (state >> 60) * spread);
+                let want = if policy.recent.len() < 4 {
+                    GrainHint::default()
+                } else {
+                    let lo = policy.window_percentile(10.0).max(1);
+                    let hi = policy.window_percentile(90.0).max(1);
+                    GrainHint {
+                        seq_below: SEQ_CUTOFF,
+                        grains_per_thread: if hi / lo >= BURSTY_SPREAD {
+                            GRAINS_FINE
+                        } else {
+                            GRAINS_COARSE
+                        },
+                    }
+                };
+                assert_eq!(policy.hint(), want, "spread {spread}: {:?}", policy.recent);
+                seen[usize::from(want.grains_per_thread == GRAINS_FINE)] = true;
+            }
+        }
+        assert_eq!(
+            seen,
+            [true, true],
+            "the windows were all stable or all bursty"
+        );
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub mod metrics;
 pub mod par;
 pub mod sort;
 
-pub use grain::{round_min_grain, with_grain_policy, GrainHint, GrainPolicy};
+pub use grain::{
+    effective_parallelism, round_min_grain, with_grain_policy, GrainHint, GrainPolicy,
+};
 pub use metrics::{Metrics, MetricsCollector};
 pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};
 pub use sort::par_sort_by_key_with;

@@ -92,7 +92,18 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
     let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
     let baseline = with_threads(1, || parallel_dp::gap::parallel_gap_packed(&inst));
     for t in THREAD_COUNTS {
+        let (pushes_before, _) = rayon::dispatch_diagnostics();
         let run = with_threads(t, || parallel_dp::gap::parallel_gap_packed(&inst));
+        let (pushes_after, _) = rayon::dispatch_diagnostics();
+        // Where two threads can run, the wide rounds split into two bands
+        // and fork, so the comparison covers the bands and the seam repair.
+        // (Sibling tests share the counter, but can only add pushes.)
+        if t == 2 && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+            assert!(
+                pushes_after > pushes_before,
+                "packed GAP did not fork at 2 threads"
+            );
+        }
         assert_eq!(run.d, baseline.d, "packed GAP grid differs at {t} threads");
         assert_eq!(run.cost, baseline.cost);
         // The whole metrics record, not just the round schedule: probes and

@@ -141,29 +141,56 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         "a sub-grain run must not wake any worker"
     );
 
-    // Packed GAP: each round is one sweep on the calling thread that calls
-    // no pool code.  Even with 8 threads installed the whole solve must push
-    // zero jobs and wake zero workers — on a small instance and on one with
-    // hundreds of rows per round.
-    for (n, m) in [(120, 110), (300, 300)] {
+    // Packed GAP: a round splits into two bands under one `rayon::join`
+    // only when two threads can run and the last round visited at least 64
+    // rows.  Pinned to one thread, a solve pushes zero jobs and wakes zero
+    // workers, on a small instance and on one with hundreds of rows per
+    // round.  With 8 threads installed, so does a solve whose rounds never
+    // visit 64 rows: its grid has 61 of them.
+    for (n, m, threads) in [(120, 110, 1), (300, 300, 1), (60, 110, 8)] {
         let (ga, gb) = workloads::gap_strings(n, m, 4, 9);
         let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
         let expected = parallel_dp::gap::sequential_gap(&ginst);
 
         let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
-        let run = with_threads(8, || parallel_dp::gap::parallel_gap_packed(&ginst));
+        let run = with_threads(threads, || parallel_dp::gap::parallel_gap_packed(&ginst));
         let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
 
-        assert_eq!(run.d, expected.d, "{n}x{m}");
+        assert_eq!(run.d, expected.d, "{n}x{m} at {threads} threads");
         assert_eq!(
             pushes_after - pushes_before,
             0,
-            "a {n}x{m} packed-GAP solve must not touch the injector"
+            "a {n}x{m} packed-GAP solve at {threads} threads must not touch the injector"
         );
         assert_eq!(
             wakeups_after - wakeups_before,
             0,
-            "a {n}x{m} packed-GAP solve must not wake any worker"
+            "a {n}x{m} packed-GAP solve at {threads} threads must not wake any worker"
+        );
+    }
+    // The 300 x 300 rounds split at 8 threads where two threads can run, at
+    // most one push each, and the bands and the seam repair still give
+    // Γ_gap's grid.
+    let (ga, gb) = workloads::gap_strings(300, 300, 4, 9);
+    let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
+    let (pushes_before, _) = rayon::dispatch_diagnostics();
+    let run = with_threads(8, || parallel_dp::gap::parallel_gap_packed(&ginst));
+    let (pushes_after, _) = rayon::dispatch_diagnostics();
+    assert_eq!(
+        run.d,
+        parallel_dp::gap::sequential_gap(&ginst).d,
+        "300x300 at 8 threads"
+    );
+    let pushes = pushes_after - pushes_before;
+    assert!(
+        pushes <= run.metrics.rounds,
+        "{pushes} pushes in {} rounds",
+        run.metrics.rounds
+    );
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        assert!(
+            pushes > 0,
+            "the 300x300 packed-GAP solve did not fork at 8 threads"
         );
     }
 
