@@ -72,12 +72,13 @@
 //! differs, at most one push per round.  At one thread, and for narrower
 //! rounds, the round is the single sweep and calls no pool code.
 //!
-//! Every list is queried only beyond its last insert: a row is probed at
-//! columns right of its watermark, a column at rows below the staircase.  So
-//! each list keeps only its live envelope, usually one or two entries, and a
-//! query is a search over that window.  The buffers are sized up front, so
-//! the round body does not allocate (pinned at one thread by
-//! `tests/alloc_counting.rs`).
+//! Every list is queried only at its live edge, one past its last insert: a
+//! row is probed at its watermark, a column at its first unfinalized row,
+//! and `Γ_gap` and the wavefront ask each list at the position after the one
+//! they last inserted.  So each list keeps only its live envelope,
+//! one or two entries on the bench workloads, and a query reads its head
+//! entry.  The buffers are sized up front, so the round body does not
+//! allocate (pinned at one thread by `tests/alloc_counting.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,8 +131,109 @@ where
     }
 }
 
+/// Why [`try_convex_gap_instance`] rejects a gap penalty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GapCostError {
+    /// The quadratic coefficient is negative, so the penalty is not convex.
+    NotConvex {
+        /// The quadratic coefficient.
+        quad: i64,
+    },
+    /// A gap of `len` characters costs a value outside the DP's range
+    /// `(−INF, INF)`, `INF = i64::MAX / 4`.
+    GapOutOfRange {
+        /// The gap length.
+        len: usize,
+    },
+    /// `gaps` gaps of `len` characters each, as many as an alignment can
+    /// hold, sum to a value outside `(−INF, INF)`.
+    AlignmentOutOfRange {
+        /// The length of the gap with the costliest magnitude.
+        len: usize,
+        /// `n + m`, the most gaps an alignment has.
+        gaps: usize,
+    },
+}
+
+impl core::fmt::Display for GapCostError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            GapCostError::NotConvex { quad } => write!(
+                f,
+                "convex gap cost: quadratic coefficient {quad} must be non-negative"
+            ),
+            GapCostError::GapOutOfRange { len } => write!(
+                f,
+                "convex gap cost: a gap of length {len} leaves the DP's range ±i64::MAX / 4"
+            ),
+            GapCostError::AlignmentOutOfRange { len, gaps } => write!(
+                f,
+                "convex gap cost: {gaps} gaps of length {len} leave the DP's range ±i64::MAX / 4"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GapCostError {}
+
 /// Build a GAP instance with the affine-plus-quadratic convex gap penalty
 /// `w(l, r) = open + ext·(r-l) + quad·(r-l)²` on both strings.
+///
+/// Every DP value is a sum of at most `n + m` gap costs over lengths of at
+/// most `max(n, m)`, and the evaluations hold them in `i64` below the
+/// sentinel `INF = i64::MAX / 4`.  So this checks, in checked arithmetic,
+/// that every such gap cost and `n + m` times the largest of them in
+/// magnitude lie in `(−INF, INF)`; the DP's sums of one value and one gap
+/// cost then cannot overflow either.
+// The cost closures have no nameable type to alias.
+#[allow(clippy::type_complexity)]
+pub fn try_convex_gap_instance<'a>(
+    a: &'a [u8],
+    b: &'a [u8],
+    open: i64,
+    ext: i64,
+    quad: i64,
+) -> Result<
+    GapInstance<'a, impl Fn(usize, usize) -> i64 + Sync, impl Fn(usize, usize) -> i64 + Sync>,
+    GapCostError,
+> {
+    if quad < 0 {
+        return Err(GapCostError::NotConvex { quad });
+    }
+    let in_range = |v: i64| -INF < v && v < INF;
+    let checked_cost = |len: usize| {
+        let len = i64::try_from(len).ok()?;
+        open.checked_add(ext.checked_mul(len)?)?
+            .checked_add(quad.checked_mul(len)?.checked_mul(len)?)
+    };
+    let gaps = a.len() + b.len();
+    let mut costliest = (0, 0i64);
+    for len in 1..=a.len().max(b.len()) {
+        let c = checked_cost(len)
+            .filter(|&c| in_range(c))
+            .ok_or(GapCostError::GapOutOfRange { len })?;
+        if c.unsigned_abs() > costliest.1.unsigned_abs() {
+            costliest = (len, c);
+        }
+    }
+    let (len, c) = costliest;
+    let total = i64::try_from(gaps).ok().and_then(|g| g.checked_mul(c));
+    if !total.is_some_and(in_range) {
+        return Err(GapCostError::AlignmentOutOfRange { len, gaps });
+    }
+    let cost = move |l: usize, r: usize| {
+        let len = (r - l) as i64;
+        open + ext * len + quad * len * len
+    };
+    Ok(GapInstance::new(a, b, cost, cost))
+}
+
+/// [`try_convex_gap_instance`], panicking where it returns an error.
+///
+/// # Panics
+///
+/// Panics with the [`GapCostError`] message if `quad < 0`, or if a gap cost,
+/// or an alignment's sum of them, can leave `(−i64::MAX / 4, i64::MAX / 4)`.
 pub fn convex_gap_instance<'a>(
     a: &'a [u8],
     b: &'a [u8],
@@ -139,12 +241,12 @@ pub fn convex_gap_instance<'a>(
     ext: i64,
     quad: i64,
 ) -> GapInstance<'a, impl Fn(usize, usize) -> i64 + Sync, impl Fn(usize, usize) -> i64 + Sync> {
-    assert!(quad >= 0, "quadratic coefficient must be non-negative");
-    let cost = move |l: usize, r: usize| {
-        let len = (r - l) as i64;
-        open + ext * len + quad * len * len
-    };
-    GapInstance::new(a, b, cost, cost)
+    match try_convex_gap_instance(a, b, open, ext, quad) {
+        Ok(inst) => inst,
+        // analyze: allow(no-panics): documented panicking facade over the
+        // typed `try_convex_gap_instance` (see the `# Panics` docs above).
+        Err(err) => panic!("{err}"),
+    }
 }
 
 /// Direct evaluation of the GAP recurrence, `O(n²m + nm²)` work.
@@ -198,24 +300,34 @@ where
 // optimized algorithms).
 // ---------------------------------------------------------------------------
 
-/// Entries each list's buffer is pre-sized for.  Live windows hold at most
-/// two entries on the bench workloads, so their buffers only ever compact; a
-/// wider window (about 25 entries at an opening cost of 600) grows its
-/// buffer once.
+/// Entries each list's buffer is pre-sized for.  Before an insert the live
+/// window holds one or two entries on the bench workloads, never more, so
+/// their buffers never grow: an insert that replaces the envelope clears
+/// its buffer, and any other compacts a full one.  A wider window (about 25
+/// entries at an opening cost of 600) grows its buffer once.
 const LIST_CAPACITY: usize = 8;
 
 /// An online best-decision structure for a convex cost: decisions are inserted
-/// in increasing position order, and every query asks at a position beyond
-/// the last insert.  The list keeps only its *live envelope*: an entry whose
-/// successor takes over at or before the next queryable position can never
-/// answer again, so each insert trims it.  Queries do not mutate the
-/// structure (binary search over the live takeover positions), so tentative
-/// probes are safe.
+/// in increasing position order, and every query asks at the *live edge*
+/// `live_from`, one past the last insert.  The list keeps only its *live
+/// envelope*: an entry whose successor takes over at or before the live edge
+/// can never answer again, so each insert trims it, and the head entry is
+/// the answer at the live edge.  A query reads it in O(1) and does not
+/// mutate the list, so tentative probes are safe.
+///
+/// An insert whose decision is strictly better at the next position than a
+/// last entry that already answers at the insert position is, by convexity's
+/// suffix property, strictly better up to the horizon: it replaces the whole
+/// envelope in one step.  Any other insert pops the entries it beats,
+/// gallops to its takeover position and trims the dead prefix.
 ///
 /// Ties go to the *oldest* decision: a new decision pops an entry or takes
 /// over only where it is strictly better.  Convexity makes the leftmost
 /// minimizer monotone in the query position, so every answer is the oldest
 /// decision among the tied minima — the packed round's veto relies on it.
+///
+/// The gap cost is evaluated only at positions up to the horizon, the
+/// instance's domain.
 #[derive(Debug, Clone)]
 struct ConvexDecisionList {
     /// `(takeover, decision, decision_value)` — from `takeover` on (until the
@@ -224,8 +336,8 @@ struct ConvexDecisionList {
     /// buffer is full.
     entries: Vec<(usize, usize, i64)>,
     head: usize,
-    /// One past the last inserted position: the first position a query may
-    /// ask at.
+    /// One past the last inserted position: the position every query asks
+    /// at.
     live_from: usize,
     horizon: usize,
 }
@@ -250,10 +362,26 @@ impl ConvexDecisionList {
 
     /// Insert a decision at `pos` with value `val`; `cost(l, r)` is the gap
     /// cost.  Decisions must be inserted in increasing `pos` order.
+    #[inline(always)]
     fn insert(&mut self, pos: usize, val: i64, cost: &impl Fn(usize, usize) -> i64) {
         debug_assert!(pos >= self.live_from, "insert at {pos} is out of order");
-        self.live_from = pos + 1;
+        let next = pos + 1;
+        self.live_from = next;
         if val < INF {
+            if let Some(&(start, dec, dval)) = self.entries.last() {
+                // A last entry that answers at `pos` answers at every later
+                // position, and a decision strictly better at `next` stays
+                // so up to the horizon: it is the whole live envelope.
+                if start <= pos
+                    && next <= self.horizon
+                    && val + cost(pos, next) < dval + cost(dec, next)
+                {
+                    self.entries.clear();
+                    self.entries.push((next, pos, val));
+                    self.head = 0;
+                    return;
+                }
+            }
             self.push_decision(pos, val, cost);
         }
         // Trim the dead prefix.  The head it leaves starts at or before
@@ -320,22 +448,40 @@ impl ConvexDecisionList {
             }
         };
         if takeover <= self.horizon {
-            if self.entries.len() == self.entries.capacity() && self.head > 0 {
-                self.entries.drain(..self.head);
+            let len = self.entries.len();
+            if len == self.entries.capacity() && self.head > 0 {
+                self.entries.copy_within(self.head.., 0);
+                self.entries.truncate(len - self.head);
                 self.head = 0;
             }
             self.entries.push((takeover, pos, val));
         }
     }
 
-    /// Best value at query position `q` (must be beyond the last inserted
-    /// decision position) and the oldest decision attaining it, or
-    /// `(INF, 0)` if no decision applies.
+    /// Best value at the live edge `q == live_from` and the oldest decision
+    /// attaining it, or `(INF, 0)` if no decision applies.
+    #[inline(always)]
     fn query(&self, q: usize, cost: &impl Fn(usize, usize) -> i64) -> (i64, usize) {
         debug_assert!(
+            q == self.live_from,
+            "query at {q} is not at the live edge {}",
+            self.live_from
+        );
+        match self.entries.get(self.head) {
+            Some(&(_, dec, dval)) => (dval + cost(dec, q), dec),
+            None => (INF, 0),
+        }
+    }
+
+    /// [`Self::query`] at any position `q` from the live edge on, by a
+    /// search over the live takeover positions: the brute-force check's
+    /// reader.
+    #[cfg(test)]
+    fn query_at(&self, q: usize, cost: &impl Fn(usize, usize) -> i64) -> (i64, usize) {
+        assert!(
             q >= self.live_from,
-            "query at {q} is not beyond the last insert ({})",
-            self.live_from - 1
+            "query at {q} is before the live edge {}",
+            self.live_from
         );
         let live = &self.entries[self.head..];
         let idx = live.partition_point(|&(start, _, _)| start <= q);
@@ -1195,6 +1341,101 @@ mod tests {
         }
     }
 
+    /// Deleting `s[l+1..=r]` costs `open + len²` plus the weights of the
+    /// deleted characters, read from prefix sums, so evaluating the cost
+    /// past the end of `s` panics.
+    fn weighted_gap_cost(s: &[u8], open: i64) -> impl Fn(usize, usize) -> i64 + Sync {
+        let mut prefix = vec![0i64];
+        for &c in s {
+            prefix.push(prefix[prefix.len() - 1] + 1 + i64::from(c));
+        }
+        move |l, r| {
+            let len = (r - l) as i64;
+            open + len * len + prefix[r] - prefix[l]
+        }
+    }
+
+    #[test]
+    fn gap_costs_are_evaluated_only_inside_the_strings() {
+        for seed in 0..6 {
+            let a = pseudo_string(31, seed, 3);
+            let b = pseudo_string(26, seed + 5, 3);
+            let inst = GapInstance::new(&a, &b, weighted_gap_cost(&a, 4), weighted_gap_cost(&b, 9));
+            let want = naive_gap(&inst);
+            for got in [
+                sequential_gap(&inst),
+                parallel_gap(&inst),
+                parallel_gap_packed(&inst),
+            ] {
+                assert_eq!(got.d, want.d, "seed {seed}");
+            }
+            assert_bands_match(&inst);
+        }
+    }
+
+    #[test]
+    fn convex_gap_costs_outside_the_dp_range_are_typed_errors() {
+        // 70 unit gaps cost 70·(2⁵⁶ + 4), above INF: Γ_gap and the packed
+        // cordon used to return a negative cost in release.
+        let (a, b) = ([0u8; 40], [1u8; 30]);
+        let err = try_convex_gap_instance(&a, &b, 3, 1, 1 << 56).err();
+        assert_eq!(err, Some(GapCostError::GapOutOfRange { len: 6 }));
+        assert_eq!(
+            try_convex_gap_instance(&a, &b, 3, 1, -1).err(),
+            Some(GapCostError::NotConvex { quad: -1 })
+        );
+        assert_eq!(
+            try_convex_gap_instance(&a, &b, -INF, 0, 0).err(),
+            Some(GapCostError::GapOutOfRange { len: 1 })
+        );
+
+        // The largest `quad` whose 70 gaps of length 40 stay below INF.
+        let quad = ((INF - 1) / 70 - 43) / 1600;
+        let err = try_convex_gap_instance(&a, &b, 3, 1, quad + 1).err();
+        assert_eq!(
+            err,
+            Some(GapCostError::AlignmentOutOfRange { len: 40, gaps: 70 })
+        );
+        assert!(err.unwrap().to_string().contains("70 gaps of length 40"));
+        let inst = try_convex_gap_instance(&a, &b, 3, 1, quad).unwrap();
+        let want = 70 * (4 + quad);
+        assert_eq!(naive_gap(&inst).cost, want);
+        for got in [
+            sequential_gap(&inst),
+            parallel_gap(&inst),
+            parallel_gap_packed(&inst),
+        ] {
+            assert_eq!(got.cost, want);
+        }
+
+        // Every family the tests, examples and benches build, at its
+        // largest size.
+        for (n, open, ext, quad) in [
+            (1000, 3, 1, 1),
+            (600, 12, 1, 1),
+            (500, 600, 1, 1),
+            (60, 2, 1, 0),
+            (60, 10, 0, 1),
+            (60, 50, 3, 2),
+            (60, 5, 1, 1),
+            (60, 3, 2, 0),
+            (60, 4, 1, 1),
+            (60, 30, 1, 0),
+            (60, 39, 4, 1),
+        ] {
+            let s = vec![0u8; n];
+            assert!(try_convex_gap_instance(&s, &s, open, ext, quad).is_ok());
+        }
+        let empty: [u8; 0] = [];
+        assert!(try_convex_gap_instance(&empty, &empty, i64::MIN, i64::MIN, 0).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "quadratic coefficient -3 must be non-negative")]
+    fn convex_gap_instance_panics_with_the_typed_error() {
+        convex_gap_instance(b"ab", b"ba", 1, 1, -3);
+    }
+
     #[test]
     fn asymmetric_gap_costs() {
         // Deleting from A is much more expensive than deleting from B.
@@ -1575,11 +1816,12 @@ mod tests {
         assert!(try_reconstruct_gap_ops(&inst, &res.d).is_ok());
     }
 
-    /// Insert values drawn from `0..values` at ascending positions into a
-    /// list for the cost `open + ext·len + quad·len²`, checking after every
-    /// insert each query a caller may still make against brute force: the
-    /// best value and the *oldest* decision attaining it.  Returns the widest
-    /// live window seen and how many answers were tied between decisions.
+    /// Insert values drawn from `0..values` at ascending positions up to the
+    /// horizon into a list for the cost `open + ext·len + quad·len²`,
+    /// checking after every insert the answer at every later position
+    /// against brute force: the best value and the *oldest* decision
+    /// attaining it.  Returns the widest live window seen and how many
+    /// answers were tied between decisions.
     fn check_list_against_bruteforce(
         open: i64,
         ext: i64,
@@ -1587,7 +1829,9 @@ mod tests {
         values: u64,
     ) -> (usize, usize) {
         let horizon = 60;
+        // Positions past the horizon lie outside the instance.
         let cost = move |l: usize, r: usize| {
+            assert!(r <= horizon, "cost evaluated at {r}, past the horizon");
             let len = (r - l) as i64;
             open + ext * len + quad * len * len
         };
@@ -1596,23 +1840,28 @@ mod tests {
         let (mut widest, mut ties) = (0, 0);
         let mut state = 12345u64 + open as u64;
         let mut pos = 0;
-        while pos < 50 {
+        loop {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             let val = (state % values) as i64;
             list.insert(pos, val, &cost);
             inserted.push((pos, val));
-            // Every position a caller may still ask at.
+            // Every position a query may ask at once the positions before
+            // it are inserted; callers ask only at the live edge `pos + 1`.
             for q in pos + 1..=horizon {
                 let candidates = inserted.iter().map(|&(p, v)| (v + cost(p, q), p));
                 let (want, oldest) = candidates.clone().min().unwrap();
                 ties += (candidates.filter(|&(c, _)| c == want).count() > 1) as usize;
+                let got = list.query_at(q, &cost);
                 assert_eq!(
-                    list.query(q, &cost),
+                    got,
                     (want, oldest),
                     "{open}/{ext}/{quad}, values 0..{values}: pos {pos} q {q}"
                 );
+                if q == pos + 1 {
+                    assert_eq!(list.query(q, &cost), got, "live edge after pos {pos}");
+                }
             }
             // Only the live envelope is kept: no entry past the head
             // takes over at or before the next queryable position.
@@ -1622,7 +1871,10 @@ mod tests {
                 "{open}/{ext}/{quad}: dead entry kept after insert at {pos}: {live:?}"
             );
             widest = widest.max(live.len());
-            pos += 1 + state.is_multiple_of(3) as usize;
+            if pos == horizon {
+                break;
+            }
+            pos = (pos + 1 + state.is_multiple_of(3) as usize).min(horizon);
         }
         (widest, ties)
     }
@@ -1682,12 +1934,17 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "not beyond the last insert")]
-    fn convex_decision_list_rejects_queries_at_the_last_insert() {
+    fn convex_decision_list_rejects_queries_off_the_live_edge() {
         let cost = |l: usize, r: usize| 3 + (r - l) as i64;
         let mut list = ConvexDecisionList::new(10);
         list.insert(2, 0, &cost);
         list.insert(4, 1, &cost);
-        list.query(4, &cost);
+        assert_eq!(list.query(5, &cost), (5, 4));
+        // At the last insert, and past the live edge.
+        for q in [4, 6] {
+            let err = std::panic::catch_unwind(|| list.query(q, &cost)).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert_eq!(msg, &format!("query at {q} is not at the live edge 5"));
+        }
     }
 }

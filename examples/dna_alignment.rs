@@ -32,15 +32,25 @@ fn main() {
         lcs.metrics.rounds
     );
 
-    // GAP alignment with a convex (affine + quadratic) block-deletion penalty.
+    // GAP alignment with a convex (affine + quadratic) block-deletion penalty:
+    // Theorem 5.2's packed cordon, the anti-diagonal wavefront and Γ_gap.
     let small = 600.min(n);
-    let inst = convex_gap_instance(&a[..small], &b[..small.min(b.len())], 12, 1, 1);
-    let par = parallel_gap(&inst);
+    let (sa, sb) = (&a[..small], &b[..small.min(b.len())]);
+    let inst = convex_gap_instance(sa, sb, 12, 1, 1);
+    let packed = parallel_gap_packed(&inst);
+    let wave = parallel_gap(&inst);
     let seq = sequential_gap(&inst);
-    assert_eq!(par.cost, seq.cost);
+    assert_eq!(packed.d, seq.d);
+    assert_eq!(wave.d, seq.d);
     println!(
-        "GAP alignment cost of the first {small} characters = {} (parallel == sequential)",
-        par.cost
+        "GAP alignment cost of the first {small} characters = {} (packed == wavefront == Γ_gap)",
+        packed.cost
+    );
+    println!(
+        "GAP packed rounds = {} (effective depth) vs n + m = {} (wavefront rounds = {})",
+        packed.metrics.rounds,
+        sa.len() + sb.len(),
+        wave.metrics.rounds
     );
 
     // Cross-check the sparse LCS against the dense quadratic DP on a prefix.

@@ -140,7 +140,8 @@ pub mod prelude {
         try_run_phase_parallel_with_budget, EitherCordon, PhaseParallel, StallError,
     };
     pub use pardp_gap::{
-        convex_gap_instance, naive_gap, parallel_gap, sequential_gap, GapCordon, GapInstance,
+        convex_gap_instance, naive_gap, parallel_gap, parallel_gap_packed, sequential_gap,
+        GapCordon, GapInstance, PackedGapCordon,
     };
     pub use pardp_glws::{
         naive_glws, naive_kglws, parallel_concave_glws, parallel_convex_glws, parallel_kglws,
