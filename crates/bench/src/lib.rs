@@ -10,14 +10,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pardp_gap::{convex_gap_instance, parallel_gap_packed, sequential_gap};
+use pardp_gap::{convex_gap_instance, parallel_gap, sequential_gap};
 use pardp_glws::{parallel_convex_glws, sequential_convex_glws, PostOfficeProblem};
 use pardp_lcs::{parallel_sparse_lcs, sequential_sparse_lcs, MatchPair};
 use pardp_lis::{parallel_lis, sequential_lis};
-use pardp_oat::{garsia_wachs, parallel_oat, parallel_oat_valley};
+use pardp_oat::{garsia_wachs, parallel_oat};
 use pardp_obst::{knuth_obst, parallel_obst};
 use pardp_parutils::{with_threads, Metrics};
-use pardp_treedp::{naive_tree_glws, parallel_tree_glws_auto, CostShape, TreeGlwsInstance};
+use pardp_treedp::{naive_tree_glws, parallel_tree_glws, CostShape, TreeGlwsInstance};
 use pardp_workloads as workloads;
 use std::time::Instant;
 
@@ -287,7 +287,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // Tree-GLWS through the shape-adaptive router (parallel_tree_glws_auto)
+    // Tree-GLWS through the shape-adaptive router (parallel_tree_glws)
     // on the three shapes that span its decision space: a shallow balanced
     // tree (router picks the O(n·h) baseline cordon — the heavy-light
     // envelope machinery can't pay for itself at avg depth ~log n), a path,
@@ -323,7 +323,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
             problem,
             n,
             (seq_secs, &seq.metrics),
-            || parallel_tree_glws_auto(&inst, CostShape::Convex),
+            || parallel_tree_glws(&inst, CostShape::Convex),
             |par| {
                 assert_eq!(par.d, seq.d, "{problem} parallel/sequential disagree");
                 &par.metrics
@@ -331,10 +331,10 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // OAT with the valley cordon (Theorem 5.1) against the sequential
-    // Garsia–Wachs baseline: O(log W) weight-doubling rounds with parallel
-    // per-slope combines, vs the leftmost-pair rescans of the baseline
-    // (quadratic on these sizes).
+    // OAT through `parallel_oat`, which routes these sizes to the valley
+    // cordon (Theorem 5.1), against the sequential Garsia–Wachs baseline:
+    // O(log W) weight-doubling rounds with parallel per-slope combines, vs
+    // the leftmost-pair rescans of the baseline (quadratic on these sizes).
     {
         let n = if quick { 6_000 } else { 40_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);
@@ -343,7 +343,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
             "oat_valley",
             n,
             (seq_secs, &seq.metrics),
-            || parallel_oat_valley(&weights),
+            || parallel_oat(&weights),
             |par| {
                 assert_eq!(
                     par.cost, seq.cost,
@@ -356,7 +356,9 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
 
     // The pre-Theorem-5.1 interval OAT cordon on the same profile (its own
     // smaller n — the diagonal DP is Θ(n²) in time and space): the ablation
-    // partner showing what the valley cordon's polylog rounds buy.
+    // partner showing what the valley cordon's polylog rounds buy.  It is
+    // the OBST diagonal cordon on the leaf weights, so `parallel_obst` runs
+    // it.
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);
@@ -365,7 +367,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
             "oat_interval",
             n,
             (seq_secs, &seq.metrics),
-            || parallel_oat(&weights),
+            || parallel_obst(&weights),
             |par| {
                 assert_eq!(
                     par.cost, seq.cost,
@@ -377,9 +379,8 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     }
 
     // GAP alignment with the packed cordon (Theorem 5.2): rounds equal the
-    // instance's effective depth instead of the n + m anti-diagonals the
-    // wavefront used to report here — the grid itself is deep but the
-    // improvement chains are not.
+    // instance's effective depth instead of the grid's n + m anti-diagonals
+    // — the grid itself is deep but the improvement chains are not.
     {
         let n = if quick { 300 } else { 1_000 };
         let (a, b) = workloads::gap_strings(n, n, 4, 17);
@@ -389,7 +390,7 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
             "gap",
             n,
             (seq_secs, &seq.metrics),
-            || parallel_gap_packed(&inst),
+            || parallel_gap(&inst),
             |par| {
                 assert_eq!(par.cost, seq.cost, "gap parallel/sequential disagree");
                 &par.metrics

@@ -113,10 +113,11 @@ impl std::error::Error for StallError {}
 /// A problem instance that can be advanced one cordon round at a time.
 ///
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
-/// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `GapCordon`,
+/// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`,
 /// `TreeGlwsCordon` and its work-efficient sibling `HldTreeGlwsCordon`,
-/// `ObstCordon`, and `core::explicit`'s reference instance); the facade's
-/// `CordonSolver` runs any of them through this one driver.
+/// `ValleyOatCordon` and `IntervalOatCordon`, `ObstCordon`, and
+/// `core::explicit`'s reference instance); the facade's `CordonSolver` runs
+/// any of them through this one driver.
 pub trait PhaseParallel {
     /// Final result produced once all states are finalized.
     type Output;

@@ -17,20 +17,14 @@
 //! * [`naive_gap`] — the direct `O(n²m + nm²)` recurrence (oracle),
 //! * [`sequential_gap`] — `Γ_gap`: row-major evaluation with one online
 //!   convex decision structure per row and per column (`O(nm log n)`),
-//! * [`parallel_gap`] — the *wavefront* parallel evaluation: cells are
-//!   processed in anti-diagonal frontiers of the grid DAG, each frontier in
-//!   parallel, with the same per-row/per-column structures and the same
-//!   `O(nm log n)` work.  Its round count is always the grid depth `n + m`;
-//!   it is kept as the oracle / ablation partner for the packed variant,
-//! * [`parallel_gap_packed`] — the fully packed cordon of Theorem 5.2: each
-//!   round finalizes *every* cell whose tentative value can no longer change
-//!   (the safe set), not just the next anti-diagonal, so the number of rounds
-//!   is exactly the instance's effective depth `k` — the longest chain of
-//!   strict tentative-value improvements — instead of `n + m`.  It probes
-//!   every cell exactly twice, as `Γ_gap` does.
-//!
-//! Both parallel variants produce bit-identical grids (validated against each
-//! other and against the naive oracle in the tests).
+//! * [`parallel_gap`] — the fully packed cordon of Theorem 5.2
+//!   ([`PackedGapCordon`]): each round finalizes *every* cell whose tentative
+//!   value can no longer change (the safe set), so the number of rounds is
+//!   exactly the instance's effective depth `k` — the longest chain of
+//!   strict tentative-value improvements — and never more than the grid
+//!   depth `n + m`.  It probes every cell exactly twice, as `Γ_gap` does, and
+//!   its grid is bit-identical to `Γ_gap`'s (validated against the naive
+//!   oracle and a brute-force schedule in the tests).
 //!
 //! [`try_reconstruct_gap_ops`] traces an optimal alignment back through any
 //! completed grid (`O(n·(n+m))` worst case).
@@ -74,8 +68,8 @@
 //!
 //! Every list is queried only at its live edge, one past its last insert: a
 //! row is probed at its watermark, a column at its first unfinalized row,
-//! and `Γ_gap` and the wavefront ask each list at the position after the one
-//! they last inserted.  So each list keeps only its live envelope,
+//! and `Γ_gap` asks each list at the position after the one it last
+//! inserted.  So each list keeps only its live envelope,
 //! one or two entries on the bench workloads, and a query reads its head
 //! entry.  The buffers are sized up front, so the round body does not
 //! allocate (pinned at one thread by `tests/alloc_counting.rs`).
@@ -86,8 +80,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
-use pardp_parutils::{effective_parallelism, round_min_grain, Metrics, MetricsCollector};
-use rayon::prelude::*;
+use pardp_parutils::{effective_parallelism, Metrics, MetricsCollector};
 
 /// A GAP problem instance: two strings plus the two block-deletion cost
 /// functions (given as GLWS-style cost families `w(l, r)` over positions).
@@ -121,6 +114,14 @@ where
     W2: Fn(usize, usize) -> i64 + Sync,
 {
     /// Create an instance from strings and gap-cost closures.
+    ///
+    /// The evaluations hold every DP value in `i64` below the sentinel
+    /// `INF = i64::MAX / 4`, and a value is a sum of at most `n + m` gap
+    /// costs.  So every cost `w1(l, r)` and `w2(l, r)`, and every sum of
+    /// `n + m` of them, must lie in `(−i64::MAX / 4, i64::MAX / 4)`.  This
+    /// constructor does not check it: a cost family outside that range gives
+    /// a wrong grid in release builds.  [`try_convex_gap_instance`] checks
+    /// it for the affine-plus-quadratic family.
     pub fn new(a: &'a [u8], b: &'a [u8], w1: W1, w2: W2) -> Self {
         GapInstance { a, b, w1, w2 }
     }
@@ -543,166 +544,15 @@ where
     }
 }
 
-/// Parallel GAP: the grid DAG is evaluated frontier by frontier
-/// (anti-diagonals `i + j = const`), all cells of a frontier in parallel, with
-/// the same per-row/per-column convex decision structures as
-/// [`sequential_gap`] (each structure receives exactly one insertion per
-/// frontier, performed in parallel across rows/columns).  Work `O(nm log n)`.
-pub fn parallel_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    let metrics = MetricsCollector::new();
-    let d = run_phase_parallel(GapCordon::new(inst), &metrics);
-    let cost = d[inst.a.len()][inst.b.len()];
-    GapResult {
-        d,
-        cost,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// [`PhaseParallel`] instance for the parallel GAP evaluation: each round
-/// processes one anti-diagonal frontier of the grid DAG.
-pub struct GapCordon<'i, 'a, W1, W2> {
-    inst: &'i GapInstance<'a, W1, W2>,
-    d: Vec<Vec<i64>>,
-    row_struct: Vec<ConvexDecisionList>,
-    col_struct: Vec<ConvexDecisionList>,
-    diag: usize,
-    n: usize,
-    m: usize,
-    /// Reused per-round frontier-value buffer, sized for the widest
-    /// anti-diagonal.
-    values: Vec<i64>,
-}
-
-impl<'i, 'a, W1, W2> GapCordon<'i, 'a, W1, W2>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    /// Initialize the DP grid and seed the per-row/per-column structures with
-    /// the boundary cell.
-    pub fn new(inst: &'i GapInstance<'a, W1, W2>) -> Self {
-        let (n, m) = (inst.a.len(), inst.b.len());
-        let mut d = vec![vec![INF; m + 1]; n + 1];
-        d[0][0] = 0;
-        let mut row_struct: Vec<ConvexDecisionList> =
-            (0..=n).map(|_| ConvexDecisionList::new(m)).collect();
-        let mut col_struct: Vec<ConvexDecisionList> =
-            (0..=m).map(|_| ConvexDecisionList::new(n)).collect();
-        row_struct[0].insert(0, 0, &inst.w2);
-        col_struct[0].insert(0, 0, &inst.w1);
-        GapCordon {
-            inst,
-            d,
-            row_struct,
-            col_struct,
-            diag: 1,
-            n,
-            m,
-            values: Vec::with_capacity(n.min(m) + 1),
-        }
-    }
-}
-
-impl<W1, W2> PhaseParallel for GapCordon<'_, '_, W1, W2>
-where
-    W1: Fn(usize, usize) -> i64 + Sync,
-    W2: Fn(usize, usize) -> i64 + Sync,
-{
-    /// The completed DP grid.
-    type Output = Vec<Vec<i64>>;
-
-    fn is_done(&self) -> bool {
-        self.diag > self.n + self.m
-    }
-
-    fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let (inst, diag, n, m) = (self.inst, self.diag, self.n, self.m);
-        // Cells (i, j) with i + j = diag; non-empty for every 1 <= diag <= n+m.
-        let i_lo = diag.saturating_sub(m);
-        let i_hi = diag.min(n);
-        let d_ref = &self.d;
-        let row_ref = &self.row_struct;
-        let col_ref = &self.col_struct;
-        let cells = i_hi - i_lo + 1;
-        let grain = round_min_grain(cells);
-        // Reuse the frontier-value buffer across rounds (`collect_into_vec`
-        // refills it in place).
-        let mut values = std::mem::take(&mut self.values);
-        (i_lo..=i_hi)
-            .into_par_iter()
-            .map(|i| {
-                let j = diag - i;
-                let (p, _) = col_ref[j].query(i, &inst.w1);
-                let (q, _) = row_ref[i].query(j, &inst.w2);
-                let mut best = p.min(q);
-                if i > 0 && j > 0 && inst.matches(i, j) {
-                    best = best.min(d_ref[i - 1][j - 1]);
-                }
-                best
-            })
-            .with_min_len(grain)
-            .collect_into_vec(&mut values);
-        // Write the frontier values, then insert each cell into its row and
-        // column structure (one insertion per structure, all structures
-        // disjoint, so the two loops parallelize over rows and columns).
-        for (off, &v) in values.iter().enumerate() {
-            let i = i_lo + off;
-            let j = diag - i;
-            self.d[i][j] = v;
-        }
-        let w2 = &inst.w2;
-        let w1 = &inst.w1;
-        self.row_struct[i_lo..=i_hi]
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(grain)
-            .for_each(|(off, rs)| {
-                let i = i_lo + off;
-                let j = diag - i;
-                rs.insert(j, values[off], w2);
-            });
-        let j_lo = diag - i_hi;
-        let j_hi = diag - i_lo;
-        let d_now = &self.d;
-        self.col_struct[j_lo..=j_hi]
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(grain)
-            .for_each(|(off, cs)| {
-                let j = j_lo + off;
-                let i = diag - j;
-                cs.insert(i, d_now[i][j], w1);
-            });
-        self.values = values;
-        metrics.add_edges(3 * cells as u64);
-        metrics.add_probes(2 * cells as u64);
-        self.diag += 1;
-        cells
-    }
-
-    fn finish(self) -> Self::Output {
-        self.d
-    }
-
-    fn round_budget(&self) -> Option<u64> {
-        // One round per anti-diagonal: the grid depth n + m.
-        Some((self.n + self.m) as u64)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed cordon (Theorem 5.2): rounds = effective depth instead of n + m.
 // ---------------------------------------------------------------------------
 
-/// Packed parallel GAP (Theorem 5.2): identical values and work as
-/// [`parallel_gap`], but the round count equals the instance's *effective
-/// depth* `k` — the longest chain of strict tentative-value improvements —
-/// instead of the grid depth `n + m`.
+/// Parallel GAP (Theorem 5.2) through the packed cordon
+/// ([`PackedGapCordon`]): the same grid and the same probes as
+/// [`sequential_gap`], in as many rounds as the instance's *effective depth*
+/// `k` — the longest chain of strict tentative-value improvements — which
+/// never exceeds the grid depth `n + m`.
 ///
 /// Each round finalizes the entire *safe set*: every cell whose tentative
 /// value (computed from already-finalized cells) provably equals its final DP
@@ -710,7 +560,7 @@ where
 /// same round strictly improves its tentative, or when one of its
 /// predecessors is kept back; each kept-back cell is charged to
 /// `wasted_states`.
-pub fn parallel_gap_packed<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
+pub fn parallel_gap<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
 where
     W1: Fn(usize, usize) -> i64 + Sync,
     W2: Fn(usize, usize) -> i64 + Sync,
@@ -742,8 +592,8 @@ where
 ///   the staircase invariant.
 ///
 /// Every cell whose predecessors were all finalized before the round is safe
-/// by construction, so each round finalizes at least the whole ready
-/// wavefront — rounds never exceed `n + m` and match the effective depth
+/// by construction, so each round finalizes at least the next anti-diagonal
+/// of ready cells — rounds never exceed `n + m` and match the effective depth
 /// exactly (pinned against a brute-force oracle in the tests).
 ///
 /// The round is a top-down sweep that decides each cell and inserts it into
@@ -1327,14 +1177,13 @@ mod tests {
                 let b = pseudo_string(23, seed + 77, 3);
                 let inst = convex_gap_instance(&a, &b, open, ext, quad);
                 let want = naive_gap(&inst);
-                let wave = parallel_gap(&inst);
-                let packed = parallel_gap_packed(&inst);
-                for got in [&sequential_gap(&inst), &wave, &packed] {
+                let packed = parallel_gap(&inst);
+                for got in [&sequential_gap(&inst), &packed] {
                     assert_eq!(got.d, want.d, "seed {seed} cost ({open},{ext},{quad})");
                 }
                 assert!(
-                    packed.metrics.rounds <= wave.metrics.rounds,
-                    "packing must never use more rounds than the wavefront"
+                    packed.metrics.rounds <= (a.len() + b.len()) as u64,
+                    "packing must never use more rounds than the grid depth"
                 );
                 assert!(try_reconstruct_gap_ops(&inst, &packed.d).is_ok());
             }
@@ -1362,11 +1211,7 @@ mod tests {
             let b = pseudo_string(26, seed + 5, 3);
             let inst = GapInstance::new(&a, &b, weighted_gap_cost(&a, 4), weighted_gap_cost(&b, 9));
             let want = naive_gap(&inst);
-            for got in [
-                sequential_gap(&inst),
-                parallel_gap(&inst),
-                parallel_gap_packed(&inst),
-            ] {
+            for got in [sequential_gap(&inst), parallel_gap(&inst)] {
                 assert_eq!(got.d, want.d, "seed {seed}");
             }
             assert_bands_match(&inst);
@@ -1400,11 +1245,7 @@ mod tests {
         let inst = try_convex_gap_instance(&a, &b, 3, 1, quad).unwrap();
         let want = 70 * (4 + quad);
         assert_eq!(naive_gap(&inst).cost, want);
-        for got in [
-            sequential_gap(&inst),
-            parallel_gap(&inst),
-            parallel_gap_packed(&inst),
-        ] {
+        for got in [sequential_gap(&inst), parallel_gap(&inst)] {
             assert_eq!(got.cost, want);
         }
 
@@ -1465,15 +1306,6 @@ mod tests {
         assert_eq!(parallel_gap(&inst).cost, want.cost);
         let inst = convex_gap_instance(&empty, &empty, 4, 1, 1);
         assert_eq!(parallel_gap(&inst).cost, 0);
-    }
-
-    #[test]
-    fn parallel_rounds_equal_grid_depth() {
-        let a = pseudo_string(15, 5, 4);
-        let b = pseudo_string(10, 6, 4);
-        let inst = convex_gap_instance(&a, &b, 2, 1, 1);
-        let r = parallel_gap(&inst);
-        assert_eq!(r.metrics.rounds, 25);
     }
 
     #[test]
@@ -1588,7 +1420,7 @@ mod tests {
         W1: Fn(usize, usize) -> i64 + Sync,
         W2: Fn(usize, usize) -> i64 + Sync,
     {
-        let packed = parallel_gap_packed(inst);
+        let packed = parallel_gap(inst);
         let frontiers = effective_depth_oracle(inst);
         assert_eq!(
             packed.metrics.rounds,
@@ -1608,61 +1440,62 @@ mod tests {
         assert_bands_match(inst)
     }
 
+    /// The packed cordon's grid equals `Γ_gap`'s, in at most `n + m`
+    /// rounds.  Returns the packed run.
+    fn assert_packed_matches_sequential<W1, W2>(inst: &GapInstance<'_, W1, W2>) -> GapResult
+    where
+        W1: Fn(usize, usize) -> i64 + Sync,
+        W2: Fn(usize, usize) -> i64 + Sync,
+    {
+        let packed = parallel_gap(inst);
+        assert_eq!(packed.d, sequential_gap(inst).d, "packed grid vs Γ_gap");
+        assert!(packed.metrics.rounds <= (inst.a.len() + inst.b.len()) as u64);
+        packed
+    }
+
     #[test]
-    fn packed_matches_wavefront_on_adversarial_instances() {
+    fn packed_matches_sequential_on_adversarial_instances() {
         // Identical strings: the all-match diagonal aligns for free.
         let a = pseudo_string(30, 1, 4);
-        let inst = convex_gap_instance(&a, &a, 5, 1, 1);
-        let packed = parallel_gap_packed(&inst);
+        let packed = assert_packed_matches_sequential(&convex_gap_instance(&a, &a, 5, 1, 1));
         assert_eq!(packed.cost, 0);
-        assert_eq!(packed.d, parallel_gap(&inst).d);
 
         // Disjoint alphabets: both strings must be deleted whole.
         let z = vec![0u8; 12];
         let o = vec![1u8; 7];
-        let inst = convex_gap_instance(&z, &o, 3, 2, 0);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_packed_matches_sequential(&convex_gap_instance(&z, &o, 3, 2, 0));
 
         // Empty strings on either side, and both empty (zero rounds).
         let empty: Vec<u8> = vec![];
         let b = pseudo_string(5, 2, 3);
-        let inst = convex_gap_instance(&empty, &b, 4, 1, 1);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
-        let inst = convex_gap_instance(&b, &empty, 4, 1, 1);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_packed_matches_sequential(&convex_gap_instance(&empty, &b, 4, 1, 1));
+        assert_packed_matches_sequential(&convex_gap_instance(&b, &empty, 4, 1, 1));
         let inst = convex_gap_instance(&empty, &empty, 4, 1, 1);
-        let trivial = parallel_gap_packed(&inst);
+        let trivial = assert_packed_matches_sequential(&inst);
         assert_eq!(trivial.cost, 0);
         assert_eq!(trivial.metrics.rounds, 0);
 
         // Asymmetric costs (deleting from A is much more expensive).
         let a = pseudo_string(20, 3, 2);
         let b = pseudo_string(25, 9, 2);
-        let inst = GapInstance::new(
+        assert_packed_matches_sequential(&GapInstance::new(
             &a,
             &b,
             |l: usize, r: usize| 100 + 10 * (r - l) as i64,
             |l: usize, r: usize| 1 + (r - l) as i64,
-        );
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        ));
 
         // Long runs finalized in one round: row runs of length m on disjoint
         // alphabets, column runs of length n on identical strings.
         let a = pseudo_string(44, 1, 4);
-        let inst = convex_gap_instance(&a, &a, 5, 1, 1);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
-        let inst = convex_gap_instance(&[0u8; 48], &[1u8; 41], 3, 2, 0);
-        assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
+        assert_packed_matches_sequential(&convex_gap_instance(&a, &a, 5, 1, 1));
+        assert_packed_matches_sequential(&convex_gap_instance(&[0u8; 48], &[1u8; 41], 3, 2, 0));
         // A lone row or column with a large opening cost: one gap stays
         // optimal up to cell 34, so round one finalizes a run of 34 cells
         // and keeps cell 35 back (a split gap through that run wins there).
         let s = pseudo_string(40, 4, 3);
-        for inst in [
-            convex_gap_instance(&[], &s, 600, 1, 1),
-            convex_gap_instance(&s, &[], 600, 1, 1),
-        ] {
-            assert_eq!(parallel_gap_packed(&inst).d, parallel_gap(&inst).d);
-        }
+        assert_packed_matches_sequential(&convex_gap_instance(&[], &s, 600, 1, 1));
+        assert_packed_matches_sequential(&convex_gap_instance(&s, &[], 600, 1, 1));
     }
 
     #[test]
@@ -1739,27 +1572,19 @@ mod tests {
     fn packed_compresses_rounds_on_shallow_instances() {
         // Disjoint alphabets with an affine cost have effective depth 2: one
         // gap along each axis reaches every cell through round-1 boundary
-        // cells.  The wavefront still runs all n + m anti-diagonals; the
-        // packed cordon collapses them.
+        // cells.  The grid depth is n + m = 120 anti-diagonals; the packed
+        // cordon collapses them.
         let z = vec![0u8; 60];
         let o = vec![1u8; 60];
-        let inst = convex_gap_instance(&z, &o, 3, 2, 0);
-        let wave = parallel_gap(&inst);
-        let packed = parallel_gap_packed(&inst);
-        assert_eq!(wave.metrics.rounds, 120);
-        assert_eq!(packed.d, wave.d);
+        let packed = assert_packed_matches_sequential(&convex_gap_instance(&z, &o, 3, 2, 0));
         assert_eq!(packed.metrics.rounds, 2);
 
         // An all-match instance is the opposite extreme: the diagonal is a
         // chain of strict improvements, so the effective depth is n — still
-        // half the wavefront's 2n rounds.
+        // half the grid depth 2n.
         let a = pseudo_string(60, 7, 4);
-        let inst = convex_gap_instance(&a, &a, 5, 1, 1);
-        let wave = parallel_gap(&inst);
-        let packed = parallel_gap_packed(&inst);
-        assert_eq!(packed.d, wave.d);
+        let packed = assert_packed_matches_sequential(&convex_gap_instance(&a, &a, 5, 1, 1));
         assert_eq!(packed.metrics.rounds, 60);
-        assert_eq!(wave.metrics.rounds, 120);
     }
 
     #[test]
@@ -1767,7 +1592,7 @@ mod tests {
         let a = pseudo_string(24, 11, 3);
         let b = pseudo_string(19, 12, 3);
         let inst = convex_gap_instance(&a, &b, 4, 1, 1);
-        let res = parallel_gap_packed(&inst);
+        let res = parallel_gap(&inst);
         let ops = try_reconstruct_gap_ops(&inst, &res.d).unwrap();
         let (mut i, mut j, mut cost) = (0usize, 0usize, 0i64);
         for op in &ops {

@@ -1,7 +1,7 @@
 //! Polylog-round OAT construction (Theorem 5.1): weight-doubling combine
 //! rounds over the ascending runs of the current sequence.
 //!
-//! The interval cordon of [`crate::parallel_oat`] needs `n - 1` rounds — one
+//! The interval cordon ([`IntervalOatCordon`]) needs `n - 1` rounds — one
 //! per diagonal of the Knuth table.  Theorem 5.1 instead parallelizes the
 //! Garsia–Wachs *combine* process itself (Appendix A): the weight sequence
 //! falls into **valleys** around its local minima, bounded by larger
@@ -47,13 +47,12 @@
 //!
 //! [`oat_cordon_auto`] routes tiny inputs (below [`OAT_VALLEY_MIN_N`]) to the
 //! interval cordon via [`IntervalOatCordon`], returning the zero-dispatch
-//! `EitherCordon` combinator exactly like the Tree-GLWS shape router.
+//! `EitherCordon` combinator exactly like the Tree-GLWS shape router;
+//! [`crate::parallel_oat`] runs its choice.
 
-use pardp_core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
+use pardp_core::{EitherCordon, FrontierArena, PhaseParallel};
 use pardp_obst::ObstCordon;
 use pardp_parutils::{par_map, MetricsCollector};
-
-use crate::OatResult;
 
 /// Cost and per-leaf depths of an optimal alphabetic tree — the common
 /// output of the valley and interval OAT cordons (the driver owns the
@@ -397,37 +396,24 @@ pub fn oat_cordon_auto(weights: &[u64]) -> EitherCordon<IntervalOatCordon, Valle
     }
 }
 
-/// Parallel OAT via the valley cordon: polylog rounds (Theorem 5.1), same
-/// cost as [`crate::garsia_wachs`] / [`crate::interval_dp_oat`].
-pub fn parallel_oat_valley(weights: &[u64]) -> OatResult {
-    let metrics = MetricsCollector::new();
-    let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
-    let height = layout.depths.iter().copied().max().unwrap_or(0);
-    OatResult {
-        cost: layout.cost,
-        depths: layout.depths,
-        height,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// Parallel OAT via the size router ([`oat_cordon_auto`]).
-pub fn parallel_oat_auto(weights: &[u64]) -> OatResult {
-    let metrics = MetricsCollector::new();
-    let layout = run_phase_parallel(oat_cordon_auto(weights), &metrics);
-    let height = layout.depths.iter().copied().max().unwrap_or(0);
-    OatResult {
-        cost: layout.cost,
-        depths: layout.depths,
-        height,
-        metrics: metrics.snapshot(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{garsia_wachs, interval_dp_oat, oat_height_bound};
+    use crate::{garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, OatResult};
+    use pardp_core::run_phase_parallel;
+
+    /// Run the valley cordon at any size, below the router's cut too.
+    fn run_valley(weights: &[u64]) -> OatResult {
+        let metrics = MetricsCollector::new();
+        let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
+        let height = layout.depths.iter().copied().max().unwrap_or(0);
+        OatResult {
+            cost: layout.cost,
+            depths: layout.depths,
+            height,
+            metrics: metrics.snapshot(),
+        }
+    }
 
     fn pseudo_weights(n: usize, seed: u64, max_w: u64) -> Vec<u64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -464,7 +450,7 @@ mod tests {
         for seed in 0..8 {
             for &n in &[0usize, 1, 2, 3, 4, 5, 8, 13, 20, 40, 90, 150] {
                 let w = pseudo_weights(n, seed, 50);
-                let got = parallel_oat_valley(&w);
+                let got = run_valley(&w);
                 let gw = garsia_wachs(&w);
                 assert_eq!(got.cost, gw.cost, "n {n} seed {seed} weights {w:?}");
                 assert_eq!(got.cost, interval_dp_oat(&w), "n {n} seed {seed}");
@@ -485,7 +471,7 @@ mod tests {
     fn valley_rounds_are_polylog_not_linear() {
         for seed in 0..4 {
             let w = pseudo_weights(2000, seed, 1000);
-            let r = parallel_oat_valley(&w);
+            let r = run_valley(&w);
             assert_eq!(r.cost, garsia_wachs(&w).cost);
             let bound = oat_height_bound(&w) as u64;
             assert!(
@@ -507,19 +493,19 @@ mod tests {
     fn valley_handles_adversarial_profiles() {
         // Equal weights: a single plateau, all combines wall-adjacent.
         let equal = vec![7u64; 256];
-        let r = parallel_oat_valley(&equal);
+        let r = run_valley(&equal);
         assert_eq!(r.cost, 7 * 8 * 256);
         assert!(r.depths.iter().all(|&d| d == 8));
         // Exponentially growing: the optimal tree is a caterpillar.
         let expo: Vec<u64> = (0..40).map(|i| 1u64 << i).collect();
-        let r = parallel_oat_valley(&expo);
+        let r = run_valley(&expo);
         assert_eq!(r.cost, garsia_wachs(&expo).cost);
         assert!(alphabetically_realizable(&r.depths));
         // Perfect valley and mountain shapes.
         let valley: Vec<u64> = (0..50).map(|i| (50i64 - i).unsigned_abs() + 1).collect();
         let mountain: Vec<u64> = valley.iter().rev().copied().collect();
         for w in [valley, mountain] {
-            let r = parallel_oat_valley(&w);
+            let r = run_valley(&w);
             assert_eq!(r.cost, interval_dp_oat(&w), "weights {w:?}");
             assert!(alphabetically_realizable(&r.depths));
         }
@@ -540,7 +526,7 @@ mod tests {
         // Both arms agree with the oracle through the router entry point.
         for n in [OAT_VALLEY_MIN_N - 5, OAT_VALLEY_MIN_N + 5] {
             let w = pseudo_weights(n, 9, 64);
-            assert_eq!(parallel_oat_auto(&w).cost, interval_dp_oat(&w));
+            assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w));
         }
     }
 }

@@ -17,7 +17,7 @@
 //! `frontier_sizes` consistent by construction for every parallel algorithm.
 //! Sequential and naive baselines use the fine-grained `add_*` methods.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 // analyze: allow(raw-parallelism): the frontier log needs interior mutability
 // behind `&self`; it is touched once per round by the driver, never inside
 // parallel loops, so a Mutex here cannot serialize worker threads.
@@ -79,25 +79,21 @@ impl Metrics {
 ///
 /// # Snapshot consistency
 ///
-/// The counters are independent atomics, so a [`MetricsCollector::snapshot`]
-/// taken while updates are in flight can observe a *torn* mix — e.g. a round
-/// counted in `rounds` whose frontier has not been pushed yet.  Two regimes:
-///
 /// * **Round-grained updates** ([`MetricsCollector::record_round`], the
-///   phase-parallel driver's path): `record_round` brackets its three updates
-///   with a `round_epoch` seqlock, and `snapshot` retries until it reads a
-///   stable even epoch.  A snapshot therefore always sits on a round boundary:
-///   `rounds == frontier_sizes.len()` and `states_finalized` equals the sum of
-///   the frontier log (when only `record_round` is used).
-/// * **Fine-grained updates** (the `add_*` methods used by sequential
-///   baselines): individually atomic but not mutually consistent; a concurrent
-///   snapshot may see some of a batch of related `add_*` calls and not others.
-///   Callers that need exact totals must snapshot after the run quiesces —
-///   which is what every harness in this workspace does.
+///   phase-parallel driver's path): `record_round` advances `rounds` and
+///   `states_finalized` while it holds the frontier-log lock, and
+///   [`MetricsCollector::snapshot`] reads every counter under that lock.  A
+///   snapshot therefore always sits on a round boundary:
+///   `rounds == frontier_sizes.len()` and `states_finalized` equals the sum
+///   of the frontier log (when only `record_round` is used).
+/// * **Fine-grained updates** (the `add_*` methods used by the round bodies
+///   and the sequential baselines): individually atomic but not mutually
+///   consistent; a concurrent snapshot may see some of a batch of related
+///   `add_*` calls and not others.  Callers that need exact totals must
+///   snapshot after the run quiesces — which is what every harness in this
+///   workspace does.
 ///
-/// `record_round` assumes a single writer (the driver); concurrent
-/// `record_round` calls would interleave epoch brackets and could livelock a
-/// snapshotter. The `add_*` methods are safe from any number of threads.
+/// Every method is safe from any number of threads.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
     rounds: AtomicU64,
@@ -105,9 +101,6 @@ pub struct MetricsCollector {
     edges_relaxed: AtomicU64,
     wasted_states: AtomicU64,
     probes: AtomicU64,
-    /// Seqlock epoch for round-grained consistency: odd while `record_round`
-    /// is mid-update, even and stable otherwise.
-    round_epoch: AtomicU64,
     // analyze: allow(raw-parallelism): see the module-level import note — the
     // per-round log is driver-only, outside the parallel hot path.
     frontier_sizes: Mutex<Vec<u64>>,
@@ -121,27 +114,20 @@ impl MetricsCollector {
 
     /// Record one cordon round that finalized `frontier` states.  This is the
     /// driver's entry point: it advances `rounds`, `states_finalized` and the
-    /// frontier log together so they cannot drift apart.
-    ///
-    /// Single-writer: only the phase-parallel driver calls this, once per
-    /// round (see the type-level snapshot-consistency notes).
+    /// frontier log together, under the log's lock, so they cannot drift
+    /// apart (see the type-level snapshot-consistency notes).
     #[inline]
     pub fn record_round(&self, frontier: u64) {
-        // ordering: Release — entering the odd (mid-update) epoch state must
-        // be visible to a snapshotter before any of the updates below are.
-        self.round_epoch.fetch_add(1, Ordering::Release);
-        // ordering: Relaxed — statistics; the epoch bracket (not these RMWs)
-        // provides the cross-counter consistency.
+        let mut log = self
+            .frontier_sizes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // ordering: Relaxed — statistics; the lock (not these RMWs) provides
+        // the cross-counter consistency.
         self.rounds.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — same as above.
         self.states_finalized.fetch_add(frontier, Ordering::Relaxed);
-        self.frontier_sizes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(frontier);
-        // ordering: Release publishes the three updates above before the
-        // even (stable) epoch value a snapshotter's Acquire load observes.
-        self.round_epoch.fetch_add(1, Ordering::Release);
+        log.push(frontier);
     }
 
     /// Pre-size the frontier log for `rounds` upcoming rounds so that
@@ -202,42 +188,25 @@ impl MetricsCollector {
 
     /// Snapshot the current counter values.
     ///
-    /// Retries while a [`MetricsCollector::record_round`] is mid-update, so
-    /// the returned [`Metrics`] always sits on a round boundary with respect
-    /// to the driver's round-grained accounting.  Concurrent `add_*` updates
-    /// are individually atomic but not mutually consistent — see the
-    /// type-level snapshot-consistency notes.
+    /// Reads every counter under the frontier-log lock, so the returned
+    /// [`Metrics`] always sits on a round boundary with respect to the
+    /// driver's round-grained accounting.  Concurrent `add_*` updates are
+    /// individually atomic but not mutually consistent — see the type-level
+    /// snapshot-consistency notes.
     pub fn snapshot(&self) -> Metrics {
-        loop {
-            // ordering: Acquire pairs with `record_round`'s closing Release —
-            // an even epoch observed here means that round's updates are
-            // visible to the loads below.
-            let before = self.round_epoch.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = Metrics {
-                // ordering: Relaxed (all five loads) — the epoch bracket,
-                // not the individual loads, carries the consistency.
-                rounds: self.rounds.load(Ordering::Relaxed),
-                states_finalized: self.states_finalized.load(Ordering::Relaxed), // ordering: as above
-                edges_relaxed: self.edges_relaxed.load(Ordering::Relaxed), // ordering: as above
-                wasted_states: self.wasted_states.load(Ordering::Relaxed), // ordering: as above
-                probes: self.probes.load(Ordering::Relaxed),               // ordering: as above
-                frontier_sizes: self
-                    .frontier_sizes
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            };
-            // ordering: Acquire fence orders the counter loads above before
-            // the epoch re-read below (classic seqlock reader exit).
-            fence(Ordering::Acquire);
-            // ordering: Relaxed — the fence above already orders this load.
-            if self.round_epoch.load(Ordering::Relaxed) == before {
-                return snap;
-            }
+        let log = self
+            .frontier_sizes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Metrics {
+            // ordering: Relaxed (all five loads) — the lock, not the
+            // individual loads, carries the consistency.
+            rounds: self.rounds.load(Ordering::Relaxed),
+            states_finalized: self.states_finalized.load(Ordering::Relaxed), // ordering: as above
+            edges_relaxed: self.edges_relaxed.load(Ordering::Relaxed),       // ordering: as above
+            wasted_states: self.wasted_states.load(Ordering::Relaxed),       // ordering: as above
+            probes: self.probes.load(Ordering::Relaxed),                     // ordering: as above
+            frontier_sizes: log.clone(),
         }
     }
 }

@@ -6,34 +6,34 @@
 //! root-to-leaf path this is exactly the 1-D GLWS of Sec. 4; the difficulty is
 //! sharing the best-decision structures across branching paths.
 //!
-//! This crate provides the tree substrate and the full ladder of evaluators:
+//! This crate provides the tree substrate, the oracle and the parallel
+//! evaluation:
 //!
 //! * [`naive_tree_glws`] — each node scans all of its ancestors
 //!   (`O(n·h)` work); the exact reference used by every test and the
 //!   sequential baseline of the benchmark rows,
-//! * [`parallel_tree_glws`] — the baseline Cordon evaluation
-//!   ([`TreeGlwsCordon`]): nodes are processed in rounds by tree depth (every
-//!   node's decisions live strictly above it, so depth levels are valid
-//!   frontiers), all nodes of a round in parallel, but each node still
-//!   rescans its full ancestor chain — `O(n·h)` work,
-//! * [`parallel_tree_glws_hld`] — the **work-efficient version of
-//!   Theorem 5.3** ([`HldTreeGlwsCordon`]): a [heavy-light
-//!   decomposition](hld::HeavyLightDecomposition) partitions every ancestor
-//!   chain into `O(log n)` heavy-path prefixes, and each heavy path keeps a
-//!   *persistent* monotone best-decision envelope that grows as frontiers
-//!   settle, so one node costs `O(log² n)` instead of `O(depth)` and each
-//!   round's work is proportional to its frontier size (times polylog).  The
-//!   transition cost must be convex or concave along root paths (declared via
-//!   [`CostShape`]); the baseline cordon is kept as the shape-oblivious
-//!   oracle and the ablation partner,
-//! * [`parallel_tree_glws_auto`] — the **shape-adaptive router**: one `O(n)`
-//!   pass over the parent array measures the tree's depths, compares the
-//!   average ancestor-chain length against the envelope machinery's polylog
-//!   per-node estimate, and builds whichever cordon is predicted cheaper
-//!   ([`tree_glws_cordon_auto`]).  Deep shapes (paths, caterpillars) get the
-//!   work-efficient envelopes; shallow bushy shapes skip the `O(log² n)`
-//!   constant entirely.  Both alternatives produce identical results, so the
-//!   choice is invisible except in wall clock and work counters.
+//! * [`parallel_tree_glws`] — the shape-adaptive parallel evaluation: one
+//!   `O(n)` pass over the parent array measures the tree's depths, compares
+//!   the average ancestor-chain length against the envelope machinery's
+//!   polylog per-node estimate, and runs whichever of two cordons is
+//!   predicted cheaper ([`tree_glws_cordon_auto`]).  Both process the nodes
+//!   in rounds by tree depth (every node's decisions live strictly above it,
+//!   so depth levels are valid frontiers), all nodes of a round in parallel:
+//!   * [`HldTreeGlwsCordon`], the **work-efficient version of
+//!     Theorem 5.3**, for deep shapes (paths, caterpillars): a [heavy-light
+//!     decomposition](hld::HeavyLightDecomposition) partitions every
+//!     ancestor chain into `O(log n)` heavy-path prefixes, and each heavy
+//!     path keeps a *persistent* monotone best-decision envelope that grows
+//!     as frontiers settle, so one node costs `O(log² n)` instead of
+//!     `O(depth)` and each round's work is proportional to its frontier size
+//!     (times polylog).  The transition cost must be convex or concave along
+//!     root paths (declared via [`CostShape`]);
+//!   * [`TreeGlwsCordon`], for shallow bushy shapes: each node rescans its
+//!     full ancestor chain, `O(n·h)` work, which skips the envelopes'
+//!     `O(log² n)` constant where `h` is small.
+//!
+//!   Both cordons produce identical results, so the choice is invisible
+//!   except in wall clock and work counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -169,37 +169,18 @@ where
     }
 }
 
-/// Parallel evaluation: nodes are grouped into frontiers by tree depth (all
-/// decisions of a node are proper ancestors, hence in earlier frontiers) and
-/// every frontier is evaluated in parallel.
-pub fn parallel_tree_glws<W, E>(inst: &TreeGlwsInstance<W, E>) -> TreeGlwsResult
+/// Parallel Tree-GLWS (Theorem 5.3) through the shape router
+/// [`tree_glws_cordon_auto`]: the heavy-light envelope cordon on deep trees,
+/// the ancestor-rescan cordon on shallow ones.  Rounds are the tree's depth
+/// levels either way.  `shape` declares which [`CostShape`] contract
+/// `inst.w` satisfies; only the envelope cordon relies on it.
+pub fn parallel_tree_glws<W, E>(inst: &TreeGlwsInstance<W, E>, shape: CostShape) -> TreeGlwsResult
 where
     W: Fn(u64, u64) -> i64 + Sync,
     E: Fn(i64, usize) -> i64 + Sync,
 {
     let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(TreeGlwsCordon::new(inst), &metrics);
-    TreeGlwsResult {
-        d,
-        best,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// Work-efficient parallel evaluation (Theorem 5.3): same depth-level
-/// frontiers as [`parallel_tree_glws`], but each node consults `O(log n)`
-/// persistent heavy-path envelopes instead of rescanning its ancestor chain.
-/// The cost must satisfy the declared [`CostShape`] contract.
-pub fn parallel_tree_glws_hld<W, E>(
-    inst: &TreeGlwsInstance<W, E>,
-    shape: CostShape,
-) -> TreeGlwsResult
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(HldTreeGlwsCordon::new(inst, shape), &metrics);
+    let (d, best) = run_phase_parallel(tree_glws_cordon_auto(inst, shape), &metrics);
     TreeGlwsResult {
         d,
         best,
@@ -308,26 +289,6 @@ where
         EitherCordon::Second(HldTreeGlwsCordon::new(inst, shape))
     } else {
         EitherCordon::First(TreeGlwsCordon::from_profile(inst, prof))
-    }
-}
-
-/// Shape-adaptive parallel evaluation: run whichever cordon
-/// [`tree_glws_cordon_auto`] predicts is cheaper on this instance (the one of
-/// [`parallel_tree_glws`] or [`parallel_tree_glws_hld`]).
-pub fn parallel_tree_glws_auto<W, E>(
-    inst: &TreeGlwsInstance<W, E>,
-    shape: CostShape,
-) -> TreeGlwsResult
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(tree_glws_cordon_auto(inst, shape), &metrics);
-    TreeGlwsResult {
-        d,
-        best,
-        metrics: metrics.snapshot(),
     }
 }
 
@@ -699,6 +660,20 @@ where
 mod tests {
     use super::*;
 
+    /// Run one Tree-GLWS cordon through the driver.
+    fn solve<P>(cordon: P) -> TreeGlwsResult
+    where
+        P: PhaseParallel<Output = (Vec<i64>, Vec<usize>)>,
+    {
+        let metrics = MetricsCollector::new();
+        let (d, best) = run_phase_parallel(cordon, &metrics);
+        TreeGlwsResult {
+            d,
+            best,
+            metrics: metrics.snapshot(),
+        }
+    }
+
     fn convex_w(du: u64, dv: u64) -> i64 {
         let len = (dv - du) as i64;
         10 + len * len
@@ -732,20 +707,20 @@ mod tests {
         let parent: Vec<usize> = (0..=n).map(|v| v.saturating_sub(1)).collect();
         let lens = vec![1u64; n + 1];
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let tree = parallel_tree_glws(&inst);
+        let tree = parallel_tree_glws(&inst, CostShape::Convex);
         let oned = pardp_glws::naive_glws(&pardp_glws::ConvexGapCost::new(n, 10, 0, 1));
         assert_eq!(tree.d, oned.d);
     }
 
     #[test]
-    fn parallel_matches_naive_on_random_trees() {
+    fn depth_cordon_matches_naive_on_random_trees() {
         for seed in 0..6 {
             for &bias in &[0u64, 40, 90] {
                 let (parent, lens) = random_tree(200, bias, seed);
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = parallel_tree_glws(&inst);
+                let got = solve(TreeGlwsCordon::new(&inst));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -756,7 +731,7 @@ mod tests {
     fn rounds_equal_tree_height() {
         let (parent, lens) = random_tree(300, 70, 9);
         let inst = TreeGlwsInstance::new(parent.clone(), &lens, 0, convex_w, |d, _| d);
-        let r = parallel_tree_glws(&inst);
+        let r = parallel_tree_glws(&inst, CostShape::Convex);
         let mut depth = vec![0usize; parent.len()];
         let mut h = 0;
         for v in 1..parent.len() {
@@ -773,7 +748,7 @@ mod tests {
         let parent = vec![0usize; n + 1];
         let lens = vec![3u64; n + 1];
         let inst = TreeGlwsInstance::new(parent, &lens, 7, convex_w, |d, _| d);
-        let r = parallel_tree_glws(&inst);
+        let r = parallel_tree_glws(&inst, CostShape::Convex);
         for v in 1..=n {
             assert_eq!(r.d[v], 7 + 10 + 9);
             assert_eq!(r.best[v], 0);
@@ -784,7 +759,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let inst = TreeGlwsInstance::new(vec![0], &[0], 3, convex_w, |d, _| d);
-        let r = parallel_tree_glws(&inst);
+        let r = parallel_tree_glws(&inst, CostShape::Convex);
         assert_eq!(r.d, vec![3]);
         assert_eq!(r.metrics.rounds, 0);
     }
@@ -810,7 +785,7 @@ mod tests {
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = parallel_tree_glws_hld(&inst, CostShape::Convex);
+                let got = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -825,7 +800,7 @@ mod tests {
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 2, concave_w, |d, u| d + (u % 5) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = parallel_tree_glws_hld(&inst, CostShape::Concave);
+                let got = solve(HldTreeGlwsCordon::new(&inst, CostShape::Concave));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -836,8 +811,8 @@ mod tests {
     fn hld_rounds_and_frontiers_match_the_baseline_cordon() {
         let (parent, lens) = random_tree(400, 70, 13);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let base = parallel_tree_glws(&inst);
-        let hld = parallel_tree_glws_hld(&inst, CostShape::Convex);
+        let base = solve(TreeGlwsCordon::new(&inst));
+        let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
         assert_eq!(hld.metrics.rounds, base.metrics.rounds);
         assert_eq!(hld.metrics.frontier_sizes, base.metrics.frontier_sizes);
         assert_eq!(hld.d, base.d);
@@ -852,9 +827,9 @@ mod tests {
         let parent: Vec<usize> = (0..=n).map(|v| v.saturating_sub(1)).collect();
         let lens = vec![1u64; n + 1];
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let base = parallel_tree_glws(&inst);
+        let base = solve(TreeGlwsCordon::new(&inst));
         assert_eq!(base.metrics.edges_relaxed, (n * (n + 1) / 2) as u64);
-        let hld = parallel_tree_glws_hld(&inst, CostShape::Convex);
+        let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
         assert_eq!(hld.d, base.d);
         assert_eq!(hld.best, base.best);
         let log = (usize::BITS - n.leading_zeros()) as u64;
@@ -877,14 +852,14 @@ mod tests {
             convex_w,
             |d, _| d,
         );
-        let r = parallel_tree_glws_hld(&inst, CostShape::Convex);
+        let r = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
         for v in 1..=n {
             assert_eq!(r.d[v], 7 + 10 + 9);
             assert_eq!(r.best[v], 0);
         }
         assert_eq!(r.metrics.rounds, 1);
         let empty = TreeGlwsInstance::new(vec![0], &[0], 3, convex_w, |d, _| d);
-        let r = parallel_tree_glws_hld(&empty, CostShape::Convex);
+        let r = solve(HldTreeGlwsCordon::new(&empty, CostShape::Convex));
         assert_eq!(r.d, vec![3]);
         assert_eq!(r.metrics.rounds, 0);
     }
@@ -932,21 +907,35 @@ mod tests {
 
     #[test]
     fn auto_router_matches_naive_and_reports_identical_frontiers() {
+        // Both sides of the router's cut, with the cordon each tree must
+        // take (`Some(true)`: HLD): bias 100 builds a path, bias 0 a
+        // random-attachment tree.
+        let mut trees = vec![(
+            "star".to_string(),
+            vec![0usize; 301],
+            vec![3u64; 301],
+            Some(false),
+        )];
         for seed in 0..4 {
-            for &bias in &[0u64, 40, 100] {
+            for (bias, to_hld) in [(0u64, Some(false)), (40, None), (100, Some(true))] {
                 let (parent, lens) = random_tree(300, bias, seed);
-                let inst =
-                    TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
-                let want = naive_tree_glws(&inst);
-                let base = parallel_tree_glws(&inst);
-                let auto = parallel_tree_glws_auto(&inst, CostShape::Convex);
-                assert_eq!(auto.d, want.d, "seed {seed} bias {bias}");
-                assert_eq!(auto.best, want.best, "seed {seed} bias {bias}");
-                assert_eq!(
-                    auto.metrics.frontier_sizes, base.metrics.frontier_sizes,
-                    "seed {seed} bias {bias}: both cordons use depth frontiers"
-                );
+                trees.push((format!("seed {seed} bias {bias}"), parent, lens, to_hld));
             }
+        }
+        for (name, parent, lens, to_hld) in trees {
+            let inst = TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
+            let routed = tree_glws_cordon_auto(&inst, CostShape::Convex);
+            let hld = matches!(routed, EitherCordon::Second(_));
+            assert!(to_hld.is_none_or(|want| want == hld), "{name}: HLD {hld}");
+            let want = naive_tree_glws(&inst);
+            let base = solve(TreeGlwsCordon::new(&inst));
+            let auto = parallel_tree_glws(&inst, CostShape::Convex);
+            assert_eq!(auto.d, want.d, "{name}");
+            assert_eq!(auto.best, want.best, "{name}");
+            assert_eq!(
+                auto.metrics.frontier_sizes, base.metrics.frontier_sizes,
+                "{name}: both cordons use depth frontiers"
+            );
         }
     }
 

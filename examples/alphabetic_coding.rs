@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release --example alphabetic_coding -- [n]`.
 
+use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 

@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release --example post_office -- [n] [k]`.
 
+use parallel_dp::glws::naive_glws;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 

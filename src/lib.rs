@@ -67,12 +67,14 @@ pub use pardp_workloads as workloads;
 /// ```
 ///
 /// The same call shape works for `LcsCordon`, `ConvexGlwsCordon`,
-/// `ConcaveGlwsCordon`, `KGlwsCordon`, `GapCordon`, `TreeGlwsCordon`,
-/// `HldTreeGlwsCordon`, `ObstCordon`, `ValleyOatCordon` — and for
-/// router-produced `EitherCordon` values such as `tree_glws_cordon_auto`'s
-/// (cheaper Tree-GLWS cordon from an O(n) shape probe) and
-/// `oat_cordon_auto`'s (polylog-round valley OAT above a size cutoff,
-/// interval cordon below it).
+/// `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`, `ObstCordon` — and
+/// for the router-produced `EitherCordon` values that `parallel_oat` and
+/// `parallel_tree_glws` run: `oat_cordon_auto`'s (polylog-round valley OAT
+/// above a size cutoff, interval cordon below it) and
+/// `tree_glws_cordon_auto`'s (cheaper Tree-GLWS cordon from an O(n) shape
+/// probe).  To run one arm of a router, hand the solver that arm's cordon:
+/// `ValleyOatCordon`, `IntervalOatCordon`, `HldTreeGlwsCordon` or
+/// `TreeGlwsCordon`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CordonSolver {
     round_budget: Option<u64>,
@@ -132,7 +134,10 @@ impl CordonSolver {
     }
 }
 
-/// The most commonly used types and functions, re-exported flat.
+/// The most commonly used types and functions, re-exported flat: one
+/// parallel function per problem, the cordons behind it and the sequential
+/// baselines.  The naive oracles stay reachable by module path (for example
+/// `parallel_dp::gap::naive_gap`).
 pub mod prelude {
     pub use crate::{CordonOutcome, CordonSolver};
     pub use pardp_core::{
@@ -140,32 +145,28 @@ pub mod prelude {
         try_run_phase_parallel_with_budget, EitherCordon, PhaseParallel, StallError,
     };
     pub use pardp_gap::{
-        convex_gap_instance, naive_gap, parallel_gap, parallel_gap_packed, sequential_gap,
-        GapCordon, GapInstance, PackedGapCordon,
+        convex_gap_instance, parallel_gap, sequential_gap, GapInstance, PackedGapCordon,
     };
     pub use pardp_glws::{
-        naive_glws, naive_kglws, parallel_concave_glws, parallel_convex_glws, parallel_kglws,
-        sequential_concave_glws, sequential_convex_glws, ConcaveGapCost, ConcaveGlwsCordon,
-        ConvexGapCost, ConvexGlwsCordon, GlwsProblem, GlwsResult, KGlwsCordon, LinearGapCost,
-        PostOfficeProblem,
+        parallel_concave_glws, parallel_convex_glws, parallel_kglws, sequential_concave_glws,
+        sequential_convex_glws, ConcaveGapCost, ConcaveGlwsCordon, ConvexGapCost, ConvexGlwsCordon,
+        GlwsProblem, GlwsResult, KGlwsCordon, LinearGapCost, PostOfficeProblem,
     };
     pub use pardp_lcs::{
-        dense_lcs, matching_pairs, parallel_lcs_of, parallel_sparse_lcs, sequential_sparse_lcs,
-        LcsCordon, LcsResult, MatchPair,
+        matching_pairs, parallel_lcs_of, parallel_sparse_lcs, sequential_sparse_lcs, LcsCordon,
+        LcsResult, MatchPair,
     };
-    pub use pardp_lis::{naive_lis, parallel_lis, sequential_lis, LisCordon, LisResult};
+    pub use pardp_lis::{parallel_lis, sequential_lis, LisCordon, LisResult};
     pub use pardp_oat::{
-        garsia_wachs, interval_dp_oat, oat_cordon_auto, oat_height_bound, parallel_oat,
-        parallel_oat_auto, parallel_oat_valley, IntervalOatCordon, OatLayout, OatResult,
-        ValleyOatCordon,
+        garsia_wachs, oat_cordon_auto, oat_height_bound, parallel_oat, IntervalOatCordon,
+        OatLayout, OatResult, ValleyOatCordon,
     };
-    pub use pardp_obst::{knuth_obst, naive_obst, parallel_obst, ObstCordon, ObstResult};
+    pub use pardp_obst::{knuth_obst, parallel_obst, ObstCordon, ObstResult};
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
     pub use pardp_tournament::{Key, TieRule, TournamentTree};
     pub use pardp_treedp::{
-        hld::HeavyLightDecomposition, naive_tree_glws, parallel_tree_glws, parallel_tree_glws_auto,
-        parallel_tree_glws_hld, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon,
-        TreeGlwsCordon, TreeGlwsInstance,
+        hld::HeavyLightDecomposition, parallel_tree_glws, tree_glws_cordon_auto, CostShape,
+        HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
     };
     pub use pardp_workloads as workloads;
 }

@@ -18,11 +18,12 @@
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
-//! * the wavefront `GapCordon` collects each anti-diagonal into a buffer its
-//!   constructor sizes for the widest one;
 //! * the HLD Tree-GLWS cordon allocates its envelope arena up front and
 //!   sizes its result buffer, and the buffer staging its envelope pushes,
 //!   for the widest depth level;
+//! * the depth Tree-GLWS cordon writes a level that runs inline (at one
+//!   thread, or below the grain cutoff) straight into its DP arrays, and
+//!   refills one reused result buffer for a level that forks;
 //! * the convex and concave GLWS cordons rebuild their best-decision arrays
 //!   from a reused `FindIntervals` buffer, which the recursion fills in place
 //!   below the fork cutoff, and the concave merge swaps `B` with a second
@@ -39,9 +40,10 @@
 //! input and `LcsCordon` on a Fig. 6 shape through the driver, and a
 //! constructor test counts the allocations of `LisCordon::new`,
 //! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
-//! warm-up construction each; the GAP tests run `PackedGapCordon` on convex
-//! gap costs and `GapCordon` on three grid shapes, the Tree-GLWS test runs
-//! `HldTreeGlwsCordon` on a caterpillar and a path, and the GLWS test runs
+//! warm-up construction each; the GAP test runs `PackedGapCordon` on convex
+//! gap costs over four grid shapes, the Tree-GLWS tests run
+//! `HldTreeGlwsCordon` on a caterpillar and a path and `TreeGlwsCordon` on a
+//! balanced binary tree, a random tree and a caterpillar, and the GLWS test runs
 //! `ConvexGlwsCordon` on a post-office instance, `ConcaveGlwsCordon` on a
 //! concave cost with bonus states and `KGlwsCordon` on a clustered
 //! post-office instance.  Each asserts the allocation counter does not move
@@ -55,7 +57,7 @@
 //! on other threads, cannot pollute a measurement.
 
 use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
-use parallel_dp::gap::{convex_gap_instance, sequential_gap, GapCordon, PackedGapCordon};
+use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
 use parallel_dp::glws::{
     naive_kglws, sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
     ConvexGlwsCordon, KGlwsCordon, PostOfficeProblem,
@@ -65,7 +67,9 @@ use parallel_dp::lis::{sequential_lis, LisCordon};
 use parallel_dp::oat::ValleyOatCordon;
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
-use parallel_dp::treedp::{naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
+use parallel_dp::treedp::{
+    naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
+};
 use parallel_dp::workloads;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -333,28 +337,16 @@ fn cordon_constructors_allocate_a_constant_number_of_times() {
 
 #[test]
 fn packed_gap_rounds_allocate_nothing_after_warm_up() {
-    let (a, b) = workloads::gap_strings(300, 300, 4, 9);
-    let inst = convex_gap_instance(&a, &b, 3, 1, 1);
-    let want = sequential_gap(&inst);
-
-    with_threads(1, || {
-        let (d, _) = run_allocation_free("GAP", PackedGapCordon::new(&inst));
-        assert_eq!(d, want.d, "GAP: DP grid differs from sequential_gap");
-    });
-}
-
-#[test]
-fn wavefront_gap_rounds_allocate_nothing_after_warm_up() {
-    // The widest anti-diagonal comes after the warm-up on every shape.
-    for (n, m) in [(200, 180), (180, 200), (500, 500)] {
+    // Wider than tall, taller than wide, and two squares.
+    for (n, m) in [(300, 300), (200, 180), (180, 200), (500, 500)] {
         let (a, b) = workloads::gap_strings(n, m, 4, 9);
         let inst = convex_gap_instance(&a, &b, 3, 1, 1);
         let want = sequential_gap(&inst);
 
         with_threads(1, || {
-            let (d, rounds) = run_allocation_free("wavefront GAP", GapCordon::new(&inst));
+            let (d, rounds) = run_allocation_free("GAP", PackedGapCordon::new(&inst));
             assert_eq!(d, want.d, "{n} x {m}: DP grid differs from sequential_gap");
-            assert_eq!(rounds, (n + m) as u64);
+            assert!(rounds <= (n + m) as u64, "{n} x {m}: {rounds} rounds");
         });
     }
 }
@@ -380,6 +372,32 @@ fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
         with_threads(1, || {
             let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
             let ((d, best), _) = run_allocation_free(name, cordon);
+            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
+            assert_eq!(
+                best, want.best,
+                "{name}: decisions differ from the naive scan"
+            );
+        });
+    }
+}
+
+#[test]
+fn depth_tree_glws_rounds_allocate_nothing_after_warm_up() {
+    // The shallow-tree arm of `parallel_tree_glws`.  Binary, not 8-ary: an
+    // 8-ary tree of this size has fewer levels than the warm-up rounds.
+    let shapes = [
+        ("balanced", workloads::balanced_tree(20_000, 2)),
+        ("random", workloads::random_tree(5_000, 60, 9)),
+        ("caterpillar", workloads::caterpillar_tree(3_000, 1_500, 29)),
+    ];
+    for (name, parent) in shapes {
+        let n = parent.len() - 1;
+        let lens = workloads::tree_edge_lengths(n, 100, 13);
+        let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
+        let want = naive_tree_glws(&inst);
+
+        with_threads(1, || {
+            let ((d, best), _) = run_allocation_free(name, TreeGlwsCordon::new(&inst));
             assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
             assert_eq!(
                 best, want.best,

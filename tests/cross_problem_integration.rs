@@ -3,6 +3,7 @@
 //! paper uses (LIS <-> LCS reduction, GLWS <-> k-GLWS, OAT <-> interval DP,
 //! post-office workloads <-> Lemma 4.5 round counts).
 
+use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -103,7 +104,7 @@ fn tree_glws_on_a_path_equals_sequence_glws() {
         },
         |d, _| d,
     );
-    let tree_res = parallel_tree_glws(&tree);
+    let tree_res = parallel_tree_glws(&tree, CostShape::Convex);
     let line = ConvexGapCost::new(n, 50, 0, 1);
     let line_res = parallel_convex_glws(&line);
     assert_eq!(tree_res.d, line_res.d);

@@ -8,8 +8,9 @@
 //! pool is off (1 thread, fully inline) or on with any worker count.
 
 use parallel_dp::parutils::with_threads;
-use parallel_dp::treedp::{naive_tree_glws, parallel_tree_glws_hld, CostShape, TreeGlwsInstance};
+use parallel_dp::treedp::{naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
 use parallel_dp::workloads;
+use parallel_dp::CordonSolver;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -66,34 +67,13 @@ fn lcs_results_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn gap_results_are_bit_identical_across_thread_counts() {
+fn packed_gap_results_are_bit_identical_across_thread_counts() {
     let (a, b) = workloads::gap_strings(220, 180, 4, 5);
     let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
     let baseline = with_threads(1, || parallel_dp::gap::parallel_gap(&inst));
     for t in THREAD_COUNTS {
-        let run = with_threads(t, || parallel_dp::gap::parallel_gap(&inst));
-        assert_eq!(run.d, baseline.d, "GAP grid differs at {t} threads");
-        assert_eq!(run.cost, baseline.cost);
-        assert_eq!(
-            run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
-            "GAP round schedule differs at {t} threads"
-        );
-    }
-    assert_eq!(
-        baseline.cost,
-        parallel_dp::gap::sequential_gap(&inst).cost,
-        "parallel GAP disagrees with the sequential baseline"
-    );
-}
-
-#[test]
-fn packed_gap_results_are_bit_identical_across_thread_counts() {
-    let (a, b) = workloads::gap_strings(220, 180, 4, 5);
-    let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
-    let baseline = with_threads(1, || parallel_dp::gap::parallel_gap_packed(&inst));
-    for t in THREAD_COUNTS {
         let (pushes_before, _) = rayon::dispatch_diagnostics();
-        let run = with_threads(t, || parallel_dp::gap::parallel_gap_packed(&inst));
+        let run = with_threads(t, || parallel_dp::gap::parallel_gap(&inst));
         let (pushes_after, _) = rayon::dispatch_diagnostics();
         // Where two threads can run, the wide rounds split into two bands
         // and fork, so the comparison covers the bands and the seam repair.
@@ -119,22 +99,26 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
         2 * baseline.metrics.states_finalized,
         "packed GAP probes"
     );
-    // The packed cordon must agree with the wavefront cordon cell for cell
-    // while using no more rounds (Theorem 5.2: rounds = effective depth).
-    let wave = with_threads(1, || parallel_dp::gap::parallel_gap(&inst));
-    assert_eq!(baseline.d, wave.d, "packed and wavefront GAP grids differ");
+    // The packed cordon must agree with Γ_gap cell for cell, in no more
+    // rounds than the grid depth (Theorem 5.2: rounds = effective depth).
+    assert_eq!(
+        baseline.d,
+        parallel_dp::gap::sequential_gap(&inst).d,
+        "parallel GAP disagrees with the sequential baseline"
+    );
     assert!(
-        baseline.metrics.rounds <= wave.metrics.rounds,
-        "packed GAP must not use more rounds than the wavefront"
+        baseline.metrics.rounds <= (a.len() + b.len()) as u64,
+        "packed GAP must not use more rounds than the grid depth"
     );
 }
 
 #[test]
 fn valley_oat_results_are_bit_identical_across_thread_counts() {
-    use parallel_dp::oat::{garsia_wachs, parallel_oat_auto, parallel_oat_valley};
-    // Profiles covering both router arms and all parallel-phase behaviours:
-    // random (many valleys), valley/mountain (two long slopes), equal
-    // weights (pure sequential-sweep rounds).
+    use parallel_dp::oat::{garsia_wachs, parallel_oat};
+    // Profiles covering all parallel-phase behaviours, each large enough for
+    // `parallel_oat` to route it to the valley cordon: random (many
+    // valleys), valley/mountain (two long slopes), equal weights (pure
+    // sequential-sweep rounds).
     let profiles = [
         ("random", workloads::positive_weights(6_000, 1 << 16, 7)),
         ("valley", workloads::valley_weights(6_000, 1 << 16, 8)),
@@ -142,9 +126,9 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
         ("equal", workloads::equal_weights(4_096, 5)),
     ];
     for (name, w) in profiles {
-        let baseline = with_threads(1, || parallel_oat_valley(&w));
+        let baseline = with_threads(1, || parallel_oat(&w));
         for t in THREAD_COUNTS {
-            let run = with_threads(t, || parallel_oat_valley(&w));
+            let run = with_threads(t, || parallel_oat(&w));
             assert_eq!(
                 run.depths, baseline.depths,
                 "{name}: depths differ at {t} threads"
@@ -154,8 +138,6 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
                 run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
                 "{name}: round schedule differs at {t} threads"
             );
-            let routed = with_threads(t, || parallel_oat_auto(&w));
-            assert_eq!(routed.depths, baseline.depths, "{name}: router diverges");
         }
         let seq = garsia_wachs(&w);
         assert_eq!(
@@ -167,17 +149,18 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn auto_routed_tree_glws_is_bit_identical_across_thread_counts() {
-    use parallel_dp::treedp::parallel_tree_glws_auto;
-    // One shape per router outcome: deep (HLD cordon) and shallow (baseline).
+    use parallel_dp::treedp::parallel_tree_glws;
+    // One shape per router outcome: deep (HLD cordon) and shallow (depth
+    // cordon).
     let deep = workloads::caterpillar_tree(4_000, 2_000, 21);
     let shallow = workloads::balanced_tree(4_000, 8);
     for (name, parent) in [("caterpillar", deep), ("balanced", shallow)] {
         let n = parent.len() - 1;
         let lens = workloads::tree_edge_lengths(n, 50, 10);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
-        let baseline = with_threads(1, || parallel_tree_glws_auto(&inst, CostShape::Convex));
+        let baseline = with_threads(1, || parallel_tree_glws(&inst, CostShape::Convex));
         for t in THREAD_COUNTS {
-            let run = with_threads(t, || parallel_tree_glws_auto(&inst, CostShape::Convex));
+            let run = with_threads(t, || parallel_tree_glws(&inst, CostShape::Convex));
             assert_eq!(run.d, baseline.d, "{name}: d[] differs at {t} threads");
             assert_eq!(
                 run.best, baseline.best,
@@ -199,16 +182,15 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
     let parent = workloads::random_tree(n, 3, 9);
     let lens = workloads::tree_edge_lengths(n, 50, 10);
     let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
-    let baseline = with_threads(1, || parallel_tree_glws_hld(&inst, CostShape::Convex));
+    // A shallow random tree, so the HLD arm runs through the solver, not
+    // through the router (which would pick the depth cordon here).
+    let hld = || CordonSolver::new().run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let baseline = with_threads(1, hld);
     for t in THREAD_COUNTS {
-        let run = with_threads(t, || parallel_tree_glws_hld(&inst, CostShape::Convex));
+        let run = with_threads(t, hld);
         assert_eq!(
-            run.d, baseline.d,
-            "HLD Tree-GLWS d[] differs at {t} threads"
-        );
-        assert_eq!(
-            run.best, baseline.best,
-            "HLD Tree-GLWS decisions differ at {t} threads"
+            run.output, baseline.output,
+            "HLD Tree-GLWS d[] or decisions differ at {t} threads"
         );
         assert_eq!(
             run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
@@ -217,7 +199,7 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
     }
     let seq = naive_tree_glws(&inst);
     assert_eq!(
-        baseline.d, seq.d,
+        baseline.output.0, seq.d,
         "parallel HLD Tree-GLWS disagrees with the sequential baseline"
     );
 }

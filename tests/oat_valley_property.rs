@@ -1,13 +1,15 @@
 //! Cross-validation of the polylog-round valley OAT (Theorem 5.1) against
 //! both sequential oracles on random and adversarial weight profiles, plus
 //! the Lemma 5.1 round-count assertion that separates it from the interval
-//! cordon's `n - 1` rounds.
+//! cordon's `n - 1` rounds.  Every profile has at least `OAT_VALLEY_MIN_N`
+//! leaves, so `parallel_oat` runs the valley cordon on it.
 
 use parallel_dp::oat::{
-    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, parallel_oat_auto,
-    parallel_oat_valley, OAT_VALLEY_MIN_N,
+    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, IntervalOatCordon,
+    ValleyOatCordon, OAT_VALLEY_MIN_N,
 };
 use parallel_dp::workloads;
+use parallel_dp::CordonSolver;
 
 /// A depth sequence is realizable as an ordered full binary tree iff the
 /// classic stack merge reduces it to a single root of depth 0.
@@ -28,7 +30,7 @@ fn alphabetically_realizable(depths: &[u32]) -> bool {
 }
 
 fn check_profile(name: &str, w: &[u64]) {
-    let valley = parallel_oat_valley(w);
+    let valley = parallel_oat(w);
     let gw = garsia_wachs(w);
     assert_eq!(
         valley.cost, gw.cost,
@@ -77,7 +79,7 @@ fn valley_oat_matches_oracles_on_random_profiles() {
             check_profile("random", &w);
             // Quadratic oracle only at the smaller sizes.
             if n <= 500 {
-                assert_eq!(parallel_oat_valley(&w).cost, interval_dp_oat(&w));
+                assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w));
             }
         }
         let s = workloads::skewed_weights(800, 1 << 20, 64, seed);
@@ -98,9 +100,9 @@ fn valley_oat_matches_oracles_on_adversarial_profiles() {
 #[test]
 fn valley_rounds_are_polylog_where_the_interval_cordon_is_linear() {
     let w = workloads::positive_weights(4_000, 1 << 16, 5);
-    let valley = parallel_oat_valley(&w);
-    let interval = parallel_oat(&w);
-    assert_eq!(valley.cost, interval.cost);
+    let valley = CordonSolver::new().run(ValleyOatCordon::new(&w));
+    let interval = CordonSolver::new().run(IntervalOatCordon::new(&w));
+    assert_eq!(valley.output.cost, interval.output.cost);
     assert_eq!(
         interval.metrics.rounds, 3_999,
         "interval cordon: one round per diagonal"
@@ -122,7 +124,7 @@ fn auto_router_agrees_with_both_arms_around_the_cutoff() {
         300,
     ] {
         let w = workloads::positive_weights(n, 1 << 10, 17);
-        let auto = parallel_oat_auto(&w);
+        let auto = parallel_oat(&w);
         assert_eq!(auto.cost, interval_dp_oat(&w), "n {n}");
         let recomputed: u64 = w
             .iter()

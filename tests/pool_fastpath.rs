@@ -153,7 +153,7 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         let expected = parallel_dp::gap::sequential_gap(&ginst);
 
         let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
-        let run = with_threads(threads, || parallel_dp::gap::parallel_gap_packed(&ginst));
+        let run = with_threads(threads, || parallel_dp::gap::parallel_gap(&ginst));
         let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
 
         assert_eq!(run.d, expected.d, "{n}x{m} at {threads} threads");
@@ -174,7 +174,7 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
     let (ga, gb) = workloads::gap_strings(300, 300, 4, 9);
     let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
     let (pushes_before, _) = rayon::dispatch_diagnostics();
-    let run = with_threads(8, || parallel_dp::gap::parallel_gap_packed(&ginst));
+    let run = with_threads(8, || parallel_dp::gap::parallel_gap(&ginst));
     let (pushes_after, _) = rayon::dispatch_diagnostics();
     assert_eq!(
         run.d,

@@ -1,8 +1,14 @@
 //! Property-based tests (proptest): the parallel cordon algorithms agree with
 //! their naive oracles on arbitrary inputs, and structural invariants hold.
 
-use parallel_dp::lcs::reconstruct_lcs;
+use parallel_dp::gap::naive_gap;
+use parallel_dp::glws::{naive_glws, naive_kglws};
+use parallel_dp::lcs::{dense_lcs, reconstruct_lcs};
+use parallel_dp::lis::naive_lis;
+use parallel_dp::oat::interval_dp_oat;
+use parallel_dp::obst::naive_obst;
 use parallel_dp::prelude::*;
+use parallel_dp::treedp::naive_tree_glws;
 use proptest::prelude::*;
 
 /// LIS values at both ends of `i64`: the tournament tree reserves `i64::MAX`
@@ -303,7 +309,7 @@ proptest! {
             9 + len * len
         }, |d, _| d);
         let naive = naive_tree_glws(&inst);
-        let par = parallel_tree_glws(&inst);
+        let par = parallel_tree_glws(&inst, CostShape::Convex);
         prop_assert_eq!(par.d, naive.d);
     }
 }

@@ -17,8 +17,9 @@
 //! `cargo test -- --ignored` works too).
 
 use parallel_dp::parutils::with_threads;
-use parallel_dp::treedp::{parallel_tree_glws_hld, CostShape, TreeGlwsInstance};
+use parallel_dp::treedp::{CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
 use parallel_dp::workloads;
+use parallel_dp::CordonSolver;
 
 #[test]
 #[ignore = "stress test; run with --ignored (see module docs)"]
@@ -28,12 +29,12 @@ fn hld_tree_glws_on_a_100k_path_under_8_threads() {
     let lens = workloads::tree_edge_lengths(n, 10, 21);
     let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
 
-    let stressed = with_threads(8, || parallel_tree_glws_hld(&inst, CostShape::Convex));
+    let hld = || CordonSolver::new().run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let stressed = with_threads(8, hld);
     assert_eq!(stressed.metrics.rounds, n as u64, "one round per path node");
     assert_eq!(stressed.metrics.max_frontier(), 1);
 
     // Bit-identical to the inline single-threaded run.
-    let inline = with_threads(1, || parallel_tree_glws_hld(&inst, CostShape::Convex));
-    assert_eq!(stressed.d, inline.d);
-    assert_eq!(stressed.best, inline.best);
+    let inline = with_threads(1, hld);
+    assert_eq!(stressed.output, inline.output);
 }

@@ -1,14 +1,30 @@
 //! Tree-shape property tests for the work-efficient Tree-GLWS cordon
 //! (Theorem 5.3): on every tree shape the workloads crate can generate, and
 //! under both convex and concave transition costs, `HldTreeGlwsCordon` must
-//! agree with the naive ancestor-scan oracle *and* the baseline depth-frontier
-//! cordon on DP values and reconstructed best decisions — plus the work-bound
-//! regression guard that pins the heavy-light version to near-linear work on
-//! the shape where the baseline is quadratic.
+//! agree with the naive ancestor-scan oracle *and* the depth-frontier
+//! `TreeGlwsCordon` on DP values and reconstructed best decisions — plus the
+//! work-bound regression guard that pins the heavy-light version to
+//! near-linear work on the shape where the depth cordon is quadratic.  Each
+//! arm runs through `CordonSolver`; `parallel_tree_glws` runs the router.
 
 use parallel_dp::prelude::*;
+use parallel_dp::treedp::{naive_tree_glws, TreeGlwsResult};
 use parallel_dp::workloads;
 use workloads::tree_height;
+
+/// Run one Tree-GLWS cordon through the facade solver.
+fn solve<P>(cordon: P) -> TreeGlwsResult
+where
+    P: PhaseParallel<Output = (Vec<i64>, Vec<usize>)>,
+{
+    let run = CordonSolver::new().run(cordon);
+    let (d, best) = run.output;
+    TreeGlwsResult {
+        d,
+        best,
+        metrics: run.metrics,
+    }
+}
 
 /// Convex transition cost: opening cost plus squared gap length.
 fn convex_w(du: u64, dv: u64) -> i64 {
@@ -50,8 +66,8 @@ where
     let height = tree_height(&parent);
     let inst = TreeGlwsInstance::new(parent, lens, 3, w, |d, u| d + (u % 4) as i64);
     let naive = naive_tree_glws(&inst);
-    let baseline = parallel_tree_glws(&inst);
-    let hld = parallel_tree_glws_hld(&inst, shape);
+    let baseline = solve(TreeGlwsCordon::new(&inst));
+    let hld = solve(HldTreeGlwsCordon::new(&inst, shape));
     assert_eq!(hld.d, naive.d, "{name}: values vs naive");
     assert_eq!(hld.best, naive.best, "{name}: decisions vs naive");
     assert_eq!(hld.d, baseline.d, "{name}: values vs baseline cordon");
@@ -70,7 +86,7 @@ where
     // Shape-router property: whichever cordon the probe picks for this shape,
     // the routed run is indistinguishable from both alternatives on (d, best)
     // and on the round schedule — routing may only change wall clock/work.
-    let auto = parallel_tree_glws_auto(&inst, shape);
+    let auto = parallel_tree_glws(&inst, shape);
     assert_eq!(auto.d, naive.d, "{name}: routed values vs naive");
     assert_eq!(auto.best, naive.best, "{name}: routed decisions vs naive");
     assert_eq!(
@@ -100,17 +116,18 @@ fn hld_cordon_agrees_on_every_shape_with_concave_costs() {
     }
 }
 
-/// The documented quadratic behaviour of the baseline: on an n-node path each
-/// node rescans its whole ancestor chain, exactly n(n+1)/2 transition
-/// evaluations.  A failing guard if anyone "optimizes" the baseline — it is
-/// kept as the shape-oblivious oracle and ablation partner, not for speed.
+/// The documented quadratic behaviour of the depth cordon: on an n-node path
+/// each node rescans its whole ancestor chain, exactly n(n+1)/2 transition
+/// evaluations.  A failing guard if anyone changes its work — the router
+/// picks it only for shallow trees, where the rescan is short, and the
+/// `edges_relaxed` count is what its cost estimate assumes.
 #[test]
 fn baseline_cordon_is_quadratic_on_a_path() {
     let n = 2_000usize;
     let parent = workloads::path_tree(n);
     let lens = vec![1u64; n + 1];
     let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-    let r = parallel_tree_glws(&inst);
+    let r = solve(TreeGlwsCordon::new(&inst));
     assert_eq!(r.metrics.edges_relaxed, (n * (n + 1) / 2) as u64);
 }
 
@@ -125,7 +142,7 @@ fn hld_work_is_near_linear_on_a_100k_path() {
     let parent = workloads::path_tree(n);
     let lens = workloads::tree_edge_lengths(n, 3, 17);
     let inst = TreeGlwsInstance::new(parent, &lens, 7, convex_w, |d, _| d);
-    let hld = parallel_tree_glws_hld(&inst, CostShape::Convex);
+    let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
 
     // On a path, Tree-GLWS is exactly the 1-D GLWS over the node distances:
     // the O(n log n) sequential Galil–Park algorithm is a feasible oracle at
@@ -238,8 +255,8 @@ fn hld_stress_sweep_on_large_trees() {
     let parent = workloads::caterpillar_tree(n, n / 2, 11);
     let lens = workloads::tree_edge_lengths(n, 3, 11);
     let inst = TreeGlwsInstance::new(parent, &lens, 1, convex_w, |d, u| d + (u % 2) as i64);
-    let base = parallel_tree_glws(&inst);
-    let hld = parallel_tree_glws_hld(&inst, CostShape::Convex);
+    let base = solve(TreeGlwsCordon::new(&inst));
+    let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
     assert!(hld.metrics.work_proxy() * 10 < base.metrics.work_proxy());
@@ -249,13 +266,13 @@ fn hld_stress_sweep_on_large_trees() {
     let parent = workloads::random_attachment_tree(n, 23);
     let lens = workloads::tree_edge_lengths(n, 4, 23);
     let convex = TreeGlwsInstance::new(parent.clone(), &lens, 0, convex_w, |d, _| d);
-    let base = parallel_tree_glws(&convex);
-    let hld = parallel_tree_glws_hld(&convex, CostShape::Convex);
+    let base = solve(TreeGlwsCordon::new(&convex));
+    let hld = solve(HldTreeGlwsCordon::new(&convex, CostShape::Convex));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
     let concave = TreeGlwsInstance::new(parent, &lens, 0, concave_w, |d, _| d);
-    let base = parallel_tree_glws(&concave);
-    let hld = parallel_tree_glws_hld(&concave, CostShape::Concave);
+    let base = solve(TreeGlwsCordon::new(&concave));
+    let hld = solve(HldTreeGlwsCordon::new(&concave, CostShape::Concave));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
 }
