@@ -67,6 +67,30 @@ fn lcs_results_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn gap_results_are_bit_identical_across_thread_counts() {
+    // Taller than wide, the transpose of the packed test's grid below, so
+    // both orientations of the row-band split are covered.
+    let (a, b) = workloads::gap_strings(180, 220, 4, 6);
+    let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
+    let baseline = with_threads(1, || parallel_dp::gap::parallel_gap(&inst));
+    for t in THREAD_COUNTS {
+        let run = with_threads(t, || parallel_dp::gap::parallel_gap(&inst));
+        assert_eq!(run.d, baseline.d, "GAP grid differs at {t} threads");
+        assert_eq!(run.cost, baseline.cost);
+        assert_eq!(
+            run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
+            "GAP round schedule differs at {t} threads"
+        );
+    }
+    let seq = parallel_dp::gap::sequential_gap(&inst);
+    assert_eq!(baseline.cost, seq.cost);
+    assert_eq!(
+        baseline.d, seq.d,
+        "parallel GAP disagrees with the sequential baseline"
+    );
+}
+
+#[test]
 fn packed_gap_results_are_bit_identical_across_thread_counts() {
     let (a, b) = workloads::gap_strings(220, 180, 4, 5);
     let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
