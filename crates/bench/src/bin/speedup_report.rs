@@ -36,7 +36,10 @@ fn main() {
     let rows = merge_by_problem(run_speedup(quick, &[1, 2]), run_speedup(quick, &[4, 8]));
     print_speedup(&rows);
     let json = speedup_rows_to_json(&rows, quick);
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("writing {out}: {e}");
+        std::process::exit(1);
+    }
     println!();
     println!("wrote {out} ({} rows)", rows.len());
 }

@@ -39,10 +39,9 @@
 //!
 //! [rayon]: https://docs.rs/rayon
 
-#![deny(unsafe_code)]
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 #[allow(unsafe_code)]
 mod pool;
@@ -79,79 +78,6 @@ pub fn current_num_threads() -> usize {
 /// totals.
 pub fn dispatch_diagnostics() -> (u64, u64) {
     pool::dispatch_counters()
-}
-
-/// Scoped task spawning, mirroring `rayon::scope`: tasks may borrow the
-/// enclosing stack frame and are all guaranteed to finish before `scope`
-/// returns (on panic too).  Tasks run on the pool when more than one thread
-/// is effective; inline otherwise.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R,
-{
-    // Wait for outstanding jobs even if `f` unwinds: the jobs borrow the
-    // caller's frame, so leaving before they finish would be unsound.
-    struct WaitGuard(Option<Arc<pool::ScopeCore>>);
-    impl Drop for WaitGuard {
-        fn drop(&mut self) {
-            if let Some(core) = self.0.take() {
-                core.wait_jobs();
-            }
-        }
-    }
-    let core = pool::ScopeCore::new();
-    let scope = Scope {
-        core: Arc::clone(&core),
-        marker: PhantomData,
-    };
-    let mut guard = WaitGuard(Some(core));
-    let result = f(&scope);
-    let core = guard.0.take().expect("scope guard consumed twice");
-    drop(guard);
-    core.wait_jobs();
-    if let Some(payload) = core.take_panic() {
-        std::panic::resume_unwind(payload);
-    }
-    result
-}
-
-/// Mirrors `rayon::Scope`; handed to the `scope` closure and to every spawned
-/// task so tasks can spawn further tasks.
-pub struct Scope<'scope> {
-    core: Arc<pool::ScopeCore>,
-    marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn `body` into the scope; it runs concurrently with the caller and
-    /// completes before the enclosing [`scope`] call returns.
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if pool::effective_threads() > 1 {
-            let core = Arc::clone(&self.core);
-            let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                let inner = Scope {
-                    core,
-                    marker: PhantomData,
-                };
-                body(&inner);
-            });
-            // SAFETY(contract): `scope()` waits on this core's latch before
-            // returning, on the normal and the unwind path alike, so the job
-            // cannot outlive the frame it borrows.
-            // analyze: allow(unsafe-whitelist): the one caller of the pool's
-            // lifetime-erasing `spawn_erased`; the unsafety is discharged by
-            // the latch contract documented above.
-            #[allow(unsafe_code)]
-            unsafe {
-                self.core.spawn_erased(job)
-            };
-            return;
-        }
-        body(self);
-    }
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder`.
@@ -1123,9 +1049,6 @@ impl<P: IndexedProducer> ParIter<P> {
             // SAFETY: `fill_slots` wrote every one of the `len` reserved
             // slots exactly once (indexed producers yield exactly `len`
             // items); on panic we never get here and `target` stays empty.
-            // analyze: allow(unsafe-whitelist): `set_len` after a fully
-            // initialized spare-capacity fill — the shim's zero-alloc
-            // collect path, justified by the SAFETY note above.
             unsafe { target.set_len(len) };
             return;
         }
@@ -1294,37 +1217,6 @@ mod tests {
         let (a, b) = super::join(|| 2 + 2, || "ok");
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn scope_spawned_tasks_complete_before_return() {
-        let hits = AtomicUsize::new(0);
-        at_threads(4, || {
-            super::scope(|s| {
-                for _ in 0..32 {
-                    s.spawn(|_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn nested_scope_spawns_complete() {
-        let hits = AtomicUsize::new(0);
-        at_threads(4, || {
-            super::scope(|s| {
-                s.spawn(|s| {
-                    s.spawn(|_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The worker pool behind `join`, `scope` and the parallel iterators.
+//! The worker pool behind `join` and the parallel iterators.
 //!
 //! A fixed set of detached worker threads executes *jobs* — boxed closures —
 //! scheduled through per-worker work-stealing deques plus a shared injector
@@ -45,7 +45,7 @@
 //!
 //! # Safety
 //!
-//! This module contains the only `unsafe` code in the workspace: jobs borrow
+//! This module's one `unsafe` operation is in [`Batch::spawn`]: jobs borrow
 //! the submitting stack frame, so their `'scope` lifetime is erased to
 //! `'static` before they are queued (the same trick rayon-core uses).  The
 //! erasure is sound because every submission path goes through a [`Batch`]
@@ -510,64 +510,6 @@ impl Drop for Batch<'_> {
         if !self.waited {
             self.latch.wait_helping();
         }
-    }
-}
-
-/// Latch + panic slot shared between `rayon::scope` and its spawned jobs.
-///
-/// Unlike [`Batch`] this is reference-counted and lifetime-free, so a spawned
-/// job can hold a clone and hand nested `Scope` handles to its body.  The
-/// `'scope` → `'static` soundness argument is the caller's obligation here:
-/// `scope()` must call [`ScopeCore::wait_jobs`] before the borrowed frame is
-/// left (it does, on both the normal and the unwind path).
-pub(crate) struct ScopeCore {
-    latch: Latch,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeCore {
-    pub(crate) fn new() -> Arc<Self> {
-        ensure_workers(effective_threads().saturating_sub(1));
-        Arc::new(ScopeCore {
-            latch: Latch::new(),
-            panic: Mutex::new(None),
-        })
-    }
-
-    /// Queue `job` on the pool.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that [`ScopeCore::wait_jobs`] returns before
-    /// any data borrowed by `job` goes out of scope (including on unwind).
-    pub(crate) unsafe fn spawn_erased<'s>(self: &Arc<Self>, job: Box<dyn FnOnce() + Send + 's>) {
-        self.latch.increment();
-        let core = Arc::clone(self);
-        let wrapped: Box<dyn FnOnce() + Send + 's> = Box::new(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(job));
-            if let Err(payload) = result {
-                let mut slot = core.panic.lock().expect("panic slot poisoned");
-                slot.get_or_insert(payload);
-            }
-            core.latch.count_down();
-        });
-        // SAFETY: same layout-only transmute as in `Batch::spawn`; the caller
-        // upholds the wait-before-frame-exit contract (see above).
-        let erased: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 's>, Box<dyn FnOnce() + Send>>(wrapped)
-        };
-        shared().push_job(WORKER_INDEX.with(Cell::get), erased);
-    }
-
-    /// Help until every job spawned so far (including jobs spawned *by* those
-    /// jobs) has finished.  Does not re-raise panics; see [`Self::take_panic`].
-    pub(crate) fn wait_jobs(&self) {
-        self.latch.wait_helping();
-    }
-
-    /// Take the first panic payload recorded by any job, if one panicked.
-    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.panic.lock().expect("panic slot poisoned").take()
     }
 }
 

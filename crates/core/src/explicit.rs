@@ -257,11 +257,6 @@ impl PhaseParallel for ExplicitCordon<'_> {
                     .filter(|&&(i, _)| !finalized_ref[i])
                     .map(move |&(i, w)| (i, d_ref[j] + w))
             })
-            // analyze: allow(hot-round-alloc): the reference DAG engine's
-            // per-round update list is inherent to its formulation (updates
-            // are applied serially after the parallel scan); the tuned
-            // instantiations, not this baseline, carry the zero-alloc
-            // contract.
             .collect();
         metrics.add_edges(updates.len() as u64);
         for (i, cand) in updates {
@@ -279,8 +274,6 @@ impl PhaseParallel for ExplicitCordon<'_> {
         let size = frontier.len();
         // The per-round frontier log is part of this instance's output, so
         // the copy out of the arena is inherent.
-        // analyze: allow(hot-round-alloc): see above — the arena slice dies
-        // at round end, but the log must own its rounds.
         self.frontiers.push(frontier.to_vec());
         size
     }

@@ -232,9 +232,12 @@ where
 pub fn run_phase_parallel<P: PhaseParallel>(instance: P, metrics: &MetricsCollector) -> P::Output {
     match try_run_phase_parallel(instance, metrics) {
         Ok(output) => output,
-        // analyze: allow(no-panics): documented panicking facade over the
-        // typed `try_run_phase_parallel` — a stall is a broken instance
-        // contract, not a recoverable condition (see the `# Panics` docs).
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking facade over the typed \
+                      `try_run_phase_parallel`: a stall is a broken instance \
+                      contract, not a recoverable condition (see the `# Panics` docs)"
+        )]
         Err(err) => panic!("{err}"),
     }
 }

@@ -244,8 +244,11 @@ pub fn convex_gap_instance<'a>(
 ) -> GapInstance<'a, impl Fn(usize, usize) -> i64 + Sync, impl Fn(usize, usize) -> i64 + Sync> {
     match try_convex_gap_instance(a, b, open, ext, quad) {
         Ok(inst) => inst,
-        // analyze: allow(no-panics): documented panicking facade over the
-        // typed `try_convex_gap_instance` (see the `# Panics` docs above).
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking facade over the typed \
+                      `try_convex_gap_instance` (see the `# Panics` docs above)"
+        )]
         Err(err) => panic!("{err}"),
     }
 }

@@ -286,16 +286,20 @@ fn argmin_decision<P: GlwsProblem>(
         }
         best_j
     } else {
-        (jl..=jr)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the range is non-empty (width >= 2048 on this branch), so the \
+                      reduction always yields a value; a silent fallback here would \
+                      corrupt the argmin"
+        )]
+        let best_j = (jl..=jr)
             .into_par_iter()
             .with_min_len(round_min_grain(jr - jl + 1))
             .map(|j| (problem.e(d[j], j) + problem.w(j, i), j))
             .reduce_with(|a, b| if b < a { b } else { a })
             .map(|(_, j)| j)
-            // analyze: allow(no-panics): the range is non-empty (width >=
-            // 2048 on this branch), so the reduction always yields a value —
-            // a silent fallback here would corrupt the argmin.
-            .unwrap()
+            .unwrap();
+        best_j
     }
 }
 

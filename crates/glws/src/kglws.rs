@@ -33,9 +33,12 @@ pub const UNREACHABLE: i64 = i64::MAX / 4;
 
 impl KGlwsResult {
     /// Optimal cost of covering all `n` elements with exactly `k` clusters.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`layers` is always a (k+1) x (n+1) rectangle by construction, \
+                  so both `last()` calls are infallible"
+    )]
     pub fn total_cost(&self) -> i64 {
-        // analyze: allow(no-panics): `layers` is always a (k+1) x (n+1)
-        // rectangle by construction, so both `last()` calls are infallible.
         *self.layers.last().unwrap().last().unwrap()
     }
 

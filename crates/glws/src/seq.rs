@@ -69,9 +69,11 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
     let mut probes = 0u64;
     for i in 1..=n {
         // The front triple covers state i.
-        // analyze: allow(no-panics): the queue covers [i, n] by the loop
-        // invariant; a silent skip here would emit wrong DP values, so the
-        // invariant check stays loud.
+        #[expect(
+            clippy::expect_used,
+            reason = "the queue covers [i, n] by the loop invariant; a silent skip \
+                      here would emit wrong DP values, so the invariant check stays loud"
+        )]
         let front = *queue.front().expect("coverage invariant violated");
         debug_assert!(front.l == i, "front of the queue must start at state i");
         let bi = front.j;
@@ -82,8 +84,9 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
         if front.r == i {
             queue.pop_front();
         } else {
-            // analyze: allow(no-panics): non-empty — `front` was just read.
-            queue.front_mut().unwrap().l = i + 1;
+            #[expect(clippy::unwrap_used, reason = "non-empty: `front` was just read")]
+            let head = queue.front_mut().unwrap();
+            head.l = i + 1;
         }
         if i == n {
             break;
@@ -125,9 +128,13 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
                                 lo = mid + 1;
                             }
                         }
-                        // analyze: allow(no-panics): non-empty on this branch
-                        // — the enclosing `if` read `queue.back()`.
-                        queue.back_mut().unwrap().r = lo - 1;
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "non-empty on this branch: the enclosing `if` read \
+                                      `queue.back()`"
+                        )]
+                        let tail = queue.back_mut().unwrap();
+                        tail.r = lo - 1;
                         start = Some(lo);
                     }
                 } else if start.is_none() {
@@ -166,9 +173,13 @@ fn sequential_glws<P: GlwsProblem>(problem: &P, kind: Monotonicity) -> GlwsResul
                                 hi = mid - 1;
                             }
                         }
-                        // analyze: allow(no-panics): non-empty on this branch
-                        // — the enclosing `if` read `queue.front()`.
-                        queue.front_mut().unwrap().l = lo + 1;
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "non-empty on this branch: the enclosing `if` read \
+                                      `queue.front()`"
+                        )]
+                        let head = queue.front_mut().unwrap();
+                        head.l = lo + 1;
                         end = Some(lo);
                     }
                 } else if end.is_none() {

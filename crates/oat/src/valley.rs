@@ -183,14 +183,17 @@ impl PhaseParallel for ValleyOatCordon {
 
         // Threshold: at least double, and at least the (power-of-two rounded)
         // smallest current 2-sum, so >= 1 pair is always eligible.
+        #[expect(
+            clippy::expect_used,
+            reason = "`round` only runs while `seq.len() >= 2` (`is_done` gates on \
+                      it), so a pair exists; a silent fallback would mis-set the \
+                      combine threshold"
+        )]
         let min_sum = self
             .seq
             .windows(2)
             .map(|w| w[0].weight + w[1].weight)
             .min()
-            // analyze: allow(no-panics): `round` only runs while
-            // `seq.len() >= 2` (`is_done` gates on it), so a pair exists; a
-            // silent fallback would mis-set the combine threshold.
             .expect("at least one pair");
         self.threshold = (self.threshold.saturating_mul(2)).max(min_sum.next_power_of_two());
         let t = self.threshold;

@@ -10,7 +10,6 @@
 //!   degrade gracefully to their sequential counterparts on tiny inputs,
 //! * the per-round grain policy ([`grain`]) that sizes parallel loops from
 //!   recent frontier sizes,
-//! * a stable parallel merge sort with a reusable scratch buffer ([`sort`]),
 //! * work/round instrumentation ([`metrics`]) used by the benchmark harness to
 //!   report *operation counts* in addition to wall-clock time, which is how we
 //!   validate the paper's work bounds on machines with few cores.
@@ -21,11 +20,9 @@
 pub mod grain;
 pub mod metrics;
 pub mod par;
-pub mod sort;
 
 pub use grain::{
     effective_parallelism, round_min_grain, with_grain_policy, GrainHint, GrainPolicy,
 };
 pub use metrics::{Metrics, MetricsCollector};
 pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};
-pub use sort::par_sort_by_key_with;

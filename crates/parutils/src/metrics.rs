@@ -18,9 +18,13 @@
 //! Sequential and naive baselines use the fine-grained `add_*` methods.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-// analyze: allow(raw-parallelism): the frontier log needs interior mutability
-// behind `&self`; it is touched once per round by the driver, never inside
-// parallel loops, so a Mutex here cannot serialize worker threads.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the frontier log needs interior mutability behind `&self`; it is \
+              touched once per round by the driver, never inside parallel loops, \
+              so a Mutex here cannot serialize worker threads (until plain \
+              per-round counters replace it)"
+)]
 use std::sync::{Mutex, PoisonError};
 
 /// Immutable snapshot of the counters collected during one algorithm run.
@@ -101,8 +105,11 @@ pub struct MetricsCollector {
     edges_relaxed: AtomicU64,
     wasted_states: AtomicU64,
     probes: AtomicU64,
-    // analyze: allow(raw-parallelism): see the module-level import note — the
-    // per-round log is driver-only, outside the parallel hot path.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "see the import: the per-round log is driver-only, outside the \
+                  parallel hot path"
+    )]
     frontier_sizes: Mutex<Vec<u64>>,
 }
 
@@ -214,7 +221,6 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counters_accumulate() {
@@ -272,23 +278,25 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plain OS threads race the collector at any pool size"
+    )]
     fn snapshot_lands_on_round_boundaries() {
         // One driver thread records rounds while snapshotters race it: every
         // snapshot must sit on a round boundary — never a torn state where a
         // round was counted but its frontier not yet logged (or vice versa).
-        let c = Arc::new(MetricsCollector::new());
-        rayon::scope(|s| {
-            let writer = Arc::clone(&c);
-            s.spawn(move |_| {
+        let c = MetricsCollector::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for i in 0..2000u64 {
-                    writer.record_round(i % 7);
+                    c.record_round(i % 7);
                 }
             });
             for _ in 0..4 {
-                let reader = Arc::clone(&c);
-                s.spawn(move |_| {
+                s.spawn(|| {
                     for _ in 0..500 {
-                        let m = reader.snapshot();
+                        let m = c.snapshot();
                         assert_eq!(m.rounds as usize, m.frontier_sizes.len());
                         assert_eq!(m.states_finalized, m.frontier_sizes.iter().sum::<u64>());
                     }
@@ -302,12 +310,15 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plain OS threads race the collector at any pool size"
+    )]
     fn concurrent_updates_are_not_lost() {
-        let c = Arc::new(MetricsCollector::new());
-        rayon::scope(|s| {
+        let c = MetricsCollector::new();
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = Arc::clone(&c);
-                s.spawn(move |_| {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         c.add_edges(1);
                     }

@@ -59,12 +59,15 @@ where
 /// series of the paper's figures without relying on global environment
 /// variables.
 pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    #[expect(
+        clippy::expect_used,
+        reason = "the shim's builder is infallible and a real rayon build failure \
+                  at startup has no useful recovery: deliberate fail-fast at harness \
+                  setup, never on the hot path"
+    )]
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads.max(1))
         .build()
-        // analyze: allow(no-panics): the shim's builder is infallible and a
-        // real rayon build failure at startup has no useful recovery —
-        // deliberate fail-fast at harness setup, never on the hot path.
         .expect("failed to build rayon thread pool");
     pool.install(f)
 }

@@ -13,7 +13,6 @@
 // DP recurrences read most naturally with explicit state indices.
 #![allow(clippy::needless_range_loop)]
 
-use pardp_parutils::par_sort_by_key_with;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -95,8 +94,11 @@ pub fn post_office_instance(n: usize, k: usize, seed: u64) -> PostOfficeInstance
     assert!(k >= 1 && k <= n, "need 1 <= k <= n");
     let mut r = rng(seed);
     let sizes = random_partition(n, k, &mut r);
-    // analyze: allow(no-panics): `random_partition(n, k)` returns exactly
-    // `k >= 1` sizes (asserted above), so the max exists.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`random_partition(n, k)` returns exactly `k >= 1` sizes \
+                  (asserted above), so the max exists"
+    )]
     let max_cluster = *sizes.iter().max().unwrap();
     // Largest possible intra-cluster span (gap at most 2 per step).
     let max_span = 2 * max_cluster as i64;
@@ -175,15 +177,12 @@ pub fn exponential_weights(n: usize, base: u64, cap: u32) -> Vec<u64> {
 
 /// A single-valley weight profile: random weights sorted descending on the
 /// left half and ascending on the right — one local minimum, two long
-/// monotone slopes.  Sorting goes through the reusable-scratch parallel sort
-/// ([`pardp_parutils::par_sort_by_key_with`]); both halves share one scratch.
+/// monotone slopes.
 pub fn valley_weights(n: usize, max_weight: u64, seed: u64) -> Vec<u64> {
     let mut w = positive_weights(n, max_weight, seed);
-    let mid = n / 2;
-    let mut scratch = Vec::new();
-    let (left, right) = w.split_at_mut(mid);
-    par_sort_by_key_with(left, &mut scratch, |&x| core::cmp::Reverse(x));
-    par_sort_by_key_with(right, &mut scratch, |&x| x);
+    let (left, right) = w.split_at_mut(n / 2);
+    left.sort_unstable_by_key(|&x| core::cmp::Reverse(x));
+    right.sort_unstable();
     w
 }
 
@@ -478,7 +477,7 @@ mod tests {
         let mut rev = v.clone();
         rev.reverse();
         assert_eq!(m, rev);
-        // Determinism across calls (the shared-scratch sort is stable).
+        // Determinism across calls.
         assert_eq!(v, valley_weights(5000, 1 << 20, 3));
     }
 

@@ -113,8 +113,11 @@ impl CordonSolver {
     pub fn run<P: PhaseParallel>(&self, instance: P) -> CordonOutcome<P::Output> {
         match self.try_run(instance) {
             Ok(outcome) => outcome,
-            // analyze: allow(no-panics): documented panicking facade over the
-            // typed `try_run` (see the `# Panics` docs above).
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade over the typed `try_run` \
+                          (see the `# Panics` docs above)"
+            )]
             Err(err) => panic!("{err}"),
         }
     }

@@ -13,8 +13,8 @@
 //!   input size;
 //! * `ValleyOatCordon::new` copies the weights into the leaf sequence and
 //!   sizes the buffers its rounds reuse, and builds nothing else, so it too
-//!   makes the same number of allocations at any input size (its rounds
-//!   still allocate, so no round test covers it yet);
+//!   makes the same number of allocations at any input size.  Its rounds
+//!   still allocate: a ratchet test bounds every allocation they make;
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
@@ -46,8 +46,12 @@
 //! balanced binary tree, a random tree and a caterpillar, and the GLWS test runs
 //! `ConvexGlwsCordon` on a post-office instance, `ConcaveGlwsCordon` on a
 //! concave cost with bonus states and `KGlwsCordon` on a clustered
-//! post-office instance.  Each asserts the allocation counter does not move
-//! during steady-state rounds.
+//! post-office instance.  The router test runs what `oat_cordon_auto` picks
+//! below `OAT_VALLEY_MIN_N` leaves (`IntervalOatCordon`) and what
+//! `tree_glws_cordon_auto` picks on a caterpillar (HLD) and a balanced tree
+//! (depth levels), inside their `EitherCordon`.  Each asserts the allocation
+//! counter does not move during steady-state rounds.  The valley OAT test
+//! counts every allocation of every round instead, against a fixed bound.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
@@ -56,7 +60,7 @@
 //! allocator counts per thread: sibling tests and the test harness, running
 //! on other threads, cannot pollute a measurement.
 
-use parallel_dp::core::{run_phase_parallel, FrontierArena, PhaseParallel};
+use parallel_dp::core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
 use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
 use parallel_dp::glws::{
     naive_kglws, sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
@@ -64,11 +68,12 @@ use parallel_dp::glws::{
 };
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
-use parallel_dp::oat::ValleyOatCordon;
+use parallel_dp::oat::{garsia_wachs, oat_cordon_auto, ValleyOatCordon, OAT_VALLEY_MIN_N};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::treedp::{
-    naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
+    naive_tree_glws, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon,
+    TreeGlwsInstance,
 };
 use parallel_dp::workloads;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,6 +103,7 @@ fn count_allocation() {
 
 // SAFETY: a pure pass-through to `System` — every pointer/layout obligation is
 // forwarded unchanged, and the counter bump has no effect on allocator state.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; we forward
     // `layout` to `System` untouched.
@@ -127,50 +133,70 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static COUNTER: CountingAllocator = CountingAllocator;
 
 /// Forwards every call to the wrapped cordon, reading the allocation counter
-/// after warm-up round [`WARM_UP_ROUNDS`] and again when the driver calls
-/// `finish`.  Its output carries the difference and the steady-state round
-/// count.
-struct SteadyStateProbe<P> {
+/// before its first round, after warm-up round [`WARM_UP_ROUNDS`] and again
+/// when the driver calls `finish`.  Its output carries the counts.
+struct AllocationProbe<P> {
     inner: P,
     rounds: usize,
+    before_first_round: u64,
     after_warm_up: Option<u64>,
 }
 
-impl<P> SteadyStateProbe<P> {
-    fn count_round(&mut self) {
+/// The allocations a probed cordon's rounds made.
+struct RoundAllocations {
+    /// In every round, from the first.
+    total: u64,
+    /// After warm-up round [`WARM_UP_ROUNDS`].
+    steady: u64,
+    /// Rounds after warm-up.
+    steady_rounds: usize,
+}
+
+impl<P> AllocationProbe<P> {
+    fn step(&mut self, round: impl FnOnce(&mut P) -> usize) -> usize {
+        if self.rounds == 0 {
+            self.before_first_round = allocations();
+        }
+        let frontier = round(&mut self.inner);
         self.rounds += 1;
         if self.rounds == WARM_UP_ROUNDS {
             self.after_warm_up = Some(allocations());
         }
+        frontier
     }
 }
 
-impl<P: PhaseParallel> PhaseParallel for SteadyStateProbe<P> {
-    type Output = (P::Output, u64, usize);
+impl<P: PhaseParallel> PhaseParallel for AllocationProbe<P> {
+    type Output = (P::Output, RoundAllocations);
 
     fn is_done(&self) -> bool {
         self.inner.is_done()
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let frontier = self.inner.round(metrics);
-        self.count_round();
-        frontier
+        self.step(|inner| inner.round(metrics))
     }
 
     fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-        let frontier = self.inner.round_with(metrics, arena);
-        self.count_round();
-        frontier
+        self.step(|inner| inner.round_with(metrics, arena))
     }
 
     fn finish(self) -> Self::Output {
         let after = allocations();
+        #[expect(
+            clippy::expect_used,
+            reason = "a cordon that finishes within its warm-up rounds cannot show a \
+                      steady state, so the test fails loudly"
+        )]
         let warm = self
             .after_warm_up
             .expect("instance too small to measure steady state");
-        let steady_rounds = self.rounds - WARM_UP_ROUNDS;
-        (self.inner.finish(), after - warm, steady_rounds)
+        let counts = RoundAllocations {
+            total: after - self.before_first_round,
+            steady: after - warm,
+            steady_rounds: self.rounds - WARM_UP_ROUNDS,
+        };
+        (self.inner.finish(), counts)
     }
 
     fn round_budget(&self) -> Option<u64> {
@@ -178,22 +204,30 @@ impl<P: PhaseParallel> PhaseParallel for SteadyStateProbe<P> {
     }
 }
 
-/// Run `cordon` through `run_phase_parallel` inside a [`SteadyStateProbe`],
-/// assert that its steady-state rounds allocated nothing, and return its
-/// output with the number of rounds the driver recorded.
-fn run_allocation_free<P: PhaseParallel>(name: &str, cordon: P) -> (P::Output, u64) {
+/// Run `cordon` through `run_phase_parallel` inside an [`AllocationProbe`],
+/// and return its output, the allocations its rounds made and the number of
+/// rounds the driver recorded.
+fn run_probed<P: PhaseParallel>(cordon: P) -> (P::Output, RoundAllocations, u64) {
     let metrics = MetricsCollector::new();
-    let probe = SteadyStateProbe {
+    let probe = AllocationProbe {
         inner: cordon,
         rounds: 0,
+        before_first_round: 0,
         after_warm_up: None,
     };
-    let (output, allocations, steady_rounds) = run_phase_parallel(probe, &metrics);
+    let (output, allocations) = run_phase_parallel(probe, &metrics);
+    (output, allocations, metrics.snapshot().rounds)
+}
+
+/// [`run_probed`], asserting that the steady-state rounds allocated nothing.
+fn run_allocation_free<P: PhaseParallel>(name: &str, cordon: P) -> (P::Output, u64) {
+    let (output, allocations, rounds) = run_probed(cordon);
     assert_eq!(
-        allocations, 0,
-        "{name}: run_phase_parallel allocated {allocations} times over {steady_rounds} steady-state rounds"
+        allocations.steady, 0,
+        "{name}: run_phase_parallel allocated {} times over {} steady-state rounds",
+        allocations.steady, allocations.steady_rounds
     );
-    (output, metrics.snapshot().rounds)
+    (output, rounds)
 }
 
 #[test]
@@ -405,6 +439,90 @@ fn depth_tree_glws_rounds_allocate_nothing_after_warm_up() {
             );
         });
     }
+}
+
+#[test]
+fn routed_cordons_allocate_nothing_after_warm_up() {
+    // `parallel_oat` below `OAT_VALLEY_MIN_N` leaves: the interval cordon.
+    for n in [20, OAT_VALLEY_MIN_N - 1] {
+        let weights = workloads::positive_weights(n, 1 << 16, 23);
+        let want = garsia_wachs(&weights).cost;
+
+        with_threads(1, || {
+            let cordon = oat_cordon_auto(&weights);
+            assert!(
+                matches!(cordon, EitherCordon::First(_)),
+                "{n} leaves: routed to the valley cordon"
+            );
+            let (layout, rounds) = run_allocation_free("interval OAT", cordon);
+            assert_eq!(
+                layout.cost, want,
+                "{n} leaves: cost differs from Garsia–Wachs"
+            );
+            assert_eq!(rounds, n as u64 - 1);
+        });
+    }
+
+    // `parallel_tree_glws`: the HLD arm on a caterpillar, the depth arm on a
+    // balanced binary tree.
+    let shapes = [
+        (
+            "caterpillar",
+            workloads::caterpillar_tree(3_000, 1_500, 29),
+            true,
+        ),
+        ("balanced", workloads::balanced_tree(20_000, 2), false),
+    ];
+    for (name, parent, hld) in shapes {
+        let n = parent.len() - 1;
+        let lens = workloads::tree_edge_lengths(n, 100, 13);
+        let convex = |du: u64, dv: u64| {
+            let len = (dv - du) as i64;
+            10 + len * len
+        };
+        let inst = TreeGlwsInstance::new(parent, &lens, 0, convex, |d, _| d);
+        let want = naive_tree_glws(&inst);
+
+        with_threads(1, || {
+            let cordon = tree_glws_cordon_auto(&inst, CostShape::Convex);
+            assert_eq!(
+                matches!(cordon, EitherCordon::Second(_)),
+                hld,
+                "{name}: routed to the other cordon"
+            );
+            let ((d, best), _) = run_allocation_free(name, cordon);
+            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
+            assert_eq!(
+                best, want.best,
+                "{name}: decisions differ from the naive scan"
+            );
+        });
+    }
+}
+
+#[test]
+fn valley_oat_round_allocations_do_not_grow() {
+    // A ratchet, not the zero-allocation contract: every valley round still
+    // collects its runs' outputs through `par_map`.  The bound is the count
+    // its 16 rounds made when the test was written, the same in release and
+    // debug builds (24 of them fall after warm-up).  An allocation added to
+    // a round, in its body or behind `par_map` or `run_combines`, fails the
+    // test.  Staging each run's output in buffers the cordon owns (ROADMAP
+    // direction 5b) lowers the bound to 0.
+    const MOST_ALLOCATIONS: u64 = 13_259;
+    let weights = workloads::positive_weights(2_000, 1 << 16, 23);
+    let want = garsia_wachs(&weights).cost;
+
+    with_threads(1, || {
+        let (layout, allocations, rounds) = run_probed(ValleyOatCordon::new(&weights));
+        assert_eq!(layout.cost, want, "cost differs from Garsia–Wachs");
+        assert_eq!(rounds, 16);
+        assert!(
+            allocations.total <= MOST_ALLOCATIONS,
+            "valley OAT rounds allocated {} times (at most {MOST_ALLOCATIONS})",
+            allocations.total
+        );
+    });
 }
 
 #[test]

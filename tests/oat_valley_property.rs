@@ -50,8 +50,8 @@ fn check_profile(name: &str, w: &[u64]) {
         "{name}: depth vector is not realizable as an ordered tree"
     );
     assert_eq!(
-        valley.height,
-        *valley.depths.iter().max().unwrap(),
+        Some(&valley.height),
+        valley.depths.iter().max(),
         "{name}: height must be max depth"
     );
     assert!(

@@ -22,6 +22,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: a pure pass-through to `System` — every pointer/layout obligation is
 // forwarded unchanged, and the counter bump has no effect on allocator state.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; we forward
     // `layout` to `System` untouched.
