@@ -230,8 +230,8 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     };
 
     // Shallow LIS: k = 4 rounds over a wide staircase.  The sequential
-    // baseline pays a coordinate-compression sort plus a Fenwick log factor;
-    // the cordon does k linear tournament rounds.
+    // baseline, patience sorting, pays a binary search over its k tails per
+    // element; the cordon does k linear tournament rounds.
     {
         let n = if quick { 50_000 } else { 400_000 };
         let a = workloads::lis_with_length(n, 4, 7);

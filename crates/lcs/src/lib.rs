@@ -165,7 +165,11 @@ impl LcsCordon {
         // j values on the prefix-minimum staircase), so ties do not block.
         LcsCordon(StaircaseCordon::new(
             pairs.len(),
-            |i| pairs[i].j,
+            |first, out| {
+                for (key, pair) in out.iter_mut().zip(&pairs[first..]) {
+                    *key = pair.j;
+                }
+            },
             TieRule::TiesAreRecords,
         ))
     }

@@ -4,9 +4,10 @@
 //! `D[i] = max(1, max_{j < i, A[j] < A[i]} D[j] + 1)`:
 //!
 //! * [`naive_lis`] — the quadratic textbook DP (test oracle / baseline),
-//! * [`sequential_lis`] — the `O(n log k)` optimized algorithm: a Fenwick tree
-//!   over value ranks answers "best DP value among smaller elements to the
-//!   left" in `O(log n)`, so only `n` transitions are processed,
+//! * [`sequential_lis`] — the `O(n log k)` optimized algorithm, patience
+//!   sorting: a binary search over the tails array (the smallest value that
+//!   ends an increasing subsequence of each length) gives each element its
+//!   DP value, so only `n` transitions are processed,
 //! * [`parallel_lis`] — the Cordon Algorithm instantiation: in round `r` the
 //!   ready states are exactly the prefix-minimum elements of the remaining
 //!   sequence (their DP value is `r`), and a tournament tree extracts and
@@ -66,46 +67,36 @@ pub fn naive_lis(a: &[i64]) -> LisResult {
     }
 }
 
-/// Sequential `O(n log k)`-style LIS using a Fenwick (binary indexed) tree
-/// over value ranks for prefix maxima.
+/// Sequential `O(n log k)` LIS by patience sorting: a binary search over the
+/// tails array, the loop Hunt–Szymanski (`sequential_sparse_lcs` in
+/// `pardp-lcs`) runs over the `j` keys of the matching pairs.
 pub fn sequential_lis(a: &[i64]) -> LisResult {
     let metrics = MetricsCollector::new();
-    let n = a.len();
-    if n == 0 {
-        return LisResult {
-            d: Vec::new(),
-            length: 0,
-            metrics: metrics.snapshot(),
-        };
-    }
-    // Coordinate-compress the values.
-    let mut sorted: Vec<i64> = a.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let rank = |x: i64| sorted.partition_point(|&v| v < x); // 0-based rank
-
-    let mut fenwick = FenwickMax::new(sorted.len());
-    let mut d = vec![1u32; n];
+    // tails[t] = smallest value that ends an increasing subsequence of
+    // length t + 1 seen so far.
+    let mut tails: Vec<i64> = Vec::new();
+    let mut d = Vec::with_capacity(a.len());
     let mut probes = 0u64;
-    for (i, &ai) in a.iter().enumerate() {
-        let r = rank(ai);
-        // Best DP value among elements with value strictly smaller than a[i].
-        let best_before = if r == 0 {
-            0
+    for &x in a {
+        // Length of the longest increasing subsequence ending strictly
+        // below x, plus one.
+        let pos = tails.partition_point(|&t| t < x);
+        probes += (tails.len().max(2)).ilog2() as u64;
+        if pos == tails.len() {
+            tails.push(x);
         } else {
-            fenwick.prefix_max(r - 1, &mut probes)
-        };
-        d[i] = best_before + 1;
-        fenwick.update(r, d[i], &mut probes);
+            // tails[pos] >= x, so x ends the smallest tail of its length.
+            tails[pos] = x;
+        }
+        d.push(pos as u32 + 1);
     }
-    // One edge per element: its best predecessor.
-    metrics.add_edges(n as u64);
+    // One edge per element: its tails search.
+    metrics.add_edges(a.len() as u64);
     metrics.add_probes(probes);
-    metrics.add_states(n as u64);
-    let length = d.iter().copied().max().unwrap_or(0);
+    metrics.add_states(a.len() as u64);
     LisResult {
         d,
-        length,
+        length: tails.len() as u32,
         metrics: metrics.snapshot(),
     }
 }
@@ -139,7 +130,7 @@ impl LisCordon {
         // equal element to the left does not prevent readiness.
         LisCordon(StaircaseCordon::new(
             a.len(),
-            |i| a[i],
+            |first, out| out.copy_from_slice(&a[first..first + out.len()]),
             TieRule::TiesAreRecords,
         ))
     }
@@ -164,42 +155,6 @@ impl PhaseParallel for LisCordon {
 
     fn round_budget(&self) -> Option<u64> {
         self.0.round_budget()
-    }
-}
-
-/// Fenwick tree for prefix maxima over `0..len` (used by [`sequential_lis`]).
-struct FenwickMax {
-    tree: Vec<u32>,
-}
-
-impl FenwickMax {
-    fn new(len: usize) -> Self {
-        FenwickMax {
-            tree: vec![0; len + 1],
-        }
-    }
-
-    /// max over ranks `0..=idx`.
-    fn prefix_max(&self, idx: usize, probes: &mut u64) -> u32 {
-        let mut i = idx + 1;
-        let mut best = 0;
-        while i > 0 {
-            *probes += 1;
-            best = best.max(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        best
-    }
-
-    fn update(&mut self, idx: usize, value: u32, probes: &mut u64) {
-        let mut i = idx + 1;
-        while i < self.tree.len() {
-            *probes += 1;
-            if self.tree[i] < value {
-                self.tree[i] = value;
-            }
-            i += i & i.wrapping_neg();
-        }
     }
 }
 

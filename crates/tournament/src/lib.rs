@@ -12,44 +12,55 @@
 //! # Layout
 //!
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
-//! `BLOCK` consecutive positions, and every block has the same shape — its
-//! leaf keys, cut into chunks of `CHUNK` and groups of `GROUP`, and two flat
-//! arrays of minima: one per group and one per chunk.  The tree keeps one
-//! buffer of leaf blocks and one of minima, built in parallel straight from
-//! the caller's keys; the last block is padded with empty slots.  A small
-//! flat *summary heap* over the per-block minima routes each round to the
-//! blocks that actually contain records.  Inside a block the extraction makes
-//! two flat passes: one over the group minima, and, for each group whose
-//! minimum is a record, one over that group's chunk minima.  Each pass
-//! computes, without branching on the keys, the mask of its parts whose
-//! minimum is a record; each record chunk is then extracted by one linear
-//! scan of its leaves, which yields the chunk's new minimum.  All three levels
-//! carry the running minimum of the round-start keys, so a leaf taken
-//! earlier in the round still blocks the leaves after it.  A touched block
-//! therefore costs `GROUPS` group checks, plus `GROUP / CHUNK` chunk checks
-//! per record group, plus one `CHUNK`-leaf scan per record chunk; a round
-//! extracting `l` records out of `L` costs `O(l · (log(L/l) + GROUPS +
-//! GROUP / CHUNK + CHUNK))` work, and the summary repair after it recomputes
-//! each dirty summary node once.
+//! `BLOCK` consecutive positions, and every block has the same shape — one
+//! leaf per position, cut into chunks of `CHUNK` and groups of `GROUP`; an
+//! alive mask per chunk, one byte with a bit per leaf; and two flat arrays
+//! of minima, one per group and one per chunk.  The tree keeps one buffer
+//! of leaf blocks, one of alive masks and one of minima.  The constructor
+//! takes a *block writer*, `write(first, out)`, that fills `out` with the
+//! keys of positions `first..first + out.len()`; one parallel pass over the
+//! blocks writes each block's keys straight into its leaves and summarizes
+//! the block while it is in cache.  The last block is padded with leaves
+//! that are never alive.  A small flat *summary heap* over the per-block
+//! minima routes each round to the blocks that actually contain records.
+//! Inside a block the extraction makes two flat passes: one over the group
+//! minima, and, for each group whose minimum is a record, one over that
+//! group's chunk minima.  Each pass computes, without branching on the
+//! keys, the mask of its parts whose minimum is a record; each record chunk
+//! is then extracted by one linear scan of its leaves, which yields the
+//! chunk's new minimum.  All three levels carry the running minimum of the
+//! round-start keys, so a leaf taken earlier in the round still blocks the
+//! leaves after it.  A touched block therefore costs `GROUPS` group checks,
+//! plus `GROUP / CHUNK` chunk checks per record group, plus one `CHUNK`-leaf
+//! scan per record chunk; a round extracting `l` records out
+//! of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK + CHUNK))` work,
+//! and the summary repair after it recomputes each dirty summary node once.
 //!
-//! Slots hold plain keys: [`Key::MAX`] marks an empty slot, and a carry of
-//! `Key::MAX` means nothing lies to the left.  Callers keep every key value
-//! all the same: if some key equals `Key::MAX`, the constructor moves the run
-//! of consecutive present keys that ends there down by one, onto the value
-//! just below the run, which no key takes.  That map is injective and
-//! order-preserving, so the records do not change, and every key the tree
-//! returns is mapped back.  When no key equals `Key::MAX` the map is the
-//! identity.
+//! An alive leaf holds its key.  A taken leaf holds its DP value, the number
+//! of the round that took it, converted by [`Key::from_round`]; its alive bit
+//! is clear, so a scan reads it as an empty slot.  The minima hold plain keys:
+//! [`Key::MAX`] marks a part with no alive leaf, and a carry of `Key::MAX`
+//! means nothing lies to the left.  Callers keep every key value all the
+//! same: if some key equals `Key::MAX`, the constructor reads the keys back
+//! from the leaves and moves the run of consecutive present keys that ends
+//! there down by one, onto the value just below the run, which no key
+//! takes.  That map is injective and order-preserving, so the records do
+//! not change, and every key the tree returns is mapped back.  When no key
+//! equals `Key::MAX` the map is the identity.
 //!
-//! Records are never buffered: the cordon passes each block the slice of its
-//! DP values that is aligned with the block's positions, and the block writes
-//! the round number straight into it, and its new minimum into its leaf of
-//! the summary heap.  Touched blocks are extracted concurrently by splitting
-//! the leaf blocks, the minima, the summary leaves and the value slice at the
-//! same block boundary (`split_at_mut`), so blocks are disjoint `&mut`
-//! borrows — no interior mutability, no record buffers and no per-round
-//! allocation.  [`TournamentTree::extract_prefix_minima`] runs the same block
-//! kernel with a sink that pushes `(position, key)` pairs instead.
+//! Records are never buffered: a block writes the round number straight into
+//! each leaf it takes, and its new minimum into its leaf of the summary heap.
+//! Touched blocks are extracted concurrently by splitting the leaf blocks,
+//! the alive masks, the minima and the summary leaves at the same block
+//! boundary (`split_at_mut`), so blocks are disjoint `&mut` borrows — no
+//! interior mutability, no record buffers and no per-round allocation.
+//! Once every position is taken, the leaves are the DP values:
+//! [`StaircaseCordon`]'s `finish` hands the leaf buffer back, as it is for
+//! `u32` keys and narrowed in one pass for wider ones.  A key type
+//! narrower than 32 bits holds only `2^bits − 1` round numbers, so the
+//! cordon's round budget stops a run that would need more.
+//! [`TournamentTree::extract_prefix_minima`] runs the same block kernel with
+//! a sink that pushes `(position, key)` pairs instead.
 //!
 //! Rounds whose estimated work is below the active grain hint run entirely
 //! on the calling thread: no pool job is pushed and no worker is woken
@@ -63,18 +74,19 @@
 
 use pardp_core::PhaseParallel;
 use pardp_parutils::{round_min_grain, MetricsCollector};
+use std::any::Any;
 
-/// Positions per cache block.  A block's leaves and minima take 4.6 KiB
-/// for `u32` keys and 9.1 KiB for `i64` keys, small enough that one round's
-/// scan of a block stays in L1/L2.
+/// Positions per cache block.  A block's leaves, alive masks and minima
+/// take 4.7 KiB for `u32` keys and 9.3 KiB for `i64` keys, small enough
+/// that one round's scan of a block stays in L1/L2.
 const BLOCK: usize = 1024;
 
-/// Leaves per chunk: the unit a block scans leaf by leaf.  Kept small
-/// because a chunk holding a single record still costs a full scan.  On a
-/// 2-core Xeon host, LIS on `random_sequence(10⁶, 2⁴⁰, _)`, whose rounds
-/// take scattered single records, ran ~20% slower with 16 leaves per chunk
-/// than with 8, while 4 gave back about a fifth of 8's round-time gain on
-/// dense staircases.
+/// Leaves per chunk: the unit a block scans leaf by leaf, and the bits of
+/// one alive mask.  Kept small because a chunk holding a single record
+/// still costs a full scan.  On a 2-core Xeon host, LIS on
+/// `random_sequence(10⁶, 2⁴⁰, _)`, whose rounds take scattered single
+/// records, ran ~20% slower with 16 leaves per chunk than with 8, while 4
+/// gave back about a fifth of 8's round-time gain on dense staircases.
 const CHUNK: usize = 8;
 
 /// Leaves per group: the unit of a block's first pass.  A block holding one
@@ -89,22 +101,31 @@ const GROUPS: usize = BLOCK / GROUP;
 /// Chunks per group.
 const GROUP_CHUNKS: usize = GROUP / CHUNK;
 
+/// Chunks, and so alive masks, per block.
+const CHUNKS: usize = BLOCK / CHUNK;
+
 /// A key type the tree can hold: totally ordered, with a largest value that
-/// the tree reserves to mark an empty slot.  Implemented for the primitive
-/// integers.
-pub trait Key: Ord + Copy + Send + Sync {
+/// the tree's minima reserve to mark a part with no alive leaf, and room for
+/// a round number in a taken leaf.  Implemented for the primitive integers.
+pub trait Key: Ord + Copy + Send + Sync + 'static {
     /// The smallest value.
     const MIN: Self;
-    /// The largest value, which marks an empty slot inside the tree.
+    /// The largest value, which marks a part with no alive leaf.
     const MAX: Self;
     /// The value just below `self`; never called on [`Key::MIN`].
     fn pred(self) -> Self;
     /// The value just above `self`; never called on [`Key::MAX`].
     fn succ(self) -> Self;
+    /// Round number `r` as a key: the low bits of `r`, as many as the key
+    /// type has.
+    fn from_round(r: u32) -> Self;
+    /// The round number [`Key::from_round`] stored: the inverse on every
+    /// round number the key type has room for.
+    fn to_round(self) -> u32;
 }
 
 macro_rules! impl_key {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $bits:ty),*) => {$(
         impl Key for $t {
             const MIN: Self = <$t>::MIN;
             const MAX: Self = <$t>::MAX;
@@ -116,11 +137,28 @@ macro_rules! impl_key {
             fn succ(self) -> Self {
                 self + 1
             }
+            #[inline]
+            fn from_round(r: u32) -> Self {
+                r as $bits as $t
+            }
+            #[inline]
+            fn to_round(self) -> u32 {
+                self as $bits as u32
+            }
         }
     )*};
 }
 
-impl_key!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
+impl_key!(
+    u8 => u8, u16 => u16, u32 => u32, u64 => u64, u128 => u128, usize => usize,
+    i8 => u8, i16 => u16, i32 => u32, i64 => u64, i128 => u128, isize => usize
+);
+
+/// The last round number a leaf of key type `K` can hold: `2^bits − 1` for
+/// a key type of `bits < 32` bits, `u32::MAX` otherwise.
+fn last_round<K: Key>() -> u32 {
+    K::from_round(u32::MAX).to_round()
+}
 
 /// Whether an earlier element with an *equal* key blocks a later element from
 /// being a prefix-minimum record.
@@ -147,9 +185,9 @@ impl TieRule {
         }
     }
 
-    /// [`TieRule::beats`] in the tree's encoding: an empty slot (`K::MAX`) is
-    /// never a record, and a carry of `K::MAX` (nothing to the left) blocks
-    /// no key.
+    /// [`TieRule::beats`] for the minimum of a part: a part with no alive
+    /// leaf (`K::MAX`) holds no record, and a carry of `K::MAX` (nothing to
+    /// the left) blocks no key.
     #[inline]
     fn is_record<K: Key>(self, key: K, carry: K) -> bool {
         key != K::MAX && self.beats(key, carry)
@@ -166,13 +204,14 @@ struct Remap<K> {
 }
 
 impl<K: Key> Remap<K> {
-    /// The map for keys of which at least one equals `K::MAX`.  Sorts a copy
-    /// of the keys, so inputs holding `K::MAX` pay `O(n log n)` extra work.
+    /// The map for `keys`, of which at least one equals `K::MAX`.  Sorts a
+    /// copy of the keys, so inputs holding `K::MAX` pay `O(n log n)` extra
+    /// work.
     ///
     /// # Panics
     /// If the keys take every value of `K`, leaving none for the sentinel.
-    fn over(len: usize, key: impl Fn(usize) -> K) -> Self {
-        let mut keys: Vec<K> = (0..len).map(key).collect();
+    fn over(keys: &[K]) -> Self {
+        let mut keys = keys.to_vec();
         keys.sort_unstable();
         let mut absent = K::MAX;
         for &k in keys.iter().rev() {
@@ -214,9 +253,10 @@ impl<K: Key> Remap<K> {
 /// The minima of one block's groups and chunks.
 #[derive(Debug, Clone, Copy)]
 struct Minima<K> {
-    /// The minimum of group `g`'s leaves.
+    /// The minimum of group `g`'s alive leaves.
     groups: [K; GROUPS],
-    /// `chunks[g][c]`: the minimum of the leaves of chunk `c` of group `g`.
+    /// `chunks[g][c]`: the minimum of the alive leaves of chunk `c` of group
+    /// `g`.
     chunks: [[K; GROUP_CHUNKS]; GROUPS],
 }
 
@@ -233,16 +273,26 @@ fn min_of<K: Key>(keys: &[K]) -> K {
     keys.iter().copied().fold(K::MAX, K::min)
 }
 
-/// One block: its leaf keys and their group and chunk minima.
+/// One block: its leaves, the alive mask of each chunk, and the group and
+/// chunk minima of its alive leaves.
 struct Block<'a, K> {
-    /// Stored keys; `K::MAX` once extracted, and past the input's end.
+    /// Stored keys of alive leaves, round numbers of taken ones.
     leaves: &'a mut [K; BLOCK],
+    /// Bit `i` of `alive[c]` is set while leaf `c * CHUNK + i` is alive.
+    alive: &'a mut [u8; CHUNKS],
     minima: &'a mut Minima<K>,
 }
 
 impl<K: Key> Block<'_, K> {
-    /// Compute the minima of freshly written leaves.
-    fn summarize(&mut self) {
+    /// Make the block's first `n` leaves, already written, alive and the
+    /// rest padding, and compute the minima.
+    fn summarize(&mut self, n: usize) {
+        const { assert!(CHUNK == u8::BITS as usize, "an alive bit per leaf") };
+        self.leaves[n..].fill(K::MAX);
+        for (c, mask) in self.alive.iter_mut().enumerate() {
+            let keys = n.saturating_sub(c * CHUNK).min(CHUNK);
+            *mask = u8::MAX.checked_shr((CHUNK - keys) as u32).unwrap_or(0);
+        }
         let Minima { groups, chunks } = self.minima;
         let chunk_mins = chunks.as_flattened_mut();
         for (slot, chunk) in chunk_mins.iter_mut().zip(self.leaves.chunks_exact(CHUNK)) {
@@ -254,9 +304,10 @@ impl<K: Key> Block<'_, K> {
     }
 
     /// Extract every record of this block, given the minimum active key
-    /// strictly to the block's left at round start.  Calls `take(i, key)` for
-    /// each record in increasing local position `i`, with its stored key.
-    /// Returns the block's new minimum.
+    /// strictly to the block's left at round start.  Writes `stamp` into
+    /// each record's leaf and calls `take(i, key)` for each record in
+    /// increasing local position `i`, with its stored key.  Returns the
+    /// block's new minimum.
     ///
     /// The first pass finds the groups whose minimum is a record, the second
     /// the record chunks of each such group, and each record chunk is then
@@ -264,7 +315,13 @@ impl<K: Key> Block<'_, K> {
     /// (a part whose minimum is no record has it at or above the carry), so
     /// lowering the carry by each record part's round-start minimum, once
     /// that part is extracted, gives every record part its carry.
-    fn extract(&mut self, mut carry: K, rule: TieRule, take: &mut impl FnMut(usize, K)) -> K {
+    fn extract(
+        &mut self,
+        mut carry: K,
+        rule: TieRule,
+        stamp: K,
+        take: &mut impl FnMut(usize, K),
+    ) -> K {
         let Minima { groups, chunks } = self.minima;
         for g in set_bits(record_mask(groups, carry, rule)) {
             let group = &mut chunks[g];
@@ -272,7 +329,15 @@ impl<K: Key> Block<'_, K> {
             for c in set_bits(record_mask(group, carry, rule)) {
                 let start = group[c];
                 let chunk = g * GROUP_CHUNKS + c;
-                group[c] = extract_chunk(self.leaves, chunk, chunk_carry, rule, take);
+                group[c] = extract_chunk(
+                    self.leaves,
+                    &mut self.alive[chunk],
+                    chunk,
+                    chunk_carry,
+                    rule,
+                    stamp,
+                    take,
+                );
                 chunk_carry = chunk_carry.min(start);
             }
             carry = carry.min(groups[g]);
@@ -316,22 +381,28 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Extract the records of chunk `c` of a block with leaves `leaves` by one
-/// scan of its leaves, given the minimum active key to the chunk's left at
-/// round start, and return the chunk's new minimum.
+/// Extract the records of chunk `c` of a block with leaves `leaves` and
+/// the chunk's alive mask `alive` by one scan of its leaves, given the
+/// minimum active key to the chunk's left at round start, and return the
+/// chunk's new minimum.  Each record's leaf gets `stamp`.
 fn extract_chunk<K: Key>(
     leaves: &mut [K; BLOCK],
+    alive: &mut u8,
     c: usize,
     mut carry: K,
     rule: TieRule,
+    stamp: K,
     take: &mut impl FnMut(usize, K),
 ) -> K {
     let first = c * CHUNK;
     let mut min = K::MAX;
+    let mut left = *alive;
     for (i, leaf) in leaves[first..first + CHUNK].iter_mut().enumerate() {
-        let k = *leaf;
+        // A taken leaf reads as an empty slot.
+        let k = if *alive >> i & 1 != 0 { *leaf } else { K::MAX };
         if rule.is_record(k, carry) {
-            *leaf = K::MAX;
+            *leaf = stamp;
+            left &= !(1 << i);
             take(first + i, k);
         } else {
             min = min.min(k);
@@ -339,17 +410,18 @@ fn extract_chunk<K: Key>(
         // The carry runs over round-start keys, extracted or not.
         carry = carry.min(k);
     }
+    *alive = left;
     min
 }
 
 /// Blocks `first..` of a tree together with their leaves of the summary
-/// heap and the DP values of their positions, borrowed as one so that all
-/// four slices split at the same block boundary.
+/// heap, borrowed as one so that all four slices split at the same block
+/// boundary.
 struct BlocksMut<'a, K> {
     leaves: &'a mut [[K; BLOCK]],
+    alive: &'a mut [[u8; CHUNKS]],
     minima: &'a mut [Minima<K>],
     block_mins: &'a mut [K],
-    values: &'a mut [u32],
     first: usize,
 }
 
@@ -358,21 +430,21 @@ impl<K> BlocksMut<'_, K> {
     fn split_at(self, b: usize) -> (Self, Self) {
         let at = b - self.first;
         let (ll, lr) = self.leaves.split_at_mut(at);
+        let (al, ar) = self.alive.split_at_mut(at);
         let (ml, mr) = self.minima.split_at_mut(at);
         let (bl, br) = self.block_mins.split_at_mut(at);
-        let (vl, vr) = self.values.split_at_mut(at * BLOCK);
         let left = BlocksMut {
             leaves: ll,
+            alive: al,
             minima: ml,
             block_mins: bl,
-            values: vl,
             first: self.first,
         };
         let right = BlocksMut {
             leaves: lr,
+            alive: ar,
             minima: mr,
             block_mins: br,
-            values: vr,
             first: b,
         };
         (left, right)
@@ -382,36 +454,33 @@ impl<K> BlocksMut<'_, K> {
 /// Extract `touched` blocks in parallel by recursively splitting `blocks`:
 /// the touched list is sorted by block index, so each half of the list maps
 /// to a disjoint part of `blocks` (no interior mutability needed).  Every
-/// record's value is set to `round`, and every touched block's new minimum
-/// goes to its leaf of the summary heap.  `grain` is the fork cutoff in
+/// record's leaf gets `stamp`, and every touched block's new minimum goes
+/// to its leaf of the summary heap.  `grain` is the fork cutoff in
 /// touched-block units.  Returns the number of records extracted.
 fn extract_touched<K: Key>(
     blocks: BlocksMut<'_, K>,
     touched: &[(usize, K)],
     rule: TieRule,
-    round: u32,
+    stamp: K,
     grain: usize,
 ) -> usize {
     if touched.len() <= grain.max(1) {
         let BlocksMut {
             leaves,
+            alive,
             minima,
             block_mins,
-            values,
             first,
         } = blocks;
         let mut count = 0;
         for &(b, carry) in touched {
             let local = b - first;
-            let block_values = &mut values[local * BLOCK..];
             let mut block = Block {
                 leaves: &mut leaves[local],
+                alive: &mut alive[local],
                 minima: &mut minima[local],
             };
-            block_mins[local] = block.extract(carry, rule, &mut |i, _| {
-                block_values[i] = round;
-                count += 1;
-            });
+            block_mins[local] = block.extract(carry, rule, stamp, &mut |_, _| count += 1);
         }
         return count;
     }
@@ -419,39 +488,42 @@ fn extract_touched<K: Key>(
     let (left, right) = touched.split_at(mid);
     let (bl, br) = blocks.split_at(right[0].0);
     let (l, r) = rayon::join(
-        || extract_touched(bl, left, rule, round, grain),
-        || extract_touched(br, right, rule, round, grain),
+        || extract_touched(bl, left, rule, stamp, grain),
+        || extract_touched(br, right, rule, stamp, grain),
     );
     l + r
 }
 
-/// Write `map(key(i))` into the leaf of every position `i < len` and compute
-/// each block's minima, in parallel over blocks.  Returns whether some key
-/// equals `K::MAX`.
+/// In parallel over blocks, call `op(first, out)` on the leaves `out` of
+/// each block's positions `first..first + out.len()` (below `len`), then
+/// pad the block, set its alive masks and compute its minima.  Returns
+/// whether `op` returned `true` for some block.
 fn fill<K: Key>(
     leaves: &mut [[K; BLOCK]],
+    alive: &mut [[u8; CHUNKS]],
     minima: &mut [Minima<K>],
     len: usize,
-    key: &(impl Fn(usize) -> K + Sync),
-    map: impl Fn(K) -> K + Sync,
+    op: impl Fn(usize, &mut [K]) -> bool + Sync,
 ) -> bool {
     use rayon::prelude::*;
     let grain_blocks = round_min_grain(len).div_ceil(BLOCK).max(1);
     leaves
         .par_iter_mut()
+        .zip(alive.par_iter_mut())
         .zip(minima.par_iter_mut())
         .enumerate()
         .with_min_len(grain_blocks)
-        .map(|(b, (leaves, minima))| {
+        .map(|(b, ((leaves, alive), minima))| {
             let first = b * BLOCK;
-            let mut saw_max = false;
-            for (i, leaf) in leaves[..BLOCK.min(len - first)].iter_mut().enumerate() {
-                let k = key(first + i);
-                saw_max |= k == K::MAX;
-                *leaf = map(k);
+            let n = BLOCK.min(len - first);
+            let hit = op(first, &mut leaves[..n]);
+            Block {
+                leaves,
+                alive,
+                minima,
             }
-            Block { leaves, minima }.summarize();
-            saw_max
+            .summarize(n);
+            hit
         })
         .reduce(|| false, |a, b| a | b)
 }
@@ -459,9 +531,13 @@ fn fill<K: Key>(
 /// Tournament tree over a fixed sequence of keys.
 #[derive(Debug, Clone)]
 pub struct TournamentTree<K> {
-    /// Leaf keys, one array per block (see the crate's *Layout* section).
+    /// One leaf per position, one array per block (see the crate's *Layout*
+    /// section): the stored key while the position is alive, its round
+    /// number once taken.
     leaves: Vec<[K; BLOCK]>,
-    /// Group and chunk minima, one per block.
+    /// Alive masks, one per chunk, one array per block.
+    alive: Vec<[u8; CHUNKS]>,
+    /// Group and chunk minima of the alive leaves, one per block.
     minima: Vec<Minima<K>>,
     /// Implicit heap over the per-block minima: root at 1, block `b`'s leaf
     /// at `scap + b`.  Routes each round to the blocks containing records in
@@ -478,24 +554,39 @@ pub struct TournamentTree<K> {
 }
 
 impl<K: Key> TournamentTree<K> {
-    /// Build the tree over positions `0..len`, reading the key of position
-    /// `i` as `key(i)`, with the given tie rule.  `O(n)` work, `O(log n)`
-    /// span; blocks are filled in parallel for large inputs, fully inline for
-    /// sub-grain ones.  Inline, the number of allocations does not depend on
-    /// `len` unless some key equals `K::MAX` (see the crate's *Layout*
-    /// section).
+    /// Build the tree over positions `0..len` with the given tie rule.
+    /// `write(first, out)` fills `out` with the keys of positions
+    /// `first..first + out.len()`; it is called once per block of the
+    /// crate's *Layout* section, straight into the block's leaves.  `O(n)`
+    /// work, `O(log n)` span; blocks are filled in parallel for large
+    /// inputs, fully inline for sub-grain ones.  Inline, the number of
+    /// allocations does not depend on `len` unless some key equals
+    /// `K::MAX`, and the tree allocates its leaves, alive masks, minima,
+    /// summary heap and touched list once each.
     ///
     /// # Panics
     /// If the keys take every value of `K`, which only a key type narrower
     /// than the input's length allows.
-    pub fn new(len: usize, key: impl Fn(usize) -> K + Sync, rule: TieRule) -> Self {
+    pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync, rule: TieRule) -> Self {
         let num_blocks = len.div_ceil(BLOCK);
-        let mut leaves = vec![[K::MAX; BLOCK]; num_blocks];
+        // Zeroed leaves take no pass of their own on fresh pages and one
+        // memset on reused ones; the fill then writes each block once.
+        let mut leaves = vec![[K::from_round(0); BLOCK]; num_blocks];
+        let mut alive = vec![[0; CHUNKS]; num_blocks];
         let mut minima = vec![Minima::EMPTY; num_blocks];
         let mut remap = Remap { absent: K::MAX };
-        if fill(&mut leaves, &mut minima, len, &key, |k| k) {
-            remap = Remap::over(len, &key);
-            fill(&mut leaves, &mut minima, len, &key, |k| remap.store(k));
+        let saw_max = fill(&mut leaves, &mut alive, &mut minima, len, |first, out| {
+            write(first, out);
+            out.iter().fold(false, |saw, &k| saw | (k == K::MAX))
+        });
+        if saw_max {
+            remap = Remap::over(&leaves.as_flattened()[..len]);
+            fill(&mut leaves, &mut alive, &mut minima, len, |_, out| {
+                for k in out {
+                    *k = remap.store(*k);
+                }
+                false
+            });
         }
         let scap = num_blocks.next_power_of_two().max(1);
         let mut summary = vec![K::MAX; 2 * scap];
@@ -507,6 +598,7 @@ impl<K: Key> TournamentTree<K> {
         }
         TournamentTree {
             leaves,
+            alive,
             minima,
             summary,
             scap,
@@ -581,14 +673,13 @@ impl<K: Key> TournamentTree<K> {
         self.active -= count;
     }
 
-    /// Run one extraction round, setting `values[pos] = round` for every
-    /// record `pos` (`values` is indexed by position).  Returns the number of
-    /// records extracted.
+    /// Run one extraction round, writing `round` into the leaf of every
+    /// record.  Returns the number of records extracted.
     ///
     /// Sub-grain rounds (estimated work below the active
     /// [`round_min_grain`] hint) run entirely on the calling thread and push
     /// no pool jobs.
-    fn extract_round(&mut self, values: &mut [u32], round: u32) -> usize {
+    fn extract_round(&mut self, round: u32) -> usize {
         if !self.begin_round() {
             return 0;
         }
@@ -604,12 +695,13 @@ impl<K: Key> TournamentTree<K> {
         };
         let blocks = BlocksMut {
             leaves: &mut self.leaves,
+            alive: &mut self.alive,
             minima: &mut self.minima,
             block_mins: &mut self.summary[self.scap..],
-            values,
             first: 0,
         };
-        let count = extract_touched(blocks, &self.touched, self.rule, round, grain_blocks);
+        let stamp = K::from_round(round);
+        let count = extract_touched(blocks, &self.touched, self.rule, stamp, grain_blocks);
         self.end_round(count);
         count
     }
@@ -621,6 +713,7 @@ impl<K: Key> TournamentTree<K> {
     /// key blocks it under the tree's [`TieRule`].  Returns an empty vector
     /// once all elements have been extracted.  Runs the touched blocks on the
     /// calling thread, pushing each record as the block kernel finds it.
+    /// The leaves it takes hold no round number.
     pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
         let mut out = Vec::new();
         if !self.begin_round() {
@@ -630,14 +723,37 @@ impl<K: Key> TournamentTree<K> {
         for &(b, carry) in &self.touched {
             let mut block = Block {
                 leaves: &mut self.leaves[b],
+                alive: &mut self.alive[b],
                 minima: &mut self.minima[b],
             };
-            self.summary[self.scap + b] = block.extract(carry, self.rule, &mut |i, k| {
+            self.summary[self.scap + b] = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
                 out.push((b * BLOCK + i, remap.load(k)));
             });
         }
         self.end_round(out.len());
         out
+    }
+
+    /// The round numbers in the leaves of positions `0..len`, with 0 for a
+    /// position still alive.
+    fn into_rounds(self) -> Vec<u32> {
+        let mut leaves = self.leaves;
+        if self.active > 0 {
+            for (block, alive) in leaves.iter_mut().zip(&self.alive) {
+                for (c, &mask) in alive.iter().enumerate() {
+                    for i in set_bits(u32::from(mask)) {
+                        block[c * CHUNK + i] = K::from_round(0);
+                    }
+                }
+            }
+        }
+        let mut leaves = leaves.into_flattened();
+        leaves.truncate(self.len);
+        // For `u32` keys the leaves already are the round numbers.
+        match (&mut leaves as &mut dyn Any).downcast_mut::<Vec<u32>>() {
+            Some(rounds) => std::mem::take(rounds),
+            None => leaves.into_iter().map(K::to_round).collect(),
+        }
     }
 }
 
@@ -647,22 +763,21 @@ impl<K: Key> TournamentTree<K> {
 /// This is the shared cordon of Sec. 3 — parallel LIS runs it over the input
 /// values, parallel sparse LCS over the `j` keys of the canonically sorted
 /// matching pairs — so both problems delegate to this one implementation.
+/// The DP values live in the tree's taken leaves, so the cordon owns no
+/// array of its own.
 pub struct StaircaseCordon<K> {
     tree: TournamentTree<K>,
-    values: Vec<u32>,
     round: u32,
-    remaining: usize,
 }
 
 impl<K: Key> StaircaseCordon<K> {
-    /// Build the tournament tree over positions `0..len` with keys `key(i)`
-    /// and the given tie rule (see [`TournamentTree::new`]).
-    pub fn new(len: usize, key: impl Fn(usize) -> K + Sync, rule: TieRule) -> Self {
+    /// Build the tournament tree over positions `0..len`, whose keys the
+    /// block writer `write(first, out)` fills in, with the given tie rule
+    /// (see [`TournamentTree::new`]).
+    pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync, rule: TieRule) -> Self {
         StaircaseCordon {
-            tree: TournamentTree::new(len, key, rule),
-            values: vec![0u32; len],
+            tree: TournamentTree::new(len, write, rule),
             round: 0,
-            remaining: len,
         }
     }
 }
@@ -673,33 +788,39 @@ impl<K: Key> PhaseParallel for StaircaseCordon<K> {
     type Output = (Vec<u32>, u32);
 
     fn is_done(&self) -> bool {
-        self.remaining == 0
+        self.tree.active == 0
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        // Each touched block writes the round number straight into its
-        // position-aligned slice of the DP values; no record is buffered.
-        let count = self.tree.extract_round(&mut self.values, self.round + 1);
+        // A taken leaf holds its round number, so a round whose number the
+        // key type has no room for finalizes nothing (the round budget ends
+        // a run first).
+        if self.round == last_round::<K>() {
+            return 0;
+        }
+        // Each touched block writes the round number straight into the
+        // leaves it takes; no record is buffered.
+        let count = self.tree.extract_round(self.round + 1);
         if count == 0 {
             return 0;
         }
         self.round += 1;
         metrics.add_edges(count as u64);
-        self.remaining -= count;
         count
     }
 
     fn finish(self) -> Self::Output {
-        (self.values, self.round)
+        (self.tree.into_rounds(), self.round)
     }
 
     fn round_budget(&self) -> Option<u64> {
         // The staircase depth never exceeds the number of elements (Theorems
-        // 3.1 and 3.2: it equals the LIS/LCS length).
-        Some(self.remaining as u64)
+        // 3.1 and 3.2: it equals the LIS/LCS length), nor may it pass the
+        // last round number a leaf can hold.
+        let rounds_left = last_round::<K>() - self.round;
+        Some((self.tree.active as u64).min(u64::from(rounds_left)))
     }
 }
-
 /// Values compared at once by the backward search of [`reconstruct_chain`].
 const SEARCH_CHUNK: usize = 32;
 
@@ -780,6 +901,7 @@ pub fn reference_prefix_minima<K: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardp_core::{try_run_phase_parallel, StallError};
     use std::fmt::Debug;
 
     fn simulate_rounds<K: Key>(keys: &[K], rule: TieRule) -> Vec<Vec<(usize, K)>> {
@@ -799,30 +921,43 @@ mod tests {
     }
 
     /// `extract_round` with the fork cutoff forced to one block, so every
-    /// touched list is split down to single blocks along with `values`.
-    fn extract_round_split<K: Key>(
-        tree: &mut TournamentTree<K>,
-        values: &mut [u32],
-        round: u32,
-    ) -> usize {
+    /// touched list is split down to single blocks.
+    fn extract_round_split<K: Key>(tree: &mut TournamentTree<K>, round: u32) -> usize {
         if !tree.begin_round() {
             return 0;
         }
         let blocks = BlocksMut {
             leaves: &mut tree.leaves,
+            alive: &mut tree.alive,
             minima: &mut tree.minima,
             block_mins: &mut tree.summary[tree.scap..],
-            values,
             first: 0,
         };
-        let count = extract_touched(blocks, &tree.touched, tree.rule, round, 1);
+        let stamp = K::from_round(round);
+        let count = extract_touched(blocks, &tree.touched, tree.rule, stamp, 1);
         tree.end_round(count);
         count
     }
 
-    /// A tree over `keys`, read through the constructor's closure.
+    /// The block writer over `keys`.
+    fn writer<K: Key>(keys: &[K]) -> impl Fn(usize, &mut [K]) + Sync + '_ {
+        |first, out| out.copy_from_slice(&keys[first..first + out.len()])
+    }
+
+    /// A tree over `keys`.
     fn tree_over<K: Key>(keys: &[K], rule: TieRule) -> TournamentTree<K> {
-        TournamentTree::new(keys.len(), |i| keys[i], rule)
+        TournamentTree::new(keys.len(), writer(keys), rule)
+    }
+
+    /// A staircase cordon over `keys`.
+    fn cordon_over<K: Key>(keys: &[K], rule: TieRule) -> StaircaseCordon<K> {
+        StaircaseCordon::new(keys.len(), writer(keys), rule)
+    }
+
+    /// The DP values `tree`'s leaves hold: each taken position's round, 0
+    /// for a position still alive.
+    fn values_of<K: Key>(tree: &TournamentTree<K>) -> Vec<u32> {
+        tree.clone().into_rounds()
     }
 
     /// Positions whose DP value is `round`, in increasing order.
@@ -832,10 +967,10 @@ mod tests {
 
     /// Check round by round against [`simulate_rounds`], through both sinks
     /// of the block kernel: the pushing one behind `extract_prefix_minima`,
-    /// and the in-place DP values of `StaircaseCordon::round`, once with the
-    /// real fork policy and once split down to single blocks.  The oracle
-    /// pairs each record with its input key, so the pushing sink must hand
-    /// every key back exactly as given.
+    /// and the round numbers `StaircaseCordon::round` writes into the taken
+    /// leaves, once with the real fork policy and once split down to single
+    /// blocks.  The oracle pairs each record with its input key, so the
+    /// pushing sink must hand every key back exactly as given.
     fn check_against_oracle<K: Key + Debug>(keys: &[K], rule: TieRule) {
         let mut tree = tree_over(keys, rule);
         let oracle = simulate_rounds(keys, rule);
@@ -846,27 +981,30 @@ mod tests {
         assert!(tree.extract_prefix_minima().is_empty());
 
         let metrics = MetricsCollector::new();
-        let mut cordon = StaircaseCordon::new(keys.len(), |i| keys[i], rule);
+        let mut cordon = cordon_over(keys, rule);
         let mut split = tree_over(keys, rule);
-        let mut split_values = vec![0u32; keys.len()];
         for (round, want) in (1u32..).zip(&oracle) {
             let want: Vec<usize> = want.iter().map(|&(p, _)| p).collect();
             assert_eq!(cordon.round(&metrics), want.len(), "round {round}");
-            assert_eq!(positions_of(&cordon.values, round), want, "round {round}");
-            let count = extract_round_split(&mut split, &mut split_values, round);
+            assert_eq!(
+                positions_of(&values_of(&cordon.tree), round),
+                want,
+                "round {round}"
+            );
+            let count = extract_round_split(&mut split, round);
             assert_eq!(count, want.len(), "split round {round}");
             assert_eq!(
-                positions_of(&split_values, round),
+                positions_of(&values_of(&split), round),
                 want,
                 "split round {round}"
             );
         }
         assert!(cordon.is_done());
         assert_eq!(cordon.round(&metrics), 0);
-        assert_eq!(extract_round_split(&mut split, &mut split_values, 0), 0);
+        assert_eq!(extract_round_split(&mut split, 0), 0);
         let (values, rounds) = cordon.finish();
         assert_eq!(rounds as usize, oracle.len());
-        assert_eq!(values, split_values);
+        assert_eq!(values, split.into_rounds());
     }
 
     /// Both tie rules against the oracle.
@@ -1102,9 +1240,54 @@ mod tests {
             1usize, 2, 3, 10, 63, 64, 65, 257, 1000, 1023, 1024, 1025, 5000,
         ] {
             let keys: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 11) % 997).collect();
-            check_against_oracle(&keys, TieRule::TiesAreRecords);
-            check_against_oracle(&keys, TieRule::TiesBlocked);
+            check_both_rules(&keys);
+            // `u32` keys: the cordon hands its leaves back as the DP values.
+            let keys: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+            check_both_rules(&keys);
         }
+    }
+
+    #[test]
+    fn narrow_keys_exhaust_the_round_budget() {
+        // Under `TiesBlocked` equal keys drain one a round, and a `u8` leaf
+        // has room for round numbers up to 255 only.
+        let metrics = MetricsCollector::new();
+        let cordon = cordon_over(&[7u8; 300], TieRule::TiesBlocked);
+        assert_eq!(cordon.round_budget(), Some(255));
+        let err = try_run_phase_parallel(cordon, &metrics).err();
+        assert_eq!(
+            err,
+            Some(StallError::BudgetExhausted {
+                budget: 255,
+                states_finalized: 255
+            })
+        );
+    }
+
+    #[test]
+    fn narrow_keys_hold_every_round_number_they_have_room_for() {
+        let metrics = MetricsCollector::new();
+        let cordon = cordon_over(&[7u8; 255], TieRule::TiesBlocked);
+        let (values, rounds) = try_run_phase_parallel(cordon, &metrics).unwrap();
+        assert_eq!(rounds, 255);
+        assert_eq!(values, (1..=255).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn a_round_number_past_the_key_type_finalizes_nothing() {
+        let metrics = MetricsCollector::new();
+        let mut cordon = cordon_over(&[7u8; 300], TieRule::TiesBlocked);
+        for round in 1..=255 {
+            assert_eq!(cordon.round(&metrics), 1, "round {round}");
+        }
+        assert_eq!(cordon.round_budget(), Some(0));
+        assert_eq!(cordon.round(&metrics), 0);
+        assert!(!cordon.is_done());
+        let (values, rounds) = cordon.finish();
+        assert_eq!(rounds, 255);
+        // The 45 positions no round took read 0, not their keys.
+        let want: Vec<u32> = (1..=255).chain([0; 45]).collect();
+        assert_eq!(values, want);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! round on the single-threaded inline path must perform no heap allocation:
 //!
 //! * OBST writes into flat preallocated triangular tables;
-//! * the staircase cordons behind LIS and sparse LCS write each round's DP
-//!   values straight into their position-aligned value array, and the
-//!   tournament tree's touched-block list is sized for every block up front.
-//!   The tree itself is one buffer of leaf blocks and one of block minima,
-//!   filled from the caller's keys through a closure, so building
-//!   `LisCordon` or `LcsCordon` makes the same number of allocations at any
-//!   input size;
+//! * the staircase cordons behind LIS and sparse LCS write each round's
+//!   number straight into the tournament tree's leaves they take, and the
+//!   tree's touched-block list is sized for every block up front.  The tree
+//!   itself is one buffer of leaf blocks, one of alive masks and one of
+//!   block minima, filled a block at a time from the caller's keys, so
+//!   building `LisCordon` or `LcsCordon` makes the same number of
+//!   allocations at any input size, and allocates little beyond one leaf
+//!   per position;
 //! * `ValleyOatCordon::new` copies the weights into the leaf sequence and
 //!   sizes the buffers its rounds reuse, and builds nothing else, so it too
 //!   makes the same number of allocations at any input size.  Its rounds
@@ -40,13 +41,14 @@
 //! input and `LcsCordon` on a Fig. 6 shape through the driver, and a
 //! constructor test counts the allocations of `LisCordon::new`,
 //! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
-//! warm-up construction each; the GAP test runs `PackedGapCordon` on convex
-//! gap costs over four grid shapes, the Tree-GLWS tests run
-//! `HldTreeGlwsCordon` on a caterpillar and a path and `TreeGlwsCordon` on a
-//! balanced binary tree, a random tree and a caterpillar, and the GLWS test runs
-//! `ConvexGlwsCordon` on a post-office instance, `ConcaveGlwsCordon` on a
-//! concave cost with bonus states and `KGlwsCordon` on a clustered
-//! post-office instance.  The router test runs what `oat_cordon_auto` picks
+//! warm-up construction each, and a byte test bounds the bytes the two
+//! staircase constructors allocate per position at 10⁶; the GAP test runs
+//! `PackedGapCordon` on convex gap costs over four grid shapes, the
+//! Tree-GLWS tests run `HldTreeGlwsCordon` on a caterpillar and a path and
+//! `TreeGlwsCordon` on a balanced binary tree, a random tree and a
+//! caterpillar, and the GLWS test runs `ConvexGlwsCordon` on a post-office
+//! instance, `ConcaveGlwsCordon` on a concave cost with bonus states and
+//! `KGlwsCordon` on a clustered post-office instance.  The router test runs what `oat_cordon_auto` picks
 //! below `OAT_VALLEY_MIN_N` leaves (`IntervalOatCordon`) and what
 //! `tree_glws_cordon_auto` picks on a caterpillar (HLD) and a balanced tree
 //! (depth levels), inside their `EitherCordon`.  Each asserts the allocation
@@ -88,6 +90,9 @@ thread_local! {
     /// Allocations made by the current thread.  Const-initialized and free of
     /// destructors, so the allocator can bump it without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations the calling thread has made so far.
@@ -95,10 +100,16 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-fn count_allocation() {
+/// Bytes the calling thread has allocated so far.
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+fn count_allocation(bytes: usize) {
     // `try_with`: never panic inside the allocator, even during thread
     // teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: a pure pass-through to `System` — every pointer/layout obligation is
@@ -108,7 +119,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; we forward
     // `layout` to `System` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         // SAFETY: same `layout` the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -116,7 +127,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::realloc`'s contract (ptr from this
     // allocator, matching layout); all three arguments forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         // SAFETY: `ptr` came from `System` via our `alloc`, layout unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -300,7 +311,7 @@ fn staircase_rounds_allocate_nothing_after_warm_up() {
         for (name, a) in [("LIS dense", &dense), ("LIS sparse", &sparse)] {
             let want = sequential_lis(a);
             let ((d, length), rounds) = run_allocation_free(name, LisCordon::new(a));
-            assert_eq!(d, want.d, "{name}: DP values differ from Fenwick LIS");
+            assert_eq!(d, want.d, "{name}: DP values differ from patience sorting");
             assert_eq!(length, want.length);
             assert_eq!(rounds, length as u64);
         }
@@ -365,6 +376,47 @@ fn cordon_constructors_allocate_a_constant_number_of_times() {
         assert_eq!(
             valley[0], valley[1],
             "ValleyOatCordon::new allocated {valley:?} times at n = {sizes:?}"
+        );
+    });
+}
+
+/// Bytes the calling thread allocates while `build` runs (the value it
+/// builds is dropped afterwards, and frees are not counted).
+fn bytes_of<T>(build: impl FnOnce() -> T) -> u64 {
+    let before = bytes_allocated();
+    let built = build();
+    let made = bytes_allocated() - before;
+    drop(built);
+    made
+}
+
+#[test]
+fn staircase_cordon_constructors_allocate_a_few_bytes_per_position() {
+    // 977 blocks of the tournament tree.  Its leaves take 4 bytes per
+    // position for `u32` keys (sparse LCS) and 8 for `i64` keys (LIS); the
+    // alive masks, block minima, summary heap and touched list add about
+    // 0.7 and 1.3.  A second array of one value per position would add 4.
+    let n = 1_000_000;
+    let a = workloads::random_sequence(n, 1 << 40, 3);
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(n, 100, 1)
+        .into_iter()
+        .map(|(i, j)| MatchPair { i, j })
+        .collect();
+
+    with_threads(1, || {
+        // Warm-up: let the first construction set up anything lazy.
+        bytes_of(|| LisCordon::new(&a));
+        bytes_of(|| LcsCordon::new(&pairs));
+
+        let lis = bytes_of(|| LisCordon::new(&a)) as f64 / a.len() as f64;
+        let lcs = bytes_of(|| LcsCordon::new(&pairs)) as f64 / pairs.len() as f64;
+        assert!(
+            lcs <= 5.0,
+            "LcsCordon::new allocated {lcs:.2} bytes per pair (at most 5)"
+        );
+        assert!(
+            lis <= 10.0,
+            "LisCordon::new allocated {lis:.2} bytes per element (at most 10)"
         );
     });
 }

@@ -72,7 +72,11 @@ fn prefix_doubling_waste_is_bounded() {
 #[test]
 fn tournament_tree_drains_in_lis_rounds() {
     let a = workloads_sequence();
-    let mut tree = TournamentTree::new(a.len(), |i| a[i], TieRule::TiesAreRecords);
+    let mut tree = TournamentTree::new(
+        a.len(),
+        |first, out| out.copy_from_slice(&a[first..first + out.len()]),
+        TieRule::TiesAreRecords,
+    );
     let lis = parallel_lis(&a);
     let mut rounds = 0;
     let mut total = 0;
