@@ -130,9 +130,12 @@ pub trait PhaseParallel {
     /// this round (the frontier size), which must be positive while
     /// [`PhaseParallel::is_done`] is false.
     ///
-    /// Fine-grained work counters (edges, probes, wasted states) should be
-    /// recorded on `metrics`; round/state/frontier accounting is the driver's
-    /// job and must *not* be duplicated here.
+    /// Fine-grained work counters (edges, probes, wasted states) are added
+    /// to `metrics` on the calling thread, after the round's parallel loops
+    /// have returned their counts through their joins and reductions (the
+    /// collector is not `Sync`, so no parallel closure can capture it).
+    /// Round/state/frontier accounting is the driver's job and must *not* be
+    /// duplicated here.
     fn round(&mut self, metrics: &MetricsCollector) -> usize;
 
     /// Like [`PhaseParallel::round`], with access to the driver's reusable

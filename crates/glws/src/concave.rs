@@ -97,7 +97,6 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
             let (d_final, d_tail) = self.d.split_at_mut(now + 1);
             let (_, best_tail) = self.best.split_at_mut(now + 1);
             let b_ref = &self.b;
-            let metrics_ref = metrics;
             let d_final: &[i64] = d_final;
 
             prefix_doubling_cordon(now, n, |lo, hi| {
@@ -115,7 +114,6 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
                         let dj = problem.e(d_final[bj], bj) + problem.w(bj, j);
                         *dj_slot = dj;
                         *bj_slot = bj;
-                        metrics_ref.add_edges(2);
                         if j + 1 > n {
                             return None;
                         }
@@ -133,6 +131,8 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
                     .min()
             })
         };
+        // Each probed state relaxes its own edge plus the edge into j + 1.
+        metrics.add_edges(2 * stats.probed as u64);
         metrics.add_wasted(stats.wasted as u64);
 
         let frontier = cordon - now - 1;
@@ -141,7 +141,7 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
         if cordon <= n {
             // Build B_new: best decisions among the new frontier, for [cordon, n].
             self.intervals.clear();
-            find_intervals(
+            metrics.add_edges(find_intervals(
                 problem,
                 &self.d,
                 false, // concave: the decision ranges swap
@@ -150,8 +150,7 @@ impl<P: GlwsProblem> PhaseParallel for ConcaveGlwsCordon<'_, P> {
                 cordon,
                 n,
                 &mut self.intervals,
-                metrics,
-            );
+            ));
             self.b_new.rebuild_from_intervals(self.intervals.drain(..));
             // B = B_new on [cordon, p] followed by B_old on [p + 1, n].
             let p = new_decisions_win_through(

@@ -119,18 +119,21 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
         // values computed by the probes.  Values written left of the eventual
         // cordon are final.
         // ------------------------------------------------------------------
+        let mut probes = 0u64;
         let (cordon, stats) = {
             let (d_final, d_tail) = self.d.split_at_mut(now + 1);
             let (_, best_tail) = self.best.split_at_mut(now + 1);
             let b_ref = &self.b;
-            let metrics_ref = metrics;
             let d_final: &[i64] = d_final;
 
             prefix_doubling_cordon(now, n, |lo, hi| {
                 let batch_d = &mut d_tail[(lo - now - 1)..=(hi - now - 1)];
                 let batch_best = &mut best_tail[(lo - now - 1)..=(hi - now - 1)];
                 let batch_len = batch_d.len();
-                batch_d
+                // Each probe returns its search's probe count beside its
+                // sentinel (`usize::MAX` for none); the reduction sums the
+                // one and takes the minimum of the other.
+                let (batch_probes, sentinel) = batch_d
                     .par_iter_mut()
                     .zip(batch_best.par_iter_mut())
                     .enumerate()
@@ -149,14 +152,16 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
                             let incumbent = problem.e(d_final[inc], inc) + problem.w(inc, pos);
                             weakly_beats(ej + problem.w(j, pos), incumbent)
                         });
-                        metrics_ref.add_probes(local_probes);
-                        metrics_ref.add_edges(2); // relaxation at j plus the candidate edge
-                        sentinel
+                        (local_probes, sentinel.unwrap_or(usize::MAX))
                     })
-                    .filter_map(|s| s)
-                    .min()
+                    .reduce(|| (0, usize::MAX), |a, b| (a.0 + b.0, a.1.min(b.1)));
+                probes += batch_probes;
+                (sentinel != usize::MAX).then_some(sentinel)
             })
         };
+        // Each probed state relaxes its own edge plus the candidate edge.
+        metrics.add_edges(2 * stats.probed as u64);
+        metrics.add_probes(probes);
         metrics.add_wasted(stats.wasted as u64);
 
         let frontier = cordon - now - 1;
@@ -171,7 +176,7 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
         // ------------------------------------------------------------------
         if cordon <= n {
             self.intervals.clear();
-            find_intervals(
+            metrics.add_edges(find_intervals(
                 problem,
                 &self.d,
                 true, // convex decision monotonicity
@@ -180,8 +185,7 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
                 cordon,
                 n,
                 &mut self.intervals,
-                metrics,
-            );
+            ));
             self.b.rebuild_from_intervals(self.intervals.drain(..));
         } else {
             self.b.rebuild_from_intervals(std::iter::empty());
@@ -202,7 +206,8 @@ impl<P: GlwsProblem> PhaseParallel for ConvexGlwsCordon<'_, P> {
 
 /// `FindIntervals(jl, jr, il, ir)` (Alg. 1 lines 23–32): compute the
 /// best-decision triples of the states `il..=ir` restricted to decisions
-/// `jl..=jr`, and append them to `out` in increasing state order.
+/// `jl..=jr`, append them to `out` in increasing state order, and return the
+/// number of edges evaluated.
 ///
 /// The best decision `jm` of the midpoint state `im` splits both ranges.
 /// Under convex decision monotonicity (`convex`) the states before `im` take
@@ -224,20 +229,20 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
     il: usize,
     ir: usize,
     out: &mut Vec<(usize, usize, usize)>,
-    metrics: &MetricsCollector,
-) {
+) -> u64 {
     if il > ir {
-        return;
+        return 0;
     }
     if jl == jr {
         out.push((il, ir, jl));
-        return;
+        return 0;
     }
     let im = (il + ir) / 2;
     // Best decision for the midpoint state among [jl, jr] (leftmost argmin).
-    let jm = argmin_decision(problem, d, jl, jr, im, metrics);
+    let jm = argmin_decision(problem, d, jl, jr, im);
+    let edges = (jr - jl + 1) as u64;
     let recurse = |(jl, jr): (usize, usize), il: usize, ir: usize, out: &mut Vec<_>| {
-        find_intervals(problem, d, convex, jl, jr, il, ir, out, metrics)
+        find_intervals(problem, d, convex, jl, jr, il, ir, out)
     };
     let (left_decisions, right_decisions) = if convex {
         ((jl, jm), (jm, jr))
@@ -246,19 +251,22 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
     };
     let left = |out: &mut Vec<_>| {
         if im > il {
-            recurse(left_decisions, il, im - 1, out);
+            recurse(left_decisions, il, im - 1, out)
+        } else {
+            0
         }
     };
     let right = |out: &mut Vec<_>| recurse(right_decisions, im + 1, ir, out);
     if (ir - il + 1).min(jr - jl + 1) >= SEQ_CUTOFF {
         let mut right_half = Vec::new();
-        rayon::join(|| left(&mut *out), || right(&mut right_half));
+        let (left_edges, right_edges) = rayon::join(|| left(&mut *out), || right(&mut right_half));
         out.push((im, im, jm));
         out.append(&mut right_half);
+        edges + left_edges + right_edges
     } else {
-        left(out);
+        let left_edges = left(out);
         out.push((im, im, jm));
-        right(out);
+        edges + left_edges + right(out)
     }
 }
 
@@ -270,10 +278,8 @@ fn argmin_decision<P: GlwsProblem>(
     jl: usize,
     jr: usize,
     i: usize,
-    metrics: &MetricsCollector,
 ) -> usize {
     let width = jr - jl + 1;
-    metrics.add_edges(width as u64);
     if width < 2048 {
         let mut best_j = jl;
         let mut best_v = problem.e(d[jl], jl) + problem.w(jl, i);

@@ -67,6 +67,7 @@ pub fn naive_kglws<P: GlwsProblem>(problem: &P, k: usize) -> KGlwsResult {
     let mut layers = vec![vec![UNREACHABLE; n + 1]; k + 1];
     let mut best = vec![vec![0usize; n + 1]; k + 1];
     layers[0][0] = 0;
+    let mut edges = 0u64;
     for kk in 1..=k {
         for i in kk..=n {
             let mut bv = UNREACHABLE;
@@ -75,7 +76,7 @@ pub fn naive_kglws<P: GlwsProblem>(problem: &P, k: usize) -> KGlwsResult {
                 if layers[kk - 1][j] >= UNREACHABLE {
                     continue;
                 }
-                metrics.add_edges(1);
+                edges += 1;
                 let cand = layers[kk - 1][j] + problem.w(j, i);
                 if cand < bv {
                     bv = cand;
@@ -88,6 +89,7 @@ pub fn naive_kglws<P: GlwsProblem>(problem: &P, k: usize) -> KGlwsResult {
         metrics.add_round();
         metrics.add_states((n + 1 - kk) as u64);
     }
+    metrics.add_edges(edges);
     KGlwsResult {
         layers,
         best,
@@ -158,7 +160,7 @@ impl<P: GlwsProblem> PhaseParallel for KGlwsCordon<'_, P> {
         let cur = &mut cur_layers[0];
         let cur_best = &mut self.best[kk];
         // States kk..=n, decisions (kk-1)..=(n-1).
-        layer_divide_conquer(
+        metrics.add_edges(layer_divide_conquer(
             self.problem,
             prev,
             kk,
@@ -168,8 +170,7 @@ impl<P: GlwsProblem> PhaseParallel for KGlwsCordon<'_, P> {
             &mut cur[kk..=n],
             &mut cur_best[kk..=n],
             kk,
-            metrics,
-        );
+        ));
         self.kk += 1;
         n + 1 - kk
     }
@@ -186,7 +187,7 @@ impl<P: GlwsProblem> PhaseParallel for KGlwsCordon<'_, P> {
 
 /// Divide-and-conquer over the states `il..=ir` (whose values/best slots are
 /// `d_out`/`b_out`, indexed relative to `base = il` of the original call) with
-/// candidate decisions `jl..=jr`.
+/// candidate decisions `jl..=jr`.  Returns the number of edges evaluated.
 #[allow(clippy::too_many_arguments)]
 fn layer_divide_conquer<P: GlwsProblem>(
     problem: &P,
@@ -198,10 +199,9 @@ fn layer_divide_conquer<P: GlwsProblem>(
     d_out: &mut [i64],
     b_out: &mut [usize],
     base: usize,
-    metrics: &MetricsCollector,
-) {
+) -> u64 {
     if il > ir {
-        return;
+        return 0;
     }
     let im = (il + ir) / 2;
     // Valid decisions for state im: [jl, min(jr, im-1)].
@@ -209,11 +209,12 @@ fn layer_divide_conquer<P: GlwsProblem>(
     debug_assert!(jl <= hi, "decision range must be non-empty");
     let mut bv = UNREACHABLE;
     let mut bj = jl;
+    let mut edges = 0u64;
     for j in jl..=hi {
         if prev[j] >= UNREACHABLE {
             continue;
         }
-        metrics.add_edges(1);
+        edges += 1;
         let cand = prev[j] + problem.w(j, im);
         if cand < bv {
             bv = cand;
@@ -230,41 +231,24 @@ fn layer_divide_conquer<P: GlwsProblem>(
     let (b_left, b_rest) = b_out.split_at_mut(im - base);
     let (_, b_right) = b_rest.split_at_mut(1);
     let width = ir - il + 1;
-    maybe_join(
+    let (left_edges, right_edges) = maybe_join(
         width,
         || {
             if im > il {
-                layer_divide_conquer(
-                    problem,
-                    prev,
-                    il,
-                    im - 1,
-                    jl,
-                    bj,
-                    d_left,
-                    b_left,
-                    base,
-                    metrics,
-                );
+                layer_divide_conquer(problem, prev, il, im - 1, jl, bj, d_left, b_left, base)
+            } else {
+                0
             }
         },
         || {
             if im < ir {
-                layer_divide_conquer(
-                    problem,
-                    prev,
-                    im + 1,
-                    ir,
-                    bj,
-                    jr,
-                    d_right,
-                    b_right,
-                    im + 1,
-                    metrics,
-                );
+                layer_divide_conquer(problem, prev, im + 1, ir, bj, jr, d_right, b_right, im + 1)
+            } else {
+                0
             }
         },
     );
+    edges + left_edges + right_edges
 }
 
 #[cfg(test)]

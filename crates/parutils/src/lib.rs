@@ -12,7 +12,11 @@
 //!   recent frontier sizes,
 //! * work/round instrumentation ([`metrics`]) used by the benchmark harness to
 //!   report *operation counts* in addition to wall-clock time, which is how we
-//!   validate the paper's work bounds on machines with few cores.
+//!   validate the paper's work bounds on machines with few cores.  A run's
+//!   [`MetricsCollector`] belongs to the thread that drives it: parallel
+//!   loops return their counts through the joins and reductions they already
+//!   run, and that thread adds the sums, so the counters are plain cells with
+//!   no atomics or locks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,17 +15,11 @@
 //! (`pardp_core::run_phase_parallel`) calls [`MetricsCollector::record_round`]
 //! once per cordon round, which keeps `rounds`, `states_finalized` and
 //! `frontier_sizes` consistent by construction for every parallel algorithm.
-//! Sequential and naive baselines use the fine-grained `add_*` methods.
+//! Round bodies and the sequential and naive baselines use the fine-grained
+//! `add_*` methods, always on the thread that owns the collector (see
+//! [`MetricsCollector`]'s ownership rule).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-#[expect(
-    clippy::disallowed_types,
-    reason = "the frontier log needs interior mutability behind `&self`; it is \
-              touched once per round by the driver, never inside parallel loops, \
-              so a Mutex here cannot serialize worker threads (until plain \
-              per-round counters replace it)"
-)]
-use std::sync::{Mutex, PoisonError};
+use std::cell::{Cell, RefCell};
 
 /// Immutable snapshot of the counters collected during one algorithm run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -75,42 +69,44 @@ impl Metrics {
     }
 }
 
-/// Thread-safe collector used while an algorithm runs.
+/// Collector of one algorithm run's counters, owned by the thread that
+/// drives the run.
 ///
-/// The scalar counters are relaxed atomics: they are statistics, not
-/// synchronization.  The per-round frontier log is mutex-guarded, but it is
-/// only touched once per round (by the driver), never inside parallel loops.
+/// # Ownership
 ///
-/// # Snapshot consistency
+/// The counters are plain [`Cell`]s and the frontier log a [`RefCell`], so a
+/// collector is `Send` but not `Sync`: it may move to another thread with its
+/// run, but two threads never hold it at once.  A closure handed to
+/// `rayon::join` or to a parallel iterator must be `Send`, and `&T` is `Send`
+/// only for a `Sync` `T`, so the compiler rejects any parallel closure that
+/// captures a collector:
 ///
-/// * **Round-grained updates** ([`MetricsCollector::record_round`], the
-///   phase-parallel driver's path): `record_round` advances `rounds` and
-///   `states_finalized` while it holds the frontier-log lock, and
-///   [`MetricsCollector::snapshot`] reads every counter under that lock.  A
-///   snapshot therefore always sits on a round boundary:
-///   `rounds == frontier_sizes.len()` and `states_finalized` equals the sum
-///   of the frontier log (when only `record_round` is used).
-/// * **Fine-grained updates** (the `add_*` methods used by the round bodies
-///   and the sequential baselines): individually atomic but not mutually
-///   consistent; a concurrent snapshot may see some of a batch of related
-///   `add_*` calls and not others.  Callers that need exact totals must
-///   snapshot after the run quiesces — which is what every harness in this
-///   workspace does.
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<pardp_parutils::MetricsCollector>();
+/// ```
 ///
-/// Every method is safe from any number of threads.
+/// while the collector itself may move:
+///
+/// ```
+/// fn owned<T: Send>() {}
+/// owned::<pardp_parutils::MetricsCollector>();
+/// ```
+///
+/// Parallel loops return their counts through the joins and reductions they
+/// already run instead, and the owning thread adds the sums once the loop has
+/// returned.  A snapshot taken between two rounds therefore sits on a round
+/// boundary: `rounds == frontier_sizes.len()` and, when only
+/// [`MetricsCollector::record_round`] counts states, `states_finalized` is
+/// the sum of the frontier log.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    rounds: AtomicU64,
-    states_finalized: AtomicU64,
-    edges_relaxed: AtomicU64,
-    wasted_states: AtomicU64,
-    probes: AtomicU64,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "see the import: the per-round log is driver-only, outside the \
-                  parallel hot path"
-    )]
-    frontier_sizes: Mutex<Vec<u64>>,
+    rounds: Cell<u64>,
+    states_finalized: Cell<u64>,
+    edges_relaxed: Cell<u64>,
+    wasted_states: Cell<u64>,
+    probes: Cell<u64>,
+    frontier_sizes: RefCell<Vec<u64>>,
 }
 
 impl MetricsCollector {
@@ -121,20 +117,12 @@ impl MetricsCollector {
 
     /// Record one cordon round that finalized `frontier` states.  This is the
     /// driver's entry point: it advances `rounds`, `states_finalized` and the
-    /// frontier log together, under the log's lock, so they cannot drift
-    /// apart (see the type-level snapshot-consistency notes).
+    /// frontier log together, so they cannot drift apart.
     #[inline]
     pub fn record_round(&self, frontier: u64) {
-        let mut log = self
-            .frontier_sizes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // ordering: Relaxed — statistics; the lock (not these RMWs) provides
-        // the cross-counter consistency.
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — same as above.
-        self.states_finalized.fetch_add(frontier, Ordering::Relaxed);
-        log.push(frontier);
+        self.rounds.update(|r| r + 1);
+        self.states_finalized.update(|s| s + frontier);
+        self.frontier_sizes.borrow_mut().push(frontier);
     }
 
     /// Pre-size the frontier log for `rounds` upcoming rounds so that
@@ -144,10 +132,7 @@ impl MetricsCollector {
     /// million entries (8 MB) to keep pathological budgets harmless.
     pub fn reserve_rounds(&self, rounds: usize) {
         const RESERVE_CAP: usize = 1 << 20;
-        let mut log = self
-            .frontier_sizes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut log = self.frontier_sizes.borrow_mut();
         let want = rounds.min(RESERVE_CAP);
         let have = log.capacity() - log.len();
         if want > have {
@@ -159,61 +144,43 @@ impl MetricsCollector {
     /// naive baselines that only track a round count).
     #[inline]
     pub fn add_round(&self) {
-        // ordering: Relaxed — lone statistic with no cross-counter invariant;
-        // totals are read after the run quiesces (see the snapshot notes).
-        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.rounds.update(|r| r + 1);
     }
 
     /// Record `n` finalized states.
     #[inline]
     pub fn add_states(&self, n: u64) {
-        // ordering: Relaxed — same as `add_round`.
-        self.states_finalized.fetch_add(n, Ordering::Relaxed);
+        self.states_finalized.update(|s| s + n);
     }
 
     /// Record `n` evaluated transitions.
     #[inline]
     pub fn add_edges(&self, n: u64) {
-        // ordering: Relaxed — same as `add_round`.
-        self.edges_relaxed.fetch_add(n, Ordering::Relaxed);
+        self.edges_relaxed.update(|e| e + n);
     }
 
     /// Record `n` states visited by prefix doubling that were not finalized in
     /// that round.
     #[inline]
     pub fn add_wasted(&self, n: u64) {
-        // ordering: Relaxed — same as `add_round`.
-        self.wasted_states.fetch_add(n, Ordering::Relaxed);
+        self.wasted_states.update(|w| w + n);
     }
 
     /// Record `n` binary-search probes.
     #[inline]
     pub fn add_probes(&self, n: u64) {
-        // ordering: Relaxed — same as `add_round`.
-        self.probes.fetch_add(n, Ordering::Relaxed);
+        self.probes.update(|p| p + n);
     }
 
     /// Snapshot the current counter values.
-    ///
-    /// Reads every counter under the frontier-log lock, so the returned
-    /// [`Metrics`] always sits on a round boundary with respect to the
-    /// driver's round-grained accounting.  Concurrent `add_*` updates are
-    /// individually atomic but not mutually consistent — see the type-level
-    /// snapshot-consistency notes.
     pub fn snapshot(&self) -> Metrics {
-        let log = self
-            .frontier_sizes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
         Metrics {
-            // ordering: Relaxed (all five loads) — the lock, not the
-            // individual loads, carries the consistency.
-            rounds: self.rounds.load(Ordering::Relaxed),
-            states_finalized: self.states_finalized.load(Ordering::Relaxed), // ordering: as above
-            edges_relaxed: self.edges_relaxed.load(Ordering::Relaxed),       // ordering: as above
-            wasted_states: self.wasted_states.load(Ordering::Relaxed),       // ordering: as above
-            probes: self.probes.load(Ordering::Relaxed),                     // ordering: as above
-            frontier_sizes: log.clone(),
+            rounds: self.rounds.get(),
+            states_finalized: self.states_finalized.get(),
+            edges_relaxed: self.edges_relaxed.get(),
+            wasted_states: self.wasted_states.get(),
+            probes: self.probes.get(),
+            frontier_sizes: self.frontier_sizes.borrow().clone(),
         }
     }
 }
@@ -275,56 +242,5 @@ mod tests {
         assert_eq!(m.frontier_percentile(90.0), 9);
         assert_eq!(m.frontier_percentile(100.0), m.max_frontier());
         assert_eq!(Metrics::default().frontier_percentile(99.0), 0);
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "plain OS threads race the collector at any pool size"
-    )]
-    fn snapshot_lands_on_round_boundaries() {
-        // One driver thread records rounds while snapshotters race it: every
-        // snapshot must sit on a round boundary — never a torn state where a
-        // round was counted but its frontier not yet logged (or vice versa).
-        let c = MetricsCollector::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..2000u64 {
-                    c.record_round(i % 7);
-                }
-            });
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..500 {
-                        let m = c.snapshot();
-                        assert_eq!(m.rounds as usize, m.frontier_sizes.len());
-                        assert_eq!(m.states_finalized, m.frontier_sizes.iter().sum::<u64>());
-                    }
-                });
-            }
-        });
-        let m = c.snapshot();
-        assert_eq!(m.rounds, 2000);
-        assert_eq!(m.frontier_sizes.len(), 2000);
-        assert_eq!(m.states_finalized, (0..2000u64).map(|i| i % 7).sum());
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "plain OS threads race the collector at any pool size"
-    )]
-    fn concurrent_updates_are_not_lost() {
-        let c = MetricsCollector::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        c.add_edges(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().edges_relaxed, 8000);
     }
 }

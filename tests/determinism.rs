@@ -231,7 +231,7 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
 #[test]
 fn glws_results_are_bit_identical_across_thread_counts() {
     use parallel_dp::glws::{
-        parallel_concave_glws, parallel_convex_glws, sequential_concave_glws,
+        parallel_concave_glws, parallel_convex_glws, parallel_kglws, sequential_concave_glws,
         sequential_convex_glws, ClosureCost, GlwsResult, PostOfficeProblem,
     };
     fn offices(n: usize, k: usize) -> PostOfficeProblem {
@@ -288,4 +288,36 @@ fn glws_results_are_bit_identical_across_thread_counts() {
         sequential_concave_glws(&concave).d,
         "concave: disagrees with Galil–Park"
     );
+
+    // Thirty layers of 20 000 states: each layer's divide and conquer forks
+    // while its state range reaches `SEQ_CUTOFF`, and sums its edge counts
+    // through the joins.
+    let p = offices(20_000, 40);
+    let kglws = || parallel_kglws(&p, 30);
+    let baseline = with_threads(1, kglws);
+    for t in THREAD_COUNTS {
+        let (pushes_before, _) = rayon::dispatch_diagnostics();
+        let run = with_threads(t, kglws);
+        let (pushes_after, _) = rayon::dispatch_diagnostics();
+        // (Sibling tests share the counter, but can only add pushes.)
+        if t == 2 && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+            assert!(
+                pushes_after > pushes_before,
+                "k-GLWS did not fork at 2 threads"
+            );
+        }
+        assert_eq!(
+            run.layers, baseline.layers,
+            "k-GLWS layers differ at {t} threads"
+        );
+        assert_eq!(
+            run.best, baseline.best,
+            "k-GLWS decisions differ at {t} threads"
+        );
+        assert_eq!(
+            run.metrics, baseline.metrics,
+            "k-GLWS metrics differ at {t} threads"
+        );
+    }
+    assert_eq!(baseline.metrics.rounds, 30);
 }
