@@ -14,27 +14,44 @@
 //! The tree is *cache-blocked*: the sequence is cut into blocks of
 //! `BLOCK` consecutive positions, and every block has the same shape — one
 //! leaf per position, cut into chunks of `CHUNK` and groups of `GROUP`; an
-//! alive mask per chunk, one byte with a bit per leaf; and two flat arrays
-//! of minima, one per group and one per chunk.  The tree keeps one buffer
-//! of leaf blocks, one of alive masks and one of minima.  The constructor
-//! takes a *block writer*, `write(first, out)`, that fills `out` with the
-//! keys of positions `first..first + out.len()`; one parallel pass over the
-//! blocks writes each block's keys straight into its leaves and summarizes
-//! the block while it is in cache.  The last block is padded with leaves
-//! that are never alive.  A small flat *summary heap* over the per-block
-//! minima routes each round to the blocks that actually contain records.
-//! Inside a block the extraction makes two flat passes: one over the group
-//! minima, and, for each group whose minimum is a record, one over that
+//! alive mask per chunk, one byte with a bit per leaf; two flat arrays of
+//! minima, one per group and one per chunk; and a *run mask* with a bit per
+//! group.  The tree keeps one buffer of leaf blocks, one of alive masks and
+//! one of minima and run masks.  The constructor takes a *block writer*,
+//! `write(first, out)`, that fills `out` with the keys of positions
+//! `first..first + out.len()`; one parallel pass over the blocks writes each
+//! block's keys straight into its leaves and summarizes the block while it
+//! is in cache.  The summary marks each group whose keys form a *run*, in
+//! which each key beats the one before it under the tree's [`TieRule`]
+//! (non-increasing keys under `TiesAreRecords`, strictly decreasing ones
+//! under `TiesBlocked`), and folds the chunk minima of every other, *mixed*,
+//! group.  Sparse LCS in canonical pair order lays each column's matches
+//! out as such a run.  The last block is padded with leaves that are never
+//! alive.  A small flat *summary heap* over the per-block minima routes
+//! each round to the blocks that actually contain records.
+//!
+//! Inside a block the extraction makes one flat pass over the group minima,
+//! and, for each mixed group whose minimum is a record, one over that
 //! group's chunk minima.  Each pass computes, without branching on the
 //! keys, the mask of its parts whose minimum is a record; each record chunk
 //! is then extracted by one linear scan of its leaves, which yields the
-//! chunk's new minimum.  All three levels carry the running minimum of the
-//! round-start keys, so a leaf taken earlier in the round still blocks the
-//! leaves after it.  A touched block therefore costs `GROUPS` group checks,
-//! plus `GROUP / CHUNK` chunk checks per record group, plus one `CHUNK`-leaf
-//! scan per record chunk; a round extracting `l` records out
-//! of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK + CHUNK))` work,
-//! and the summary repair after it recomputes each dirty summary node once.
+//! chunk's new minimum.  A run group needs neither the second pass nor a
+//! scan.  Its alive leaves always form a prefix: all of them at build, and
+//! in a round, inside a run the smallest alive key before a leaf is the key
+//! just before it, which the leaf's key beats, so a leaf is a record
+//! exactly when its key beats the group's carry.  The keys do not rise
+//! along the run, so the records are a suffix of the alive prefix, and
+//! taking them leaves a shorter prefix.  One binary search over at most
+//! `GROUP` keys finds where the records start, and a fill writes their
+//! round number.  All levels carry the running minimum of the round-start
+//! keys, so a leaf taken earlier in the round still blocks the leaves after
+//! it.  A touched block therefore costs `GROUPS` group checks, plus, per
+//! mixed record group, `GROUP / CHUNK` chunk checks and one `CHUNK`-leaf
+//! scan per record chunk, and per run record group one search over at most
+//! `GROUP` keys and one leaf write per record; a round extracting `l`
+//! records out of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK +
+//! CHUNK))` work, and the summary repair after it recomputes each dirty
+//! summary node once.
 //!
 //! An alive leaf holds its key.  A taken leaf holds its DP value, the number
 //! of the round that took it, converted by [`Key::from_round`]; its alive bit
@@ -42,8 +59,8 @@
 //! [`Key::MAX`] marks a part with no alive leaf, and a carry of `Key::MAX`
 //! means nothing lies to the left.  Callers keep every key value all the
 //! same: if some key equals `Key::MAX`, the constructor reads the keys back
-//! from the leaves and moves the run of consecutive present keys that ends
-//! there down by one, onto the value just below the run, which no key
+//! from the leaves and moves the span of consecutive present values that
+//! ends there down by one, onto the value just below the span, which no key
 //! takes.  That map is injective and order-preserving, so the records do
 //! not change, and every key the tree returns is mapped back.  When no key
 //! equals `Key::MAX` the map is the identity.
@@ -89,20 +106,18 @@ const BLOCK: usize = 1024;
 /// gave back about a fifth of 8's round-time gain on dense staircases.
 const CHUNK: usize = 8;
 
-/// Leaves per group: the unit of a block's first pass.  A block holding one
-/// record costs 16 group checks and 8 chunk checks, where one flat pass
-/// would check all 128 chunk minima; rounds of scattered single records
-/// (`lis_random`, `lcs_deep`) touch many such blocks.
+/// Leaves per group: the unit of a block's first pass, and of a run, whose
+/// alive masks read as one `u64`.  A block holding one record costs 16
+/// group checks and 8 chunk checks, where one flat pass would check all 128
+/// chunk minima; rounds of scattered single records (`lis_random`,
+/// `lcs_deep`) touch many such blocks.
 const GROUP: usize = 64;
 
 /// Groups per block.
 const GROUPS: usize = BLOCK / GROUP;
 
-/// Chunks per group.
+/// Chunks, and so alive masks, per group.
 const GROUP_CHUNKS: usize = GROUP / CHUNK;
-
-/// Chunks, and so alive masks, per block.
-const CHUNKS: usize = BLOCK / CHUNK;
 
 /// A key type the tree can hold: totally ordered, with a largest value that
 /// the tree's minima reserve to mark a part with no alive leaf, and room for
@@ -194,10 +209,10 @@ impl TieRule {
     }
 }
 
-/// The map from input keys to stored keys.  It moves the run of consecutive
-/// present keys that ends at `K::MAX` down by one, onto `absent`: the largest
-/// value no key takes.  With no key at `K::MAX`, `absent` is `K::MAX` and the
-/// map is the identity.
+/// The map from input keys to stored keys.  It moves the span of consecutive
+/// present values that ends at `K::MAX` down by one, onto `absent`: the
+/// largest value no key takes.  With no key at `K::MAX`, `absent` is
+/// `K::MAX` and the map is the identity.
 #[derive(Debug, Clone, Copy)]
 struct Remap<K> {
     absent: K,
@@ -250,14 +265,21 @@ impl<K: Key> Remap<K> {
     }
 }
 
-/// The minima of one block's groups and chunks.
+/// The minima of one block's groups and chunks, and which groups are runs.
 #[derive(Debug, Clone, Copy)]
 struct Minima<K> {
     /// The minimum of group `g`'s alive leaves.
     groups: [K; GROUPS],
     /// `chunks[g][c]`: the minimum of the alive leaves of chunk `c` of group
-    /// `g`.
+    /// `g`, kept only while group `g` is mixed: nothing reads a run group's
+    /// chunk minima, so they are neither computed nor repaired.
     chunks: [[K; GROUP_CHUNKS]; GROUPS],
+    /// Bit `g` is set if group `g` is a *run*: its stored keys, padding
+    /// excluded, were a nonempty sequence in which each key beats the one
+    /// before it under the tree's [`TieRule`] (non-increasing under
+    /// `TiesAreRecords`, strictly decreasing under `TiesBlocked`).  Set once
+    /// at build; every other group is *mixed*.
+    runs: u16,
 }
 
 impl<K: Key> Minima<K> {
@@ -265,6 +287,7 @@ impl<K: Key> Minima<K> {
     const EMPTY: Self = Minima {
         groups: [K::MAX; GROUPS],
         chunks: [[K::MAX; GROUP_CHUNKS]; GROUPS],
+        runs: 0,
     };
 }
 
@@ -273,33 +296,81 @@ fn min_of<K: Key>(keys: &[K]) -> K {
     keys.iter().copied().fold(K::MAX, K::min)
 }
 
+/// Whether each of `keys` beats the key before it under `rule`.
+#[inline]
+fn is_run<K: Key>(keys: &[K], rule: TieRule) -> bool {
+    // One loop per rule: the compiler does not hoist the rule's test out of
+    // a loop that calls `TieRule::beats`.
+    match rule {
+        TieRule::TiesAreRecords => all_pairs(keys, |a, b| b <= a),
+        TieRule::TiesBlocked => all_pairs(keys, |a, b| b < a),
+    }
+}
+
+/// Whether `ok(a, b)` holds for every two consecutive keys `a, b`.  Checks
+/// the pairs among the first `CHUNK + 1` keys, then the rest, each without
+/// branching on the keys, so a mixed group usually stops after one chunk.
+#[inline]
+fn all_pairs<K: Copy>(keys: &[K], ok: impl Fn(K, K) -> bool) -> bool {
+    let pairs = |keys: &[K]| keys.windows(2).fold(true, |all, w| all & ok(w[0], w[1]));
+    let head = keys.len().min(CHUNK + 1);
+    pairs(&keys[..head]) && pairs(&keys[head.saturating_sub(1)..])
+}
+
+/// One block's alive masks: bit `i` of `alive[g][c]` is set while leaf
+/// `g * GROUP + c * CHUNK + i` is alive, so `u64::from_le_bytes(alive[g])`
+/// has bit `i` set while leaf `i` of group `g` is alive.
+type AliveMasks = [[u8; GROUP_CHUNKS]; GROUPS];
+
 /// One block: its leaves, the alive mask of each chunk, and the group and
 /// chunk minima of its alive leaves.
 struct Block<'a, K> {
     /// Stored keys of alive leaves, round numbers of taken ones.
     leaves: &'a mut [K; BLOCK],
-    /// Bit `i` of `alive[c]` is set while leaf `c * CHUNK + i` is alive.
-    alive: &'a mut [u8; CHUNKS],
+    alive: &'a mut AliveMasks,
     minima: &'a mut Minima<K>,
 }
 
 impl<K: Key> Block<'_, K> {
     /// Make the block's first `n` leaves, already written, alive and the
-    /// rest padding, and compute the minima.
-    fn summarize(&mut self, n: usize) {
+    /// rest padding, mark its run groups under `rule`, and compute its
+    /// minima.  A run group's minimum is its last key, and its chunk minima
+    /// are skipped; a mixed group folds its chunks and then their minima.
+    fn summarize(&mut self, n: usize, rule: TieRule) {
         const { assert!(CHUNK == u8::BITS as usize, "an alive bit per leaf") };
+        const { assert!(GROUPS <= u16::BITS as usize, "a run bit per group") };
         self.leaves[n..].fill(K::MAX);
-        for (c, mask) in self.alive.iter_mut().enumerate() {
+        for (c, mask) in self.alive.as_flattened_mut().iter_mut().enumerate() {
             let keys = n.saturating_sub(c * CHUNK).min(CHUNK);
             *mask = u8::MAX.checked_shr((CHUNK - keys) as u32).unwrap_or(0);
         }
-        let Minima { groups, chunks } = self.minima;
-        let chunk_mins = chunks.as_flattened_mut();
-        for (slot, chunk) in chunk_mins.iter_mut().zip(self.leaves.chunks_exact(CHUNK)) {
-            *slot = min_of(chunk);
-        }
-        for (slot, group) in groups.iter_mut().zip(chunks.iter()) {
-            *slot = min_of(group);
+        let Minima {
+            groups,
+            chunks,
+            runs,
+        } = self.minima;
+        *runs = 0;
+        let (keys, _) = self.leaves.as_chunks::<GROUP>();
+        let parts = groups.iter_mut().zip(chunks.iter_mut());
+        for (g, (group, (min, chunk_mins))) in keys.iter().zip(parts).enumerate() {
+            // Only the last block's last keys fill a group in part.  A full
+            // group's check has a constant length, which the compiler
+            // unrolls and vectorizes.
+            let live = n.saturating_sub(g * GROUP).min(GROUP);
+            let run = match live {
+                GROUP => is_run(group, rule),
+                0 => false,
+                _ => is_run(&group[..live], rule),
+            };
+            if run {
+                *runs |= 1 << g;
+                *min = group[live - 1];
+            } else {
+                for (slot, chunk) in chunk_mins.iter_mut().zip(group.chunks_exact(CHUNK)) {
+                    *slot = min_of(chunk);
+                }
+                *min = min_of(chunk_mins);
+            }
         }
     }
 
@@ -307,43 +378,62 @@ impl<K: Key> Block<'_, K> {
     /// strictly to the block's left at round start.  Writes `stamp` into
     /// each record's leaf and calls `take(i, key)` for each record in
     /// increasing local position `i`, with its stored key.  Returns the
-    /// block's new minimum.
+    /// block's new minimum and the number of records taken.
     ///
-    /// The first pass finds the groups whose minimum is a record, the second
-    /// the record chunks of each such group, and each record chunk is then
-    /// scanned leaf by leaf.  The running carry drops only at a record part
-    /// (a part whose minimum is no record has it at or above the carry), so
-    /// lowering the carry by each record part's round-start minimum, once
-    /// that part is extracted, gives every record part its carry.
+    /// The first pass finds the groups whose minimum is a record.  A run
+    /// record group takes its records with one search (see
+    /// [`extract_run`]); in a mixed one a second pass finds the record
+    /// chunks, and each is then scanned leaf by leaf.  The running carry
+    /// drops only at a record part (a part whose minimum is no record has
+    /// it at or above the carry), so lowering the carry by each record
+    /// part's round-start minimum, once that part is extracted, gives every
+    /// record part its carry.
     fn extract(
         &mut self,
         mut carry: K,
         rule: TieRule,
         stamp: K,
         take: &mut impl FnMut(usize, K),
-    ) -> K {
-        let Minima { groups, chunks } = self.minima;
+    ) -> (K, usize) {
+        let Minima {
+            groups,
+            chunks,
+            runs,
+        } = self.minima;
+        let mut taken = 0;
         for g in set_bits(record_mask(groups, carry, rule)) {
-            let group = &mut chunks[g];
-            let mut chunk_carry = carry;
-            for c in set_bits(record_mask(group, carry, rule)) {
-                let start = group[c];
-                let chunk = g * GROUP_CHUNKS + c;
-                group[c] = extract_chunk(
-                    self.leaves,
-                    &mut self.alive[chunk],
-                    chunk,
-                    chunk_carry,
-                    rule,
-                    stamp,
-                    take,
-                );
-                chunk_carry = chunk_carry.min(start);
-            }
-            carry = carry.min(groups[g]);
-            groups[g] = min_of(group);
+            let alive = &mut self.alive[g];
+            let start = groups[g];
+            groups[g] = if *runs >> g & 1 != 0 {
+                let first = g * GROUP;
+                let leaves = &mut self.leaves[first..first + GROUP];
+                let (min, took) = extract_run(leaves, alive, first, carry, rule, stamp, take);
+                taken += took;
+                min
+            } else {
+                let group = &mut chunks[g];
+                let mut chunk_carry = carry;
+                for c in set_bits(record_mask(group, carry, rule)) {
+                    let start = group[c];
+                    let chunk = g * GROUP_CHUNKS + c;
+                    let (min, took) = extract_chunk(
+                        self.leaves,
+                        &mut alive[c],
+                        chunk,
+                        chunk_carry,
+                        rule,
+                        stamp,
+                        take,
+                    );
+                    group[c] = min;
+                    taken += took;
+                    chunk_carry = chunk_carry.min(start);
+                }
+                min_of(group)
+            };
+            carry = carry.min(start);
         }
-        min_of(groups)
+        (min_of(groups), taken)
     }
 }
 
@@ -381,10 +471,45 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Extract the records of a run group by one search, given its leaves
+/// `leaves`, its alive masks `alive`, the local position `first` of its
+/// first leaf and the minimum active key to its left at round start, and
+/// return the group's new minimum and the number of records.  Each
+/// record's leaf gets `stamp`.
+///
+/// A run group's alive leaves are always a prefix `[0, p)`.  Inside it the
+/// smallest alive key before a leaf is the key just before it, which the
+/// leaf's key beats, so a leaf is a record exactly when its key beats the
+/// carry.  The keys do not rise along the run, so the records are a suffix
+/// `[q, p)`, and taking them leaves the prefix `[0, q)` alive.
+fn extract_run<K: Key>(
+    leaves: &mut [K],
+    alive: &mut [u8; GROUP_CHUNKS],
+    first: usize,
+    carry: K,
+    rule: TieRule,
+    stamp: K,
+    take: &mut impl FnMut(usize, K),
+) -> (K, usize) {
+    let mask = u64::from_le_bytes(*alive);
+    let p = (u64::BITS - mask.leading_zeros()) as usize;
+    debug_assert_eq!(mask.count_ones() as usize, p, "alive leaves not a prefix");
+    let keys = &mut leaves[..p];
+    let q = keys.partition_point(|&k| !rule.beats(k, carry));
+    debug_assert!(q < p, "a record group holds a record");
+    for (i, leaf) in (q..).zip(&mut keys[q..]) {
+        take(first + i, *leaf);
+        *leaf = stamp;
+    }
+    *alive = (mask & !(u64::MAX << q)).to_le_bytes();
+    (q.checked_sub(1).map_or(K::MAX, |i| keys[i]), p - q)
+}
+
 /// Extract the records of chunk `c` of a block with leaves `leaves` and
 /// the chunk's alive mask `alive` by one scan of its leaves, given the
 /// minimum active key to the chunk's left at round start, and return the
-/// chunk's new minimum.  Each record's leaf gets `stamp`.
+/// chunk's new minimum and the number of records.  Each record's leaf gets
+/// `stamp`.
 fn extract_chunk<K: Key>(
     leaves: &mut [K; BLOCK],
     alive: &mut u8,
@@ -393,16 +518,18 @@ fn extract_chunk<K: Key>(
     rule: TieRule,
     stamp: K,
     take: &mut impl FnMut(usize, K),
-) -> K {
+) -> (K, usize) {
     let first = c * CHUNK;
     let mut min = K::MAX;
     let mut left = *alive;
+    let mut taken = 0;
     for (i, leaf) in leaves[first..first + CHUNK].iter_mut().enumerate() {
         // A taken leaf reads as an empty slot.
         let k = if *alive >> i & 1 != 0 { *leaf } else { K::MAX };
         if rule.is_record(k, carry) {
             *leaf = stamp;
             left &= !(1 << i);
+            taken += 1;
             take(first + i, k);
         } else {
             min = min.min(k);
@@ -411,7 +538,7 @@ fn extract_chunk<K: Key>(
         carry = carry.min(k);
     }
     *alive = left;
-    min
+    (min, taken)
 }
 
 /// Blocks `first..` of a tree together with their leaves of the summary
@@ -419,7 +546,7 @@ fn extract_chunk<K: Key>(
 /// boundary.
 struct BlocksMut<'a, K> {
     leaves: &'a mut [[K; BLOCK]],
-    alive: &'a mut [[u8; CHUNKS]],
+    alive: &'a mut [AliveMasks],
     minima: &'a mut [Minima<K>],
     block_mins: &'a mut [K],
     first: usize,
@@ -480,7 +607,9 @@ fn extract_touched<K: Key>(
                 alive: &mut alive[local],
                 minima: &mut minima[local],
             };
-            block_mins[local] = block.extract(carry, rule, stamp, &mut |_, _| count += 1);
+            let (min, taken) = block.extract(carry, rule, stamp, &mut |_, _| {});
+            block_mins[local] = min;
+            count += taken;
         }
         return count;
     }
@@ -496,13 +625,14 @@ fn extract_touched<K: Key>(
 
 /// In parallel over blocks, call `op(first, out)` on the leaves `out` of
 /// each block's positions `first..first + out.len()` (below `len`), then
-/// pad the block, set its alive masks and compute its minima.  Returns
-/// whether `op` returned `true` for some block.
+/// summarize the block under `rule`.  Returns whether `op` returned `true`
+/// for some block.
 fn fill<K: Key>(
     leaves: &mut [[K; BLOCK]],
-    alive: &mut [[u8; CHUNKS]],
+    alive: &mut [AliveMasks],
     minima: &mut [Minima<K>],
     len: usize,
+    rule: TieRule,
     op: impl Fn(usize, &mut [K]) -> bool + Sync,
 ) -> bool {
     use rayon::prelude::*;
@@ -522,7 +652,7 @@ fn fill<K: Key>(
                 alive,
                 minima,
             }
-            .summarize(n);
+            .summarize(n, rule);
             hit
         })
         .reduce(|| false, |a, b| a | b)
@@ -536,7 +666,7 @@ pub struct TournamentTree<K> {
     /// number once taken.
     leaves: Vec<[K; BLOCK]>,
     /// Alive masks, one per chunk, one array per block.
-    alive: Vec<[u8; CHUNKS]>,
+    alive: Vec<AliveMasks>,
     /// Group and chunk minima of the alive leaves, one per block.
     minima: Vec<Minima<K>>,
     /// Implicit heap over the per-block minima: root at 1, block `b`'s leaf
@@ -572,16 +702,23 @@ impl<K: Key> TournamentTree<K> {
         // Zeroed leaves take no pass of their own on fresh pages and one
         // memset on reused ones; the fill then writes each block once.
         let mut leaves = vec![[K::from_round(0); BLOCK]; num_blocks];
-        let mut alive = vec![[0; CHUNKS]; num_blocks];
+        let mut alive = vec![[[0; GROUP_CHUNKS]; GROUPS]; num_blocks];
         let mut minima = vec![Minima::EMPTY; num_blocks];
         let mut remap = Remap { absent: K::MAX };
-        let saw_max = fill(&mut leaves, &mut alive, &mut minima, len, |first, out| {
-            write(first, out);
-            out.iter().fold(false, |saw, &k| saw | (k == K::MAX))
-        });
+        let saw_max = fill(
+            &mut leaves,
+            &mut alive,
+            &mut minima,
+            len,
+            rule,
+            |first, out| {
+                write(first, out);
+                out.iter().fold(false, |saw, &k| saw | (k == K::MAX))
+            },
+        );
         if saw_max {
             remap = Remap::over(&leaves.as_flattened()[..len]);
-            fill(&mut leaves, &mut alive, &mut minima, len, |_, out| {
+            fill(&mut leaves, &mut alive, &mut minima, len, rule, |_, out| {
                 for k in out {
                     *k = remap.store(*k);
                 }
@@ -726,9 +863,10 @@ impl<K: Key> TournamentTree<K> {
                 alive: &mut self.alive[b],
                 minima: &mut self.minima[b],
             };
-            self.summary[self.scap + b] = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
+            let (min, _) = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
                 out.push((b * BLOCK + i, remap.load(k)));
             });
+            self.summary[self.scap + b] = min;
         }
         self.end_round(out.len());
         out
@@ -740,7 +878,7 @@ impl<K: Key> TournamentTree<K> {
         let mut leaves = self.leaves;
         if self.active > 0 {
             for (block, alive) in leaves.iter_mut().zip(&self.alive) {
-                for (c, &mask) in alive.iter().enumerate() {
+                for (c, &mask) in alive.as_flattened().iter().enumerate() {
                     for i in set_bits(u32::from(mask)) {
                         block[c * CHUNK + i] = K::from_round(0);
                     }
@@ -1173,6 +1311,193 @@ mod tests {
             }
         }
         check_both_rules(&keys);
+    }
+
+    /// The global indices of the groups `tree` marked as runs.
+    fn run_groups<K: Key>(tree: &TournamentTree<K>) -> Vec<usize> {
+        let blocks = tree.minima.iter().enumerate();
+        blocks
+            .flat_map(|(b, m)| set_bits(u32::from(m.runs)).map(move |g| b * GROUPS + g))
+            .collect()
+    }
+
+    /// The groups that lie wholly inside positions `start..start + len`.
+    fn groups_within(start: usize, len: usize) -> Vec<usize> {
+        (start.div_ceil(GROUP)..(start + len) / GROUP).collect()
+    }
+
+    /// Whether the groups of `tree` marked as runs include every one of
+    /// `want`.
+    fn marks_runs<K: Key>(tree: &TournamentTree<K>, want: &[usize]) -> bool {
+        let runs = run_groups(tree);
+        want.iter().all(|g| runs.contains(g))
+    }
+
+    /// `len` pseudo-random keys in `base..base + 1000`.
+    fn filler(len: usize, base: u64) -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| base + (i * 2654435761 + 7) % 1000)
+            .collect()
+    }
+
+    #[test]
+    fn sorted_run_groups_match_oracle() {
+        // A decreasing run of `GROUP - 1`, `GROUP` or `GROUP + 1` keys at a
+        // group boundary or off it, below the filler on its left (so it
+        // drains in round one) or above all of it (so it drains last).
+        for len in [GROUP - 1, GROUP, GROUP + 1] {
+            for start in [0, 1, CHUNK / 2, GROUP, GROUP + 1, BLOCK - GROUP, BLOCK - 1] {
+                for base in [500, 5_000] {
+                    let mut keys = filler(start, 1_000);
+                    keys.extend((0..len as u64).rev().map(|t| base + t));
+                    keys.extend(filler(GROUP + 3, 1_000));
+                    let covered = groups_within(start, len);
+                    for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                        assert!(marks_runs(&tree_over(&keys, rule), &covered));
+                    }
+                    check_both_rules(&keys);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_key_runs_are_runs_only_when_ties_are_records() {
+        // Equal keys, and non-increasing keys with ties among them: a run
+        // under `TiesAreRecords`, mixed under `TiesBlocked`.
+        for len in [GROUP - 1, GROUP, GROUP + 1, 2 * GROUP] {
+            for start in [0, 1, GROUP] {
+                let equal = vec![5; len];
+                let ties: Vec<u64> = (0..len as u64).rev().map(|t| 100 + t / 3).collect();
+                for run in [equal, ties] {
+                    let mut keys = filler(start, 1_000);
+                    keys.extend(run);
+                    keys.extend(filler(CHUNK + 1, 1_000));
+                    let covered = groups_within(start, len);
+                    let records = tree_over(&keys, TieRule::TiesAreRecords);
+                    assert!(marks_runs(&records, &covered));
+                    let blocked = run_groups(&tree_over(&keys, TieRule::TiesBlocked));
+                    assert!(covered.iter().all(|g| !blocked.contains(g)));
+                    check_both_rules(&keys);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_is_taken_as_a_suffix_over_several_rounds() {
+        // Blockers `step, 2 * step, ..., 6 * step`, then a run counting down
+        // from `2 * GROUP - 1` to 0.  Round `r` takes blocker `r * step`
+        // and, behind it, the run keys from `r * step` (or just below it
+        // under `TiesBlocked`) down to what the round before left: a suffix
+        // of the alive prefix.  Round 7 takes the rest.  Pads of decreasing
+        // keys above everything, all taken in round one, put the run at a
+        // group boundary or just past one.
+        let (step, len) = (20, 2 * GROUP);
+        for pad in [GROUP - 6, 2 * GROUP - 6, GROUP - 5, BLOCK - 6] {
+            let mut keys: Vec<u64> = (0..pad as u64).rev().map(|t| 10_000 + t).collect();
+            keys.extend((1..=6).map(|r| r * step));
+            keys.extend((0..len as u64).rev());
+            let covered = groups_within(pad + 6, len);
+            assert!(!covered.is_empty());
+            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                assert!(marks_runs(&tree_over(&keys, rule), &covered));
+            }
+            check_both_rules(&keys);
+        }
+    }
+
+    #[test]
+    fn a_run_broken_at_its_last_leaf_is_mixed() {
+        // A group whose first `GROUP - 1` keys fall and whose last key rises
+        // above them, or equals the one before it (a run under
+        // `TiesAreRecords` only).
+        for start in [0, GROUP, BLOCK - GROUP] {
+            for last in [2_000, 500] {
+                let mut keys = filler(start, 1_000);
+                keys.extend((0..GROUP as u64 - 1).rev().map(|t| 500 + t));
+                keys.push(last);
+                keys.extend(filler(CHUNK + 1, 1_000));
+                let g = start / GROUP;
+                let records = run_groups(&tree_over(&keys, TieRule::TiesAreRecords));
+                assert_eq!(records.contains(&g), last == 500);
+                assert!(!run_groups(&tree_over(&keys, TieRule::TiesBlocked)).contains(&g));
+                check_both_rules(&keys);
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_blocks_partial_group_can_be_a_run() {
+        // The tree ends `tail` keys into a group; those keys fall, below
+        // the filler before them or above all of it.
+        for tail in [1, 2, CHUNK - 1, CHUNK + 1, GROUP - 1] {
+            for base in [500, 5_000] {
+                let mut keys = filler(BLOCK + GROUP, 1_000);
+                keys.extend((0..tail as u64).rev().map(|t| base + t));
+                let g = (BLOCK + GROUP) / GROUP;
+                for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                    assert!(run_groups(&tree_over(&keys, rule)).contains(&g));
+                }
+                check_both_rules(&keys);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_reaching_the_key_limit_match_oracle() {
+        // A run counting down from `K::MAX`: the remap moves it down by one.
+        let max = u64::MAX;
+        for start in [0, 1, GROUP] {
+            let mut keys = filler(start, 1_000);
+            keys.extend((0..GROUP as u64 + 1).map(|t| max - t));
+            keys.extend(filler(CHUNK + 1, 1_000));
+            let covered = groups_within(start, GROUP + 1);
+            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                assert!(marks_runs(&tree_over(&keys, rule), &covered));
+            }
+            check_both_rules(&keys);
+        }
+        // `u8` keys: 255 twice, then down to 192 (group 0 is a run under
+        // `TiesAreRecords` only), a rising stretch, and 255 down to 192
+        // again.  Every value of the span `192..=255` is present, so it
+        // moves onto `191..=254`.
+        let mut keys: Vec<u8> = vec![255];
+        keys.extend((192..=255).rev());
+        keys.extend(0..GROUP as u8);
+        keys.extend((192..=255).rev());
+        assert!(run_groups(&tree_over(&keys, TieRule::TiesAreRecords)).contains(&0));
+        check_both_rules(&keys);
+    }
+
+    #[test]
+    fn matching_pair_columns_match_oracle() {
+        // The `j` keys of the matching pairs of two pseudo-random strings
+        // over 2-4 letters in canonical order (`i` up, `j` down): each
+        // column's matches fall strictly, and a column of 64 or more fills
+        // whole groups.
+        for (n, m, letters, seed) in [(12, 400, 2, 1), (20, 600, 4, 2), (6, 1_500, 3, 3)] {
+            let mut state: u64 = seed;
+            let mut string = |len: usize| -> Vec<u64> {
+                (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 33) % letters
+                    })
+                    .collect()
+            };
+            let (a, b) = (&string(n), &string(m));
+            let keys: Vec<u32> = (0..n)
+                .flat_map(|i| (0..m).rev().filter(move |&j| a[i] == b[j]))
+                .map(|j| j as u32)
+                .collect();
+            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                assert!(!run_groups(&tree_over(&keys, rule)).is_empty());
+            }
+            check_both_rules(&keys);
+        }
     }
 
     #[test]

@@ -17,9 +17,14 @@ fn main() {
     // Two related DNA-like strings (alphabet {A,C,G,T} = 4 symbols).
     let (a, b) = workloads::gap_strings(n, n - n / 20, 4, 7);
 
-    // Sparse LCS similarity.
+    // Sparse LCS similarity.  Over four letters each column holds about
+    // |B| / 4 matches, so from n of a few hundred on most of the
+    // tournament's 64-leaf groups are runs.
     let pairs = matching_pairs(&a, &b);
     let lcs = parallel_sparse_lcs(&pairs);
+    let hunt_szymanski = sequential_sparse_lcs(&pairs);
+    assert_eq!(lcs.length, hunt_szymanski.length);
+    assert_eq!(lcs.pair_values, hunt_szymanski.pair_values);
     println!(
         "strings: |A| = {}, |B| = {}, matching pairs L = {}",
         a.len(),
@@ -31,6 +36,10 @@ fn main() {
         lcs.length,
         100.0 * lcs.length as f64 / b.len() as f64,
         lcs.metrics.rounds
+    );
+    println!(
+        "cordon pair values == Hunt–Szymanski's on all {} pairs",
+        pairs.len()
     );
 
     // GAP alignment with a convex (affine + quadratic) block-deletion penalty:

@@ -313,3 +313,34 @@ proptest! {
         prop_assert_eq!(par.d, naive.d);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Strings of 500–3 000 characters over 2–4 letters, so each column of
+    /// the canonical pair list holds 125 or more matches, a strictly falling
+    /// run of `j` keys that fills whole groups of the tournament.
+    /// `prop_lcs_matches_dense`'s short strings never do.
+    #[test]
+    fn prop_sparse_lcs_of_long_strings_matches_hunt_szymanski(
+        a in prop::collection::vec(0u8..12, 500..3_000),
+        b in prop::collection::vec(0u8..12, 500..3_000),
+        letters in 2u8..5,
+    ) {
+        let a: Vec<u8> = a.iter().map(|&x| x % letters).collect();
+        let b: Vec<u8> = b.iter().map(|&x| x % letters).collect();
+        let pairs = matching_pairs(&a, &b);
+        let par = parallel_sparse_lcs(&pairs);
+        let seq = sequential_sparse_lcs(&pairs);
+        prop_assert_eq!(par.length, seq.length);
+        prop_assert_eq!(&par.pair_values, &seq.pair_values);
+        let chain = reconstruct_lcs(&pairs, &par.pair_values, par.length);
+        prop_assert_eq!(chain.len(), par.length as usize);
+        for p in &chain {
+            prop_assert_eq!(a[p.i as usize], b[p.j as usize]);
+        }
+        for w in chain.windows(2) {
+            prop_assert!(w[0].i < w[1].i && w[0].j < w[1].j);
+        }
+    }
+}
