@@ -18,9 +18,10 @@
 //!
 //! [`run_phase_parallel`] panics on a stall (the historical behaviour, now
 //! with a typed message constant); [`try_run_phase_parallel`] returns the
-//! error for callers that want to handle it.
+//! error for callers that want to handle it.  The loop runs no grain code:
+//! rounds size their loops by the fixed [`pardp_parutils::round_min_grain`].
 
-use pardp_parutils::{with_grain_policy, GrainPolicy, MetricsCollector};
+use pardp_parutils::MetricsCollector;
 
 /// Reusable per-round scratch storage owned by the phase-parallel driver.
 ///
@@ -271,7 +272,6 @@ pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
         // the round loop.
         metrics.reserve_rounds(budget as usize);
     }
-    let mut policy = GrainPolicy::new();
     let mut arena = FrontierArena::new();
     let mut rounds: u64 = 0;
     let mut states: u64 = 0;
@@ -284,13 +284,12 @@ pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
                 });
             }
         }
-        let frontier = with_grain_policy(&policy, || instance.round_with(metrics, &mut arena));
+        let frontier = instance.round_with(metrics, &mut arena);
         if frontier == 0 {
             return Err(StallError::NoProgress {
                 rounds_completed: rounds,
             });
         }
-        policy.observe(frontier as u64);
         rounds += 1;
         states += frontier as u64;
         metrics.record_round(frontier as u64);

@@ -8,8 +8,8 @@
 //!
 //! * granularity-controlled helpers ([`par`]) so that the parallel algorithms
 //!   degrade gracefully to their sequential counterparts on tiny inputs,
-//! * the per-round grain policy ([`grain`]) that sizes parallel loops from
-//!   recent frontier sizes,
+//! * the fixed grain rule ([`grain`]) that sizes a round's parallel loops:
+//!   inline below a cutoff or at one thread, 2 grains per thread above it,
 //! * work/round instrumentation ([`metrics`]) used by the benchmark harness to
 //!   report *operation counts* in addition to wall-clock time, which is how we
 //!   validate the paper's work bounds on machines with few cores.  A run's
@@ -25,8 +25,6 @@ pub mod grain;
 pub mod metrics;
 pub mod par;
 
-pub use grain::{
-    effective_parallelism, round_min_grain, with_grain_policy, GrainHint, GrainPolicy,
-};
+pub use grain::{effective_parallelism, round_min_grain, with_grain_policy, GrainPolicy};
 pub use metrics::{Metrics, MetricsCollector};
 pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};

@@ -79,9 +79,11 @@
 //! [`TournamentTree::extract_prefix_minima`] runs the same block kernel with
 //! a sink that pushes `(position, key)` pairs instead.
 //!
-//! Rounds whose estimated work is below the active grain hint run entirely
-//! on the calling thread: no pool job is pushed and no worker is woken
-//! (pinned by the dispatch-counter test in `tests/pool_fastpath.rs`).
+//! A round forks only when each grain gets at least `FORK_BLOCKS` (16)
+//! touched blocks; a narrower round, such as sparse LCS's rounds of 1–11
+//! blocks on the paper's Fig. 6 shapes, runs entirely on the calling
+//! thread: no pool job is pushed and no worker is woken (pinned by the
+//! dispatch-counter test in `tests/pool_fastpath.rs`).
 //!
 //! [`reconstruct_chain`] walks one longest chain back from the DP values a
 //! [`StaircaseCordon`] computed; LIS and sparse LCS reconstruct through it.
@@ -115,6 +117,16 @@ const GROUP: usize = 64;
 
 /// Groups per block.
 const GROUPS: usize = BLOCK / GROUP;
+
+/// Fewest touched blocks a forked grain of an extraction round gets, so a
+/// round forks only from twice this many.  At 2 threads on a 2-core Xeon
+/// host, sparse LCS solves whose rounds touch 10–11 blocks
+/// (`lcs_pairs_with(10⁶, 100, _)`) took 1.93–2.29 ms with the rounds
+/// inline against 2.28–2.75 ms forked, and ones whose rounds touch 40
+/// (`lcs_pairs_with(4·10⁶, 100, _)`) 9.2–10.6 ms forked against
+/// 11.6–13.3 ms inline; rounds of 20–34 blocks read the same either way
+/// within the host's noise.
+const FORK_BLOCKS: usize = 16;
 
 /// Chunks, and so alive masks, per group.
 const GROUP_CHUNKS: usize = GROUP / CHUNK;
@@ -582,8 +594,9 @@ impl<K> BlocksMut<'_, K> {
 /// the touched list is sorted by block index, so each half of the list maps
 /// to a disjoint part of `blocks` (no interior mutability needed).  Every
 /// record's leaf gets `stamp`, and every touched block's new minimum goes
-/// to its leaf of the summary heap.  `grain` is the fork cutoff in
-/// touched-block units.  Returns the number of records extracted.
+/// to its leaf of the summary heap.  A list splits in half only while both
+/// halves keep at least `grain` touched blocks.  Returns the number of
+/// records extracted.
 fn extract_touched<K: Key>(
     blocks: BlocksMut<'_, K>,
     touched: &[(usize, K)],
@@ -591,7 +604,7 @@ fn extract_touched<K: Key>(
     stamp: K,
     grain: usize,
 ) -> usize {
-    if touched.len() <= grain.max(1) {
+    if touched.len() < 2 * grain {
         let BlocksMut {
             leaves,
             alive,
@@ -813,23 +826,17 @@ impl<K: Key> TournamentTree<K> {
     /// Run one extraction round, writing `round` into the leaf of every
     /// record.  Returns the number of records extracted.
     ///
-    /// Sub-grain rounds (estimated work below the active
-    /// [`round_min_grain`] hint) run entirely on the calling thread and push
-    /// no pool jobs.
+    /// The touched blocks split by [`round_min_grain`] over their positions,
+    /// but into grains of at least [`FORK_BLOCKS`] blocks each: a round with
+    /// fewer than twice that many runs entirely on the calling thread and
+    /// pushes no pool jobs.
     fn extract_round(&mut self, round: u32) -> usize {
         if !self.begin_round() {
             return 0;
         }
-        // Each touched block costs at most one block scan; cap the estimate
-        // by the number of elements still alive.
-        let est_work = (self.touched.len() * BLOCK).min(self.active);
-        let grain = round_min_grain(est_work);
-        let grain_blocks = if grain >= est_work {
-            // Sub-grain round: stay on the calling thread, no pool traffic.
-            self.touched.len()
-        } else {
-            grain.div_ceil(BLOCK).max(1)
-        };
+        let grain = round_min_grain(self.touched.len() * BLOCK)
+            .div_ceil(BLOCK)
+            .max(FORK_BLOCKS);
         let blocks = BlocksMut {
             leaves: &mut self.leaves,
             alive: &mut self.alive,
@@ -838,7 +845,7 @@ impl<K: Key> TournamentTree<K> {
             first: 0,
         };
         let stamp = K::from_round(round);
-        let count = extract_touched(blocks, &self.touched, self.rule, stamp, grain_blocks);
+        let count = extract_touched(blocks, &self.touched, self.rule, stamp, grain);
         self.end_round(count);
         count
     }

@@ -413,7 +413,7 @@ where
         // ancestor-probe count is `size × depth` — no per-node pass needed.
         metrics.add_edges(size as u64 * (self.next_level as u64 + 1));
         if round_min_grain(size) >= size {
-            // Sub-grain fast path: the grain policy keeps this round inline
+            // Sub-grain fast path: the grain rule keeps this round inline
             // anyway, so skip the tuple staging and write results directly —
             // node values only read strictly shallower (already-settled)
             // entries of `d`, never this level's.

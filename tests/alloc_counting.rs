@@ -31,14 +31,16 @@
 //!   reused array;
 //! * `KGlwsCordon` writes each layer in place into its preallocated table;
 //! * the driver pre-sizes the metrics frontier log via
-//!   `MetricsCollector::reserve_rounds`, and its grain policy works on stack
-//!   copies.
+//!   `MetricsCollector::reserve_rounds` and runs no grain code between
+//!   rounds: round code sizes its loops by a fixed rule with no state.
 //!
 //! The OBST test first drives an `ObstCordon` by hand the way
 //! `run_phase_parallel` does, then runs one through `run_phase_parallel`
-//! itself (so the grain policy and the `round_with` path are covered too).
+//! itself (so the `round_with` path is covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
-//! input and `LcsCordon` on a Fig. 6 shape through the driver, and a
+//! input and `LcsCordon` on a Fig. 6 shape through the driver, a second
+//! staircase test runs `LcsCordon` at 2 threads on rounds too narrow to
+//! fork, and a
 //! constructor test counts the allocations of `LisCordon::new`,
 //! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
 //! warm-up construction each, and a byte test bounds the bytes the two
@@ -58,6 +60,8 @@
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
 //! is specific to inline execution (small frontiers and `threads = 1`).
+//! The 2-thread staircase test holds rounds to it whose 1–2 touched blocks
+//! stay below the tournament's fork floor, so they run inline too.
 //! Inline, every allocation of a solve happens on the calling thread, so the
 //! allocator counts per thread: sibling tests and the test harness, running
 //! on other threads, cannot pollute a measurement.
@@ -287,8 +291,8 @@ fn obst_rounds_allocate_nothing_after_warm_up() {
         assert_eq!(tables.cost(), expected);
         assert_eq!(metrics.snapshot().rounds, budget as u64);
 
-        // Through the driver: the grain policy's per-round hint, the
-        // `round_with` dispatch and the frontier log must not allocate either.
+        // Through the driver: the `round_with` dispatch and the frontier log
+        // must not allocate either.
         let (tables, rounds) = run_allocation_free("OBST", ObstCordon::new(&weights));
         assert_eq!(tables.cost(), expected);
         assert_eq!(rounds, budget as u64);
@@ -324,6 +328,25 @@ fn staircase_rounds_allocate_nothing_after_warm_up() {
         );
         assert_eq!(length, 100);
         assert_eq!(rounds, 100);
+    });
+}
+
+#[test]
+fn narrow_staircase_rounds_at_two_threads_allocate_nothing_after_warm_up() {
+    // Sparse LCS with 2 000 rounds of ~100 pairs: each round takes the pairs
+    // of one or two tournament blocks, fewer than a forked grain must get,
+    // so at 2 threads the rounds run inline and box no job.  The build may
+    // fork; the probe counts only the rounds.
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(200_000, 2_000, 1)
+        .into_iter()
+        .map(|(i, j)| MatchPair { i, j })
+        .collect();
+    let want = sequential_sparse_lcs(&pairs);
+    with_threads(2, || {
+        let ((values, length), rounds) =
+            run_allocation_free("LCS at 2 threads", LcsCordon::new(&pairs));
+        assert_eq!(values, want.pair_values);
+        assert_eq!((length, rounds), (2_000, 2_000));
     });
 }
 

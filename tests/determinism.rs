@@ -37,11 +37,12 @@ fn lis_results_are_bit_identical_across_thread_counts() {
 #[test]
 fn lcs_results_are_bit_identical_across_thread_counts() {
     use parallel_dp::lcs::{parallel_sparse_lcs, sequential_sparse_lcs, MatchPair};
-    // About 10⁴ records per round spread over ~200 tournament blocks, so
-    // above one thread the touched blocks and their value slices are split
-    // across the pool.  (The LIS instance above takes ~133 records a round
-    // and never leaves the sequential path.)
-    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(200_000, 20, 6)
+    // About 4·10⁴ records per round over 40 consecutive tournament blocks:
+    // enough for two grains of at least 16 touched blocks, so above one
+    // thread each round forks and the touched blocks are split across the
+    // pool.  (The LIS instance above takes ~133 records a round and never
+    // leaves the sequential path.)
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(400_000, 10, 6)
         .into_iter()
         .map(|(i, j)| MatchPair { i, j })
         .collect();
@@ -58,7 +59,7 @@ fn lcs_results_are_bit_identical_across_thread_counts() {
             "LCS metrics differ at {t} threads"
         );
     }
-    assert_eq!(baseline.length, 20);
+    assert_eq!(baseline.length, 10);
     assert_eq!(
         baseline.pair_values,
         sequential_sparse_lcs(&pairs).pair_values,

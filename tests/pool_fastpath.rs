@@ -1,12 +1,12 @@
 //! The per-round dispatch fast path: sub-grain rounds bypass the pool.
 //!
 //! When `round_min_grain(len) >= len` a round runs entirely on the calling
-//! thread — the rayon shim executes single-grain loops inline and the
-//! tournament tree keeps sub-grain extractions sequential — so the round must
-//! push **zero** jobs to the pool's injector and wake **zero** workers.  The
-//! shim exposes cumulative dispatch counters (`rayon::dispatch_diagnostics`,
-//! a shim-only extension) precisely so this contract can be pinned instead of
-//! eyeballed from profiles.
+//! thread — the rayon shim executes single-grain loops inline — and so does
+//! a tournament round that touches too few blocks to give each forked grain
+//! 16 of them.  Such a round must push **zero** jobs to the pool's injector
+//! and wake **zero** workers.  The shim exposes cumulative dispatch counters
+//! (`rayon::dispatch_diagnostics`, a shim-only extension) precisely so this
+//! contract can be pinned instead of eyeballed from profiles.
 //!
 //! The same counters pin the other side of the fast path: a fork that does
 //! reach the pool hands its job to a worker that is still spinning, instead
@@ -19,7 +19,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use parallel_dp::parutils::with_threads;
+use parallel_dp::core::run_phase_parallel;
+use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
+use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::workloads;
 use rayon::prelude::*;
 
@@ -128,7 +130,7 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
     assert_eq!(warm_result.length, 6);
 
     // Sub-grain workload: n < SEQ_CUTOFF, so every round's frontier (and the
-    // tree build) is below the grain hint and must stay inline even with 8
+    // tree build) is below the grain cutoff and must stay inline even with 8
     // threads installed.
     let a = workloads::lis_with_length(1_500, 10, 3);
     let expected = parallel_dp::lis::sequential_lis(&a);
@@ -147,6 +149,36 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
         wakeups_after - wakeups_before,
         0,
         "a sub-grain run must not wake any worker"
+    );
+
+    // Sparse LCS whose rounds each take the pairs of one or two tournament
+    // blocks: far fewer than the 16 blocks every forked grain of a round
+    // must get, so at 2 threads the rounds run on the calling thread.  The
+    // tree's build may fork; nothing between it and `finish` may.
+    let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(200_000, 2_000, 5)
+        .into_iter()
+        .map(|(i, j)| MatchPair { i, j })
+        .collect();
+    let expected = sequential_sparse_lcs(&pairs);
+    let ((values, length), pushes, wakeups) = with_threads(2, || {
+        let cordon = LcsCordon::new(&pairs);
+        let (pushes_before, wakeups_before) = rayon::dispatch_diagnostics();
+        let out = run_phase_parallel(cordon, &MetricsCollector::new());
+        let (pushes_after, wakeups_after) = rayon::dispatch_diagnostics();
+        (
+            out,
+            pushes_after - pushes_before,
+            wakeups_after - wakeups_before,
+        )
+    });
+    assert_eq!((length, &values), (2_000, &expected.pair_values));
+    assert_eq!(
+        pushes, 0,
+        "sparse LCS rounds of 1-2 blocks must not touch the injector at 2 threads"
+    );
+    assert_eq!(
+        wakeups, 0,
+        "sparse LCS rounds of 1-2 blocks must not wake any worker at 2 threads"
     );
 
     // Packed GAP: a round splits into two bands under one `rayon::join`
@@ -203,7 +235,7 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
     }
 
     // Sanity check that the counters are live at all: an explicit sub-length
-    // `with_min_len` forces the producer to split whatever the grain policy
+    // `with_min_len` forces the producer to split whatever the grain rule
     // (or the host's core count) would decide, so the non-worker driver
     // thread must push injector jobs.
     let (pushes_before, _) = rayon::dispatch_diagnostics();

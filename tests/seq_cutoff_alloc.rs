@@ -1,7 +1,7 @@
 //! Counting-allocator proof that the `SEQ_CUTOFF` sequential path is
 //! allocation- and synchronization-free.
 //!
-//! `GrainHint::min_grain` returns the full loop length for loops below
+//! `round_min_grain` returns the full loop length for loops below
 //! `SEQ_CUTOFF`, which makes the rayon shim execute them as a single inline
 //! grain.  This test pins the two properties that make that path a true fast
 //! path: once scratch buffers have reached their high-water mark, a sub-grain

@@ -3,7 +3,7 @@
 //!
 //! A path is the adversarial shape for the driver: 100 000 rounds with a
 //! one-node frontier each, so the run exercises the round loop, the grain
-//! policy's stay-sequential decision, the envelope pushes and the reused
+//! rule's stay-sequential decision, the envelope pushes and the reused
 //! round scratch 100 000 times under an oversubscribed pool.
 //!
 //! Gated behind `#[ignore]` because it is a stress test, not a correctness
