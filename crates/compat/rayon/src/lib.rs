@@ -499,76 +499,6 @@ where
     }
 }
 
-/// `filter_map` adaptor (unindexed).
-pub struct FilterMapProducer<P, F, R> {
-    base: P,
-    f: F,
-    _r: PhantomData<fn() -> R>,
-}
-
-impl<P, F, R> Producer for FilterMapProducer<P, F, R>
-where
-    P: Producer,
-    F: Fn(P::Item) -> Option<R> + Send + Sync + Clone,
-    R: Send,
-{
-    type Item = R;
-    type IntoIter = FilterMapSeq<P::IntoIter, F, R>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (
-            FilterMapProducer {
-                base: l,
-                f: self.f.clone(),
-                _r: PhantomData,
-            },
-            FilterMapProducer {
-                base: r,
-                f: self.f,
-                _r: PhantomData,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        FilterMapSeq {
-            inner: self.base.into_seq(),
-            f: self.f,
-            _r: PhantomData,
-        }
-    }
-}
-
-/// Sequential counterpart of [`FilterMapProducer`].
-pub struct FilterMapSeq<I, F, R> {
-    inner: I,
-    f: F,
-    _r: PhantomData<fn() -> R>,
-}
-
-impl<I, F, R> Iterator for FilterMapSeq<I, F, R>
-where
-    I: Iterator,
-    F: Fn(I::Item) -> Option<R>,
-{
-    type Item = R;
-
-    #[inline]
-    fn next(&mut self) -> Option<R> {
-        for x in self.inner.by_ref() {
-            if let Some(y) = (self.f)(x) {
-                return Some(y);
-            }
-        }
-        None
-    }
-}
-
 /// `flat_map_iter` adaptor: flat-maps through a *serial* iterator per item
 /// (unindexed; `len` counts base items, as a splitting hint).
 pub struct FlatMapIterProducer<P, F, U: IntoIterator> {
@@ -856,23 +786,6 @@ impl<P: Producer> ParIter<P> {
                 base: self.producer,
                 f,
             },
-            min_len: self.min_len,
-        }
-    }
-
-    /// Map-and-filter in one pass.
-    pub fn filter_map<R, F>(self, f: F) -> ParIter<FilterMapProducer<P, F, R>>
-    where
-        F: Fn(P::Item) -> Option<R> + Send + Sync,
-        R: Send,
-    {
-        let producer = FilterMapProducer {
-            base: self.producer,
-            f,
-            _r: PhantomData,
-        };
-        ParIter {
-            producer,
             min_len: self.min_len,
         }
     }

@@ -15,8 +15,8 @@
 //! * it is the oracle the work-efficient algorithms are property-tested
 //!   against.
 
-use crate::phase::{run_phase_parallel, FrontierArena, PhaseParallel};
-use pardp_parutils::{Metrics, MetricsCollector};
+use crate::phase::{run_phase_parallel, PhaseParallel};
+use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// Whether the recurrence takes a minimum or a maximum over its decisions.
@@ -156,6 +156,8 @@ pub struct ExplicitCordon<'a> {
     remaining: usize,
     /// Reused sentinel/blocked scratch (one flag per state, cleared per round).
     marks: Vec<bool>,
+    /// Reused buffer the round builds its frontier in.
+    next: Vec<usize>,
 }
 
 impl<'a> ExplicitCordon<'a> {
@@ -172,6 +174,7 @@ impl<'a> ExplicitCordon<'a> {
             frontiers: Vec::new(),
             remaining: dag.n,
             marks: vec![false; dag.n],
+            next: Vec::new(),
         }
     }
 }
@@ -185,12 +188,6 @@ impl PhaseParallel for ExplicitCordon<'_> {
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        // Standalone rounds (outside the driver) get a throwaway arena.
-        let mut arena = FrontierArena::new();
-        self.round_with(metrics, &mut arena)
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
         let dag = self.dag;
         let worst = dag.objective.worst();
 
@@ -234,16 +231,17 @@ impl PhaseParallel for ExplicitCordon<'_> {
             }
         }
 
-        // Ready states: tentative and not blocked, staged in the driver's
-        // reusable arena buffer.  An empty frontier is reported to the
-        // driver, whose stall guard rejects it.
-        let frontier = arena.next_mut();
-        frontier.extend((0..dag.n).filter(|&i| !self.finalized[i] && !blocked[i]));
+        // Ready states: tentative and not blocked, built in the reused
+        // frontier buffer.  An empty frontier is reported to the driver,
+        // whose stall guard rejects it.
+        self.next.clear();
+        self.next
+            .extend((0..dag.n).filter(|&i| !self.finalized[i] && !blocked[i]));
         self.marks = blocked;
-        if frontier.is_empty() {
+        if self.next.is_empty() {
             return 0;
         }
-        let frontier: &[usize] = frontier;
+        let frontier: &[usize] = &self.next;
 
         // Step 3: ready states relax their descendants.
         let d_ref = &self.d;
@@ -257,6 +255,7 @@ impl PhaseParallel for ExplicitCordon<'_> {
                     .filter(|&&(i, _)| !finalized_ref[i])
                     .map(move |&(i, w)| (i, d_ref[j] + w))
             })
+            .with_min_len(round_min_grain(frontier.len()))
             .collect();
         metrics.add_edges(updates.len() as u64);
         for (i, cand) in updates {
@@ -273,7 +272,7 @@ impl PhaseParallel for ExplicitCordon<'_> {
         self.remaining -= frontier.len();
         let size = frontier.len();
         // The per-round frontier log is part of this instance's output, so
-        // the copy out of the arena is inherent.
+        // the copy out of the reused buffer is inherent.
         self.frontiers.push(frontier.to_vec());
         size
     }

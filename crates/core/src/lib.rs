@@ -34,6 +34,6 @@ pub mod phase;
 pub use doubling::{prefix_doubling_cordon, DoublingStats};
 pub use explicit::{EdgeWeightedDag, Objective};
 pub use phase::{
-    run_phase_parallel, try_run_phase_parallel, try_run_phase_parallel_with_budget, EitherCordon,
-    FrontierArena, PhaseParallel, StallError, STALL_BUDGET_MSG, STALL_NO_PROGRESS_MSG,
+    run_phase_parallel, try_run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel,
+    StallError, STALL_BUDGET_MSG, STALL_NO_PROGRESS_MSG,
 };

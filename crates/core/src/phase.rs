@@ -18,49 +18,17 @@
 //!
 //! [`run_phase_parallel`] panics on a stall (the historical behaviour, now
 //! with a typed message constant); [`try_run_phase_parallel`] returns the
-//! error for callers that want to handle it.  The loop runs no grain code:
+//! error for callers that want to handle it.  The loop holds no scratch and
+//! runs no grain code: instances own the buffers their rounds reuse, and
 //! rounds size their loops by the fixed [`pardp_parutils::round_min_grain`].
 
 use pardp_parutils::MetricsCollector;
 
-/// Reusable per-round scratch storage owned by the phase-parallel driver.
-///
-/// Cordon instances that build an explicit frontier or stage per-round rows
-/// would otherwise allocate a fresh `Vec` every round.  The driver owns one
-/// arena per run and threads it through [`PhaseParallel::round_with`];
-/// instances that opt in build the frontier in [`FrontierArena::next_mut`]
-/// or stage two packed words per element in [`FrontierArena::pairs_mut`].
-/// Buffers are `clear()`-ed, never shrunk, so after the first few rounds
-/// reach the high-water mark the driver loop performs zero heap allocation
-/// per round (asserted by the counting-allocator test in
-/// `tests/alloc_counting.rs`).
-#[derive(Debug, Default)]
-pub struct FrontierArena {
-    next: Vec<usize>,
-    pairs: Vec<(u64, u64)>,
-}
-
-impl FrontierArena {
-    /// Empty arena; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cleared buffer for building this round's frontier (capacity retained).
-    pub fn next_mut(&mut self) -> &mut Vec<usize> {
-        self.next.clear();
-        &mut self.next
-    }
-
-    /// Cleared `(u64, u64)` scratch row (capacity retained), for rounds that
-    /// stage two packed words per frontier element via `collect_into_vec` —
-    /// e.g. the HLD Tree-GLWS settle phase stages each node's prepared
-    /// envelope push here before committing them in order.
-    pub fn pairs_mut(&mut self) -> &mut Vec<(u64, u64)> {
-        self.pairs.clear();
-        &mut self.pairs
-    }
-}
+/// Empty, and named only by [`PhaseParallel::round_with`]: instances own
+/// their round scratch.  Kept only because perfbench's `Timed` adapter names
+/// it; ROADMAP direction 8 deletes it with `round_with` and `GrainPolicy`.
+#[derive(Debug)]
+pub struct FrontierArena;
 
 /// Panic/format prefix used when a cordon round makes no progress.  Exposed as
 /// a constant so tests and callers match on the type's message rather than a
@@ -82,7 +50,7 @@ pub enum StallError {
         rounds_completed: u64,
     },
     /// The instance executed more rounds than its declared
-    /// [`PhaseParallel::round_budget`] (or the caller-supplied override).
+    /// [`PhaseParallel::round_budget`].
     BudgetExhausted {
         /// The budget that was exceeded.
         budget: u64,
@@ -129,7 +97,8 @@ pub trait PhaseParallel {
     /// Execute one cordon round: identify the frontier, finalize it, update
     /// the auxiliary structures.  Returns the number of states finalized in
     /// this round (the frontier size), which must be positive while
-    /// [`PhaseParallel::is_done`] is false.
+    /// [`PhaseParallel::is_done`] is false.  The driver calls only this
+    /// method; an instance keeps the scratch its rounds reuse in its fields.
     ///
     /// Fine-grained work counters (edges, probes, wasted states) are added
     /// to `metrics` on the calling thread, after the round's parallel loops
@@ -139,10 +108,9 @@ pub trait PhaseParallel {
     /// duplicated here.
     fn round(&mut self, metrics: &MetricsCollector) -> usize;
 
-    /// Like [`PhaseParallel::round`], with access to the driver's reusable
-    /// [`FrontierArena`].  Instances whose rounds build explicit frontiers or
-    /// per-round DP rows override this to stage them in the arena's buffers
-    /// instead of allocating; the default simply delegates to `round`.
+    /// Calls [`PhaseParallel::round`]; the driver never calls this.  Kept
+    /// only because perfbench's `Timed` adapter overrides it; ROADMAP
+    /// direction 8 deletes it with [`FrontierArena`].
     fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
         let _ = arena;
         self.round(metrics)
@@ -169,8 +137,8 @@ pub trait PhaseParallel {
 /// Tree-GLWS router, which probes the tree and chooses between the
 /// `O(n·h)` baseline cordon and the heavy-light envelope cordon — return
 /// this combinator so the choice stays a value the caller can hand to any
-/// driver (`run_phase_parallel`, the facade's `CordonSolver`, budget-guarded
-/// variants) without boxing or dynamic dispatch.
+/// driver (`run_phase_parallel`, `try_run_phase_parallel`, the facade's
+/// `CordonSolver`) without boxing or dynamic dispatch.
 #[derive(Debug)]
 pub enum EitherCordon<A, B> {
     /// The first alternative.
@@ -197,13 +165,6 @@ where
         match self {
             EitherCordon::First(a) => a.round(metrics),
             EitherCordon::Second(b) => b.round(metrics),
-        }
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-        match self {
-            EitherCordon::First(a) => a.round_with(metrics, arena),
-            EitherCordon::Second(b) => b.round_with(metrics, arena),
         }
     }
 
@@ -249,30 +210,15 @@ pub fn run_phase_parallel<P: PhaseParallel>(instance: P, metrics: &MetricsCollec
 /// Like [`run_phase_parallel`] but returns a typed [`StallError`] instead of
 /// panicking, using the instance's own [`PhaseParallel::round_budget`].
 pub fn try_run_phase_parallel<P: PhaseParallel>(
-    instance: P,
-    metrics: &MetricsCollector,
-) -> Result<P::Output, StallError> {
-    try_run_phase_parallel_with_budget(instance, metrics, None)
-}
-
-/// Like [`try_run_phase_parallel`] with an additional caller-supplied round
-/// budget; the effective budget is the tighter of the override and the
-/// instance's own hint.
-pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
     mut instance: P,
     metrics: &MetricsCollector,
-    budget_override: Option<u64>,
 ) -> Result<P::Output, StallError> {
-    let budget = match (budget_override, instance.round_budget()) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
+    let budget = instance.round_budget();
     if let Some(budget) = budget {
         // Pre-size the frontier log so `record_round` never allocates inside
         // the round loop.
         metrics.reserve_rounds(budget as usize);
     }
-    let mut arena = FrontierArena::new();
     let mut rounds: u64 = 0;
     let mut states: u64 = 0;
     while !instance.is_done() {
@@ -284,7 +230,7 @@ pub fn try_run_phase_parallel_with_budget<P: PhaseParallel>(
                 });
             }
         }
-        let frontier = instance.round_with(metrics, &mut arena);
+        let frontier = instance.round(metrics);
         if frontier == 0 {
             return Err(StallError::NoProgress {
                 rounds_completed: rounds,
@@ -302,7 +248,8 @@ mod tests {
     use super::*;
     use pardp_parutils::MetricsCollector;
 
-    /// Toy instance: counts down `remaining` in frontier chunks of `step`.
+    /// Toy instance: counts down `remaining` in frontier chunks of `step`,
+    /// with a budget of exactly the rounds that takes.
     struct Countdown {
         remaining: usize,
         step: usize,
@@ -324,7 +271,7 @@ mod tests {
             self.finalized
         }
         fn round_budget(&self) -> Option<u64> {
-            Some(self.remaining as u64)
+            Some(self.remaining.div_ceil(self.step) as u64)
         }
     }
 
@@ -434,94 +381,16 @@ mod tests {
     }
 
     #[test]
-    fn caller_budget_override_tightens_the_instance_hint() {
-        let metrics = MetricsCollector::new();
-        let err = try_run_phase_parallel_with_budget(Spinner, &metrics, Some(4)).unwrap_err();
-        assert_eq!(
-            err,
-            StallError::BudgetExhausted {
-                budget: 4,
-                states_finalized: 4
-            }
-        );
-        // A loose override keeps the instance's own (tighter) budget.
-        let metrics = MetricsCollector::new();
-        let err = try_run_phase_parallel_with_budget(Spinner, &metrics, Some(1000)).unwrap_err();
-        assert_eq!(
-            err,
-            StallError::BudgetExhausted {
-                budget: 16,
-                states_finalized: 16
-            }
-        );
-    }
-
-    /// Stages a shrinking row in the driver's arena every round and checks
-    /// that each round gets the buffer back cleared, with the first round's
-    /// capacity retained.
-    struct ArenaUser {
-        remaining: usize,
-        cap_high_water: usize,
-    }
-
-    impl PhaseParallel for ArenaUser {
-        type Output = usize;
-        fn is_done(&self) -> bool {
-            self.remaining == 0
-        }
-        fn round(&mut self, _metrics: &MetricsCollector) -> usize {
-            unreachable!("the driver must call round_with, not round")
-        }
-        fn round_with(&mut self, _metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-            let rows = arena.pairs_mut();
-            assert!(rows.is_empty(), "pairs_mut hands out a cleared buffer");
-            assert!(
-                rows.capacity() >= self.cap_high_water,
-                "arena buffers must never shrink"
-            );
-            rows.extend((0..16 * self.remaining as u64).map(|i| (i, i)));
-            self.cap_high_water = rows.capacity();
-            let f = self.remaining.min(3);
-            self.remaining -= f;
-            f
-        }
-        fn finish(self) -> usize {
-            self.cap_high_water
-        }
-        fn round_budget(&self) -> Option<u64> {
-            Some(self.remaining as u64)
-        }
-    }
-
-    #[test]
-    fn driver_threads_the_arena_through_round_with() {
-        // 10 states in rounds of at most 3, staging 160, 112, 64 and 16 rows:
-        // a freshly allocated buffer in a later round would fail the
-        // capacity assertion inside `round_with`.
-        let metrics = MetricsCollector::new();
-        let cap = run_phase_parallel(
-            ArenaUser {
-                remaining: 10,
-                cap_high_water: 0,
-            },
-            &metrics,
-        );
-        assert!(cap >= 160);
-        assert_eq!(metrics.snapshot().rounds, 4);
-    }
-
-    #[test]
     fn budget_equal_to_needed_rounds_succeeds() {
+        // `Countdown`'s budget is exactly the rounds it needs: 9 / 3.
+        let countdown = Countdown {
+            remaining: 9,
+            step: 3,
+            finalized: 0,
+        };
+        assert_eq!(countdown.round_budget(), Some(3));
         let metrics = MetricsCollector::new();
-        let out = try_run_phase_parallel_with_budget(
-            Countdown {
-                remaining: 9,
-                step: 3,
-                finalized: 0,
-            },
-            &metrics,
-            Some(3),
-        );
-        assert_eq!(out, Ok(9));
+        assert_eq!(try_run_phase_parallel(countdown, &metrics), Ok(9));
+        assert_eq!(metrics.snapshot().rounds, 3);
     }
 }

@@ -50,9 +50,10 @@
 //! `EitherCordon` combinator exactly like the Tree-GLWS shape router;
 //! [`crate::parallel_oat`] runs its choice.
 
-use pardp_core::{EitherCordon, FrontierArena, PhaseParallel};
+use pardp_core::{EitherCordon, PhaseParallel};
 use pardp_obst::ObstCordon;
-use pardp_parutils::{par_map, MetricsCollector};
+use pardp_parutils::{round_min_grain, MetricsCollector};
+use rayon::prelude::*;
 
 /// Cost and per-leaf depths of an optimal alphabetic tree — the common
 /// output of the valley and interval OAT cordons (the driver owns the
@@ -141,6 +142,9 @@ pub struct ValleyOatCordon {
     children: Vec<(isize, isize)>,
     threshold: u64,
     stitched: Vec<Item>,
+    /// Reused per-round run list: `((lo << 32) | hi, left wall weight)` per
+    /// maximal nondecreasing run.
+    runs: Vec<(u64, u64)>,
 }
 
 impl ValleyOatCordon {
@@ -162,6 +166,7 @@ impl ValleyOatCordon {
             children: Vec::with_capacity(n.saturating_sub(1)),
             threshold: 0,
             stitched: Vec::with_capacity(n),
+            runs: Vec::new(),
         }
     }
 }
@@ -174,10 +179,6 @@ impl PhaseParallel for ValleyOatCordon {
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        self.round_with(metrics, &mut FrontierArena::new())
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
         let n_now = self.seq.len();
         debug_assert!(n_now >= 2);
 
@@ -198,9 +199,10 @@ impl PhaseParallel for ValleyOatCordon {
         self.threshold = (self.threshold.saturating_mul(2)).max(min_sum.next_power_of_two());
         let t = self.threshold;
 
-        // Maximal nondecreasing runs (the ascending valley slopes), staged in
-        // the driver's arena as ((lo << 32) | hi, wall-weight) pairs.
-        let runs = arena.pairs_mut();
+        // Maximal nondecreasing runs (the ascending valley slopes), listed in
+        // the reused run buffer.
+        let runs = &mut self.runs;
+        runs.clear();
         let mut lo = 0usize;
         for p in 1..n_now {
             if self.seq[p].weight < self.seq[p - 1].weight {
@@ -225,12 +227,15 @@ impl PhaseParallel for ValleyOatCordon {
         // Parallel phase: independent Garsia–Wachs combines per run.
         let round_base = self.children.len();
         let seq_ref = &self.seq;
-        let runs_ref: &[(u64, u64)] = runs;
-        let outs: Vec<RunOut> = par_map(runs_ref.len(), |r| {
-            let (packed, wall) = runs_ref[r];
-            let (lo, hi) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
-            run_combines(&seq_ref[lo..hi], wall, t, round_base)
-        });
+        let outs: Vec<RunOut> = self
+            .runs
+            .par_iter()
+            .map(|&(packed, wall)| {
+                let (lo, hi) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
+                run_combines(&seq_ref[lo..hi], wall, t, round_base)
+            })
+            .with_min_len(round_min_grain(self.runs.len()))
+            .collect();
 
         // Merge: append local l-tree nodes (remapping run-local references)
         // and stitch the leftover items back into one sequence.
@@ -368,10 +373,6 @@ impl PhaseParallel for IntervalOatCordon {
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
         self.inner.round(metrics)
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-        self.inner.round_with(metrics, arena)
     }
 
     fn finish(self) -> OatLayout {

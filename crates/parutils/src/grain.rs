@@ -29,11 +29,17 @@ const GRAINS_PER_THREAD: usize = 2;
 /// and pays real scheduling cost — oversubscribed workers only add context
 /// switches on the critical path.
 pub fn effective_parallelism() -> usize {
+    let threads = rayon::current_num_threads().max(1);
+    if threads == 1 {
+        // No hardware probe: one thread is one thread on any host.
+        return 1;
+    }
     // Cached: `available_parallelism()` probes cgroup files on Linux, which
-    // allocates — the sub-cutoff fast path must stay allocation-free.
+    // allocates.  Only the first multi-thread call in a process probes, so
+    // no grain decision at one thread allocates, not even a process's first.
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    rayon::current_num_threads().max(1).min(hw)
+    threads.min(hw)
 }
 
 /// The `with_min_len` value for a parallel loop over `len` items in a round
@@ -53,8 +59,9 @@ fn min_grain_for(len: usize, threads: usize) -> usize {
 }
 
 /// A grain policy with nothing to tune, since [`round_min_grain`] keeps no
-/// history.  Kept so that code written against the former per-round policy
-/// still builds: [`GrainPolicy::observe`] ignores its frontier.
+/// history: [`GrainPolicy::observe`] ignores its frontier.  Kept only because
+/// perfbench calls it and [`with_grain_policy`]; ROADMAP direction 8 deletes
+/// both.
 #[derive(Debug, Default)]
 pub struct GrainPolicy;
 

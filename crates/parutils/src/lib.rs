@@ -27,4 +27,4 @@ pub mod par;
 
 pub use grain::{effective_parallelism, round_min_grain, with_grain_policy, GrainPolicy};
 pub use metrics::{Metrics, MetricsCollector};
-pub use par::{maybe_join, par_map, with_threads, SEQ_CUTOFF};
+pub use par::{maybe_join, with_threads, SEQ_CUTOFF};

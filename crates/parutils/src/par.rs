@@ -6,8 +6,6 @@
 //! over the sequential baselines on small inputs (this is the usual ParlayLib
 //! granularity-control idiom the paper's implementation relies on).
 
-use rayon::prelude::*;
-
 /// Problem size below which parallel helpers fall back to sequential code.
 ///
 /// The value is deliberately conservative: a rayon task spawn costs on the
@@ -35,24 +33,6 @@ where
     }
 }
 
-/// Map `f` over `0..n` in parallel, producing a `Vec` of the results.
-///
-/// Equivalent to ParlayLib's `tabulate`.  Falls back to a sequential loop for
-/// small `n`.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync + Send,
-{
-    if n < SEQ_CUTOFF {
-        (0..n).map(f).collect()
-    } else {
-        // Pass by reference: `&F` is `Fn` and trivially `Clone`, so the
-        // producer can split without requiring `F: Clone` in our public API.
-        (0..n).into_par_iter().map(&f).collect()
-    }
-}
-
 /// Run `f` inside a dedicated rayon pool with `threads` worker threads.
 ///
 /// The benchmark harness uses this to produce the "Ours" vs "Ours (1 thread)"
@@ -75,6 +55,7 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::prelude::*;
 
     #[test]
     fn maybe_join_runs_both_closures_small() {
@@ -88,20 +69,6 @@ mod tests {
         let (a, b) = maybe_join(SEQ_CUTOFF * 2, || vec![1u8; 8], || 7usize);
         assert_eq!(a.len(), 8);
         assert_eq!(b, 7);
-    }
-
-    #[test]
-    fn par_map_matches_sequential_map() {
-        let n = 10_000;
-        let got = par_map(n, |i| i * i);
-        let want: Vec<usize> = (0..n).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let got: Vec<u32> = par_map(0, |_| unreachable!());
-        assert!(got.is_empty());
     }
 
     #[test]

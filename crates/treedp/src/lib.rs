@@ -44,7 +44,7 @@ mod envelope;
 
 use envelope::{EnvelopeArena, NO_ENTRY};
 use hld::HeavyLightDecomposition;
-use pardp_core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
+use pardp_core::{run_phase_parallel, EitherCordon, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
@@ -497,6 +497,9 @@ pub struct HldTreeGlwsCordon<'a, W, E> {
     version: Vec<u32>,
     /// Reused per-round result buffer, sized for the widest level.
     scratch: Vec<(usize, i64, usize, u64, u64)>,
+    /// Reused per-round prepared envelope pushes, `(below << 32 | evals,
+    /// key)` per node, sized for the widest level.
+    preps: Vec<(u64, u64)>,
 }
 
 impl<'a, W, E> HldTreeGlwsCordon<'a, W, E>
@@ -543,6 +546,7 @@ where
             tops,
             version,
             scratch: Vec::with_capacity(widest),
+            preps: Vec::with_capacity(widest),
         }
     }
 }
@@ -560,13 +564,6 @@ where
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        // Delegate through `round_with` so both driver entry points share one
-        // round body; a caller-less arena only costs its first-use growth.
-        let mut arena = FrontierArena::new();
-        self.round_with(metrics, &mut arena)
-    }
-
-    fn round_with(&mut self, metrics: &MetricsCollector, frontier: &mut FrontierArena) -> usize {
         let inst = self.inst;
         let level = &self.levels[self.next_level];
         let (arena, hld, d_ref, version) = (&self.arena, &self.hld, &self.d, &self.version);
@@ -611,13 +608,9 @@ where
         // distinct heavy paths and every `tops[head]` read here is stable for
         // the whole round — each prepare computes exactly the pops and
         // takeover key the sequential push loop would have, independently of
-        // the others.  The prepared pushes are staged in the driver arena's
-        // pair buffer, `(below | evals, key)` packed per node, sized on first
-        // use for the widest level like `results`.
+        // the others.  The prepared pushes are staged in `preps`.
         let (arena, hld, d_ref, tops) = (&self.arena, &self.hld, &self.d, &self.tops);
         let f = |u: usize, x: u64| (inst.e)(d_ref[u], u) + (inst.w)(inst.dist[u], x);
-        let preps = frontier.pairs_mut();
-        preps.reserve(results.capacity());
         results
             .par_iter()
             .map(|&(v, ..)| {
@@ -627,12 +620,12 @@ where
                 (((below as u64) << 32) | evals, key)
             })
             .with_min_len(round_min_grain(results.len()))
-            .collect_into_vec(preps);
+            .collect_into_vec(&mut self.preps);
         // Commit half (sequential, in level order): appending the prepared
         // entries in the same fixed order the sequential loop used yields a
         // bit-identical arena layout at O(log) words per node, so results are
         // deterministic at any thread count.
-        for (&(v, ..), &(packed, key)) in results.iter().zip(preps.iter()) {
+        for (&(v, ..), &(packed, key)) in results.iter().zip(&self.preps) {
             let entry = self.arena.commit_push((packed >> 32) as u32, v, key);
             let h = self.hld.head[v];
             self.tops[h] = entry;
@@ -940,16 +933,15 @@ mod tests {
     }
 
     #[test]
-    fn hld_stalls_on_an_impossible_round_budget() {
-        use pardp_core::{try_run_phase_parallel_with_budget, StallError};
+    fn hld_round_budget_equals_the_rounds_it_runs() {
+        // The budget the driver arms is the tree height, with no slack: one
+        // round fewer would trip the stall guard.
         let (parent, lens) = random_tree(100, 80, 3);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let metrics = MetricsCollector::new();
         let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
-        let height = cordon.round_budget().unwrap();
-        assert!(height > 1);
-        let err =
-            try_run_phase_parallel_with_budget(cordon, &metrics, Some(height - 1)).unwrap_err();
-        assert!(matches!(err, StallError::BudgetExhausted { budget, .. } if budget == height - 1));
+        let budget = cordon.round_budget();
+        let r = solve(cordon);
+        assert!(r.metrics.rounds > 1);
+        assert_eq!(budget, Some(r.metrics.rounds));
     }
 }

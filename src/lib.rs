@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pardp_core::{try_run_phase_parallel_with_budget, PhaseParallel, StallError};
+use pardp_core::{try_run_phase_parallel, PhaseParallel, StallError};
 use pardp_parutils::{Metrics, MetricsCollector};
 
 pub use pardp_core as core;
@@ -48,7 +48,7 @@ pub use pardp_treedp as treedp;
 pub use pardp_workloads as workloads;
 
 /// Unified entry point for running any [`PhaseParallel`] instance through the
-/// shared cordon engine, with optional round-budget tightening.
+/// shared cordon engine, returning its output with the run's metrics.
 ///
 /// Every parallel algorithm in the workspace is an instance of the same
 /// engine; this solver makes that explicit at the facade level:
@@ -75,10 +75,11 @@ pub use pardp_workloads as workloads;
 /// probe).  To run one arm of a router, hand the solver that arm's cordon:
 /// `ValleyOatCordon`, `IntervalOatCordon`, `HldTreeGlwsCordon` or
 /// `TreeGlwsCordon`.
+///
+/// Each run is guarded by the instance's own
+/// [`PhaseParallel::round_budget`] and by the driver's progress check.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CordonSolver {
-    round_budget: Option<u64>,
-}
+pub struct CordonSolver;
 
 /// Output of a [`CordonSolver`] run: the instance's result plus the engine's
 /// round/work telemetry.
@@ -91,17 +92,9 @@ pub struct CordonOutcome<T> {
 }
 
 impl CordonSolver {
-    /// Solver with no caller-side budget (instances still enforce their own).
+    /// The solver; it has no settings.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tighten the stall guard: abort any run exceeding `rounds` rounds, even
-    /// if the instance's own budget is looser.
-    pub fn with_round_budget(rounds: u64) -> Self {
-        CordonSolver {
-            round_budget: Some(rounds),
-        }
+        CordonSolver
     }
 
     /// Run `instance` to completion.
@@ -109,7 +102,7 @@ impl CordonSolver {
     /// # Panics
     ///
     /// Panics with the typed stall message if the instance stalls or exceeds
-    /// the round budget (see `pardp_core::StallError`).
+    /// its round budget (see `pardp_core::StallError`).
     pub fn run<P: PhaseParallel>(&self, instance: P) -> CordonOutcome<P::Output> {
         match self.try_run(instance) {
             Ok(outcome) => outcome,
@@ -129,7 +122,7 @@ impl CordonSolver {
         instance: P,
     ) -> Result<CordonOutcome<P::Output>, StallError> {
         let metrics = MetricsCollector::new();
-        let output = try_run_phase_parallel_with_budget(instance, &metrics, self.round_budget)?;
+        let output = try_run_phase_parallel(instance, &metrics)?;
         Ok(CordonOutcome {
             output,
             metrics: metrics.snapshot(),
@@ -144,8 +137,8 @@ impl CordonSolver {
 pub mod prelude {
     pub use crate::{CordonOutcome, CordonSolver};
     pub use pardp_core::{
-        prefix_doubling_cordon, run_phase_parallel, try_run_phase_parallel,
-        try_run_phase_parallel_with_budget, EitherCordon, PhaseParallel, StallError,
+        prefix_doubling_cordon, run_phase_parallel, try_run_phase_parallel, EitherCordon,
+        PhaseParallel, StallError,
     };
     pub use pardp_gap::{
         convex_gap_instance, parallel_gap, sequential_gap, GapInstance, PackedGapCordon,

@@ -34,9 +34,10 @@
 //!   `MetricsCollector::reserve_rounds` and runs no grain code between
 //!   rounds: round code sizes its loops by a fixed rule with no state.
 //!
-//! The OBST test first drives an `ObstCordon` by hand the way
-//! `run_phase_parallel` does, then runs one through `run_phase_parallel`
-//! itself (so the `round_with` path is covered too).
+//! The OBST test and the HLD Tree-GLWS test first drive their cordon by
+//! hand, calling `round` the way `run_phase_parallel` does, so a round's
+//! scratch must be the cordon's own, then run one through
+//! `run_phase_parallel` itself (so the frontier log is covered too).
 //! The staircase test runs `LisCordon` on a dense-round and a sparse-round
 //! input and `LcsCordon` on a Fig. 6 shape through the driver, a second
 //! staircase test runs `LcsCordon` at 2 threads on rounds too narrow to
@@ -66,7 +67,7 @@
 //! allocator counts per thread: sibling tests and the test harness, running
 //! on other threads, cannot pollute a measurement.
 
-use parallel_dp::core::{run_phase_parallel, EitherCordon, FrontierArena, PhaseParallel};
+use parallel_dp::core::{run_phase_parallel, EitherCordon, PhaseParallel};
 use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
 use parallel_dp::glws::{
     naive_kglws, sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
@@ -192,10 +193,6 @@ impl<P: PhaseParallel> PhaseParallel for AllocationProbe<P> {
         self.step(|inner| inner.round(metrics))
     }
 
-    fn round_with(&mut self, metrics: &MetricsCollector, arena: &mut FrontierArena) -> usize {
-        self.step(|inner| inner.round_with(metrics, arena))
-    }
-
     fn finish(self) -> Self::Output {
         let after = allocations();
         #[expect(
@@ -245,6 +242,40 @@ fn run_allocation_free<P: PhaseParallel>(name: &str, cordon: P) -> (P::Output, u
     (output, rounds)
 }
 
+/// Drive `cordon` to completion by hand, calling `round` the way
+/// `run_phase_parallel` does, and return the allocations its rounds made
+/// after warm-up round [`WARM_UP_ROUNDS`] and the number of rounds after it.
+fn steady_allocations_by_hand<P: PhaseParallel>(
+    cordon: &mut P,
+    metrics: &MetricsCollector,
+) -> (u64, usize) {
+    // Mirror the driver: pre-size the frontier log for the full budget.
+    if let Some(budget) = cordon.round_budget() {
+        metrics.reserve_rounds(budget as usize);
+    }
+
+    // Warm-up: a few rounds to fault in any lazy state.
+    let mut rounds = 0;
+    while !cordon.is_done() && rounds < WARM_UP_ROUNDS {
+        let frontier = cordon.round(metrics);
+        metrics.record_round(frontier as u64);
+        rounds += 1;
+    }
+    assert!(
+        !cordon.is_done(),
+        "instance too small to measure steady state"
+    );
+
+    // Steady state: every remaining round must leave the counter alone.
+    let before = allocations();
+    while !cordon.is_done() {
+        let frontier = cordon.round(metrics);
+        metrics.record_round(frontier as u64);
+        rounds += 1;
+    }
+    (allocations() - before, rounds - WARM_UP_ROUNDS)
+}
+
 #[test]
 fn obst_rounds_allocate_nothing_after_warm_up() {
     let n = 256;
@@ -254,48 +285,23 @@ fn obst_rounds_allocate_nothing_after_warm_up() {
     with_threads(1, || {
         let metrics = MetricsCollector::new();
         let mut cordon = ObstCordon::new(&weights);
-        // Mirror the driver: pre-size the frontier log for the full budget.
-        let budget = cordon.round_budget().expect("obst declares a budget") as usize;
-        metrics.reserve_rounds(budget);
-
-        // Warm-up: a few rounds to fault in any lazy state.
-        let mut rounds = 0;
-        while !cordon.is_done() && rounds < WARM_UP_ROUNDS {
-            let frontier = cordon.round(&metrics);
-            metrics.record_round(frontier as u64);
-            rounds += 1;
-        }
-        assert!(
-            !cordon.is_done(),
-            "instance too small to measure steady state"
-        );
-
-        // Steady state: every remaining round must leave the counter alone.
-        let before = allocations();
-        while !cordon.is_done() {
-            let frontier = cordon.round(&metrics);
-            metrics.record_round(frontier as u64);
-            rounds += 1;
-        }
-        let after = allocations();
+        let budget = cordon.round_budget().expect("obst declares a budget");
+        let (steady, steady_rounds) = steady_allocations_by_hand(&mut cordon, &metrics);
         assert_eq!(
-            after - before,
-            0,
-            "cordon rounds allocated {} times over {} steady-state rounds",
-            after - before,
-            rounds - WARM_UP_ROUNDS
+            steady, 0,
+            "cordon rounds allocated {steady} times over {steady_rounds} steady-state rounds"
         );
 
         // The run still computes the right answer.
         let tables = cordon.finish();
         assert_eq!(tables.cost(), expected);
-        assert_eq!(metrics.snapshot().rounds, budget as u64);
+        assert_eq!(metrics.snapshot().rounds, budget);
 
-        // Through the driver: the `round_with` dispatch and the frontier log
-        // must not allocate either.
+        // Through the driver: the round loop and the frontier log must not
+        // allocate either.
         let (tables, rounds) = run_allocation_free("OBST", ObstCordon::new(&weights));
         assert_eq!(tables.cost(), expected);
-        assert_eq!(rounds, budget as u64);
+        assert_eq!(rounds, budget);
     });
 }
 
@@ -463,7 +469,8 @@ fn packed_gap_rounds_allocate_nothing_after_warm_up() {
 #[test]
 fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
     // Levels widen and narrow along the caterpillar's legs; a path has one
-    // node per level.
+    // node per level.  Each shape runs by hand first, where no driver lends
+    // the rounds a buffer, then through the driver.
     let shapes = [
         ("caterpillar", workloads::caterpillar_tree(3_000, 1_500, 29)),
         ("path", workloads::path_tree(2_000)),
@@ -479,6 +486,21 @@ fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
         let want = naive_tree_glws(&inst);
 
         with_threads(1, || {
+            let metrics = MetricsCollector::new();
+            let mut cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+            let (steady, steady_rounds) = steady_allocations_by_hand(&mut cordon, &metrics);
+            assert_eq!(
+                steady, 0,
+                "{name}: rounds driven by hand allocated {steady} times over {steady_rounds} \
+                 steady-state rounds"
+            );
+            let (d, best) = cordon.finish();
+            assert_eq!(
+                (d, best),
+                (want.d.clone(), want.best.clone()),
+                "{name} by hand"
+            );
+
             let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
             let ((d, best), _) = run_allocation_free(name, cordon);
             assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
@@ -578,10 +600,10 @@ fn routed_cordons_allocate_nothing_after_warm_up() {
 #[test]
 fn valley_oat_round_allocations_do_not_grow() {
     // A ratchet, not the zero-allocation contract: every valley round still
-    // collects its runs' outputs through `par_map`.  The bound is the count
+    // collects its runs' outputs into a fresh `Vec`.  The bound is the count
     // its 16 rounds made when the test was written, the same in release and
     // debug builds (24 of them fall after warm-up).  An allocation added to
-    // a round, in its body or behind `par_map` or `run_combines`, fails the
+    // a round, in its body, its `collect` or `run_combines`, fails the
     // test.  Staging each run's output in buffers the cordon owns (ROADMAP
     // direction 5b) lowers the bound to 0.
     const MOST_ALLOCATIONS: u64 = 13_259;

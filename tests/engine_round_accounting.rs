@@ -155,20 +155,64 @@ fn kglws_frontier_sizes_are_the_layer_widths() {
     assert_eq!(r.metrics.frontier_sizes, vec![100, 99, 98]);
 }
 
-#[test]
-fn cordon_solver_budget_override_trips_the_typed_stall_guard() {
-    let a = workloads::lis_with_length(1_000, 50, 2);
-    // 50 rounds are needed; a budget of 10 must fail with the typed error.
-    let err = CordonSolver::with_round_budget(10)
-        .try_run(LisCordon::new(&a))
-        .unwrap_err();
-    match err {
-        StallError::BudgetExhausted { budget, .. } => assert_eq!(budget, 10),
-        other => panic!("expected BudgetExhausted, got {other:?}"),
+/// Claims one state every round and is never done, so only its budget of
+/// 10 rounds stops it.
+struct Spinner;
+
+impl PhaseParallel for Spinner {
+    type Output = ();
+    fn is_done(&self) -> bool {
+        false
     }
-    // A budget of exactly 50 succeeds.
-    let run = CordonSolver::with_round_budget(50).run(LisCordon::new(&a));
-    assert_eq!(run.metrics.rounds, 50);
+    fn round(&mut self, _metrics: &MetricsCollector) -> usize {
+        1
+    }
+    fn finish(self) {}
+    fn round_budget(&self) -> Option<u64> {
+        Some(10)
+    }
+}
+
+/// Finalizes one state in each of its first 3 rounds, then none.
+struct Stalls {
+    rounds: u64,
+}
+
+impl PhaseParallel for Stalls {
+    type Output = ();
+    fn is_done(&self) -> bool {
+        false
+    }
+    fn round(&mut self, _metrics: &MetricsCollector) -> usize {
+        self.rounds += 1;
+        usize::from(self.rounds <= 3)
+    }
+    fn finish(self) {}
+}
+
+#[test]
+fn cordon_solver_budget_trips_the_typed_stall_guard() {
+    let err = CordonSolver::new().try_run(Spinner).unwrap_err();
+    assert_eq!(
+        err,
+        StallError::BudgetExhausted {
+            budget: 10,
+            states_finalized: 10
+        }
+    );
+}
+
+#[test]
+fn cordon_solver_no_progress_trips_the_typed_stall_guard() {
+    let err = CordonSolver::new()
+        .try_run(Stalls { rounds: 0 })
+        .unwrap_err();
+    assert_eq!(
+        err,
+        StallError::NoProgress {
+            rounds_completed: 3
+        }
+    );
 }
 
 #[test]
@@ -188,15 +232,11 @@ fn hld_tree_cordon_budget_equals_height_through_the_driver() {
         },
         |d, _| d,
     );
-    let run = CordonSolver::new().run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+    let budget = cordon.round_budget();
+    let run = CordonSolver::new().run(cordon);
     assert_frontier_telemetry_consistent(&run.metrics);
-    let err = CordonSolver::with_round_budget(run.metrics.rounds / 2)
-        .try_run(HldTreeGlwsCordon::new(&inst, CostShape::Convex))
-        .unwrap_err();
-    match err {
-        StallError::BudgetExhausted { budget, .. } => assert_eq!(budget, run.metrics.rounds / 2),
-        other => panic!("expected BudgetExhausted, got {other:?}"),
-    }
+    assert_eq!(budget, Some(run.metrics.rounds));
 }
 
 #[test]
@@ -206,7 +246,9 @@ fn valley_oat_cordon_budget_and_router_through_the_driver() {
     // solver must run it — and the size-routed EitherCordon — like any
     // other instance.
     let w = workloads::valley_weights(3_000, 1 << 14, 4);
-    let run = CordonSolver::new().run(ValleyOatCordon::new(&w));
+    let cordon = ValleyOatCordon::new(&w);
+    let budget = cordon.round_budget();
+    let run = CordonSolver::new().run(cordon);
     assert_frontier_telemetry_consistent(&run.metrics);
     assert_eq!(run.metrics.states_finalized, 2_999);
     assert!(
@@ -216,18 +258,17 @@ fn valley_oat_cordon_budget_and_router_through_the_driver() {
     );
     assert_eq!(run.output.cost, interval_dp_oat(&w));
 
+    // The doubling bound is not tight: 29 rounds here against 21 run.
+    let budget = budget.expect("the valley cordon declares a budget");
+    assert!(
+        run.metrics.rounds <= budget && budget < 60,
+        "budget {budget} must bound the {} rounds, far below n - 1",
+        run.metrics.rounds
+    );
+
     let routed = CordonSolver::new().run(oat_cordon_auto(&w));
     assert_eq!(routed.output, run.output);
     assert_eq!(routed.metrics.rounds, run.metrics.rounds);
-
-    // An impossible budget trips the typed stall guard, not a panic.
-    let err = CordonSolver::with_round_budget(1)
-        .try_run(ValleyOatCordon::new(&w))
-        .unwrap_err();
-    match err {
-        StallError::BudgetExhausted { budget, .. } => assert_eq!(budget, 1),
-        other => panic!("expected BudgetExhausted, got {other:?}"),
-    }
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //! path: once scratch buffers have reached their high-water mark, a sub-grain
 //! `collect_into_vec` round performs **zero** heap allocations, and it never
 //! synchronizes with the pool (zero injector pushes, zero worker wakeups).
+//! It first pins that at one thread deciding a grain allocates nothing, not
+//! even the first time in a process.
 //!
 //! Lives in its own integration-test binary (like `alloc_counting.rs`) so no
 //! sibling test thread can allocate concurrently and pollute the counter.
@@ -53,6 +55,21 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 #[test]
 fn seq_cutoff_path_is_allocation_and_synchronization_free() {
+    // At one thread no grain decision allocates, not even the process's
+    // first, which at more threads probes the host's parallelism once.  The
+    // cordons' allocation pins count every round at one thread from the
+    // first.
+    with_threads(1, || {
+        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let grain = round_min_grain(4 * SEQ_CUTOFF);
+        assert_eq!(
+            ALLOCATIONS.load(Ordering::Relaxed) - allocs_before,
+            0,
+            "a grain decision at one thread must not allocate"
+        );
+        assert_eq!(grain, 4 * SEQ_CUTOFF, "one thread runs one grain");
+    });
+
     let len = SEQ_CUTOFF - 1;
     let grain = round_min_grain(len);
     assert!(

@@ -15,6 +15,11 @@
 //!   counting allocator.  The benchmark is a workspace of its own, outside
 //!   the root `[workspace.lints]`, and its crate roots do not deny
 //!   `unsafe_code`.
+//! * The frozen names `round_with`, `FrontierArena`, `GrainPolicy` and
+//!   `with_grain_policy` appear in code only where they are defined and
+//!   re-exported.  They stay because perfbench, which changes only with the
+//!   benchmark (ROADMAP direction 8), still names them; nothing else may
+//!   start using them again.  Comments and strings do not count.
 //!
 //! The checks read lines, not tokens.  The code is rustfmt-formatted, so a
 //! `#[cfg(test)]` module ends at the first `}` at its own indentation.
@@ -22,6 +27,23 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Names kept only for perfbench, which still calls or implements them.
+const FROZEN_NAMES: [&str; 4] = [
+    "round_with",
+    "FrontierArena",
+    "GrainPolicy",
+    "with_grain_policy",
+];
+
+/// The modules that define the frozen names and the crate roots that
+/// re-export them.
+const FROZEN_HOMES: [&str; 4] = [
+    "crates/core/src/phase.rs",
+    "crates/core/src/lib.rs",
+    "crates/parutils/src/grain.rs",
+    "crates/parutils/src/lib.rs",
+];
 
 const ATOMIC_ORDERINGS: [&str; 5] = [
     "Ordering::Relaxed",
@@ -261,5 +283,40 @@ fn perfbench_keeps_unsafe_in_its_allocator() {
     assert!(
         in_allocator > 0,
         "the walk did not see perfbench's allocator"
+    );
+}
+
+#[test]
+fn frozen_names_stay_where_they_are_defined() {
+    let mut at_home = 0;
+    let mut elsewhere = Vec::new();
+    for dir in ["src", "crates", "tests", "examples"] {
+        for path in rust_files(&root().join(dir)).expect("walk the source tree") {
+            let rel = relative(&path);
+            if rel.starts_with("crates/compat/") {
+                continue;
+            }
+            let text = fs::read_to_string(&path).expect("read a source file");
+            for (i, line) in text.lines().enumerate() {
+                if !words(&code(line)).any(|word| FROZEN_NAMES.contains(&word)) {
+                    continue;
+                }
+                if FROZEN_HOMES.contains(&rel.as_str()) {
+                    at_home += 1;
+                } else {
+                    elsewhere.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        elsewhere.is_empty(),
+        "frozen names used outside the modules that define them (call `round` and \
+         `round_min_grain` instead):\n{}",
+        elsewhere.join("\n")
+    );
+    assert!(
+        at_home > 0,
+        "the walk did not see the frozen names' modules"
     );
 }

@@ -173,35 +173,18 @@ fn hld_work_is_near_linear_on_a_100k_path() {
     assert_eq!(hld.metrics.rounds as usize, n, "a path has n depth levels");
 }
 
-/// Stall-guard coverage for the new instance, mirroring
-/// `tests/engine_round_accounting.rs`: an impossible round budget must
-/// surface the typed `StallError` with the shared message constants.
+/// The budget the HLD cordon arms the driver's stall guard with is the tree
+/// height, with no slack: the driver records exactly that many rounds.
 #[test]
-fn hld_cordon_trips_the_typed_stall_guard() {
-    use parallel_dp::core::{STALL_BUDGET_MSG, STALL_NO_PROGRESS_MSG};
+fn hld_cordon_budget_equals_its_height() {
     let parent = workloads::caterpillar_tree(300, 100, 5);
     let lens = workloads::tree_edge_lengths(300, 4, 5);
-    let height = tree_height(&parent);
+    let height = tree_height(&parent) as u64;
     let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-    let err = CordonSolver::with_round_budget(height as u64 - 1)
-        .try_run(HldTreeGlwsCordon::new(&inst, CostShape::Convex))
-        .unwrap_err();
-    match &err {
-        StallError::BudgetExhausted {
-            budget,
-            states_finalized,
-        } => {
-            assert_eq!(*budget, height as u64 - 1);
-            assert!(*states_finalized > 0, "earlier rounds did settle nodes");
-        }
-        other => panic!("expected BudgetExhausted, got {other:?}"),
-    }
-    assert!(err.to_string().contains(STALL_BUDGET_MSG));
-    assert!(!err.to_string().contains(STALL_NO_PROGRESS_MSG));
-    // The exact height succeeds and reports one round per level.
-    let run = CordonSolver::with_round_budget(height as u64)
-        .run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
-    assert_eq!(run.metrics.rounds as usize, height);
+    let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+    assert_eq!(cordon.round_budget(), Some(height));
+    let run = CordonSolver::new().run(cordon);
+    assert_eq!(run.metrics.rounds, height);
 }
 
 /// The router's decisions on the unambiguous generator shapes, read off the
