@@ -114,8 +114,10 @@ pub fn sequential_sparse_lcs(pairs: &[MatchPair]) -> LcsResult {
     let mut probes = 0u64;
     for p in pairs {
         // Length of the longest chain ending strictly below j, plus one.
-        let pos = thresholds.partition_point(|&t| t < p.j);
-        probes += (thresholds.len().max(2)).ilog2() as u64;
+        let pos = thresholds.partition_point(|&t| {
+            probes += 1;
+            t < p.j
+        });
         let value = pos as u32 + 1;
         if pos == thresholds.len() {
             thresholds.push(p.j);
@@ -124,7 +126,8 @@ pub fn sequential_sparse_lcs(pairs: &[MatchPair]) -> LcsResult {
         }
         pair_values.push(value);
     }
-    // One edge per pair: its threshold search.
+    // One edge per pair, its threshold search, and one probe per threshold
+    // the search compared.
     metrics.add_edges(pairs.len() as u64);
     metrics.add_probes(probes);
     metrics.add_states(pairs.len() as u64);

@@ -80,8 +80,10 @@ pub fn sequential_lis(a: &[i64]) -> LisResult {
     for &x in a {
         // Length of the longest increasing subsequence ending strictly
         // below x, plus one.
-        let pos = tails.partition_point(|&t| t < x);
-        probes += (tails.len().max(2)).ilog2() as u64;
+        let pos = tails.partition_point(|&t| {
+            probes += 1;
+            t < x
+        });
         if pos == tails.len() {
             tails.push(x);
         } else {
@@ -90,7 +92,8 @@ pub fn sequential_lis(a: &[i64]) -> LisResult {
         }
         d.push(pos as u32 + 1);
     }
-    // One edge per element: its tails search.
+    // One edge per element, its tails search, and one probe per tail the
+    // search compared.
     metrics.add_edges(a.len() as u64);
     metrics.add_probes(probes);
     metrics.add_states(a.len() as u64);

@@ -51,7 +51,9 @@
 //! `GROUP` keys and one leaf write per record; a round extracting `l`
 //! records out of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK +
 //! CHUNK))` work, and the summary repair after it recomputes each dirty
-//! summary node once.
+//! summary node once.  A [`StaircaseCordon`] round adds these comparisons,
+//! with each summary node its descent visits and its repair recomputes, to
+//! the run's `probes`, once per round on the driving thread.
 //!
 //! An alive leaf holds its key.  A taken leaf holds its DP value, the number
 //! of the round that took it, converted by [`Key::from_round`]; its alive bit
@@ -390,7 +392,10 @@ impl<K: Key> Block<'_, K> {
     /// strictly to the block's left at round start.  Writes `stamp` into
     /// each record's leaf and calls `take(i, key)` for each record in
     /// increasing local position `i`, with its stored key.  Returns the
-    /// block's new minimum and the number of records taken.
+    /// block's new minimum, the number of records taken and the number of
+    /// comparisons made: `GROUPS` group checks, `GROUP_CHUNKS` chunk checks
+    /// per mixed record group, `CHUNK` leaf reads per scanned chunk, and
+    /// the steps of each run record group's search.
     ///
     /// The first pass finds the groups whose minimum is a record.  A run
     /// record group takes its records with one search (see
@@ -406,25 +411,29 @@ impl<K: Key> Block<'_, K> {
         rule: TieRule,
         stamp: K,
         take: &mut impl FnMut(usize, K),
-    ) -> (K, usize) {
+    ) -> (K, usize, u64) {
         let Minima {
             groups,
             chunks,
             runs,
         } = self.minima;
         let mut taken = 0;
+        let mut work = GROUPS as u64;
         for g in set_bits(record_mask(groups, carry, rule)) {
             let alive = &mut self.alive[g];
             let start = groups[g];
             groups[g] = if *runs >> g & 1 != 0 {
                 let first = g * GROUP;
                 let leaves = &mut self.leaves[first..first + GROUP];
-                let (min, took) = extract_run(leaves, alive, first, carry, rule, stamp, take);
+                let (min, took, steps) =
+                    extract_run(leaves, alive, first, carry, rule, stamp, take);
                 taken += took;
+                work += steps;
                 min
             } else {
                 let group = &mut chunks[g];
                 let mut chunk_carry = carry;
+                work += GROUP_CHUNKS as u64;
                 for c in set_bits(record_mask(group, carry, rule)) {
                     let start = group[c];
                     let chunk = g * GROUP_CHUNKS + c;
@@ -439,13 +448,14 @@ impl<K: Key> Block<'_, K> {
                     );
                     group[c] = min;
                     taken += took;
+                    work += CHUNK as u64;
                     chunk_carry = chunk_carry.min(start);
                 }
                 min_of(group)
             };
             carry = carry.min(start);
         }
-        (min_of(groups), taken)
+        (min_of(groups), taken, work)
     }
 }
 
@@ -486,8 +496,8 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
 /// Extract the records of a run group by one search, given its leaves
 /// `leaves`, its alive masks `alive`, the local position `first` of its
 /// first leaf and the minimum active key to its left at round start, and
-/// return the group's new minimum and the number of records.  Each
-/// record's leaf gets `stamp`.
+/// return the group's new minimum, the number of records and the number of
+/// keys the search compared.  Each record's leaf gets `stamp`.
 ///
 /// A run group's alive leaves are always a prefix `[0, p)`.  Inside it the
 /// smallest alive key before a leaf is the key just before it, which the
@@ -502,19 +512,23 @@ fn extract_run<K: Key>(
     rule: TieRule,
     stamp: K,
     take: &mut impl FnMut(usize, K),
-) -> (K, usize) {
+) -> (K, usize, u64) {
     let mask = u64::from_le_bytes(*alive);
     let p = (u64::BITS - mask.leading_zeros()) as usize;
     debug_assert_eq!(mask.count_ones() as usize, p, "alive leaves not a prefix");
     let keys = &mut leaves[..p];
-    let q = keys.partition_point(|&k| !rule.beats(k, carry));
+    let mut steps = 0;
+    let q = keys.partition_point(|&k| {
+        steps += 1;
+        !rule.beats(k, carry)
+    });
     debug_assert!(q < p, "a record group holds a record");
     for (i, leaf) in (q..).zip(&mut keys[q..]) {
         take(first + i, *leaf);
         *leaf = stamp;
     }
     *alive = (mask & !(u64::MAX << q)).to_le_bytes();
-    (q.checked_sub(1).map_or(K::MAX, |i| keys[i]), p - q)
+    (q.checked_sub(1).map_or(K::MAX, |i| keys[i]), p - q, steps)
 }
 
 /// Extract the records of chunk `c` of a block with leaves `leaves` and
@@ -596,14 +610,14 @@ impl<K> BlocksMut<'_, K> {
 /// record's leaf gets `stamp`, and every touched block's new minimum goes
 /// to its leaf of the summary heap.  A list splits in half only while both
 /// halves keep at least `grain` touched blocks.  Returns the number of
-/// records extracted.
+/// records extracted and the comparisons the blocks made.
 fn extract_touched<K: Key>(
     blocks: BlocksMut<'_, K>,
     touched: &[(usize, K)],
     rule: TieRule,
     stamp: K,
     grain: usize,
-) -> usize {
+) -> (usize, u64) {
     if touched.len() < 2 * grain {
         let BlocksMut {
             leaves,
@@ -612,7 +626,7 @@ fn extract_touched<K: Key>(
             block_mins,
             first,
         } = blocks;
-        let mut count = 0;
+        let (mut count, mut work) = (0, 0);
         for &(b, carry) in touched {
             let local = b - first;
             let mut block = Block {
@@ -620,11 +634,12 @@ fn extract_touched<K: Key>(
                 alive: &mut alive[local],
                 minima: &mut minima[local],
             };
-            let (min, taken) = block.extract(carry, rule, stamp, &mut |_, _| {});
+            let (min, taken, steps) = block.extract(carry, rule, stamp, &mut |_, _| {});
             block_mins[local] = min;
             count += taken;
+            work += steps;
         }
-        return count;
+        return (count, work);
     }
     let mid = touched.len() / 2;
     let (left, right) = touched.split_at(mid);
@@ -633,7 +648,7 @@ fn extract_touched<K: Key>(
         || extract_touched(bl, left, rule, stamp, grain),
         || extract_touched(br, right, rule, stamp, grain),
     );
-    l + r
+    (l.0 + r.0, l.1 + r.1)
 }
 
 /// In parallel over blocks, call `op(first, out)` on the leaves `out` of
@@ -774,40 +789,41 @@ impl<K: Key> TournamentTree<K> {
     /// record under its carry (exactly the blocks containing ≥ 1 record)
     /// into `self.touched`, in increasing block order.  Uses the pre-round
     /// summary minima throughout, so right-sibling carries see the state at
-    /// round start.
-    fn collect_touched(&mut self, node: usize, carry: K) {
+    /// round start.  Returns the number of summary nodes visited.
+    fn collect_touched(&mut self, node: usize, carry: K) -> u64 {
         if !self.rule.is_record(self.summary[node], carry) {
-            return;
+            return 1;
         }
         if node >= self.scap {
             self.touched.push((node - self.scap, carry));
-            return;
+            return 1;
         }
         let right_carry = carry.min(self.summary[2 * node]);
-        self.collect_touched(2 * node, carry);
-        self.collect_touched(2 * node + 1, right_carry);
+        1 + self.collect_touched(2 * node, carry) + self.collect_touched(2 * node + 1, right_carry)
     }
 
     /// Route a round to the blocks holding its records (`self.touched`).
-    /// Returns `false` once every element has been extracted.
-    fn begin_round(&mut self) -> bool {
+    /// Returns the number of summary nodes visited, or `None` once every
+    /// element has been extracted.
+    fn begin_round(&mut self) -> Option<u64> {
         self.touched.clear();
         if self.active == 0 {
-            return false;
+            return None;
         }
-        self.collect_touched(1, K::MAX);
+        let visited = self.collect_touched(1, K::MAX);
         debug_assert!(!self.touched.is_empty());
-        true
+        Some(visited)
     }
 
     /// Close a round that extracted `count` records from the touched blocks,
     /// whose summary leaves hold their new minima: repair the summary heap
-    /// above them.
-    fn end_round(&mut self, count: usize) {
+    /// above them.  Returns the number of summary nodes recomputed.
+    fn end_round(&mut self, count: usize) -> u64 {
         // Each walk stops where it meets the next touched block's path (all
         // summary leaves share one depth, so the paths meet at the same
         // level); that later walk recomputes the shared ancestors once both
         // sides are repaired, so every dirty node is recomputed exactly once.
+        let mut repaired = 0;
         for (i, &(b, _)) in self.touched.iter().enumerate() {
             let mut v = (self.scap + b) / 2;
             let mut next = self
@@ -816,24 +832,28 @@ impl<K: Key> TournamentTree<K> {
                 .map_or(0, |&(c, _)| (self.scap + c) / 2);
             while v >= 1 && v != next {
                 self.summary[v] = self.summary[2 * v].min(self.summary[2 * v + 1]);
+                repaired += 1;
                 v /= 2;
                 next /= 2;
             }
         }
         self.active -= count;
+        repaired
     }
 
     /// Run one extraction round, writing `round` into the leaf of every
-    /// record.  Returns the number of records extracted.
+    /// record.  Returns the number of records extracted and the
+    /// comparisons the round made: the summary nodes it visited and
+    /// repaired, and the blocks' own (see `Block::extract`).
     ///
     /// The touched blocks split by [`round_min_grain`] over their positions,
     /// but into grains of at least [`FORK_BLOCKS`] blocks each: a round with
     /// fewer than twice that many runs entirely on the calling thread and
     /// pushes no pool jobs.
-    fn extract_round(&mut self, round: u32) -> usize {
-        if !self.begin_round() {
-            return 0;
-        }
+    fn extract_round(&mut self, round: u32) -> (usize, u64) {
+        let Some(visited) = self.begin_round() else {
+            return (0, 0);
+        };
         let grain = round_min_grain(self.touched.len() * BLOCK)
             .div_ceil(BLOCK)
             .max(FORK_BLOCKS);
@@ -845,9 +865,8 @@ impl<K: Key> TournamentTree<K> {
             first: 0,
         };
         let stamp = K::from_round(round);
-        let count = extract_touched(blocks, &self.touched, self.rule, stamp, grain);
-        self.end_round(count);
-        count
+        let (count, work) = extract_touched(blocks, &self.touched, self.rule, stamp, grain);
+        (count, visited + work + self.end_round(count))
     }
 
     /// Extract and deactivate every prefix-minimum record, returning them as
@@ -860,7 +879,7 @@ impl<K: Key> TournamentTree<K> {
     /// The leaves it takes hold no round number.
     pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
         let mut out = Vec::new();
-        if !self.begin_round() {
+        if self.begin_round().is_none() {
             return out;
         }
         let remap = self.remap;
@@ -870,7 +889,7 @@ impl<K: Key> TournamentTree<K> {
                 alive: &mut self.alive[b],
                 minima: &mut self.minima[b],
             };
-            let (min, _) = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
+            let (min, ..) = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
                 out.push((b * BLOCK + i, remap.load(k)));
             });
             self.summary[self.scap + b] = min;
@@ -945,12 +964,13 @@ impl<K: Key> PhaseParallel for StaircaseCordon<K> {
         }
         // Each touched block writes the round number straight into the
         // leaves it takes; no record is buffered.
-        let count = self.tree.extract_round(self.round + 1);
+        let (count, work) = self.tree.extract_round(self.round + 1);
         if count == 0 {
             return 0;
         }
         self.round += 1;
         metrics.add_edges(count as u64);
+        metrics.add_probes(work);
         count
     }
 
@@ -1067,10 +1087,10 @@ mod tests {
 
     /// `extract_round` with the fork cutoff forced to one block, so every
     /// touched list is split down to single blocks.
-    fn extract_round_split<K: Key>(tree: &mut TournamentTree<K>, round: u32) -> usize {
-        if !tree.begin_round() {
-            return 0;
-        }
+    fn extract_round_split<K: Key>(tree: &mut TournamentTree<K>, round: u32) -> (usize, u64) {
+        let Some(visited) = tree.begin_round() else {
+            return (0, 0);
+        };
         let blocks = BlocksMut {
             leaves: &mut tree.leaves,
             alive: &mut tree.alive,
@@ -1079,9 +1099,8 @@ mod tests {
             first: 0,
         };
         let stamp = K::from_round(round);
-        let count = extract_touched(blocks, &tree.touched, tree.rule, stamp, 1);
-        tree.end_round(count);
-        count
+        let (count, work) = extract_touched(blocks, &tree.touched, tree.rule, stamp, 1);
+        (count, visited + work + tree.end_round(count))
     }
 
     /// The block writer over `keys`.
@@ -1115,7 +1134,9 @@ mod tests {
     /// and the round numbers `StaircaseCordon::round` writes into the taken
     /// leaves, once with the real fork policy and once split down to single
     /// blocks.  The oracle pairs each record with its input key, so the
-    /// pushing sink must hand every key back exactly as given.
+    /// pushing sink must hand every key back exactly as given.  The split
+    /// rounds sum their comparisons through the joins, and must count what
+    /// the cordon's rounds count.
     fn check_against_oracle<K: Key + Debug>(keys: &[K], rule: TieRule) {
         let mut tree = tree_over(keys, rule);
         let oracle = simulate_rounds(keys, rule);
@@ -1128,25 +1149,34 @@ mod tests {
         let metrics = MetricsCollector::new();
         let mut cordon = cordon_over(keys, rule);
         let mut split = tree_over(keys, rule);
+        let mut split_work = 0;
         for (round, want) in (1u32..).zip(&oracle) {
             let want: Vec<usize> = want.iter().map(|&(p, _)| p).collect();
+            let probes = metrics.snapshot().probes;
             assert_eq!(cordon.round(&metrics), want.len(), "round {round}");
             assert_eq!(
                 positions_of(&values_of(&cordon.tree), round),
                 want,
                 "round {round}"
             );
-            let count = extract_round_split(&mut split, round);
+            let (count, work) = extract_round_split(&mut split, round);
             assert_eq!(count, want.len(), "split round {round}");
             assert_eq!(
                 positions_of(&values_of(&split), round),
                 want,
                 "split round {round}"
             );
+            assert_eq!(
+                metrics.snapshot().probes - probes,
+                work,
+                "work of round {round}"
+            );
+            split_work += work;
         }
         assert!(cordon.is_done());
         assert_eq!(cordon.round(&metrics), 0);
-        assert_eq!(extract_round_split(&mut split, 0), 0);
+        assert_eq!(extract_round_split(&mut split, 0), (0, 0));
+        assert_eq!(metrics.snapshot().probes, split_work);
         let (values, rounds) = cordon.finish();
         assert_eq!(rounds as usize, oracle.len());
         assert_eq!(values, split.into_rounds());

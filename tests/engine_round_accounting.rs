@@ -297,3 +297,34 @@ fn solver_metrics_match_the_wrapper_functions() {
     assert_eq!(d, via_wrapper.d);
     assert_eq!(length, via_wrapper.length);
 }
+
+/// The LIS/LCS tournament's counted work per element, edges plus
+/// comparisons, stays within `C · (log₂ n + 32)` over a size sweep: the
+/// crate's bound of `O(log(L/l) + GROUPS + GROUP/CHUNK + CHUNK)` per
+/// record, whose last three terms sum to 32.  A tournament that rescanned a
+/// whole block for every record would count over 1 000.
+#[test]
+fn tournament_work_per_element_stays_within_its_bound() {
+    // Measured: at most 0.57 of the bound, on `random_sequence` at 10⁶
+    // (29.5 per element against 51.9).  The sparse LCS pairs, falling runs
+    // of `j` keys, read at most 0.13 (at 10³).
+    const C: f64 = 1.0;
+    for n in [1_000usize, 10_000, 100_000, 1_000_000] {
+        let a = workloads::random_sequence(n, 1 << 40, 5);
+        let pairs: Vec<MatchPair> = workloads::lcs_pairs_with(n, 100, 5)
+            .into_iter()
+            .map(|(i, j)| MatchPair { i, j })
+            .collect();
+        let bound = C * ((n as f64).log2() + 32.0);
+        for (name, m) in [
+            ("LIS", parallel_lis(&a).metrics),
+            ("sparse LCS", parallel_sparse_lcs(&pairs).metrics),
+        ] {
+            let per_element = m.work_proxy() as f64 / n as f64;
+            assert!(
+                per_element <= bound,
+                "{name} at n = {n}: {per_element:.1} per element, over {bound:.1}"
+            );
+        }
+    }
+}
