@@ -19,16 +19,20 @@
 //! group.  The tree keeps one buffer of leaf blocks, one of alive masks and
 //! one of minima and run masks.  The constructor takes a *block writer*,
 //! `write(first, out)`, that fills `out` with the keys of positions
-//! `first..first + out.len()`; one parallel pass over the blocks writes each
-//! block's keys straight into its leaves and summarizes the block while it
-//! is in cache.  The summary marks each group whose keys form a *run*, in
-//! which each key beats the one before it under the tree's [`TieRule`]
-//! (non-increasing keys under `TiesAreRecords`, strictly decreasing ones
-//! under `TiesBlocked`), and folds the chunk minima of every other, *mixed*,
-//! group.  Sparse LCS in canonical pair order lays each column's matches
-//! out as such a run.  The last block is padded with leaves that are never
-//! alive.  A small flat *summary heap* over the per-block minima routes
-//! each round to the blocks that actually contain records.
+//! `first..first + out.len()`.  One pass over the blocks, parallel for
+//! large inputs, presets each block's leaves to `Key::MAX` (so the last
+//! block's padding is in place), lets the writer fill its positions, and
+//! summarizes the block while it is in cache: in its slot of the leaf
+//! buffer when the pass runs inline, on the stack before a move into its
+//! slot when it forks.  No pass zeroes or fills the leaf buffer first.  The summary
+//! marks each group whose keys form a *run*, in which each key beats the
+//! one before it under the tree's [`TieRule`] (non-increasing keys under
+//! `TiesAreRecords`, strictly decreasing ones under `TiesBlocked`), and
+//! folds the chunk minima of every other, *mixed*, group.  Sparse LCS in
+//! canonical pair order lays each column's matches out as such a run.  The
+//! last block's padding leaves are never alive.  A small flat *summary
+//! heap* over the per-block minima routes each round to the blocks that
+//! actually contain records.
 //!
 //! Inside a block the extraction makes one flat pass over the group minima,
 //! and, for each mixed group whose minimum is a record, one over that
@@ -41,14 +45,17 @@
 //! just before it, which the leaf's key beats, so a leaf is a record
 //! exactly when its key beats the group's carry.  The keys do not rise
 //! along the run, so the records are a suffix of the alive prefix, and
-//! taking them leaves a shorter prefix.  One binary search over at most
-//! `GROUP` keys finds where the records start, and a fill writes their
-//! round number.  All levels carry the running minimum of the round-start
-//! keys, so a leaf taken earlier in the round still blocks the leaves after
-//! it.  A touched block therefore costs `GROUPS` group checks, plus, per
-//! mixed record group, `GROUP / CHUNK` chunk checks and one `CHUNK`-leaf
-//! scan per record chunk, and per run record group one search over at most
-//! `GROUP` keys and one leaf write per record; a round extracting `l`
+//! taking them leaves a shorter prefix.  If the first alive key beats the
+//! carry, every alive key does, and the group is taken whole; otherwise
+//! one binary search over at most `GROUP` keys finds where the records
+//! start.  A fill writes their round number.  All levels carry the running
+//! minimum of the round-start keys, so a leaf taken earlier in the round
+//! still blocks the leaves after it.  A touched block therefore costs
+//! `GROUPS` group checks, plus, per mixed record group, `GROUP / CHUNK`
+//! chunk checks and one `CHUNK`-leaf scan per record chunk, and per run
+//! record group one comparison and a fill when it is taken whole, or else
+//! a search over at most `GROUP` keys and one leaf write per record; a
+//! round extracting `l`
 //! records out of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK +
 //! CHUNK))` work, and the summary repair after it recomputes each dirty
 //! summary node once.  A [`StaircaseCordon`] round adds these comparisons,
@@ -280,7 +287,7 @@ impl<K: Key> Remap<K> {
 }
 
 /// The minima of one block's groups and chunks, and which groups are runs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Minima<K> {
     /// The minimum of group `g`'s alive leaves.
     groups: [K; GROUPS],
@@ -294,6 +301,11 @@ struct Minima<K> {
     /// `TiesAreRecords`, strictly decreasing under `TiesBlocked`).  Set once
     /// at build; every other group is *mixed*.
     runs: u16,
+    /// Whether the block writer gave some key equal to `K::MAX`, which the
+    /// build then remaps (see [`Remap`]).  Set by the build's first pass;
+    /// the byte sits in padding the struct has anyway for keys of 16 bits
+    /// or more.
+    saw_max: bool,
 }
 
 impl<K: Key> Minima<K> {
@@ -302,6 +314,7 @@ impl<K: Key> Minima<K> {
         groups: [K::MAX; GROUPS],
         chunks: [[K::MAX; GROUP_CHUNKS]; GROUPS],
         runs: 0,
+        saw_max: false,
     };
 }
 
@@ -322,13 +335,15 @@ fn is_run<K: Key>(keys: &[K], rule: TieRule) -> bool {
 }
 
 /// Whether `ok(a, b)` holds for every two consecutive keys `a, b`.  Checks
-/// the pairs among the first `CHUNK + 1` keys, then the rest, each without
-/// branching on the keys, so a mixed group usually stops after one chunk.
+/// the pairs a chunk at a time, each chunk's without branching on the
+/// keys, and stops after the first chunk that holds a failing pair, so a
+/// mixed group checks the pairs up to its first break and no further.
 #[inline]
 fn all_pairs<K: Copy>(keys: &[K], ok: impl Fn(K, K) -> bool) -> bool {
-    let pairs = |keys: &[K]| keys.windows(2).fold(true, |all, w| all & ok(w[0], w[1]));
-    let head = keys.len().min(CHUNK + 1);
-    pairs(&keys[..head]) && pairs(&keys[head.saturating_sub(1)..])
+    let next = keys.get(1..).unwrap_or_default();
+    keys.chunks(CHUNK)
+        .zip(next.chunks(CHUNK))
+        .all(|(a, b)| a.iter().zip(b).fold(true, |all, (&a, &b)| all & ok(a, b)))
 }
 
 /// One block's alive masks: bit `i` of `alive[g][c]` is set while leaf
@@ -347,29 +362,35 @@ struct Block<'a, K> {
 
 impl<K: Key> Block<'_, K> {
     /// Make the block's first `n` leaves, already written, alive and the
-    /// rest padding, mark its run groups under `rule`, and compute its
-    /// minima.  A run group's minimum is its last key, and its chunk minima
+    /// rest, which hold `K::MAX`, padding; mark its run groups under
+    /// `rule`, and compute its minima.  A full block's alive masks take one
+    /// store.  A run group's minimum is its last key, and its chunk minima
     /// are skipped; a mixed group folds its chunks and then their minima.
     fn summarize(&mut self, n: usize, rule: TieRule) {
         const { assert!(CHUNK == u8::BITS as usize, "an alive bit per leaf") };
         const { assert!(GROUPS <= u16::BITS as usize, "a run bit per group") };
-        self.leaves[n..].fill(K::MAX);
-        for (c, mask) in self.alive.as_flattened_mut().iter_mut().enumerate() {
-            let keys = n.saturating_sub(c * CHUNK).min(CHUNK);
-            *mask = u8::MAX.checked_shr((CHUNK - keys) as u32).unwrap_or(0);
+        debug_assert!(self.leaves[n..].iter().all(|&k| k == K::MAX));
+        if n == BLOCK {
+            *self.alive = [[u8::MAX; GROUP_CHUNKS]; GROUPS];
+        } else {
+            for (c, mask) in self.alive.as_flattened_mut().iter_mut().enumerate() {
+                let keys = n.saturating_sub(c * CHUNK).min(CHUNK);
+                *mask = u8::MAX.checked_shr((CHUNK - keys) as u32).unwrap_or(0);
+            }
         }
         let Minima {
             groups,
             chunks,
             runs,
+            ..
         } = self.minima;
         *runs = 0;
         let (keys, _) = self.leaves.as_chunks::<GROUP>();
         let parts = groups.iter_mut().zip(chunks.iter_mut());
         for (g, (group, (min, chunk_mins))) in keys.iter().zip(parts).enumerate() {
             // Only the last block's last keys fill a group in part.  A full
-            // group's check has a constant length, which the compiler
-            // unrolls and vectorizes.
+            // group's check has a constant length, so the compiler unrolls
+            // each chunk's fold.
             let live = n.saturating_sub(g * GROUP).min(GROUP);
             let run = match live {
                 GROUP => is_run(group, rule),
@@ -395,10 +416,11 @@ impl<K: Key> Block<'_, K> {
     /// block's new minimum, the number of records taken and the number of
     /// comparisons made: `GROUPS` group checks, `GROUP_CHUNKS` chunk checks
     /// per mixed record group, `CHUNK` leaf reads per scanned chunk, and
-    /// the steps of each run record group's search.
+    /// per run record group 1 for a whole take, or else 1 plus the steps
+    /// of its search.
     ///
     /// The first pass finds the groups whose minimum is a record.  A run
-    /// record group takes its records with one search (see
+    /// record group takes its records whole or by one search (see
     /// [`extract_run`]); in a mixed one a second pass finds the record
     /// chunks, and each is then scanned leaf by leaf.  The running carry
     /// drops only at a record part (a part whose minimum is no record has
@@ -416,6 +438,7 @@ impl<K: Key> Block<'_, K> {
             groups,
             chunks,
             runs,
+            ..
         } = self.minima;
         let mut taken = 0;
         let mut work = GROUPS as u64;
@@ -493,17 +516,20 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Extract the records of a run group by one search, given its leaves
-/// `leaves`, its alive masks `alive`, the local position `first` of its
-/// first leaf and the minimum active key to its left at round start, and
-/// return the group's new minimum, the number of records and the number of
-/// keys the search compared.  Each record's leaf gets `stamp`.
+/// Extract the records of a run group, given its leaves `leaves`, its alive
+/// masks `alive`, the local position `first` of its first leaf and the
+/// minimum active key to its left at round start, and return the group's
+/// new minimum, the number of records and the number of keys compared.
+/// Each record's leaf gets `stamp`.
 ///
 /// A run group's alive leaves are always a prefix `[0, p)`.  Inside it the
 /// smallest alive key before a leaf is the key just before it, which the
 /// leaf's key beats, so a leaf is a record exactly when its key beats the
 /// carry.  The keys do not rise along the run, so the records are a suffix
-/// `[q, p)`, and taking them leaves the prefix `[0, q)` alive.
+/// `[q, p)`, and taking them leaves the prefix `[0, q)` alive.  If the
+/// first alive key beats the carry, so do all the others, and the group is
+/// taken whole (`q = 0`) after one comparison; otherwise a binary search
+/// over the rest finds `q`.
 fn extract_run<K: Key>(
     leaves: &mut [K],
     alive: &mut [u8; GROUP_CHUNKS],
@@ -517,11 +543,15 @@ fn extract_run<K: Key>(
     let p = (u64::BITS - mask.leading_zeros()) as usize;
     debug_assert_eq!(mask.count_ones() as usize, p, "alive leaves not a prefix");
     let keys = &mut leaves[..p];
-    let mut steps = 0;
-    let q = keys.partition_point(|&k| {
-        steps += 1;
-        !rule.beats(k, carry)
-    });
+    let mut steps = 1;
+    let q = if rule.beats(keys[0], carry) {
+        0
+    } else {
+        1 + keys[1..].partition_point(|&k| {
+            steps += 1;
+            !rule.beats(k, carry)
+        })
+    };
     debug_assert!(q < p, "a record group holds a record");
     for (i, leaf) in (q..).zip(&mut keys[q..]) {
         take(first + i, *leaf);
@@ -651,39 +681,48 @@ fn extract_touched<K: Key>(
     (l.0 + r.0, l.1 + r.1)
 }
 
-/// In parallel over blocks, call `op(first, out)` on the leaves `out` of
-/// each block's positions `first..first + out.len()` (below `len`), then
-/// summarize the block under `rule`.  Returns whether `op` returned `true`
-/// for some block.
-fn fill<K: Key>(
+/// The summary nodes a round's descent visits and its repair recomputes,
+/// given the `repaired` nodes: the descent visits the root and both
+/// children of each (see [`TournamentTree::collect_touched`]).
+fn summary_work(repaired: u64) -> u64 {
+    1 + 3 * repaired
+}
+
+/// The fewest blocks a forked grain of a pass over the blocks of `len`
+/// positions gets: [`round_min_grain`] over the positions, in whole blocks.
+fn build_grain(len: usize) -> usize {
+    round_min_grain(len).div_ceil(BLOCK).max(1)
+}
+
+/// In parallel over blocks, map the keys of each block's positions below
+/// `len` through `remap` in place, then summarize the block under `rule`.
+fn remap_blocks<K: Key>(
     leaves: &mut [[K; BLOCK]],
     alive: &mut [AliveMasks],
     minima: &mut [Minima<K>],
     len: usize,
     rule: TieRule,
-    op: impl Fn(usize, &mut [K]) -> bool + Sync,
-) -> bool {
+    remap: Remap<K>,
+) {
     use rayon::prelude::*;
-    let grain_blocks = round_min_grain(len).div_ceil(BLOCK).max(1);
     leaves
         .par_iter_mut()
         .zip(alive.par_iter_mut())
         .zip(minima.par_iter_mut())
         .enumerate()
-        .with_min_len(grain_blocks)
-        .map(|(b, ((leaves, alive), minima))| {
-            let first = b * BLOCK;
-            let n = BLOCK.min(len - first);
-            let hit = op(first, &mut leaves[..n]);
+        .with_min_len(build_grain(len))
+        .for_each(|(b, ((leaves, alive), minima))| {
+            let n = BLOCK.min(len - b * BLOCK);
+            for k in &mut leaves[..n] {
+                *k = remap.store(*k);
+            }
             Block {
                 leaves,
                 alive,
                 minima,
             }
             .summarize(n, rule);
-            hit
-        })
-        .reduce(|| false, |a, b| a | b)
+        });
 }
 
 /// Tournament tree over a fixed sequence of keys.
@@ -715,43 +754,68 @@ impl<K: Key> TournamentTree<K> {
     /// Build the tree over positions `0..len` with the given tie rule.
     /// `write(first, out)` fills `out` with the keys of positions
     /// `first..first + out.len()`; it is called once per block of the
-    /// crate's *Layout* section, straight into the block's leaves.  `O(n)`
-    /// work, `O(log n)` span; blocks are filled in parallel for large
+    /// crate's *Layout* section, into a block whose padding already holds
+    /// `K::MAX`: the block's own slot of the leaf buffer inline, a block on
+    /// the stack that then moves into its slot when the build forks.
+    /// `O(n)` work, `O(log n)` span; blocks are built in parallel for large
     /// inputs, fully inline for sub-grain ones.  Inline, the number of
     /// allocations does not depend on `len` unless some key equals
     /// `K::MAX`, and the tree allocates its leaves, alive masks, minima,
-    /// summary heap and touched list once each.
+    /// summary heap and touched list once each; no pass zeroes or fills the
+    /// leaf buffer before the blocks are written.
     ///
     /// # Panics
     /// If the keys take every value of `K`, which only a key type narrower
     /// than the input's length allows.
     pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync, rule: TieRule) -> Self {
+        use rayon::prelude::*;
         let num_blocks = len.div_ceil(BLOCK);
-        // Zeroed leaves take no pass of their own on fresh pages and one
-        // memset on reused ones; the fill then writes each block once.
-        let mut leaves = vec![[K::from_round(0); BLOCK]; num_blocks];
         let mut alive = vec![[[0; GROUP_CHUNKS]; GROUPS]; num_blocks];
         let mut minima = vec![Minima::EMPTY; num_blocks];
+        // Write block `b`'s keys into `leaves`, whose other leaves already
+        // hold `K::MAX`, and summarize it while it is in cache.
+        let build = |b: usize, leaves: &mut [K; BLOCK], alive, minima: &mut Minima<K>| {
+            let first = b * BLOCK;
+            let n = BLOCK.min(len - first);
+            write(first, &mut leaves[..n]);
+            minima.saw_max = leaves[..n]
+                .iter()
+                .fold(false, |saw, &k| saw | (k == K::MAX));
+            Block {
+                leaves,
+                alive,
+                minima,
+            }
+            .summarize(n, rule);
+        };
+        // One pass over the blocks, with no pass over the leaf buffer before
+        // it.  Inline, each block is preset in its slot and built there; a
+        // forked pass builds each block on the stack and moves it into its
+        // slot, and writes the masks and minima in place.
+        let grain = build_grain(len);
+        let mut leaves = Vec::with_capacity(num_blocks);
+        if grain >= num_blocks {
+            for (b, (alive, minima)) in alive.iter_mut().zip(&mut minima).enumerate() {
+                leaves.push([K::MAX; BLOCK]);
+                build(b, &mut leaves[b], alive, minima);
+            }
+        } else {
+            alive
+                .par_iter_mut()
+                .zip(minima.par_iter_mut())
+                .enumerate()
+                .with_min_len(grain)
+                .map(|(b, (alive, minima))| {
+                    let mut leaves = [K::MAX; BLOCK];
+                    build(b, &mut leaves, alive, minima);
+                    leaves
+                })
+                .collect_into_vec(&mut leaves);
+        }
         let mut remap = Remap { absent: K::MAX };
-        let saw_max = fill(
-            &mut leaves,
-            &mut alive,
-            &mut minima,
-            len,
-            rule,
-            |first, out| {
-                write(first, out);
-                out.iter().fold(false, |saw, &k| saw | (k == K::MAX))
-            },
-        );
-        if saw_max {
+        if minima.iter().any(|m| m.saw_max) {
             remap = Remap::over(&leaves.as_flattened()[..len]);
-            fill(&mut leaves, &mut alive, &mut minima, len, rule, |_, out| {
-                for k in out {
-                    *k = remap.store(*k);
-                }
-                false
-            });
+            remap_blocks(&mut leaves, &mut alive, &mut minima, len, rule, remap);
         }
         let scap = num_blocks.next_power_of_two().max(1);
         let mut summary = vec![K::MAX; 2 * scap];
@@ -789,30 +853,36 @@ impl<K: Key> TournamentTree<K> {
     /// record under its carry (exactly the blocks containing ≥ 1 record)
     /// into `self.touched`, in increasing block order.  Uses the pre-round
     /// summary minima throughout, so right-sibling carries see the state at
-    /// round start.  Returns the number of summary nodes visited.
-    fn collect_touched(&mut self, node: usize, carry: K) -> u64 {
+    /// round start.
+    ///
+    /// An inner node whose minimum is a record has a touched block below
+    /// it: the child holding that minimum is a record under its own carry.
+    /// So the inner nodes the walk descends from are exactly the touched
+    /// blocks' ancestors, which [`TournamentTree::end_round`] recomputes,
+    /// and the walk visits the root and both children of each of them.
+    fn collect_touched(&mut self, node: usize, carry: K) {
         if !self.rule.is_record(self.summary[node], carry) {
-            return 1;
+            return;
         }
         if node >= self.scap {
             self.touched.push((node - self.scap, carry));
-            return 1;
+            return;
         }
         let right_carry = carry.min(self.summary[2 * node]);
-        1 + self.collect_touched(2 * node, carry) + self.collect_touched(2 * node + 1, right_carry)
+        self.collect_touched(2 * node, carry);
+        self.collect_touched(2 * node + 1, right_carry);
     }
 
     /// Route a round to the blocks holding its records (`self.touched`).
-    /// Returns the number of summary nodes visited, or `None` once every
-    /// element has been extracted.
-    fn begin_round(&mut self) -> Option<u64> {
+    /// Returns `false` once every element has been extracted.
+    fn begin_round(&mut self) -> bool {
         self.touched.clear();
         if self.active == 0 {
-            return None;
+            return false;
         }
-        let visited = self.collect_touched(1, K::MAX);
+        self.collect_touched(1, K::MAX);
         debug_assert!(!self.touched.is_empty());
-        Some(visited)
+        true
     }
 
     /// Close a round that extracted `count` records from the touched blocks,
@@ -843,17 +913,17 @@ impl<K: Key> TournamentTree<K> {
 
     /// Run one extraction round, writing `round` into the leaf of every
     /// record.  Returns the number of records extracted and the
-    /// comparisons the round made: the summary nodes it visited and
-    /// repaired, and the blocks' own (see `Block::extract`).
+    /// comparisons the round made: the blocks' own (see `Block::extract`),
+    /// and the summary nodes the descent visits and the repair recomputes.
     ///
     /// The touched blocks split by [`round_min_grain`] over their positions,
     /// but into grains of at least [`FORK_BLOCKS`] blocks each: a round with
     /// fewer than twice that many runs entirely on the calling thread and
     /// pushes no pool jobs.
     fn extract_round(&mut self, round: u32) -> (usize, u64) {
-        let Some(visited) = self.begin_round() else {
+        if !self.begin_round() {
             return (0, 0);
-        };
+        }
         let grain = round_min_grain(self.touched.len() * BLOCK)
             .div_ceil(BLOCK)
             .max(FORK_BLOCKS);
@@ -866,7 +936,7 @@ impl<K: Key> TournamentTree<K> {
         };
         let stamp = K::from_round(round);
         let (count, work) = extract_touched(blocks, &self.touched, self.rule, stamp, grain);
-        (count, visited + work + self.end_round(count))
+        (count, work + summary_work(self.end_round(count)))
     }
 
     /// Extract and deactivate every prefix-minimum record, returning them as
@@ -879,7 +949,7 @@ impl<K: Key> TournamentTree<K> {
     /// The leaves it takes hold no round number.
     pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
         let mut out = Vec::new();
-        if self.begin_round().is_none() {
+        if !self.begin_round() {
             return out;
         }
         let remap = self.remap;
@@ -1088,9 +1158,9 @@ mod tests {
     /// `extract_round` with the fork cutoff forced to one block, so every
     /// touched list is split down to single blocks.
     fn extract_round_split<K: Key>(tree: &mut TournamentTree<K>, round: u32) -> (usize, u64) {
-        let Some(visited) = tree.begin_round() else {
+        if !tree.begin_round() {
             return (0, 0);
-        };
+        }
         let blocks = BlocksMut {
             leaves: &mut tree.leaves,
             alive: &mut tree.alive,
@@ -1100,7 +1170,7 @@ mod tests {
         };
         let stamp = K::from_round(round);
         let (count, work) = extract_touched(blocks, &tree.touched, tree.rule, stamp, 1);
-        (count, visited + work + tree.end_round(count))
+        (count, work + summary_work(tree.end_round(count)))
     }
 
     /// The block writer over `keys`.
@@ -1663,6 +1733,176 @@ mod tests {
         // TiesBlocked only the first survives per round... the first element
         // of the remaining sequence is the sole record.
         assert_eq!(tree.extract_prefix_minima(), vec![(1, 1_000_000)]);
+    }
+
+    #[test]
+    fn extract_run_takes_a_group_whole_in_part_or_behind_an_equal_carry() {
+        // A strictly falling run, 226 down to 100 in steps of 2.
+        let keys: Vec<u64> = (0..GROUP as u64).rev().map(|t| 100 + 2 * t).collect();
+        let run = |leaves: &mut Vec<u64>, alive: &mut [u8; GROUP_CHUNKS], carry, rule| {
+            let mut took = Vec::new();
+            let (min, n, steps) = extract_run(leaves, alive, 0, carry, rule, 0, &mut |i, k| {
+                took.push((i, k))
+            });
+            assert_eq!(took.len(), n);
+            (min, took, steps)
+        };
+        let records = |from: usize, to: usize| -> Vec<(usize, u64)> {
+            (from..to).map(|i| (i, keys[i])).collect()
+        };
+        for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+            // Whole: the carry lies above the first key, so one comparison.
+            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+            let (min, took, steps) = run(&mut leaves, &mut alive, 1_000, rule);
+            assert_eq!((min, steps), (u64::MAX, 1), "{rule:?}");
+            assert_eq!(took, records(0, GROUP));
+            assert_eq!(alive, [0; GROUP_CHUNKS]);
+            assert!(leaves.iter().all(|&k| k == 0), "every leaf stamped");
+
+            // In part: a carry of 151 takes the keys up to 150, by a search.
+            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+            let (min, took, steps) = run(&mut leaves, &mut alive, 151, rule);
+            assert_eq!(min, 152);
+            assert_eq!(took, records(38, GROUP));
+            assert!(steps > 1, "a partial take searches");
+            assert_eq!(u64::from_le_bytes(alive), (1 << 38) - 1);
+            // Then whole, once the carry has risen above the rest.
+            let (min, took, steps) = run(&mut leaves, &mut alive, 1_000, rule);
+            assert_eq!((min, steps), (u64::MAX, 1));
+            assert_eq!(took, records(0, 38));
+
+            // A carry equal to the first key: a record under
+            // `TiesAreRecords`, so the group goes whole; blocked under
+            // `TiesBlocked`, so the search takes all but the first key.
+            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+            let (min, took, steps) = run(&mut leaves, &mut alive, keys[0], rule);
+            if rule == TieRule::TiesAreRecords {
+                assert_eq!((min, steps), (u64::MAX, 1));
+                assert_eq!(took, records(0, GROUP));
+            } else {
+                assert_eq!(min, keys[0]);
+                assert!(steps > 1, "an equal first key goes to the search");
+                assert_eq!(took, records(1, GROUP));
+                assert_eq!(u64::from_le_bytes(alive), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn run_groups_taken_whole_in_part_and_behind_an_equal_carry_match_oracle() {
+        // High falling pads (taken in round one), a blocker, then a falling
+        // run of `GROUP + 3` keys from 500 at a group boundary.  A blocker
+        // above the run lets it go whole; one inside it takes it in part,
+        // and the rest whole in round two; one equal to its first key lets
+        // it go whole under `TiesAreRecords` and sends it to the search
+        // under `TiesBlocked`.
+        for start in [GROUP, 2 * GROUP, BLOCK] {
+            for blocker in [501, 480, 500] {
+                let mut keys: Vec<u64> = (0..start as u64 - 1).rev().map(|t| 10_000 + t).collect();
+                keys.push(blocker);
+                keys.extend((0..GROUP as u64 + 3).map(|t| 500 - t));
+                keys.extend(filler(CHUNK + 1, 1_000));
+                for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                    assert!(marks_runs(&tree_over(&keys, rule), &[start / GROUP]));
+                }
+                check_both_rules(&keys);
+            }
+        }
+    }
+
+    /// The summary nodes [`TournamentTree::collect_touched`] visits from
+    /// `node`, counted by walking the same way.
+    fn visits<K: Key>(tree: &TournamentTree<K>, node: usize, carry: K) -> u64 {
+        if !tree.rule.is_record(tree.summary[node], carry) || node >= tree.scap {
+            return 1;
+        }
+        let right = carry.min(tree.summary[2 * node]);
+        1 + visits(tree, 2 * node, carry) + visits(tree, 2 * node + 1, right)
+    }
+
+    #[test]
+    fn the_descent_visits_the_root_and_both_children_of_each_repaired_node() {
+        let random: Vec<u64> = (0..5 * BLOCK as u64 + 3)
+            .map(|i| (i * 2654435761) % 1_000_003)
+            .collect();
+        let runs = decreasing_runs(&[(700, 5_000), (3_000, 9_000), (900, 100), (1_500, 2_000)]);
+        for keys in [random, runs, vec![7]] {
+            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+                let mut tree = tree_over(&keys, rule);
+                while tree.active > 0 {
+                    let visited = visits(&tree, 1, u64::MAX);
+                    assert!(tree.begin_round());
+                    let blocks = BlocksMut {
+                        leaves: &mut tree.leaves,
+                        alive: &mut tree.alive,
+                        minima: &mut tree.minima,
+                        block_mins: &mut tree.summary[tree.scap..],
+                        first: 0,
+                    };
+                    let (count, _) = extract_touched(blocks, &tree.touched, rule, 1, 1);
+                    let repaired = tree.end_round(count);
+                    assert_eq!(visited, 1 + 2 * repaired);
+                    assert_eq!(summary_work(repaired), visited + repaired);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_max_in_several_blocks_builds_at_one_and_two_threads() {
+        // `K::MAX` in blocks 0 and 2 and in the last, partial, block 3, so
+        // the build's flag and the remap pass see several blocks.
+        let max = u64::MAX;
+        let mut keys = filler(3 * BLOCK + 100, 1_000);
+        for p in [5, 2 * BLOCK + 17, 3 * BLOCK + 99] {
+            keys[p] = max;
+        }
+        keys[3 * BLOCK + 40] = max - 1;
+        for threads in [1, 2] {
+            pardp_parutils::with_threads(threads, || {
+                let tree = tree_over(&keys, TieRule::TiesAreRecords);
+                assert_eq!(tree.remap.absent, max - 2, "at {threads} threads");
+                assert!(tree.minima.iter().filter(|m| m.saw_max).count() == 3);
+                check_both_rules(&keys);
+            });
+        }
+    }
+
+    #[test]
+    fn a_two_thread_build_equals_the_one_thread_build() {
+        // 40 blocks, enough for the build to fork at 2 threads: falling
+        // runs of 90 keys (many of their groups are runs) between stretches
+        // of pseudo-random keys.
+        let keys: Vec<u32> = (0..40 * BLOCK as u32 - 7)
+            .map(|i| match i / 3_000 % 2 {
+                0 => 1_000_000 - i % 90 * 7 - i / 90,
+                _ => i.wrapping_mul(2654435761) % 1_000_003,
+            })
+            .collect();
+        for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
+            let build = |threads| {
+                pardp_parutils::with_threads(threads, || {
+                    // The build forks where its grain is narrower than the
+                    // tree: at 2 threads on a host with 2 cores or more.
+                    let forks = build_grain(keys.len()) < keys.len().div_ceil(BLOCK);
+                    let metrics = MetricsCollector::new();
+                    let solved = try_run_phase_parallel(cordon_over(&keys, rule), &metrics);
+                    (tree_over(&keys, rule), forks, solved)
+                })
+            };
+            let (one, forks_one, solved_one) = build(1);
+            let (two, forks_two, solved_two) = build(2);
+            assert!(!forks_one);
+            if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
+                assert!(forks_two, "the 2-thread build forks");
+            }
+            assert_eq!(one.leaves, two.leaves);
+            assert_eq!(one.alive, two.alive);
+            assert_eq!(one.minima, two.minima);
+            assert_eq!(one.summary, two.summary);
+            assert!(!run_groups(&one).is_empty());
+            assert_eq!(solved_one, solved_two);
+        }
     }
 
     #[test]
