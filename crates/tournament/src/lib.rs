@@ -24,15 +24,15 @@
 //! block's padding is in place), lets the writer fill its positions, and
 //! summarizes the block while it is in cache: in its slot of the leaf
 //! buffer when the pass runs inline, on the stack before a move into its
-//! slot when it forks.  No pass zeroes or fills the leaf buffer first.  The summary
-//! marks each group whose keys form a *run*, in which each key beats the
-//! one before it under the tree's [`TieRule`] (non-increasing keys under
-//! `TiesAreRecords`, strictly decreasing ones under `TiesBlocked`), and
-//! folds the chunk minima of every other, *mixed*, group.  Sparse LCS in
-//! canonical pair order lays each column's matches out as such a run.  The
-//! last block's padding leaves are never alive.  A small flat *summary
-//! heap* over the per-block minima routes each round to the blocks that
-//! actually contain records.
+//! slot when it forks.  No pass zeroes or fills the leaf buffer first.  The
+//! summary marks each group whose keys form a *run*, in which each key
+//! beats the one before it under the tree's [`TieRule`] (non-increasing
+//! keys under `TiesAreRecords`, strictly decreasing ones under
+//! `TiesBlocked`), and folds the chunk minima of every other, *mixed*,
+//! group.  Sparse LCS in canonical pair order lays each column's matches
+//! out as such a run.  The last block's padding leaves are never alive.  A
+//! small flat *summary heap* over the per-block minima routes each round to
+//! the blocks that actually contain records.
 //!
 //! Inside a block the extraction makes one flat pass over the group minima,
 //! and, for each mixed group whose minimum is a record, one over that
@@ -46,16 +46,15 @@
 //! exactly when its key beats the group's carry.  The keys do not rise
 //! along the run, so the records are a suffix of the alive prefix, and
 //! taking them leaves a shorter prefix.  If the first alive key beats the
-//! carry, every alive key does, and the group is taken whole; otherwise
-//! one binary search over at most `GROUP` keys finds where the records
-//! start.  A fill writes their round number.  All levels carry the running
-//! minimum of the round-start keys, so a leaf taken earlier in the round
-//! still blocks the leaves after it.  A touched block therefore costs
-//! `GROUPS` group checks, plus, per mixed record group, `GROUP / CHUNK`
-//! chunk checks and one `CHUNK`-leaf scan per record chunk, and per run
-//! record group one comparison and a fill when it is taken whole, or else
-//! a search over at most `GROUP` keys and one leaf write per record; a
-//! round extracting `l`
+//! carry, every alive key does, and the group is taken whole; otherwise one
+//! binary search over at most `GROUP` keys finds where the records start.
+//! A fill writes their round number.  All levels carry the running minimum
+//! of the round-start keys, so a leaf taken earlier in the round still
+//! blocks the leaves after it.  A touched block therefore costs `GROUPS`
+//! group checks, plus, per mixed record group, `GROUP / CHUNK` chunk checks
+//! and one `CHUNK`-leaf scan per record chunk, and per run record group one
+//! comparison and a fill when it is taken whole, or else a search over at
+//! most `GROUP` keys and one leaf write per record; a round extracting `l`
 //! records out of `L` costs `O(l · (log(L/l) + GROUPS + GROUP / CHUNK +
 //! CHUNK))` work, and the summary repair after it recomputes each dirty
 //! summary node once.  A [`StaircaseCordon`] round adds these comparisons,
