@@ -773,20 +773,21 @@ impl<K: Key> TournamentTree<K> {
         let mut minima = vec![Minima::EMPTY; num_blocks];
         // Write block `b`'s keys into `leaves`, whose other leaves already
         // hold `K::MAX`, and summarize it while it is in cache.
-        let build = |b: usize, leaves: &mut [K; BLOCK], alive, minima: &mut Minima<K>| {
-            let first = b * BLOCK;
-            let n = BLOCK.min(len - first);
-            write(first, &mut leaves[..n]);
-            minima.saw_max = leaves[..n]
-                .iter()
-                .fold(false, |saw, &k| saw | (k == K::MAX));
-            Block {
-                leaves,
-                alive,
-                minima,
-            }
-            .summarize(n, rule);
-        };
+        let build =
+            |b: usize, leaves: &mut [K; BLOCK], alive: &mut AliveMasks, minima: &mut Minima<K>| {
+                let first = b * BLOCK;
+                let n = BLOCK.min(len - first);
+                write(first, &mut leaves[..n]);
+                minima.saw_max = leaves[..n]
+                    .iter()
+                    .fold(false, |saw, &k| saw | (k == K::MAX));
+                Block {
+                    leaves,
+                    alive,
+                    minima,
+                }
+                .summarize(n, rule);
+            };
         // One pass over the blocks, with no pass over the leaf buffer before
         // it.  Inline, each block is preset in its slot and built there; a
         // forked pass builds each block on the stack and moves it into its
