@@ -331,10 +331,10 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // OAT through `parallel_oat`, which routes these sizes to the valley
-    // cordon (Theorem 5.1), against the sequential Garsia–Wachs baseline:
-    // O(log W) weight-doubling rounds with parallel per-slope combines, vs
-    // the leftmost-pair rescans of the baseline (quadratic on these sizes).
+    // OAT through `parallel_oat`, the valley cordon (Theorem 5.1), against
+    // the sequential Garsia–Wachs baseline: O(log W) weight-doubling rounds
+    // with parallel per-slope combines, vs the leftmost-pair rescans of the
+    // baseline (quadratic on these sizes).
     {
         let n = if quick { 6_000 } else { 40_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);
@@ -354,11 +354,10 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // The pre-Theorem-5.1 interval OAT cordon on the same profile (its own
-    // smaller n — the diagonal DP is Θ(n²) in time and space): the ablation
-    // partner showing what the valley cordon's polylog rounds buy.  It is
-    // the OBST diagonal cordon on the leaf weights, so `parallel_obst` runs
-    // it.
+    // The pre-Theorem-5.1 interval DP on the same profile (its own smaller
+    // n — the diagonal DP is Θ(n²) in time and space): the ablation partner
+    // showing what the valley cordon's polylog rounds buy.  It is the OBST
+    // diagonal cordon on the leaf weights, so `parallel_obst` runs it.
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1 << 16, 23);

@@ -84,7 +84,7 @@ impl std::error::Error for StallError {}
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
 /// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`,
 /// `TreeGlwsCordon` and its work-efficient sibling `HldTreeGlwsCordon`,
-/// `ValleyOatCordon` and `IntervalOatCordon`, `ObstCordon`, and
+/// `ValleyOatCordon`, `ObstCordon`, and
 /// `core::explicit`'s reference instance); the facade's `CordonSolver` runs
 /// any of them through this one driver.
 pub trait PhaseParallel {
@@ -133,12 +133,13 @@ pub trait PhaseParallel {
 /// Run-time choice between two [`PhaseParallel`] implementations with the
 /// same output type, itself a [`PhaseParallel`] instance.
 ///
-/// Routers that pick a cordon per instance — e.g. the shape-adaptive
-/// Tree-GLWS router, which probes the tree and chooses between the
-/// `O(n·h)` baseline cordon and the heavy-light envelope cordon — return
-/// this combinator so the choice stays a value the caller can hand to any
-/// driver (`run_phase_parallel`, `try_run_phase_parallel`, the facade's
-/// `CordonSolver`) without boxing or dynamic dispatch.
+/// A router that picks a cordon per instance returns this combinator, so
+/// the choice stays a value the caller can hand to any driver
+/// (`run_phase_parallel`, `try_run_phase_parallel`, the facade's
+/// `CordonSolver`) without boxing or dynamic dispatch.  Its one user is the
+/// shape-adaptive Tree-GLWS router, which probes the tree and chooses
+/// between the `O(n·h)` baseline cordon and the heavy-light envelope
+/// cordon.
 #[derive(Debug)]
 pub enum EitherCordon<A, B> {
     /// The first alternative.

@@ -271,7 +271,8 @@ pub(crate) fn find_intervals<P: GlwsProblem>(
 }
 
 /// Leftmost argmin of `E[j] + w(j, i)` over `j in [jl, jr]` (all decisions
-/// already finalized), evaluated as a parallel reduction for wide ranges.
+/// already finalized), evaluated as a parallel reduction for ranges of at
+/// least [`SEQ_CUTOFF`] decisions.
 fn argmin_decision<P: GlwsProblem>(
     problem: &P,
     d: &[i64],
@@ -280,7 +281,7 @@ fn argmin_decision<P: GlwsProblem>(
     i: usize,
 ) -> usize {
     let width = jr - jl + 1;
-    if width < 2048 {
+    if width < SEQ_CUTOFF {
         let mut best_j = jl;
         let mut best_v = problem.e(d[jl], jl) + problem.w(jl, i);
         for j in (jl + 1)..=jr {
@@ -294,7 +295,7 @@ fn argmin_decision<P: GlwsProblem>(
     } else {
         #[expect(
             clippy::unwrap_used,
-            reason = "the range is non-empty (width >= 2048 on this branch), so the \
+            reason = "the range is non-empty (width >= SEQ_CUTOFF on this branch), so the \
                       reduction always yields a value; a silent fallback here would \
                       corrupt the argmin"
         )]

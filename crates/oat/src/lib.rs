@@ -15,22 +15,14 @@
 //!   what turns Theorem 5.1 into a polylog-span algorithm for word-sized
 //!   integer weights (Corollary 5.1.1).
 //!
-//! [`parallel_oat`] runs whichever of two phase-parallel cordons
-//! [`oat_cordon_auto`] picks, through the shared `run_phase_parallel`
-//! driver:
-//!
-//! * [`ValleyOatCordon`] — the polylog-round construction of Theorem 5.1
-//!   (the [`valley`] module): each weight-doubling round splits the current
-//!   sequence into its maximal nondecreasing runs (the ascending valley
-//!   slopes around its local minima; no Cartesian tree is built) and replays
-//!   independent Garsia–Wachs combines in parallel across the runs,
-//!   finishing in `O(log W)` rounds instead of `n - 1`.  It runs from
-//!   [`OAT_VALLEY_MIN_N`] leaves on.
-//! * [`IntervalOatCordon`] — the interval-DP cordon for smaller inputs: the
-//!   OAT is the OBST problem restricted to leaf weights (Sec. 5.5's
-//!   observation), so the diagonal cordon of `pardp-obst` computes the
-//!   optimal tree in `n - 1` rounds, and the split-point table reconstructs
-//!   the leaf depths.  Its tables hold `n(n+1)/2` entries each.
+//! [`parallel_oat`] runs [`ValleyOatCordon`], the polylog-round
+//! construction of Theorem 5.1 (the [`valley`] module), through the shared
+//! `run_phase_parallel` driver at every size: each weight-doubling round
+//! splits the current sequence into its maximal nondecreasing runs (the
+//! ascending valley slopes around its local minima; no Cartesian tree is
+//! built) and replays independent Garsia–Wachs combines in parallel across
+//! the runs, finishing in `O(log W)` rounds instead of the interval DP's
+//! `n - 1`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +31,7 @@
 
 pub mod valley;
 
-pub use valley::{
-    oat_cordon_auto, IntervalOatCordon, OatLayout, ValleyOatCordon, OAT_VALLEY_MIN_N,
-};
+pub use valley::{oat_cordon_auto, OatLayout, ValleyOatCordon};
 
 use pardp_core::run_phase_parallel;
 use pardp_parutils::{Metrics, MetricsCollector};
@@ -226,13 +216,12 @@ pub fn garsia_wachs(weights: &[u64]) -> OatResult {
     }
 }
 
-/// Parallel OAT through the size router [`oat_cordon_auto`]: the valley
-/// cordon's polylog rounds (Theorem 5.1) from [`OAT_VALLEY_MIN_N`] leaves
-/// on, the interval cordon's `n - 1` below.  Produces the same cost as
-/// [`garsia_wachs`] and [`interval_dp_oat`], plus the leaf depths.
+/// Parallel OAT through [`ValleyOatCordon`]: polylog rounds (Theorem 5.1)
+/// at every size.  Produces the same cost as [`garsia_wachs`] and
+/// [`interval_dp_oat`], plus the leaf depths.
 pub fn parallel_oat(weights: &[u64]) -> OatResult {
     let metrics = MetricsCollector::new();
-    let layout = run_phase_parallel(oat_cordon_auto(weights), &metrics);
+    let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
     let height = layout.depths.iter().copied().max().unwrap_or(0);
     OatResult {
         cost: layout.cost,
@@ -402,8 +391,6 @@ mod tests {
 
     #[test]
     fn parallel_oat_matches_garsia_wachs_cost() {
-        // Both sides of the router's cut: the interval cordon up to n = 60,
-        // the valley cordon at 64 and 200.
         for seed in 0..6 {
             for &n in &[1usize, 2, 3, 7, 20, 60, 64, 200] {
                 let w = pseudo_weights(n, seed, 200);
@@ -413,28 +400,14 @@ mod tests {
                 // The reported depths must themselves attain the cost.
                 let recomputed: u64 = w.iter().zip(&par.depths).map(|(&a, &d)| a * d as u64).sum();
                 assert_eq!(recomputed, par.cost, "n {n} seed {seed}");
-                if n >= OAT_VALLEY_MIN_N {
-                    assert!(
-                        par.metrics.rounds <= oat_height_bound(&w) as u64,
-                        "n {n} seed {seed}: rounds {} exceed the Lemma 5.1 bound {}",
-                        par.metrics.rounds,
-                        oat_height_bound(&w)
-                    );
-                }
+                assert!(
+                    par.metrics.rounds <= oat_height_bound(&w) as u64,
+                    "n {n} seed {seed}: rounds {} exceed the Lemma 5.1 bound {}",
+                    par.metrics.rounds,
+                    oat_height_bound(&w)
+                );
             }
         }
-    }
-
-    #[test]
-    fn parallel_oat_runs_one_round_per_diagonal() {
-        // Below the router's cut: the interval cordon.
-        let w = pseudo_weights(40, 3, 1000);
-        let r = parallel_oat(&w);
-        assert_eq!(r.metrics.rounds, 39);
-        assert_eq!(r.metrics.frontier_sizes.len(), 39);
-        // Diagonal δ holds n - δ intervals.
-        assert_eq!(r.metrics.frontier_sizes[0], 39);
-        assert_eq!(*r.metrics.frontier_sizes.last().unwrap(), 1);
     }
 
     #[test]

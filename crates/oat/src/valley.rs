@@ -1,13 +1,14 @@
 //! Polylog-round OAT construction (Theorem 5.1): weight-doubling combine
 //! rounds over the ascending runs of the current sequence.
 //!
-//! The interval cordon ([`IntervalOatCordon`]) needs `n - 1` rounds — one
-//! per diagonal of the Knuth table.  Theorem 5.1 instead parallelizes the
-//! Garsia–Wachs *combine* process itself (Appendix A): the weight sequence
-//! falls into **valleys** around its local minima, bounded by larger
-//! elements (walls), and combines in different valleys are independent
-//! because a combined package is reinserted before the nearest larger
-//! element, which never crosses a wall that exceeds the package weight.
+//! The interval DP needs `n - 1` rounds, one per diagonal of the Knuth
+//! table (`pardp-obst`'s diagonal cordon).  Theorem 5.1 instead
+//! parallelizes the Garsia–Wachs *combine* process itself (Appendix A): the
+//! weight sequence falls into **valleys** around its local minima, bounded
+//! by larger elements (walls), and combines in different valleys are
+//! independent because a combined package is reinserted before the nearest
+//! larger element, which never crosses a wall that exceeds the package
+//! weight.
 //!
 //! [`ValleyOatCordon`] batches those independent combines into
 //! weight-doubling rounds.  It builds no Cartesian tree and no valley list
@@ -30,12 +31,20 @@
 //! After a round no 2-sum is below `T`, so the number of rounds is at most
 //! `log₂(total weight) + O(1)` — within the Lemma 5.1 budget
 //! [`crate::oat_height_bound`], and *polylogarithmic* in `n` for word-sized
-//! weights, versus the interval cordon's `n - 1`.  Every combine is a bona
+//! weights, versus the interval DP's `n - 1`.  Every combine is a bona
 //! fide locally-minimal-pair step, which Karpinski–Larmore–Rytter show may be
 //! scheduled in any order, so the result is a valid Garsia–Wachs l-tree and
 //! its leaf levels are optimal alphabetic-tree depths; the tests pin cost
 //! equality against [`crate::garsia_wachs`] and [`crate::interval_dp_oat`],
 //! plus Kraft equality and ordered realizability of the depth vector.
+//!
+//! A round allocates nothing.  Each run combines in place in its own slice
+//! of the sequence, where a combine frees the run's two front slots and the
+//! items before the reinsertion point move one slot left into them, and it
+//! stages its packages in its own slice of the cordon's node buffer.  A
+//! round that forks splits its run list in half at a run boundary under
+//! `rayon::join`, while both halves keep [`round_min_grain`] runs.  The
+//! merge then moves each run's packages and leftover items down into place.
 //!
 //! The paper reaches the same round bound by phrasing each valley's schedule
 //! as a least-weight-subsequence instance for the parallel LWS engine of
@@ -44,20 +53,13 @@
 //! the rounds directly from the doubling thresholds, trading the LWS oracle
 //! for combine steps that are individually checkable against the sequential
 //! algorithm.
-//!
-//! [`oat_cordon_auto`] routes tiny inputs (below [`OAT_VALLEY_MIN_N`]) to the
-//! interval cordon via [`IntervalOatCordon`], returning the zero-dispatch
-//! `EitherCordon` combinator exactly like the Tree-GLWS shape router;
-//! [`crate::parallel_oat`] runs its choice.
 
-use pardp_core::{EitherCordon, PhaseParallel};
-use pardp_obst::ObstCordon;
+use pardp_core::PhaseParallel;
 use pardp_parutils::{round_min_grain, MetricsCollector};
-use rayon::prelude::*;
 
-/// Cost and per-leaf depths of an optimal alphabetic tree — the common
-/// output of the valley and interval OAT cordons (the driver owns the
-/// metrics, so they are not part of the instance output).
+/// Cost and per-leaf depths of an optimal alphabetic tree, the output of
+/// [`ValleyOatCordon`] (the driver owns the metrics, so they are not part
+/// of the instance output).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OatLayout {
     /// Optimal cost `Σ a_i · depth_i`.
@@ -66,67 +68,115 @@ pub struct OatLayout {
     pub depths: Vec<u32>,
 }
 
-/// Below this size the router picks the interval cordon: the O(n²) diagonal
-/// sweep is cheaper than the valley machinery's per-round fixed cost on tiny
-/// inputs, and its `n - 1` rounds are few in absolute terms anyway.
-pub const OAT_VALLEY_MIN_N: usize = 64;
-
 /// An l-tree sequence element: a leaf (`enc = -(i+1)`) or a combined package
-/// rooted at arena node `enc`.
+/// rooted at node `enc`.
 #[derive(Debug, Clone, Copy)]
 struct Item {
     weight: u64,
     enc: isize,
 }
 
-/// Output of one run's parallel combine phase.
-struct RunOut {
-    /// Remaining items of the run, ascending by weight.
-    items: Vec<Item>,
-    /// Locally allocated l-tree nodes; references at or above the round base
-    /// are local to this run and remapped on append.
-    nodes: Vec<(isize, isize)>,
-    /// Scan/insert work performed.
-    edges: u64,
+/// One maximal nondecreasing run of a round's sequence: it starts at
+/// `seq[lo]` and ends where the next run starts, and its parallel phase
+/// built `combines` packages.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lo: usize,
+    combines: usize,
 }
 
-/// Replay Garsia–Wachs combines on one maximal nondecreasing run.
+/// Replay Garsia–Wachs combines on one maximal nondecreasing run, in place.
 ///
 /// The front pair of a sorted run is the only candidate locally minimal
 /// pair; it is combined while its 2-sum is within `threshold`, the left
 /// `wall` strictly exceeds the second element (the `left_ok` condition of
 /// the sequential algorithm, since `wall + s1 > s1 + s2 ⇔ wall > s2`), and
 /// the package reinserts before an in-run element (`x` at most the run's
-/// immutable last weight).  `right_ok` holds automatically while the run has
-/// at least three items (`s1 ≤ s3 ⇔ s1 + s2 ≤ s2 + s3`).  All reads are
-/// run-local or the round-start wall, so runs are processed in parallel.
-fn run_combines(run: &[Item], wall: u64, threshold: u64, round_base: usize) -> RunOut {
-    let mut cur: Vec<Item> = run.to_vec();
+/// last weight, which therefore never moves).  `right_ok` holds
+/// automatically while the run has at least three items (`s1 ≤ s3 ⇔ s1 +
+/// s2 ≤ s2 + s3`).  All reads are run-local or the round-start wall, so runs
+/// are processed in parallel.
+///
+/// The `k`-th combine writes its node to `nodes[k]` and names it `first +
+/// k`; the run's leftover items end up in `run[combines..]`.  Returns the
+/// number of combines and the scan/insert work.
+fn run_combines(
+    run: &mut [Item],
+    nodes: &mut [(isize, isize)],
+    first: isize,
+    wall: u64,
+    threshold: u64,
+) -> (usize, u64) {
     let mut head = 0usize;
-    let mut nodes: Vec<(isize, isize)> = Vec::new();
     let mut edges = 0u64;
-    while cur.len() - head >= 3 {
-        let s1 = cur[head];
-        let s2 = cur[head + 1];
+    while run.len() - head >= 3 {
+        let s1 = run[head];
+        let s2 = run[head + 1];
         let x = s1.weight + s2.weight;
-        if x > threshold || wall <= s2.weight || x > cur[cur.len() - 1].weight {
+        if x > threshold || wall <= s2.weight || x > run[run.len() - 1].weight {
             break;
         }
-        let enc = (round_base + nodes.len()) as isize;
-        nodes.push((s1.enc, s2.enc));
-        head += 2;
+        nodes[head] = (s1.enc, s2.enc);
         // Reinsert before the first element >= x (the Garsia–Wachs rule);
         // the run is sorted, so the scan is a binary search.
-        let pos = head + cur[head..].partition_point(|it| it.weight < x);
-        edges += 1 + (cur.len() - pos) as u64;
-        cur.insert(pos, Item { weight: x, enc });
+        let pos = head + 2 + run[head + 2..].partition_point(|it| it.weight < x);
+        edges += 1 + (run.len() - pos) as u64;
+        run.copy_within(head + 2..pos, head + 1);
+        run[pos - 1] = Item {
+            weight: x,
+            enc: first + head as isize,
+        };
+        head += 1;
     }
-    let items = cur.split_off(head);
-    RunOut {
-        items,
-        nodes,
-        edges,
+    (head, edges)
+}
+
+/// The parallel phase over `runs`, which tile `seq`: the first run starts
+/// at `seq[0]`, and `nodes` is the node buffer's slice from the same offset.
+/// `wall` is the weight just before the first run, and a run at `lo` names
+/// its packages from `base + lo` on.  The list forks in half at a run
+/// boundary only while both halves keep at least `grain` runs.  Returns the
+/// scan/insert work.
+fn combine_runs(
+    runs: &mut [Run],
+    seq: &mut [Item],
+    nodes: &mut [(isize, isize)],
+    wall: u64,
+    base: usize,
+    threshold: u64,
+    grain: usize,
+) -> u64 {
+    let start = runs[0].lo;
+    if runs.len() < 2 * grain {
+        let mut wall = wall;
+        let mut edges = 0;
+        for i in 0..runs.len() {
+            let lo = runs[i].lo - start;
+            let hi = runs.get(i + 1).map_or(seq.len(), |next| next.lo - start);
+            let next_wall = seq[hi - 1].weight;
+            let first = (base + runs[i].lo) as isize;
+            let (combines, work) =
+                run_combines(&mut seq[lo..hi], &mut nodes[lo..hi], first, wall, threshold);
+            runs[i].combines = combines;
+            edges += work;
+            wall = next_wall;
+        }
+        return edges;
     }
+    let mid = runs.len() / 2;
+    let split = runs[mid].lo - start;
+    let right_wall = seq[split - 1].weight;
+    let (left_runs, right_runs) = runs.split_at_mut(mid);
+    let (left_seq, right_seq) = seq.split_at_mut(split);
+    let (left_nodes, right_nodes) = nodes.split_at_mut(split);
+    let recurse = |runs: &mut [Run], seq: &mut [Item], nodes: &mut [(isize, isize)], wall| {
+        combine_runs(runs, seq, nodes, wall, base, threshold, grain)
+    };
+    let (left, right) = rayon::join(
+        || recurse(left_runs, left_seq, left_nodes, wall),
+        || recurse(right_runs, right_seq, right_nodes, right_wall),
+    );
+    left + right
 }
 
 /// Phase-parallel OAT cordon with polylog rounds (Theorem 5.1).
@@ -134,24 +184,25 @@ fn run_combines(run: &[Item], wall: u64, threshold: u64, round_base: usize) -> R
 /// See the [module docs](self) for the round structure.  Frontier size per
 /// round is the number of combines performed; the sequential sweep's
 /// combines are additionally counted as `wasted` in the metrics, and the
-/// number of parallel run tasks per round as `probes`.
+/// number of runs per round as `probes`.
 #[derive(Debug)]
 pub struct ValleyOatCordon {
     weights: Vec<u64>,
     seq: Vec<Item>,
-    children: Vec<(isize, isize)>,
+    /// The l-tree's internal nodes, `(left, right)`, one slot per leaf.
+    /// Every combine turns two items into one, so the first `n - seq.len()`
+    /// are built; a round stages the packages of the run at `seq[lo]` from
+    /// slot `n - seq.len() + lo` on.
+    nodes: Vec<(isize, isize)>,
     threshold: u64,
-    stitched: Vec<Item>,
-    /// Reused per-round run list: `((lo << 32) | hi, left wall weight)` per
-    /// maximal nondecreasing run.
-    runs: Vec<(u64, u64)>,
+    /// Reused per-round run list, sized for one run per leaf.
+    runs: Vec<Run>,
 }
 
 impl ValleyOatCordon {
     /// Build the cordon: the leaf sequence and the buffers the rounds reuse.
     pub fn new(weights: &[u64]) -> Self {
         let n = weights.len();
-        assert!(n < u32::MAX as usize, "sequence too long for packed runs");
         let seq = weights
             .iter()
             .enumerate()
@@ -163,12 +214,17 @@ impl ValleyOatCordon {
         ValleyOatCordon {
             weights: weights.to_vec(),
             seq,
-            children: Vec::with_capacity(n.saturating_sub(1)),
+            nodes: vec![(0, 0); n],
             threshold: 0,
-            stitched: Vec::with_capacity(n),
-            runs: Vec::new(),
+            runs: Vec::with_capacity(n),
         }
     }
+}
+
+/// Frozen alias for [`ValleyOatCordon::new`], kept only because perfbench
+/// calls it; ROADMAP direction 8 moves perfbench off it.
+pub fn oat_cordon_auto(weights: &[u64]) -> ValleyOatCordon {
+    ValleyOatCordon::new(weights)
 }
 
 impl PhaseParallel for ValleyOatCordon {
@@ -201,66 +257,61 @@ impl PhaseParallel for ValleyOatCordon {
 
         // Maximal nondecreasing runs (the ascending valley slopes), listed in
         // the reused run buffer.
-        let runs = &mut self.runs;
-        runs.clear();
-        let mut lo = 0usize;
+        self.runs.clear();
+        self.runs.push(Run { lo: 0, combines: 0 });
         for p in 1..n_now {
             if self.seq[p].weight < self.seq[p - 1].weight {
-                let wall = if lo == 0 {
-                    u64::MAX
-                } else {
-                    self.seq[lo - 1].weight
-                };
-                runs.push((((lo as u64) << 32) | p as u64, wall));
-                lo = p;
+                self.runs.push(Run { lo: p, combines: 0 });
             }
         }
-        let wall = if lo == 0 {
-            u64::MAX
-        } else {
-            self.seq[lo - 1].weight
-        };
-        runs.push((((lo as u64) << 32) | n_now as u64, wall));
         metrics.add_edges(2 * n_now as u64); // min-sum scan + run partition
-        metrics.add_probes(runs.len() as u64);
+        metrics.add_probes(self.runs.len() as u64);
 
         // Parallel phase: independent Garsia–Wachs combines per run.
-        let round_base = self.children.len();
-        let seq_ref = &self.seq;
-        let outs: Vec<RunOut> = self
-            .runs
-            .par_iter()
-            .map(|&(packed, wall)| {
-                let (lo, hi) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
-                run_combines(&seq_ref[lo..hi], wall, t, round_base)
-            })
-            .with_min_len(round_min_grain(self.runs.len()))
-            .collect();
+        let base = self.weights.len() - n_now;
+        let grain = round_min_grain(self.runs.len());
+        let edges = combine_runs(
+            &mut self.runs,
+            &mut self.seq,
+            &mut self.nodes[base..],
+            u64::MAX,
+            base,
+            t,
+            grain,
+        );
+        metrics.add_edges(edges);
 
-        // Merge: append local l-tree nodes (remapping run-local references)
-        // and stitch the leftover items back into one sequence.
-        self.stitched.clear();
-        let mut combines = 0usize;
-        for out in outs {
-            let shift = self.children.len() as isize - round_base as isize;
-            let remap = |enc: isize| {
-                if enc >= round_base as isize {
-                    enc + shift
+        // Merge: move each run's packages down behind the built nodes and
+        // its leftover items down behind the merged sequence, renaming the
+        // packages it staged from `base + lo` to their final slots.
+        let mut built = base;
+        let mut len = 0;
+        for (i, run) in self.runs.iter().enumerate() {
+            let hi = self.runs.get(i + 1).map_or(n_now, |next| next.lo);
+            let shift = (base + run.lo - built) as isize;
+            let rename = |enc: isize| {
+                if enc >= base as isize {
+                    enc - shift
                 } else {
                     enc
                 }
             };
-            for &(l, r) in &out.nodes {
-                self.children.push((remap(l), remap(r)));
+            for k in 0..run.combines {
+                let (l, r) = self.nodes[base + run.lo + k];
+                self.nodes[built + k] = (rename(l), rename(r));
             }
-            combines += out.nodes.len();
-            self.stitched.extend(out.items.iter().map(|it| Item {
-                weight: it.weight,
-                enc: remap(it.enc),
-            }));
-            metrics.add_edges(out.edges);
+            built += run.combines;
+            for p in run.lo + run.combines..hi {
+                let it = self.seq[p];
+                self.seq[len] = Item {
+                    weight: it.weight,
+                    enc: rename(it.enc),
+                };
+                len += 1;
+            }
         }
-        std::mem::swap(&mut self.seq, &mut self.stitched);
+        self.seq.truncate(len);
+        let combines = built - base;
 
         // Sequential sweep: remaining eligible locally minimal pairs —
         // wall-adjacent fronts and packages escaping their run.  Counted as
@@ -288,8 +339,9 @@ impl PhaseParallel for ValleyOatCordon {
             }
             let Some(p) = found else { break };
             let x = two(&self.seq, p);
-            let enc = self.children.len() as isize;
-            self.children.push((self.seq[p].enc, self.seq[p + 1].enc));
+            self.nodes[built] = (self.seq[p].enc, self.seq[p + 1].enc);
+            let enc = built as isize;
+            built += 1;
             self.seq.drain(p..=p + 1);
             let mut q = p;
             while q < self.seq.len() && self.seq[q].weight < x {
@@ -318,7 +370,7 @@ impl PhaseParallel for ValleyOatCordon {
                 if enc < 0 {
                     depths[(-enc - 1) as usize] = depth;
                 } else {
-                    let (l, r) = self.children[enc as usize];
+                    let (l, r) = self.nodes[enc as usize];
                     stack.push((l, depth + 1));
                     stack.push((r, depth + 1));
                 }
@@ -347,77 +399,10 @@ impl PhaseParallel for ValleyOatCordon {
     }
 }
 
-/// The interval-DP cordon (the OBST diagonal sweep restricted to leaf
-/// weights) adapted to the [`OatLayout`] output, so the router's two arms
-/// share an output type.  Runs in `n - 1` rounds — the pre-Theorem-5.1
-/// baseline kept for tiny inputs and as the ablation partner.
-pub struct IntervalOatCordon {
-    inner: ObstCordon,
-}
-
-impl IntervalOatCordon {
-    /// Wrap the OBST diagonal cordon for the given leaf weights.
-    pub fn new(weights: &[u64]) -> Self {
-        IntervalOatCordon {
-            inner: ObstCordon::new(weights),
-        }
-    }
-}
-
-impl PhaseParallel for IntervalOatCordon {
-    type Output = OatLayout;
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-
-    fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        self.inner.round(metrics)
-    }
-
-    fn finish(self) -> OatLayout {
-        let tables = self.inner.finish();
-        OatLayout {
-            cost: tables.cost(),
-            depths: tables.leaf_depths(),
-        }
-    }
-
-    fn round_budget(&self) -> Option<u64> {
-        self.inner.round_budget()
-    }
-}
-
-/// Route an OAT instance to the cheaper cordon: the interval cordon below
-/// [`OAT_VALLEY_MIN_N`] leaves, the polylog-round valley cordon otherwise —
-/// returned as the zero-dispatch `EitherCordon` so the choice stays a value
-/// any driver (including the facade's `CordonSolver`) can run.
-pub fn oat_cordon_auto(weights: &[u64]) -> EitherCordon<IntervalOatCordon, ValleyOatCordon> {
-    if weights.len() < OAT_VALLEY_MIN_N {
-        EitherCordon::First(IntervalOatCordon::new(weights))
-    } else {
-        EitherCordon::Second(ValleyOatCordon::new(weights))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, OatResult};
-    use pardp_core::run_phase_parallel;
-
-    /// Run the valley cordon at any size, below the router's cut too.
-    fn run_valley(weights: &[u64]) -> OatResult {
-        let metrics = MetricsCollector::new();
-        let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
-        let height = layout.depths.iter().copied().max().unwrap_or(0);
-        OatResult {
-            cost: layout.cost,
-            depths: layout.depths,
-            height,
-            metrics: metrics.snapshot(),
-        }
-    }
+    use crate::{garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat};
 
     fn pseudo_weights(n: usize, seed: u64, max_w: u64) -> Vec<u64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -454,7 +439,7 @@ mod tests {
         for seed in 0..8 {
             for &n in &[0usize, 1, 2, 3, 4, 5, 8, 13, 20, 40, 90, 150] {
                 let w = pseudo_weights(n, seed, 50);
-                let got = run_valley(&w);
+                let got = parallel_oat(&w);
                 let gw = garsia_wachs(&w);
                 assert_eq!(got.cost, gw.cost, "n {n} seed {seed} weights {w:?}");
                 assert_eq!(got.cost, interval_dp_oat(&w), "n {n} seed {seed}");
@@ -475,7 +460,7 @@ mod tests {
     fn valley_rounds_are_polylog_not_linear() {
         for seed in 0..4 {
             let w = pseudo_weights(2000, seed, 1000);
-            let r = run_valley(&w);
+            let r = parallel_oat(&w);
             assert_eq!(r.cost, garsia_wachs(&w).cost);
             let bound = oat_height_bound(&w) as u64;
             assert!(
@@ -483,7 +468,7 @@ mod tests {
                 "rounds {} exceed the Lemma 5.1 budget {bound}",
                 r.metrics.rounds
             );
-            // The interval cordon would need n - 1 = 1999 rounds.
+            // The interval DP would need n - 1 = 1999 rounds.
             assert!(
                 r.metrics.rounds < 100,
                 "rounds {} not polylog",
@@ -497,40 +482,53 @@ mod tests {
     fn valley_handles_adversarial_profiles() {
         // Equal weights: a single plateau, all combines wall-adjacent.
         let equal = vec![7u64; 256];
-        let r = run_valley(&equal);
+        let r = parallel_oat(&equal);
         assert_eq!(r.cost, 7 * 8 * 256);
         assert!(r.depths.iter().all(|&d| d == 8));
         // Exponentially growing: the optimal tree is a caterpillar.
         let expo: Vec<u64> = (0..40).map(|i| 1u64 << i).collect();
-        let r = run_valley(&expo);
+        let r = parallel_oat(&expo);
         assert_eq!(r.cost, garsia_wachs(&expo).cost);
         assert!(alphabetically_realizable(&r.depths));
         // Perfect valley and mountain shapes.
         let valley: Vec<u64> = (0..50).map(|i| (50i64 - i).unsigned_abs() + 1).collect();
         let mountain: Vec<u64> = valley.iter().rev().copied().collect();
         for w in [valley, mountain] {
-            let r = run_valley(&w);
+            let r = parallel_oat(&w);
             assert_eq!(r.cost, interval_dp_oat(&w), "weights {w:?}");
             assert!(alphabetically_realizable(&r.depths));
         }
     }
 
     #[test]
-    fn router_picks_interval_for_tiny_and_valley_for_large() {
-        let tiny = pseudo_weights(OAT_VALLEY_MIN_N - 1, 1, 100);
-        match oat_cordon_auto(&tiny) {
-            EitherCordon::First(_) => {}
-            EitherCordon::Second(_) => panic!("tiny input must use the interval cordon"),
-        }
-        let big = pseudo_weights(OAT_VALLEY_MIN_N, 1, 100);
-        match oat_cordon_auto(&big) {
-            EitherCordon::Second(_) => {}
-            EitherCordon::First(_) => panic!("large input must use the valley cordon"),
-        }
-        // Both arms agree with the oracle through the router entry point.
-        for n in [OAT_VALLEY_MIN_N - 5, OAT_VALLEY_MIN_N + 5] {
-            let w = pseudo_weights(n, 9, 64);
-            assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w));
+    fn split_run_lists_combine_like_one_grain() {
+        // The first round's parallel phase, once as one grain and once split
+        // down to single runs (`rayon::join` runs inline at one thread, so
+        // this takes the split path on any host).
+        for seed in 0..6 {
+            let w = pseudo_weights(500, seed, 1 << 12);
+            let cordon = ValleyOatCordon::new(&w);
+            let mut runs = vec![Run { lo: 0, combines: 0 }];
+            runs.extend(
+                (1..w.len())
+                    .filter(|&p| w[p] < w[p - 1])
+                    .map(|lo| Run { lo, combines: 0 }),
+            );
+            let phase = |grain: usize| {
+                let (mut runs, mut seq, mut nodes) =
+                    (runs.clone(), cordon.seq.clone(), cordon.nodes.clone());
+                let edges =
+                    combine_runs(&mut runs, &mut seq, &mut nodes, u64::MAX, 0, 1 << 13, grain);
+                let items: Vec<(u64, isize)> = seq.iter().map(|it| (it.weight, it.enc)).collect();
+                let combines: Vec<usize> = runs.iter().map(|run| run.combines).collect();
+                (edges, items, nodes, combines)
+            };
+            let one_grain = phase(runs.len());
+            assert!(
+                one_grain.3.iter().sum::<usize>() > 0,
+                "seed {seed}: no combine"
+            );
+            assert_eq!(phase(1), one_grain, "seed {seed}");
         }
     }
 }

@@ -12,9 +12,11 @@
 //! paper notes (achieving `o(n)` span would need a different recurrence).
 //!
 //! The weight function used here is the classic OBST/OAT one:
-//! `w(i, j) = Σ_{t=i..j} a[t]` for leaf weights `a` (so this module also
-//! doubles as the interval-DP oracle for the optimal *alphabetic* tree, which
-//! is the OBST problem restricted to leaf weights).
+//! `w(i, j) = Σ_{t=i..j} a[t]` for leaf weights `a`, so [`parallel_obst`]
+//! also computes the cost of the optimal *alphabetic* tree, which is the
+//! OBST problem restricted to leaf weights, in `n - 1` rounds: the
+//! interval-DP baseline that `pardp-oat`'s polylog-round valley cordon
+//! (Theorem 5.1) improves on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -132,61 +134,17 @@ pub fn knuth_obst(weights: &[u64]) -> ObstResult {
 /// supplies the round accounting, frontier telemetry and stall guard.
 pub fn parallel_obst(weights: &[u64]) -> ObstResult {
     let metrics = MetricsCollector::new();
-    let tables = run_phase_parallel(ObstCordon::new(weights), &metrics);
+    let cost = run_phase_parallel(ObstCordon::new(weights), &metrics);
     ObstResult {
-        cost: tables.cost(),
+        cost,
         metrics: metrics.snapshot(),
-    }
-}
-
-/// Completed interval-DP tables produced by [`ObstCordon`], in diagonal-major
-/// layout: `d[len - 1][i]` is the cost of the interval `[i, i + len - 1]` and
-/// `root[len - 1][i]` its optimal split point.
-#[derive(Debug, Clone)]
-pub struct ObstTables {
-    /// Interval costs by (diagonal, start).
-    pub d: Vec<Vec<u64>>,
-    /// Optimal split points by (diagonal, start).
-    pub root: Vec<Vec<usize>>,
-    /// Number of leaves.
-    pub n: usize,
-}
-
-impl ObstTables {
-    /// Optimal total cost (0 for fewer than two leaves).
-    pub fn cost(&self) -> u64 {
-        if self.n <= 1 {
-            0
-        } else {
-            self.d[self.n - 1][0]
-        }
-    }
-
-    /// Depth of every leaf in the optimal tree, reconstructed from the split
-    /// points (root depth 0; a single leaf has depth 0).
-    pub fn leaf_depths(&self) -> Vec<u32> {
-        let n = self.n;
-        let mut depths = vec![0u32; n];
-        if n <= 1 {
-            return depths;
-        }
-        let mut stack = vec![(0usize, n - 1, 0u32)];
-        while let Some((i, j, depth)) = stack.pop() {
-            if i == j {
-                depths[i] = depth;
-                continue;
-            }
-            let k = self.root[j - i][i];
-            stack.push((i, k, depth + 1));
-            stack.push((k + 1, j, depth + 1));
-        }
-        depths
     }
 }
 
 /// [`PhaseParallel`] instance for the interval DP: round `δ` fills the
 /// diagonal of intervals of length `δ + 1` in parallel using the Knuth split
-/// bounds.
+/// bounds.  Its output is the optimal cost; the split points serve only the
+/// bounds of later rounds.
 ///
 /// Both tables live in a single flat allocation in diagonal-major order
 /// (`offsets[len - 1] + i` addresses interval `[i, i + len - 1]`), sized up
@@ -233,16 +191,10 @@ impl ObstCordon {
             n,
         }
     }
-
-    /// Copy one finished diagonal out of the flat table (`len >= 1`).
-    fn diagonal<T: Copy>(flat: &[T], offsets: &[usize], n: usize, len: usize) -> Vec<T> {
-        let start = offsets[len - 1];
-        flat[start..start + (n - len + 1)].to_vec()
-    }
 }
 
 impl PhaseParallel for ObstCordon {
-    type Output = ObstTables;
+    type Output = u64;
 
     fn is_done(&self) -> bool {
         self.len > self.n
@@ -293,17 +245,10 @@ impl PhaseParallel for ObstCordon {
         count
     }
 
-    fn finish(self) -> Self::Output {
-        // Re-materialize the per-diagonal rows for the public tables; this is
-        // a one-time cost at the end of the run, not a per-round one.
-        let n = self.n;
-        let d = (1..=n)
-            .map(|len| Self::diagonal(&self.d, &self.offsets, n, len))
-            .collect();
-        let root = (1..=n)
-            .map(|len| Self::diagonal(&self.root, &self.offsets, n, len))
-            .collect();
-        ObstTables { d, root, n }
+    fn finish(self) -> u64 {
+        // The whole interval is the one entry of the last diagonal, at the
+        // end of the flat table (no entry, and cost 0, without leaves).
+        self.d.last().copied().unwrap_or(0)
     }
 
     fn round_budget(&self) -> Option<u64> {

@@ -1,7 +1,10 @@
 //! Optimal alphabetic codes: build an order-preserving prefix code for a
 //! symbol alphabet from observed frequencies (the OAT application of
 //! Sec. 5.1), and compare its cost with the entropy lower bound and with a
-//! balanced (depth-⌈log n⌉) code.
+//! balanced (depth-⌈log n⌉) code.  The code is built twice: by the
+//! sequential Garsia–Wachs algorithm and by the paper's parallel OAT
+//! (Theorem 5.1), whose weight-doubling rounds stay within the Lemma 5.1
+//! bound.
 //!
 //! Run with `cargo run --release --example alphabetic_coding -- [n]`.
 
@@ -23,6 +26,17 @@ fn main() {
         interval_dp_oat(&freqs),
         "Garsia–Wachs must be optimal"
     );
+    let par = parallel_oat(&freqs);
+    assert_eq!(
+        par.cost, oat.cost,
+        "the parallel OAT must match Garsia–Wachs"
+    );
+    let bound = oat_height_bound(&freqs);
+    assert!(
+        par.metrics.rounds <= bound as u64,
+        "{} rounds exceed the Lemma 5.1 bound {bound}",
+        par.metrics.rounds
+    );
 
     let balanced_depth = (n as f64).log2().ceil() as u64;
     let balanced_cost = total * balanced_depth;
@@ -36,10 +50,15 @@ fn main() {
 
     println!("alphabet size {n}, total frequency {total}");
     println!(
-        "optimal alphabetic code: {:.4} bits/symbol (tree height {}, bound {})",
+        "optimal alphabetic code: {:.4} bits/symbol (tree height {}, bound {bound})",
         oat.cost as f64 / total as f64,
         oat.height,
-        oat_height_bound(&freqs)
+    );
+    println!(
+        "parallel OAT:            same cost in {} rounds (Lemma 5.1 bound {bound}; \
+         Garsia–Wachs takes {} combine steps)",
+        par.metrics.rounds,
+        n.saturating_sub(1)
     );
     println!(
         "balanced code:           {:.4} bits/symbol",

@@ -67,14 +67,12 @@ pub use pardp_workloads as workloads;
 /// ```
 ///
 /// The same call shape works for `LcsCordon`, `ConvexGlwsCordon`,
-/// `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`, `ObstCordon` — and
-/// for the router-produced `EitherCordon` values that `parallel_oat` and
-/// `parallel_tree_glws` run: `oat_cordon_auto`'s (polylog-round valley OAT
-/// above a size cutoff, interval cordon below it) and
-/// `tree_glws_cordon_auto`'s (cheaper Tree-GLWS cordon from an O(n) shape
-/// probe).  To run one arm of a router, hand the solver that arm's cordon:
-/// `ValleyOatCordon`, `IntervalOatCordon`, `HldTreeGlwsCordon` or
-/// `TreeGlwsCordon`.
+/// `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`, `ObstCordon`,
+/// `ValleyOatCordon` (the polylog-round OAT cordon `parallel_oat` runs) —
+/// and for the router-produced `EitherCordon` value that
+/// `parallel_tree_glws` runs, `tree_glws_cordon_auto`'s (cheaper Tree-GLWS
+/// cordon from an O(n) shape probe).  To run one arm of the router, hand
+/// the solver that arm's cordon: `HldTreeGlwsCordon` or `TreeGlwsCordon`.
 ///
 /// Each run is guarded by the instance's own
 /// [`PhaseParallel::round_budget`] and by the driver's progress check.
@@ -154,8 +152,7 @@ pub mod prelude {
     };
     pub use pardp_lis::{parallel_lis, sequential_lis, LisCordon, LisResult};
     pub use pardp_oat::{
-        garsia_wachs, oat_cordon_auto, oat_height_bound, parallel_oat, IntervalOatCordon,
-        OatLayout, OatResult, ValleyOatCordon,
+        garsia_wachs, oat_height_bound, parallel_oat, OatLayout, OatResult, ValleyOatCordon,
     };
     pub use pardp_obst::{knuth_obst, parallel_obst, ObstCordon, ObstResult};
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};

@@ -1,7 +1,8 @@
 //! Counting-allocator proof of the zero-allocation round loop.
 //!
 //! After warm-up has grown every buffer to its high-water mark, a cordon
-//! round on the single-threaded inline path must perform no heap allocation:
+//! round on the single-threaded inline path must perform no heap allocation
+//! (valley OAT's rounds, from the first one on):
 //!
 //! * OBST writes into flat preallocated triangular tables;
 //! * the staircase cordons behind LIS and sparse LCS write each round's
@@ -13,9 +14,11 @@
 //!   allocations at any input size, and allocates little beyond one leaf
 //!   per position;
 //! * `ValleyOatCordon::new` copies the weights into the leaf sequence and
-//!   sizes the buffers its rounds reuse, and builds nothing else, so it too
-//!   makes the same number of allocations at any input size.  Its rounds
-//!   still allocate: a ratchet test bounds every allocation they make;
+//!   sizes the buffers its rounds reuse (a node slot and a run record per
+//!   leaf), and builds nothing else, so it too makes the same number of
+//!   allocations at any input size.  Each run combines in place in its
+//!   slice of the sequence and stages its packages in its slice of the node
+//!   buffer, and the merge compacts both in place;
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
@@ -51,12 +54,12 @@
 //! `TreeGlwsCordon` on a balanced binary tree, a random tree and a
 //! caterpillar, and the GLWS test runs `ConvexGlwsCordon` on a post-office
 //! instance, `ConcaveGlwsCordon` on a concave cost with bonus states and
-//! `KGlwsCordon` on a clustered post-office instance.  The router test runs what `oat_cordon_auto` picks
-//! below `OAT_VALLEY_MIN_N` leaves (`IntervalOatCordon`) and what
-//! `tree_glws_cordon_auto` picks on a caterpillar (HLD) and a balanced tree
-//! (depth levels), inside their `EitherCordon`.  Each asserts the allocation
-//! counter does not move during steady-state rounds.  The valley OAT test
-//! counts every allocation of every round instead, against a fixed bound.
+//! `KGlwsCordon` on a clustered post-office instance.  The router test runs
+//! what `tree_glws_cordon_auto` picks on a caterpillar (HLD) and a balanced
+//! tree (depth levels), inside its `EitherCordon`.  Each asserts the
+//! allocation counter does not move during steady-state rounds.  The valley
+//! OAT test counts every round from the first instead, at 20, 63 and 2 000
+//! leaves: at 20 leaves it runs fewer rounds than the warm-up.
 //!
 //! The tests pin the pool to one thread (`with_threads(1)`): the threaded
 //! fork path boxes jobs per fork by design, so the zero-allocation contract
@@ -75,7 +78,7 @@ use parallel_dp::glws::{
 };
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::lis::{sequential_lis, LisCordon};
-use parallel_dp::oat::{garsia_wachs, oat_cordon_auto, ValleyOatCordon, OAT_VALLEY_MIN_N};
+use parallel_dp::oat::{garsia_wachs, ValleyOatCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::treedp::{
@@ -162,8 +165,8 @@ struct AllocationProbe<P> {
 struct RoundAllocations {
     /// In every round, from the first.
     total: u64,
-    /// After warm-up round [`WARM_UP_ROUNDS`].
-    steady: u64,
+    /// After warm-up round [`WARM_UP_ROUNDS`], if the cordon got that far.
+    steady: Option<u64>,
     /// Rounds after warm-up.
     steady_rounds: usize,
 }
@@ -195,18 +198,10 @@ impl<P: PhaseParallel> PhaseParallel for AllocationProbe<P> {
 
     fn finish(self) -> Self::Output {
         let after = allocations();
-        #[expect(
-            clippy::expect_used,
-            reason = "a cordon that finishes within its warm-up rounds cannot show a \
-                      steady state, so the test fails loudly"
-        )]
-        let warm = self
-            .after_warm_up
-            .expect("instance too small to measure steady state");
         let counts = RoundAllocations {
             total: after - self.before_first_round,
-            steady: after - warm,
-            steady_rounds: self.rounds - WARM_UP_ROUNDS,
+            steady: self.after_warm_up.map(|warm| after - warm),
+            steady_rounds: self.rounds.saturating_sub(WARM_UP_ROUNDS),
         };
         (self.inner.finish(), counts)
     }
@@ -234,10 +229,18 @@ fn run_probed<P: PhaseParallel>(cordon: P) -> (P::Output, RoundAllocations, u64)
 /// [`run_probed`], asserting that the steady-state rounds allocated nothing.
 fn run_allocation_free<P: PhaseParallel>(name: &str, cordon: P) -> (P::Output, u64) {
     let (output, allocations, rounds) = run_probed(cordon);
+    #[expect(
+        clippy::expect_used,
+        reason = "a cordon that finishes within its warm-up rounds cannot show a \
+                  steady state, so the test fails loudly"
+    )]
+    let steady = allocations
+        .steady
+        .expect("instance too small to measure steady state");
     assert_eq!(
-        allocations.steady, 0,
-        "{name}: run_phase_parallel allocated {} times over {} steady-state rounds",
-        allocations.steady, allocations.steady_rounds
+        steady, 0,
+        "{name}: run_phase_parallel allocated {steady} times over {} steady-state rounds",
+        allocations.steady_rounds
     );
     (output, rounds)
 }
@@ -293,14 +296,13 @@ fn obst_rounds_allocate_nothing_after_warm_up() {
         );
 
         // The run still computes the right answer.
-        let tables = cordon.finish();
-        assert_eq!(tables.cost(), expected);
+        assert_eq!(cordon.finish(), expected);
         assert_eq!(metrics.snapshot().rounds, budget);
 
         // Through the driver: the round loop and the frontier log must not
         // allocate either.
-        let (tables, rounds) = run_allocation_free("OBST", ObstCordon::new(&weights));
-        assert_eq!(tables.cost(), expected);
+        let (cost, rounds) = run_allocation_free("OBST", ObstCordon::new(&weights));
+        assert_eq!(cost, expected);
         assert_eq!(rounds, budget);
     });
 }
@@ -540,26 +542,6 @@ fn depth_tree_glws_rounds_allocate_nothing_after_warm_up() {
 
 #[test]
 fn routed_cordons_allocate_nothing_after_warm_up() {
-    // `parallel_oat` below `OAT_VALLEY_MIN_N` leaves: the interval cordon.
-    for n in [20, OAT_VALLEY_MIN_N - 1] {
-        let weights = workloads::positive_weights(n, 1 << 16, 23);
-        let want = garsia_wachs(&weights).cost;
-
-        with_threads(1, || {
-            let cordon = oat_cordon_auto(&weights);
-            assert!(
-                matches!(cordon, EitherCordon::First(_)),
-                "{n} leaves: routed to the valley cordon"
-            );
-            let (layout, rounds) = run_allocation_free("interval OAT", cordon);
-            assert_eq!(
-                layout.cost, want,
-                "{n} leaves: cost differs from Garsia–Wachs"
-            );
-            assert_eq!(rounds, n as u64 - 1);
-        });
-    }
-
     // `parallel_tree_glws`: the HLD arm on a caterpillar, the depth arm on a
     // balanced binary tree.
     let shapes = [
@@ -598,28 +580,31 @@ fn routed_cordons_allocate_nothing_after_warm_up() {
 }
 
 #[test]
-fn valley_oat_round_allocations_do_not_grow() {
-    // A ratchet, not the zero-allocation contract: every valley round still
-    // collects its runs' outputs into a fresh `Vec`.  The bound is the count
-    // its 16 rounds made when the test was written, the same in release and
-    // debug builds (24 of them fall after warm-up).  An allocation added to
-    // a round, in its body, its `collect` or `run_combines`, fails the
-    // test.  Staging each run's output in buffers the cordon owns (ROADMAP
-    // direction 5b) lowers the bound to 0.
-    const MOST_ALLOCATIONS: u64 = 13_259;
-    let weights = workloads::positive_weights(2_000, 1 << 16, 23);
-    let want = garsia_wachs(&weights).cost;
+fn valley_oat_rounds_allocate_nothing() {
+    // Every round counts, from the first: at 20 leaves the cordon runs
+    // fewer rounds than the warm-up.  These are the sizes `parallel_oat`
+    // once sent to the interval DP (20 and 63) and one that takes 16
+    // rounds.
+    for (n, want_rounds) in [(20, None), (63, None), (2_000, Some(16))] {
+        let weights = workloads::positive_weights(n, 1 << 16, 23);
+        let want = garsia_wachs(&weights).cost;
 
-    with_threads(1, || {
-        let (layout, allocations, rounds) = run_probed(ValleyOatCordon::new(&weights));
-        assert_eq!(layout.cost, want, "cost differs from Garsia–Wachs");
-        assert_eq!(rounds, 16);
-        assert!(
-            allocations.total <= MOST_ALLOCATIONS,
-            "valley OAT rounds allocated {} times (at most {MOST_ALLOCATIONS})",
-            allocations.total
-        );
-    });
+        with_threads(1, || {
+            let (layout, allocations, rounds) = run_probed(ValleyOatCordon::new(&weights));
+            assert_eq!(
+                layout.cost, want,
+                "{n} leaves: cost differs from Garsia–Wachs"
+            );
+            if let Some(want_rounds) = want_rounds {
+                assert_eq!(rounds, want_rounds, "{n} leaves");
+            }
+            assert_eq!(
+                allocations.total, 0,
+                "{n} leaves: valley OAT's {rounds} rounds allocated {} times",
+                allocations.total
+            );
+        });
+    }
 }
 
 #[test]

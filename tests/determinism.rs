@@ -140,28 +140,42 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
 #[test]
 fn valley_oat_results_are_bit_identical_across_thread_counts() {
     use parallel_dp::oat::{garsia_wachs, parallel_oat};
-    // Profiles covering all parallel-phase behaviours, each large enough for
-    // `parallel_oat` to route it to the valley cordon: random (many
-    // valleys), valley/mountain (two long slopes), equal weights (pure
-    // sequential-sweep rounds).
+    // Profiles covering all parallel-phase behaviours: random (many
+    // valleys; its wide rounds split their run lists under `join` above one
+    // thread), valley/mountain (two long slopes), equal weights (pure
+    // sequential-sweep rounds), and random again below 64 leaves, where every
+    // round runs inline.
     let profiles = [
         ("random", workloads::positive_weights(6_000, 1 << 16, 7)),
         ("valley", workloads::valley_weights(6_000, 1 << 16, 8)),
         ("mountain", workloads::mountain_weights(6_000, 1 << 16, 9)),
         ("equal", workloads::equal_weights(4_096, 5)),
+        ("small", workloads::positive_weights(40, 1 << 16, 10)),
     ];
     for (name, w) in profiles {
         let baseline = with_threads(1, || parallel_oat(&w));
         for t in THREAD_COUNTS {
+            let (pushes_before, _) = rayon::dispatch_diagnostics();
             let run = with_threads(t, || parallel_oat(&w));
+            let (pushes_after, _) = rayon::dispatch_diagnostics();
+            // (Sibling tests share the counter, but can only add pushes.)
+            if name == "random"
+                && t == 2
+                && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
+            {
+                assert!(
+                    pushes_after > pushes_before,
+                    "{name}: valley OAT did not fork at 2 threads"
+                );
+            }
             assert_eq!(
                 run.depths, baseline.depths,
                 "{name}: depths differ at {t} threads"
             );
             assert_eq!(run.cost, baseline.cost);
             assert_eq!(
-                run.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
-                "{name}: round schedule differs at {t} threads"
+                run.metrics, baseline.metrics,
+                "{name}: metrics differ at {t} threads"
             );
         }
         let seq = garsia_wachs(&w);

@@ -1,13 +1,13 @@
-//! Cross-validation of the polylog-round valley OAT (Theorem 5.1) against
-//! both sequential oracles on random and adversarial weight profiles, plus
-//! the Lemma 5.1 round-count assertion that separates it from the interval
-//! cordon's `n - 1` rounds.  Every profile has at least `OAT_VALLEY_MIN_N`
-//! leaves, so `parallel_oat` runs the valley cordon on it.
+//! Cross-validation of the polylog-round valley OAT (Theorem 5.1), which
+//! `parallel_oat` runs at every size, against both sequential oracles on
+//! random and adversarial weight profiles and on every size up to 70
+//! leaves, plus the Lemma 5.1 round-count assertion that separates it from
+//! the interval DP's `n - 1` rounds.
 
 use parallel_dp::oat::{
-    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, IntervalOatCordon,
-    ValleyOatCordon, OAT_VALLEY_MIN_N,
+    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, ValleyOatCordon,
 };
+use parallel_dp::obst::ObstCordon;
 use parallel_dp::workloads;
 use parallel_dp::CordonSolver;
 
@@ -45,15 +45,17 @@ fn check_profile(name: &str, w: &[u64]) {
         recomputed, valley.cost,
         "{name}: depths must attain the cost"
     );
-    assert!(
-        alphabetically_realizable(&valley.depths),
-        "{name}: depth vector is not realizable as an ordered tree"
-    );
-    assert_eq!(
-        Some(&valley.height),
-        valley.depths.iter().max(),
-        "{name}: height must be max depth"
-    );
+    if !w.is_empty() {
+        assert!(
+            alphabetically_realizable(&valley.depths),
+            "{name}: depth vector is not realizable as an ordered tree"
+        );
+        assert_eq!(
+            Some(&valley.height),
+            valley.depths.iter().max(),
+            "{name}: height must be max depth"
+        );
+    }
     assert!(
         valley.height <= oat_height_bound(w),
         "{name}: height {} exceeds the Lemma 5.1 bound",
@@ -61,14 +63,17 @@ fn check_profile(name: &str, w: &[u64]) {
     );
     // Theorem 5.1's point: rounds are bounded by the same O(log W) quantity
     // as the tree height (the combine threshold doubles every round), not by
-    // n - 1 like the interval cordon.
+    // n - 1 like the interval DP.
     assert!(
         valley.metrics.rounds <= oat_height_bound(w) as u64,
         "{name}: rounds {} exceed the Lemma 5.1 budget {}",
         valley.metrics.rounds,
         oat_height_bound(w)
     );
-    assert_eq!(valley.metrics.states_finalized, (w.len() - 1) as u64);
+    assert_eq!(
+        valley.metrics.states_finalized,
+        w.len().saturating_sub(1) as u64
+    );
 }
 
 #[test]
@@ -98,11 +103,37 @@ fn valley_oat_matches_oracles_on_adversarial_profiles() {
 }
 
 #[test]
+fn parallel_oat_matches_oracles_at_every_small_size() {
+    // The sizes where `parallel_oat` once ran the interval DP instead.
+    for n in 0..=70 {
+        for seed in 0..20 {
+            let w = workloads::positive_weights(n, 1 << 16, seed);
+            check_profile(&format!("random n {n} seed {seed}"), &w);
+            assert_eq!(
+                parallel_oat(&w).cost,
+                interval_dp_oat(&w),
+                "n {n} seed {seed}"
+            );
+        }
+        let profiles = [
+            ("equal", workloads::equal_weights(n, 9)),
+            ("exponential", workloads::exponential_weights(n, 2, 40)),
+            ("exponential-3", workloads::exponential_weights(n, 3, 25)),
+        ];
+        for (name, w) in profiles {
+            check_profile(&format!("{name} n {n}"), &w);
+            assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w), "{name} n {n}");
+        }
+    }
+}
+
+#[test]
 fn valley_rounds_are_polylog_where_the_interval_cordon_is_linear() {
     let w = workloads::positive_weights(4_000, 1 << 16, 5);
     let valley = CordonSolver::new().run(ValleyOatCordon::new(&w));
-    let interval = CordonSolver::new().run(IntervalOatCordon::new(&w));
-    assert_eq!(valley.output.cost, interval.output.cost);
+    // The interval DP on the leaf weights: OBST's diagonal cordon.
+    let interval = CordonSolver::new().run(ObstCordon::new(&w));
+    assert_eq!(valley.output.cost, interval.output);
     assert_eq!(
         interval.metrics.rounds, 3_999,
         "interval cordon: one round per diagonal"
@@ -112,25 +143,4 @@ fn valley_rounds_are_polylog_where_the_interval_cordon_is_linear() {
         "valley cordon rounds {} must be polylog, not linear",
         valley.metrics.rounds
     );
-}
-
-#[test]
-fn auto_router_agrees_with_both_arms_around_the_cutoff() {
-    for n in [
-        2usize,
-        OAT_VALLEY_MIN_N - 1,
-        OAT_VALLEY_MIN_N,
-        OAT_VALLEY_MIN_N + 1,
-        300,
-    ] {
-        let w = workloads::positive_weights(n, 1 << 10, 17);
-        let auto = parallel_oat(&w);
-        assert_eq!(auto.cost, interval_dp_oat(&w), "n {n}");
-        let recomputed: u64 = w
-            .iter()
-            .zip(&auto.depths)
-            .map(|(&a, &d)| a * d as u64)
-            .sum();
-        assert_eq!(recomputed, auto.cost, "n {n}");
-    }
 }

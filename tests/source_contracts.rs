@@ -15,11 +15,12 @@
 //!   counting allocator.  The benchmark is a workspace of its own, outside
 //!   the root `[workspace.lints]`, and its crate roots do not deny
 //!   `unsafe_code`.
-//! * The frozen names `round_with`, `FrontierArena`, `GrainPolicy` and
-//!   `with_grain_policy` appear in code only where they are defined and
-//!   re-exported.  They stay because perfbench, which changes only with the
-//!   benchmark (ROADMAP direction 8), still names them; nothing else may
-//!   start using them again.  Comments and strings do not count.
+//! * The frozen names `round_with`, `FrontierArena`, `GrainPolicy`,
+//!   `with_grain_policy` and `oat_cordon_auto` appear in code only where
+//!   they are defined and re-exported.  They stay because perfbench, which
+//!   changes only with the benchmark (ROADMAP direction 8), still names
+//!   them; nothing else may start using them again (`oat_cordon_auto` is an
+//!   alias for `ValleyOatCordon::new`).  Comments and strings do not count.
 //!
 //! The checks read lines, not tokens.  The code is rustfmt-formatted, so a
 //! `#[cfg(test)]` module ends at the first `}` at its own indentation.
@@ -29,20 +30,23 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Names kept only for perfbench, which still calls or implements them.
-const FROZEN_NAMES: [&str; 4] = [
+const FROZEN_NAMES: [&str; 5] = [
     "round_with",
     "FrontierArena",
     "GrainPolicy",
     "with_grain_policy",
+    "oat_cordon_auto",
 ];
 
 /// The modules that define the frozen names and the crate roots that
 /// re-export them.
-const FROZEN_HOMES: [&str; 4] = [
+const FROZEN_HOMES: [&str; 6] = [
     "crates/core/src/phase.rs",
     "crates/core/src/lib.rs",
     "crates/parutils/src/grain.rs",
     "crates/parutils/src/lib.rs",
+    "crates/oat/src/valley.rs",
+    "crates/oat/src/lib.rs",
 ];
 
 const ATOMIC_ORDERINGS: [&str; 5] = [
@@ -311,8 +315,8 @@ fn frozen_names_stay_where_they_are_defined() {
     }
     assert!(
         elsewhere.is_empty(),
-        "frozen names used outside the modules that define them (call `round` and \
-         `round_min_grain` instead):\n{}",
+        "frozen names used outside the modules that define them (call `round`, \
+         `round_min_grain` and `ValleyOatCordon::new` instead):\n{}",
         elsewhere.join("\n")
     );
     assert!(
