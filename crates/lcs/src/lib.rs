@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
-use pardp_tournament::{reconstruct_chain, StaircaseCordon, TieRule};
+use pardp_tournament::{reconstruct_chain, StaircaseCordon};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -166,15 +166,11 @@ impl LcsCordon {
         // A pair relaxes a later pair only with a strictly smaller j (and
         // strictly smaller i, which the canonical order guarantees for smaller
         // j values on the prefix-minimum staircase), so ties do not block.
-        LcsCordon(StaircaseCordon::new(
-            pairs.len(),
-            |first, out| {
-                for (key, pair) in out.iter_mut().zip(&pairs[first..]) {
-                    *key = pair.j;
-                }
-            },
-            TieRule::TiesAreRecords,
-        ))
+        LcsCordon(StaircaseCordon::new(pairs.len(), |first, out| {
+            for (key, pair) in out.iter_mut().zip(&pairs[first..]) {
+                *key = pair.j;
+            }
+        }))
     }
 }
 

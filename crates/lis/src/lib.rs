@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{Metrics, MetricsCollector};
-use pardp_tournament::{reconstruct_chain, StaircaseCordon, TieRule};
+use pardp_tournament::{reconstruct_chain, StaircaseCordon};
 
 /// Result of an LIS computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,11 +131,9 @@ impl LisCordon {
     pub fn new(a: &[i64]) -> Self {
         // Ties do not block: A[j] < A[i] is required for a transition, so an
         // equal element to the left does not prevent readiness.
-        LisCordon(StaircaseCordon::new(
-            a.len(),
-            |first, out| out.copy_from_slice(&a[first..first + out.len()]),
-            TieRule::TiesAreRecords,
-        ))
+        LisCordon(StaircaseCordon::new(a.len(), |first, out| {
+            out.copy_from_slice(&a[first..first + out.len()])
+        }))
     }
 }
 

@@ -25,14 +25,12 @@
 //! summarizes the block while it is in cache: in its slot of the leaf
 //! buffer when the pass runs inline, on the stack before a move into its
 //! slot when it forks.  No pass zeroes or fills the leaf buffer first.  The
-//! summary marks each group whose keys form a *run*, in which each key
-//! beats the one before it under the tree's [`TieRule`] (non-increasing
-//! keys under `TiesAreRecords`, strictly decreasing ones under
-//! `TiesBlocked`), and folds the chunk minima of every other, *mixed*,
-//! group.  Sparse LCS in canonical pair order lays each column's matches
-//! out as such a run.  The last block's padding leaves are never alive.  A
-//! small flat *summary heap* over the per-block minima routes each round to
-//! the blocks that actually contain records.
+//! summary marks each group whose keys form a *run*, in which no key rises
+//! above the one before it, and folds the chunk minima of every other,
+//! *mixed*, group.  Sparse LCS in canonical pair order lays each column's
+//! matches out as such a run.  The last block's padding leaves are never
+//! alive.  A small flat *summary heap* over the per-block minima routes
+//! each round to the blocks that actually contain records.
 //!
 //! Inside a block the extraction makes one flat pass over the group minima,
 //! and, for each mixed group whose minimum is a record, one over that
@@ -70,8 +68,7 @@
 //! from the leaves and moves the span of consecutive present values that
 //! ends there down by one, onto the value just below the span, which no key
 //! takes.  That map is injective and order-preserving, so the records do
-//! not change, and every key the tree returns is mapped back.  When no key
-//! equals `Key::MAX` the map is the identity.
+//! not change.  When no key equals `Key::MAX` the map is the identity.
 //!
 //! Records are never buffered: a block writes the round number straight into
 //! each leaf it takes, and its new minimum into its leaf of the summary heap.
@@ -81,11 +78,15 @@
 //! interior mutability, no record buffers and no per-round allocation.
 //! Once every position is taken, the leaves are the DP values:
 //! [`StaircaseCordon`]'s `finish` hands the leaf buffer back, as it is for
-//! `u32` keys and narrowed in one pass for wider ones.  A key type
-//! narrower than 32 bits holds only `2^bits − 1` round numbers, so the
-//! cordon's round budget stops a run that would need more.
-//! [`TournamentTree::extract_prefix_minima`] runs the same block kernel with
-//! a sink that pushes `(position, key)` pairs instead.
+//! `u32` keys and narrowed in one pass for wider ones.  A leaf holds round
+//! numbers up to `2^b − 1` for a key type of `b < 32` bits, and up to
+//! `u32::MAX` otherwise.  Since an equal key does not block, a run over
+//! `b`-bit keys takes at most `2^b − 1` rounds: its rounds count a longest
+//! strictly increasing chain of keys, whose values are distinct, and one
+//! value of the type stays free for `Key::MAX`, or the constructor refuses
+//! the keys.  So the cordon's round cap binds only for keys wider than 32
+//! bits over more than `u32::MAX` positions, where it keeps the `u32` round
+//! counter from overflowing.
 //!
 //! A round forks only when each grain gets at least `FORK_BLOCKS` (16)
 //! touched blocks; a narrower round, such as sparse LCS's rounds of 1–11
@@ -149,8 +150,6 @@ pub trait Key: Ord + Copy + Send + Sync + 'static {
     const MAX: Self;
     /// The value just below `self`; never called on [`Key::MIN`].
     fn pred(self) -> Self;
-    /// The value just above `self`; never called on [`Key::MAX`].
-    fn succ(self) -> Self;
     /// Round number `r` as a key: the low bits of `r`, as many as the key
     /// type has.
     fn from_round(r: u32) -> Self;
@@ -167,10 +166,6 @@ macro_rules! impl_key {
             #[inline]
             fn pred(self) -> Self {
                 self - 1
-            }
-            #[inline]
-            fn succ(self) -> Self {
-                self + 1
             }
             #[inline]
             fn from_round(r: u32) -> Self {
@@ -195,45 +190,28 @@ fn last_round<K: Key>() -> u32 {
     K::from_round(u32::MAX).to_round()
 }
 
-/// Whether an earlier element with an *equal* key blocks a later element from
-/// being a prefix-minimum record.
-///
-/// * For the classic strictly-increasing LIS, a decision `j` relaxes `i` only
-///   when `A[j] < A[i]`, so ties do **not** block: use [`TieRule::TiesAreRecords`].
-/// * For the non-decreasing variant (`A[j] <= A[i]` relaxes), ties do block:
-///   use [`TieRule::TiesBlocked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TieRule {
-    /// An element equal to the running minimum is itself a record.
-    TiesAreRecords,
-    /// An element equal to the running minimum is blocked (not a record).
-    TiesBlocked,
+/// Whether `key` is a record behind `carry`, the minimum active key to its
+/// left: `key <= carry`, so an equal key does not block.  LIS relaxes `i`
+/// from `j` only when `A[j] < A[i]`, and sparse LCS relaxes a pair only
+/// from one with a strictly smaller `j`.
+#[inline]
+fn beats<K: Ord>(key: K, carry: K) -> bool {
+    key <= carry
 }
 
-impl TieRule {
-    /// Whether `key` is a record behind `carry`, the minimum key to its left.
-    #[inline]
-    fn beats<K: Ord>(self, key: K, carry: K) -> bool {
-        match self {
-            TieRule::TiesAreRecords => key <= carry,
-            TieRule::TiesBlocked => key < carry,
-        }
-    }
-
-    /// [`TieRule::beats`] for the minimum of a part: a part with no alive
-    /// leaf (`K::MAX`) holds no record, and a carry of `K::MAX` (nothing to
-    /// the left) blocks no key.
-    #[inline]
-    fn is_record<K: Key>(self, key: K, carry: K) -> bool {
-        key != K::MAX && self.beats(key, carry)
-    }
+/// [`beats`] for the minimum of a part: a part with no alive leaf
+/// (`K::MAX`) holds no record, and a carry of `K::MAX` (nothing to the
+/// left) blocks no key.
+#[inline]
+fn is_record<K: Key>(key: K, carry: K) -> bool {
+    key != K::MAX && beats(key, carry)
 }
 
 /// The map from input keys to stored keys.  It moves the span of consecutive
 /// present values that ends at `K::MAX` down by one, onto `absent`: the
 /// largest value no key takes.  With no key at `K::MAX`, `absent` is
 /// `K::MAX` and the map is the identity.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct Remap<K> {
     absent: K,
 }
@@ -273,16 +251,6 @@ impl<K: Key> Remap<K> {
             k
         }
     }
-
-    /// The input key of stored key `s`.
-    #[inline]
-    fn load(self, s: K) -> K {
-        if s >= self.absent {
-            s.succ()
-        } else {
-            s
-        }
-    }
 }
 
 /// The minima of one block's groups and chunks, and which groups are runs.
@@ -296,9 +264,8 @@ struct Minima<K> {
     chunks: [[K; GROUP_CHUNKS]; GROUPS],
     /// Bit `g` is set if group `g` is a *run*: its stored keys, padding
     /// excluded, were a nonempty sequence in which each key beats the one
-    /// before it under the tree's [`TieRule`] (non-increasing under
-    /// `TiesAreRecords`, strictly decreasing under `TiesBlocked`).  Set once
-    /// at build; every other group is *mixed*.
+    /// before it (see [`is_run`]).  Set once at build; every other group is
+    /// *mixed*.
     runs: u16,
     /// Whether the block writer gave some key equal to `K::MAX`, which the
     /// build then remaps (see [`Remap`]).  Set by the build's first pass;
@@ -322,27 +289,17 @@ fn min_of<K: Key>(keys: &[K]) -> K {
     keys.iter().copied().fold(K::MAX, K::min)
 }
 
-/// Whether each of `keys` beats the key before it under `rule`.
+/// Whether each of `keys` beats the key before it: whether no key rises
+/// above the one before it.  Checks the pairs a chunk at a time, each
+/// chunk's without branching on the keys, and stops after the first chunk
+/// that holds a failing pair, so a mixed group checks the pairs up to its
+/// first break and no further.
 #[inline]
-fn is_run<K: Key>(keys: &[K], rule: TieRule) -> bool {
-    // One loop per rule: the compiler does not hoist the rule's test out of
-    // a loop that calls `TieRule::beats`.
-    match rule {
-        TieRule::TiesAreRecords => all_pairs(keys, |a, b| b <= a),
-        TieRule::TiesBlocked => all_pairs(keys, |a, b| b < a),
-    }
-}
-
-/// Whether `ok(a, b)` holds for every two consecutive keys `a, b`.  Checks
-/// the pairs a chunk at a time, each chunk's without branching on the
-/// keys, and stops after the first chunk that holds a failing pair, so a
-/// mixed group checks the pairs up to its first break and no further.
-#[inline]
-fn all_pairs<K: Copy>(keys: &[K], ok: impl Fn(K, K) -> bool) -> bool {
+fn is_run<K: Key>(keys: &[K]) -> bool {
     let next = keys.get(1..).unwrap_or_default();
     keys.chunks(CHUNK)
         .zip(next.chunks(CHUNK))
-        .all(|(a, b)| a.iter().zip(b).fold(true, |all, (&a, &b)| all & ok(a, b)))
+        .all(|(a, b)| a.iter().zip(b).fold(true, |ok, (&a, &b)| ok & beats(b, a)))
 }
 
 /// One block's alive masks: bit `i` of `alive[g][c]` is set while leaf
@@ -361,11 +318,11 @@ struct Block<'a, K> {
 
 impl<K: Key> Block<'_, K> {
     /// Make the block's first `n` leaves, already written, alive and the
-    /// rest, which hold `K::MAX`, padding; mark its run groups under
-    /// `rule`, and compute its minima.  A full block's alive masks take one
-    /// store.  A run group's minimum is its last key, and its chunk minima
-    /// are skipped; a mixed group folds its chunks and then their minima.
-    fn summarize(&mut self, n: usize, rule: TieRule) {
+    /// rest, which hold `K::MAX`, padding; mark its run groups, and compute
+    /// its minima.  A full block's alive masks take one store.  A run
+    /// group's minimum is its last key, and its chunk minima are skipped; a
+    /// mixed group folds its chunks and then their minima.
+    fn summarize(&mut self, n: usize) {
         const { assert!(CHUNK == u8::BITS as usize, "an alive bit per leaf") };
         const { assert!(GROUPS <= u16::BITS as usize, "a run bit per group") };
         debug_assert!(self.leaves[n..].iter().all(|&k| k == K::MAX));
@@ -392,9 +349,9 @@ impl<K: Key> Block<'_, K> {
             // each chunk's fold.
             let live = n.saturating_sub(g * GROUP).min(GROUP);
             let run = match live {
-                GROUP => is_run(group, rule),
+                GROUP => is_run(group),
                 0 => false,
-                _ => is_run(&group[..live], rule),
+                _ => is_run(&group[..live]),
             };
             if run {
                 *runs |= 1 << g;
@@ -410,13 +367,11 @@ impl<K: Key> Block<'_, K> {
 
     /// Extract every record of this block, given the minimum active key
     /// strictly to the block's left at round start.  Writes `stamp` into
-    /// each record's leaf and calls `take(i, key)` for each record in
-    /// increasing local position `i`, with its stored key.  Returns the
-    /// block's new minimum, the number of records taken and the number of
-    /// comparisons made: `GROUPS` group checks, `GROUP_CHUNKS` chunk checks
-    /// per mixed record group, `CHUNK` leaf reads per scanned chunk, and
-    /// per run record group 1 for a whole take, or else 1 plus the steps
-    /// of its search.
+    /// each record's leaf.  Returns the block's new minimum, the number of
+    /// records taken and the number of comparisons made: `GROUPS` group
+    /// checks, `GROUP_CHUNKS` chunk checks per mixed record group, `CHUNK`
+    /// leaf reads per scanned chunk, and per run record group 1 for a whole
+    /// take, or else 1 plus the steps of its search.
     ///
     /// The first pass finds the groups whose minimum is a record.  A run
     /// record group takes its records whole or by one search (see
@@ -426,13 +381,7 @@ impl<K: Key> Block<'_, K> {
     /// it at or above the carry), so lowering the carry by each record
     /// part's round-start minimum, once that part is extracted, gives every
     /// record part its carry.
-    fn extract(
-        &mut self,
-        mut carry: K,
-        rule: TieRule,
-        stamp: K,
-        take: &mut impl FnMut(usize, K),
-    ) -> (K, usize, u64) {
+    fn extract(&mut self, mut carry: K, stamp: K) -> (K, usize, u64) {
         let Minima {
             groups,
             chunks,
@@ -441,14 +390,12 @@ impl<K: Key> Block<'_, K> {
         } = self.minima;
         let mut taken = 0;
         let mut work = GROUPS as u64;
-        for g in set_bits(record_mask(groups, carry, rule)) {
+        for g in set_bits(record_mask(groups, carry)) {
             let alive = &mut self.alive[g];
             let start = groups[g];
             groups[g] = if *runs >> g & 1 != 0 {
-                let first = g * GROUP;
-                let leaves = &mut self.leaves[first..first + GROUP];
-                let (min, took, steps) =
-                    extract_run(leaves, alive, first, carry, rule, stamp, take);
+                let leaves = &mut self.leaves[g * GROUP..(g + 1) * GROUP];
+                let (min, took, steps) = extract_run(leaves, alive, carry, stamp);
                 taken += took;
                 work += steps;
                 min
@@ -456,18 +403,11 @@ impl<K: Key> Block<'_, K> {
                 let group = &mut chunks[g];
                 let mut chunk_carry = carry;
                 work += GROUP_CHUNKS as u64;
-                for c in set_bits(record_mask(group, carry, rule)) {
+                for c in set_bits(record_mask(group, carry)) {
                     let start = group[c];
                     let chunk = g * GROUP_CHUNKS + c;
-                    let (min, took) = extract_chunk(
-                        self.leaves,
-                        &mut alive[c],
-                        chunk,
-                        chunk_carry,
-                        rule,
-                        stamp,
-                        take,
-                    );
+                    let (min, took) =
+                        extract_chunk(self.leaves, &mut alive[c], chunk, chunk_carry, stamp);
                     group[c] = min;
                     taken += took;
                     work += CHUNK as u64;
@@ -495,12 +435,12 @@ impl<K: Key> Block<'_, K> {
 /// mispredict at the record's part in every round that takes a single
 /// record from the block.
 #[inline]
-fn record_mask<K: Key, const N: usize>(mins: &[K; N], mut carry: K, rule: TieRule) -> u32 {
+fn record_mask<K: Key, const N: usize>(mins: &[K; N], mut carry: K) -> u32 {
     const { assert!(N <= 32, "a mask bit per part") };
     let mut mask = 0;
     for (i, &k) in mins.iter().enumerate() {
-        // `TieRule::is_record` without its short circuit.
-        mask |= u32::from((k != K::MAX) & rule.beats(k, carry)) << i;
+        // `is_record` without its short circuit.
+        mask |= u32::from((k != K::MAX) & beats(k, carry)) << i;
         carry = carry.min(k);
     }
     mask
@@ -516,10 +456,9 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
 }
 
 /// Extract the records of a run group, given its leaves `leaves`, its alive
-/// masks `alive`, the local position `first` of its first leaf and the
-/// minimum active key to its left at round start, and return the group's
-/// new minimum, the number of records and the number of keys compared.
-/// Each record's leaf gets `stamp`.
+/// masks `alive` and the minimum active key to its left at round start,
+/// and return the group's new minimum, the number of records and the
+/// number of keys compared.  Each record's leaf gets `stamp`.
 ///
 /// A run group's alive leaves are always a prefix `[0, p)`.  Inside it the
 /// smallest alive key before a leaf is the key just before it, which the
@@ -532,30 +471,24 @@ fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
 fn extract_run<K: Key>(
     leaves: &mut [K],
     alive: &mut [u8; GROUP_CHUNKS],
-    first: usize,
     carry: K,
-    rule: TieRule,
     stamp: K,
-    take: &mut impl FnMut(usize, K),
 ) -> (K, usize, u64) {
     let mask = u64::from_le_bytes(*alive);
     let p = (u64::BITS - mask.leading_zeros()) as usize;
     debug_assert_eq!(mask.count_ones() as usize, p, "alive leaves not a prefix");
     let keys = &mut leaves[..p];
     let mut steps = 1;
-    let q = if rule.beats(keys[0], carry) {
+    let q = if beats(keys[0], carry) {
         0
     } else {
         1 + keys[1..].partition_point(|&k| {
             steps += 1;
-            !rule.beats(k, carry)
+            !beats(k, carry)
         })
     };
     debug_assert!(q < p, "a record group holds a record");
-    for (i, leaf) in (q..).zip(&mut keys[q..]) {
-        take(first + i, *leaf);
-        *leaf = stamp;
-    }
+    keys[q..].fill(stamp);
     *alive = (mask & !(u64::MAX << q)).to_le_bytes();
     (q.checked_sub(1).map_or(K::MAX, |i| keys[i]), p - q, steps)
 }
@@ -570,9 +503,7 @@ fn extract_chunk<K: Key>(
     alive: &mut u8,
     c: usize,
     mut carry: K,
-    rule: TieRule,
     stamp: K,
-    take: &mut impl FnMut(usize, K),
 ) -> (K, usize) {
     let first = c * CHUNK;
     let mut min = K::MAX;
@@ -581,11 +512,10 @@ fn extract_chunk<K: Key>(
     for (i, leaf) in leaves[first..first + CHUNK].iter_mut().enumerate() {
         // A taken leaf reads as an empty slot.
         let k = if *alive >> i & 1 != 0 { *leaf } else { K::MAX };
-        if rule.is_record(k, carry) {
+        if is_record(k, carry) {
             *leaf = stamp;
             left &= !(1 << i);
             taken += 1;
-            take(first + i, k);
         } else {
             min = min.min(k);
         }
@@ -643,7 +573,6 @@ impl<K> BlocksMut<'_, K> {
 fn extract_touched<K: Key>(
     blocks: BlocksMut<'_, K>,
     touched: &[(usize, K)],
-    rule: TieRule,
     stamp: K,
     grain: usize,
 ) -> (usize, u64) {
@@ -663,7 +592,7 @@ fn extract_touched<K: Key>(
                 alive: &mut alive[local],
                 minima: &mut minima[local],
             };
-            let (min, taken, steps) = block.extract(carry, rule, stamp, &mut |_, _| {});
+            let (min, taken, steps) = block.extract(carry, stamp);
             block_mins[local] = min;
             count += taken;
             work += steps;
@@ -674,8 +603,8 @@ fn extract_touched<K: Key>(
     let (left, right) = touched.split_at(mid);
     let (bl, br) = blocks.split_at(right[0].0);
     let (l, r) = rayon::join(
-        || extract_touched(bl, left, rule, stamp, grain),
-        || extract_touched(br, right, rule, stamp, grain),
+        || extract_touched(bl, left, stamp, grain),
+        || extract_touched(br, right, stamp, grain),
     );
     (l.0 + r.0, l.1 + r.1)
 }
@@ -694,13 +623,12 @@ fn build_grain(len: usize) -> usize {
 }
 
 /// In parallel over blocks, map the keys of each block's positions below
-/// `len` through `remap` in place, then summarize the block under `rule`.
+/// `len` through `remap` in place, then summarize the block.
 fn remap_blocks<K: Key>(
     leaves: &mut [[K; BLOCK]],
     alive: &mut [AliveMasks],
     minima: &mut [Minima<K>],
     len: usize,
-    rule: TieRule,
     remap: Remap<K>,
 ) {
     use rayon::prelude::*;
@@ -720,13 +648,12 @@ fn remap_blocks<K: Key>(
                 alive,
                 minima,
             }
-            .summarize(n, rule);
+            .summarize(n);
         });
 }
 
 /// Tournament tree over a fixed sequence of keys.
-#[derive(Debug, Clone)]
-pub struct TournamentTree<K> {
+struct TournamentTree<K> {
     /// One leaf per position, one array per block (see the crate's *Layout*
     /// section): the stored key while the position is alive, its round
     /// number once taken.
@@ -743,30 +670,14 @@ pub struct TournamentTree<K> {
     /// Blocks touched by the current round with their carries, in increasing
     /// block order.  Sized for every block up front, so no round grows it.
     touched: Vec<(usize, K)>,
-    remap: Remap<K>,
     len: usize,
     active: usize,
-    rule: TieRule,
 }
 
 impl<K: Key> TournamentTree<K> {
-    /// Build the tree over positions `0..len` with the given tie rule.
-    /// `write(first, out)` fills `out` with the keys of positions
-    /// `first..first + out.len()`; it is called once per block of the
-    /// crate's *Layout* section, into a block whose padding already holds
-    /// `K::MAX`: the block's own slot of the leaf buffer inline, a block on
-    /// the stack that then moves into its slot when the build forks.
-    /// `O(n)` work, `O(log n)` span; blocks are built in parallel for large
-    /// inputs, fully inline for sub-grain ones.  Inline, the number of
-    /// allocations does not depend on `len` unless some key equals
-    /// `K::MAX`, and the tree allocates its leaves, alive masks, minima,
-    /// summary heap and touched list once each; no pass zeroes or fills the
-    /// leaf buffer before the blocks are written.
-    ///
-    /// # Panics
-    /// If the keys take every value of `K`, which only a key type narrower
-    /// than the input's length allows.
-    pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync, rule: TieRule) -> Self {
+    /// Build the tree over positions `0..len`, whose keys `write` fills in
+    /// (see [`StaircaseCordon::new`]).
+    fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync) -> Self {
         use rayon::prelude::*;
         let num_blocks = len.div_ceil(BLOCK);
         let mut alive = vec![[[0; GROUP_CHUNKS]; GROUPS]; num_blocks];
@@ -786,7 +697,7 @@ impl<K: Key> TournamentTree<K> {
                     alive,
                     minima,
                 }
-                .summarize(n, rule);
+                .summarize(n);
             };
         // One pass over the blocks, with no pass over the leaf buffer before
         // it.  Inline, each block is preset in its slot and built there; a
@@ -812,10 +723,9 @@ impl<K: Key> TournamentTree<K> {
                 })
                 .collect_into_vec(&mut leaves);
         }
-        let mut remap = Remap { absent: K::MAX };
         if minima.iter().any(|m| m.saw_max) {
-            remap = Remap::over(&leaves.as_flattened()[..len]);
-            remap_blocks(&mut leaves, &mut alive, &mut minima, len, rule, remap);
+            let remap = Remap::over(&leaves.as_flattened()[..len]);
+            remap_blocks(&mut leaves, &mut alive, &mut minima, len, remap);
         }
         let scap = num_blocks.next_power_of_two().max(1);
         let mut summary = vec![K::MAX; 2 * scap];
@@ -832,21 +742,9 @@ impl<K: Key> TournamentTree<K> {
             summary,
             scap,
             touched: Vec::with_capacity(num_blocks),
-            remap,
             len,
             active: len,
-            rule,
         }
-    }
-
-    /// Number of positions the tree was built over.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree was built over an empty sequence.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Walk the summary heap, collecting every block whose minimum is a
@@ -861,7 +759,7 @@ impl<K: Key> TournamentTree<K> {
     /// blocks' ancestors, which [`TournamentTree::end_round`] recomputes,
     /// and the walk visits the root and both children of each of them.
     fn collect_touched(&mut self, node: usize, carry: K) {
-        if !self.rule.is_record(self.summary[node], carry) {
+        if !is_record(self.summary[node], carry) {
             return;
         }
         if node >= self.scap {
@@ -935,37 +833,8 @@ impl<K: Key> TournamentTree<K> {
             first: 0,
         };
         let stamp = K::from_round(round);
-        let (count, work) = extract_touched(blocks, &self.touched, self.rule, stamp, grain);
+        let (count, work) = extract_touched(blocks, &self.touched, stamp, grain);
         (count, work + summary_work(self.end_round(count)))
-    }
-
-    /// Extract and deactivate every prefix-minimum record, returning them as
-    /// `(position, key)` pairs in increasing position order.
-    ///
-    /// A record is an active element with no active element to its left whose
-    /// key blocks it under the tree's [`TieRule`].  Returns an empty vector
-    /// once all elements have been extracted.  Runs the touched blocks on the
-    /// calling thread, pushing each record as the block kernel finds it.
-    /// The leaves it takes hold no round number.
-    pub fn extract_prefix_minima(&mut self) -> Vec<(usize, K)> {
-        let mut out = Vec::new();
-        if !self.begin_round() {
-            return out;
-        }
-        let remap = self.remap;
-        for &(b, carry) in &self.touched {
-            let mut block = Block {
-                leaves: &mut self.leaves[b],
-                alive: &mut self.alive[b],
-                minima: &mut self.minima[b],
-            };
-            let (min, ..) = block.extract(carry, self.rule, K::MAX, &mut |i, k| {
-                out.push((b * BLOCK + i, remap.load(k)));
-            });
-            self.summary[self.scap + b] = min;
-        }
-        self.end_round(out.len());
-        out
     }
 
     /// The round numbers in the leaves of positions `0..len`, with 0 for a
@@ -1005,12 +874,25 @@ pub struct StaircaseCordon<K> {
 }
 
 impl<K: Key> StaircaseCordon<K> {
-    /// Build the tournament tree over positions `0..len`, whose keys the
-    /// block writer `write(first, out)` fills in, with the given tie rule
-    /// (see [`TournamentTree::new`]).
-    pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync, rule: TieRule) -> Self {
+    /// Build the tournament tree over positions `0..len`.  The block writer
+    /// `write(first, out)` fills `out` with the keys of positions
+    /// `first..first + out.len()`; it is called once per block of the
+    /// crate's *Layout* section, into a block whose padding already holds
+    /// `K::MAX`: the block's own slot of the leaf buffer inline, a block on
+    /// the stack that then moves into its slot when the build forks.
+    /// `O(n)` work, `O(log n)` span; blocks are built in parallel for large
+    /// inputs, fully inline for sub-grain ones.  Inline, the number of
+    /// allocations does not depend on `len` unless some key equals
+    /// `K::MAX`, and the tree allocates its leaves, alive masks, minima,
+    /// summary heap and touched list once each; no pass zeroes or fills the
+    /// leaf buffer before the blocks are written.
+    ///
+    /// # Panics
+    /// If the keys take every value of `K`, which only a key type narrower
+    /// than the input's length allows.
+    pub fn new(len: usize, write: impl Fn(usize, &mut [K]) + Sync) -> Self {
         StaircaseCordon {
-            tree: TournamentTree::new(len, write, rule),
+            tree: TournamentTree::new(len, write),
             round: 0,
         }
     }
@@ -1071,13 +953,12 @@ const SEARCH_CHUNK: usize = 32;
 /// picks, for any `values`; it is shorter than `length` only if `values`
 /// hold no such chain.
 ///
-/// With the values of a staircase cordon under [`TieRule::TiesAreRecords`]
-/// and `extends` its strict key order (LIS, or sparse LCS in canonical pair
-/// order), the first check always succeeds.  One level's elements are the
-/// records of one round, so their keys do not increase from left to right,
-/// and the last element of the level before `q` has the level's smallest
-/// key before `q`.  That key lies below `q`'s, since in that round a record
-/// of the level blocked `q`.
+/// With the values of a staircase cordon and `extends` its strict key order
+/// (LIS, or sparse LCS in canonical pair order), the first check always
+/// succeeds.  One level's elements are the records of one round, so their
+/// keys do not increase from left to right, and the last element of the
+/// level before `q` has the level's smallest key before `q`.  That key lies
+/// below `q`'s, since in that round a record of the level blocked `q`.
 pub fn reconstruct_chain(
     values: &[u32],
     length: u32,
@@ -1116,37 +997,37 @@ fn last_on_level(values: &[u32], level: u32) -> Option<usize> {
     chunks.remainder().iter().rposition(|&v| v == level)
 }
 
-/// Reference (sequential, quadratic-free) computation of the prefix-minimum
-/// records of one round over `keys`, used as an oracle in tests.
-pub fn reference_prefix_minima<K: Ord + Copy>(
-    keys: &[(usize, K)],
-    rule: TieRule,
-) -> Vec<(usize, K)> {
-    let mut out = Vec::new();
-    let mut carry: Option<K> = None;
-    for &(pos, k) in keys {
-        if carry.is_none_or(|c| rule.beats(k, c)) {
-            out.push((pos, k));
-        }
-        carry = Some(carry.map_or(k, |c| c.min(k)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pardp_core::{try_run_phase_parallel, StallError};
+    use pardp_core::try_run_phase_parallel;
     use std::fmt::Debug;
 
-    fn simulate_rounds<K: Key>(keys: &[K], rule: TieRule) -> Vec<Vec<(usize, K)>> {
-        // Oracle: repeatedly take prefix-min records from the remaining list.
+    /// The positions of one round's prefix-minimum records over the active
+    /// `(position, key)` pairs: each pair whose key is at most every key
+    /// before it.  The oracle states `k <= carry` itself, not through the
+    /// kernel's [`beats`].
+    fn reference_prefix_minima<K: Ord + Copy>(keys: &[(usize, K)]) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut carry: Option<K> = None;
+        for &(pos, k) in keys {
+            if carry.is_none_or(|c| k <= c) {
+                out.push(pos);
+            }
+            carry = Some(carry.map_or(k, |c| c.min(k)));
+        }
+        out
+    }
+
+    /// Oracle: repeatedly take the prefix-minimum records of the remaining
+    /// list, and return each round's positions.
+    fn simulate_rounds<K: Ord + Copy>(keys: &[K]) -> Vec<Vec<usize>> {
         let mut remaining: Vec<(usize, K)> = keys.iter().copied().enumerate().collect();
         let mut picked = vec![false; keys.len()];
         let mut rounds = Vec::new();
         while !remaining.is_empty() {
-            let records = reference_prefix_minima(&remaining, rule);
-            for &(p, _) in &records {
+            let records = reference_prefix_minima(&remaining);
+            for &p in &records {
                 picked[p] = true;
             }
             remaining.retain(|&(p, _)| !picked[p]);
@@ -1169,7 +1050,7 @@ mod tests {
             first: 0,
         };
         let stamp = K::from_round(round);
-        let (count, work) = extract_touched(blocks, &tree.touched, tree.rule, stamp, 1);
+        let (count, work) = extract_touched(blocks, &tree.touched, stamp, 1);
         (count, work + summary_work(tree.end_round(count)))
     }
 
@@ -1179,19 +1060,26 @@ mod tests {
     }
 
     /// A tree over `keys`.
-    fn tree_over<K: Key>(keys: &[K], rule: TieRule) -> TournamentTree<K> {
-        TournamentTree::new(keys.len(), writer(keys), rule)
+    fn tree_over<K: Key>(keys: &[K]) -> TournamentTree<K> {
+        TournamentTree::new(keys.len(), writer(keys))
     }
 
     /// A staircase cordon over `keys`.
-    fn cordon_over<K: Key>(keys: &[K], rule: TieRule) -> StaircaseCordon<K> {
-        StaircaseCordon::new(keys.len(), writer(keys), rule)
+    fn cordon_over<K: Key>(keys: &[K]) -> StaircaseCordon<K> {
+        StaircaseCordon::new(keys.len(), writer(keys))
     }
 
     /// The DP values `tree`'s leaves hold: each taken position's round, 0
     /// for a position still alive.
     fn values_of<K: Key>(tree: &TournamentTree<K>) -> Vec<u32> {
-        tree.clone().into_rounds()
+        let masks = tree.alive.as_flattened().as_flattened();
+        let leaves = tree.leaves.as_flattened();
+        (0..tree.len)
+            .map(|p| match masks[p / CHUNK] >> (p % CHUNK) & 1 {
+                0 => leaves[p].to_round(),
+                _ => 0,
+            })
+            .collect()
     }
 
     /// Positions whose DP value is `round`, in increasing order.
@@ -1199,40 +1087,29 @@ mod tests {
         (0..values.len()).filter(|&p| values[p] == round).collect()
     }
 
-    /// Check round by round against [`simulate_rounds`], through both sinks
-    /// of the block kernel: the pushing one behind `extract_prefix_minima`,
-    /// and the round numbers `StaircaseCordon::round` writes into the taken
-    /// leaves, once with the real fork policy and once split down to single
-    /// blocks.  The oracle pairs each record with its input key, so the
-    /// pushing sink must hand every key back exactly as given.  The split
-    /// rounds sum their comparisons through the joins, and must count what
-    /// the cordon's rounds count.
-    fn check_against_oracle<K: Key + Debug>(keys: &[K], rule: TieRule) {
-        let mut tree = tree_over(keys, rule);
-        let oracle = simulate_rounds(keys, rule);
-        for (round, want) in oracle.iter().enumerate() {
-            let got = tree.extract_prefix_minima();
-            assert_eq!(&got, want, "round {round} mismatch for {keys:?}");
-        }
-        assert!(tree.extract_prefix_minima().is_empty());
-
+    /// Check round by round against [`simulate_rounds`], through the round
+    /// numbers `StaircaseCordon::round` writes into the taken leaves, once
+    /// with the real fork policy and once split down to single blocks.  The
+    /// split rounds sum their comparisons through the joins, and must count
+    /// what the cordon's rounds count.
+    fn check_against_oracle<K: Key + Debug>(keys: &[K]) {
+        let oracle = simulate_rounds(keys);
         let metrics = MetricsCollector::new();
-        let mut cordon = cordon_over(keys, rule);
-        let mut split = tree_over(keys, rule);
+        let mut cordon = cordon_over(keys);
+        let mut split = tree_over(keys);
         let mut split_work = 0;
         for (round, want) in (1u32..).zip(&oracle) {
-            let want: Vec<usize> = want.iter().map(|&(p, _)| p).collect();
             let probes = metrics.snapshot().probes;
             assert_eq!(cordon.round(&metrics), want.len(), "round {round}");
             assert_eq!(
-                positions_of(&values_of(&cordon.tree), round),
+                &positions_of(&values_of(&cordon.tree), round),
                 want,
-                "round {round}"
+                "round {round} mismatch for {keys:?}"
             );
             let (count, work) = extract_round_split(&mut split, round);
             assert_eq!(count, want.len(), "split round {round}");
             assert_eq!(
-                positions_of(&values_of(&split), round),
+                &positions_of(&values_of(&split), round),
                 want,
                 "split round {round}"
             );
@@ -1250,12 +1127,6 @@ mod tests {
         let (values, rounds) = cordon.finish();
         assert_eq!(rounds as usize, oracle.len());
         assert_eq!(values, split.into_rounds());
-    }
-
-    /// Both tie rules against the oracle.
-    fn check_both_rules<K: Key + Debug>(keys: &[K]) {
-        check_against_oracle(keys, TieRule::TiesAreRecords);
-        check_against_oracle(keys, TieRule::TiesBlocked);
     }
 
     /// Run lengths straddling a chunk, a group and a block.
@@ -1321,7 +1192,7 @@ mod tests {
                     (1, 5 * span),
                 ];
                 for runs in [&rising[..], &falling[..], &mixed[..]] {
-                    check_both_rules(&decreasing_runs(runs));
+                    check_against_oracle(&decreasing_runs(runs));
                 }
             }
         }
@@ -1329,17 +1200,16 @@ mod tests {
 
     #[test]
     fn equal_key_runs_match_oracle() {
-        // Under `TiesBlocked` an equal run drains one key per round, so a run
-        // of `len` keys takes `len` rounds; under `TiesAreRecords` it drains
-        // at once.  Runs start at a chunk boundary, mid-chunk, and just
-        // before a block boundary.
+        // An equal run drains at once: a key equal to the carry is a record.
+        // Runs start at a chunk boundary, mid-chunk, and just before a block
+        // boundary.
         for len in RUN_LENS {
             for offset in [0, CHUNK / 2, BLOCK - CHUNK / 2] {
                 let mut keys = vec![7u64; offset];
                 keys.extend(std::iter::repeat_n(3, len));
                 keys.extend(std::iter::repeat_n(5, CHUNK + 1));
                 keys.extend(std::iter::repeat_n(3, CHUNK - 1));
-                check_both_rules(&keys);
+                check_against_oracle(&keys);
             }
         }
     }
@@ -1348,8 +1218,8 @@ mod tests {
     fn keys_at_the_type_limits_match_oracle() {
         let max = u64::MAX;
         // A lone `K::MAX`, alone and among small keys.
-        check_both_rules(&[max]);
-        check_both_rules(&[5, max, 2, max]);
+        check_against_oracle(&[max]);
+        check_against_oracle(&[5, max, 2, max]);
         // The run `K::MAX, K::MAX - 1, K::MAX - 2` interleaved with small
         // keys over chunk and block boundaries; it moves down onto
         // `K::MAX - 3`.
@@ -1360,7 +1230,7 @@ mod tests {
                 _ => (i as u64 * 2654435761) % 1_000,
             })
             .collect();
-        check_both_rules(&keys);
+        check_against_oracle(&keys);
         // `K::MIN` beside the top run, in a signed key type.
         let keys = [
             i64::MIN,
@@ -1374,8 +1244,8 @@ mod tests {
             i64::MAX - 2,
             1,
         ];
-        check_both_rules(&keys);
-        check_both_rules(&[i64::MIN]);
+        check_against_oracle(&keys);
+        check_against_oracle(&[i64::MIN]);
     }
 
     #[test]
@@ -1385,14 +1255,14 @@ mod tests {
         let keys: Vec<u8> = (0..values.len())
             .map(|i| values[i * 101 % values.len()])
             .collect();
-        check_both_rules(&keys);
+        check_against_oracle(&keys);
     }
 
     #[test]
     #[should_panic(expected = "none is free")]
     fn keys_taking_every_value_are_refused() {
         let keys: Vec<u8> = (0..=255).collect();
-        tree_over(&keys, TieRule::TiesAreRecords);
+        cordon_over(&keys);
     }
 
     #[test]
@@ -1417,7 +1287,7 @@ mod tests {
                 keys[start + t] = top - t as u64;
             }
         }
-        check_both_rules(&keys);
+        check_against_oracle(&keys);
     }
 
     /// The global indices of the groups `tree` marked as runs.
@@ -1458,20 +1328,17 @@ mod tests {
                     let mut keys = filler(start, 1_000);
                     keys.extend((0..len as u64).rev().map(|t| base + t));
                     keys.extend(filler(GROUP + 3, 1_000));
-                    let covered = groups_within(start, len);
-                    for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                        assert!(marks_runs(&tree_over(&keys, rule), &covered));
-                    }
-                    check_both_rules(&keys);
+                    assert!(marks_runs(&tree_over(&keys), &groups_within(start, len)));
+                    check_against_oracle(&keys);
                 }
             }
         }
     }
 
     #[test]
-    fn equal_key_runs_are_runs_only_when_ties_are_records() {
-        // Equal keys, and non-increasing keys with ties among them: a run
-        // under `TiesAreRecords`, mixed under `TiesBlocked`.
+    fn runs_may_hold_equal_keys() {
+        // Equal keys, and non-increasing keys with ties among them: each is
+        // a run, since a key equal to the one before it beats it.
         for len in [GROUP - 1, GROUP, GROUP + 1, 2 * GROUP] {
             for start in [0, 1, GROUP] {
                 let equal = vec![5; len];
@@ -1480,12 +1347,8 @@ mod tests {
                     let mut keys = filler(start, 1_000);
                     keys.extend(run);
                     keys.extend(filler(CHUNK + 1, 1_000));
-                    let covered = groups_within(start, len);
-                    let records = tree_over(&keys, TieRule::TiesAreRecords);
-                    assert!(marks_runs(&records, &covered));
-                    let blocked = run_groups(&tree_over(&keys, TieRule::TiesBlocked));
-                    assert!(covered.iter().all(|g| !blocked.contains(g)));
-                    check_both_rules(&keys);
+                    assert!(marks_runs(&tree_over(&keys), &groups_within(start, len)));
+                    check_against_oracle(&keys);
                 }
             }
         }
@@ -1495,9 +1358,9 @@ mod tests {
     fn a_run_is_taken_as_a_suffix_over_several_rounds() {
         // Blockers `step, 2 * step, ..., 6 * step`, then a run counting down
         // from `2 * GROUP - 1` to 0.  Round `r` takes blocker `r * step`
-        // and, behind it, the run keys from `r * step` (or just below it
-        // under `TiesBlocked`) down to what the round before left: a suffix
-        // of the alive prefix.  Round 7 takes the rest.  Pads of decreasing
+        // and, behind it, the run keys from `r * step` down to what the
+        // round before left: a suffix of the alive prefix.  Round 7 takes
+        // the rest.  Pads of decreasing
         // keys above everything, all taken in round one, put the run at a
         // group boundary or just past one.
         let (step, len) = (20, 2 * GROUP);
@@ -1507,18 +1370,15 @@ mod tests {
             keys.extend((0..len as u64).rev());
             let covered = groups_within(pad + 6, len);
             assert!(!covered.is_empty());
-            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                assert!(marks_runs(&tree_over(&keys, rule), &covered));
-            }
-            check_both_rules(&keys);
+            assert!(marks_runs(&tree_over(&keys), &covered));
+            check_against_oracle(&keys);
         }
     }
 
     #[test]
     fn a_run_broken_at_its_last_leaf_is_mixed() {
         // A group whose first `GROUP - 1` keys fall and whose last key rises
-        // above them, or equals the one before it (a run under
-        // `TiesAreRecords` only).
+        // above them (mixed), or equals the one before it (still a run).
         for start in [0, GROUP, BLOCK - GROUP] {
             for last in [2_000, 500] {
                 let mut keys = filler(start, 1_000);
@@ -1526,10 +1386,8 @@ mod tests {
                 keys.push(last);
                 keys.extend(filler(CHUNK + 1, 1_000));
                 let g = start / GROUP;
-                let records = run_groups(&tree_over(&keys, TieRule::TiesAreRecords));
-                assert_eq!(records.contains(&g), last == 500);
-                assert!(!run_groups(&tree_over(&keys, TieRule::TiesBlocked)).contains(&g));
-                check_both_rules(&keys);
+                assert_eq!(run_groups(&tree_over(&keys)).contains(&g), last == 500);
+                check_against_oracle(&keys);
             }
         }
     }
@@ -1543,10 +1401,8 @@ mod tests {
                 let mut keys = filler(BLOCK + GROUP, 1_000);
                 keys.extend((0..tail as u64).rev().map(|t| base + t));
                 let g = (BLOCK + GROUP) / GROUP;
-                for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                    assert!(run_groups(&tree_over(&keys, rule)).contains(&g));
-                }
-                check_both_rules(&keys);
+                assert!(run_groups(&tree_over(&keys)).contains(&g));
+                check_against_oracle(&keys);
             }
         }
     }
@@ -1559,22 +1415,21 @@ mod tests {
             let mut keys = filler(start, 1_000);
             keys.extend((0..GROUP as u64 + 1).map(|t| max - t));
             keys.extend(filler(CHUNK + 1, 1_000));
-            let covered = groups_within(start, GROUP + 1);
-            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                assert!(marks_runs(&tree_over(&keys, rule), &covered));
-            }
-            check_both_rules(&keys);
+            assert!(marks_runs(
+                &tree_over(&keys),
+                &groups_within(start, GROUP + 1)
+            ));
+            check_against_oracle(&keys);
         }
-        // `u8` keys: 255 twice, then down to 192 (group 0 is a run under
-        // `TiesAreRecords` only), a rising stretch, and 255 down to 192
-        // again.  Every value of the span `192..=255` is present, so it
+        // `u8` keys: 255 twice, then down to 192 (group 0 is a run, the tie
+        // included), a rising stretch, and 255 down to 192 again.  Every value of the span `192..=255` is present, so it
         // moves onto `191..=254`.
         let mut keys: Vec<u8> = vec![255];
         keys.extend((192..=255).rev());
         keys.extend(0..GROUP as u8);
         keys.extend((192..=255).rev());
-        assert!(run_groups(&tree_over(&keys, TieRule::TiesAreRecords)).contains(&0));
-        check_both_rules(&keys);
+        assert!(run_groups(&tree_over(&keys)).contains(&0));
+        check_against_oracle(&keys);
     }
 
     #[test]
@@ -1600,68 +1455,62 @@ mod tests {
                 .flat_map(|i| (0..m).rev().filter(move |&j| a[i] == b[j]))
                 .map(|j| j as u32)
                 .collect();
-            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                assert!(!run_groups(&tree_over(&keys, rule)).is_empty());
-            }
-            check_both_rules(&keys);
+            assert!(!run_groups(&tree_over(&keys)).is_empty());
+            check_against_oracle(&keys);
         }
     }
 
     #[test]
     fn example_from_paper_figure2() {
-        // Input sequence of Fig. 2(a): 7 3 6 8 1 4 2 5.
+        // Input sequence of Fig. 2(a): 7 3 6 8 1 4 2 5.  Round 1 takes the
+        // prefix minima 7, 3, 1; round 2 those of 6 8 4 2 5, which are 6, 4
+        // and 2; round 3 the rest, 8 and 5.  Three rounds, the LIS length
+        // (Theorem 3.1's span argument; e.g. 3 4 5).
         let keys = [7u64, 3, 6, 8, 1, 4, 2, 5];
-        let mut tree = tree_over(&keys, TieRule::TiesAreRecords);
-        // Round 1: prefix minima are 7, 3, 1 (positions 0, 1, 4).
-        assert_eq!(tree.extract_prefix_minima(), vec![(0, 7), (1, 3), (4, 1)]);
-        // Round 2: remaining 6 8 4 2 5 -> prefix minima 6, 4, 2.
-        assert_eq!(tree.extract_prefix_minima(), vec![(2, 6), (5, 4), (6, 2)]);
-        // Round 3: remaining 8 5 -> prefix minima 8, 5.
-        assert_eq!(tree.extract_prefix_minima(), vec![(3, 8), (7, 5)]);
-        assert!(tree.extract_prefix_minima().is_empty());
+        let metrics = MetricsCollector::new();
+        let (values, rounds) = try_run_phase_parallel(cordon_over(&keys), &metrics).unwrap();
+        assert_eq!(values, [1, 1, 2, 3, 1, 2, 2, 3]);
+        assert_eq!(rounds, 3);
     }
 
     #[test]
-    fn rounds_equal_lis_length() {
-        // The number of extraction rounds equals the LIS length of the input
-        // (Theorem 3.1's span argument).
-        let keys = [7u64, 3, 6, 8, 1, 4, 2, 5];
-        let rounds = simulate_rounds(&keys, TieRule::TiesAreRecords).len();
-        assert_eq!(rounds, 3); // LIS of the Fig. 2 sequence is 3 (e.g. 3 4 5).
-    }
-
-    #[test]
-    fn increasing_input_one_round() {
-        let keys: Vec<u64> = (0..1000).collect();
-        let mut tree = tree_over(&keys, TieRule::TiesAreRecords);
-        let r1 = tree.extract_prefix_minima();
-        assert_eq!(r1.len(), 1, "only the first element is a record");
+    fn monotone_inputs_take_one_record_or_all_of_them() {
+        let metrics = MetricsCollector::new();
+        let increasing: Vec<u64> = (0..1000).collect();
+        let mut cordon = cordon_over(&increasing);
+        assert_eq!(
+            cordon.round(&metrics),
+            1,
+            "only the first element is a record"
+        );
+        assert_eq!(positions_of(&values_of(&cordon.tree), 1), [0]);
         // Decreasing input: everything is a record in round one.
-        let keys: Vec<u64> = (0..1000).rev().collect();
-        let mut tree = tree_over(&keys, TieRule::TiesAreRecords);
-        assert_eq!(tree.extract_prefix_minima().len(), 1000);
-        assert!(tree.extract_prefix_minima().is_empty());
+        let decreasing: Vec<u64> = (0..1000).rev().collect();
+        let mut cordon = cordon_over(&decreasing);
+        assert_eq!(cordon.round(&metrics), 1000);
+        assert!(cordon.is_done());
+        assert_eq!(cordon.round(&metrics), 0);
     }
 
     #[test]
-    fn ties_rules_differ() {
-        let keys = [5u64, 5, 5];
-        let mut with_ties = tree_over(&keys, TieRule::TiesAreRecords);
-        assert_eq!(with_ties.extract_prefix_minima().len(), 3);
-        let mut no_ties = tree_over(&keys, TieRule::TiesBlocked);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
-        assert_eq!(no_ties.extract_prefix_minima().len(), 1);
+    fn equal_keys_are_all_records_of_one_round() {
+        let metrics = MetricsCollector::new();
+        let solved = try_run_phase_parallel(cordon_over(&[5u64, 5, 5]), &metrics);
+        assert_eq!(solved, Ok((vec![1, 1, 1], 1)));
     }
 
     #[test]
     fn empty_and_singleton() {
-        let mut t: TournamentTree<u64> = tree_over(&[], TieRule::TiesAreRecords);
-        assert!(t.is_empty());
-        assert!(t.extract_prefix_minima().is_empty());
-        let mut t = tree_over(&[42u64], TieRule::TiesAreRecords);
-        assert_eq!(t.extract_prefix_minima(), vec![(0, 42)]);
-        assert!(t.extract_prefix_minima().is_empty());
+        let metrics = MetricsCollector::new();
+        let mut empty = cordon_over::<u64>(&[]);
+        assert!(empty.is_done());
+        assert_eq!(empty.round(&metrics), 0);
+        assert_eq!(empty.finish(), (vec![], 0));
+        let mut single = cordon_over(&[42u64]);
+        assert_eq!(single.round(&metrics), 1);
+        assert!(single.is_done());
+        assert_eq!(single.round(&metrics), 0);
+        assert_eq!(single.finish(), (vec![1], 1));
     }
 
     #[test]
@@ -1672,34 +1521,21 @@ mod tests {
             1usize, 2, 3, 10, 63, 64, 65, 257, 1000, 1023, 1024, 1025, 5000,
         ] {
             let keys: Vec<u64> = (0..n as u64).map(|i| (i * 48271 + 11) % 997).collect();
-            check_both_rules(&keys);
+            check_against_oracle(&keys);
             // `u32` keys: the cordon hands its leaves back as the DP values.
             let keys: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
-            check_both_rules(&keys);
+            check_against_oracle(&keys);
         }
     }
 
     #[test]
-    fn narrow_keys_exhaust_the_round_budget() {
-        // Under `TiesBlocked` equal keys drain one a round, and a `u8` leaf
-        // has room for round numbers up to 255 only.
-        let metrics = MetricsCollector::new();
-        let cordon = cordon_over(&[7u8; 300], TieRule::TiesBlocked);
-        assert_eq!(cordon.round_budget(), Some(255));
-        let err = try_run_phase_parallel(cordon, &metrics).err();
-        assert_eq!(
-            err,
-            Some(StallError::BudgetExhausted {
-                budget: 255,
-                states_finalized: 255
-            })
-        );
-    }
-
-    #[test]
     fn narrow_keys_hold_every_round_number_they_have_room_for() {
+        // The increasing `u8` keys `0..=254` take one record a round, as
+        // many rounds as a `u8` leaf has round numbers.
+        let keys: Vec<u8> = (0..=254).collect();
+        let cordon = cordon_over(&keys);
+        assert_eq!(cordon.round_budget(), Some(255));
         let metrics = MetricsCollector::new();
-        let cordon = cordon_over(&[7u8; 255], TieRule::TiesBlocked);
         let (values, rounds) = try_run_phase_parallel(cordon, &metrics).unwrap();
         assert_eq!(rounds, 255);
         assert_eq!(values, (1..=255).collect::<Vec<u32>>());
@@ -1707,105 +1543,86 @@ mod tests {
 
     #[test]
     fn a_round_number_past_the_key_type_finalizes_nothing() {
+        // No `u8` input needs more rounds than a `u8` leaf has round numbers
+        // (see the crate docs), so the round counter is set just below the
+        // last one by hand.
         let metrics = MetricsCollector::new();
-        let mut cordon = cordon_over(&[7u8; 300], TieRule::TiesBlocked);
-        for round in 1..=255 {
-            assert_eq!(cordon.round(&metrics), 1, "round {round}");
-        }
+        let mut cordon = cordon_over(&[5u8, 6, 6, 7]);
+        cordon.round = 254;
+        assert_eq!(cordon.round_budget(), Some(1));
+        assert_eq!(cordon.round(&metrics), 1);
         assert_eq!(cordon.round_budget(), Some(0));
         assert_eq!(cordon.round(&metrics), 0);
         assert!(!cordon.is_done());
         let (values, rounds) = cordon.finish();
         assert_eq!(rounds, 255);
-        // The 45 positions no round took read 0, not their keys.
-        let want: Vec<u32> = (1..=255).chain([0; 45]).collect();
-        assert_eq!(values, want);
+        // The positions no round took read 0, not their keys.
+        assert_eq!(values, [255, 0, 0, 0]);
     }
 
     #[test]
     fn cross_block_carry_blocks_later_blocks() {
-        // A tiny key in block 0 must block everything in later blocks.
+        // A tiny key in block 0 must block everything in later blocks; once
+        // it is gone, the equal keys behind it are all records.
         let mut keys = vec![1_000_000u64; 3000];
         keys[0] = 0;
-        let mut tree = tree_over(&keys, TieRule::TiesBlocked);
-        assert_eq!(tree.extract_prefix_minima(), vec![(0, 0)]);
-        // With the blocker gone, every remaining (equal) key ties; under
-        // TiesBlocked only the first survives per round... the first element
-        // of the remaining sequence is the sole record.
-        assert_eq!(tree.extract_prefix_minima(), vec![(1, 1_000_000)]);
+        let metrics = MetricsCollector::new();
+        let mut cordon = cordon_over(&keys);
+        assert_eq!(cordon.round(&metrics), 1);
+        assert_eq!(positions_of(&values_of(&cordon.tree), 1), [0]);
+        assert_eq!(cordon.round(&metrics), 2999);
+        assert!(cordon.is_done());
     }
 
     #[test]
     fn extract_run_takes_a_group_whole_in_part_or_behind_an_equal_carry() {
-        // A strictly falling run, 226 down to 100 in steps of 2.
+        // A strictly falling run, 226 down to 100 in steps of 2, and the
+        // leaves holding the stamp, round number 0, which no key equals.
         let keys: Vec<u64> = (0..GROUP as u64).rev().map(|t| 100 + 2 * t).collect();
-        let run = |leaves: &mut Vec<u64>, alive: &mut [u8; GROUP_CHUNKS], carry, rule| {
-            let mut took = Vec::new();
-            let (min, n, steps) = extract_run(leaves, alive, 0, carry, rule, 0, &mut |i, k| {
-                took.push((i, k))
-            });
-            assert_eq!(took.len(), n);
-            (min, took, steps)
-        };
-        let records = |from: usize, to: usize| -> Vec<(usize, u64)> {
-            (from..to).map(|i| (i, keys[i])).collect()
-        };
-        for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-            // Whole: the carry lies above the first key, so one comparison.
-            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
-            let (min, took, steps) = run(&mut leaves, &mut alive, 1_000, rule);
-            assert_eq!((min, steps), (u64::MAX, 1), "{rule:?}");
-            assert_eq!(took, records(0, GROUP));
-            assert_eq!(alive, [0; GROUP_CHUNKS]);
-            assert!(leaves.iter().all(|&k| k == 0), "every leaf stamped");
+        let stamped =
+            |leaves: &[u64]| -> Vec<usize> { (0..GROUP).filter(|&i| leaves[i] == 0).collect() };
 
-            // In part: a carry of 151 takes the keys up to 150, by a search.
-            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
-            let (min, took, steps) = run(&mut leaves, &mut alive, 151, rule);
-            assert_eq!(min, 152);
-            assert_eq!(took, records(38, GROUP));
-            assert!(steps > 1, "a partial take searches");
-            assert_eq!(u64::from_le_bytes(alive), (1 << 38) - 1);
-            // Then whole, once the carry has risen above the rest.
-            let (min, took, steps) = run(&mut leaves, &mut alive, 1_000, rule);
-            assert_eq!((min, steps), (u64::MAX, 1));
-            assert_eq!(took, records(0, 38));
+        // Whole: the carry lies above the first key, so one comparison.
+        let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+        let taken = extract_run(&mut leaves, &mut alive, 1_000, 0);
+        assert_eq!(taken, (u64::MAX, GROUP, 1));
+        assert_eq!(alive, [0; GROUP_CHUNKS]);
+        assert_eq!(stamped(&leaves), (0..GROUP).collect::<Vec<_>>());
 
-            // A carry equal to the first key: a record under
-            // `TiesAreRecords`, so the group goes whole; blocked under
-            // `TiesBlocked`, so the search takes all but the first key.
-            let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
-            let (min, took, steps) = run(&mut leaves, &mut alive, keys[0], rule);
-            if rule == TieRule::TiesAreRecords {
-                assert_eq!((min, steps), (u64::MAX, 1));
-                assert_eq!(took, records(0, GROUP));
-            } else {
-                assert_eq!(min, keys[0]);
-                assert!(steps > 1, "an equal first key goes to the search");
-                assert_eq!(took, records(1, GROUP));
-                assert_eq!(u64::from_le_bytes(alive), 1);
-            }
-        }
+        // In part: a carry of 151 takes the keys up to 150, by a search.
+        let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+        let (min, took, steps) = extract_run(&mut leaves, &mut alive, 151, 0);
+        assert_eq!((min, took), (152, GROUP - 38));
+        assert!(steps > 1, "a partial take searches");
+        assert_eq!(u64::from_le_bytes(alive), (1 << 38) - 1);
+        assert_eq!(stamped(&leaves), (38..GROUP).collect::<Vec<_>>());
+        // Then whole, once the carry has risen above the rest.
+        let taken = extract_run(&mut leaves, &mut alive, 1_000, 0);
+        assert_eq!(taken, (u64::MAX, 38, 1));
+        assert_eq!(stamped(&leaves), (0..GROUP).collect::<Vec<_>>());
+
+        // A carry equal to the first key blocks none of them, so the group
+        // goes whole after one comparison.
+        let (mut leaves, mut alive) = (keys.clone(), [u8::MAX; GROUP_CHUNKS]);
+        let taken = extract_run(&mut leaves, &mut alive, keys[0], 0);
+        assert_eq!(taken, (u64::MAX, GROUP, 1));
+        assert_eq!(alive, [0; GROUP_CHUNKS]);
     }
 
     #[test]
     fn run_groups_taken_whole_in_part_and_behind_an_equal_carry_match_oracle() {
         // High falling pads (taken in round one), a blocker, then a falling
         // run of `GROUP + 3` keys from 500 at a group boundary.  A blocker
-        // above the run lets it go whole; one inside it takes it in part,
-        // and the rest whole in round two; one equal to its first key lets
-        // it go whole under `TiesAreRecords` and sends it to the search
-        // under `TiesBlocked`.
+        // above the run, or equal to its first key, lets it go whole; one
+        // inside it takes it in part, and the rest whole in round two.
         for start in [GROUP, 2 * GROUP, BLOCK] {
             for blocker in [501, 480, 500] {
                 let mut keys: Vec<u64> = (0..start as u64 - 1).rev().map(|t| 10_000 + t).collect();
                 keys.push(blocker);
                 keys.extend((0..GROUP as u64 + 3).map(|t| 500 - t));
                 keys.extend(filler(CHUNK + 1, 1_000));
-                for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                    assert!(marks_runs(&tree_over(&keys, rule), &[start / GROUP]));
-                }
-                check_both_rules(&keys);
+                assert!(marks_runs(&tree_over(&keys), &[start / GROUP]));
+                check_against_oracle(&keys);
             }
         }
     }
@@ -1813,7 +1630,7 @@ mod tests {
     /// The summary nodes [`TournamentTree::collect_touched`] visits from
     /// `node`, counted by walking the same way.
     fn visits<K: Key>(tree: &TournamentTree<K>, node: usize, carry: K) -> u64 {
-        if !tree.rule.is_record(tree.summary[node], carry) || node >= tree.scap {
+        if !is_record(tree.summary[node], carry) || node >= tree.scap {
             return 1;
         }
         let right = carry.min(tree.summary[2 * node]);
@@ -1827,23 +1644,21 @@ mod tests {
             .collect();
         let runs = decreasing_runs(&[(700, 5_000), (3_000, 9_000), (900, 100), (1_500, 2_000)]);
         for keys in [random, runs, vec![7]] {
-            for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-                let mut tree = tree_over(&keys, rule);
-                while tree.active > 0 {
-                    let visited = visits(&tree, 1, u64::MAX);
-                    assert!(tree.begin_round());
-                    let blocks = BlocksMut {
-                        leaves: &mut tree.leaves,
-                        alive: &mut tree.alive,
-                        minima: &mut tree.minima,
-                        block_mins: &mut tree.summary[tree.scap..],
-                        first: 0,
-                    };
-                    let (count, _) = extract_touched(blocks, &tree.touched, rule, 1, 1);
-                    let repaired = tree.end_round(count);
-                    assert_eq!(visited, 1 + 2 * repaired);
-                    assert_eq!(summary_work(repaired), visited + repaired);
-                }
+            let mut tree = tree_over(&keys);
+            while tree.active > 0 {
+                let visited = visits(&tree, 1, u64::MAX);
+                assert!(tree.begin_round());
+                let blocks = BlocksMut {
+                    leaves: &mut tree.leaves,
+                    alive: &mut tree.alive,
+                    minima: &mut tree.minima,
+                    block_mins: &mut tree.summary[tree.scap..],
+                    first: 0,
+                };
+                let (count, _) = extract_touched(blocks, &tree.touched, 1, 1);
+                let repaired = tree.end_round(count);
+                assert_eq!(visited, 1 + 2 * repaired);
+                assert_eq!(summary_work(repaired), visited + repaired);
             }
         }
     }
@@ -1851,19 +1666,24 @@ mod tests {
     #[test]
     fn key_max_in_several_blocks_builds_at_one_and_two_threads() {
         // `K::MAX` in blocks 0 and 2 and in the last, partial, block 3, so
-        // the build's flag and the remap pass see several blocks.
+        // the build's flag and the remap pass see several blocks.  The span
+        // `K::MAX - 1..=K::MAX` moves onto `K::MAX - 2..=K::MAX - 1`.
         let max = u64::MAX;
         let mut keys = filler(3 * BLOCK + 100, 1_000);
         for p in [5, 2 * BLOCK + 17, 3 * BLOCK + 99] {
             keys[p] = max;
         }
         keys[3 * BLOCK + 40] = max - 1;
+        let remap = Remap::over(&keys);
+        assert_eq!(remap.absent, max - 2);
+        let stored: Vec<u64> = keys.iter().map(|&k| remap.store(k)).collect();
         for threads in [1, 2] {
             pardp_parutils::with_threads(threads, || {
-                let tree = tree_over(&keys, TieRule::TiesAreRecords);
-                assert_eq!(tree.remap.absent, max - 2, "at {threads} threads");
+                let tree = tree_over(&keys);
+                let leaves = &tree.leaves.as_flattened()[..keys.len()];
+                assert_eq!(leaves, stored, "at {threads} threads");
                 assert!(tree.minima.iter().filter(|m| m.saw_max).count() == 3);
-                check_both_rules(&keys);
+                check_against_oracle(&keys);
             });
         }
     }
@@ -1879,30 +1699,28 @@ mod tests {
                 _ => i.wrapping_mul(2654435761) % 1_000_003,
             })
             .collect();
-        for rule in [TieRule::TiesAreRecords, TieRule::TiesBlocked] {
-            let build = |threads| {
-                pardp_parutils::with_threads(threads, || {
-                    // The build forks where its grain is narrower than the
-                    // tree: at 2 threads on a host with 2 cores or more.
-                    let forks = build_grain(keys.len()) < keys.len().div_ceil(BLOCK);
-                    let metrics = MetricsCollector::new();
-                    let solved = try_run_phase_parallel(cordon_over(&keys, rule), &metrics);
-                    (tree_over(&keys, rule), forks, solved)
-                })
-            };
-            let (one, forks_one, solved_one) = build(1);
-            let (two, forks_two, solved_two) = build(2);
-            assert!(!forks_one);
-            if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
-                assert!(forks_two, "the 2-thread build forks");
-            }
-            assert_eq!(one.leaves, two.leaves);
-            assert_eq!(one.alive, two.alive);
-            assert_eq!(one.minima, two.minima);
-            assert_eq!(one.summary, two.summary);
-            assert!(!run_groups(&one).is_empty());
-            assert_eq!(solved_one, solved_two);
+        let build = |threads| {
+            pardp_parutils::with_threads(threads, || {
+                // The build forks where its grain is narrower than the tree:
+                // at 2 threads on a host with 2 cores or more.
+                let forks = build_grain(keys.len()) < keys.len().div_ceil(BLOCK);
+                let metrics = MetricsCollector::new();
+                let solved = try_run_phase_parallel(cordon_over(&keys), &metrics);
+                (tree_over(&keys), forks, solved)
+            })
+        };
+        let (one, forks_one, solved_one) = build(1);
+        let (two, forks_two, solved_two) = build(2);
+        assert!(!forks_one);
+        if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
+            assert!(forks_two, "the 2-thread build forks");
         }
+        assert_eq!(one.leaves, two.leaves);
+        assert_eq!(one.alive, two.alive);
+        assert_eq!(one.minima, two.minima);
+        assert_eq!(one.summary, two.summary);
+        assert!(!run_groups(&one).is_empty());
+        assert_eq!(solved_one, solved_two);
     }
 
     #[test]
@@ -1911,18 +1729,13 @@ mod tests {
         let keys: Vec<u64> = (0..n as u64)
             .map(|i| (i * 2654435761) % 1_000_003)
             .collect();
-        let mut tree = tree_over(&keys, TieRule::TiesAreRecords);
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        loop {
-            let r = tree.extract_prefix_minima();
-            if r.is_empty() {
-                break;
-            }
-            total += r.len();
-            rounds += 1;
-            assert!(rounds <= n, "cannot need more rounds than elements");
-        }
-        assert_eq!(total, n);
+        let metrics = MetricsCollector::new();
+        let (values, rounds) = try_run_phase_parallel(cordon_over(&keys), &metrics).unwrap();
+        assert_eq!(metrics.snapshot().states_finalized, n as u64);
+        assert!(
+            rounds as usize <= n,
+            "cannot need more rounds than elements"
+        );
+        assert!(values.iter().all(|&v| (1..=rounds).contains(&v)));
     }
 }

@@ -6,7 +6,8 @@
 //! (Theorem 5.1), whose weight-doubling rounds stay within the Lemma 5.1
 //! bound.
 //!
-//! Run with `cargo run --release --example alphabetic_coding -- [n]`.
+//! Run with `cargo run --release --example alphabetic_coding -- [n]`, for an
+//! alphabet of `n >= 1` symbols (64 by default).
 
 use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
@@ -17,6 +18,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
+    assert!(n >= 1, "need n >= 1: an alphabet has at least one symbol");
     let freqs = workloads::skewed_weights(n, 1 << 16, 8, 3);
     let total: u64 = freqs.iter().sum();
 
@@ -43,8 +45,9 @@ fn main() {
     let entropy: f64 = freqs
         .iter()
         .map(|&f| {
+            // p · log₂(1/p), which reads +0 for a one-symbol alphabet.
             let p = f as f64 / total as f64;
-            -p * p.log2()
+            p * (total as f64 / f as f64).log2()
         })
         .sum();
 

@@ -156,7 +156,7 @@ pub mod prelude {
     };
     pub use pardp_obst::{knuth_obst, parallel_obst, ObstCordon, ObstResult};
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
-    pub use pardp_tournament::{Key, TieRule, TournamentTree};
+    pub use pardp_tournament::Key;
     pub use pardp_treedp::{
         hld::HeavyLightDecomposition, parallel_tree_glws, tree_glws_cordon_auto, CostShape,
         HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,

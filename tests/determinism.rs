@@ -97,18 +97,10 @@ fn packed_gap_results_are_bit_identical_across_thread_counts() {
     let inst = parallel_dp::gap::convex_gap_instance(&a, &b, 3, 1, 1);
     let baseline = with_threads(1, || parallel_dp::gap::parallel_gap(&inst));
     for t in THREAD_COUNTS {
-        let (pushes_before, _) = rayon::dispatch_diagnostics();
-        let run = with_threads(t, || parallel_dp::gap::parallel_gap(&inst));
-        let (pushes_after, _) = rayon::dispatch_diagnostics();
         // Where two threads can run, the wide rounds split into two bands
-        // and fork, so the comparison covers the bands and the seam repair.
-        // (Sibling tests share the counter, but can only add pushes.)
-        if t == 2 && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
-            assert!(
-                pushes_after > pushes_before,
-                "packed GAP did not fork at 2 threads"
-            );
-        }
+        // and fork (pinned in `tests/pool_fastpath.rs`), so the comparison
+        // covers the bands and the seam repair.
+        let run = with_threads(t, || parallel_dp::gap::parallel_gap(&inst));
         assert_eq!(run.d, baseline.d, "packed GAP grid differs at {t} threads");
         assert_eq!(run.cost, baseline.cost);
         // The whole metrics record, not just the round schedule: probes and
@@ -142,9 +134,9 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
     use parallel_dp::oat::{garsia_wachs, parallel_oat};
     // Profiles covering all parallel-phase behaviours: random (many
     // valleys; its wide rounds split their run lists under `join` above one
-    // thread), valley/mountain (two long slopes), equal weights (pure
-    // sequential-sweep rounds), and random again below 64 leaves, where every
-    // round runs inline.
+    // thread, pinned in `tests/pool_fastpath.rs`), valley/mountain (two long
+    // slopes), equal weights (pure sequential-sweep rounds), and random again
+    // below 64 leaves, where every round runs inline.
     let profiles = [
         ("random", workloads::positive_weights(6_000, 1 << 16, 7)),
         ("valley", workloads::valley_weights(6_000, 1 << 16, 8)),
@@ -155,19 +147,7 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
     for (name, w) in profiles {
         let baseline = with_threads(1, || parallel_oat(&w));
         for t in THREAD_COUNTS {
-            let (pushes_before, _) = rayon::dispatch_diagnostics();
             let run = with_threads(t, || parallel_oat(&w));
-            let (pushes_after, _) = rayon::dispatch_diagnostics();
-            // (Sibling tests share the counter, but can only add pushes.)
-            if name == "random"
-                && t == 2
-                && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
-            {
-                assert!(
-                    pushes_after > pushes_before,
-                    "{name}: valley OAT did not fork at 2 threads"
-                );
-            }
             assert_eq!(
                 run.depths, baseline.depths,
                 "{name}: depths differ at {t} threads"
@@ -305,22 +285,13 @@ fn glws_results_are_bit_identical_across_thread_counts() {
     );
 
     // Thirty layers of 20 000 states: each layer's divide and conquer forks
-    // while its state range reaches `SEQ_CUTOFF`, and sums its edge counts
-    // through the joins.
+    // while its state range reaches `SEQ_CUTOFF` (pinned in
+    // `tests/pool_fastpath.rs`), and sums its edge counts through the joins.
     let p = offices(20_000, 40);
     let kglws = || parallel_kglws(&p, 30);
     let baseline = with_threads(1, kglws);
     for t in THREAD_COUNTS {
-        let (pushes_before, _) = rayon::dispatch_diagnostics();
         let run = with_threads(t, kglws);
-        let (pushes_after, _) = rayon::dispatch_diagnostics();
-        // (Sibling tests share the counter, but can only add pushes.)
-        if t == 2 && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
-            assert!(
-                pushes_after > pushes_before,
-                "k-GLWS did not fork at 2 threads"
-            );
-        }
         assert_eq!(
             run.layers, baseline.layers,
             "k-GLWS layers differ at {t} threads"

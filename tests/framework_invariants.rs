@@ -70,33 +70,6 @@ fn prefix_doubling_waste_is_bounded() {
 }
 
 #[test]
-fn tournament_tree_drains_in_lis_rounds() {
-    let a = workloads_sequence();
-    let mut tree = TournamentTree::new(
-        a.len(),
-        |first, out| out.copy_from_slice(&a[first..first + out.len()]),
-        TieRule::TiesAreRecords,
-    );
-    let lis = parallel_lis(&a);
-    let mut rounds = 0;
-    let mut total = 0;
-    loop {
-        let r = tree.extract_prefix_minima();
-        if r.is_empty() {
-            break;
-        }
-        rounds += 1;
-        total += r.len();
-    }
-    assert_eq!(rounds, lis.length);
-    assert_eq!(total, a.len());
-}
-
-fn workloads_sequence() -> Vec<i64> {
-    parallel_dp::workloads::random_sequence(5_000, 1 << 20, 77)
-}
-
-#[test]
 fn metrics_work_proxy_scales_near_linearly_for_glws() {
     // Doubling n should roughly double the parallel work proxy (within 3x),
     // supporting the O(n log n) work claim.

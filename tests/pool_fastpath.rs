@@ -10,7 +10,8 @@
 //!
 //! The same counters pin the other side of the fast path: a fork that does
 //! reach the pool hands its job to a worker that is still spinning, instead
-//! of waking one that has parked.
+//! of waking one that has parked.  They also pin that the cordons whose wide
+//! rounds split do fork at 2 threads: packed GAP, valley OAT and k-GLWS.
 //!
 //! The whole file is one test function: the counters are process-global, so a
 //! concurrently running sibling test that legitimately forks would pollute
@@ -20,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parallel_dp::core::run_phase_parallel;
+use parallel_dp::glws::{parallel_kglws, PostOfficeProblem};
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::workloads;
@@ -75,6 +77,16 @@ fn handoff_wakeups() -> Vec<u64> {
                 wakeups_after - wakeups_before
             })
             .collect()
+    })
+}
+
+/// Injector pushes while `solve` runs under `with_threads(2)`.
+fn pushes_at_two_threads<T>(solve: impl FnOnce() -> T + Send) -> u64 {
+    with_threads(2, || {
+        let (before, _) = rayon::dispatch_diagnostics();
+        solve();
+        let (after, _) = rayon::dispatch_diagnostics();
+        after - before
     })
 }
 
@@ -232,6 +244,25 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
             pushes > 0,
             "the 300x300 packed-GAP solve did not fork at 8 threads"
         );
+    }
+
+    // Where two threads can run, the cordons whose wide rounds split fork at
+    // 2 threads: packed GAP into two row bands, valley OAT's run lists under
+    // `join`, and each k-GLWS layer's divide and conquer while its state
+    // range reaches `SEQ_CUTOFF`.  `tests/determinism.rs` checks that these
+    // forked solves give the 1-thread answers.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        let (ga, gb) = workloads::gap_strings(220, 180, 4, 5);
+        let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
+        let weights = workloads::positive_weights(6_000, 1 << 16, 7);
+        let offices = workloads::post_office_instance(20_000, 40, 3);
+        let offices = PostOfficeProblem::new(offices.coords, offices.open_cost);
+        let gap = pushes_at_two_threads(|| parallel_dp::gap::parallel_gap(&ginst));
+        assert!(gap > 0, "packed GAP did not fork at 2 threads");
+        let oat = pushes_at_two_threads(|| parallel_dp::oat::parallel_oat(&weights));
+        assert!(oat > 0, "valley OAT did not fork at 2 threads");
+        let kglws = pushes_at_two_threads(|| parallel_kglws(&offices, 30));
+        assert!(kglws > 0, "k-GLWS did not fork at 2 threads");
     }
 
     // Sanity check that the counters are live at all: an explicit sub-length
