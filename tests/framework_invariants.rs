@@ -3,6 +3,7 @@
 
 use parallel_dp::core::{prefix_doubling_cordon, EdgeWeightedDag, Objective};
 use parallel_dp::prelude::*;
+use parallel_dp::tournament::StaircaseCordon;
 
 #[test]
 fn cordon_equals_topological_on_random_layered_dags() {
@@ -67,6 +68,26 @@ fn prefix_doubling_waste_is_bounded() {
             stats.wasted
         );
     }
+}
+
+#[test]
+fn tournament_tree_drains_in_lis_rounds() {
+    // The tournament tree, run as its public staircase cordon, takes one
+    // LIS level a round: as many rounds as patience sorting's length, and
+    // every position taken once, in a round of its own range.
+    let a = parallel_dp::workloads::random_sequence(5_000, 1 << 20, 77);
+    let cordon = StaircaseCordon::new(a.len(), |first, out: &mut [i64]| {
+        out.copy_from_slice(&a[first..first + out.len()]);
+    });
+    let run = CordonSolver::new().run(cordon);
+    let (values, rounds) = run.output;
+    assert_eq!(rounds, sequential_lis(&a).length);
+    assert_eq!(run.metrics.rounds, u64::from(rounds));
+    assert_eq!(
+        run.metrics.frontier_sizes.iter().sum::<u64>(),
+        a.len() as u64
+    );
+    assert!(values.iter().all(|&v| (1..=rounds).contains(&v)));
 }
 
 #[test]
