@@ -150,7 +150,7 @@ impl ThreadPool {
 /// the input range/slice plus the fused adaptor closures.
 ///
 /// `len` is the exact element count for [`IndexedProducer`]s and an upper
-/// bound (a splitting hint) for filtering/flattening producers.
+/// bound (a splitting hint) for filtering and flat-mapping producers.
 #[allow(clippy::len_without_is_empty)] // `len` is a splitting hint, not a container size
 pub trait Producer: Sized + Send {
     /// Element type produced.
@@ -576,65 +576,6 @@ where
     }
 }
 
-/// `flatten` adaptor (unindexed; `len` counts outer items).
-pub struct FlattenProducer<P> {
-    base: P,
-}
-
-impl<P> Producer for FlattenProducer<P>
-where
-    P: Producer,
-    P::Item: IntoIterator,
-    <P::Item as IntoIterator>::Item: Send,
-{
-    type Item = <P::Item as IntoIterator>::Item;
-    type IntoIter = FlattenSeq<P::IntoIter, P::Item>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (FlattenProducer { base: l }, FlattenProducer { base: r })
-    }
-
-    fn into_seq(self) -> Self::IntoIter {
-        FlattenSeq {
-            inner: self.base.into_seq(),
-            current: None,
-        }
-    }
-}
-
-/// Sequential counterpart of [`FlattenProducer`].
-pub struct FlattenSeq<I, U: IntoIterator> {
-    inner: I,
-    current: Option<U::IntoIter>,
-}
-
-impl<I, U> Iterator for FlattenSeq<I, U>
-where
-    I: Iterator<Item = U>,
-    U: IntoIterator,
-{
-    type Item = U::Item;
-
-    fn next(&mut self) -> Option<U::Item> {
-        loop {
-            if let Some(cur) = &mut self.current {
-                if let Some(item) = cur.next() {
-                    return Some(item);
-                }
-            }
-            match self.inner.next() {
-                Some(x) => self.current = Some(x.into_iter()),
-                None => return None,
-            }
-        }
-    }
-}
-
 /// `enumerate` adaptor; splitting offsets the right half's base index.
 pub struct EnumerateProducer<P> {
     base: P,
@@ -802,21 +743,6 @@ impl<P: Producer> ParIter<P> {
             base: self.producer,
             f,
             _u: PhantomData,
-        };
-        ParIter {
-            producer,
-            min_len: self.min_len,
-        }
-    }
-
-    /// Flatten nested iterables (outer level parallel, inner serial).
-    pub fn flatten(self) -> ParIter<FlattenProducer<P>>
-    where
-        P::Item: IntoIterator,
-        <P::Item as IntoIterator>::Item: Send,
-    {
-        let producer = FlattenProducer {
-            base: self.producer,
         };
         ParIter {
             producer,

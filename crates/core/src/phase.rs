@@ -82,9 +82,9 @@ impl std::error::Error for StallError {}
 /// A problem instance that can be advanced one cordon round at a time.
 ///
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
-/// `ConvexGlwsCordon`, `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`,
-/// `TreeGlwsCordon` and its work-efficient sibling `HldTreeGlwsCordon`,
-/// `ValleyOatCordon`, `ObstCordon`, and
+/// `GlwsCordon`, run as `ConvexGlwsCordon` or `ConcaveGlwsCordon`,
+/// `KGlwsCordon`, `PackedGapCordon`, `TreeGlwsCordon` and its work-efficient
+/// sibling `HldTreeGlwsCordon`, `ValleyOatCordon`, `ObstCordon`, and
 /// `core::explicit`'s reference instance); the facade's `CordonSolver` runs
 /// any of them through this one driver.
 pub trait PhaseParallel {

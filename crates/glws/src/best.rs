@@ -144,14 +144,14 @@ impl BestDecisionArray {
         if tail.is_empty() {
             return None;
         }
-        let probe_pos = |t: &DecisionInterval| t.r.max(lo_bound).min(t.r);
-        // Binary search over the triples in `tail`.
+        // Binary search over the triples in `tail`, each probed at its last
+        // position (every `t.r` in `tail` is at least `lo_bound`).
         let mut lo = 0usize;
         let mut hi_idx = tail.len(); // first index whose triple contains a true position
         while lo < hi_idx {
             let mid = (lo + hi_idx) / 2;
             let t = &tail[mid];
-            if pred(probe_pos(t), t.j) {
+            if pred(t.r, t.j) {
                 hi_idx = mid;
             } else {
                 lo = mid + 1;

@@ -19,8 +19,9 @@
 //! * [`seq`]: the sequential Galil–Park algorithm `Γ_lws` (Sec. 4.1),
 //! * [`best`]: the sorted best-decision interval array used by the parallel
 //!   algorithm,
-//! * [`convex`]: the parallel convex GLWS (Algorithm 1, Theorem 4.1),
-//! * [`concave`]: the parallel concave GLWS (Sec. 4.3, Theorem 4.2),
+//! * [`cordon`]: the parallel convex and concave GLWS, one cordon
+//!   ([`GlwsCordon`]) that runs Algorithm 1 (Theorem 4.1) and, under its
+//!   concave parameter, the three changes of Sec. 4.3 (Theorem 4.2),
 //! * [`kglws`]: the fixed-cluster-count variant (Sec. 5.4).
 
 #![forbid(unsafe_code)]
@@ -29,16 +30,16 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod best;
-pub mod concave;
-pub mod convex;
+pub mod cordon;
 pub mod cost;
 pub mod kglws;
 pub mod naive;
 pub mod seq;
 
 pub use best::BestDecisionArray;
-pub use concave::{parallel_concave_glws, ConcaveGlwsCordon};
-pub use convex::{parallel_convex_glws, ConvexGlwsCordon};
+pub use cordon::{
+    parallel_concave_glws, parallel_convex_glws, ConcaveGlwsCordon, ConvexGlwsCordon, GlwsCordon,
+};
 pub use cost::{
     ClosureCost, ConcaveGapCost, ConvexGapCost, GlwsProblem, LinearGapCost, PostOfficeProblem,
 };

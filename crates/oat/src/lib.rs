@@ -3,8 +3,6 @@
 //! Given leaf weights `a[1..n]`, the OAT is the binary tree with those leaves
 //! in order minimizing `Σ a_i · depth_i`.  This crate provides
 //!
-//! * [`interval_dp_oat`] — the `O(n²)` Knuth-style interval DP (exact oracle,
-//!   also the OBST connection of Sec. 5.5),
 //! * [`garsia_wachs`] — the classic sequential algorithm, implemented here in
 //!   `O(n²)`: repeatedly combine the leftmost locally minimal pair and
 //!   reinsert the combined node before the nearest larger predecessor; the
@@ -14,6 +12,10 @@
 //! * [`oat_height_bound`] — the `O(log W)` height bound of Lemma 5.1, which is
 //!   what turns Theorem 5.1 into a polylog-span algorithm for word-sized
 //!   integer weights (Corollary 5.1.1).
+//!
+//! The `O(n²)` Knuth interval DP for the same cost is `pardp-obst`'s
+//! `knuth_obst` (the OBST connection of Sec. 5.5); this crate's tests use
+//! it as the exact oracle.
 //!
 //! [`parallel_oat`] runs [`ValleyOatCordon`], the polylog-round
 //! construction of Theorem 5.1 (the [`valley`] module), through the shared
@@ -47,53 +49,6 @@ pub struct OatResult {
     pub height: u32,
     /// Work counters.
     pub metrics: Metrics,
-}
-
-/// Exact `O(n²)` interval DP for the optimal alphabetic tree (Knuth's split
-/// bounds), returning only the optimal cost.  Oracle for [`garsia_wachs`].
-pub fn interval_dp_oat(weights: &[u64]) -> u64 {
-    let n = weights.len();
-    if n <= 1 {
-        return 0;
-    }
-    let mut pre = vec![0u64; n + 1];
-    for i in 0..n {
-        pre[i + 1] = pre[i] + weights[i];
-    }
-    let wsum = |i: usize, j: usize| pre[j + 1] - pre[i];
-    let mut d = vec![vec![0u64; n]; n];
-    let mut root = vec![vec![0usize; n]; n];
-    for i in 0..n {
-        root[i][i] = i;
-    }
-    for len in 2..=n {
-        for i in 0..=(n - len) {
-            let j = i + len - 1;
-            // Knuth's quadrangle-inequality bounds: the optimal split is
-            // monotone in both endpoints, root[i][j-1] <= root[i][j] <=
-            // root[i+1][j], so the candidate range below is never empty.
-            // (`hi.max(lo)` here would silently mask a violation of that
-            // invariant; assert it instead.)
-            let lo = root[i][j - 1];
-            let hi = root[i + 1][j].min(j - 1);
-            debug_assert!(
-                lo <= hi,
-                "Knuth split-monotonicity violated on [{i}, {j}]: lo {lo} > hi {hi}"
-            );
-            let mut best = u64::MAX;
-            let mut best_k = lo;
-            for k in lo..=hi {
-                let c = d[i][k] + d[k + 1][j];
-                if c < best {
-                    best = c;
-                    best_k = k;
-                }
-            }
-            d[i][j] = best + wsum(i, j);
-            root[i][j] = best_k;
-        }
-    }
-    d[0][n - 1]
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -217,8 +172,8 @@ pub fn garsia_wachs(weights: &[u64]) -> OatResult {
 }
 
 /// Parallel OAT through [`ValleyOatCordon`]: polylog rounds (Theorem 5.1)
-/// at every size.  Produces the same cost as [`garsia_wachs`] and
-/// [`interval_dp_oat`], plus the leaf depths.
+/// at every size.  Produces the same cost as [`garsia_wachs`] and as
+/// `pardp-obst`'s interval DP on the same leaf weights, plus the leaf depths.
 pub fn parallel_oat(weights: &[u64]) -> OatResult {
     let metrics = MetricsCollector::new();
     let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
@@ -248,6 +203,7 @@ pub fn oat_height_bound(weights: &[u64]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pardp_obst::knuth_obst;
 
     fn pseudo_weights(n: usize, seed: u64, max_w: u64) -> Vec<u64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -261,62 +217,13 @@ mod tests {
             .collect()
     }
 
-    /// Unrestricted O(n³) interval DP: every split point considered, no
-    /// Knuth bounds.  Reference for the property test below.
-    fn cubic_dp_oat(weights: &[u64]) -> u64 {
-        let n = weights.len();
-        if n <= 1 {
-            return 0;
-        }
-        let mut pre = vec![0u64; n + 1];
-        for i in 0..n {
-            pre[i + 1] = pre[i] + weights[i];
-        }
-        let mut d = vec![vec![0u64; n]; n];
-        for len in 2..=n {
-            for i in 0..=(n - len) {
-                let j = i + len - 1;
-                d[i][j] =
-                    (i..j).map(|k| d[i][k] + d[k + 1][j]).min().unwrap() + (pre[j + 1] - pre[i]);
-            }
-        }
-        d[0][n - 1]
-    }
-
-    #[test]
-    fn knuth_bounded_dp_matches_unrestricted_cubic_reference() {
-        // Random profiles plus the shapes that stress split monotonicity:
-        // plateaus of equal weights (tied splits), monotone ramps, and
-        // valley/mountain profiles.
-        for seed in 0..12 {
-            for &n in &[2usize, 3, 5, 9, 17, 33, 64] {
-                let w = pseudo_weights(n, seed, 8); // small range => many ties
-                assert_eq!(interval_dp_oat(&w), cubic_dp_oat(&w), "weights {w:?}");
-            }
-        }
-        for n in [2usize, 7, 30, 63] {
-            let equal = vec![3u64; n];
-            assert_eq!(interval_dp_oat(&equal), cubic_dp_oat(&equal));
-            let ramp: Vec<u64> = (1..=n as u64).collect();
-            assert_eq!(interval_dp_oat(&ramp), cubic_dp_oat(&ramp));
-            let valley: Vec<u64> = (0..n).map(|i| (2 * i).abs_diff(n) as u64 + 1).collect();
-            assert_eq!(
-                interval_dp_oat(&valley),
-                cubic_dp_oat(&valley),
-                "{valley:?}"
-            );
-            let mountain: Vec<u64> = valley.iter().rev().copied().collect();
-            assert_eq!(interval_dp_oat(&mountain), cubic_dp_oat(&mountain));
-        }
-    }
-
     #[test]
     fn matches_interval_dp_on_small_inputs() {
         for seed in 0..10 {
             for &n in &[1usize, 2, 3, 4, 5, 8, 13, 20, 40, 80] {
                 let w = pseudo_weights(n, seed, 50);
                 let gw = garsia_wachs(&w);
-                let want = interval_dp_oat(&w);
+                let want = knuth_obst(&w).cost;
                 assert_eq!(gw.cost, want, "n {n} seed {seed} weights {w:?}");
                 // Cost recomputed from the reported depths must agree too.
                 let recomputed: u64 = w.iter().zip(&gw.depths).map(|(&a, &d)| a * d as u64).sum();
@@ -339,7 +246,7 @@ mod tests {
         // Exponentially growing weights: the optimal tree is a caterpillar.
         let w: Vec<u64> = (0..12).map(|i| 1u64 << i).collect();
         let r = garsia_wachs(&w);
-        assert_eq!(r.cost, interval_dp_oat(&w));
+        assert_eq!(r.cost, knuth_obst(&w).cost);
         assert!(r.height >= 10, "height {} should be near n", r.height);
     }
 

@@ -35,8 +35,8 @@
 //! fide locally-minimal-pair step, which Karpinski–Larmore–Rytter show may be
 //! scheduled in any order, so the result is a valid Garsia–Wachs l-tree and
 //! its leaf levels are optimal alphabetic-tree depths; the tests pin cost
-//! equality against [`crate::garsia_wachs`] and [`crate::interval_dp_oat`],
-//! plus Kraft equality and ordered realizability of the depth vector.
+//! equality against [`crate::garsia_wachs`] and `pardp-obst`'s Knuth interval
+//! DP, plus Kraft equality and ordered realizability of the depth vector.
 //!
 //! A round allocates nothing.  Each run combines in place in its own slice
 //! of the sequence, where a combine frees the run's two front slots and the
@@ -402,7 +402,8 @@ impl PhaseParallel for ValleyOatCordon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat};
+    use crate::{garsia_wachs, oat_height_bound, parallel_oat};
+    use pardp_obst::knuth_obst;
 
     fn pseudo_weights(n: usize, seed: u64, max_w: u64) -> Vec<u64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -442,7 +443,7 @@ mod tests {
                 let got = parallel_oat(&w);
                 let gw = garsia_wachs(&w);
                 assert_eq!(got.cost, gw.cost, "n {n} seed {seed} weights {w:?}");
-                assert_eq!(got.cost, interval_dp_oat(&w), "n {n} seed {seed}");
+                assert_eq!(got.cost, knuth_obst(&w).cost, "n {n} seed {seed}");
                 let recomputed: u64 = w.iter().zip(&got.depths).map(|(&a, &d)| a * d as u64).sum();
                 assert_eq!(recomputed, got.cost, "depths must attain the cost");
                 if n >= 1 {
@@ -495,7 +496,7 @@ mod tests {
         let mountain: Vec<u64> = valley.iter().rev().copied().collect();
         for w in [valley, mountain] {
             let r = parallel_oat(&w);
-            assert_eq!(r.cost, interval_dp_oat(&w), "weights {w:?}");
+            assert_eq!(r.cost, knuth_obst(&w).cost, "weights {w:?}");
             assert!(alphabetically_realizable(&r.depths));
         }
     }

@@ -296,6 +296,22 @@ mod tests {
                 assert_eq!(a, c, "n {n} seed {seed}");
             }
         }
+        // Small weights (many tied splits), and the profiles that stress
+        // Knuth's split monotonicity: plateaus, ramps, valleys and mountains.
+        let tied = (0..12)
+            .flat_map(|seed| [2usize, 3, 5, 9, 17, 33, 64].map(|n| pseudo_weights(n, seed, 8)));
+        let shaped = [2usize, 7, 30, 63].into_iter().flat_map(|n| {
+            let valley: Vec<u64> = (0..n).map(|i| (2 * i).abs_diff(n) as u64 + 1).collect();
+            let mountain = valley.iter().map(|&v| n as u64 + 2 - v).collect();
+            let mirrored_valley = valley.iter().rev().copied().collect();
+            let ramp = (1..=n as u64).collect();
+            [vec![3u64; n], ramp, valley, mirrored_valley, mountain]
+        });
+        for w in tied.chain(shaped) {
+            let a = naive_obst(&w).cost;
+            assert_eq!(knuth_obst(&w).cost, a, "weights {w:?}");
+            assert_eq!(parallel_obst(&w).cost, a, "weights {w:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! Run with `cargo run --release --example alphabetic_coding -- [n]`, for an
 //! alphabet of `n >= 1` symbols (64 by default).
 
-use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -25,7 +24,7 @@ fn main() {
     let oat = garsia_wachs(&freqs);
     assert_eq!(
         oat.cost,
-        interval_dp_oat(&freqs),
+        knuth_obst(&freqs).cost,
         "Garsia–Wachs must be optimal"
     );
     let par = parallel_oat(&freqs);

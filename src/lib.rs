@@ -66,9 +66,10 @@ pub use pardp_workloads as workloads;
 /// assert_eq!(d, vec![1, 1, 2, 3, 1, 2, 2, 3]);
 /// ```
 ///
-/// The same call shape works for `LcsCordon`, `ConvexGlwsCordon`,
-/// `ConcaveGlwsCordon`, `KGlwsCordon`, `PackedGapCordon`, `ObstCordon`,
-/// `ValleyOatCordon` (the polylog-round OAT cordon `parallel_oat` runs) —
+/// The same call shape works for `LcsCordon`, `ConvexGlwsCordon` and
+/// `ConcaveGlwsCordon` (the two shapes of one `GlwsCordon`), `KGlwsCordon`,
+/// `PackedGapCordon`, `ObstCordon`, `ValleyOatCordon` (the polylog-round
+/// OAT cordon `parallel_oat` runs) —
 /// and for the router-produced `EitherCordon` value that
 /// `parallel_tree_glws` runs, `tree_glws_cordon_auto`'s (cheaper Tree-GLWS
 /// cordon from an O(n) shape probe).  To run one arm of the router, hand

@@ -3,7 +3,6 @@
 //! paper uses (LIS <-> LCS reduction, GLWS <-> k-GLWS, OAT <-> interval DP,
 //! post-office workloads <-> Lemma 4.5 round counts).
 
-use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -74,10 +73,9 @@ fn lcs_workload_pairs_reproduce_requested_k() {
 
 #[test]
 fn oat_and_obst_interval_dps_agree() {
-    // The OAT interval oracle and the OBST crate's Knuth DP compute the same
+    // Garsia–Wachs and the OBST crate's interval DP compute the same
     // quantity on leaf weights.
     let w = workloads::positive_weights(300, 10_000, 6);
-    assert_eq!(interval_dp_oat(&w), knuth_obst(&w).cost);
     assert_eq!(garsia_wachs(&w).cost, parallel_obst(&w).cost);
 }
 

@@ -3,7 +3,6 @@
 //! frontier telemetry every parallel algorithm now reports, and the typed
 //! stall guard.
 
-use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::prelude::*;
 use parallel_dp::workloads;
 
@@ -253,7 +252,7 @@ fn valley_oat_cordon_budget_through_the_driver() {
         "rounds {} not polylog",
         run.metrics.rounds
     );
-    assert_eq!(run.output.cost, interval_dp_oat(&w));
+    assert_eq!(run.output.cost, knuth_obst(&w).cost);
 
     // The doubling bound is not tight: 29 rounds here against 21 run.
     let budget = budget.expect("the valley cordon declares a budget");

@@ -4,10 +4,8 @@
 //! leaves, plus the Lemma 5.1 round-count assertion that separates it from
 //! the interval DP's `n - 1` rounds.
 
-use parallel_dp::oat::{
-    garsia_wachs, interval_dp_oat, oat_height_bound, parallel_oat, ValleyOatCordon,
-};
-use parallel_dp::obst::ObstCordon;
+use parallel_dp::oat::{garsia_wachs, oat_height_bound, parallel_oat, ValleyOatCordon};
+use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::workloads;
 use parallel_dp::CordonSolver;
 
@@ -84,7 +82,7 @@ fn valley_oat_matches_oracles_on_random_profiles() {
             check_profile("random", &w);
             // Quadratic oracle only at the smaller sizes.
             if n <= 500 {
-                assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w));
+                assert_eq!(parallel_oat(&w).cost, knuth_obst(&w).cost);
             }
         }
         let s = workloads::skewed_weights(800, 1 << 20, 64, seed);
@@ -111,7 +109,7 @@ fn parallel_oat_matches_oracles_at_every_small_size() {
             check_profile(&format!("random n {n} seed {seed}"), &w);
             assert_eq!(
                 parallel_oat(&w).cost,
-                interval_dp_oat(&w),
+                knuth_obst(&w).cost,
                 "n {n} seed {seed}"
             );
         }
@@ -122,7 +120,7 @@ fn parallel_oat_matches_oracles_at_every_small_size() {
         ];
         for (name, w) in profiles {
             check_profile(&format!("{name} n {n}"), &w);
-            assert_eq!(parallel_oat(&w).cost, interval_dp_oat(&w), "{name} n {n}");
+            assert_eq!(parallel_oat(&w).cost, knuth_obst(&w).cost, "{name} n {n}");
         }
     }
 }

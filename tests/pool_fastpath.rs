@@ -11,7 +11,8 @@
 //! The same counters pin the other side of the fast path: a fork that does
 //! reach the pool hands its job to a worker that is still spinning, instead
 //! of waking one that has parked.  They also pin that the cordons whose wide
-//! rounds split do fork at 2 threads: packed GAP, valley OAT and k-GLWS.
+//! rounds split do fork at 2 threads: packed GAP, valley OAT, convex and
+//! concave GLWS, and k-GLWS.
 //!
 //! The whole file is one test function: the counters are process-global, so a
 //! concurrently running sibling test that legitimately forks would pollute
@@ -21,7 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parallel_dp::core::run_phase_parallel;
-use parallel_dp::glws::{parallel_kglws, PostOfficeProblem};
+use parallel_dp::glws::{
+    parallel_concave_glws, parallel_convex_glws, parallel_kglws, ClosureCost, PostOfficeProblem,
+};
 use parallel_dp::lcs::{sequential_sparse_lcs, LcsCordon, MatchPair};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::workloads;
@@ -248,19 +251,34 @@ fn sub_grain_rounds_push_no_jobs_and_wake_no_workers() {
 
     // Where two threads can run, the cordons whose wide rounds split fork at
     // 2 threads: packed GAP into two row bands, valley OAT's run lists under
-    // `join`, and each k-GLWS layer's divide and conquer while its state
-    // range reaches `SEQ_CUTOFF`.  `tests/determinism.rs` checks that these
-    // forked solves give the 1-thread answers.
+    // `join`, the GLWS cordon's FindCordon probes and FindIntervals under
+    // both cost shapes, and each k-GLWS layer's divide and conquer while its
+    // state range reaches `SEQ_CUTOFF`.  `tests/determinism.rs` checks that
+    // these forked solves give the 1-thread answers.
     if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
         let (ga, gb) = workloads::gap_strings(220, 180, 4, 5);
         let ginst = parallel_dp::gap::convex_gap_instance(&ga, &gb, 3, 1, 1);
         let weights = workloads::positive_weights(6_000, 1 << 16, 7);
+        // Ten wide convex rounds, and 41 concave rounds whose frontiers
+        // reach 5 000 states: `tests/determinism.rs`'s instances.
+        let shallow = workloads::post_office_instance(200_000, 10, 3);
+        let shallow = PostOfficeProblem::new(shallow.coords, shallow.open_cost);
+        let bonus = ClosureCost::new(
+            200_000,
+            0,
+            |j, i| 200 + 5 * ((i - j).min(100_000) as i64),
+            |d, j| d - if j % 5000 == 3 { 1_000_000 } else { 0 },
+        );
         let offices = workloads::post_office_instance(20_000, 40, 3);
         let offices = PostOfficeProblem::new(offices.coords, offices.open_cost);
         let gap = pushes_at_two_threads(|| parallel_dp::gap::parallel_gap(&ginst));
         assert!(gap > 0, "packed GAP did not fork at 2 threads");
         let oat = pushes_at_two_threads(|| parallel_dp::oat::parallel_oat(&weights));
         assert!(oat > 0, "valley OAT did not fork at 2 threads");
+        let convex = pushes_at_two_threads(|| parallel_convex_glws(&shallow));
+        assert!(convex > 0, "convex GLWS did not fork at 2 threads");
+        let concave = pushes_at_two_threads(|| parallel_concave_glws(&bonus));
+        assert!(concave > 0, "concave GLWS did not fork at 2 threads");
         let kglws = pushes_at_two_threads(|| parallel_kglws(&offices, 30));
         assert!(kglws > 0, "k-GLWS did not fork at 2 threads");
     }

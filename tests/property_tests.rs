@@ -5,7 +5,6 @@ use parallel_dp::gap::naive_gap;
 use parallel_dp::glws::{naive_glws, naive_kglws};
 use parallel_dp::lcs::{dense_lcs, reconstruct_lcs};
 use parallel_dp::lis::naive_lis;
-use parallel_dp::oat::interval_dp_oat;
 use parallel_dp::obst::naive_obst;
 use parallel_dp::prelude::*;
 use parallel_dp::treedp::naive_tree_glws;
@@ -239,7 +238,7 @@ proptest! {
     #[test]
     fn prop_garsia_wachs_is_optimal(weights in prop::collection::vec(1u64..200, 1..60)) {
         let gw = garsia_wachs(&weights);
-        prop_assert_eq!(gw.cost, interval_dp_oat(&weights));
+        prop_assert_eq!(gw.cost, knuth_obst(&weights).cost);
         // Kraft equality: the depths describe a full binary tree.
         if weights.len() > 1 {
             let kraft: f64 = gw.depths.iter().map(|&d| 0.5f64.powi(d as i32)).sum();
