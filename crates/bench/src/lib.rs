@@ -287,12 +287,11 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // Tree-GLWS through the shape-adaptive router (parallel_tree_glws)
-    // on the three shapes that span its decision space: a shallow balanced
-    // tree (router picks the O(n·h) baseline cordon — the heavy-light
-    // envelope machinery can't pay for itself at avg depth ~log n), a path,
-    // and a caterpillar (router picks the Theorem 5.3 envelopes — the
-    // baseline is quadratic there).  The sequential baseline is the naive
+    // Tree-GLWS through parallel_tree_glws on the three shapes that span
+    // its choice of arm: a shallow balanced tree (the O(n·h) ancestor
+    // rescan — the heavy-light envelope machinery can't pay for itself at
+    // avg depth ~log n), a path, and a caterpillar (the Theorem 5.3
+    // envelopes — the rescan is quadratic there).  The sequential baseline is the naive
     // ancestor scan in all three rows, so par/seq on the deep shapes also
     // captures the work-efficiency win, not just parallelism.
     let tree_shapes: [(&str, Vec<usize>); 3] = if quick {

@@ -22,20 +22,21 @@
 //! [`ParIter::with_min_len`] hint (a real granularity control here, not a
 //! no-op), then recursively `join`-splits the producer down to grains.
 //! Grain results are always combined **in order**, so order-sensitive
-//! terminals (`collect`, `min`, `reduce_with` with a positional tie-break)
-//! return the same value for every thread count and grain size as long as
-//! the combining operation is associative — the determinism contract the
-//! engine's tests pin down.
+//! terminals (`collect`, `reduce_with` with a positional tie-break) return
+//! the same value for every thread count and grain size as long as the
+//! combining operation is associative — the determinism contract the
+//! engine's tests pin down.  Each grain runs the matching `std` adaptor
+//! chain (`Range`, `Map`, `Filter`, `FlatMap`, `Zip`) sequentially.
 //!
 //! # Semantic fine print (matching real rayon)
 //!
 //! * [`ParIter::reduce`] may invoke its identity closure **once per grain**
 //!   (plus once for the final fold), not exactly once: the identity must be a
 //!   true neutral element of `op`, or results will vary with the grain count.
-//! * [`ParIter::min`] keeps the **first** minimum (the `std::iter` tie rule),
-//!   independent of splitting.
 //! * Adaptor closures need `Fn + Send + Sync` because grains run on pool
 //!   threads.
+//! * Unlike real rayon, `into_par_iter` on a `..=` range that ends at its
+//!   type's maximum panics: a grain's `Range` cannot hold the end past it.
 //!
 //! [rayon]: https://docs.rs/rayon
 
@@ -134,11 +135,6 @@ impl ThreadPool {
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         let _guard = pool::install_threads(self.num_threads);
         f()
-    }
-
-    /// The thread count the pool was configured with.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
     }
 }
 
@@ -255,9 +251,12 @@ pub struct RangeProducer<T> {
     remaining: usize,
 }
 
-impl<T: RangeInt> Producer for RangeProducer<T> {
+impl<T: RangeInt> Producer for RangeProducer<T>
+where
+    std::ops::Range<T>: Iterator<Item = T>,
+{
     type Item = T;
-    type IntoIter = RangeSeq<T>;
+    type IntoIter = std::ops::Range<T>;
 
     fn len(&self) -> usize {
         self.remaining
@@ -277,40 +276,12 @@ impl<T: RangeInt> Producer for RangeProducer<T> {
         )
     }
 
-    fn into_seq(self) -> RangeSeq<T> {
-        RangeSeq {
-            next: self.next,
-            remaining: self.remaining,
-        }
+    fn into_seq(self) -> Self::IntoIter {
+        self.next..self.next.offset(self.remaining)
     }
 }
 
-impl<T: RangeInt> IndexedProducer for RangeProducer<T> {}
-
-/// Sequential counterpart of [`RangeProducer`].
-pub struct RangeSeq<T> {
-    next: T,
-    remaining: usize,
-}
-
-impl<T: RangeInt> Iterator for RangeSeq<T> {
-    type Item = T;
-
-    #[inline]
-    fn next(&mut self) -> Option<T> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let value = self.next;
-        self.next = value.offset(1);
-        self.remaining -= 1;
-        Some(value)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
+impl<T: RangeInt> IndexedProducer for RangeProducer<T> where std::ops::Range<T>: Iterator<Item = T> {}
 
 // --- base producers: slices -------------------------------------------------
 
@@ -380,7 +351,7 @@ where
     R: Send,
 {
     type Item = R;
-    type IntoIter = MapSeq<P::IntoIter, F, R>;
+    type IntoIter = std::iter::Map<P::IntoIter, F>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -403,11 +374,7 @@ where
     }
 
     fn into_seq(self) -> Self::IntoIter {
-        MapSeq {
-            inner: self.base.into_seq(),
-            f: self.f,
-            _r: PhantomData,
-        }
+        self.base.into_seq().map(self.f)
     }
 }
 
@@ -417,30 +384,6 @@ where
     F: Fn(P::Item) -> R + Send + Sync + Clone,
     R: Send,
 {
-}
-
-/// Sequential counterpart of [`MapProducer`].
-pub struct MapSeq<I, F, R> {
-    inner: I,
-    f: F,
-    _r: PhantomData<fn() -> R>,
-}
-
-impl<I, F, R> Iterator for MapSeq<I, F, R>
-where
-    I: Iterator,
-    F: Fn(I::Item) -> R,
-{
-    type Item = R;
-
-    #[inline]
-    fn next(&mut self) -> Option<R> {
-        self.inner.next().map(|x| (self.f)(x))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
 }
 
 /// `filter` adaptor (unindexed: `len` becomes an upper bound).
@@ -455,7 +398,7 @@ where
     F: Fn(&P::Item) -> bool + Send + Sync + Clone,
 {
     type Item = P::Item;
-    type IntoIter = FilterSeq<P::IntoIter, F>;
+    type IntoIter = std::iter::Filter<P::IntoIter, F>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -473,29 +416,7 @@ where
     }
 
     fn into_seq(self) -> Self::IntoIter {
-        FilterSeq {
-            inner: self.base.into_seq(),
-            f: self.f,
-        }
-    }
-}
-
-/// Sequential counterpart of [`FilterProducer`].
-pub struct FilterSeq<I, F> {
-    inner: I,
-    f: F,
-}
-
-impl<I, F> Iterator for FilterSeq<I, F>
-where
-    I: Iterator,
-    F: Fn(&I::Item) -> bool,
-{
-    type Item = I::Item;
-
-    #[inline]
-    fn next(&mut self) -> Option<I::Item> {
-        self.inner.by_ref().find(|x| (self.f)(x))
+        self.base.into_seq().filter(self.f)
     }
 }
 
@@ -515,7 +436,7 @@ where
     U::Item: Send,
 {
     type Item = U::Item;
-    type IntoIter = FlatMapIterSeq<P::IntoIter, F, U>;
+    type IntoIter = std::iter::FlatMap<P::IntoIter, U, F>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -538,41 +459,7 @@ where
     }
 
     fn into_seq(self) -> Self::IntoIter {
-        FlatMapIterSeq {
-            inner: self.base.into_seq(),
-            f: self.f,
-            current: None,
-        }
-    }
-}
-
-/// Sequential counterpart of [`FlatMapIterProducer`].
-pub struct FlatMapIterSeq<I, F, U: IntoIterator> {
-    inner: I,
-    f: F,
-    current: Option<U::IntoIter>,
-}
-
-impl<I, F, U> Iterator for FlatMapIterSeq<I, F, U>
-where
-    I: Iterator,
-    F: Fn(I::Item) -> U,
-    U: IntoIterator,
-{
-    type Item = U::Item;
-
-    fn next(&mut self) -> Option<U::Item> {
-        loop {
-            if let Some(cur) = &mut self.current {
-                if let Some(item) = cur.next() {
-                    return Some(item);
-                }
-            }
-            match self.inner.next() {
-                Some(x) => self.current = Some((self.f)(x).into_iter()),
-                None => return None,
-            }
-        }
+        self.base.into_seq().flat_map(self.f)
     }
 }
 
@@ -584,7 +471,7 @@ pub struct EnumerateProducer<P> {
 
 impl<P: IndexedProducer> Producer for EnumerateProducer<P> {
     type Item = (usize, P::Item);
-    type IntoIter = EnumerateSeq<P::IntoIter>;
+    type IntoIter = std::iter::Zip<std::ops::RangeFrom<usize>, P::IntoIter>;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -605,36 +492,11 @@ impl<P: IndexedProducer> Producer for EnumerateProducer<P> {
     }
 
     fn into_seq(self) -> Self::IntoIter {
-        EnumerateSeq {
-            inner: self.base.into_seq(),
-            index: self.offset,
-        }
+        (self.offset..).zip(self.base.into_seq())
     }
 }
 
 impl<P: IndexedProducer> IndexedProducer for EnumerateProducer<P> {}
-
-/// Sequential counterpart of [`EnumerateProducer`].
-pub struct EnumerateSeq<I> {
-    inner: I,
-    index: usize,
-}
-
-impl<I: Iterator> Iterator for EnumerateSeq<I> {
-    type Item = (usize, I::Item);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, I::Item)> {
-        let item = self.inner.next()?;
-        let index = self.index;
-        self.index += 1;
-        Some((index, item))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
 
 /// `zip` adaptor over two indexed producers (truncates to the shorter).
 pub struct ZipProducer<A, B> {
@@ -841,21 +703,6 @@ impl<P: Producer> ParIter<P> {
         )
     }
 
-    /// Minimum item; ties keep the **first** (leftmost) occurrence, matching
-    /// `std::iter::Iterator::min` for every thread count.
-    pub fn min(self) -> Option<P::Item>
-    where
-        P::Item: Ord,
-    {
-        self.drive(
-            |grain| grain.into_seq().min(),
-            |left, right| match (left, right) {
-                (Some(l), Some(r)) => Some(if r < l { r } else { l }),
-                (l, r) => l.or(r),
-            },
-        )
-    }
-
     /// Sum the items (partial sums are combined left to right).
     pub fn sum<S>(self) -> S
     where
@@ -927,9 +774,12 @@ macro_rules! impl_range_into_par_iter {
             type Item = $t;
             fn into_par_iter(self) -> Self::Iter {
                 let (start, end) = self.into_inner();
-                // `start.distance_to(end) + 1` would overflow only for a
-                // range covering the full usize domain, which no DP index
-                // space here reaches.
+                // A grain iterates a `Range`, whose exclusive end, one past
+                // the last item, the type cannot hold beyond its maximum.
+                assert!(
+                    start > end || end < <$t>::MAX,
+                    "a parallel `..=` range cannot end at the type's maximum"
+                );
                 let remaining = if start > end {
                     0
                 } else {
@@ -954,35 +804,11 @@ impl<'data, T: Sync + 'data> IntoParallelIterator for &'data [T] {
     }
 }
 
-impl<'data, T: Sync + 'data> IntoParallelIterator for &'data Vec<T> {
-    type Iter = ParIter<SliceProducer<'data, T>>;
-    type Item = &'data T;
-    fn into_par_iter(self) -> Self::Iter {
-        par(SliceProducer { slice: self })
-    }
-}
-
 impl<'data, T: Send + 'data> IntoParallelIterator for &'data mut [T] {
     type Iter = ParIter<SliceMutProducer<'data, T>>;
     type Item = &'data mut T;
     fn into_par_iter(self) -> Self::Iter {
         par(SliceMutProducer { slice: self })
-    }
-}
-
-impl<'data, T: Send + 'data> IntoParallelIterator for &'data mut Vec<T> {
-    type Iter = ParIter<SliceMutProducer<'data, T>>;
-    type Item = &'data mut T;
-    fn into_par_iter(self) -> Self::Iter {
-        par(SliceMutProducer { slice: self })
-    }
-}
-
-impl<P: Producer> IntoParallelIterator for ParIter<P> {
-    type Iter = Self;
-    type Item = P::Item;
-    fn into_par_iter(self) -> Self {
-        self
     }
 }
 
@@ -1060,10 +886,9 @@ mod tests {
 
     #[test]
     fn par_iter_combinators_match_std() {
-        let v = vec![3u64, 1, 4, 1, 5];
+        let v = [3u64, 1, 4, 1, 5];
         let doubled: Vec<u64> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
-        assert_eq!(v.par_iter().map(|&x| x).min(), Some(1));
         let total: u64 = (0..10u64).into_par_iter().sum();
         assert_eq!(total, 45);
         assert_eq!((0..5usize).into_par_iter().reduce(|| 0, |a, b| a + b), 10);
@@ -1075,7 +900,7 @@ mod tests {
 
     #[test]
     fn par_iter_mut_enumerate() {
-        let mut v = vec![0usize; 10];
+        let mut v = [0usize; 10];
         v.par_iter_mut().enumerate().for_each(|(i, slot)| *slot = i);
         assert_eq!(v[9], 9);
     }
@@ -1099,23 +924,6 @@ mod tests {
                 (0..n).into_par_iter().map(|i| i * 3 + 1).collect()
             });
             assert_eq!(got, expect, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn min_tie_rule_is_thread_count_independent() {
-        // Equal keys with distinct payloads expose the tie rule: min keeps
-        // the first occurrence, like std::iter.
-        let items: Vec<(u32, usize)> = (0..5000).map(|i| (0, i)).collect();
-        for threads in [1, 2, 8] {
-            let min = at_threads(threads, || items.par_iter().map(|&(k, _)| (k, ())).min());
-            assert_eq!(min, Some((0, ())), "threads {threads}");
-        }
-        // Payload-carrying comparison: total order makes ties impossible, so
-        // min agrees exactly across thread counts.
-        for threads in [1, 2, 8] {
-            let min = at_threads(threads, || items.par_iter().map(|&x| x).min());
-            assert_eq!(min, Some((0, 0)), "threads {threads}");
         }
     }
 
@@ -1226,6 +1034,13 @@ mod tests {
         assert_eq!(got, vec![-3, -2, -1, 0, 1, 2]);
         let empty: Vec<usize> = (5..=4usize).into_par_iter().collect();
         assert!(empty.is_empty());
+        let last: Vec<u32> = (u32::MAX - 2..=u32::MAX - 1).into_par_iter().collect();
+        assert_eq!(last, vec![u32::MAX - 2, u32::MAX - 1]);
+        let at_max = std::panic::catch_unwind(|| (5u64..=u64::MAX).into_par_iter().sum::<u64>());
+        assert!(
+            at_max.is_err(),
+            "a range ending at the maximum must be refused"
+        );
     }
 
     #[test]

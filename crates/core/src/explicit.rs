@@ -100,11 +100,6 @@ impl EdgeWeightedDag {
         self.in_deg[i] += 1;
     }
 
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.out_edges.iter().map(Vec::len).sum()
-    }
-
     /// Evaluate the recurrence sequentially in topological (index) order.
     ///
     /// States with neither a boundary value nor an incoming edge keep the

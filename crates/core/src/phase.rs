@@ -83,10 +83,10 @@ impl std::error::Error for StallError {}
 ///
 /// Implementations exist in every problem crate (`LisCordon`, `LcsCordon`,
 /// `GlwsCordon`, run as `ConvexGlwsCordon` or `ConcaveGlwsCordon`,
-/// `KGlwsCordon`, `PackedGapCordon`, `TreeGlwsCordon` and its work-efficient
-/// sibling `HldTreeGlwsCordon`, `ValleyOatCordon`, `ObstCordon`, and
-/// `core::explicit`'s reference instance); the facade's `CordonSolver` runs
-/// any of them through this one driver.
+/// `KGlwsCordon`, `PackedGapCordon`, `TreeGlwsCordon` with either of its
+/// two arms, `ValleyOatCordon`, `ObstCordon`, and `core::explicit`'s
+/// reference instance); the facade's `CordonSolver` runs any of them
+/// through this one driver.
 pub trait PhaseParallel {
     /// Final result produced once all states are finalized.
     type Output;
@@ -127,60 +127,6 @@ pub trait PhaseParallel {
     /// `None` disables the budget guard.
     fn round_budget(&self) -> Option<u64> {
         None
-    }
-}
-
-/// Run-time choice between two [`PhaseParallel`] implementations with the
-/// same output type, itself a [`PhaseParallel`] instance.
-///
-/// A router that picks a cordon per instance returns this combinator, so
-/// the choice stays a value the caller can hand to any driver
-/// (`run_phase_parallel`, `try_run_phase_parallel`, the facade's
-/// `CordonSolver`) without boxing or dynamic dispatch.  Its one user is the
-/// shape-adaptive Tree-GLWS router, which probes the tree and chooses
-/// between the `O(n·h)` baseline cordon and the heavy-light envelope
-/// cordon.
-#[derive(Debug)]
-pub enum EitherCordon<A, B> {
-    /// The first alternative.
-    First(A),
-    /// The second alternative.
-    Second(B),
-}
-
-impl<A, B> PhaseParallel for EitherCordon<A, B>
-where
-    A: PhaseParallel,
-    B: PhaseParallel<Output = A::Output>,
-{
-    type Output = A::Output;
-
-    fn is_done(&self) -> bool {
-        match self {
-            EitherCordon::First(a) => a.is_done(),
-            EitherCordon::Second(b) => b.is_done(),
-        }
-    }
-
-    fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        match self {
-            EitherCordon::First(a) => a.round(metrics),
-            EitherCordon::Second(b) => b.round(metrics),
-        }
-    }
-
-    fn finish(self) -> Self::Output {
-        match self {
-            EitherCordon::First(a) => a.finish(),
-            EitherCordon::Second(b) => b.finish(),
-        }
-    }
-
-    fn round_budget(&self) -> Option<u64> {
-        match self {
-            EitherCordon::First(a) => a.round_budget(),
-            EitherCordon::Second(b) => b.round_budget(),
-        }
     }
 }
 

@@ -12,20 +12,15 @@
 /// (`parent[v] < v`, node 0 is the root).
 #[derive(Debug, Clone)]
 pub struct HeavyLightDecomposition {
-    /// `head[v]` — the shallowest node of `v`'s heavy path.
+    /// `head[v]` — the shallowest node of `v`'s heavy path (`head[v] == v`
+    /// for the root and for every light child).
     pub head: Vec<usize>,
-    /// `pos[v]` — `v`'s position on its heavy path (`pos[head] == 0`).
-    pub pos: Vec<usize>,
-    /// `depth[v]` — edge depth of `v` (`depth[0] == 0`).
-    pub depth: Vec<usize>,
-    /// `heavy[v]` — the heavy child of `v`, or `usize::MAX` for leaves.
-    pub heavy: Vec<usize>,
-    /// `subtree[v]` — number of nodes in `v`'s subtree (including `v`).
-    pub subtree: Vec<usize>,
 }
 
 impl HeavyLightDecomposition {
     /// Decompose the tree described by `parent` (`parent[0]` is ignored).
+    /// The heavy child of a node is its child with the largest subtree; among
+    /// equal subtrees, the one with the largest index.
     ///
     /// # Panics
     ///
@@ -35,42 +30,22 @@ impl HeavyLightDecomposition {
         let n = parent.len() - 1;
         let mut subtree = vec![1usize; n + 1];
         let mut heavy = vec![usize::MAX; n + 1];
-        let mut heavy_size = vec![0usize; n + 1];
         for v in (1..=n).rev() {
             let p = parent[v];
             assert!(p < v, "parents must precede children");
             subtree[p] += subtree[v];
-            if subtree[v] > heavy_size[p] {
-                heavy_size[p] = subtree[v];
+            // Every child of `v` has a larger index, so `subtree[v]` is final
+            // here, and so is the subtree of the heavy child seen before it.
+            if heavy[p] == usize::MAX || subtree[v] > subtree[heavy[p]] {
                 heavy[p] = v;
             }
         }
         let mut head = vec![0usize; n + 1];
-        let mut pos = vec![0usize; n + 1];
-        let mut depth = vec![0usize; n + 1];
         for v in 1..=n {
             let p = parent[v];
-            depth[v] = depth[p] + 1;
-            if heavy[p] == v {
-                head[v] = head[p];
-                pos[v] = pos[p] + 1;
-            } else {
-                head[v] = v;
-                pos[v] = 0;
-            }
+            head[v] = if heavy[p] == v { head[p] } else { v };
         }
-        HeavyLightDecomposition {
-            head,
-            pos,
-            depth,
-            heavy,
-            subtree,
-        }
-    }
-
-    /// Edge height of the tree (0 for a single root).
-    pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        HeavyLightDecomposition { head }
     }
 
     /// The deepest node of every heavy-path segment of `v`'s *proper ancestor*
@@ -104,21 +79,26 @@ mod tests {
     fn a_path_is_one_heavy_path() {
         let parent = path(50);
         let hld = HeavyLightDecomposition::new(&parent);
-        for v in 0..=50 {
-            assert_eq!(hld.head[v], 0);
-            assert_eq!(hld.pos[v], v);
+        assert_eq!(hld.head, vec![0; 51]);
+        // One segment covers the whole ancestor chain, from the parent on.
+        for v in 1..=50 {
+            assert_eq!(
+                hld.ancestor_segments(&parent, v).collect::<Vec<_>>(),
+                [v - 1]
+            );
         }
-        assert_eq!(hld.height(), 50);
-        // One segment covers the whole ancestor chain.
-        assert_eq!(hld.ancestor_segments(&parent, 50).count(), 1);
     }
 
     #[test]
     fn a_star_has_singleton_paths_except_the_heavy_leaf() {
         let parent = vec![0usize; 21];
         let hld = HeavyLightDecomposition::new(&parent);
-        let on_root_path = (1..=20).filter(|&v| hld.head[v] == 0).count();
-        assert_eq!(on_root_path, 1, "exactly one heavy child of the root");
+        let on_root_path: Vec<usize> = (1..=20).filter(|&v| hld.head[v] == 0).collect();
+        assert_eq!(
+            on_root_path,
+            [20],
+            "one heavy child: the last of the equal subtrees"
+        );
         for v in 1..=20 {
             assert_eq!(hld.ancestor_segments(&parent, v).count(), 1);
         }
@@ -190,15 +170,17 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sizes_and_heavy_children_are_consistent() {
-        let parent = vec![0, 0, 0, 1, 1, 1, 3];
+    fn heavy_children_have_the_largest_subtrees() {
+        // Node 1's subtree (1, 3, 4, 5, 6) outweighs node 2's (2, 7), and
+        // node 3's (3, 6) outweighs 4's and 5's, so the heavy path is
+        // 0-1-3-6.  Node 7 hangs below the light child 2, so its chain
+        // crosses two paths.
+        let parent = vec![0, 0, 0, 1, 1, 1, 3, 2];
         let hld = HeavyLightDecomposition::new(&parent);
-        assert_eq!(hld.subtree[0], 7);
-        assert_eq!(hld.subtree[1], 5);
-        assert_eq!(hld.subtree[3], 2);
-        assert_eq!(hld.heavy[0], 1, "node 1 has the largest subtree");
-        assert_eq!(hld.heavy[1], 3);
-        assert_eq!(hld.heavy[6], usize::MAX, "leaves have no heavy child");
-        assert_eq!(hld.height(), 3);
+        assert_eq!(hld.head, vec![0, 0, 2, 0, 4, 5, 0, 2]);
+        let segments = |v| hld.ancestor_segments(&parent, v).collect::<Vec<_>>();
+        assert_eq!(segments(6), [3]);
+        assert_eq!(segments(4), [1]);
+        assert_eq!(segments(7), [2, 0], "nearest segment first");
     }
 }

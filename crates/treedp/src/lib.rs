@@ -12,28 +12,28 @@
 //! * [`naive_tree_glws`] — each node scans all of its ancestors
 //!   (`O(n·h)` work); the exact reference used by every test and the
 //!   sequential baseline of the benchmark rows,
-//! * [`parallel_tree_glws`] — the shape-adaptive parallel evaluation: one
-//!   `O(n)` pass over the parent array measures the tree's depths, compares
-//!   the average ancestor-chain length against the envelope machinery's
-//!   polylog per-node estimate, and runs whichever of two cordons is
-//!   predicted cheaper ([`tree_glws_cordon_auto`]).  Both process the nodes
-//!   in rounds by tree depth (every node's decisions live strictly above it,
-//!   so depth levels are valid frontiers), all nodes of a round in parallel:
-//!   * [`HldTreeGlwsCordon`], the **work-efficient version of
-//!     Theorem 5.3**, for deep shapes (paths, caterpillars): a [heavy-light
+//! * [`parallel_tree_glws`] — Theorem 5.3's cordon, [`TreeGlwsCordon`]: the
+//!   frontiers are the tree's depth levels (every node's decisions live
+//!   strictly above it), all nodes of a level in parallel.  One `O(n)` pass
+//!   over the parent array measures the depths; from them the cordon orders
+//!   the nodes by level and compares the average ancestor-chain length
+//!   against the envelopes' polylog per-node estimate to pick how a node
+//!   finds its best ancestor:
+//!   * on deep shapes (paths, caterpillars), the **work-efficient version of
+//!     Theorem 5.3**: a [heavy-light
 //!     decomposition](hld::HeavyLightDecomposition) partitions every
 //!     ancestor chain into `O(log n)` heavy-path prefixes, and each heavy
 //!     path keeps a *persistent* monotone best-decision envelope that grows
-//!     as frontiers settle, so one node costs `O(log² n)` instead of
+//!     as levels settle, so one node costs `O(log² n)` instead of
 //!     `O(depth)` and each round's work is proportional to its frontier size
 //!     (times polylog).  The transition cost must be convex or concave along
 //!     root paths (declared via [`CostShape`]);
-//!   * [`TreeGlwsCordon`], for shallow bushy shapes: each node rescans its
-//!     full ancestor chain, `O(n·h)` work, which skips the envelopes'
-//!     `O(log² n)` constant where `h` is small.
+//!   * on shallow bushy shapes, each node rescans its full ancestor chain,
+//!     `O(n·h)` work, which skips the envelopes' `O(log² n)` constant where
+//!     `h` is small.
 //!
-//!   Both cordons produce identical results, so the choice is invisible
-//!   except in wall clock and work counters.
+//!   Both arms produce identical results and frontiers, so the choice is
+//!   invisible except in wall clock and work counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,12 +44,12 @@ mod envelope;
 
 use envelope::{EnvelopeArena, NO_ENTRY};
 use hld::HeavyLightDecomposition;
-use pardp_core::{run_phase_parallel, EitherCordon, PhaseParallel};
+use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
 use rayon::prelude::*;
 
 /// Shape contract of the transition cost `w` along root paths, required by
-/// the work-efficient cordon ([`HldTreeGlwsCordon`]).
+/// the work-efficient arm of [`TreeGlwsCordon`].
 ///
 /// For ancestors `a`, `b` with `d_a <= d_b` on one root path and query
 /// distances `x <= y` (both `>= d_b`):
@@ -60,7 +60,7 @@ use rayon::prelude::*;
 /// * **`Concave`** — the mirrored inequality: the deeper candidate wins on a
 ///   prefix of query distances (`g` concave, e.g. capped-linear or `√`).
 ///
-/// The naive and baseline evaluators need no such assumption.
+/// The naive evaluator and the ancestor rescan need no such assumption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostShape {
     /// Deeper decisions win on a suffix of query distances.
@@ -95,27 +95,121 @@ pub struct TreeGlwsResult {
     pub metrics: Metrics,
 }
 
+/// Why [`TreeGlwsInstance::try_new`] rejects a tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeInputError {
+    /// The parent array is empty, so the tree has no root.
+    Empty,
+    /// `edge_len` does not hold one length per node.
+    LengthMismatch {
+        /// Nodes in the tree, `parent.len()`.
+        nodes: usize,
+        /// `edge_len.len()`.
+        edge_lengths: usize,
+    },
+    /// A node's parent does not come before it.
+    ParentOrder {
+        /// The node.
+        node: usize,
+        /// Its parent, `>= node`.
+        parent: usize,
+    },
+    /// A node's distance from the root exceeds `u64::MAX`.
+    DistanceOverflow {
+        /// The first node, in index order, whose distance overflows.
+        node: usize,
+    },
+}
+
+impl std::fmt::Display for TreeInputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TreeInputError::Empty => {
+                f.write_str("tree: the parent array is empty; node 0 is the root")
+            }
+            TreeInputError::LengthMismatch {
+                nodes,
+                edge_lengths,
+            } => write!(
+                f,
+                "tree: need one edge length per node, got {edge_lengths} for {nodes} nodes"
+            ),
+            TreeInputError::ParentOrder { node, parent } => write!(
+                f,
+                "tree: parents must precede children, but node {node} has parent {parent}"
+            ),
+            TreeInputError::DistanceOverflow { node } => write!(
+                f,
+                "tree: the distance of node {node} from the root exceeds u64::MAX"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TreeInputError {}
+
 impl<W, E> TreeGlwsInstance<W, E>
 where
     W: Fn(u64, u64) -> i64 + Sync,
     E: Fn(i64, usize) -> i64 + Sync,
 {
     /// Build an instance from a parent array and per-node edge lengths
-    /// (`edge_len[v]` is the length of the edge from `parent[v]` to `v`).
-    pub fn new(parent: Vec<usize>, edge_len: &[u64], d0: i64, w: W, e: E) -> Self {
-        let n = parent.len() - 1;
-        assert_eq!(edge_len.len(), n + 1, "need one edge length per node");
-        let mut dist = vec![0u64; n + 1];
-        for v in 1..=n {
-            assert!(parent[v] < v, "parents must precede children");
-            dist[v] = dist[parent[v]] + edge_len[v];
+    /// (`edge_len[v]` is the length of the edge from `parent[v]` to `v`;
+    /// `edge_len[0]` is ignored), checking that the tree has a root, one
+    /// edge length per node, parents before children, and root distances
+    /// that fit in `u64`.
+    pub fn try_new(
+        parent: Vec<usize>,
+        edge_len: &[u64],
+        d0: i64,
+        w: W,
+        e: E,
+    ) -> Result<Self, TreeInputError> {
+        if parent.is_empty() {
+            return Err(TreeInputError::Empty);
         }
-        TreeGlwsInstance {
+        if edge_len.len() != parent.len() {
+            return Err(TreeInputError::LengthMismatch {
+                nodes: parent.len(),
+                edge_lengths: edge_len.len(),
+            });
+        }
+        let mut dist = vec![0u64; parent.len()];
+        for v in 1..parent.len() {
+            let p = parent[v];
+            if p >= v {
+                return Err(TreeInputError::ParentOrder { node: v, parent: p });
+            }
+            dist[v] = dist[p]
+                .checked_add(edge_len[v])
+                .ok_or(TreeInputError::DistanceOverflow { node: v })?;
+        }
+        Ok(TreeGlwsInstance {
             parent,
             dist,
             d0,
             w,
             e,
+        })
+    }
+
+    /// [`TreeGlwsInstance::try_new`], panicking where it returns an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`TreeInputError`] message if `parent` is empty, if
+    /// `edge_len` does not hold one length per node, if a parent does not
+    /// precede its child ("parents must precede children"), or if a root
+    /// distance exceeds `u64::MAX`.
+    pub fn new(parent: Vec<usize>, edge_len: &[u64], d0: i64, w: W, e: E) -> Self {
+        match Self::try_new(parent, edge_len, d0, w, e) {
+            Ok(inst) => inst,
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade over the typed \
+                          `try_new` (see the `# Panics` docs above)"
+            )]
+            Err(err) => panic!("{err}"),
         }
     }
 
@@ -169,18 +263,18 @@ where
     }
 }
 
-/// Parallel Tree-GLWS (Theorem 5.3) through the shape router
-/// [`tree_glws_cordon_auto`]: the heavy-light envelope cordon on deep trees,
-/// the ancestor-rescan cordon on shallow ones.  Rounds are the tree's depth
-/// levels either way.  `shape` declares which [`CostShape`] contract
-/// `inst.w` satisfies; only the envelope cordon relies on it.
+/// Parallel Tree-GLWS (Theorem 5.3): [`TreeGlwsCordon::new`] through the
+/// driver, so the heavy-path envelopes on deep trees and the ancestor rescan
+/// on shallow ones.  Rounds are the tree's depth levels either way.  `shape`
+/// declares which [`CostShape`] contract `inst.w` satisfies; only the
+/// envelopes rely on it.
 pub fn parallel_tree_glws<W, E>(inst: &TreeGlwsInstance<W, E>, shape: CostShape) -> TreeGlwsResult
 where
     W: Fn(u64, u64) -> i64 + Sync,
     E: Fn(i64, usize) -> i64 + Sync,
 {
     let metrics = MetricsCollector::new();
-    let (d, best) = run_phase_parallel(tree_glws_cordon_auto(inst, shape), &metrics);
+    let (d, best) = run_phase_parallel(TreeGlwsCordon::new(inst, shape), &metrics);
     TreeGlwsResult {
         d,
         best,
@@ -188,20 +282,14 @@ where
     }
 }
 
-/// Single-pass depth profile of a `parent` array: everything the router
-/// needs (node count, height, average depth) plus the per-node depths
-/// themselves, so the routed constructor can hand the buffer straight to
-/// [`TreeGlwsCordon`] instead of recomputing it (the probe + level build would
-/// otherwise be the dominant cost of a shallow-tree solve).
+/// Single-pass depth profile of a `parent` array: the per-node depths and
+/// the statistics that choose the cordon's arm.
 struct DepthProfile {
     /// `depth[v]` = edge depth of node `v` (`depth[0] == 0`).
     depth: Vec<u32>,
-    /// `counts[t]` = number of nodes at depth `t` (`counts[0] == 0`:
-    /// the root is not a DP state).
-    counts: Vec<usize>,
     /// Maximum entry of `depth`.
     height: usize,
-    /// Sum over non-root nodes — the baseline cordon's exact probe count.
+    /// Sum over non-root nodes — the rescan's exact ancestor count.
     total_depth: u64,
     /// True when `depth` is nondecreasing in node index — BFS-style
     /// numberings (paths, stars, balanced trees) — so the depth-sorted node
@@ -213,113 +301,118 @@ impl DepthProfile {
     fn new(parent: &[usize]) -> Self {
         let n = parent.len() - 1;
         let mut depth = vec![0u32; n + 1];
-        let mut counts = vec![0usize; 1];
         let mut height = 0u32;
         let mut total_depth = 0u64;
         let mut sorted = true;
-        let mut prev = 0u32;
         for v in 1..=n {
             let dv = depth[parent[v]] + 1;
             depth[v] = dv;
-            if dv > height {
-                height = dv;
-                counts.resize(height as usize + 1, 0);
-            }
-            counts[dv as usize] += 1;
+            sorted &= dv >= depth[v - 1];
+            height = height.max(dv);
             total_depth += dv as u64;
-            sorted &= dv >= prev;
-            prev = dv;
         }
         DepthProfile {
             depth,
-            counts,
             height: height as usize,
             total_depth,
             sorted,
         }
     }
 
-    fn avg_depth(&self) -> f64 {
+    /// Whether the heavy-path envelopes are predicted cheaper than the
+    /// ancestor rescan on this tree.
+    ///
+    /// The rescan evaluates exactly `avg_depth` ancestors per node; the
+    /// envelopes spend `O(log n)` segment queries, each an `O(log h)`
+    /// binary-lifted descent, plus takeover binary searches per settled node.
+    /// The estimate of the envelope cost is `log2(n) · log2(h)` per node, and
+    /// the envelopes win only where the measured average chain length exceeds
+    /// it — so shallow balanced or random-attachment trees (avg depth
+    /// `O(log n)`) keep the rescan, while paths and caterpillars (avg depth
+    /// `Θ(n)`) get the work-efficient arm.  The constants cancel well in
+    /// practice: on the benchmark's balanced 8-ary tree the estimate is ≈ 9×
+    /// the average depth, on a path it is ≈ 1% of it.
+    fn prefers_envelopes(&self) -> bool {
         let n = self.depth.len() - 1;
         if n == 0 {
-            0.0
-        } else {
-            self.total_depth as f64 / n as f64
+            return false;
         }
-    }
-
-    /// Whether the heavy-light envelope cordon is predicted cheaper than the
-    /// ancestor rescan on this tree (see [`tree_glws_cordon_auto`]).
-    fn prefers_hld(&self) -> bool {
-        let n = self.depth.len() - 1;
         let estimate = ((n as f64 + 2.0).log2()) * ((self.height as f64 + 2.0).log2());
-        self.avg_depth() > estimate
+        self.total_depth as f64 / n as f64 > estimate
     }
 }
 
-/// Pick the cheaper Tree-GLWS cordon for `inst` from one `O(n)` pass over its
-/// parent array, as an [`EitherCordon`] value any phase-parallel driver
-/// (including the facade's `CordonSolver`) can run directly: `First` is the
-/// `O(n·h)` ancestor-rescan cordon ([`TreeGlwsCordon`]), `Second` the
-/// heavy-light envelope cordon ([`HldTreeGlwsCordon`], Theorem 5.3).
-///
-/// The baseline rescans exactly `avg_depth` ancestors per node; the HLD
-/// cordon spends `O(log n)` segment queries, each an `O(log h)` binary-lifted
-/// descent, plus takeover binary searches per settled node.  The router
-/// estimates the envelope cost as `log2(n) · log2(h)` per node and picks HLD
-/// only when the measured average chain length exceeds it — so shallow
-/// balanced or random-attachment trees (avg depth `O(log n)`) keep the
-/// baseline, while paths and caterpillars (avg depth `Θ(n)`) get the
-/// work-efficient cordon.  The constants cancel well in practice: on the
-/// benchmark's balanced 8-ary tree the estimate is ≈ 9× the average depth, on
-/// a path it is ≈ 1% of it.
-///
-/// `shape` is only consulted when the HLD cordon is chosen; both alternatives
-/// produce identical `(d, best)` outputs and identical depth-level frontiers.
-pub fn tree_glws_cordon_auto<'a, W, E>(
-    inst: &'a TreeGlwsInstance<W, E>,
-    shape: CostShape,
-) -> EitherCordon<TreeGlwsCordon<'a, W, E>, HldTreeGlwsCordon<'a, W, E>>
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    let prof = DepthProfile::new(&inst.parent);
-    if prof.prefers_hld() {
-        EitherCordon::Second(HldTreeGlwsCordon::new(inst, shape))
-    } else {
-        EitherCordon::First(TreeGlwsCordon::from_profile(inst, prof))
-    }
-}
-
-/// Counting-sort the non-root nodes by depth into one flat CSR buffer:
+/// Sort the non-root nodes by depth into one flat CSR buffer:
 /// `order[offsets[t]..offsets[t + 1]]` holds the depth `t + 1` nodes in node
-/// order (depths are contiguous so no level is empty).  One flat allocation
-/// instead of a `Vec<Vec<_>>` whose widest level reallocates while filling.
+/// order (depths are contiguous so no level is empty).  `order` is `None`
+/// where the numbering is already depth-sorted: level `t` is then nodes
+/// `offsets[t] + 1 ..= offsets[t + 1]`.
 fn depth_order(prof: DepthProfile) -> (Option<Vec<u32>>, Vec<usize>) {
-    let n = prof.depth.len() - 1;
-    let mut offsets = prof.counts;
+    let (depth, n) = (&prof.depth, prof.depth.len() - 1);
+    let mut offsets = vec![0usize; prof.height + 1];
+    if prof.sorted {
+        // Sorted depths rise by at most one per node: a level starts where
+        // its depth first appears.
+        for v in 1..=n {
+            if depth[v] != depth[v - 1] {
+                offsets[depth[v] as usize - 1] = v - 1;
+            }
+        }
+        offsets[prof.height] = n;
+        return (None, offsets);
+    }
+    // Counting sort: level sizes, their prefix sums, then one scatter.
+    for &dv in &depth[1..] {
+        offsets[dv as usize] += 1;
+    }
     for t in 1..offsets.len() {
         offsets[t] += offsets[t - 1];
-    }
-    if prof.sorted {
-        // Depth already nondecreasing in node index: the sorted order is the
-        // identity, level `t` is simply nodes `offsets[t] + 1 ..= offsets[t + 1]`.
-        return (None, offsets);
     }
     let mut cursor = offsets.clone();
     let mut order = vec![0u32; n];
     for v in 1..=n {
-        let c = &mut cursor[prof.depth[v] as usize - 1];
+        let c = &mut cursor[depth[v] as usize - 1];
         order[*c] = v as u32;
         *c += 1;
     }
     (Some(order), offsets)
 }
 
-/// [`PhaseParallel`] instance for Tree-GLWS: frontiers are the tree's depth
-/// levels (all decisions of a node are proper ancestors, hence in earlier
-/// frontiers), each evaluated in parallel.
+/// The node at position `i` of the level order (see [`depth_order`]).
+#[inline]
+fn node_at(order: Option<&[u32]>, i: usize) -> usize {
+    match order {
+        Some(order) => order[i] as usize,
+        None => i + 1,
+    }
+}
+
+/// [`PhaseParallel`] instance for Tree-GLWS (Theorem 5.3): frontiers are the
+/// tree's depth levels (all decisions of a node are proper ancestors, hence
+/// in earlier frontiers), each evaluated in parallel, so rounds == tree
+/// height.
+///
+/// A round branches in two places, both outside its per-node loops: how the
+/// level's nodes find their best ancestor, and, for the envelopes only, the
+/// settle phase that pushes the level onto them.
+///
+/// * **Ancestor rescan**: each node evaluates its whole ancestor chain,
+///   `O(depth)` per node and `O(n·h)` in all.
+/// * **Heavy-path envelopes** (the work-efficient version): a heavy path is
+///   a vertical chain with at most one node per depth, so each round settles
+///   at most one new position per path, and every settled node is pushed —
+///   exactly once — onto its path's persistent best-decision envelope.  A
+///   frontier node then consults the `O(log n)` heavy-path prefixes covering
+///   its ancestor chain, each answered by one binary-lifted envelope query
+///   in `O(log n)` comparisons with *no* cost evaluations.  Per-pair takeover
+///   keys are found by binary search during the push, which is where the
+///   cost function is evaluated: `O(log maxdist)` evaluations amortized per
+///   settled node.  Total work `O(n · polylog)`; per-round cost is
+///   proportional to the frontier size times polylog factors.
+///
+/// [`TreeGlwsCordon::new`] picks the arm from the tree's depths;
+/// [`TreeGlwsCordon::rescan`] and [`TreeGlwsCordon::envelopes`] force one.
+/// Both arms produce identical `(d, best)` outputs and frontiers.
 pub struct TreeGlwsCordon<'a, W, E> {
     inst: &'a TreeGlwsInstance<W, E>,
     /// Non-root nodes counting-sorted by depth (`None` when node index order
@@ -331,8 +424,27 @@ pub struct TreeGlwsCordon<'a, W, E> {
     next_level: usize,
     d: Vec<i64>,
     best: Vec<usize>,
-    /// Reused per-round result buffer (grown once to the widest level).
+    /// Reused result buffer of the levels that fork (grown once to the
+    /// widest of them).
     scratch: Vec<(i64, usize)>,
+    /// The heavy-path envelopes, or `None` where nodes rescan their
+    /// ancestor chains.
+    envelopes: Option<Envelopes>,
+}
+
+/// The envelope arm's state: one persistent best-decision stack per heavy
+/// path, all in one arena.
+struct Envelopes {
+    hld: HeavyLightDecomposition,
+    arena: EnvelopeArena,
+    /// Per path (indexed by its head node): current top-of-stack entry.
+    tops: Vec<u32>,
+    /// Per settled node: the envelope entry created when it settled — i.e. the
+    /// persistent version covering its path's positions up to the node.
+    version: Vec<u32>,
+    /// Reused per-round prepared envelope pushes, `(below << 32 | evals,
+    /// key)` per node, sized for the widest level.
+    preps: Vec<(u64, u64)>,
 }
 
 impl<'a, W, E> TreeGlwsCordon<'a, W, E>
@@ -340,18 +452,64 @@ where
     W: Fn(u64, u64) -> i64 + Sync,
     E: Fn(i64, usize) -> i64 + Sync,
 {
-    /// Group the nodes by depth and initialize the DP arrays.
-    pub fn new(inst: &'a TreeGlwsInstance<W, E>) -> Self {
-        Self::from_profile(inst, DepthProfile::new(&inst.parent))
+    /// Order the nodes by depth and take the arm predicted cheaper on this
+    /// tree: the heavy-path envelopes where the average ancestor chain is
+    /// longer than their polylog per-node estimate, the rescan elsewhere.
+    /// `shape` declares which [`CostShape`] contract `inst.w` satisfies; it
+    /// is trusted, not checked, and only the envelopes rely on it.
+    pub fn new(inst: &'a TreeGlwsInstance<W, E>, shape: CostShape) -> Self {
+        let prof = DepthProfile::new(&inst.parent);
+        let shape = prof.prefers_envelopes().then_some(shape);
+        Self::build(inst, prof, shape)
     }
 
-    /// [`TreeGlwsCordon::new`] with an already-computed depth profile, so the
-    /// shape router's probe pass is not repeated by the constructor.
-    fn from_profile(inst: &'a TreeGlwsInstance<W, E>, prof: DepthProfile) -> Self {
+    /// The cordon with the ancestor-rescan arm, on any tree.
+    pub fn rescan(inst: &'a TreeGlwsInstance<W, E>) -> Self {
+        Self::build(inst, DepthProfile::new(&inst.parent), None)
+    }
+
+    /// The cordon with the heavy-path envelope arm, on any tree; `shape` as
+    /// in [`TreeGlwsCordon::new`] (the property-test suite checks it against
+    /// [`naive_tree_glws`] for the workloads we ship).
+    pub fn envelopes(inst: &'a TreeGlwsInstance<W, E>, shape: CostShape) -> Self {
+        Self::build(inst, DepthProfile::new(&inst.parent), Some(shape))
+    }
+
+    /// Order the nodes by level, initialize the DP arrays and, given a
+    /// shape, decompose the tree and seed the root's envelope.
+    fn build(
+        inst: &'a TreeGlwsInstance<W, E>,
+        prof: DepthProfile,
+        shape: Option<CostShape>,
+    ) -> Self {
         let n = inst.n();
         let mut d = vec![0i64; n + 1];
         d[0] = inst.d0;
+        let height = prof.height;
         let (order, offsets) = depth_order(prof);
+        let envelopes = shape.map(|shape| {
+            let widest = offsets.windows(2).map(|l| l[1] - l[0]).max().unwrap_or(0);
+            let max_x = inst.dist.iter().copied().max().unwrap_or(0);
+            // A heavy-path stack holds at most one node per depth, so the
+            // arena's lifting rows are sized by the tree height, not n — on
+            // shallow trees that cache-blocks the push/query hot loops (see
+            // envelope.rs).
+            let mut arena = EnvelopeArena::new(n, height + 1, max_x, shape);
+            let mut tops = vec![NO_ENTRY; n + 1];
+            let mut version = vec![NO_ENTRY; n + 1];
+            // The root is settled from the start: it seeds its path's envelope.
+            let f = |u: usize, x: u64| (inst.e)(d[u], u) + (inst.w)(inst.dist[u], x);
+            let (root_entry, _) = arena.push(NO_ENTRY, 0, inst.dist[0], &f);
+            tops[0] = root_entry;
+            version[0] = root_entry;
+            Envelopes {
+                hld: HeavyLightDecomposition::new(&inst.parent),
+                arena,
+                tops,
+                version,
+                preps: Vec::with_capacity(widest),
+            }
+        });
         TreeGlwsCordon {
             inst,
             order,
@@ -360,13 +518,13 @@ where
             d,
             best: vec![0usize; n + 1],
             scratch: Vec::new(),
+            envelopes,
         }
     }
 }
 
-/// The baseline relaxation of one node: scan every proper ancestor of `v` and
-/// keep the best decision.  Shared by the parallel round and its sub-grain
-/// inline fast path so both compute bit-identical `(value, decision)` pairs.
+/// The rescan of one node: evaluate every proper ancestor of `v` and keep
+/// the best decision (ties keep the nearest ancestor).
 #[inline]
 fn relax_ancestors<W, E>(inst: &TreeGlwsInstance<W, E>, d: &[i64], v: usize) -> (i64, usize)
 where
@@ -390,6 +548,141 @@ where
     (bv, bu)
 }
 
+/// A node's relaxation: its value, its best ancestor, and the ancestors it
+/// evaluated and envelope probes it spent.
+type Relaxed = (i64, usize, u64, u64);
+
+/// Relax the level at positions `lo..hi` of the level order with `find`,
+/// write each node's value and best ancestor into `d` and `best`, and return
+/// the level's `(edges, probes)`.
+///
+/// A level the grain rule keeps inline writes each result straight into the
+/// DP arrays: a node reads only strictly shallower, already-settled entries
+/// of `d`, never its own level's.  A level that forks stages its results in
+/// `scratch`, so after the widest such level no round allocates.
+fn relax_level<F>(
+    order: Option<&[u32]>,
+    (lo, hi): (usize, usize),
+    d: &mut [i64],
+    best: &mut [usize],
+    scratch: &mut Vec<(i64, usize)>,
+    find: F,
+) -> (u64, u64)
+where
+    F: Fn(&[i64], usize) -> Relaxed + Sync,
+{
+    let size = hi - lo;
+    let grain = round_min_grain(size);
+    if grain >= size {
+        let (mut edges, mut probes) = (0u64, 0u64);
+        for i in lo..hi {
+            let v = node_at(order, i);
+            let (bv, bu, e, p) = find(d, v);
+            d[v] = bv;
+            best[v] = bu;
+            edges += e;
+            probes += p;
+        }
+        return (edges, probes);
+    }
+    if scratch.len() < size {
+        // A fresh zeroed buffer: no pass clears it before the grains fill it.
+        *scratch = vec![(0, 0); size];
+    }
+    let d_ref = &*d;
+    let counts = scratch[..size]
+        .par_iter_mut()
+        .enumerate()
+        .map(|(k, slot)| {
+            let (bv, bu, e, p) = find(d_ref, node_at(order, lo + k));
+            *slot = (bv, bu);
+            (e, p)
+        })
+        .with_min_len(grain)
+        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    for (i, &(bv, bu)) in (lo..hi).zip(&scratch[..size]) {
+        let v = node_at(order, i);
+        d[v] = bv;
+        best[v] = bu;
+    }
+    counts
+}
+
+impl Envelopes {
+    /// The envelope query of one node: walk the `O(log n)` heavy-path
+    /// segments of `v`'s ancestor chain, nearest first, and query each
+    /// segment's persistent envelope version.  Read-only, hence fully
+    /// parallel.  Ties across segments keep the nearest segment and ties
+    /// inside a segment keep the deepest position, so `best` matches the
+    /// naive ancestor scan exactly.
+    fn best_ancestor<W, E>(&self, inst: &TreeGlwsInstance<W, E>, d: &[i64], v: usize) -> Relaxed
+    where
+        W: Fn(u64, u64) -> i64 + Sync,
+        E: Fn(i64, usize) -> i64 + Sync,
+    {
+        let dv = inst.dist[v];
+        let (mut bv, mut bu) = (i64::MAX, 0usize);
+        let (mut edges, mut probes) = (0u64, 0u64);
+        for x in self.hld.ancestor_segments(&inst.parent, v) {
+            let (entry, p) = self.arena.query(self.version[x], dv);
+            probes += p;
+            let u = self.arena.node_of(entry);
+            edges += 1;
+            let cand = inst.value_via(d[u], u, v);
+            if cand < bv {
+                bv = cand;
+                bu = u;
+            }
+        }
+        (bv, bu, edges, probes)
+    }
+
+    /// Push the settled level at positions `lo..hi` of the level order onto
+    /// its paths' envelopes, and return the cost evaluations spent.
+    fn settle<W, E>(
+        &mut self,
+        inst: &TreeGlwsInstance<W, E>,
+        d: &[i64],
+        order: Option<&[u32]>,
+        (lo, hi): (usize, usize),
+    ) -> u64
+    where
+        W: Fn(u64, u64) -> i64 + Sync,
+        E: Fn(i64, usize) -> i64 + Sync,
+    {
+        // Prepare half (parallel): a heavy path holds at most one node per
+        // depth, so the level's nodes lie on pairwise distinct heavy paths
+        // and every `tops[head]` read here is stable for the whole round —
+        // each prepare computes exactly the pops and takeover key the
+        // sequential push loop would have, independently of the others.
+        let (arena, head, tops) = (&self.arena, &self.hld.head, &self.tops);
+        let f = |u: usize, x: u64| (inst.e)(d[u], u) + (inst.w)(inst.dist[u], x);
+        (lo..hi)
+            .into_par_iter()
+            .map(|i| {
+                let v = node_at(order, i);
+                let (below, key, evals) = arena.prepare_push(tops[head[v]], v, inst.dist[v], &f);
+                debug_assert!(evals < 1 << 32, "eval count must fit the packed word");
+                (((below as u64) << 32) | evals, key)
+            })
+            .with_min_len(round_min_grain(hi - lo))
+            .collect_into_vec(&mut self.preps);
+        // Commit half (sequential, in level order): appending the prepared
+        // entries in the same fixed order the sequential loop used yields a
+        // bit-identical arena layout at O(log) words per node, so results are
+        // deterministic at any thread count.
+        let mut evals = 0u64;
+        for (i, &(packed, key)) in (lo..hi).zip(&self.preps) {
+            let v = node_at(order, i);
+            let entry = self.arena.commit_push((packed >> 32) as u32, v, key);
+            self.tops[self.hld.head[v]] = entry;
+            self.version[v] = entry;
+            evals += packed & 0xFFFF_FFFF;
+        }
+        evals
+    }
+}
+
 impl<W, E> PhaseParallel for TreeGlwsCordon<'_, W, E>
 where
     W: Fn(u64, u64) -> i64 + Sync,
@@ -404,57 +697,32 @@ where
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
         let inst = self.inst;
-        let (lo, hi) = (
+        let level = (
             self.offsets[self.next_level],
             self.offsets[self.next_level + 1],
         );
-        let size = hi - lo;
-        // Every node in a level sits at the same depth, so the level's
-        // ancestor-probe count is `size × depth` — no per-node pass needed.
-        metrics.add_edges(size as u64 * (self.next_level as u64 + 1));
-        if round_min_grain(size) >= size {
-            // Sub-grain fast path: the grain rule keeps this round inline
-            // anyway, so skip the tuple staging and write results directly —
-            // node values only read strictly shallower (already-settled)
-            // entries of `d`, never this level's.
-            for i in lo..hi {
-                let v = match &self.order {
-                    Some(order) => order[i] as usize,
-                    None => i + 1,
-                };
-                let (bv, bu) = relax_ancestors(inst, &self.d, v);
-                self.d[v] = bv;
-                self.best[v] = bu;
+        let order = self.order.as_deref();
+        let (d, best, scratch) = (&mut self.d, &mut self.best, &mut self.scratch);
+        let (mut edges, probes) = match &self.envelopes {
+            None => {
+                // Every node of the level evaluates its `depth` ancestors.
+                let depth = self.next_level as u64 + 1;
+                relax_level(order, level, d, best, scratch, |d, v| {
+                    let (bv, bu) = relax_ancestors(inst, d, v);
+                    (bv, bu, depth, 0)
+                })
             }
-        } else {
-            let d_ref = &self.d;
-            // Reuse the round scratch: `collect_into_vec` refills the buffer
-            // in place, so after the widest level no round allocates.
-            let mut results = std::mem::take(&mut self.scratch);
-            match &self.order {
-                Some(order) => order[lo..hi]
-                    .par_iter()
-                    .map(|&v| relax_ancestors(inst, d_ref, v as usize))
-                    .with_min_len(round_min_grain(size))
-                    .collect_into_vec(&mut results),
-                None => (lo..hi)
-                    .into_par_iter()
-                    .map(|i| relax_ancestors(inst, d_ref, i + 1))
-                    .with_min_len(round_min_grain(size))
-                    .collect_into_vec(&mut results),
-            }
-            for (i, &(bv, bu)) in results.iter().enumerate() {
-                let v = match &self.order {
-                    Some(order) => order[lo + i] as usize,
-                    None => lo + i + 1,
-                };
-                self.d[v] = bv;
-                self.best[v] = bu;
-            }
-            self.scratch = results;
+            Some(env) => relax_level(order, level, d, best, scratch, |d, v| {
+                env.best_ancestor(inst, d, v)
+            }),
+        };
+        if let Some(env) = &mut self.envelopes {
+            edges += env.settle(inst, &self.d, order, level);
         }
+        metrics.add_edges(edges);
+        metrics.add_probes(probes);
         self.next_level += 1;
-        size
+        level.1 - level.0
     }
 
     fn finish(self) -> Self::Output {
@@ -464,188 +732,6 @@ where
     fn round_budget(&self) -> Option<u64> {
         // One round per depth level: the tree height.
         Some((self.offsets.len() - 1) as u64)
-    }
-}
-
-/// Work-efficient [`PhaseParallel`] instance for Tree-GLWS (Theorem 5.3).
-///
-/// Frontiers are the same depth levels as [`TreeGlwsCordon`]'s, so the round
-/// theorem (rounds == tree height) is unchanged; the difference is what one
-/// round costs.  A heavy path is a vertical chain with at most one node per
-/// depth, so each round settles at most one new position per path, and every
-/// settled node is pushed — exactly once — onto its path's persistent
-/// best-decision envelope.  A frontier node then consults the `O(log n)`
-/// heavy-path prefixes covering its ancestor chain, each answered by one
-/// binary-lifted envelope query in `O(log n)` comparisons with *no* cost
-/// evaluations.  Per-pair takeover keys are found by binary search during the
-/// push, which is where the cost function is evaluated: `O(log maxdist)`
-/// evaluations amortized per settled node.  Total work `O(n · polylog)`
-/// versus the baseline's `O(n · h)`; per-round cost is proportional to the
-/// frontier size times polylog factors.
-pub struct HldTreeGlwsCordon<'a, W, E> {
-    inst: &'a TreeGlwsInstance<W, E>,
-    hld: HeavyLightDecomposition,
-    levels: Vec<Vec<usize>>,
-    next_level: usize,
-    d: Vec<i64>,
-    best: Vec<usize>,
-    arena: EnvelopeArena,
-    /// Per path (indexed by its head node): current top-of-stack entry.
-    tops: Vec<u32>,
-    /// Per settled node: the envelope entry created when it settled — i.e. the
-    /// persistent version covering its path's positions up to the node.
-    version: Vec<u32>,
-    /// Reused per-round result buffer, sized for the widest level.
-    scratch: Vec<(usize, i64, usize, u64, u64)>,
-    /// Reused per-round prepared envelope pushes, `(below << 32 | evals,
-    /// key)` per node, sized for the widest level.
-    preps: Vec<(u64, u64)>,
-}
-
-impl<'a, W, E> HldTreeGlwsCordon<'a, W, E>
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    /// Decompose the tree, group the nodes by depth and seed the root's
-    /// envelope.  `shape` declares which [`CostShape`] contract `inst.w`
-    /// satisfies; it is trusted, not checked (the property-test suite checks
-    /// it against [`naive_tree_glws`] for the workloads we ship).
-    pub fn new(inst: &'a TreeGlwsInstance<W, E>, shape: CostShape) -> Self {
-        let n = inst.n();
-        let mut d = vec![0i64; n + 1];
-        d[0] = inst.d0;
-        let hld = HeavyLightDecomposition::new(&inst.parent);
-        // Bucket the depth frontiers from the decomposition's depth vector
-        // rather than recomputing depths via depth_levels().
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); hld.height()];
-        for v in 1..=n {
-            levels[hld.depth[v] - 1].push(v);
-        }
-        let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
-        let max_x = inst.dist.iter().copied().max().unwrap_or(0);
-        // A heavy-path stack holds at most one node per depth, so the arena's
-        // lifting rows are sized by the tree height, not n — on shallow trees
-        // that cache-blocks the push/query hot loops (see envelope.rs).
-        let mut arena = EnvelopeArena::new(n, hld.height() + 1, max_x, shape);
-        let mut tops = vec![NO_ENTRY; n + 1];
-        let mut version = vec![NO_ENTRY; n + 1];
-        // The root is settled from the start: it seeds its path's envelope.
-        let f = |u: usize, x: u64| (inst.e)(d[u], u) + (inst.w)(inst.dist[u], x);
-        let (root_entry, _) = arena.push(NO_ENTRY, 0, inst.dist[0], &f);
-        tops[0] = root_entry;
-        version[0] = root_entry;
-        HldTreeGlwsCordon {
-            inst,
-            hld,
-            levels,
-            next_level: 0,
-            d,
-            best: vec![0usize; n + 1],
-            arena,
-            tops,
-            version,
-            scratch: Vec::with_capacity(widest),
-            preps: Vec::with_capacity(widest),
-        }
-    }
-}
-
-impl<W, E> PhaseParallel for HldTreeGlwsCordon<'_, W, E>
-where
-    W: Fn(u64, u64) -> i64 + Sync,
-    E: Fn(i64, usize) -> i64 + Sync,
-{
-    /// DP values plus the best ancestor decision of every node.
-    type Output = (Vec<i64>, Vec<usize>);
-
-    fn is_done(&self) -> bool {
-        self.next_level >= self.levels.len()
-    }
-
-    fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let inst = self.inst;
-        let level = &self.levels[self.next_level];
-        let (arena, hld, d_ref, version) = (&self.arena, &self.hld, &self.d, &self.version);
-        // Query phase: every frontier node walks its O(log n) heavy-path
-        // segments, nearest first, querying each segment's persistent
-        // envelope version.  Read-only, hence fully parallel.  Ties across
-        // segments keep the nearest segment and ties inside a segment keep
-        // the deepest position, so `best` matches the naive ancestor scan
-        // exactly.
-        let mut results = std::mem::take(&mut self.scratch);
-        level
-            .par_iter()
-            .map(|&v| {
-                let dv = inst.dist[v];
-                let (mut bv, mut bu) = (i64::MAX, 0usize);
-                let (mut probes, mut edges) = (0u64, 0u64);
-                for x in hld.ancestor_segments(&inst.parent, v) {
-                    let (entry, p) = arena.query(version[x], dv);
-                    probes += p;
-                    let u = arena.node_of(entry);
-                    edges += 1;
-                    let cand = inst.value_via(d_ref[u], u, v);
-                    if cand < bv {
-                        bv = cand;
-                        bu = u;
-                    }
-                }
-                (v, bv, bu, probes, edges)
-            })
-            .with_min_len(round_min_grain(level.len()))
-            .collect_into_vec(&mut results);
-        let size = level.len();
-        let (mut probes, mut edges) = (0u64, 0u64);
-        for &(v, bv, bu, p, e) in &results {
-            self.d[v] = bv;
-            self.best[v] = bu;
-            probes += p;
-            edges += e;
-        }
-        // Settle phase, prepare half (parallel): a heavy path holds at most
-        // one node per depth, so the round's settled nodes lie on pairwise
-        // distinct heavy paths and every `tops[head]` read here is stable for
-        // the whole round — each prepare computes exactly the pops and
-        // takeover key the sequential push loop would have, independently of
-        // the others.  The prepared pushes are staged in `preps`.
-        let (arena, hld, d_ref, tops) = (&self.arena, &self.hld, &self.d, &self.tops);
-        let f = |u: usize, x: u64| (inst.e)(d_ref[u], u) + (inst.w)(inst.dist[u], x);
-        results
-            .par_iter()
-            .map(|&(v, ..)| {
-                let (below, key, evals) =
-                    arena.prepare_push(tops[hld.head[v]], v, inst.dist[v], &f);
-                debug_assert!(evals < 1 << 32, "eval count must fit the packed word");
-                (((below as u64) << 32) | evals, key)
-            })
-            .with_min_len(round_min_grain(results.len()))
-            .collect_into_vec(&mut self.preps);
-        // Commit half (sequential, in level order): appending the prepared
-        // entries in the same fixed order the sequential loop used yields a
-        // bit-identical arena layout at O(log) words per node, so results are
-        // deterministic at any thread count.
-        for (&(v, ..), &(packed, key)) in results.iter().zip(&self.preps) {
-            let entry = self.arena.commit_push((packed >> 32) as u32, v, key);
-            let h = self.hld.head[v];
-            self.tops[h] = entry;
-            self.version[v] = entry;
-            edges += packed & 0xFFFF_FFFF;
-        }
-        metrics.add_edges(edges);
-        metrics.add_probes(probes);
-        self.scratch = results;
-        self.next_level += 1;
-        size
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.d, self.best)
-    }
-
-    fn round_budget(&self) -> Option<u64> {
-        // One round per depth level, exactly like the baseline cordon.
-        Some(self.levels.len() as u64)
     }
 }
 
@@ -713,7 +799,7 @@ mod tests {
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = solve(TreeGlwsCordon::new(&inst));
+                let got = solve(TreeGlwsCordon::rescan(&inst));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -763,6 +849,47 @@ mod tests {
         let _ = TreeGlwsInstance::new(vec![0, 2, 0], &[0, 1, 1], 0, convex_w, |d, _| d);
     }
 
+    /// The error `try_new` returns for `parent` and `edge_len`.
+    fn input_error(parent: Vec<usize>, edge_len: &[u64]) -> Option<TreeInputError> {
+        TreeGlwsInstance::try_new(parent, edge_len, 0, convex_w, |d, _| d).err()
+    }
+
+    #[test]
+    fn empty_parent_array_is_rejected() {
+        assert_eq!(input_error(vec![], &[]), Some(TreeInputError::Empty));
+    }
+
+    #[test]
+    fn mismatched_edge_lengths_are_rejected() {
+        assert_eq!(
+            input_error(vec![0, 0, 1], &[0, 1]),
+            Some(TreeInputError::LengthMismatch {
+                nodes: 3,
+                edge_lengths: 2
+            })
+        );
+    }
+
+    #[test]
+    fn parent_after_child_is_rejected() {
+        let err = input_error(vec![0, 0, 2], &[0, 1, 1]);
+        assert_eq!(
+            err,
+            Some(TreeInputError::ParentOrder { node: 2, parent: 2 })
+        );
+        assert!(err.is_some_and(|e| e.to_string().contains("parents must precede children")));
+    }
+
+    #[test]
+    fn root_distance_overflow_is_rejected() {
+        // Node 1 sits exactly at `u64::MAX`; node 2 would wrap to 1.
+        assert_eq!(
+            input_error(vec![0, 0, 1], &[0, u64::MAX, 2]),
+            Some(TreeInputError::DistanceOverflow { node: 2 })
+        );
+        assert_eq!(input_error(vec![0, 0, 0], &[0, u64::MAX, 2]), None);
+    }
+
     // -- the work-efficient cordon (Theorem 5.3) ---------------------------
 
     fn concave_w(du: u64, dv: u64) -> i64 {
@@ -778,7 +905,7 @@ mod tests {
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+                let got = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -793,7 +920,7 @@ mod tests {
                 let inst =
                     TreeGlwsInstance::new(parent, &lens, 2, concave_w, |d, u| d + (u % 5) as i64);
                 let want = naive_tree_glws(&inst);
-                let got = solve(HldTreeGlwsCordon::new(&inst, CostShape::Concave));
+                let got = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Concave));
                 assert_eq!(got.d, want.d, "seed {seed} bias {bias}");
                 assert_eq!(got.best, want.best, "seed {seed} bias {bias}");
             }
@@ -804,8 +931,8 @@ mod tests {
     fn hld_rounds_and_frontiers_match_the_baseline_cordon() {
         let (parent, lens) = random_tree(400, 70, 13);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let base = solve(TreeGlwsCordon::new(&inst));
-        let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+        let base = solve(TreeGlwsCordon::rescan(&inst));
+        let hld = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
         assert_eq!(hld.metrics.rounds, base.metrics.rounds);
         assert_eq!(hld.metrics.frontier_sizes, base.metrics.frontier_sizes);
         assert_eq!(hld.d, base.d);
@@ -820,9 +947,9 @@ mod tests {
         let parent: Vec<usize> = (0..=n).map(|v| v.saturating_sub(1)).collect();
         let lens = vec![1u64; n + 1];
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let base = solve(TreeGlwsCordon::new(&inst));
+        let base = solve(TreeGlwsCordon::rescan(&inst));
         assert_eq!(base.metrics.edges_relaxed, (n * (n + 1) / 2) as u64);
-        let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+        let hld = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
         assert_eq!(hld.d, base.d);
         assert_eq!(hld.best, base.best);
         let log = (usize::BITS - n.leading_zeros()) as u64;
@@ -845,29 +972,29 @@ mod tests {
             convex_w,
             |d, _| d,
         );
-        let r = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+        let r = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
         for v in 1..=n {
             assert_eq!(r.d[v], 7 + 10 + 9);
             assert_eq!(r.best[v], 0);
         }
         assert_eq!(r.metrics.rounds, 1);
         let empty = TreeGlwsInstance::new(vec![0], &[0], 3, convex_w, |d, _| d);
-        let r = solve(HldTreeGlwsCordon::new(&empty, CostShape::Convex));
+        let r = solve(TreeGlwsCordon::envelopes(&empty, CostShape::Convex));
         assert_eq!(r.d, vec![3]);
         assert_eq!(r.metrics.rounds, 0);
     }
 
-    // -- the shape-adaptive router ----------------------------------------
+    // -- the arm `TreeGlwsCordon::new` picks --------------------------------
 
-    /// Whether [`tree_glws_cordon_auto`] builds the HLD cordon
-    /// (`EitherCordon::Second`) for the tree `parent`.
+    /// Whether [`TreeGlwsCordon::new`] takes the envelopes for the tree
+    /// `parent`: only their queries count probes.
     fn routes_to_hld(parent: Vec<usize>) -> bool {
         let lens = vec![1u64; parent.len()];
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        matches!(
-            tree_glws_cordon_auto(&inst, CostShape::Convex),
-            EitherCordon::Second(_)
-        )
+        solve(TreeGlwsCordon::new(&inst, CostShape::Convex))
+            .metrics
+            .probes
+            > 0
     }
 
     #[test]
@@ -900,8 +1027,8 @@ mod tests {
 
     #[test]
     fn auto_router_matches_naive_and_reports_identical_frontiers() {
-        // Both sides of the router's cut, with the cordon each tree must
-        // take (`Some(true)`: HLD): bias 100 builds a path, bias 0 a
+        // Both sides of the arm choice, with the arm each tree must take
+        // (`Some(true)`: the envelopes): bias 100 builds a path, bias 0 a
         // random-attachment tree.
         let mut trees = vec![(
             "star".to_string(),
@@ -917,12 +1044,12 @@ mod tests {
         }
         for (name, parent, lens, to_hld) in trees {
             let inst = TreeGlwsInstance::new(parent, &lens, 5, convex_w, |d, u| d + (u % 3) as i64);
-            let routed = tree_glws_cordon_auto(&inst, CostShape::Convex);
-            let hld = matches!(routed, EitherCordon::Second(_));
-            assert!(to_hld.is_none_or(|want| want == hld), "{name}: HLD {hld}");
             let want = naive_tree_glws(&inst);
-            let base = solve(TreeGlwsCordon::new(&inst));
+            let base = solve(TreeGlwsCordon::rescan(&inst));
             let auto = parallel_tree_glws(&inst, CostShape::Convex);
+            // Only the envelopes' queries count probes.
+            let hld = auto.metrics.probes > 0;
+            assert!(to_hld.is_none_or(|want| want == hld), "{name}: HLD {hld}");
             assert_eq!(auto.d, want.d, "{name}");
             assert_eq!(auto.best, want.best, "{name}");
             assert_eq!(
@@ -938,7 +1065,7 @@ mod tests {
         // round fewer would trip the stall guard.
         let (parent, lens) = random_tree(100, 80, 3);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-        let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+        let cordon = TreeGlwsCordon::envelopes(&inst, CostShape::Convex);
         let budget = cordon.round_budget();
         let r = solve(cordon);
         assert!(r.metrics.rounds > 1);

@@ -69,11 +69,10 @@ pub use pardp_workloads as workloads;
 /// The same call shape works for `LcsCordon`, `ConvexGlwsCordon` and
 /// `ConcaveGlwsCordon` (the two shapes of one `GlwsCordon`), `KGlwsCordon`,
 /// `PackedGapCordon`, `ObstCordon`, `ValleyOatCordon` (the polylog-round
-/// OAT cordon `parallel_oat` runs) —
-/// and for the router-produced `EitherCordon` value that
-/// `parallel_tree_glws` runs, `tree_glws_cordon_auto`'s (cheaper Tree-GLWS
-/// cordon from an O(n) shape probe).  To run one arm of the router, hand
-/// the solver that arm's cordon: `HldTreeGlwsCordon` or `TreeGlwsCordon`.
+/// OAT cordon `parallel_oat` runs) and `TreeGlwsCordon`:
+/// `TreeGlwsCordon::new(&inst, shape)` is what `parallel_tree_glws` runs,
+/// the arm its depth pass predicts cheaper, and `TreeGlwsCordon::rescan`
+/// and `TreeGlwsCordon::envelopes` force one arm.
 ///
 /// Each run is guarded by the instance's own
 /// [`PhaseParallel::round_budget`] and by the driver's progress check.
@@ -136,8 +135,8 @@ impl CordonSolver {
 pub mod prelude {
     pub use crate::{CordonOutcome, CordonSolver};
     pub use pardp_core::{
-        prefix_doubling_cordon, run_phase_parallel, try_run_phase_parallel, EitherCordon,
-        PhaseParallel, StallError,
+        prefix_doubling_cordon, run_phase_parallel, try_run_phase_parallel, PhaseParallel,
+        StallError,
     };
     pub use pardp_gap::{
         convex_gap_instance, parallel_gap, sequential_gap, GapInstance, PackedGapCordon,
@@ -159,8 +158,8 @@ pub mod prelude {
     pub use pardp_parutils::{with_threads, Metrics, MetricsCollector};
     pub use pardp_tournament::Key;
     pub use pardp_treedp::{
-        hld::HeavyLightDecomposition, parallel_tree_glws, tree_glws_cordon_auto, CostShape,
-        HldTreeGlwsCordon, TreeGlwsCordon, TreeGlwsInstance,
+        hld::HeavyLightDecomposition, parallel_tree_glws, CostShape, TreeGlwsCordon,
+        TreeGlwsInstance,
     };
     pub use pardp_workloads as workloads;
 }

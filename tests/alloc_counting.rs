@@ -22,12 +22,13 @@
 //! * packed GAP's per-row and per-column decision lists keep only their live
 //!   envelope in buffers sized by the constructor, so inserts compact a
 //!   buffer instead of growing it;
-//! * the HLD Tree-GLWS cordon allocates its envelope arena up front and
-//!   sizes its result buffer, and the buffer staging its envelope pushes,
-//!   for the widest depth level;
-//! * the depth Tree-GLWS cordon writes a level that runs inline (at one
-//!   thread, or below the grain cutoff) straight into its DP arrays, and
-//!   refills one reused result buffer for a level that forks;
+//! * the Tree-GLWS cordon writes a level that runs inline (at one thread,
+//!   or below the grain cutoff) straight into its DP arrays, and refills one
+//!   reused result buffer for a level that forks; its heavy-path envelope
+//!   arm allocates its arena up front and sizes the buffer staging its
+//!   pushes for the widest depth level.  One depth pass, whose level counts
+//!   take one allocation, orders the nodes, so `TreeGlwsCordon::new` makes
+//!   the same number of allocations at any tree size on either arm;
 //! * the convex and concave GLWS cordons rebuild their best-decision arrays
 //!   from a reused `FindIntervals` buffer, which the recursion fills in place
 //!   below the fork cutoff, and the concave merge swaps `B` with a second
@@ -37,7 +38,7 @@
 //!   `MetricsCollector::reserve_rounds` and runs no grain code between
 //!   rounds: round code sizes its loops by a fixed rule with no state.
 //!
-//! The OBST test and the HLD Tree-GLWS test first drive their cordon by
+//! The OBST test and the three Tree-GLWS tests first drive their cordon by
 //! hand, calling `round` the way `run_phase_parallel` does, so a round's
 //! scratch must be the cordon's own, then run one through
 //! `run_phase_parallel` itself (so the frontier log is covered too).
@@ -46,17 +47,21 @@
 //! staircase test runs `LcsCordon` at 2 threads on rounds too narrow to
 //! fork, and a
 //! constructor test counts the allocations of `LisCordon::new`,
-//! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶ after one
-//! warm-up construction each, and a byte test bounds the bytes the two
+//! `LcsCordon::new` and `ValleyOatCordon::new` at sizes 10⁴ and 10⁶, and of
+//! `TreeGlwsCordon::new` on paths of 2·10³ and 2·10⁴ nodes (envelopes) and
+//! balanced 8-ary trees of 2·10⁴ and 2·10⁵ (rescan), after one warm-up
+//! construction each, and a byte test bounds the bytes the two
 //! staircase constructors allocate per position at 10⁶; the GAP test runs
 //! `PackedGapCordon` on convex gap costs over four grid shapes, the
-//! Tree-GLWS tests run `HldTreeGlwsCordon` on a caterpillar and a path and
-//! `TreeGlwsCordon` on a balanced binary tree, a random tree and a
-//! caterpillar, and the GLWS test runs `ConvexGlwsCordon` on a post-office
-//! instance, `ConcaveGlwsCordon` on a concave cost with bonus states and
-//! `KGlwsCordon` on a clustered post-office instance.  The router test runs
-//! what `tree_glws_cordon_auto` picks on a caterpillar (HLD) and a balanced
-//! tree (depth levels), inside its `EitherCordon`.  Each asserts the
+//! Tree-GLWS tests run the envelope arm (`TreeGlwsCordon::envelopes`) on a
+//! caterpillar and a path and the rescan arm (`TreeGlwsCordon::rescan`) on
+//! a balanced binary tree, a random tree and a caterpillar, and the GLWS
+//! test runs `ConvexGlwsCordon` on a post-office instance,
+//! `ConcaveGlwsCordon` on a concave cost with bonus states and
+//! `KGlwsCordon` on a clustered post-office instance.  The routed test runs
+//! `TreeGlwsCordon::new` on a caterpillar, where it must take the
+//! envelopes, and a balanced tree, where it must take the rescan; the
+//! probes the run counts tell which it took.  Each asserts the
 //! allocation counter does not move during steady-state rounds.  The valley
 //! OAT test counts every round from the first instead, at 20, 63 and 2 000
 //! leaves: at 20 leaves it runs fewer rounds than the warm-up.
@@ -70,7 +75,7 @@
 //! allocator counts per thread: sibling tests and the test harness, running
 //! on other threads, cannot pollute a measurement.
 
-use parallel_dp::core::{run_phase_parallel, EitherCordon, PhaseParallel};
+use parallel_dp::core::{run_phase_parallel, PhaseParallel};
 use parallel_dp::gap::{convex_gap_instance, sequential_gap, PackedGapCordon};
 use parallel_dp::glws::{
     naive_kglws, sequential_concave_glws, sequential_convex_glws, ClosureCost, ConcaveGlwsCordon,
@@ -82,8 +87,7 @@ use parallel_dp::oat::{garsia_wachs, ValleyOatCordon};
 use parallel_dp::obst::{knuth_obst, ObstCordon};
 use parallel_dp::parutils::{with_threads, MetricsCollector};
 use parallel_dp::treedp::{
-    naive_tree_glws, tree_glws_cordon_auto, CostShape, HldTreeGlwsCordon, TreeGlwsCordon,
-    TreeGlwsInstance,
+    naive_tree_glws, CostShape, TreeGlwsCordon, TreeGlwsInstance, TreeGlwsResult,
 };
 use parallel_dp::workloads;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -380,12 +384,25 @@ fn cordon_constructors_allocate_a_constant_number_of_times() {
             .collect::<Vec<_>>()
     });
     let weight_sets = sizes.map(|n| workloads::positive_weights(n, 1 << 16, 23));
+    // `TreeGlwsCordon::new` takes the envelopes on the paths and the rescan
+    // on the balanced trees.
+    let trees = [
+        workloads::path_tree(2_000),
+        workloads::path_tree(20_000),
+        workloads::balanced_tree(20_000, 8),
+        workloads::balanced_tree(200_000, 8),
+    ]
+    .map(|parent| {
+        let lens = workloads::tree_edge_lengths(parent.len() - 1, 100, 13);
+        TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d)
+    });
 
     with_threads(1, || {
         // Warm-up: let the first construction set up anything lazy.
         allocations_of(|| LisCordon::new(&sequences[0]));
         allocations_of(|| LcsCordon::new(&pair_sets[0]));
         allocations_of(|| ValleyOatCordon::new(&weight_sets[0]));
+        allocations_of(|| TreeGlwsCordon::new(&trees[0], CostShape::Convex));
 
         let lis = sequences
             .each_ref()
@@ -407,6 +424,22 @@ fn cordon_constructors_allocate_a_constant_number_of_times() {
         assert_eq!(
             valley[0], valley[1],
             "ValleyOatCordon::new allocated {valley:?} times at n = {sizes:?}"
+        );
+        let tree = trees
+            .each_ref()
+            .map(|inst| allocations_of(|| TreeGlwsCordon::new(inst, CostShape::Convex)));
+        assert_eq!(
+            tree[0],
+            tree[1],
+            "TreeGlwsCordon::new allocated {:?} times on paths of 2 000 and 20 000 nodes",
+            &tree[..2]
+        );
+        assert_eq!(
+            tree[2],
+            tree[3],
+            "TreeGlwsCordon::new allocated {:?} times on balanced trees of 20 000 and \
+             200 000 nodes",
+            &tree[2..]
         );
     });
 }
@@ -468,11 +501,50 @@ fn packed_gap_rounds_allocate_nothing_after_warm_up() {
     }
 }
 
+/// Drive the Tree-GLWS cordon `build` makes by hand, where no driver lends
+/// the rounds a buffer, then through the driver, both at one thread; assert
+/// that neither allocates after warm-up and that both reproduce the naive
+/// scan `want`.  Returns whether the cordon ran the heavy-path envelopes:
+/// only their queries count probes.
+fn tree_glws_rounds_allocate_nothing<'a, W, E>(
+    name: &str,
+    want: &TreeGlwsResult,
+    build: impl Fn() -> TreeGlwsCordon<'a, W, E> + Sync,
+) -> bool
+where
+    W: Fn(u64, u64) -> i64 + Sync + 'a,
+    E: Fn(i64, usize) -> i64 + Sync + 'a,
+{
+    with_threads(1, || {
+        let metrics = MetricsCollector::new();
+        let mut cordon = build();
+        let (steady, steady_rounds) = steady_allocations_by_hand(&mut cordon, &metrics);
+        assert_eq!(
+            steady, 0,
+            "{name}: rounds driven by hand allocated {steady} times over {steady_rounds} \
+             steady-state rounds"
+        );
+        let (d, best) = cordon.finish();
+        assert_eq!(
+            (d, best),
+            (want.d.clone(), want.best.clone()),
+            "{name} by hand"
+        );
+
+        let ((d, best), _) = run_allocation_free(name, build());
+        assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
+        assert_eq!(
+            best, want.best,
+            "{name}: decisions differ from the naive scan"
+        );
+        metrics.snapshot().probes > 0
+    })
+}
+
 #[test]
 fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
-    // Levels widen and narrow along the caterpillar's legs; a path has one
-    // node per level.  Each shape runs by hand first, where no driver lends
-    // the rounds a buffer, then through the driver.
+    // The envelope arm.  Levels widen and narrow along the caterpillar's
+    // legs; a path has one node per level.
     let shapes = [
         ("caterpillar", workloads::caterpillar_tree(3_000, 1_500, 29)),
         ("path", workloads::path_tree(2_000)),
@@ -486,38 +558,15 @@ fn hld_tree_glws_rounds_allocate_nothing_after_warm_up() {
         };
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex, |d, _| d);
         let want = naive_tree_glws(&inst);
-
-        with_threads(1, || {
-            let metrics = MetricsCollector::new();
-            let mut cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
-            let (steady, steady_rounds) = steady_allocations_by_hand(&mut cordon, &metrics);
-            assert_eq!(
-                steady, 0,
-                "{name}: rounds driven by hand allocated {steady} times over {steady_rounds} \
-                 steady-state rounds"
-            );
-            let (d, best) = cordon.finish();
-            assert_eq!(
-                (d, best),
-                (want.d.clone(), want.best.clone()),
-                "{name} by hand"
-            );
-
-            let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
-            let ((d, best), _) = run_allocation_free(name, cordon);
-            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
-            assert_eq!(
-                best, want.best,
-                "{name}: decisions differ from the naive scan"
-            );
-        });
+        let envelopes = || TreeGlwsCordon::envelopes(&inst, CostShape::Convex);
+        assert!(tree_glws_rounds_allocate_nothing(name, &want, envelopes));
     }
 }
 
 #[test]
 fn depth_tree_glws_rounds_allocate_nothing_after_warm_up() {
-    // The shallow-tree arm of `parallel_tree_glws`.  Binary, not 8-ary: an
-    // 8-ary tree of this size has fewer levels than the warm-up rounds.
+    // The ancestor-rescan arm.  Binary, not 8-ary: an 8-ary tree of this
+    // size has fewer levels than the warm-up rounds.
     let shapes = [
         ("balanced", workloads::balanced_tree(20_000, 2)),
         ("random", workloads::random_tree(5_000, 60, 9)),
@@ -528,22 +577,15 @@ fn depth_tree_glws_rounds_allocate_nothing_after_warm_up() {
         let lens = workloads::tree_edge_lengths(n, 100, 13);
         let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
         let want = naive_tree_glws(&inst);
-
-        with_threads(1, || {
-            let ((d, best), _) = run_allocation_free(name, TreeGlwsCordon::new(&inst));
-            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
-            assert_eq!(
-                best, want.best,
-                "{name}: decisions differ from the naive scan"
-            );
-        });
+        let rescan = || TreeGlwsCordon::rescan(&inst);
+        assert!(!tree_glws_rounds_allocate_nothing(name, &want, rescan));
     }
 }
 
 #[test]
 fn routed_cordons_allocate_nothing_after_warm_up() {
-    // `parallel_tree_glws`: the HLD arm on a caterpillar, the depth arm on a
-    // balanced binary tree.
+    // `parallel_tree_glws`'s `TreeGlwsCordon::new`: the envelopes on a
+    // caterpillar, the rescan on a balanced binary tree.
     let shapes = [
         (
             "caterpillar",
@@ -561,21 +603,12 @@ fn routed_cordons_allocate_nothing_after_warm_up() {
         };
         let inst = TreeGlwsInstance::new(parent, &lens, 0, convex, |d, _| d);
         let want = naive_tree_glws(&inst);
-
-        with_threads(1, || {
-            let cordon = tree_glws_cordon_auto(&inst, CostShape::Convex);
-            assert_eq!(
-                matches!(cordon, EitherCordon::Second(_)),
-                hld,
-                "{name}: routed to the other cordon"
-            );
-            let ((d, best), _) = run_allocation_free(name, cordon);
-            assert_eq!(d, want.d, "{name}: DP values differ from the naive scan");
-            assert_eq!(
-                best, want.best,
-                "{name}: decisions differ from the naive scan"
-            );
-        });
+        let routed = || TreeGlwsCordon::new(&inst, CostShape::Convex);
+        assert_eq!(
+            tree_glws_rounds_allocate_nothing(name, &want, routed),
+            hld,
+            "{name}: routed to the other arm"
+        );
     }
 }
 

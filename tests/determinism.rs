@@ -8,7 +8,7 @@
 //! pool is off (1 thread, fully inline) or on with any worker count.
 
 use parallel_dp::parutils::with_threads;
-use parallel_dp::treedp::{naive_tree_glws, CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
+use parallel_dp::treedp::{naive_tree_glws, CostShape, TreeGlwsCordon, TreeGlwsInstance};
 use parallel_dp::workloads;
 use parallel_dp::CordonSolver;
 
@@ -169,8 +169,8 @@ fn valley_oat_results_are_bit_identical_across_thread_counts() {
 #[test]
 fn auto_routed_tree_glws_is_bit_identical_across_thread_counts() {
     use parallel_dp::treedp::parallel_tree_glws;
-    // One shape per router outcome: deep (HLD cordon) and shallow (depth
-    // cordon).
+    // One shape per arm `TreeGlwsCordon::new` picks: deep (the heavy-path
+    // envelopes) and shallow (the ancestor rescan).
     let deep = workloads::caterpillar_tree(4_000, 2_000, 21);
     let shallow = workloads::balanced_tree(4_000, 8);
     for (name, parent) in [("caterpillar", deep), ("balanced", shallow)] {
@@ -191,7 +191,7 @@ fn auto_routed_tree_glws_is_bit_identical_across_thread_counts() {
             );
         }
         let seq = naive_tree_glws(&inst);
-        assert_eq!(baseline.d, seq.d, "{name}: auto router disagrees with seq");
+        assert_eq!(baseline.d, seq.d, "{name}: routed run disagrees with seq");
     }
 }
 
@@ -201,9 +201,9 @@ fn hld_tree_glws_results_are_bit_identical_across_thread_counts() {
     let parent = workloads::random_tree(n, 3, 9);
     let lens = workloads::tree_edge_lengths(n, 50, 10);
     let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
-    // A shallow random tree, so the HLD arm runs through the solver, not
-    // through the router (which would pick the depth cordon here).
-    let hld = || CordonSolver::new().run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    // A shallow random tree, so the envelope arm runs forced, not picked
+    // (`TreeGlwsCordon::new` would take the rescan here).
+    let hld = || CordonSolver::new().run(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
     let baseline = with_threads(1, hld);
     for t in THREAD_COUNTS {
         let run = with_threads(t, hld);

@@ -79,9 +79,10 @@ fn every_parallel_algorithm_reports_per_round_frontiers() {
     assert_eq!(gr.metrics.states_finalized, 41 * 36 - 1);
     assert_frontier_telemetry_consistent(&gr.metrics);
 
-    // Tree-GLWS: one frontier per depth level — for both the depth cordon
-    // and the work-efficient heavy-light one, which share their frontiers,
-    // and for the router that picks between them.
+    // Tree-GLWS: one frontier per depth level — for both arms of the
+    // cordon, the ancestor rescan and the work-efficient heavy-path
+    // envelopes, which share their frontiers, and for the arm
+    // `parallel_tree_glws` picks.
     let parent = workloads::random_tree(300, 60, 9);
     let lens = workloads::tree_edge_lengths(300, 4, 9);
     let ti = TreeGlwsInstance::new(
@@ -94,9 +95,9 @@ fn every_parallel_algorithm_reports_per_round_frontiers() {
         },
         |d, _| d,
     );
-    let tree_base = CordonSolver::new().run(TreeGlwsCordon::new(&ti));
+    let tree_base = CordonSolver::new().run(TreeGlwsCordon::rescan(&ti));
     assert_frontier_telemetry_consistent(&tree_base.metrics);
-    let tree_hld = CordonSolver::new().run(HldTreeGlwsCordon::new(&ti, CostShape::Convex));
+    let tree_hld = CordonSolver::new().run(TreeGlwsCordon::envelopes(&ti, CostShape::Convex));
     assert_frontier_telemetry_consistent(&tree_hld.metrics);
     assert_eq!(
         tree_hld.metrics.frontier_sizes,
@@ -214,7 +215,7 @@ fn cordon_solver_no_progress_trips_the_typed_stall_guard() {
 
 #[test]
 fn hld_tree_cordon_budget_equals_height_through_the_driver() {
-    // The work-efficient Tree-GLWS keeps the baseline's round theorem:
+    // The work-efficient Tree-GLWS arm keeps the rescan's round theorem:
     // exactly one round per depth level, and the driver's budget guard is
     // armed with the height.
     let parent = workloads::caterpillar_tree(400, 120, 2);
@@ -229,7 +230,7 @@ fn hld_tree_cordon_budget_equals_height_through_the_driver() {
         },
         |d, _| d,
     );
-    let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+    let cordon = TreeGlwsCordon::envelopes(&inst, CostShape::Convex);
     let budget = cordon.round_budget();
     let run = CordonSolver::new().run(cordon);
     assert_frontier_telemetry_consistent(&run.metrics);

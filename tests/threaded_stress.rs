@@ -1,5 +1,6 @@
 //! Stress test for the threaded pool: a 100k-node path tree driven through
-//! the work-efficient HLD Tree-GLWS cordon at 8 threads.
+//! the work-efficient heavy-path envelope arm of the Tree-GLWS cordon at 8
+//! threads.
 //!
 //! A path is the adversarial shape for the driver: 100 000 rounds with a
 //! one-node frontier each, so the run exercises the round loop, the grain
@@ -17,7 +18,7 @@
 //! `cargo test -- --ignored` works too).
 
 use parallel_dp::parutils::with_threads;
-use parallel_dp::treedp::{CostShape, HldTreeGlwsCordon, TreeGlwsInstance};
+use parallel_dp::treedp::{CostShape, TreeGlwsCordon, TreeGlwsInstance};
 use parallel_dp::workloads;
 use parallel_dp::CordonSolver;
 
@@ -29,7 +30,7 @@ fn hld_tree_glws_on_a_100k_path_under_8_threads() {
     let lens = workloads::tree_edge_lengths(n, 10, 21);
     let inst = TreeGlwsInstance::new(parent, &lens, 0, |du, dv| (dv - du) as i64, |d, _| d);
 
-    let hld = || CordonSolver::new().run(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let hld = || CordonSolver::new().run(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
     let stressed = with_threads(8, hld);
     assert_eq!(stressed.metrics.rounds, n as u64, "one round per path node");
     assert_eq!(stressed.metrics.max_frontier(), 1);

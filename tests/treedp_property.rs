@@ -1,11 +1,12 @@
-//! Tree-shape property tests for the work-efficient Tree-GLWS cordon
-//! (Theorem 5.3): on every tree shape the workloads crate can generate, and
-//! under both convex and concave transition costs, `HldTreeGlwsCordon` must
-//! agree with the naive ancestor-scan oracle *and* the depth-frontier
-//! `TreeGlwsCordon` on DP values and reconstructed best decisions — plus the
-//! work-bound regression guard that pins the heavy-light version to
-//! near-linear work on the shape where the depth cordon is quadratic.  Each
-//! arm runs through `CordonSolver`; `parallel_tree_glws` runs the router.
+//! Tree-shape property tests for the Tree-GLWS cordon (Theorem 5.3): on
+//! every tree shape the workloads crate can generate, and under both convex
+//! and concave transition costs, its work-efficient heavy-path envelope arm
+//! (`TreeGlwsCordon::envelopes`) must agree with the naive ancestor-scan
+//! oracle *and* the ancestor-rescan arm (`TreeGlwsCordon::rescan`) on DP
+//! values and reconstructed best decisions — plus the work-bound regression
+//! guard that pins the envelopes to near-linear work on the shape where the
+//! rescan is quadratic.  Each forced arm runs through `CordonSolver`;
+//! `parallel_tree_glws` runs the arm `TreeGlwsCordon::new` picks.
 
 use parallel_dp::prelude::*;
 use parallel_dp::treedp::{naive_tree_glws, TreeGlwsResult};
@@ -66,14 +67,14 @@ where
     let height = tree_height(&parent);
     let inst = TreeGlwsInstance::new(parent, lens, 3, w, |d, u| d + (u % 4) as i64);
     let naive = naive_tree_glws(&inst);
-    let baseline = solve(TreeGlwsCordon::new(&inst));
-    let hld = solve(HldTreeGlwsCordon::new(&inst, shape));
+    let baseline = solve(TreeGlwsCordon::rescan(&inst));
+    let hld = solve(TreeGlwsCordon::envelopes(&inst, shape));
     assert_eq!(hld.d, naive.d, "{name}: values vs naive");
     assert_eq!(hld.best, naive.best, "{name}: decisions vs naive");
-    assert_eq!(hld.d, baseline.d, "{name}: values vs baseline cordon");
+    assert_eq!(hld.d, baseline.d, "{name}: values vs the rescan arm");
     assert_eq!(
         hld.best, baseline.best,
-        "{name}: decisions vs baseline cordon"
+        "{name}: decisions vs the rescan arm"
     );
     assert_eq!(
         hld.metrics.rounds as usize, height,
@@ -83,9 +84,9 @@ where
         hld.metrics.frontier_sizes, baseline.metrics.frontier_sizes,
         "{name}: identical depth frontiers"
     );
-    // Shape-router property: whichever cordon the probe picks for this shape,
-    // the routed run is indistinguishable from both alternatives on (d, best)
-    // and on the round schedule — routing may only change wall clock/work.
+    // Whichever arm the depth pass picks for this shape, the routed run is
+    // indistinguishable from both arms on (d, best) and on the round
+    // schedule — the choice may only change wall clock and work.
     let auto = parallel_tree_glws(&inst, shape);
     assert_eq!(auto.d, naive.d, "{name}: routed values vs naive");
     assert_eq!(auto.best, naive.best, "{name}: routed decisions vs naive");
@@ -116,33 +117,34 @@ fn hld_cordon_agrees_on_every_shape_with_concave_costs() {
     }
 }
 
-/// The documented quadratic behaviour of the depth cordon: on an n-node path
+/// The documented quadratic behaviour of the rescan arm: on an n-node path
 /// each node rescans its whole ancestor chain, exactly n(n+1)/2 transition
-/// evaluations.  A failing guard if anyone changes its work — the router
-/// picks it only for shallow trees, where the rescan is short, and the
-/// `edges_relaxed` count is what its cost estimate assumes.
+/// evaluations.  A failing guard if anyone changes its work —
+/// `TreeGlwsCordon::new` picks it only for shallow trees, where the rescan
+/// is short, and the `edges_relaxed` count is what its cost estimate
+/// assumes.
 #[test]
 fn baseline_cordon_is_quadratic_on_a_path() {
     let n = 2_000usize;
     let parent = workloads::path_tree(n);
     let lens = vec![1u64; n + 1];
     let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-    let r = solve(TreeGlwsCordon::new(&inst));
+    let r = solve(TreeGlwsCordon::rescan(&inst));
     assert_eq!(r.metrics.edges_relaxed, (n * (n + 1) / 2) as u64);
 }
 
 /// Work-bound regression guard (the acceptance bar of the Theorem 5.3 issue):
-/// on a 100k-node path the HLD cordon must match the sequential 1-D GLWS
+/// on a 100k-node path the envelope arm must match the sequential 1-D GLWS
 /// oracle exactly and keep its measured work under `C · n · log n`, which is
-/// asymptotically (and here concretely, by ~250×) below the baseline cordon's
-/// analytic n(n+1)/2 rescan count asserted above.
+/// asymptotically (and here concretely, by ~250×) below the rescan's
+/// analytic n(n+1)/2 count asserted above.
 #[test]
 fn hld_work_is_near_linear_on_a_100k_path() {
     let n = 100_000usize;
     let parent = workloads::path_tree(n);
     let lens = workloads::tree_edge_lengths(n, 3, 17);
     let inst = TreeGlwsInstance::new(parent, &lens, 7, convex_w, |d, _| d);
-    let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let hld = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
 
     // On a path, Tree-GLWS is exactly the 1-D GLWS over the node distances:
     // the O(n log n) sequential Galil–Park algorithm is a feasible oracle at
@@ -173,24 +175,24 @@ fn hld_work_is_near_linear_on_a_100k_path() {
     assert_eq!(hld.metrics.rounds as usize, n, "a path has n depth levels");
 }
 
-/// The budget the HLD cordon arms the driver's stall guard with is the tree
-/// height, with no slack: the driver records exactly that many rounds.
+/// The budget the envelope arm arms the driver's stall guard with is the
+/// tree height, with no slack: the driver records exactly that many rounds.
 #[test]
 fn hld_cordon_budget_equals_its_height() {
     let parent = workloads::caterpillar_tree(300, 100, 5);
     let lens = workloads::tree_edge_lengths(300, 4, 5);
     let height = tree_height(&parent) as u64;
     let inst = TreeGlwsInstance::new(parent, &lens, 0, convex_w, |d, _| d);
-    let cordon = HldTreeGlwsCordon::new(&inst, CostShape::Convex);
+    let cordon = TreeGlwsCordon::envelopes(&inst, CostShape::Convex);
     assert_eq!(cordon.round_budget(), Some(height));
     let run = CordonSolver::new().run(cordon);
     assert_eq!(run.metrics.rounds, height);
 }
 
-/// The router's decisions on the unambiguous generator shapes, read off the
-/// `EitherCordon` variant `tree_glws_cordon_auto` builds, plus the facade
-/// solver driving that cordon directly — the integration path
-/// `CordonSolver::run(tree_glws_cordon_auto(..))`.
+/// The arm `TreeGlwsCordon::new` picks on the unambiguous generator shapes,
+/// read off the run's probes (only the envelopes' queries count any), with
+/// the facade solver driving the cordon — the integration path
+/// `CordonSolver::run(TreeGlwsCordon::new(..))`.
 #[test]
 fn shape_router_decisions_and_solver_integration() {
     let n = 220usize;
@@ -214,12 +216,9 @@ fn shape_router_decisions_and_solver_integration() {
         let lens = workloads::tree_edge_lengths(n, 4, 77);
         let height = tree_height(&parent);
         let inst = TreeGlwsInstance::new(parent, &lens, 3, convex_w, |d, _| d);
-        let cordon = tree_glws_cordon_auto(&inst, CostShape::Convex);
-        assert_eq!(matches!(cordon, EitherCordon::Second(_)), to_hld, "{why}");
-        // Each router outcome through the facade solver, checked against
-        // naive.
         let naive = naive_tree_glws(&inst);
-        let run = CordonSolver::new().run(cordon);
+        let run = CordonSolver::new().run(TreeGlwsCordon::new(&inst, CostShape::Convex));
+        assert_eq!(run.metrics.probes > 0, to_hld, "{why}");
         let (d, best) = run.output;
         assert_eq!(d, naive.d, "solver-driven routed cordon: values");
         assert_eq!(best, naive.best, "solver-driven routed cordon: decisions");
@@ -227,19 +226,20 @@ fn shape_router_decisions_and_solver_integration() {
     }
 }
 
-/// Heavier cross-shape stress at sizes where the baseline's O(n·h) is already
-/// painful on deep shapes; `#[ignore]`-gated locally, run by the CI
-/// `--include-ignored` step.
+/// Heavier cross-shape stress at sizes where the rescan's O(n·h) is already
+/// painful on deep shapes; `#[ignore]`-gated locally, run by CI's
+/// `-- --ignored` steps (in debug and in release).
 #[test]
 #[ignore = "tree stress sweep; run via cargo test -- --ignored (CI's stress step does)"]
 fn hld_stress_sweep_on_large_trees() {
-    // Deep: caterpillar with a 10k spine (baseline does ~10^8 rescans).
+    // Deep: caterpillar with a 10k spine (the rescan does ~10^8
+    // evaluations).
     let n = 20_000usize;
     let parent = workloads::caterpillar_tree(n, n / 2, 11);
     let lens = workloads::tree_edge_lengths(n, 3, 11);
     let inst = TreeGlwsInstance::new(parent, &lens, 1, convex_w, |d, u| d + (u % 2) as i64);
-    let base = solve(TreeGlwsCordon::new(&inst));
-    let hld = solve(HldTreeGlwsCordon::new(&inst, CostShape::Convex));
+    let base = solve(TreeGlwsCordon::rescan(&inst));
+    let hld = solve(TreeGlwsCordon::envelopes(&inst, CostShape::Convex));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
     assert!(hld.metrics.work_proxy() * 10 < base.metrics.work_proxy());
@@ -249,13 +249,13 @@ fn hld_stress_sweep_on_large_trees() {
     let parent = workloads::random_attachment_tree(n, 23);
     let lens = workloads::tree_edge_lengths(n, 4, 23);
     let convex = TreeGlwsInstance::new(parent.clone(), &lens, 0, convex_w, |d, _| d);
-    let base = solve(TreeGlwsCordon::new(&convex));
-    let hld = solve(HldTreeGlwsCordon::new(&convex, CostShape::Convex));
+    let base = solve(TreeGlwsCordon::rescan(&convex));
+    let hld = solve(TreeGlwsCordon::envelopes(&convex, CostShape::Convex));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
     let concave = TreeGlwsInstance::new(parent, &lens, 0, concave_w, |d, _| d);
-    let base = solve(TreeGlwsCordon::new(&concave));
-    let hld = solve(HldTreeGlwsCordon::new(&concave, CostShape::Concave));
+    let base = solve(TreeGlwsCordon::rescan(&concave));
+    let hld = solve(TreeGlwsCordon::envelopes(&concave, CostShape::Concave));
     assert_eq!(hld.d, base.d);
     assert_eq!(hld.best, base.best);
 }
