@@ -352,7 +352,11 @@ fn depth_order(prof: DepthProfile) -> (Option<Vec<u32>>, Vec<usize>) {
     let mut offsets = vec![0usize; prof.height + 1];
     if prof.sorted {
         // Sorted depths rise by at most one per node: a level starts where
-        // its depth first appears.
+        // its depth first appears.  The counting loop below would give the
+        // same offsets, but on a long run of one depth each increment waits
+        // for the store of the one before: on `balanced_tree(2·10⁵, 8)` it
+        // took 0.3 ms more than this scan, and a solve of
+        // `balanced_tree(2·10⁴, 8)` 10% longer (2-core Xeon).
         for v in 1..=n {
             if depth[v] != depth[v - 1] {
                 offsets[depth[v] as usize - 1] = v - 1;
@@ -548,42 +552,43 @@ where
     (bv, bu)
 }
 
-/// A node's relaxation: its value, its best ancestor, and the ancestors it
-/// evaluated and envelope probes it spent.
-type Relaxed = (i64, usize, u64, u64);
-
 /// Relax the level at positions `lo..hi` of the level order with `find`,
 /// write each node's value and best ancestor into `d` and `best`, and return
-/// the level's `(edges, probes)`.
+/// what `find` counted per node, summed under `add`.  The envelope queries
+/// count `(edges, probes)`; the rescan counts nothing (`()`), since its level
+/// evaluates exactly size × depth ancestors, and a per-node pair through the
+/// forked reduce made it a few percent slower on unsorted shallow trees.
 ///
 /// A level the grain rule keeps inline writes each result straight into the
 /// DP arrays: a node reads only strictly shallower, already-settled entries
 /// of `d`, never its own level's.  A level that forks stages its results in
 /// `scratch`, so after the widest such level no round allocates.
-fn relax_level<F>(
+fn relax_level<C, F, A>(
     order: Option<&[u32]>,
     (lo, hi): (usize, usize),
     d: &mut [i64],
     best: &mut [usize],
     scratch: &mut Vec<(i64, usize)>,
     find: F,
-) -> (u64, u64)
+    add: A,
+) -> C
 where
-    F: Fn(&[i64], usize) -> Relaxed + Sync,
+    C: Default + Send,
+    F: Fn(&[i64], usize) -> (i64, usize, C) + Sync,
+    A: Fn(C, C) -> C + Sync,
 {
     let size = hi - lo;
     let grain = round_min_grain(size);
     if grain >= size {
-        let (mut edges, mut probes) = (0u64, 0u64);
+        let mut counts = C::default();
         for i in lo..hi {
             let v = node_at(order, i);
-            let (bv, bu, e, p) = find(d, v);
+            let (bv, bu, c) = find(d, v);
             d[v] = bv;
             best[v] = bu;
-            edges += e;
-            probes += p;
+            counts = add(counts, c);
         }
-        return (edges, probes);
+        return counts;
     }
     if scratch.len() < size {
         // A fresh zeroed buffer: no pass clears it before the grains fill it.
@@ -594,12 +599,12 @@ where
         .par_iter_mut()
         .enumerate()
         .map(|(k, slot)| {
-            let (bv, bu, e, p) = find(d_ref, node_at(order, lo + k));
+            let (bv, bu, c) = find(d_ref, node_at(order, lo + k));
             *slot = (bv, bu);
-            (e, p)
+            c
         })
         .with_min_len(grain)
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        .reduce(C::default, &add);
     for (i, &(bv, bu)) in (lo..hi).zip(&scratch[..size]) {
         let v = node_at(order, i);
         d[v] = bv;
@@ -615,7 +620,12 @@ impl Envelopes {
     /// parallel.  Ties across segments keep the nearest segment and ties
     /// inside a segment keep the deepest position, so `best` matches the
     /// naive ancestor scan exactly.
-    fn best_ancestor<W, E>(&self, inst: &TreeGlwsInstance<W, E>, d: &[i64], v: usize) -> Relaxed
+    fn best_ancestor<W, E>(
+        &self,
+        inst: &TreeGlwsInstance<W, E>,
+        d: &[i64],
+        v: usize,
+    ) -> (i64, usize, (u64, u64))
     where
         W: Fn(u64, u64) -> i64 + Sync,
         E: Fn(i64, usize) -> i64 + Sync,
@@ -634,7 +644,7 @@ impl Envelopes {
                 bu = u;
             }
         }
-        (bv, bu, edges, probes)
+        (bv, bu, (edges, probes))
     }
 
     /// Push the settled level at positions `lo..hi` of the level order onto
@@ -705,16 +715,19 @@ where
         let (d, best, scratch) = (&mut self.d, &mut self.best, &mut self.scratch);
         let (mut edges, probes) = match &self.envelopes {
             None => {
-                // Every node of the level evaluates its `depth` ancestors.
-                let depth = self.next_level as u64 + 1;
-                relax_level(order, level, d, best, scratch, |d, v| {
+                let find = |d: &[i64], v| {
                     let (bv, bu) = relax_ancestors(inst, d, v);
-                    (bv, bu, depth, 0)
-                })
+                    (bv, bu, ())
+                };
+                relax_level(order, level, d, best, scratch, find, |(), ()| ());
+                // Every node of the level evaluates its `depth` ancestors.
+                ((level.1 - level.0) as u64 * (self.next_level as u64 + 1), 0)
             }
-            Some(env) => relax_level(order, level, d, best, scratch, |d, v| {
-                env.best_ancestor(inst, d, v)
-            }),
+            Some(env) => {
+                let find = |d: &[i64], v| env.best_ancestor(inst, d, v);
+                let add = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
+                relax_level(order, level, d, best, scratch, find, add)
+            }
         };
         if let Some(env) = &mut self.envelopes {
             edges += env.settle(inst, &self.d, order, level);
