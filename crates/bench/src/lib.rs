@@ -269,8 +269,9 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     }
 
     // OBST: n - 1 diagonal rounds with identical Knuth-bound work on both
-    // sides; the cordon's flat diagonal-major tables vs the baseline's
-    // row-major `Vec<Vec>` grid.
+    // sides, on the same flat diagonal-major table with the same per-interval
+    // step: the baseline fills it in a plain loop, the cordon a diagonal per
+    // round.
     {
         let n = if quick { 400 } else { 2_000 };
         let weights = workloads::positive_weights(n, 1_000, 11);
@@ -287,16 +288,22 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
         );
     }
 
-    // Tree-GLWS through parallel_tree_glws on the three shapes that span
-    // its choice of arm: a shallow balanced tree (the O(n·h) ancestor
-    // rescan — the heavy-light envelope machinery can't pay for itself at
-    // avg depth ~log n), a path, and a caterpillar (the Theorem 5.3
-    // envelopes — the rescan is quadratic there).  The sequential baseline is the naive
-    // ancestor scan in all three rows, so par/seq on the deep shapes also
-    // captures the work-efficiency win, not just parallelism.
-    let tree_shapes: [(&str, Vec<usize>); 3] = if quick {
+    // Tree-GLWS through parallel_tree_glws on the shapes that span its
+    // choice of arm: two shallow trees (the O(n·h) ancestor rescan — the
+    // heavy-light envelope machinery can't pay for itself at avg depth
+    // ~log n), a balanced one whose nodes come in level order and a
+    // random-attachment one whose levels the rescan visits through a
+    // permutation, then a path and a caterpillar (the Theorem 5.3
+    // envelopes — the rescan is quadratic there).  The sequential baseline
+    // is the naive ancestor scan in every row, so par/seq on the deep shapes
+    // also captures the work-efficiency win, not just parallelism.
+    let tree_shapes: [(&str, Vec<usize>); 4] = if quick {
         [
             ("tree_glws_balanced", workloads::balanced_tree(20_000, 8)),
+            (
+                "tree_glws_random",
+                workloads::random_attachment_tree(20_000, 5),
+            ),
             ("tree_glws_path", workloads::path_tree(2_000)),
             (
                 "tree_glws_caterpillar",
@@ -306,6 +313,10 @@ pub fn run_speedup(quick: bool, threads: &[usize]) -> Vec<SpeedupRow> {
     } else {
         [
             ("tree_glws_balanced", workloads::balanced_tree(200_000, 8)),
+            (
+                "tree_glws_random",
+                workloads::random_attachment_tree(200_000, 5),
+            ),
             ("tree_glws_path", workloads::path_tree(20_000)),
             (
                 "tree_glws_caterpillar",

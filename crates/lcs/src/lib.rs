@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{round_min_grain, Metrics, MetricsCollector};
-use pardp_tournament::{reconstruct_chain, StaircaseCordon};
+use pardp_tournament::{patience, reconstruct_chain, StaircaseCordon};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -101,38 +101,16 @@ pub fn dense_lcs<T: Eq>(a: &[T], b: &[T]) -> LcsResult {
     }
 }
 
-/// Hunt–Szymanski sparse LCS: processes the matching pairs in the canonical
-/// order and maintains the "threshold" array with binary searches,
-/// `O(L log n)` work.  Also reports the DP value of every pair.
+/// Hunt–Szymanski sparse LCS: the tournament crate's [`patience`] over the
+/// `j` keys of the pairs in the canonical order, whose tails are the
+/// "threshold" array, `O(L log n)` work.  Also reports the DP value of
+/// every pair.
 pub fn sequential_sparse_lcs(pairs: &[MatchPair]) -> LcsResult {
     let metrics = MetricsCollector::new();
     debug_assert!(pairs_are_canonically_sorted(pairs));
-    // thresholds[t] = smallest j that ends an increasing (in j) chain of
-    // length t+1 seen so far.
-    let mut thresholds: Vec<u32> = Vec::new();
-    let mut pair_values = Vec::with_capacity(pairs.len());
-    let mut probes = 0u64;
-    for p in pairs {
-        // Length of the longest chain ending strictly below j, plus one.
-        let pos = thresholds.partition_point(|&t| {
-            probes += 1;
-            t < p.j
-        });
-        let value = pos as u32 + 1;
-        if pos == thresholds.len() {
-            thresholds.push(p.j);
-        } else if p.j < thresholds[pos] {
-            thresholds[pos] = p.j;
-        }
-        pair_values.push(value);
-    }
-    // One edge per pair, its threshold search, and one probe per threshold
-    // the search compared.
-    metrics.add_edges(pairs.len() as u64);
-    metrics.add_probes(probes);
-    metrics.add_states(pairs.len() as u64);
+    let (pair_values, length) = patience(pairs.iter().map(|p| p.j), &metrics);
     LcsResult {
-        length: thresholds.len() as u32,
+        length,
         pair_values,
         metrics: metrics.snapshot(),
     }

@@ -20,7 +20,7 @@
 
 use pardp_core::{run_phase_parallel, PhaseParallel};
 use pardp_parutils::{Metrics, MetricsCollector};
-use pardp_tournament::{reconstruct_chain, StaircaseCordon};
+use pardp_tournament::{patience, reconstruct_chain, StaircaseCordon};
 
 /// Result of an LIS computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,39 +67,15 @@ pub fn naive_lis(a: &[i64]) -> LisResult {
     }
 }
 
-/// Sequential `O(n log k)` LIS by patience sorting: a binary search over the
-/// tails array, the loop Hunt–Szymanski (`sequential_sparse_lcs` in
+/// Sequential `O(n log k)` LIS by patience sorting: the tournament crate's
+/// [`patience`], which Hunt–Szymanski (`sequential_sparse_lcs` in
 /// `pardp-lcs`) runs over the `j` keys of the matching pairs.
 pub fn sequential_lis(a: &[i64]) -> LisResult {
     let metrics = MetricsCollector::new();
-    // tails[t] = smallest value that ends an increasing subsequence of
-    // length t + 1 seen so far.
-    let mut tails: Vec<i64> = Vec::new();
-    let mut d = Vec::with_capacity(a.len());
-    let mut probes = 0u64;
-    for &x in a {
-        // Length of the longest increasing subsequence ending strictly
-        // below x, plus one.
-        let pos = tails.partition_point(|&t| {
-            probes += 1;
-            t < x
-        });
-        if pos == tails.len() {
-            tails.push(x);
-        } else {
-            // tails[pos] >= x, so x ends the smallest tail of its length.
-            tails[pos] = x;
-        }
-        d.push(pos as u32 + 1);
-    }
-    // One edge per element, its tails search, and one probe per tail the
-    // search compared.
-    metrics.add_edges(a.len() as u64);
-    metrics.add_probes(probes);
-    metrics.add_states(a.len() as u64);
+    let (d, length) = patience(a.iter().copied(), &metrics);
     LisResult {
         d,
-        length: tails.len() as u32,
+        length,
         metrics: metrics.snapshot(),
     }
 }

@@ -4,8 +4,9 @@
 //! in order minimizing `Σ a_i · depth_i`.  This crate provides
 //!
 //! * [`garsia_wachs`] — the classic sequential algorithm, implemented here in
-//!   `O(n²)`: repeatedly combine the leftmost locally minimal pair and
-//!   reinsert the combined node before the nearest larger predecessor; the
+//!   `O(n²)` as the valley cordon's sequential sweep with no threshold:
+//!   repeatedly combine the leftmost locally minimal pair and reinsert the
+//!   combined node before the first later element at least as heavy; the
 //!   resulting *l-tree* has the same leaf levels as the OAT (phase 2 of
 //!   Garsia–Wachs / Hu–Tucker), so cost and height are read directly off the
 //!   l-tree,
@@ -15,7 +16,7 @@
 //!
 //! The `O(n²)` Knuth interval DP for the same cost is `pardp-obst`'s
 //! `knuth_obst` (the OBST connection of Sec. 5.5); this crate's tests use
-//! it as the exact oracle.
+//! it as the exact oracle, and its `check_weights` refuses weights for both.
 //!
 //! [`parallel_oat`] runs [`ValleyOatCordon`], the polylog-round
 //! construction of Theorem 5.1 (the [`valley`] module), through the shared
@@ -33,9 +34,11 @@
 
 pub mod valley;
 
+pub use pardp_obst::WeightError;
 pub use valley::{oat_cordon_auto, OatLayout, ValleyOatCordon};
 
-use pardp_core::run_phase_parallel;
+use pardp_core::{run_phase_parallel, PhaseParallel};
+use pardp_obst::check_weights;
 use pardp_parutils::{Metrics, MetricsCollector};
 
 /// Result of an OAT construction.
@@ -51,117 +54,40 @@ pub struct OatResult {
     pub metrics: Metrics,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct GwItem {
-    weight: u64,
-    /// Encoded tree reference: leaves are `-(i+1)`, internal nodes their arena
-    /// index.
-    enc: isize,
-}
-
 /// The Garsia–Wachs algorithm, following the description in Appendix A.1 of
-/// the paper: repeatedly pick the leftmost locally minimal pair
-/// `(a_i, a_{i+1})` (its 2-sum is a local minimum among the 2-sums), combine
-/// it into a new l-tree node `x`, remove the pair, and insert `x` before the
-/// first later element `a_j >= x` (or at the end).  The l-tree's leaf levels
-/// equal the OAT's leaf depths, so cost and height are read off directly.
+/// the paper: [`ValleyOatCordon`]'s sequential sweep with no threshold, which
+/// combines the leftmost locally minimal pair until one l-tree is left.  The
+/// l-tree's leaf levels equal the OAT's leaf depths, so cost and height are
+/// read off directly.
 ///
-/// `O(n²)` work: each of the `n - 1` combines rescans the sequence from the
-/// front for its pair and shifts a `Vec` to remove and reinsert, and random
-/// weights hit that bound (about `n² / 4` edge evaluations on
-/// `positive_weights`).  Garsia and Wachs' own `O(n log n)` bound needs a
-/// search that resumes from the last combine and a balanced structure for
-/// the reinsertion, which this version does not have.
+/// `O(n²)` work: the search for the next pair resumes two pairs before the
+/// last combine, but each combine still scans for its reinsertion point and
+/// shifts a `Vec` to remove and reinsert.  Garsia and Wachs' own
+/// `O(n log n)` bound needs a balanced structure for the reinsertion, which
+/// this version does not have.  Panics with the [`WeightError`] message
+/// where [`ValleyOatCordon::new`] does.
 pub fn garsia_wachs(weights: &[u64]) -> OatResult {
     let metrics = MetricsCollector::new();
-    let n = weights.len();
-    if n == 0 {
-        return OatResult {
-            cost: 0,
-            depths: Vec::new(),
-            height: 0,
-            metrics: metrics.snapshot(),
-        };
-    }
-    if n == 1 {
-        return OatResult {
-            cost: 0,
-            depths: vec![0],
-            height: 0,
-            metrics: metrics.snapshot(),
-        };
-    }
-
-    // Arena of internal nodes: children[x] = (left, right) encoded like `enc`.
-    let mut children: Vec<(isize, isize)> = Vec::with_capacity(n - 1);
-    let mut seq: Vec<GwItem> = weights
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| GwItem {
-            weight: w,
-            enc: -((i as isize) + 1),
-        })
-        .collect();
-
-    let mut edges = 0u64;
-    while seq.len() > 1 {
-        // Leftmost locally minimal pair: the first index i whose 2-sum is
-        // strictly smaller than its left neighbour's and no larger than its
-        // right neighbour's (the leftmost global minimum always qualifies).
-        let two_sum = |s: &Vec<GwItem>, i: usize| s[i].weight + s[i + 1].weight;
-        let last = seq.len() - 2;
-        let mut pick = last;
-        for i in 0..=last {
-            edges += 1;
-            let left_ok = i == 0 || two_sum(&seq, i - 1) > two_sum(&seq, i);
-            let right_ok = i == last || two_sum(&seq, i) <= two_sum(&seq, i + 1);
-            if left_ok && right_ok {
-                pick = i;
-                break;
-            }
-        }
-        let x = two_sum(&seq, pick);
-        let node_idx = children.len() as isize;
-        children.push((seq[pick].enc, seq[pick + 1].enc));
-        seq.drain(pick..=pick + 1);
-        // Insert before the first element at or after the removal point with
-        // weight >= x; at the end if there is none.
-        let mut q = pick;
-        while q < seq.len() && seq[q].weight < x {
-            edges += 1;
-            q += 1;
-        }
-        seq.insert(
-            q,
-            GwItem {
-                weight: x,
-                enc: node_idx,
-            },
-        );
-    }
+    let mut cordon = ValleyOatCordon::new(weights);
+    let (combines, edges) = cordon.sweep(u64::MAX);
     // One state per combine: the n - 1 internal nodes.
-    metrics.add_states(children.len() as u64);
+    metrics.add_states(combines as u64);
     metrics.add_edges(edges);
+    oat_result(cordon.finish(), &metrics)
+}
 
-    // The single remaining element is the l-tree root; compute leaf depths.
-    let root = seq[0].enc;
-    let mut depths = vec![0u32; n];
-    // Iterative DFS over the arena.
-    let mut stack = vec![(root, 0u32)];
-    while let Some((enc, depth)) = stack.pop() {
-        if enc < 0 {
-            depths[(-enc - 1) as usize] = depth;
-        } else {
-            let (l, r) = children[enc as usize];
-            stack.push((l, depth + 1));
-            stack.push((r, depth + 1));
-        }
-    }
-    let cost = weights
-        .iter()
-        .zip(&depths)
-        .map(|(&w, &d)| w * d as u64)
-        .sum();
+/// Parallel OAT through [`ValleyOatCordon`]: polylog rounds (Theorem 5.1)
+/// at every size.  Produces the same cost as [`garsia_wachs`] and as
+/// `pardp-obst`'s interval DP on the same leaf weights, plus the leaf depths.
+/// Panics with the [`WeightError`] message where [`ValleyOatCordon::new`]
+/// does.
+pub fn parallel_oat(weights: &[u64]) -> OatResult {
+    let metrics = MetricsCollector::new();
+    let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
+    oat_result(layout, &metrics)
+}
+
+fn oat_result(OatLayout { cost, depths }: OatLayout, metrics: &MetricsCollector) -> OatResult {
     let height = depths.iter().copied().max().unwrap_or(0);
     OatResult {
         cost,
@@ -171,27 +97,20 @@ pub fn garsia_wachs(weights: &[u64]) -> OatResult {
     }
 }
 
-/// Parallel OAT through [`ValleyOatCordon`]: polylog rounds (Theorem 5.1)
-/// at every size.  Produces the same cost as [`garsia_wachs`] and as
-/// `pardp-obst`'s interval DP on the same leaf weights, plus the leaf depths.
-pub fn parallel_oat(weights: &[u64]) -> OatResult {
-    let metrics = MetricsCollector::new();
-    let layout = run_phase_parallel(ValleyOatCordon::new(weights), &metrics);
-    let height = layout.depths.iter().copied().max().unwrap_or(0);
-    OatResult {
-        cost: layout.cost,
-        depths: layout.depths,
-        height,
-        metrics: metrics.snapshot(),
-    }
-}
-
-/// The height bound of Lemma 5.1: for positive integer weights bounded by
-/// `max_weight`, the OAT height is `O(log(total weight / min weight))` —
+/// The height bound of Lemma 5.1: for positive integer weights, the OAT
+/// height is `O(log(total weight / min weight))` —
 /// concretely at most `3 · (log₂(total) - log₂(min)) + 3`, because the subtree
-/// weight at least doubles every three levels up.
+/// weight at least doubles every three levels up.  Panics with the
+/// [`WeightError`] message where the solvers do.
 pub fn oat_height_bound(weights: &[u64]) -> u32 {
-    let total: u64 = weights.iter().sum();
+    let total = match check_weights(weights) {
+        Ok(total) => total,
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking bound (see the docs above)"
+        )]
+        Err(err) => panic!("{err}"),
+    };
     let min = weights.iter().copied().min().unwrap_or(1).max(1);
     if total == 0 {
         return 0;
@@ -203,7 +122,7 @@ pub fn oat_height_bound(weights: &[u64]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pardp_obst::knuth_obst;
+    use pardp_obst::{knuth_obst, naive_obst};
 
     fn pseudo_weights(n: usize, seed: u64, max_w: u64) -> Vec<u64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -229,6 +148,103 @@ mod tests {
                 let recomputed: u64 = w.iter().zip(&gw.depths).map(|(&a, &d)| a * d as u64).sum();
                 assert_eq!(recomputed, gw.cost);
             }
+        }
+    }
+
+    /// Garsia–Wachs as this crate ran it before its search resumed: each
+    /// combine searches for the leftmost locally minimal pair from the
+    /// front.  Returns the leaf depths.
+    fn rescanning_garsia_wachs(weights: &[u64]) -> Vec<u32> {
+        // (weight, tree): leaves are `-(i + 1)`, packages their node index.
+        let mut seq: Vec<(u64, isize)> = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (w, -(i as isize) - 1))
+            .collect();
+        let mut children: Vec<(isize, isize)> = Vec::new();
+        while seq.len() > 1 {
+            let two_sum = |s: &[(u64, isize)], i: usize| s[i].0 + s[i + 1].0;
+            let last = seq.len() - 2;
+            let mut pick = last;
+            for i in 0..=last {
+                let left_ok = i == 0 || two_sum(&seq, i - 1) > two_sum(&seq, i);
+                let right_ok = i == last || two_sum(&seq, i) <= two_sum(&seq, i + 1);
+                if left_ok && right_ok {
+                    pick = i;
+                    break;
+                }
+            }
+            let x = two_sum(&seq, pick);
+            children.push((seq[pick].1, seq[pick + 1].1));
+            seq.drain(pick..=pick + 1);
+            let q = pick + seq[pick..].iter().take_while(|it| it.0 < x).count();
+            seq.insert(q, (x, children.len() as isize - 1));
+        }
+        let mut depths = vec![0u32; weights.len()];
+        let mut stack: Vec<(isize, u32)> = seq.iter().map(|it| (it.1, 0)).collect();
+        while let Some((tree, depth)) = stack.pop() {
+            if tree < 0 {
+                depths[(-tree - 1) as usize] = depth;
+            } else {
+                let (l, r) = children[tree as usize];
+                stack.extend([(l, depth + 1), (r, depth + 1)]);
+            }
+        }
+        depths
+    }
+
+    #[test]
+    fn resumed_search_builds_the_rescanning_tree() {
+        // Caps 1 and 3 tie many 2-sums, where the leftmost rule decides the
+        // tree; 2^16 gives distinct sums.
+        for cap in [1u64, 3, 1 << 16] {
+            for seed in 0..20 {
+                for n in 0..=70 {
+                    let w = pseudo_weights(n, seed, cap);
+                    assert_eq!(
+                        garsia_wachs(&w).depths,
+                        rescanning_garsia_wachs(&w),
+                        "cap {cap} seed {seed} weights {w:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weights_past_the_cost_bound_are_refused() {
+        // Eight leaves of u64::MAX / 4 weigh about 2 · u64::MAX; wrapped,
+        // both solvers used to return 9 223 372 036 854 775 782.
+        let heavy = [u64::MAX / 4; 8];
+        assert_eq!(
+            ValleyOatCordon::try_new(&heavy).err(),
+            Some(WeightError::TotalOverflow)
+        );
+        let want = WeightError::TotalOverflow.to_string();
+        let refusals = [
+            std::panic::catch_unwind(|| garsia_wachs(&heavy)).err(),
+            std::panic::catch_unwind(|| parallel_oat(&heavy)).err(),
+            std::panic::catch_unwind(|| oat_height_bound(&heavy)).err(),
+        ];
+        for err in refusals {
+            assert_eq!(err.unwrap().downcast_ref::<String>(), Some(&want));
+        }
+        // Accepted inputs at the bound match the naive interval DP, whose
+        // debug build checks every sum it forms: two leaves weighing
+        // u64::MAX, whose 2-sum rounds past the largest power of two, a
+        // balanced eight and a skewed eight with 3 · total near u64::MAX.
+        let unit = u64::MAX / 24;
+        let mut balanced = vec![unit; 8];
+        balanced[0] += (u64::MAX - 24 * unit) / 3;
+        let skewed = [1u64, 2, 3, 5, 8, 13, 21, 34].map(|f| f * (u64::MAX / (3 * 87)));
+        for w in [
+            vec![u64::MAX / 2 + 1, u64::MAX / 2],
+            balanced,
+            skewed.to_vec(),
+        ] {
+            let want = naive_obst(&w).cost;
+            assert_eq!(garsia_wachs(&w).cost, want, "{w:?}");
+            assert_eq!(parallel_oat(&w).cost, want, "{w:?}");
         }
     }
 

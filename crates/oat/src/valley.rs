@@ -27,6 +27,7 @@
 //! 3. finishes with a short sequential sweep that performs the remaining
 //!    eligible locally-minimal combines (wall-adjacent pairs and packages
 //!    that escape their run), counted as `wasted` work in the metrics.
+//!    The same sweep with no threshold is [`crate::garsia_wachs`].
 //!
 //! After a round no 2-sum is below `T`, so the number of rounds is at most
 //! `log₂(total weight) + O(1)` — within the Lemma 5.1 budget
@@ -55,6 +56,7 @@
 //! algorithm.
 
 use pardp_core::PhaseParallel;
+use pardp_obst::{check_weights, WeightError};
 use pardp_parutils::{round_min_grain, MetricsCollector};
 
 /// Cost and per-leaf depths of an optimal alphabetic tree, the output of
@@ -188,6 +190,8 @@ fn combine_runs(
 #[derive(Debug)]
 pub struct ValleyOatCordon {
     weights: Vec<u64>,
+    /// The total weight, checked to fit by [`ValleyOatCordon::try_new`].
+    total: u64,
     seq: Vec<Item>,
     /// The l-tree's internal nodes, `(left, right)`, one slot per leaf.
     /// Every combine turns two items into one, so the first `n - seq.len()`
@@ -200,8 +204,11 @@ pub struct ValleyOatCordon {
 }
 
 impl ValleyOatCordon {
-    /// Build the cordon: the leaf sequence and the buffers the rounds reuse.
-    pub fn new(weights: &[u64]) -> Self {
+    /// Build the cordon: the leaf sequence and the buffers the rounds
+    /// reuse, or the [`WeightError`] of `pardp-obst`'s [`check_weights`],
+    /// whose bound covers every 2-sum, threshold and cost a round forms.
+    pub fn try_new(weights: &[u64]) -> Result<Self, WeightError> {
+        let total = check_weights(weights)?;
         let n = weights.len();
         let seq = weights
             .iter()
@@ -211,13 +218,81 @@ impl ValleyOatCordon {
                 enc: -((i as isize) + 1),
             })
             .collect();
-        ValleyOatCordon {
+        Ok(ValleyOatCordon {
             weights: weights.to_vec(),
+            total,
             seq,
             nodes: vec![(0, 0); n],
             threshold: 0,
             runs: Vec::with_capacity(n),
+        })
+    }
+
+    /// [`ValleyOatCordon::try_new`], panicking where it returns an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WeightError`] message if the weights' total, or
+    /// the bound on the costs the kernels form, exceeds `u64::MAX`.
+    pub fn new(weights: &[u64]) -> Self {
+        match Self::try_new(weights) {
+            Ok(cordon) => cordon,
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade over the typed \
+                          `try_new` (see the `# Panics` docs above)"
+            )]
+            Err(err) => panic!("{err}"),
         }
+    }
+
+    /// Garsia–Wachs combines (Appendix A.1 of the paper): while one exists,
+    /// combine the leftmost locally minimal pair whose 2-sum is at most
+    /// `threshold` into a package `x`, and reinsert `x` before the first
+    /// later element `>= x`.  With `u64::MAX` the leftmost minimal 2-sum
+    /// always qualifies, so one item is left.  A combine at `p` moves no
+    /// item before `p`, so the pairs before `p - 2` stay ineligible, and
+    /// the search resumes there.  Returns the combines and the scan/insert
+    /// work.
+    pub(crate) fn sweep(&mut self, threshold: u64) -> (usize, u64) {
+        let seq = &mut self.seq;
+        let two = |s: &[Item], k: usize| s[k].weight + s[k + 1].weight;
+        let first = self.weights.len() - seq.len();
+        let mut built = first;
+        let mut edges = 0u64;
+        let mut cursor = 0usize;
+        while seq.len() >= 2 {
+            let last = seq.len() - 2;
+            let mut found = None;
+            let mut k = cursor;
+            while k <= last {
+                edges += 1;
+                let s = two(seq, k);
+                if s <= threshold {
+                    let left_ok = k == 0 || two(seq, k - 1) > s;
+                    let right_ok = k == last || s <= two(seq, k + 1);
+                    if left_ok && right_ok {
+                        found = Some(k);
+                        break;
+                    }
+                }
+                k += 1;
+            }
+            let Some(p) = found else { break };
+            let x = two(seq, p);
+            self.nodes[built] = (seq[p].enc, seq[p + 1].enc);
+            let enc = built as isize;
+            built += 1;
+            seq.drain(p..=p + 1);
+            let mut q = p;
+            while q < seq.len() && seq[q].weight < x {
+                edges += 1;
+                q += 1;
+            }
+            seq.insert(q, Item { weight: x, enc });
+            cursor = p.saturating_sub(2);
+        }
+        (built - first, edges)
     }
 }
 
@@ -238,8 +313,9 @@ impl PhaseParallel for ValleyOatCordon {
         let n_now = self.seq.len();
         debug_assert!(n_now >= 2);
 
-        // Threshold: at least double, and at least the (power-of-two rounded)
-        // smallest current 2-sum, so >= 1 pair is always eligible.
+        // Threshold: at least double, and at least the smallest current
+        // 2-sum rounded up to a power of two (or to `u64::MAX` past 2^63), so
+        // >= 1 pair is always eligible.
         #[expect(
             clippy::expect_used,
             reason = "`round` only runs while `seq.len() >= 2` (`is_done` gates on \
@@ -252,7 +328,8 @@ impl PhaseParallel for ValleyOatCordon {
             .map(|w| w[0].weight + w[1].weight)
             .min()
             .expect("at least one pair");
-        self.threshold = (self.threshold.saturating_mul(2)).max(min_sum.next_power_of_two());
+        let floor = min_sum.checked_next_power_of_two().unwrap_or(u64::MAX);
+        self.threshold = (self.threshold.saturating_mul(2)).max(floor);
         let t = self.threshold;
 
         // Maximal nondecreasing runs (the ascending valley slopes), listed in
@@ -316,48 +393,11 @@ impl PhaseParallel for ValleyOatCordon {
         // Sequential sweep: remaining eligible locally minimal pairs —
         // wall-adjacent fronts and packages escaping their run.  Counted as
         // wasted (work the parallel phase could not take).
-        let mut swept = 0u64;
-        let mut edges = 0u64;
-        let mut cursor = 0usize;
-        while self.seq.len() >= 2 {
-            let two = |s: &[Item], k: usize| s[k].weight + s[k + 1].weight;
-            let last = self.seq.len() - 2;
-            let mut found = None;
-            let mut k = cursor;
-            while k <= last {
-                edges += 1;
-                let s = two(&self.seq, k);
-                if s <= t {
-                    let left_ok = k == 0 || two(&self.seq, k - 1) > s;
-                    let right_ok = k == last || s <= two(&self.seq, k + 1);
-                    if left_ok && right_ok {
-                        found = Some(k);
-                        break;
-                    }
-                }
-                k += 1;
-            }
-            let Some(p) = found else { break };
-            let x = two(&self.seq, p);
-            self.nodes[built] = (self.seq[p].enc, self.seq[p + 1].enc);
-            let enc = built as isize;
-            built += 1;
-            self.seq.drain(p..=p + 1);
-            let mut q = p;
-            while q < self.seq.len() && self.seq[q].weight < x {
-                edges += 1;
-                q += 1;
-            }
-            self.seq.insert(q, Item { weight: x, enc });
-            swept += 1;
-            // Modifications touch indices >= p - 1 only; resume two pairs
-            // earlier (pair p-2's right neighbour changed).
-            cursor = p.saturating_sub(2);
-        }
+        let (swept, edges) = self.sweep(t);
         metrics.add_edges(edges);
-        metrics.add_wasted(swept);
+        metrics.add_wasted(swept as u64);
 
-        combines + swept as usize
+        combines + swept
     }
 
     fn finish(self) -> OatLayout {
@@ -393,8 +433,7 @@ impl PhaseParallel for ValleyOatCordon {
         // The threshold at least doubles per round and starts at the first
         // min-2-sum's power of two, so rounds <= log2(total weight) + O(1);
         // n - 1 combines also bound the rounds outright.
-        let total: u64 = self.weights.iter().sum();
-        let bits = 64 - total.leading_zeros() as u64;
+        let bits = 64 - self.total.leading_zeros() as u64;
         Some((n - 1).min(bits + 4))
     }
 }

@@ -37,6 +37,62 @@ pub struct ObstResult {
     pub metrics: Metrics,
 }
 
+/// Why [`check_weights`], and so [`ObstCordon::try_new`] and `pardp-oat`'s
+/// `ValleyOatCordon::try_new`, reject leaf weights.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WeightError {
+    /// The weights sum past `u64::MAX`.
+    TotalOverflow,
+    /// The total weight times `⌈log₂ n⌉`, the bound [`check_weights`] puts
+    /// on every cost the kernels form, passes `u64::MAX`.
+    CostOverflow {
+        /// The total weight.
+        total: u64,
+        /// `⌈log₂ n⌉` for `n` leaves, the height of a balanced tree over them.
+        levels: u32,
+    },
+}
+
+impl std::fmt::Display for WeightError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            WeightError::TotalOverflow => f.write_str("weights: the total weight exceeds u64::MAX"),
+            WeightError::CostOverflow { total, levels } => {
+                write!(
+                    f,
+                    "weights: total weight {total} times {levels} levels exceeds u64::MAX"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for WeightError {}
+
+/// The total of `weights`, or an error if it or a cost that the interval DP
+/// or Garsia–Wachs can form on them would pass `u64::MAX`.
+///
+/// Every such cost is at most `total · ⌈log₂ n⌉`.  A balanced tree puts
+/// each of an interval's leaves at depth at most `⌈log₂ len⌉`, so an
+/// interval's optimal cost is at most its weight times that.  A split's
+/// cost, optimal or not, adds the optimal costs of two shorter intervals,
+/// and the chosen split plus the interval's weight is again at most the
+/// interval's weight times `⌈log₂ len⌉`.  Garsia–Wachs adds the weights of
+/// two disjoint subtrees, at most `total`, and its result is an optimal
+/// cost.  The check refuses some inputs whose optimal cost fits, such as
+/// heavy leaves beside many light ones.
+pub fn check_weights(weights: &[u64]) -> Result<u64, WeightError> {
+    let total = weights
+        .iter()
+        .try_fold(0u64, |acc, &w| acc.checked_add(w))
+        .ok_or(WeightError::TotalOverflow)?;
+    let levels = weights.len().next_power_of_two().trailing_zeros();
+    match total.checked_mul(u64::from(levels)) {
+        Some(_) => Ok(total),
+        None => Err(WeightError::CostOverflow { total, levels }),
+    }
+}
+
 fn prefix_sums(weights: &[u64]) -> Vec<u64> {
     let mut p = Vec::with_capacity(weights.len() + 1);
     let mut acc = 0u64;
@@ -82,46 +138,23 @@ pub fn naive_obst(weights: &[u64]) -> ObstResult {
 }
 
 /// Knuth's `O(n²)` sequential algorithm: the split-point search for `[i, j]`
-/// is restricted to `[root[i][j-1], root[i+1][j]]`.
+/// is restricted to `[root[i][j-1], root[i+1][j]]`.  It fills
+/// [`ObstCordon`]'s table one diagonal after another with the cordon's own
+/// per-interval step, in a plain loop.  Panics with the [`WeightError`]
+/// message where [`check_weights`] fails.
 pub fn knuth_obst(weights: &[u64]) -> ObstResult {
-    let n = weights.len();
     let metrics = MetricsCollector::new();
-    if n <= 1 {
-        return ObstResult {
-            cost: 0,
-            metrics: metrics.snapshot(),
-        };
-    }
-    let pre = prefix_sums(weights);
-    let wsum = |i: usize, j: usize| pre[j + 1] - pre[i];
-    let mut d = vec![vec![0u64; n]; n];
-    let mut root = vec![vec![0usize; n]; n];
-    for i in 0..n {
-        root[i][i] = i;
-    }
+    let mut table = ObstCordon::new(weights);
     let mut edges = 0u64;
-    for len in 2..=n {
-        for i in 0..=(n - len) {
-            let j = i + len - 1;
-            let lo = root[i][j - 1];
-            let hi = root[i + 1][j].min(j - 1);
-            let mut best = u64::MAX;
-            let mut best_k = lo;
-            for k in lo..=hi {
-                edges += 1;
-                let c = d[i][k] + d[k + 1][j];
-                if c < best {
-                    best = c;
-                    best_k = k;
-                }
-            }
-            d[i][j] = best + wsum(i, j);
-            root[i][j] = best_k;
+    while !table.is_done() {
+        let (knuth, costs, splits) = table.next_diagonal();
+        for (i, slots) in costs.iter_mut().zip(splits).enumerate() {
+            edges += knuth.fill(i, slots);
         }
     }
     metrics.add_edges(edges);
     ObstResult {
-        cost: d[0][n - 1],
+        cost: table.finish(),
         metrics: metrics.snapshot(),
     }
 }
@@ -132,6 +165,7 @@ pub fn knuth_obst(weights: &[u64]) -> ObstResult {
 ///
 /// Runs [`ObstCordon`] through the shared phase-parallel driver, which
 /// supplies the round accounting, frontier telemetry and stall guard.
+/// Panics with the [`WeightError`] message where [`check_weights`] fails.
 pub fn parallel_obst(weights: &[u64]) -> ObstResult {
     let metrics = MetricsCollector::new();
     let cost = run_phase_parallel(ObstCordon::new(weights), &metrics);
@@ -148,11 +182,11 @@ pub fn parallel_obst(weights: &[u64]) -> ObstResult {
 ///
 /// Both tables live in a single flat allocation in diagonal-major order
 /// (`offsets[len - 1] + i` addresses interval `[i, i + len - 1]`), sized up
-/// front in [`ObstCordon::new`].  A round therefore performs **zero heap
+/// front in [`ObstCordon::try_new`].  A round therefore performs **zero heap
 /// allocation**: it splits the flat table at the current diagonal's offset and
-/// writes the new diagonal in place while reading the finished prefix.  The
-/// diagonal-major layout also keeps each round's reads (the two one-shorter
-/// diagonals) contiguous, unlike the row-major tables of [`knuth_obst`].
+/// writes the new diagonal in place while reading the finished prefix, and
+/// the diagonal-major layout keeps those reads (the two one-shorter
+/// diagonals) contiguous.  [`knuth_obst`] fills the same table in a loop.
 pub struct ObstCordon {
     pre: Vec<u64>,
     d: Vec<u64>,
@@ -164,10 +198,49 @@ pub struct ObstCordon {
     n: usize,
 }
 
+/// The finished diagonals of an [`ObstCordon`]'s table, from which Knuth's
+/// step fills the intervals of length `len`.
+struct Knuth<'a> {
+    pre: &'a [u64],
+    d: &'a [u64],
+    root: &'a [usize],
+    offsets: &'a [usize],
+    len: usize,
+}
+
+impl Knuth<'_> {
+    /// Knuth's step for the interval `[i, i + len - 1]`: search the split
+    /// points between the best splits of its two one-shorter intervals,
+    /// write the optimal cost and the leftmost best split to `slots`, and
+    /// return the number of splits tried.
+    #[inline]
+    fn fill(&self, i: usize, (cost, split): (&mut u64, &mut usize)) -> u64 {
+        let (len, offsets) = (self.len, self.offsets);
+        let j = i + len - 1;
+        let prev = offsets[len - 2];
+        let lo = self.root[prev + i];
+        let hi = self.root[prev + i + 1].min(j - 1).max(lo);
+        let mut best = u64::MAX;
+        let mut best_k = lo;
+        for k in lo..=hi {
+            let c = self.d[offsets[k - i] + i] + self.d[offsets[j - k - 1] + k + 1];
+            if c < best {
+                best = c;
+                best_k = k;
+            }
+        }
+        *cost = best + (self.pre[j + 1] - self.pre[i]);
+        *split = best_k;
+        (hi - lo + 1) as u64
+    }
+}
+
 impl ObstCordon {
     /// Seed the length-1 diagonal (single leaves cost 0, root at themselves)
-    /// and pre-size the full triangular tables.
-    pub fn new(weights: &[u64]) -> Self {
+    /// and pre-size the full triangular tables, or return the
+    /// [`WeightError`] of [`check_weights`].
+    pub fn try_new(weights: &[u64]) -> Result<Self, WeightError> {
+        check_weights(weights)?;
         let n = weights.len();
         let total = n * (n + 1) / 2;
         let mut offsets = Vec::with_capacity(n);
@@ -182,14 +255,53 @@ impl ObstCordon {
         for (i, r) in root.iter_mut().enumerate().take(n) {
             *r = i;
         }
-        ObstCordon {
+        Ok(ObstCordon {
             pre: prefix_sums(weights),
             d,
             root,
             offsets,
             len: 2,
             n,
+        })
+    }
+
+    /// [`ObstCordon::try_new`], panicking where it returns an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WeightError`] message if the weights' total, or
+    /// the bound on the costs the kernels form, exceeds `u64::MAX`.
+    pub fn new(weights: &[u64]) -> Self {
+        match Self::try_new(weights) {
+            Ok(cordon) => cordon,
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade over the typed \
+                          `try_new` (see the `# Panics` docs above)"
+            )]
+            Err(err) => panic!("{err}"),
         }
+    }
+
+    /// Take the next diagonal: the finished table, and the diagonal's cost
+    /// and split slots, which the caller fills through [`Knuth::fill`].
+    fn next_diagonal(&mut self) -> (Knuth<'_>, &mut [u64], &mut [usize]) {
+        let len = self.len;
+        self.len += 1;
+        let count = self.n - len + 1;
+        // Everything before `start` is finished (all shorter diagonals); the
+        // current diagonal is written in place.
+        let start = self.offsets[len - 1];
+        let (d, costs) = self.d.split_at_mut(start);
+        let (root, splits) = self.root.split_at_mut(start);
+        let knuth = Knuth {
+            pre: &self.pre,
+            d,
+            root,
+            offsets: &self.offsets,
+            len,
+        };
+        (knuth, &mut costs[..count], &mut splits[..count])
     }
 }
 
@@ -201,47 +313,16 @@ impl PhaseParallel for ObstCordon {
     }
 
     fn round(&mut self, metrics: &MetricsCollector) -> usize {
-        let (len, n) = (self.len, self.n);
-        let pre = &self.pre;
-        let wsum = |i: usize, j: usize| pre[j + 1] - pre[i];
-        let count = n - len + 1;
-        let offsets = &self.offsets;
-        let start = offsets[len - 1];
-        // Everything before `start` is finished (all shorter diagonals); the
-        // current diagonal is written in place.
-        let (done_d, write_d) = self.d.split_at_mut(start);
-        let (done_root, write_root) = self.root.split_at_mut(start);
-        let prev = offsets[len - 2];
-        let edge_total: u64 = write_d[..count]
+        let (knuth, costs, splits) = self.next_diagonal();
+        let count = costs.len();
+        let edges: u64 = costs
             .par_iter_mut()
-            .zip(write_root[..count].par_iter_mut())
+            .zip(splits.par_iter_mut())
             .enumerate()
             .with_min_len(round_min_grain(count))
-            .map(|(i, (d_out, r_out))| {
-                let j = i + len - 1;
-                // Knuth bounds from the two one-shorter intervals.
-                let lo = done_root[prev + i];
-                let hi = done_root[prev + i + 1].min(j - 1).max(lo);
-                let mut best = u64::MAX;
-                let mut best_k = lo;
-                let mut edges = 0u64;
-                for k in lo..=hi {
-                    edges += 1;
-                    let left = done_d[offsets[k - i] + i];
-                    let right = done_d[offsets[j - k - 1] + k + 1];
-                    let c = left + right;
-                    if c < best {
-                        best = c;
-                        best_k = k;
-                    }
-                }
-                *d_out = best + wsum(i, j);
-                *r_out = best_k;
-                edges
-            })
+            .map(|(i, slots)| knuth.fill(i, slots))
             .sum();
-        metrics.add_edges(edge_total);
-        self.len += 1;
+        metrics.add_edges(edges);
         count
     }
 
@@ -338,6 +419,46 @@ mod tests {
         assert_eq!(parallel_obst(&[7]).cost, 0);
         assert_eq!(parallel_obst(&[3, 4]).cost, 7);
         assert_eq!(naive_obst(&[3, 4]).cost, 7);
+    }
+
+    #[test]
+    fn weights_past_the_cost_bound_are_refused() {
+        // Eight leaves of u64::MAX / 4 weigh about 2 · u64::MAX; wrapped,
+        // both solvers used to return 9 223 372 036 854 775 778.
+        let heavy = [u64::MAX / 4; 8];
+        assert_eq!(
+            ObstCordon::try_new(&heavy).err(),
+            Some(WeightError::TotalOverflow)
+        );
+        // Eight leaves fill a balanced tree of 3 levels, so the bound is
+        // 3 · total: exactly u64::MAX here, and past it one unit later.
+        let unit = u64::MAX / 24;
+        let mut at_bound = [unit; 8];
+        at_bound[0] += (u64::MAX - 24 * unit) / 3;
+        let mut past = at_bound;
+        past[0] += 1;
+        let total = past.iter().sum();
+        assert_eq!(
+            check_weights(&past),
+            Err(WeightError::CostOverflow { total, levels: 3 })
+        );
+        for weights in [&heavy, &past] {
+            let want = check_weights(weights).err().map(|e| e.to_string());
+            for solve in [knuth_obst, parallel_obst] {
+                let err = std::panic::catch_unwind(|| solve(weights)).unwrap_err();
+                assert_eq!(err.downcast_ref::<String>(), want.as_ref());
+            }
+        }
+        // Accepted inputs at the bound, balanced and skewed, match the
+        // naive DP, whose debug build checks every sum it forms.
+        let skewed = [1u64, 2, 3, 5, 8, 13, 21, 34].map(|f| f * (u64::MAX / (3 * 87)));
+        for weights in [at_bound, skewed] {
+            assert!(ObstCordon::try_new(&weights).is_ok());
+            let want = naive_obst(&weights).cost;
+            assert_eq!(knuth_obst(&weights).cost, want, "{weights:?}");
+            assert_eq!(parallel_obst(&weights).cost, want, "{weights:?}");
+        }
+        assert_eq!(naive_obst(&at_bound).cost, u64::MAX);
     }
 
     #[test]

@@ -94,8 +94,9 @@
 //! thread: no pool job is pushed and no worker is woken (pinned by the
 //! dispatch-counter test in `tests/pool_fastpath.rs`).
 //!
-//! [`reconstruct_chain`] walks one longest chain back from the DP values a
-//! [`StaircaseCordon`] computed; LIS and sparse LCS reconstruct through it.
+//! [`patience`] computes the same DP values sequentially, and
+//! [`reconstruct_chain`] walks one longest chain back from them; LIS and
+//! sparse LCS run their sequential baselines and reconstruct through these.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -938,6 +939,41 @@ impl<K: Key> PhaseParallel for StaircaseCordon<K> {
         Some((self.tree.active as u64).min(u64::from(rounds_left)))
     }
 }
+
+/// The DP values a [`StaircaseCordon`] computes, by patience sorting: each
+/// key's value is the length of the longest strictly increasing chain of
+/// keys that ends at it, and the second output is the longest such length.
+/// A binary search over the *tails*, the smallest key that ends a chain of
+/// each length so far, gives each key its value.  Adds one edge and one
+/// state per key, and one probe per tail a search compares.
+pub fn patience<K: Ord + Copy>(
+    keys: impl ExactSizeIterator<Item = K>,
+    metrics: &MetricsCollector,
+) -> (Vec<u32>, u32) {
+    let n = keys.len() as u64;
+    let mut tails: Vec<K> = Vec::new();
+    let mut values = Vec::with_capacity(keys.len());
+    let mut probes = 0u64;
+    for key in keys {
+        // The longest chain ending strictly below `key`, plus one.
+        let pos = tails.partition_point(|&t| {
+            probes += 1;
+            t < key
+        });
+        if pos == tails.len() {
+            tails.push(key);
+        } else {
+            // tails[pos] >= key, so key ends the smallest tail of its length.
+            tails[pos] = key;
+        }
+        values.push(pos as u32 + 1);
+    }
+    metrics.add_edges(n);
+    metrics.add_probes(probes);
+    metrics.add_states(n);
+    (values, tails.len() as u32)
+}
+
 /// Values compared at once by the backward search of [`reconstruct_chain`].
 const SEARCH_CHUNK: usize = 32;
 
